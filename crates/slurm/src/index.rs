@@ -9,11 +9,20 @@
 //! relative order can actually change:
 //!
 //! * [`PendingIndex`] — the pending queue keyed by
-//!   `(boosted, submit_time, id)`. The multifactor age term grows at the
+//!   `(boosted, submit_time, seq)`. The multifactor age term grows at the
 //!   same rate for every pending job, so under the default configuration
 //!   (pure age weight, uniform base priority) the priority-sorted order
 //!   *is* this static key order at every instant; the scheduler verifies
 //!   the preconditions and falls back to the full sort otherwise.
+//!   Its **need view** is a second ordered set over the queued
+//!   (non-resizer) jobs, keyed `(requested_nodes, boosted, submit_time,
+//!   seq)`: the reconfiguration check "who is first in line among the
+//!   jobs that `R` released nodes would admit" is a range query on it —
+//!   one seek per distinct need in `(free, free + R]` — instead of a walk
+//!   of the whole order. Built from the pending set on the first such
+//!   query and maintained from then on, so a run that never consults a
+//!   policy never pays for it; valid under the same static-order
+//!   preconditions, with the walk as the fallback.
 //! * [`RunningIndex`] — running jobs keyed by
 //!   `(expected_end, held_nodes, id)`, exactly the order the EASY
 //!   backfill reservation scan produced by sorting.
@@ -25,11 +34,14 @@
 //! pre-index scan implementations survive behind
 //! [`crate::slurm::SchedIndex::ScanReference`] as the equivalence oracle.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound::{Excluded, Unbounded};
 
 use dmr_sim::SimTime;
 
+use crate::arena::JobArena;
 use crate::job::{Job, JobId};
 
 /// Index key of one pending job: `(boosted first, submit ascending, seq
@@ -38,6 +50,12 @@ use crate::job::{Job, JobId};
 /// even when arena slot recycling makes raw [`JobId`] values
 /// non-monotonic.
 pub(crate) type PendingKey = (Reverse<bool>, SimTime, u64, JobId);
+
+/// Key of one queued job in the need view: `requested_nodes`, then the
+/// ordering fields of its [`PendingKey`]. Flat and without the id — 24
+/// bytes an entry against 40 for `(u32, PendingKey)`; the unique `seq`
+/// finds the id again in the pending set.
+pub(crate) type NeedKey = (u32, Reverse<bool>, SimTime, u64);
 
 /// Ordered index of the pending set.
 ///
@@ -62,6 +80,15 @@ pub(crate) struct PendingIndex {
     /// so capacity events fall back to a full invalidation whenever this
     /// is non-zero.
     constrained: usize,
+    /// The need view: the queued (non-resizer) pending jobs ordered by
+    /// `requested_nodes`, each need in [`PendingKey`] order — what
+    /// [`PendingIndex::first_needing`] queries. `None` until the first
+    /// query builds it from `set`, so a run that never consults a policy
+    /// maintains nothing; once live it is kept current wherever a
+    /// pending key changes (a pending job's `requested_nodes` never
+    /// does). `RefCell`: the build happens behind the `&Slurm` a policy
+    /// holds.
+    by_need: RefCell<Option<BTreeSet<NeedKey>>>,
 }
 
 impl PendingIndex {
@@ -69,9 +96,25 @@ impl PendingIndex {
         (Reverse(job.boosted), job.submit_time, job.seq, job.id)
     }
 
+    fn need_key(job: &Job) -> NeedKey {
+        let (boosted, submit, seq, _) = Self::key(job);
+        (job.requested_nodes, boosted, submit, seq)
+    }
+
+    /// The need view, if it is live and `job` belongs in it.
+    fn view_of(&mut self, job: &Job) -> Option<&mut BTreeSet<NeedKey>> {
+        self.by_need
+            .get_mut()
+            .as_mut()
+            .filter(|_| !job.is_resizer())
+    }
+
     pub(crate) fn insert(&mut self, job: &Job) {
         let added = self.set.insert(Self::key(job));
         debug_assert!(added, "{:?} already indexed", job.id);
+        if let Some(view) = self.view_of(job) {
+            view.insert(Self::need_key(job));
+        }
         if job.base_priority != 0 {
             self.nonzero_base += 1;
         }
@@ -86,6 +129,9 @@ impl PendingIndex {
     pub(crate) fn remove(&mut self, job: &Job) {
         let removed = self.set.remove(&Self::key(job));
         debug_assert!(removed, "{:?} not indexed", job.id);
+        if let Some(view) = self.view_of(job) {
+            view.remove(&Self::need_key(job));
+        }
         if job.base_priority != 0 {
             self.nonzero_base -= 1;
         }
@@ -98,10 +144,20 @@ impl PendingIndex {
     }
 
     /// Re-keys a pending job whose `boosted` flag just flipped to `true`.
-    pub(crate) fn reboost(&mut self, submit: SimTime, seq: u64, id: JobId) {
+    pub(crate) fn reboost(&mut self, job: &Job) {
+        debug_assert!(
+            job.boosted,
+            "{:?} reboosted before the flag flipped",
+            job.id
+        );
+        let (_, submit, seq, id) = Self::key(job);
         let removed = self.set.remove(&(Reverse(false), submit, seq, id));
         debug_assert!(removed, "{id:?} not indexed for reboost");
-        self.set.insert((Reverse(true), submit, seq, id));
+        self.set.insert(Self::key(job));
+        if let Some(view) = self.view_of(job) {
+            view.remove(&(job.requested_nodes, Reverse(false), submit, seq));
+            view.insert(Self::need_key(job));
+        }
     }
 
     pub(crate) fn nonzero_base(&self) -> usize {
@@ -145,11 +201,62 @@ impl PendingIndex {
     /// O(k log n) rather than O(n), and the cursor survives the removal
     /// of every key it has already visited.
     pub(crate) fn next_after(&self, prev: Option<PendingKey>) -> Option<PendingKey> {
-        use std::ops::Bound::{Excluded, Unbounded};
         match prev {
             None => self.set.first().copied(),
             Some(key) => self.set.range((Excluded(key), Unbounded)).next().copied(),
         }
+    }
+
+    /// Queued (non-resizer) pending jobs. O(1).
+    pub(crate) fn queued(&self) -> usize {
+        self.set.len() - self.resizers
+    }
+
+    /// The queued job first in [`PendingKey`] order among those
+    /// requesting more than `above` and at most `upto` nodes, with its
+    /// request. Served from the need view (built here on first use, from
+    /// `jobs`): one seek per distinct need in the range, so the cost is
+    /// O(distinct needs · log pending) whatever the queue depth.
+    pub(crate) fn first_needing(
+        &self,
+        above: u32,
+        upto: u32,
+        jobs: &JobArena,
+    ) -> Option<(JobId, u32)> {
+        if upto <= above || self.queued() == 0 {
+            return None;
+        }
+        let mut view = self.by_need.borrow_mut();
+        let view = view.get_or_insert_with(|| {
+            self.ids()
+                .map(|id| &jobs[id])
+                .filter(|job| !job.is_resizer())
+                .map(Self::need_key)
+                .collect()
+        });
+        // The first entry of a need is that need's best job, and the
+        // last possible key of a need is the seek to the next need.
+        let last_of = |need| (need, Reverse(false), SimTime(u64::MAX), u64::MAX);
+        let mut best: Option<NeedKey> = None;
+        let mut need = above;
+        while let Some(&head) = view.range((Excluded(last_of(need)), Unbounded)).next() {
+            need = head.0;
+            if need > upto {
+                break;
+            }
+            if best.is_none_or(|b| (head.1, head.2, head.3) < (b.1, b.2, b.3)) {
+                best = Some(head);
+            }
+        }
+        let (need, boosted, submit, seq) = best?;
+        let &(.., id) = self.set.range((boosted, submit, seq, JobId(0))..).next()?;
+        Some((id, need))
+    }
+
+    /// The need view's entries in key order, when live (invariant check).
+    pub(crate) fn need_view(&self) -> Option<Vec<NeedKey>> {
+        let view = self.by_need.borrow();
+        view.as_ref().map(|v| v.iter().copied().collect())
     }
 }
 

@@ -127,21 +127,22 @@ impl ResizeEnvelope {
         t == target
     }
 
-    /// All shrink targets (descending) reachable from `current`.
+    /// The shrink targets (descending) reachable from `current`, one
+    /// factor step at a time, without allocating. An envelope at its
+    /// floor yields nothing.
+    pub fn shrink_steps(&self, current: u32) -> impl Iterator<Item = u32> {
+        let (factor, min) = (self.factor, self.min);
+        std::iter::successors(Some(current), move |&t| {
+            (factor >= 2 && t.is_multiple_of(factor)).then(|| t / factor)
+        })
+        .skip(1)
+        .take_while(move |&t| t >= min && t != 0)
+    }
+
+    /// All shrink targets (descending) reachable from `current`:
+    /// [`ResizeEnvelope::shrink_steps`], collected.
     pub fn shrink_chain(&self, current: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        if self.factor < 2 {
-            return out;
-        }
-        let mut t = current;
-        while t.is_multiple_of(self.factor) {
-            t /= self.factor;
-            if t < self.min || t == 0 {
-                break;
-            }
-            out.push(t);
-        }
-        out
+        self.shrink_steps(current).collect()
     }
 }
 

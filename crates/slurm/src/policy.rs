@@ -187,10 +187,9 @@ impl ResizePolicy for Algorithm1 {
         let env = envelope_of(slurm, job);
         let current = slurm.nodes_of(job);
         let free = slurm.cluster().free_nodes();
-        let pending = slurm.pending_queue(now);
 
         if let Some(pref) = env.preferred {
-            if pending.is_empty() && slurm.running_count() == 1 {
+            if slurm.queued_count() == 0 && slurm.running_count() == 1 {
                 // Line 2-4: alone in the system — expand to the job max.
                 match env.max_procs_to(current, env.max, free) {
                     Some(t) => ResizeAction::Expand { to: t },
@@ -204,7 +203,7 @@ impl ResizePolicy for Algorithm1 {
                 // Line 6-8: try to expand towards the preference.
                 match env.max_procs_to(current, pref, free) {
                     Some(t) => ResizeAction::Expand { to: t },
-                    None => wide_optimization(slurm, current, free, &pending, env),
+                    None => wide_optimization(slurm, current, free, env, now),
                 }
             } else if env.can_shrink_to(current, pref) {
                 // Line 10-12: shrink exactly to the preference.
@@ -213,80 +212,79 @@ impl ResizePolicy for Algorithm1 {
                     beneficiary: None,
                 }
             } else {
-                wide_optimization(slurm, current, free, &pending, env)
+                wide_optimization(slurm, current, free, env, now)
             }
         } else {
-            wide_optimization(slurm, current, free, &pending, env)
+            wide_optimization(slurm, current, free, env, now)
         }
     }
 }
 
-/// Lines 13–24 of Algorithm 1 (shared with [`UtilizationTarget`], which
-/// reuses the shrink-for-beneficiary search).
+/// Lines 13–24 of Algorithm 1.
 fn wide_optimization(
     slurm: &Slurm,
     current: u32,
     free: u32,
-    pending: &[JobId],
     env: ResizeEnvelope,
+    now: SimTime,
 ) -> ResizeAction {
-    if !pending.is_empty() {
-        // Line 15: can another job run with my resources? Walk the
-        // queue in priority order, find the first job a feasible
-        // shrink would admit, and shrink as little as necessary
-        // (keeping the most processes that still releases enough).
-        // Jobs that already fit in the free nodes start on their own
-        // at the next scheduling cycle and are skipped here; greedily
-        // expanding into "their" nodes afterwards is deliberate — a
-        // later check releases the nodes again if someone needs them,
-        // and idling them would be worse (this mirrors the paper's
-        // observation that the RMS, not the policy, owns final
-        // placement).
-        if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, pending, env) {
-            return shrink;
-        }
-        // Line 19-21: nothing queued can be helped — expand so this
-        // job finishes (and releases everything) sooner.
-        match env.max_procs_to(current, env.max, free) {
-            Some(t) => ResizeAction::Expand { to: t },
-            None => ResizeAction::NoAction,
-        }
-    } else {
-        // Line 22-24: empty queue — expand to the job maximum.
-        match env.max_procs_to(current, env.max, free) {
-            Some(t) => ResizeAction::Expand { to: t },
-            None => ResizeAction::NoAction,
-        }
+    // Line 15: can another job run with my resources? Find the first
+    // queued job, in priority order, that a feasible shrink would admit,
+    // and shrink as little as necessary (keeping the most processes that
+    // still releases enough). Jobs that already fit in the free nodes
+    // start on their own at the next scheduling cycle and are skipped;
+    // greedily expanding into "their" nodes afterwards is deliberate — a
+    // later check releases the nodes again if someone needs them, and
+    // idling them would be worse (this mirrors the paper's observation
+    // that the RMS, not the policy, owns final placement).
+    if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, env, now) {
+        return shrink;
+    }
+    // Lines 19–24: the queue is empty, or nothing queued can be helped —
+    // expand so this job finishes (and releases everything) sooner.
+    match env.max_procs_to(current, env.max, free) {
+        Some(t) => ResizeAction::Expand { to: t },
+        None => ResizeAction::NoAction,
     }
 }
 
 /// The minimal shrink admitting the first queued job that is blocked on
-/// nodes, if any (Algorithm 1 lines 15–18 without the expand fallback).
+/// nodes, if any (Algorithm 1 lines 15–18 without the expand fallback) —
+/// the one beneficiary search [`Algorithm1`], [`UtilizationTarget`] and
+/// [`EnergyAware`] share.
+///
+/// Shrinking to the deepest step of the chain releases `reach` nodes, so
+/// the beneficiary is the first queued job requesting more than `free`
+/// and at most `free + reach`. A job already at its envelope floor has
+/// an empty chain and returns before the queue is looked at — the common
+/// case on an overloaded machine. Otherwise the scheduler's need view
+/// answers in O(log pending) while the pending order is static; under a
+/// live multifactor sort (size weight, base priorities, the scan oracle)
+/// the order is walked.
 fn shrink_for_first_blocked(
     slurm: &Slurm,
     current: u32,
     free: u32,
-    pending: &[JobId],
     env: ResizeEnvelope,
+    now: SimTime,
 ) -> Option<ResizeAction> {
-    for &cand in pending {
-        let req = slurm.job(cand).map(|j| j.requested_nodes).unwrap_or(0);
-        let missing = req.saturating_sub(free);
-        if missing == 0 {
-            continue;
-        }
-        if let Some(to) = env
-            .shrink_chain(current)
-            .into_iter()
-            .find(|to| current - to >= missing)
-        {
-            return Some(ResizeAction::Shrink {
-                to,
-                beneficiary: Some(cand),
-            });
-        }
-    }
-    None
+    let reach = current - env.shrink_steps(current).last()?;
+    let (beneficiary, req) = if slurm.pending_order_is_static() {
+        slurm.first_queued_needing(free, reach)?
+    } else {
+        slurm.pending_queue(now).iter().find_map(|&cand| {
+            let req = slurm.job(cand)?.requested_nodes;
+            (req > free && req - free <= reach).then_some((cand, req))
+        })?
+    };
+    let missing = req - free;
+    let to = env
+        .shrink_steps(current)
+        .find(|to| current - to >= missing)?;
+    Some(ResizeAction::Shrink {
+        to,
+        beneficiary: Some(beneficiary),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -331,8 +329,7 @@ impl ResizePolicy for UtilizationTarget {
             };
         }
         if util > self.high {
-            let pending = slurm.pending_queue(now);
-            if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, &pending, env) {
+            if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, env, now) {
                 return shrink;
             }
         }
@@ -374,13 +371,10 @@ impl ResizePolicy for EnergyAware {
         let env = envelope_of(slurm, job);
         let current = slurm.nodes_of(job);
         let free = slurm.cluster().free_nodes();
-        let pending = slurm.pending_queue(now);
 
-        if !pending.is_empty() {
-            if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, &pending, env) {
-                return shrink;
-            }
-            return ResizeAction::NoAction;
+        if slurm.queued_count() != 0 {
+            return shrink_for_first_blocked(slurm, current, free, env, now)
+                .unwrap_or(ResizeAction::NoAction);
         }
         if let Some(pref) = env.preferred {
             if pref > current {
@@ -399,7 +393,7 @@ impl ResizePolicy for EnergyAware {
             }
             return ResizeAction::NoAction;
         }
-        match env.shrink_chain(current).last().copied() {
+        match env.shrink_steps(current).last() {
             Some(to) => ResizeAction::Shrink {
                 to,
                 beneficiary: None,
@@ -408,8 +402,8 @@ impl ResizePolicy for EnergyAware {
         }
     }
 
-    fn idle_power_down(&self, slurm: &Slurm, now: SimTime) -> u32 {
-        if !slurm.pending_queue(now).is_empty() {
+    fn idle_power_down(&self, slurm: &Slurm, _now: SimTime) -> u32 {
+        if slurm.queued_count() != 0 {
             return 0;
         }
         slurm.cluster().free_nodes().saturating_sub(self.reserve)
@@ -454,7 +448,8 @@ impl ResizePolicy for FairShare {
             };
         }
 
-        // Longest-waiting first; ties broken by id for determinism.
+        // Longest-waiting first; the stable sort keeps queue order among
+        // equal waits.
         let mut aged: Vec<(JobId, f64, u32)> = pending
             .iter()
             .filter_map(|&id| {
@@ -486,13 +481,11 @@ impl ResizePolicy for FairShare {
             return ResizeAction::NoAction;
         };
         let first_missing = req.saturating_sub(free);
-        let chain = env.shrink_chain(current);
         // Deepest step still bounded below by what the beneficiary needs:
         // prefer covering the full starved demand, fall back to the
         // minimal admitting step.
-        let deep = chain
-            .iter()
-            .copied()
+        let deep = env
+            .shrink_steps(current)
             .filter(|to| current - to >= first_missing)
             .min_by_key(|to| {
                 let released = current - to;

@@ -639,6 +639,24 @@ impl Slurm {
         self.pending_index.len()
     }
 
+    /// Number of queued jobs: pending, resizers excluded — the length of
+    /// [`Slurm::pending_queue`] without building it. O(1).
+    pub fn queued_count(&self) -> usize {
+        self.pending_index.queued()
+    }
+
+    /// The first queued job, in scheduling order, that requests more than
+    /// `free` nodes and at most `free + reach` — whom releasing up to
+    /// `reach` nodes would admit — with its request. Answered by the
+    /// need view of the pending index; exact only while
+    /// [`Slurm::pending_order_is_static`] holds (the caller checks, and
+    /// walks [`Slurm::pending_queue`] otherwise).
+    pub(crate) fn first_queued_needing(&self, free: u32, reach: u32) -> Option<(JobId, u32)> {
+        debug_assert!(self.index_is_exact(), "need view asked under a live sort");
+        self.pending_index
+            .first_needing(free, free.saturating_add(reach), &self.jobs)
+    }
+
     /// Nodes currently attached to any job (including detached resizer
     /// nodes mid-protocol).
     pub fn allocated_nodes(&self) -> u32 {
@@ -724,9 +742,8 @@ impl Slurm {
         if let Some(j) = self.jobs.get_mut(id) {
             let reindex = j.state == JobState::Pending && !j.boosted;
             j.boosted = true;
-            let (submit, seq, jid) = (j.submit_time, j.seq, j.id);
             if reindex {
-                self.pending_index.reboost(submit, seq, jid);
+                self.pending_index.reboost(j);
             }
             self.invalidate_queue_cache();
             // A reorder invalidates both watermark memos (the blocked
@@ -1828,17 +1845,25 @@ impl Slurm {
             return false;
         }
         let delta = to - current;
-        let pending = self.pending_queue(now);
-        let blocked = pending.iter().find_map(|&pid| {
-            let j = self.jobs.get(pid)?;
-            (!self
-                .cluster
-                .can_allocate_in(j.requested_nodes, j.constraint))
-            .then_some((j.requested_nodes, j.constraint, j.expected_runtime))
-        });
-        let Some((need, constraint, dur)) = blocked else {
+        // The first blocked queued job. With no class constraint pending,
+        // "blocked" is "requests more than the free count": one need-view
+        // query. Otherwise (or under a live sort) walk the order.
+        let blocked = if self.index_is_exact() && self.pending_index.constrained() == 0 {
+            self.first_queued_needing(self.cluster.free_nodes(), u32::MAX)
+                .map(|(pid, _)| pid)
+        } else {
+            self.pending_queue(now).iter().copied().find(|&pid| {
+                self.jobs.get(pid).is_some_and(|j| {
+                    !self
+                        .cluster
+                        .can_allocate_in(j.requested_nodes, j.constraint)
+                })
+            })
+        };
+        let Some(j) = blocked.and_then(|pid| self.jobs.get(pid)) else {
             return false;
         };
+        let (need, constraint, dur) = (j.requested_nodes, j.constraint, j.expected_runtime);
         self.timeline.borrow_mut().sync(now);
         if self.class_tl_live {
             for tl in self.class_timelines.borrow_mut().iter_mut() {
@@ -2257,6 +2282,23 @@ impl Slurm {
                 "constrained-pending count {} != scanned {constrained}",
                 self.pending_index.constrained()
             ));
+        }
+        // The need view, once live, holds exactly the queued (non-resizer)
+        // pending jobs under their `(need, boosted, submit, seq)` keys.
+        if let Some(view) = self.pending_index.need_view() {
+            let mut want: Vec<_> = pending
+                .iter()
+                .map(|&id| &self.jobs[id])
+                .filter(|j| !j.is_resizer())
+                .map(|j| {
+                    let boosted = std::cmp::Reverse(j.boosted);
+                    (j.requested_nodes, boosted, j.submit_time, j.seq)
+                })
+                .collect();
+            want.sort();
+            if view != want {
+                return Err(format!("need view {view:?} != queued set {want:?}"));
+            }
         }
         // Failed-node accounting: a node that stopped accepting work
         // while allocated (injected failure or administrative drain) may
@@ -2714,6 +2756,89 @@ mod tests {
         let queue = s.pending_queue(t(3));
         assert!(!queue.contains(&resizer));
         assert_eq!(queue.len(), 1);
+        assert_eq!(s.queued_count(), 1);
+        assert_eq!(s.pending_count(), 2);
+    }
+
+    #[test]
+    fn consult_at_the_envelope_floor_touches_no_queue_structure() {
+        use crate::job::ResizeEnvelope;
+        use crate::policy::ResizeAction;
+        let floor = |max| ResizeEnvelope {
+            min: 4,
+            max,
+            preferred: None,
+            factor: 2,
+        };
+        let mut s = slurm(12);
+        let a = s.submit(JobRequest::flexible("a", 4, floor(4)), t(0));
+        let b = s.submit(JobRequest::flexible("b", 4, floor(8)), t(0));
+        s.schedule(t(0));
+        let _q = s.submit(JobRequest::rigid("q", 6), t(1));
+        s.schedule(t(1)); // q blocked: needs 6, 4 free
+        s.invalidate_queue_cache();
+        // Both sit at their floor: nobody can be helped, and finding that
+        // out builds neither the pending order nor the need view.
+        assert_eq!(s.decide_resize(a, t(2)), ResizeAction::NoAction);
+        assert_eq!(s.decide_resize(b, t(2)), ResizeAction::Expand { to: 8 });
+        assert!(s.queue_cache.borrow().is_none(), "pending order built");
+        assert!(s.pending_index.need_view().is_none(), "need view built");
+        s.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn need_view_follows_every_pending_key_change() {
+        use crate::job::ResizeEnvelope;
+        use crate::policy::ResizeAction;
+        let mut s = slurm(8);
+        let env = ResizeEnvelope {
+            min: 1,
+            max: 8,
+            preferred: None,
+            factor: 2,
+        };
+        let a = s.submit(JobRequest::flexible("a", 8, env), t(0));
+        s.schedule(t(0));
+        let q4 = s.submit(JobRequest::rigid("q4", 4), t(1));
+        let q2 = s.submit(JobRequest::rigid("q2", 2), t(2));
+        // First consult builds the view; q4 is first in order.
+        assert_eq!(
+            s.decide_resize(a, t(3)),
+            ResizeAction::Shrink {
+                to: 4,
+                beneficiary: Some(q4)
+            }
+        );
+        assert_eq!(s.pending_index.need_view().map(|v| v.len()), Some(2));
+        s.check_invariants().unwrap(); // q4 re-keyed by the boost
+        let late = s.submit(JobRequest::rigid("late", 2), t(4)); // insert
+        s.boost(late); // reboost: now ahead of q2, still behind boosted q4
+        s.check_invariants().unwrap();
+        s.cancel(q4, t(5)); // remove
+        s.check_invariants().unwrap();
+        assert_eq!(
+            s.decide_resize(a, t(6)),
+            ResizeAction::Shrink {
+                to: 4,
+                beneficiary: Some(late)
+            }
+        );
+        // A pending resizer never enters the view.
+        let ExpandError::Queued { resizer } = s.expand_protocol(a, 16, t(7)).unwrap_err() else {
+            panic!()
+        };
+        s.check_invariants().unwrap();
+        assert_eq!(s.pending_index.need_view().map(|v| v.len()), Some(2));
+        s.abort_expand(resizer, t(8));
+        s.cancel(late, t(8));
+        assert_eq!(
+            s.decide_resize(a, t(9)),
+            ResizeAction::Shrink {
+                to: 4,
+                beneficiary: Some(q2)
+            }
+        );
+        s.check_invariants().unwrap();
     }
 
     fn scan_twin(nodes: u32) -> Slurm {

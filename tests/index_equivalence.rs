@@ -227,3 +227,28 @@ fn smoke_registry_sweep_rows_are_byte_identical_across_hot_paths() {
         );
     }
 }
+
+/// The paper's 20-node testbed about 17x overloaded, malleable: the
+/// queue runs over a thousand deep, so nearly every reconfiguration check
+/// is a beneficiary search over a queue deep enough for the need-keyed
+/// pending view (arena path) and the walk of the sorted order (scan
+/// path) to part ways if they ever could.
+#[test]
+fn overloaded_malleable_run_matches_scan_reference() {
+    let cfg = ExperimentConfig::preliminary().online();
+    let kind = WorkloadKind::FsPreliminary;
+    let (jobs, seed) = (2000, dmr_bench::SEED);
+    let arena = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
+    let scan = run_experiment_streaming(&cfg.scan_reference(), kind.build(jobs, seed).as_mut());
+    assert_eq!(arena.summary.jobs, jobs as usize);
+    assert!(
+        arena.summary.reconfigurations > 1000,
+        "only {} reconfigurations: the queue never got deep",
+        arena.summary.reconfigurations
+    );
+    assert_bit_identical(&arena, &scan).unwrap();
+    assert_eq!(
+        csv_row(kind, &cfg, seed, &arena),
+        csv_row(kind, &cfg, seed, &scan)
+    );
+}
