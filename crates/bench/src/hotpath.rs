@@ -808,7 +808,7 @@ fn incremental_headline(cells: &[CellResult]) -> Option<IncrementalAxis> {
 
 /// `(nodes, depth, uniform ev/s, hetero ev/s, ratio)` of the last
 /// machine-axis cell — the "per-class bookkeeping does not collapse the
-/// hot path" gate reads the ratio (gated at ≥ 0.9 by `repro`). `None`
+/// hot path" gate reads the ratio (gated at ≥ 0.8 by `repro`). `None`
 /// when the run measured no heterogeneous cell.
 fn hetero_headline(cells: &[CellResult]) -> Option<(u32, u32, f64, f64, f64)> {
     let hetero = cells.iter().rev().find(|c| {
@@ -929,7 +929,7 @@ pub fn backfill_ratio(doc: &str) -> Option<f64> {
 
 /// Extracts the **last** run's `hetero_axis.hetero_vs_uniform` ratio —
 /// the heterogeneous-machine acceptance gate (per-class free sets and
-/// timelines must keep the arena path within 0.9x of the uniform cell).
+/// timelines must keep the arena path within 0.8x of the uniform cell).
 /// `None` when no run carried the machine axis (every pre-hetero
 /// document).
 pub fn hetero_ratio(doc: &str) -> Option<f64> {
@@ -1004,6 +1004,20 @@ pub fn run_fragment<'a>(doc: &'a str, label: &'a str) -> Option<&'a str> {
     let rest = &doc[start + pat.len()..];
     let end = rest.find("\"label\"").map_or(rest.len(), |i| i);
     Some(&rest[..end])
+}
+
+/// Label of the last full (non-smoke) run in a trajectory document —
+/// the baseline of the cross-run gates that compare a family against its
+/// own committed history rather than against another family.
+pub fn last_full_run(doc: &str) -> Option<&str> {
+    doc.split("\"label\": \"")
+        .skip(1)
+        .filter_map(|run| {
+            let (label, rest) = run.split_once('"')?;
+            let (_, smoke) = rest.split_once("\"smoke\": ")?;
+            smoke.starts_with("false").then_some(label)
+        })
+        .last()
 }
 
 fn cell_value<'a>(cell: &'a str, key: &str) -> Option<&'a str> {
@@ -1173,6 +1187,17 @@ mod tests {
 
     fn tiny_doc() -> String {
         append_run(None, &render_run(&tiny_cells(), true, "t0")).unwrap()
+    }
+
+    #[test]
+    fn last_full_run_skips_smoke_runs() {
+        let cells = tiny_cells();
+        let doc = append_run(None, &render_run(&cells, true, "s0")).unwrap();
+        assert_eq!(last_full_run(&doc), None);
+        let doc = append_run(Some(&doc), &render_run(&cells, false, "f1")).unwrap();
+        let doc = append_run(Some(&doc), &render_run(&cells, false, "f2")).unwrap();
+        let doc = append_run(Some(&doc), &render_run(&cells, true, "s3")).unwrap();
+        assert_eq!(last_full_run(&doc), Some("f2"));
     }
 
     #[test]

@@ -79,6 +79,7 @@ impl Driver<'_, '_> {
             end_time: end,
             events: self.engine.processed(),
             past_schedules: self.engine.past_schedules(),
+            sched: self.slurm.incremental_stats(),
             power: crate::result::PowerStats::from_meter(&self.power),
             faults: crate::result::FaultStats::collect(
                 self.failures,

@@ -454,6 +454,7 @@ fn run_feed(
                 end_time: stats.end_time,
                 events: stats.events,
                 past_schedules: stats.past_schedules,
+                sched: stats.sched,
             }
         }
         Telemetry::Online => {
@@ -474,6 +475,7 @@ fn run_feed(
                 end_time: stats.end_time,
                 events: stats.events,
                 past_schedules: stats.past_schedules,
+                sched: stats.sched,
             }
         }
     }

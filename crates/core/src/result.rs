@@ -36,6 +36,9 @@ pub struct ExperimentResult {
     /// driver scheduled in the past (clamped to `now`). Sweeps assert
     /// this stays zero.
     pub past_schedules: u64,
+    /// The scheduler's pass counters at the end of the run (see
+    /// [`RunStats::sched`]).
+    pub sched: dmr_slurm::IncrementalStats,
 }
 
 impl ExperimentResult {
@@ -56,6 +59,11 @@ pub struct RunStats {
     pub events: u64,
     /// Past-scheduling clamps (see [`dmr_sim::Engine::past_schedules`]).
     pub past_schedules: u64,
+    /// The scheduler's pass counters: passes run and elided, and the
+    /// pending jobs the executed backfill passes evaluated. Host-side
+    /// work, not a simulated result — it differs between hot paths that
+    /// schedule identically.
+    pub sched: dmr_slurm::IncrementalStats,
     /// Energy accounting from the driver's [`dmr_cluster::PowerMeter`].
     pub power: PowerStats,
     /// Fault-injection and recovery accounting (all zeros, ratio fields

@@ -14,15 +14,17 @@
 //!   (pure age weight, uniform base priority) the priority-sorted order
 //!   *is* this static key order at every instant; the scheduler verifies
 //!   the preconditions and falls back to the full sort otherwise.
-//!   Its **need view** is a second ordered set over the queued
-//!   (non-resizer) jobs, keyed `(requested_nodes, boosted, submit_time,
-//!   seq)`: the reconfiguration check "who is first in line among the
-//!   jobs that `R` released nodes would admit" is a range query on it —
-//!   one seek per distinct need in `(free, free + R]` — instead of a walk
-//!   of the whole order. Built from the pending set on the first such
-//!   query and maintained from then on, so a run that never consults a
-//!   policy never pays for it; valid under the same static-order
-//!   preconditions, with the walk as the fallback.
+//!   Its **need view** groups the queued (non-resizer) jobs by
+//!   `requested_nodes`, each non-empty need holding its jobs twice: in
+//!   [`PendingKey`] order and in `(expected_runtime, id)` order.
+//!   Always live — maintained wherever a pending key or estimate changes
+//!   — it answers both consumers that would otherwise walk the whole
+//!   order: the reconfiguration check "who is first in line among the
+//!   jobs that `R` released nodes would admit" (the first key of every
+//!   need in `(free, free + R]`), and the EASY backfill pass, which
+//!   enumerates per fitting need only the jobs short enough to pass the
+//!   harmless check (see `Slurm::backfill_pass`). Exact under the
+//!   static-order preconditions, with the walk as the fallback.
 //! * [`RunningIndex`] — running jobs keyed by
 //!   `(expected_end, held_nodes, id)`, exactly the order the EASY
 //!   backfill reservation scan produced by sorting.
@@ -34,28 +36,89 @@
 //! pre-index scan implementations survive behind
 //! [`crate::slurm::SchedIndex::ScanReference`] as the equivalence oracle.
 
-use std::cell::RefCell;
-use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound::{Excluded, Unbounded};
+use std::ops::Bound::{Excluded, Included, Unbounded};
 
-use dmr_sim::SimTime;
+use dmr_sim::{SimTime, Span};
 
 use crate::arena::JobArena;
 use crate::job::{Job, JobId};
 
-/// Index key of one pending job: `(boosted first, submit ascending, seq
-/// ascending)`, with the id carried as payload. The submission sequence
-/// number ([`Job::seq`]) is unique, so the key is total — and stable
-/// even when arena slot recycling makes raw [`JobId`] values
+/// Index key of one pending job: boosted first, then submit time, then
+/// submission sequence number, with the id carried as payload. The
+/// sequence number ([`Job::seq`]) is unique, so the key is total — and
+/// stable even when arena slot recycling makes raw [`JobId`] values
 /// non-monotonic.
-pub(crate) type PendingKey = (Reverse<bool>, SimTime, u64, JobId);
+///
+/// The boost flag rides in the top bit of the submit time (microseconds:
+/// bit 63 stays clear for 292 000 simulated years), which keeps the key
+/// at 24 bytes instead of 32. Every queued job stores it twice, and on a
+/// deep queue the pending index is the scheduler's largest structure
+/// after the job records: with 32-byte keys here and 40-byte estimate
+/// entries below it cost 146 bytes a queued job more than the flat
+/// order it replaces, with these 69.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct PendingKey {
+    /// `submit_time`, with bit 63 set unless the job is boosted.
+    rank: u64,
+    seq: u64,
+    pub(crate) id: JobId,
+}
 
-/// Key of one queued job in the need view: `requested_nodes`, then the
-/// ordering fields of its [`PendingKey`]. Flat and without the id — 24
-/// bytes an entry against 40 for `(u32, PendingKey)`; the unique `seq`
-/// finds the id again in the pending set.
-pub(crate) type NeedKey = (u32, Reverse<bool>, SimTime, u64);
+impl PendingKey {
+    const UNBOOSTED: u64 = 1 << 63;
+
+    fn new(boosted: bool, job: &Job) -> Self {
+        debug_assert!(job.submit_time.0 < Self::UNBOOSTED, "submit time overflow");
+        let rank = job.submit_time.0 | if boosted { 0 } else { Self::UNBOOSTED };
+        PendingKey {
+            rank,
+            seq: job.seq,
+            id: job.id,
+        }
+    }
+}
+
+/// The queued jobs requesting one node count, held in both orders the
+/// need view is asked in. The scheduling order carries the whole
+/// [`PendingKey`], so its first job costs no second seek in the pending
+/// set; the estimate order carries the id alone (16 bytes an entry) and
+/// finds the key again in the job record.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct NeedBucket {
+    by_key: BTreeSet<PendingKey>,
+    by_estimate: BTreeSet<(Span, JobId)>,
+}
+
+impl NeedBucket {
+    /// The jobs behind `after` that an EASY pass has to look at when a
+    /// job of this need is harmless up to the estimate `limit`: every
+    /// job within the limit (in estimate order, not scheduling order) —
+    /// or, with no limit, the first job in scheduling order alone,
+    /// flagged `true`: it stands for the rest of the bucket, which takes
+    /// its place one job at a time.
+    pub(crate) fn candidates<'a>(
+        &'a self,
+        after: PendingKey,
+        limit: Option<Span>,
+        jobs: &'a JobArena,
+    ) -> impl Iterator<Item = (PendingKey, bool)> + 'a {
+        let first = match limit {
+            None => self.by_key.range((Excluded(after), Unbounded)).next(),
+            Some(_) => None,
+        };
+        let within = limit.map(|limit| self.by_estimate.range(..=(limit, JobId(u64::MAX))));
+        let within = within
+            .into_iter()
+            .flatten()
+            .map(|&(_, id)| PendingIndex::key(&jobs[id]));
+        first.map(|&key| (key, true)).into_iter().chain(
+            within
+                .filter(move |&key| key > after)
+                .map(|key| (key, false)),
+        )
+    }
+}
 
 /// Ordered index of the pending set.
 ///
@@ -80,41 +143,51 @@ pub(crate) struct PendingIndex {
     /// so capacity events fall back to a full invalidation whenever this
     /// is non-zero.
     constrained: usize,
-    /// The need view: the queued (non-resizer) pending jobs ordered by
-    /// `requested_nodes`, each need in [`PendingKey`] order — what
-    /// [`PendingIndex::first_needing`] queries. `None` until the first
-    /// query builds it from `set`, so a run that never consults a policy
-    /// maintains nothing; once live it is kept current wherever a
-    /// pending key changes (a pending job's `requested_nodes` never
-    /// does). `RefCell`: the build happens behind the `&Slurm` a policy
-    /// holds.
-    by_need: RefCell<Option<BTreeSet<NeedKey>>>,
+    /// The need view: the queued (non-resizer) pending jobs bucketed by
+    /// `requested_nodes`, empty buckets removed. Kept current wherever a
+    /// pending key or estimate changes (a pending job's
+    /// `requested_nodes` never does).
+    by_need: BTreeMap<u32, NeedBucket>,
 }
 
 impl PendingIndex {
     fn key(job: &Job) -> PendingKey {
-        (Reverse(job.boosted), job.submit_time, job.seq, job.id)
+        PendingKey::new(job.boosted, job)
     }
 
-    fn need_key(job: &Job) -> NeedKey {
-        let (boosted, submit, seq, _) = Self::key(job);
-        (job.requested_nodes, boosted, submit, seq)
+    /// Files `job` in the need view under `key` / `estimate`.
+    fn view_insert(&mut self, job: &Job, key: PendingKey, estimate: Span) {
+        if job.is_resizer() {
+            return;
+        }
+        let bucket = self.by_need.entry(job.requested_nodes).or_default();
+        bucket.by_key.insert(key);
+        bucket.by_estimate.insert((estimate, job.id));
     }
 
-    /// The need view, if it is live and `job` belongs in it.
-    fn view_of(&mut self, job: &Job) -> Option<&mut BTreeSet<NeedKey>> {
-        self.by_need
-            .get_mut()
-            .as_mut()
-            .filter(|_| !job.is_resizer())
+    /// Removes the need-view entry `job` was filed under (`key` /
+    /// `estimate` as they were at insertion).
+    fn view_remove(&mut self, job: &Job, key: PendingKey, estimate: Span) {
+        if job.is_resizer() {
+            return;
+        }
+        let need = job.requested_nodes;
+        let Some(bucket) = self.by_need.get_mut(&need) else {
+            debug_assert!(false, "{:?} has no need bucket", job.id);
+            return;
+        };
+        let removed = bucket.by_key.remove(&key) & bucket.by_estimate.remove(&(estimate, job.id));
+        debug_assert!(removed, "{:?} not in its need bucket", job.id);
+        if bucket.by_key.is_empty() {
+            self.by_need.remove(&need);
+        }
     }
 
     pub(crate) fn insert(&mut self, job: &Job) {
-        let added = self.set.insert(Self::key(job));
+        let key = Self::key(job);
+        let added = self.set.insert(key);
         debug_assert!(added, "{:?} already indexed", job.id);
-        if let Some(view) = self.view_of(job) {
-            view.insert(Self::need_key(job));
-        }
+        self.view_insert(job, key, job.expected_runtime);
         if job.base_priority != 0 {
             self.nonzero_base += 1;
         }
@@ -127,11 +200,10 @@ impl PendingIndex {
     }
 
     pub(crate) fn remove(&mut self, job: &Job) {
-        let removed = self.set.remove(&Self::key(job));
+        let key = Self::key(job);
+        let removed = self.set.remove(&key);
         debug_assert!(removed, "{:?} not indexed", job.id);
-        if let Some(view) = self.view_of(job) {
-            view.remove(&Self::need_key(job));
-        }
+        self.view_remove(job, key, job.expected_runtime);
         if job.base_priority != 0 {
             self.nonzero_base -= 1;
         }
@@ -150,14 +222,21 @@ impl PendingIndex {
             "{:?} reboosted before the flag flipped",
             job.id
         );
-        let (_, submit, seq, id) = Self::key(job);
-        let removed = self.set.remove(&(Reverse(false), submit, seq, id));
-        debug_assert!(removed, "{id:?} not indexed for reboost");
-        self.set.insert(Self::key(job));
-        if let Some(view) = self.view_of(job) {
-            view.remove(&(job.requested_nodes, Reverse(false), submit, seq));
-            view.insert(Self::need_key(job));
-        }
+        let key = Self::key(job);
+        let old = PendingKey::new(false, job);
+        let removed = self.set.remove(&old);
+        debug_assert!(removed, "{:?} not indexed for reboost", job.id);
+        self.set.insert(key);
+        self.view_remove(job, old, job.expected_runtime);
+        self.view_insert(job, key, job.expected_runtime);
+    }
+
+    /// Re-files a pending job whose runtime estimate just changed from
+    /// `old` (the pending order itself does not depend on estimates).
+    pub(crate) fn reestimate(&mut self, job: &Job, old: Span) {
+        let key = Self::key(job);
+        self.view_remove(job, key, old);
+        self.view_insert(job, key, job.expected_runtime);
     }
 
     pub(crate) fn nonzero_base(&self) -> usize {
@@ -180,14 +259,14 @@ impl PendingIndex {
 
     /// Pending ids in scheduling order (no priorities computed, no sort).
     pub(crate) fn ids(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.set.iter().map(|&(.., id)| id)
+        self.set.iter().map(|key| key.id)
     }
 
     /// The full scheduling order, materialised with an exact-capacity
     /// allocation. This is the rebuild path of the persistent pass order
-    /// the incremental scheduler retains between passes; after the
-    /// rebuild the order is kept current by appends and tombstones, so
-    /// this runs once per invalidation, not once per pass.
+    /// the walking passes retain between invocations; after the rebuild
+    /// the order is kept current by appends and tombstones, so this runs
+    /// once per invalidation, not once per pass.
     pub(crate) fn ids_vec(&self) -> Vec<JobId> {
         let mut out = Vec::with_capacity(self.set.len());
         out.extend(self.ids());
@@ -214,49 +293,57 @@ impl PendingIndex {
 
     /// The queued job first in [`PendingKey`] order among those
     /// requesting more than `above` and at most `upto` nodes, with its
-    /// request. Served from the need view (built here on first use, from
-    /// `jobs`): one seek per distinct need in the range, so the cost is
-    /// O(distinct needs · log pending) whatever the queue depth.
-    pub(crate) fn first_needing(
-        &self,
-        above: u32,
-        upto: u32,
-        jobs: &JobArena,
-    ) -> Option<(JobId, u32)> {
-        if upto <= above || self.queued() == 0 {
+    /// request: the best of the first keys of the needs in range, so the
+    /// cost is O(distinct needs in range) whatever the queue depth.
+    pub(crate) fn first_needing(&self, above: u32, upto: u32) -> Option<(JobId, u32)> {
+        if upto <= above {
             return None;
         }
-        let mut view = self.by_need.borrow_mut();
-        let view = view.get_or_insert_with(|| {
-            self.ids()
-                .map(|id| &jobs[id])
-                .filter(|job| !job.is_resizer())
-                .map(Self::need_key)
-                .collect()
-        });
-        // The first entry of a need is that need's best job, and the
-        // last possible key of a need is the seek to the next need.
-        let last_of = |need| (need, Reverse(false), SimTime(u64::MAX), u64::MAX);
-        let mut best: Option<NeedKey> = None;
-        let mut need = above;
-        while let Some(&head) = view.range((Excluded(last_of(need)), Unbounded)).next() {
-            need = head.0;
-            if need > upto {
-                break;
-            }
-            if best.is_none_or(|b| (head.1, head.2, head.3) < (b.1, b.2, b.3)) {
-                best = Some(head);
-            }
-        }
-        let (need, boosted, submit, seq) = best?;
-        let &(.., id) = self.set.range((boosted, submit, seq, JobId(0))..).next()?;
-        Some((id, need))
+        self.by_need
+            .range((Excluded(above), Included(upto)))
+            .filter_map(|(&need, bucket)| Some((*bucket.by_key.first()?, need)))
+            .min()
+            .map(|(key, need)| (key.id, need))
     }
 
-    /// The need view's entries in key order, when live (invariant check).
-    pub(crate) fn need_view(&self) -> Option<Vec<NeedKey>> {
-        let view = self.by_need.borrow();
-        view.as_ref().map(|v| v.iter().copied().collect())
+    /// The non-empty need buckets requesting at most `upto` nodes, by
+    /// ascending need.
+    pub(crate) fn needs_upto(&self, upto: u32) -> impl Iterator<Item = (u32, &NeedBucket)> + '_ {
+        self.by_need.range(..=upto).map(|(&need, b)| (need, b))
+    }
+
+    /// The bucket of queued jobs requesting exactly `need` nodes.
+    pub(crate) fn need_bucket(&self, need: u32) -> Option<&NeedBucket> {
+        self.by_need.get(&need)
+    }
+
+    /// The smallest queued request above `free` nodes.
+    pub(crate) fn min_need_above(&self, free: u32) -> Option<u32> {
+        self.by_need
+            .range((Excluded(free), Unbounded))
+            .next()
+            .map(|(&need, _)| need)
+    }
+
+    /// Invariant check: the need view files exactly `queued` — the
+    /// pending non-resizer jobs — each under its current request, key and
+    /// estimate, in both orders, and holds no empty bucket.
+    pub(crate) fn check_need_view<'a>(
+        &self,
+        queued: impl Iterator<Item = &'a Job>,
+    ) -> Result<(), String> {
+        let mut want = BTreeMap::<u32, NeedBucket>::new();
+        for job in queued {
+            let key = Self::key(job);
+            let bucket = want.entry(job.requested_nodes).or_default();
+            bucket.by_key.insert(key);
+            bucket.by_estimate.insert((job.expected_runtime, job.id));
+        }
+        if self.by_need != want {
+            let view = &self.by_need;
+            return Err(format!("need view {view:?} != queued jobs {want:?}"));
+        }
+        Ok(())
     }
 }
 

@@ -258,7 +258,8 @@ fn wide_optimization(
 /// and at most `free + reach`. A job already at its envelope floor has
 /// an empty chain and returns before the queue is looked at — the common
 /// case on an overloaded machine. Otherwise the scheduler's need view
-/// answers in O(log pending) while the pending order is static; under a
+/// answers in O(distinct needs in range), whatever the queue depth, while
+/// the pending order is static; under a
 /// live multifactor sort (size weight, base priorities, the scan oracle)
 /// the order is walked.
 fn shrink_for_first_blocked(

@@ -2,13 +2,15 @@
 //! protocol of §III.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use dmr_cluster::{ClassConstraint, Cluster, FailOutcome, NodeId};
 use dmr_sim::{SimTime, Span};
 
 use crate::arena::JobArena;
-use crate::index::{PendingIndex, PendingKey, ResizerIndex, RunningIndex};
+use crate::index::{NeedBucket, PendingIndex, PendingKey, ResizerIndex, RunningIndex};
 use crate::job::{Dependency, Job, JobId, JobRequest, JobState};
 use crate::policy::{PolicyKind, ResizePolicy};
 use crate::priority::MultifactorConfig;
@@ -19,11 +21,14 @@ use crate::slotset::{BackfillFamily, SlotSet, SlotSetCheckpoint};
 /// [`SchedIndex::Arena`] (the default) adds, on top of the incremental
 /// indices, slab-arena job storage ([`crate::arena::JobArena`]), a
 /// cursor walk of the pending index in [`Slurm::schedule`] (O(starts)
-/// instead of O(pending) per pass) and precise queue-cache invalidation
+/// instead of O(pending) per pass), the indexed EASY backfill pass
+/// (only the jobs that can pass the harmless check are visited, see
+/// [`Slurm::backfill_pass`]) and precise queue-cache invalidation
 /// (a completion that removes nothing from the pending set keeps the
 /// memoized order alive). [`SchedIndex::Indexed`] is the previous
-/// index-served hot path, kept costed exactly as before so benchmarks
-/// can measure the arena win against it. [`SchedIndex::ScanReference`]
+/// index-served hot path — every backfill pass walks the materialised
+/// order — kept costed as before so benchmarks can measure the arena
+/// win against it. [`SchedIndex::ScanReference`]
 /// keeps the pre-index full-scan implementations alive as the
 /// *equivalence oracle*: all modes produce bit-identical scheduling
 /// decisions (pinned by `tests/index_equivalence.rs`); only the cost
@@ -391,6 +396,81 @@ impl PassOrder {
     }
 }
 
+/// Running state of one EASY backfill pass.
+struct EasyPass {
+    /// Reservations the family grants (`k >= 1`).
+    k: u32,
+    started: Vec<JobStart>,
+    /// `(shadow, spare)` of the blocked jobs holding a reservation.
+    reservations: Vec<(SimTime, u32)>,
+    /// Refusal records for the elision memo (see [`BfMemo`]).
+    watermark: u32,
+    fitting_refused: bool,
+}
+
+/// What [`Slurm::easy_visit`] did with one pending job.
+enum EasyVisit {
+    Started,
+    Refused,
+    /// Backfill is off and the job is the blocked head: strict
+    /// priority-FIFO ends the pass here.
+    Stop,
+}
+
+/// The harmless check of an EASY pass, solved for the runtime estimate:
+/// a job requesting `n` nodes delays no reservation holder iff it ends by
+/// the earliest shadow time among the reservations it does not fit
+/// beside, `min { shadow_r : spare_r < n }`. Sorted by spare with a
+/// running minimum of the shadows, that is one binary search per `n`.
+struct ShadowStairs {
+    /// `(spare, earliest shadow among reservations with at most that
+    /// spare)`, ascending by spare.
+    steps: Vec<(u32, SimTime)>,
+    now: SimTime,
+}
+
+impl ShadowStairs {
+    fn new(reservations: &[(SimTime, u32)], now: SimTime) -> Self {
+        let mut steps: Vec<(u32, SimTime)> = reservations
+            .iter()
+            .map(|&(shadow, spare)| (spare, shadow))
+            .collect();
+        steps.sort_unstable();
+        let mut earliest = SimTime(u64::MAX);
+        for step in &mut steps {
+            earliest = earliest.min(step.1);
+            step.1 = earliest;
+        }
+        ShadowStairs { steps, now }
+    }
+
+    /// The longest runtime estimate a job requesting `need` nodes can
+    /// have and still be harmless; `None` when any estimate is. (A
+    /// shadow of `u64::MAX` — a reservation nothing can honour — admits
+    /// every estimate too: `now + d` saturates there.)
+    fn longest_harmless(&self, need: u32) -> Option<Span> {
+        let beside = self.steps.partition_point(|&(spare, _)| spare < need);
+        let (_, latest_end) = *self.steps.get(beside.checked_sub(1)?)?;
+        (latest_end != SimTime(u64::MAX)).then(|| Span(latest_end.0.saturating_sub(self.now.0)))
+    }
+
+    /// What the pass has to look at among the jobs of `bucket` (all
+    /// requesting `need` nodes) behind `after`, as entries of its
+    /// candidate heap: `(key, need, whether the job stands for the rest
+    /// of its bucket)`, reversed so the smallest key pops first.
+    fn candidates<'a>(
+        &self,
+        need: u32,
+        bucket: &'a NeedBucket,
+        after: PendingKey,
+        jobs: &'a JobArena,
+    ) -> impl Iterator<Item = Reverse<(PendingKey, u32, bool)>> + 'a {
+        bucket
+            .candidates(after, self.longest_harmless(need), jobs)
+            .map(move |(key, head)| Reverse((key, need, head)))
+    }
+}
+
 /// Memo of a backfill pass that started nothing, snapshotting everything
 /// its decisions depended on. While it stays valid (see the invalidation
 /// wiring in [`Slurm`]'s mutators) a repeat pass is provably identical —
@@ -450,6 +530,7 @@ struct IncrState {
     sched_elided: u64,
     bf_runs: u64,
     bf_elided: u64,
+    bf_examined: u64,
 }
 
 /// Pass counters of the incremental layer (see
@@ -468,6 +549,12 @@ pub struct IncrementalStats {
     pub backfill_passes_run: u64,
     /// [`Slurm::backfill_pass`] invocations elided via the pass memo.
     pub backfill_passes_elided: u64,
+    /// Pending jobs the executed backfill passes evaluated (fit test,
+    /// harmless check or plan) — the work a pass does, as opposed to how
+    /// long the host took over it. Differs between hot paths by design:
+    /// the indexed EASY pass evaluates only jobs that can pass the
+    /// harmless check, the walking passes every pending job.
+    pub backfill_jobs_examined: u64,
 }
 
 impl Slurm {
@@ -654,7 +741,7 @@ impl Slurm {
     pub(crate) fn first_queued_needing(&self, free: u32, reach: u32) -> Option<(JobId, u32)> {
         debug_assert!(self.index_is_exact(), "need view asked under a live sort");
         self.pending_index
-            .first_needing(free, free.saturating_add(reach), &self.jobs)
+            .first_needing(free, free.saturating_add(reach))
     }
 
     /// Nodes currently attached to any job (including detached resizer
@@ -758,7 +845,10 @@ impl Slurm {
         let Some(j) = self.jobs.get_mut(id) else {
             return;
         };
-        j.expected_runtime = estimate;
+        let old = std::mem::replace(&mut j.expected_runtime, estimate);
+        if j.state == JobState::Pending {
+            self.pending_index.reestimate(j, old);
+        }
         // Runtime estimates feed every backfill decision (shadow times,
         // hole durations) but never the priority-FIFO walk: drop the
         // backfill memo, keep the schedule memo.
@@ -1430,7 +1520,7 @@ impl Slurm {
         let mut cursor: Option<PendingKey> = None;
         while let Some(key) = self.pending_index.next_after(cursor) {
             cursor = Some(key);
-            let (.., id) = key;
+            let id = key.id;
             let job = &self.jobs[id];
             if !self.dependency_satisfied(job) {
                 continue;
@@ -1454,7 +1544,13 @@ impl Slurm {
     /// * [`BackfillFamily::Easy`] — the first `k` blocked jobs get
     ///   shadow-time reservations found on the slot-set timeline;
     ///   lower-priority jobs jump ahead only if they delay none of them.
-    ///   `k = 1` is bit-for-bit the legacy behaviour.
+    ///   `k = 1` is bit-for-bit the legacy behaviour. On the production
+    ///   path the pass does not walk the queue: once the reservations
+    ///   are held it visits, per requested node count that still fits,
+    ///   only the jobs short enough to delay none of them — the walk's
+    ///   decisions exactly, at a cost independent of the queue depth.
+    ///   The walk remains the fallback whenever the pending order is not
+    ///   static or a resizer or class-constrained job is pending.
     /// * [`BackfillFamily::Conservative`] — every blocked job gets a slot
     ///   planned in the timeline; a job starts now only if its whole
     ///   expected runtime fits under every plan.
@@ -1507,6 +1603,7 @@ impl Slurm {
             if !self.dependency_satisfied(job) {
                 continue;
             }
+            self.incr.bf_examined += 1;
             let need = job.requested_nodes;
             let fits = self.cluster.can_allocate_in(need, job.constraint);
             match (&mut reservation, fits) {
@@ -1544,83 +1641,35 @@ impl Slurm {
     /// hole queries. Reservations are planned into the timeline for the
     /// duration of the pass so each later hole query sees the earlier
     /// plans, and unplanned before returning.
+    ///
+    /// Every pending job goes through the same [`Slurm::easy_visit`]
+    /// step; what differs is which jobs are offered to it. The indexed
+    /// pass ([`Slurm::easy_indexed`]) offers only those that can pass
+    /// the harmless check and runs whenever its preconditions hold; the
+    /// walk ([`Slurm::easy_walk`]) offers all of them and is the
+    /// fallback — and, under [`SchedIndex::ScanReference`], the oracle.
     fn backfill_pass_easy(&mut self, now: SimTime, k: u32) -> Vec<JobStart> {
         self.reap_dead_resizers(now);
         self.sync_timelines(now);
-        let order = self.pass_order(now);
-        let mut started = Vec::new();
-        let mut reservations: Vec<(SimTime, u32)> = Vec::new();
-        // Refusal records for the elision memo (see [`BfMemo`]).
-        let mut watermark = u32::MAX;
-        let mut fitting_refused = false;
-        for &id in order.ids() {
-            // Tombstone / state filter: under the persistent order, ids
-            // may refer to started, cancelled or recycled jobs; the
-            // generation-checked arena rejects them. A clean order only
-            // ever holds pending jobs here, so the filter is a no-op.
-            let Some(job) = self.jobs.get(id) else {
-                continue;
-            };
-            if job.state != JobState::Pending {
-                continue;
-            }
-            if !self.dependency_satisfied(job) {
-                continue;
-            }
-            let need = job.requested_nodes;
-            let constraint = job.constraint;
-            if self.cluster.can_allocate_in(need, constraint) {
-                if reservations.is_empty() {
-                    started.push(self.start_job(id, now));
-                    self.sync_timelines(now);
-                    continue;
-                }
-                let est_end = now + self.jobs[id].expected_runtime;
-                let harmless = reservations
-                    .iter()
-                    .all(|&(shadow, spare)| est_end <= shadow || need <= spare);
-                if harmless {
-                    for r in reservations.iter_mut() {
-                        if est_end > r.0 {
-                            r.1 -= need;
-                        }
-                    }
-                    started.push(self.start_job(id, now));
-                    self.sync_timelines(now);
-                } else {
-                    // A fitting job refused by the harmless check: not a
-                    // time-invariant refusal (see [`BfMemo`]).
-                    fitting_refused = true;
-                }
-            } else {
-                watermark = watermark.min(need);
-                if reservations.is_empty() && !self.config.backfill {
-                    break;
-                }
-                if (reservations.len() as u32) < k {
-                    let dur = self.jobs[id].expected_runtime;
-                    let (shadow, spare) = if constraint != ClassConstraint::Any {
-                        self.constrained_hole(constraint, need, dur, now)
-                    } else if reservations.is_empty() {
-                        self.easy_first_reservation(need, now)
-                    } else {
-                        self.hole_reservation(need, dur, now)
-                    };
-                    if shadow != SimTime(u64::MAX) {
-                        let until = shadow + dur;
-                        self.timeline
-                            .get_mut()
-                            .slots
-                            .plan_journaled(shadow, until, need);
-                        if let Some(c) = self.sole_eligible_class(constraint) {
-                            self.class_timelines.get_mut()[c]
-                                .slots
-                                .plan_journaled(shadow, until, need);
-                        }
-                    }
-                    reservations.push((shadow, spare));
-                }
-            }
+        let mut pass = EasyPass {
+            k,
+            started: Vec::new(),
+            reservations: Vec::new(),
+            watermark: u32::MAX,
+            fitting_refused: false,
+        };
+        // The need view holds the whole pending set, and "fits" is
+        // "requests at most the free count", only while no resizer and no
+        // class-constrained job is pending; it is in scheduling order
+        // only while that order is static.
+        if self.config.sched_index == SchedIndex::Arena
+            && self.index_is_exact()
+            && self.pending_index.pending_resizers() == 0
+            && self.pending_index.constrained() == 0
+        {
+            self.easy_indexed(now, &mut pass);
+        } else {
+            self.easy_walk(now, &mut pass);
         }
         self.timeline.get_mut().slots.rollback_plans();
         if self.class_tl_live {
@@ -1630,13 +1679,176 @@ impl Slurm {
         }
         self.bf_memoize(
             now,
-            watermark,
-            fitting_refused,
-            started.is_empty(),
-            reservations,
+            pass.watermark,
+            pass.fitting_refused,
+            pass.started.is_empty(),
+            pass.reservations,
             Vec::new(),
         );
-        started
+        pass.started
+    }
+
+    /// One pending job's turn in an EASY pass: start it if it fits and
+    /// delays no reservation holder, give it a reservation if it is
+    /// blocked and fewer than `k` are held, otherwise record the refusal.
+    ///
+    /// `id` may be a tombstone of the walk's persistent order — a job
+    /// that has since started, been cancelled or had its slot recycled —
+    /// which the generation-checked arena rejects; the indexed pass and a
+    /// clean order only ever offer pending jobs.
+    fn easy_visit(&mut self, id: JobId, now: SimTime, pass: &mut EasyPass) -> EasyVisit {
+        let Some(job) = self.jobs.get(id) else {
+            return EasyVisit::Refused;
+        };
+        if job.state != JobState::Pending || !self.dependency_satisfied(job) {
+            return EasyVisit::Refused;
+        }
+        self.incr.bf_examined += 1;
+        let need = job.requested_nodes;
+        let constraint = job.constraint;
+        let dur = job.expected_runtime;
+        if self.cluster.can_allocate_in(need, constraint) {
+            // With no reservation held yet this is vacuously harmless.
+            let est_end = now + dur;
+            let harmless = pass
+                .reservations
+                .iter()
+                .all(|&(shadow, spare)| est_end <= shadow || need <= spare);
+            if !harmless {
+                // A fitting job refused by the harmless check: not a
+                // time-invariant refusal (see [`BfMemo`]).
+                pass.fitting_refused = true;
+                return EasyVisit::Refused;
+            }
+            for r in pass.reservations.iter_mut() {
+                if est_end > r.0 {
+                    r.1 -= need;
+                }
+            }
+            pass.started.push(self.start_job(id, now));
+            self.sync_timelines(now);
+            return EasyVisit::Started;
+        }
+        pass.watermark = pass.watermark.min(need);
+        if pass.reservations.is_empty() && !self.config.backfill {
+            return EasyVisit::Stop;
+        }
+        if (pass.reservations.len() as u32) < pass.k {
+            let (shadow, spare) = if constraint != ClassConstraint::Any {
+                self.constrained_hole(constraint, need, dur, now)
+            } else if pass.reservations.is_empty() {
+                self.easy_first_reservation(need, now)
+            } else {
+                self.hole_reservation(need, dur, now)
+            };
+            if shadow != SimTime(u64::MAX) {
+                let until = shadow + dur;
+                self.timeline
+                    .get_mut()
+                    .slots
+                    .plan_journaled(shadow, until, need);
+                if let Some(c) = self.sole_eligible_class(constraint) {
+                    self.class_timelines.get_mut()[c]
+                        .slots
+                        .plan_journaled(shadow, until, need);
+                }
+            }
+            pass.reservations.push((shadow, spare));
+        }
+        EasyVisit::Refused
+    }
+
+    /// The EASY walk: every pending job, in scheduling order.
+    fn easy_walk(&mut self, now: SimTime, pass: &mut EasyPass) {
+        let order = self.pass_order(now);
+        for &id in order.ids() {
+            if let EasyVisit::Stop = self.easy_visit(id, now, pass) {
+                break;
+            }
+        }
+    }
+
+    /// The indexed EASY pass: the walk's decisions without the walk.
+    ///
+    /// **Phase 1** is the walk itself, driven by the pending-index
+    /// cursor, until `k` reservations are held (or the queue ends):
+    /// O(starts + k), no materialised order, no tombstones.
+    ///
+    /// **Phase 2** covers the rest of the queue, where no reservation
+    /// can be added any more: a job `(need n, estimate d)` starts iff
+    /// `n <= free` and it is harmless, and it is harmless iff it ends by
+    /// `latest_end(n) = min { shadow_r : spare_r < n }` ([`ShadowStairs`]
+    /// — unbounded when `n` fits beside every reservation). So per need
+    /// bucket `<= free` only the estimate prefix `now + d <=
+    /// latest_end(n)` is enumerated, or, for an unbounded need, only its
+    /// first job, replaced by the next after each start. The candidates
+    /// are merged in scheduling order and each one takes the walk's own
+    /// [`Slurm::easy_visit`] step against the *current* free count and
+    /// spares. Both only shrink during a pass, so the candidates found
+    /// with the initial values are a superset of the jobs the walk
+    /// would start and every decision is the walk's — with one catch: a
+    /// start can consume the spare that kept a need unbounded, and then
+    /// the need's short jobs behind its first must join the candidates.
+    ///
+    /// A fruitless pass saw a constant free count, so its memo inputs
+    /// are two seeks: every queued need above it was a capacity refusal,
+    /// every need at or below it a harmless-check refusal.
+    fn easy_indexed(&mut self, now: SimTime, pass: &mut EasyPass) {
+        let mut cursor = None;
+        while (pass.reservations.len() as u32) < pass.k {
+            let Some(key) = self.pending_index.next_after(cursor) else {
+                return;
+            };
+            cursor = Some(key);
+            if let EasyVisit::Stop = self.easy_visit(key.id, now, pass) {
+                return;
+            }
+        }
+        let Some(cursor) = cursor else {
+            return;
+        };
+        let free = self.cluster.free_nodes();
+        let mut candidates = BinaryHeap::new();
+        let mut stairs = ShadowStairs::new(&pass.reservations, now);
+        for (need, bucket) in self.pending_index.needs_upto(free) {
+            candidates.extend(stairs.candidates(need, bucket, cursor, &self.jobs));
+        }
+        // Nothing queued requests fewer nodes than this for the rest of
+        // the pass (nothing is submitted during one).
+        let smallest = self
+            .pending_index
+            .needs_upto(free)
+            .next()
+            .map(|(need, _)| need);
+        while let Some(Reverse((key, need, bucket_head))) = candidates.pop() {
+            // A start took the nodes this candidate needed: the walk
+            // would record a capacity refusal, which only a fruitless
+            // pass keeps — and in a fruitless pass nothing took any.
+            if need > self.cluster.free_nodes() {
+                continue;
+            }
+            let started = matches!(self.easy_visit(key.id, now, pass), EasyVisit::Started);
+            let free = self.cluster.free_nodes();
+            if started {
+                if smallest.is_some_and(|need| need > free) {
+                    break;
+                }
+                stairs = ShadowStairs::new(&pass.reservations, now);
+            }
+            // The bucket's first job is dealt with: the next one takes
+            // its place — or, if a start has meanwhile consumed the spare
+            // that let this need run beside every reservation, the short
+            // jobs behind it do.
+            if bucket_head && need <= free {
+                if let Some(bucket) = self.pending_index.need_bucket(need) {
+                    candidates.extend(stairs.candidates(need, bucket, key, &self.jobs));
+                }
+            }
+        }
+        if pass.started.is_empty() {
+            pass.watermark = self.pending_index.min_need_above(free).unwrap_or(u32::MAX);
+            pass.fitting_refused = smallest.is_some();
+        }
     }
 
     /// Conservative backfill: walk the queue in priority order; a job
@@ -1685,6 +1897,7 @@ impl Slurm {
             if !self.dependency_satisfied(job) {
                 continue;
             }
+            self.incr.bf_examined += 1;
             let need = job.requested_nodes;
             let dur = job.expected_runtime;
             let fits = self.cluster.can_allocate_in(need, job.constraint);
@@ -1805,6 +2018,7 @@ impl Slurm {
             sched_passes_elided: self.incr.sched_elided,
             backfill_passes_run: self.incr.bf_runs,
             backfill_passes_elided: self.incr.bf_elided,
+            backfill_jobs_examined: self.incr.bf_examined,
         }
     }
 
@@ -2283,23 +2497,9 @@ impl Slurm {
                 self.pending_index.constrained()
             ));
         }
-        // The need view, once live, holds exactly the queued (non-resizer)
-        // pending jobs under their `(need, boosted, submit, seq)` keys.
-        if let Some(view) = self.pending_index.need_view() {
-            let mut want: Vec<_> = pending
-                .iter()
-                .map(|&id| &self.jobs[id])
-                .filter(|j| !j.is_resizer())
-                .map(|j| {
-                    let boosted = std::cmp::Reverse(j.boosted);
-                    (j.requested_nodes, boosted, j.submit_time, j.seq)
-                })
-                .collect();
-            want.sort();
-            if view != want {
-                return Err(format!("need view {view:?} != queued set {want:?}"));
-            }
-        }
+        let queued = pending.iter().map(|&id| &self.jobs[id]);
+        self.pending_index
+            .check_need_view(queued.filter(|j| !j.is_resizer()))?;
         // Failed-node accounting: a node that stopped accepting work
         // while allocated (injected failure or administrative drain) may
         // only be owned by a job the scheduler still considers running —
@@ -2778,11 +2978,10 @@ mod tests {
         s.schedule(t(1)); // q blocked: needs 6, 4 free
         s.invalidate_queue_cache();
         // Both sit at their floor: nobody can be helped, and finding that
-        // out builds neither the pending order nor the need view.
+        // out does not build the pending order.
         assert_eq!(s.decide_resize(a, t(2)), ResizeAction::NoAction);
         assert_eq!(s.decide_resize(b, t(2)), ResizeAction::Expand { to: 8 });
         assert!(s.queue_cache.borrow().is_none(), "pending order built");
-        assert!(s.pending_index.need_view().is_none(), "need view built");
         s.check_invariants().unwrap();
     }
 
@@ -2801,7 +3000,7 @@ mod tests {
         s.schedule(t(0));
         let q4 = s.submit(JobRequest::rigid("q4", 4), t(1));
         let q2 = s.submit(JobRequest::rigid("q2", 2), t(2));
-        // First consult builds the view; q4 is first in order.
+        // q4 is first in order.
         assert_eq!(
             s.decide_resize(a, t(3)),
             ResizeAction::Shrink {
@@ -2809,7 +3008,6 @@ mod tests {
                 beneficiary: Some(q4)
             }
         );
-        assert_eq!(s.pending_index.need_view().map(|v| v.len()), Some(2));
         s.check_invariants().unwrap(); // q4 re-keyed by the boost
         let late = s.submit(JobRequest::rigid("late", 2), t(4)); // insert
         s.boost(late); // reboost: now ahead of q2, still behind boosted q4
@@ -2828,7 +3026,7 @@ mod tests {
             panic!()
         };
         s.check_invariants().unwrap();
-        assert_eq!(s.pending_index.need_view().map(|v| v.len()), Some(2));
+        assert_eq!((s.queued_count(), s.pending_count()), (2, 3));
         s.abort_expand(resizer, t(8));
         s.cancel(late, t(8));
         assert_eq!(
@@ -2839,6 +3037,90 @@ mod tests {
             }
         );
         s.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn estimate_refresh_of_a_pending_job_rekeys_its_need_bucket() {
+        let mut s = slurm(10);
+        let _hog = s.submit(
+            JobRequest::rigid("hog", 8).with_expected_runtime(Span::from_secs(1000)),
+            t(0),
+        );
+        s.schedule(t(0));
+        let _blocked = s.submit(JobRequest::rigid("blocked", 10), t(1));
+        let small = s.submit(
+            JobRequest::rigid("small", 2).with_expected_runtime(Span::from_secs(5000)),
+            t(2),
+        );
+        // Too long to end by the shadow time, no spare to run beside it.
+        assert!(s.backfill_pass(t(3)).is_empty());
+        // The refreshed estimate must re-file the job in its bucket's
+        // estimate order (the invariant check re-derives the view), and
+        // the pass must find it there.
+        s.set_expected_runtime(small, Span::from_secs(10));
+        s.check_invariants().unwrap();
+        let started = s.backfill_pass(t(4));
+        assert_eq!(started.len(), 1, "{started:?}");
+        assert_eq!(started[0].id, small);
+        s.check_invariants().unwrap();
+    }
+
+    /// A need that fits beside every reservation is represented in the
+    /// indexed pass by its first job alone. When an earlier start consumes
+    /// that spare, the first job stops qualifying — but the need's short
+    /// jobs behind it still end by the shadow time and must start.
+    #[test]
+    fn a_need_that_stops_fitting_beside_the_reservation_keeps_its_short_jobs() {
+        for mut s in [slurm(10), scan_twin(10)] {
+            let _hog = s.submit(
+                JobRequest::rigid("hog", 7).with_expected_runtime(Span::from_secs(1000)),
+                t(0),
+            );
+            s.schedule(t(0));
+            let long = Span::from_secs(5000);
+            // Shadow t=1000 with 2 spare nodes; 3 free now.
+            let _blocked = s.submit(JobRequest::rigid("blocked", 8), t(1));
+            let wide = s.submit(
+                JobRequest::rigid("wide", 2).with_expected_runtime(long),
+                t(2),
+            );
+            let slim = s.submit(
+                JobRequest::rigid("slim", 1).with_expected_runtime(long),
+                t(3),
+            );
+            let short = s.submit(
+                JobRequest::rigid("short", 1).with_expected_runtime(Span::from_secs(100)),
+                t(4),
+            );
+            // `wide` runs in the spare nodes and uses them up, so `slim`
+            // would now delay `blocked`; `short` is over before it matters.
+            let started: Vec<JobId> = s.backfill_pass(t(5)).iter().map(|j| j.id).collect();
+            assert_eq!(started, vec![wide, short]);
+            assert_eq!(s.job(slim).unwrap().state, JobState::Pending);
+            assert_eq!(s.incremental_stats().backfill_jobs_examined, 4);
+            s.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_pass_on_a_full_machine_examines_only_the_reservation_holders() {
+        for k in [1, 2] {
+            let mut s = slurm(8);
+            s.config.backfill_family = BackfillFamily::easy(k);
+            s.submit(JobRequest::rigid("hog", 8), t(0));
+            s.schedule(t(0));
+            for need in [4, 1, 2, 1, 3] {
+                s.submit(JobRequest::rigid("queued", need), t(1));
+            }
+            assert!(s.backfill_pass(t(2)).is_empty());
+            let stats = s.incremental_stats();
+            assert_eq!(stats.backfill_jobs_examined, u64::from(k));
+            // The memo is the walk's all the same: every queued need is a
+            // capacity refusal, the smallest is the watermark.
+            let memo = s.incr.bf_memo.as_ref().expect("fruitless pass memoised");
+            assert_eq!((memo.watermark, memo.fitting_refused), (1, false));
+            assert_eq!(memo.easy_reservations.len(), k as usize);
+        }
     }
 
     fn scan_twin(nodes: u32) -> Slurm {

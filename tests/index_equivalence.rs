@@ -252,3 +252,31 @@ fn overloaded_malleable_run_matches_scan_reference() {
         csv_row(kind, &cfg, seed, &scan)
     );
 }
+
+/// The indexed EASY pass evaluates a bounded number of jobs per pass and
+/// per start, whatever the queue depth; the walk evaluates the whole
+/// queue. Counted, not timed, so no host noise can blur it: on the same
+/// overloaded run (rigid and malleable) the production path stays under
+/// 8 evaluations per executed pass and started job while the scan twin —
+/// with identical decisions — pays more than twenty times that.
+#[test]
+fn indexed_easy_pass_examines_a_bounded_number_of_jobs() {
+    let kind = WorkloadKind::FsPreliminary;
+    let (jobs, seed) = (2000, dmr_bench::SEED);
+    let flexible = ExperimentConfig::preliminary().online();
+    for cfg in [flexible.as_fixed(), flexible] {
+        let arena = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
+        let scan = run_experiment_streaming(&cfg.scan_reference(), kind.build(jobs, seed).as_mut());
+        assert_bit_identical(&arena, &scan).unwrap();
+        let budget = 8 * (arena.sched.backfill_passes_run + u64::from(jobs));
+        let (fast, walk) = (
+            arena.sched.backfill_jobs_examined,
+            scan.sched.backfill_jobs_examined,
+        );
+        assert!(fast <= budget, "arena examined {fast} jobs > {budget}");
+        assert!(
+            walk > 20 * budget,
+            "scan twin examined {walk} jobs, not > 20 x {budget}: queue too shallow to tell"
+        );
+    }
+}
