@@ -180,20 +180,17 @@ pub struct ExperimentConfig {
     /// Scheduler hot-path implementation: the arena path (the default),
     /// the previous indexed path (benchmark baseline) or the pre-index
     /// scan reference kept as the equivalence oracle (see
-    /// [`SchedIndex`]). Also selects the event-queue backend: the arena
-    /// path runs on the timer wheel, the others on the reference binary
-    /// heap — backends are observationally identical, so the three-way
-    /// equivalence suite covers both.
+    /// [`SchedIndex`]).
     pub sched_index: SchedIndex,
     /// Machine-class layout of the simulated cluster. The default
     /// [`MachineMix::Uniform`] reproduces the paper's homogeneous testbed
     /// bit-for-bit; [`MachineMix::Hetero3`] adds big-memory and GPU
     /// classes with distinct speed factors and power ladders.
     pub machine_mix: MachineMix,
-    /// Whether resize policies consult the backfill timeline before
-    /// expanding a job, refusing grows that would steal a planned
-    /// backfill hole from the first blocked job (default on; `false`
-    /// restores the timeline-blind behaviour and is equivalence-tested).
+    /// Whether resize policies consult the first blocked job's backfill
+    /// reservation before expanding a job, refusing grows that would
+    /// steal its hole (default on; `false` restores the
+    /// reservation-blind behaviour and is equivalence-tested).
     /// [`PolicyKind::Algorithm1`] never consults the guard either way.
     pub hole_guard: bool,
     /// Wake-up latency of a powered-down (S5) node, seconds: demand that

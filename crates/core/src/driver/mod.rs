@@ -33,7 +33,7 @@ pub(crate) mod shrink;
 
 use dmr_cluster::{Cluster, FaultSource, FaultTrace, PowerMeter};
 use dmr_metrics::{MetricsSink, OnlineAccumulator, SeriesRecorder, StepSeries, WorkloadSummary};
-use dmr_sim::{Engine, EventId, QueueKind, SimTime, Span, CLASS_EARLY};
+use dmr_sim::{Engine, EventId, SimTime, Span, CLASS_EARLY};
 use dmr_slurm::{JobId, ResizeAction, SchedIndex, Slurm, SlurmConfig};
 use dmr_workload::WorkloadSource;
 use rand::{rngs::StdRng, SeedableRng};
@@ -513,13 +513,6 @@ impl<'a, 's> Driver<'a, 's> {
         // completion, so the scheduler never needs to keep terminal
         // records — the active set is all that stays resident.
         scfg.retain_completed = false;
-        // The arena path runs on the timer-wheel queue backend; the other
-        // paths keep the reference binary heap, so the three-way
-        // equivalence suite exercises both backends end to end.
-        let queue_kind = match cfg.sched_index {
-            SchedIndex::Arena => QueueKind::TimerWheel,
-            _ => QueueKind::BinaryHeap,
-        };
         // Faultload plumbing: under `FaultLoad::None` the source is inert
         // and the protocol RNG is never even constructed — the zero-fault
         // path performs zero RNG work, keeping it bit-identical to a
@@ -534,7 +527,7 @@ impl<'a, 's> Driver<'a, 's> {
             arrived: 0,
             feed,
             slurm: Slurm::new(cluster, scfg),
-            engine: Engine::with_queue_kind(queue_kind),
+            engine: Engine::new(),
             running: JobMap::default(),
             spec_of: JobMap::default(),
             rj_to_orig: JobMap::default(),

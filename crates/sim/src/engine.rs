@@ -1,6 +1,6 @@
 //! The simulation engine: a clock plus an event queue, with a driver loop.
 
-use crate::queue::{EventKey, EventQueue, QueueKind, CLASS_EARLY, CLASS_NORMAL};
+use crate::queue::{EventKey, EventQueue, CLASS_EARLY, CLASS_NORMAL};
 use crate::time::{SimTime, Span};
 
 /// Handle for a scheduled event (re-exported key type).
@@ -27,16 +27,9 @@ impl<E> Default for Engine<E> {
 
 impl<E> Engine<E> {
     pub fn new() -> Self {
-        Self::with_queue_kind(QueueKind::BinaryHeap)
-    }
-
-    /// An engine whose event queue runs on the given backend. Backends
-    /// are observationally identical (`(time, class, seq)` pop order);
-    /// the timer wheel is the one the arena scheduling path selects.
-    pub fn with_queue_kind(kind: QueueKind) -> Self {
         Engine {
             now: SimTime::ZERO,
-            queue: EventQueue::with_kind(kind),
+            queue: EventQueue::new(),
             processed: 0,
             past_schedules: 0,
         }

@@ -27,5 +27,5 @@ pub mod queue;
 pub mod time;
 
 pub use engine::{Engine, EventId};
-pub use queue::{EventQueue, QueueKind, CLASS_EARLY, CLASS_NORMAL};
+pub use queue::{EventQueue, CLASS_EARLY, CLASS_NORMAL};
 pub use time::{SimTime, Span};

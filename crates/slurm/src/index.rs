@@ -425,23 +425,6 @@ impl RunningIndex {
     pub(crate) fn iter(&self) -> impl Iterator<Item = (SimTime, u32)> + '_ {
         self.set.iter().map(|&(end, nodes, _)| (end, nodes))
     }
-
-    /// The jobs expiring exactly at `end`, in reservation-scan key order
-    /// — the "group" the legacy reservation walk may stop inside of.
-    pub(crate) fn group_at(&self, end: SimTime) -> impl Iterator<Item = (SimTime, u32)> + '_ {
-        self.set
-            .range((end, 0, JobId(0))..=(end, u32::MAX, JobId(u64::MAX)))
-            .map(|&(end, nodes, _)| (end, nodes))
-    }
-
-    /// The jobs whose expected end is at or before `now` (overruns), in
-    /// reservation-scan key order — the prefix the legacy walk clamps to
-    /// `now`.
-    pub(crate) fn ends_through(&self, now: SimTime) -> impl Iterator<Item = (SimTime, u32)> + '_ {
-        self.set
-            .range(..=(now, u32::MAX, JobId(u64::MAX)))
-            .map(|&(end, nodes, _)| (end, nodes))
-    }
 }
 
 /// Parent → resizer reverse-dependency map plus the reap candidate list.

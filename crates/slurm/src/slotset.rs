@@ -1,12 +1,14 @@
 //! Slot-set free-resource timeline: the future-occupancy step function
 //! behind the backfill families.
 //!
-//! The legacy EASY backfill re-derived the shadow time on every pass by
-//! walking the running-jobs end-time index and accumulating freed nodes.
-//! That is O(running) per blocked job and — worse — it can only answer
-//! "when is the *cluster-wide* free count ≥ need", which is enough for a
-//! single reservation but not for planning many jobs into the future
-//! (EASY-k, conservative backfill).
+//! A single EASY reservation is a prefix walk of the running-jobs
+//! end-time index, accumulating freed nodes until the blocked job fits
+//! (`Slurm::reservation_for`) — at most min(running, need) entries, and
+//! the default family asks for nothing else. But the walk can only answer
+//! "when is the *cluster-wide* free count ≥ need", which is not enough
+//! for planning many jobs into the future (EASY-k, conservative
+//! backfill). Those families ask the timeline below, which the scheduler
+//! builds the first time one of them runs.
 //!
 //! [`SlotSet`] maintains the *planned occupancy* `occ(t)` — the number of
 //! nodes committed at instant `t` by running jobs (and, transiently,
@@ -69,8 +71,7 @@ pub enum BackfillFamily {
     Conservative,
     /// The pre-slot-set EASY implementation: one reservation derived by
     /// walking the running-jobs end-time index per pass. Kept as the
-    /// equivalence oracle; the timeline is still maintained but never
-    /// consulted.
+    /// equivalence oracle; it never consults the timeline.
     LegacyReference,
 }
 
@@ -378,33 +379,6 @@ impl SlotSet {
         best
     }
 
-    /// First boundary at or after `from` with occupancy `<= cap`.
-    /// Read-only: prunes on the subtree min aggregate.
-    fn first_matching(&self, n: u32, from: SimTime, acc: i64, cap: i64) -> Option<SimTime> {
-        if n == NIL {
-            return None;
-        }
-        let s = &self.slots[n as usize];
-        let frame = acc + s.add;
-        if s.min + frame > cap {
-            return None;
-        }
-        if s.time >= from {
-            if let Some(t) = self.first_matching(s.l, from, frame, cap) {
-                return Some(t);
-            }
-            if s.occ + frame <= cap {
-                return Some(s.time);
-            }
-        }
-        self.first_matching(s.r, from, frame, cap)
-    }
-
-    /// First boundary time `>= from` with occupancy `<= cap`.
-    pub fn first_fit_at(&self, from: SimTime, cap: i64) -> Option<SimTime> {
-        self.first_matching(self.root, from.max(self.horizon), 0, cap)
-    }
-
     /// One in-order scan from `from` running the whole hole search as a
     /// state machine: while no candidate start is held, it hunts the
     /// first boundary with occupancy `<= cap`; while one is held, it
@@ -578,6 +552,12 @@ impl SlotSet {
         while let Some((from, until, nodes)) = self.journal.pop() {
             self.unplan(from, until, nodes);
         }
+    }
+
+    /// Journaled intervals not yet rolled back.
+    #[cfg(test)]
+    pub(crate) fn journaled(&self) -> usize {
+        self.journal.len()
     }
 
     /// Copies the whole timeline into `into`, reusing its buffers. The

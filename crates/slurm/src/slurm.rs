@@ -118,10 +118,11 @@ pub struct SlurmConfig {
     /// [`SchedIndex::ScanReference`] (the oracle always pays full cost).
     pub sched_incremental: SchedIncremental,
     /// Let grow-happy policies ([`PolicyKind::UtilizationTarget`],
-    /// [`PolicyKind::EnergyAware`]) consult the backfill timeline before
-    /// expanding ([`Slurm::grow_steals_backfill_hole`]) and refuse grows
-    /// that would steal the planned hole of the first blocked job.
-    /// Default on; `false` restores the timeline-blind behaviour
+    /// [`PolicyKind::EnergyAware`]) consult the first blocked job's
+    /// backfill reservation before expanding
+    /// ([`Slurm::grow_steals_backfill_hole`]) and refuse grows that
+    /// would steal its hole.
+    /// Default on; `false` restores the reservation-blind behaviour
     /// (equivalence-tested — `Algorithm1` never consults the guard
     /// either way).
     pub hole_guard: bool,
@@ -226,11 +227,16 @@ pub struct Slurm {
     running_index: RunningIndex,
     /// Parent → resizer reverse-dependency map for O(affected) reaping.
     resizer_index: ResizerIndex,
-    /// The slot-set free-resource timeline the EASY-k / conservative
-    /// backfill families query (see [`crate::slotset`]). `RefCell`: the
-    /// deferred deltas are flushed behind `&self` in
-    /// [`Slurm::check_invariants`].
+    /// The slot-set free-resource timeline the deeper EASY-k
+    /// reservations and the conservative family query (see
+    /// [`crate::slotset`]). `RefCell`: the deferred deltas are flushed
+    /// behind `&self` in [`Slurm::check_invariants`].
     timeline: RefCell<Timeline>,
+    /// Whether the aggregate timeline is live. It sits dormant — empty,
+    /// every delta dropped — until a pass asks something only it can
+    /// answer ([`Slurm::activate_timeline`]): the default EASY pass takes
+    /// its one reservation from the running index and never does.
+    tl_live: bool,
     /// One timeline per machine class, populated only when the cluster
     /// spans more than one class (empty on uniform inventories, so the
     /// single-class hot path pays nothing — the bit-identity oracle).
@@ -296,6 +302,29 @@ impl Timeline {
         }
     }
 
+    /// Defers one delta to the next consultation.
+    fn queue(&mut self, delta: TimelineDelta) {
+        self.queued.push(delta);
+        // Keep memory O(running) even when no backfill pass ever drains
+        // the queue (backfill disabled): paired plan/unplan deltas cancel
+        // once applied.
+        if self.queued.len() >= 1024 {
+            self.flush();
+        }
+    }
+
+    /// Takes a dormant (empty) timeline live at `now`: plans each running
+    /// commitment `(expected end, nodes)` from `now` on — the step
+    /// function a timeline maintained from the start holds at and after
+    /// `now`, so every query answers identically.
+    fn go_live(&mut self, now: SimTime, commitments: impl Iterator<Item = (SimTime, u32)>) {
+        debug_assert!(!self.recording, "timeline went live mid-pass");
+        self.slots.advance(now);
+        for (end, nodes) in commitments {
+            self.slots.plan(now, end, nodes);
+        }
+    }
+
     /// Applies every queued delta (without moving the horizon).
     fn flush(&mut self) {
         for d in self.queued.drain(..) {
@@ -329,6 +358,50 @@ impl Timeline {
         self.slots.save(&mut self.ckpt);
         self.recorded.clear();
         self.recording = true;
+    }
+
+    /// Invariant check. A dormant timeline holds no slots and no queued
+    /// deltas; a live one (deferred deltas flushed) equals the occupancy
+    /// profile of `commitments` — each running job's `(expected end,
+    /// held nodes)` — at every breakpoint of either step function.
+    fn check(
+        &mut self,
+        what: &str,
+        live: bool,
+        commitments: &[(SimTime, u32)],
+    ) -> Result<(), String> {
+        if !live {
+            if !self.slots.is_empty() || !self.queued.is_empty() {
+                return Err(format!(
+                    "dormant {what} holds {} slots and {} queued deltas",
+                    self.slots.len(),
+                    self.queued.len()
+                ));
+            }
+            return Ok(());
+        }
+        self.flush();
+        self.slots.validate()?;
+        let horizon = self.slots.horizon();
+        let expected_at = |t: SimTime| -> i64 {
+            commitments
+                .iter()
+                .filter(|&&(end, _)| end > t)
+                .map(|&(_, n)| i64::from(n))
+                .sum()
+        };
+        let mut probes: Vec<SimTime> = self.slots.slots().iter().map(|&(b, _)| b).collect();
+        probes.extend(commitments.iter().map(|&(end, _)| end.max(horizon)));
+        for p in probes {
+            let got = self.slots.occupied_at(p);
+            let want = expected_at(p.max(horizon));
+            if got != want {
+                return Err(format!(
+                    "{what} occupancy {got} at {p:?} != running profile {want}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Reverts to the last [`Timeline::save`], then replays the real
@@ -406,6 +479,18 @@ struct EasyPass {
     /// Refusal records for the elision memo (see [`BfMemo`]).
     watermark: u32,
     fitting_refused: bool,
+}
+
+impl EasyPass {
+    fn new(k: u32) -> Self {
+        EasyPass {
+            k,
+            started: Vec::new(),
+            reservations: Vec::new(),
+            watermark: u32::MAX,
+            fitting_refused: false,
+        }
+    }
 }
 
 /// What [`Slurm::easy_visit`] did with one pending job.
@@ -573,6 +658,7 @@ impl Slurm {
             running_index: RunningIndex::default(),
             resizer_index: ResizerIndex::default(),
             timeline: RefCell::new(Timeline::new()),
+            tl_live: false,
             class_timelines: RefCell::new((0..per_class).map(|_| Timeline::new()).collect()),
             class_counts: std::collections::BTreeMap::new(),
             class_held: vec![0; per_class],
@@ -817,6 +903,7 @@ impl Slurm {
             self.incr_clear();
         }
         if self.jobs[id].constraint != ClassConstraint::Any {
+            self.activate_timeline(now);
             self.activate_class_timelines(now);
         }
         id
@@ -872,18 +959,13 @@ impl Slurm {
     }
 
     /// Queues a timeline delta (a running job's node commitment until
-    /// `end`) for application at the next timeline consultation.
+    /// `end`) for application at the next timeline consultation. Dropped
+    /// while the timeline is dormant: going live rebuilds it from the
+    /// running index (see [`Slurm::activate_timeline`]).
     fn tl_queue(&mut self, end: SimTime, nodes: u32, plan: bool) {
-        if nodes == 0 {
-            return;
-        }
-        let tl = self.timeline.get_mut();
-        tl.queued.push(TimelineDelta { end, nodes, plan });
-        // Keep memory O(running) even when no backfill pass ever drains
-        // the queue (backfill disabled): paired plan/unplan deltas cancel
-        // once applied.
-        if tl.queued.len() >= 1024 {
-            tl.flush();
+        if nodes != 0 && self.tl_live {
+            let delta = TimelineDelta { end, nodes, plan };
+            self.timeline.get_mut().queue(delta);
         }
     }
 
@@ -903,13 +985,8 @@ impl Slurm {
         }
         let tls = self.class_timelines.get_mut();
         for (c, &nodes) in counts.iter().enumerate() {
-            if nodes == 0 {
-                continue;
-            }
-            let tl = &mut tls[c];
-            tl.queued.push(TimelineDelta { end, nodes, plan });
-            if tl.queued.len() >= 1024 {
-                tl.flush();
+            if nodes != 0 {
+                tls[c].queue(TimelineDelta { end, nodes, plan });
             }
         }
     }
@@ -941,10 +1018,11 @@ impl Slurm {
         }
     }
 
-    /// Brings the aggregate timeline — and, when live, every class
-    /// timeline — up to date with the simulation clock.
+    /// Brings every live timeline up to date with the simulation clock.
     fn sync_timelines(&mut self, now: SimTime) {
-        self.timeline.get_mut().sync(now);
+        if self.tl_live {
+            self.timeline.get_mut().sync(now);
+        }
         if self.class_tl_live {
             for tl in self.class_timelines.get_mut() {
                 tl.sync(now);
@@ -952,38 +1030,41 @@ impl Slurm {
         }
     }
 
+    /// Brings the aggregate timeline live: plans every running job's
+    /// `(expected end, held nodes)` commitment from `now` on, after which
+    /// every mutation maintains it through [`Slurm::tl_queue`]. Called by
+    /// the consumers that need more than the first EASY reservation: a
+    /// conservative pass, an EASY pass granting two or more reservations,
+    /// and the first class-constrained submission (whose reservation
+    /// [`Slurm::constrained_hole`] may take from the aggregate, also on
+    /// behalf of the `&self` hole guard).
+    fn activate_timeline(&mut self, now: SimTime) {
+        if self.tl_live {
+            return;
+        }
+        self.tl_live = true;
+        self.timeline
+            .get_mut()
+            .go_live(now, self.running_index.iter());
+    }
+
     /// Brings the per-class timelines live: rebuilds each class's
     /// occupancy profile from the recorded running commitments, after
     /// which every mutation maintains them eagerly. Called on the first
     /// class-constrained submission — queries only ever target a class
     /// timeline on behalf of a constrained pending job, so until one
-    /// exists the timelines can sit dormant for free. The rebuild plans
-    /// the same `(end, count)` commitments the eager path would have
-    /// accumulated, so query answers (hole starts, range maxima) are
-    /// identical to timelines maintained from the start.
+    /// exists the timelines can sit dormant for free.
     fn activate_class_timelines(&mut self, now: SimTime) {
         if !self.multi_class() || self.class_tl_live {
             return;
         }
         self.class_tl_live = true;
-        let tls = self.class_timelines.get_mut();
-        for tl in tls.iter_mut() {
-            debug_assert!(!tl.recording, "class timelines went live mid-pass");
-            *tl = Timeline::new();
-        }
-        for (&id, counts) in &self.class_counts {
-            let Some(end) = self.running_index.end_of(id) else {
-                continue;
-            };
-            for (c, &n) in counts.iter().enumerate() {
-                if n > 0 {
-                    let h = tls[c].slots.horizon();
-                    tls[c].slots.plan(h, end, n);
-                }
-            }
-        }
-        for tl in tls.iter_mut() {
-            tl.sync(now);
+        for (c, tl) in self.class_timelines.get_mut().iter_mut().enumerate() {
+            let held = self
+                .class_counts
+                .iter()
+                .filter_map(|(&id, counts)| Some((self.running_index.end_of(id)?, counts[c])));
+            tl.go_live(now, held);
         }
     }
 
@@ -1542,8 +1623,9 @@ impl Slurm {
     /// on [`SlurmConfig::backfill_family`]:
     ///
     /// * [`BackfillFamily::Easy`] — the first `k` blocked jobs get
-    ///   shadow-time reservations found on the slot-set timeline;
-    ///   lower-priority jobs jump ahead only if they delay none of them.
+    ///   shadow-time reservations (the first from the running index, the
+    ///   deeper ones from the slot-set timeline); lower-priority jobs
+    ///   jump ahead only if they delay none of them.
     ///   `k = 1` is bit-for-bit the legacy behaviour. On the production
     ///   path the pass does not walk the queue: once the reservations
     ///   are held it visits, per requested node count that still fits,
@@ -1632,15 +1714,15 @@ impl Slurm {
         started
     }
 
-    /// EASY-k on the slot-set timeline: up to `k` blocked jobs hold
-    /// `(shadow, spare)` reservations; a fitting lower-priority job
-    /// starts only if, for every reservation, it either ends by the
-    /// shadow time or fits in the spare nodes (which it then consumes).
-    /// The first reservation reproduces the legacy walk bit-for-bit
-    /// ([`Slurm::easy_first_reservation`]); deeper ones are O(log slots)
-    /// hole queries. Reservations are planned into the timeline for the
-    /// duration of the pass so each later hole query sees the earlier
-    /// plans, and unplanned before returning.
+    /// EASY-k: up to `k` blocked jobs hold `(shadow, spare)`
+    /// reservations; a fitting lower-priority job starts only if, for
+    /// every reservation, it either ends by the shadow time or fits in
+    /// the spare nodes (which it then consumes). The first reservation
+    /// is the legacy walk's ([`Slurm::reservation_for`]); deeper ones are
+    /// O(log slots) hole queries on the slot-set timeline, which only a
+    /// pass with `k >= 2` therefore needs. A reservation is planned into
+    /// the timeline while a later one of the same pass can still see it,
+    /// and unplanned before returning.
     ///
     /// Every pending job goes through the same [`Slurm::easy_visit`]
     /// step; what differs is which jobs are offered to it. The indexed
@@ -1650,14 +1732,11 @@ impl Slurm {
     /// fallback — and, under [`SchedIndex::ScanReference`], the oracle.
     fn backfill_pass_easy(&mut self, now: SimTime, k: u32) -> Vec<JobStart> {
         self.reap_dead_resizers(now);
+        if k >= 2 {
+            self.activate_timeline(now);
+        }
         self.sync_timelines(now);
-        let mut pass = EasyPass {
-            k,
-            started: Vec::new(),
-            reservations: Vec::new(),
-            watermark: u32::MAX,
-            fitting_refused: false,
-        };
+        let mut pass = EasyPass::new(k);
         // The need view holds the whole pending set, and "fits" is
         // "requests at most the free count", only while no resizer and no
         // class-constrained job is pending; it is in scheduling order
@@ -1737,11 +1816,12 @@ impl Slurm {
             let (shadow, spare) = if constraint != ClassConstraint::Any {
                 self.constrained_hole(constraint, need, dur, now)
             } else if pass.reservations.is_empty() {
-                self.easy_first_reservation(need, now)
+                self.reservation_for(need, now)
             } else {
                 self.hole_reservation(need, dur, now)
             };
-            if shadow != SimTime(u64::MAX) {
+            let seen_later = (pass.reservations.len() as u32) + 1 < pass.k;
+            if seen_later && shadow != SimTime(u64::MAX) {
                 let until = shadow + dur;
                 self.timeline
                     .get_mut()
@@ -1863,6 +1943,7 @@ impl Slurm {
     /// the window would have no plans protecting them.
     fn backfill_pass_conservative(&mut self, now: SimTime) -> Vec<JobStart> {
         self.reap_dead_resizers(now);
+        self.activate_timeline(now);
         self.sync_timelines(now);
         // Temporary plans go in un-journaled: the pass plans up to
         // `window` reservations, and unwinding them one treap op at a
@@ -2040,11 +2121,11 @@ impl Slurm {
     /// backfill hole of the first blocked pending job. Grow-happy
     /// policies consult this before returning an expand verdict when
     /// [`SlurmConfig::hole_guard`] is on (default); off restores the
-    /// timeline-blind behaviour.
+    /// reservation-blind behaviour.
     ///
     /// The check is deliberately mode-independent: it recomputes the
-    /// blocked head's reservation from the timeline instead of peeking
-    /// at [`Slurm::easy_reservations`] (whose presence depends on the
+    /// blocked head's reservation instead of peeking at
+    /// [`Slurm::easy_reservations`] (whose presence depends on the
     /// [`SchedIncremental`] knob), so policy decisions stay
     /// bit-identical across every hot-path / incremental setting. A
     /// grow steals the hole when its extra nodes exceed the
@@ -2078,16 +2159,17 @@ impl Slurm {
             return false;
         };
         let (need, constraint, dur) = (j.requested_nodes, j.constraint, j.expected_runtime);
-        self.timeline.borrow_mut().sync(now);
-        if self.class_tl_live {
-            for tl in self.class_timelines.borrow_mut().iter_mut() {
-                tl.sync(now);
-            }
-        }
         let (shadow, spare) = if constraint != ClassConstraint::Any {
+            // Live since that job was submitted.
+            self.timeline.borrow_mut().sync(now);
+            if self.class_tl_live {
+                for tl in self.class_timelines.borrow_mut().iter_mut() {
+                    tl.sync(now);
+                }
+            }
             self.constrained_hole(constraint, need, dur, now)
         } else {
-            self.easy_first_reservation(need, now)
+            self.reservation_for(need, now)
         };
         if shadow == SimTime(u64::MAX) {
             return false;
@@ -2106,64 +2188,6 @@ impl Slurm {
         self.incr.bf_memo.as_ref().and_then(|m| {
             (m.family == BackfillFamily::Conservative).then_some(m.conservative_plan.as_slice())
         })
-    }
-
-    /// The first EASY reservation, answered from the timeline but
-    /// bit-for-bit identical to the legacy walk ([`Slurm::reservation_for`]).
-    ///
-    /// The timeline locates the crossing slot in O(log): the first
-    /// boundary `S` where planned occupancy leaves `need` nodes free.
-    /// The legacy walk, however, stops *inside* the group of running
-    /// jobs sharing the expected end `S` — its "extra" count excludes
-    /// later same-end entries — so the partial accumulation is replayed
-    /// over just that group (O(group), not O(running)).
-    fn easy_first_reservation(&self, need: u32, now: SimTime) -> (SimTime, u32) {
-        let free_now = self.cluster.free_nodes();
-        // Defensive: callers only ask about blocked jobs (free < need).
-        // Should the preconditions ever not hold, defer to the oracle so
-        // the answer is unconditionally identical.
-        if free_now >= need || self.running_index.len() == 0 {
-            return self.reservation_for(need, now);
-        }
-        let avail = free_now + self.running_index.total_held();
-        if avail < need {
-            // Estimates never free enough nodes (can happen transiently
-            // while resizer nodes are detached): no backfill headroom.
-            return (SimTime(u64::MAX), 0);
-        }
-        let cap = i64::from(avail - need);
-        let tl = self.timeline.borrow();
-        let Some(s) = tl.slots.first_fit_at(now, cap) else {
-            return (SimTime(u64::MAX), 0);
-        };
-        let occ_s = tl.slots.occupied_at(s);
-        drop(tl);
-        if s <= now {
-            // Jobs already past their estimate (their ends clamp to
-            // `now` in the legacy walk) free enough on their own.
-            let mut free = free_now;
-            for (_, nodes) in self.running_index.ends_through(now) {
-                free += nodes;
-                if free >= need {
-                    return (now, free - need);
-                }
-            }
-        } else {
-            let group_sum: u32 = self.running_index.group_at(s).map(|(_, n)| n).sum();
-            // Free count just before the group: avail - occ(S) counts
-            // every job ending at or before S as freed; subtract the
-            // group to get the legacy accumulator's starting point.
-            let mut free = avail - (occ_s as u32) - group_sum;
-            for (end, nodes) in self.running_index.group_at(s) {
-                free += nodes;
-                if free >= need {
-                    return (end, free - need);
-                }
-            }
-        }
-        // Unreachable while the timeline mirrors the running set; defer
-        // to the oracle rather than guess.
-        self.reservation_for(need, now)
     }
 
     /// A deeper EASY-k reservation: the earliest timeline hole fitting
@@ -2564,28 +2588,9 @@ impl Slurm {
         // running-jobs occupancy profile at every breakpoint of either
         // step function: free-count conservation across plan / unplan /
         // merge and resize re-planning.
-        let mut tl = self.timeline.borrow_mut();
-        tl.flush();
-        tl.slots.validate()?;
-        let horizon = tl.slots.horizon();
-        let expected_at = |t: SimTime| -> i64 {
-            scan.iter()
-                .filter(|&&(end, _)| end > t)
-                .map(|&(_, n)| i64::from(n))
-                .sum()
-        };
-        let mut probes: Vec<SimTime> = tl.slots.slots().iter().map(|&(b, _)| b).collect();
-        probes.extend(scan.iter().map(|&(end, _)| end.max(horizon)));
-        for p in probes {
-            let got = tl.slots.occupied_at(p);
-            let want = expected_at(p.max(horizon));
-            if got != want {
-                return Err(format!(
-                    "timeline occupancy {got} at {p:?} != running profile {want}"
-                ));
-            }
-        }
-        drop(tl);
+        self.timeline
+            .borrow_mut()
+            .check("timeline", self.tl_live, &scan)?;
         if self.multi_class() {
             // Per-class bookkeeping: the side map must mirror the actual
             // per-class split of every running job's nodes, the held
@@ -2623,17 +2628,7 @@ impl Slurm {
                     self.class_held
                 ));
             }
-            // Dormant class timelines are empty by design (they rebuild on
-            // activation), so their occupancy is only checkable once live.
-            let mut tls = if self.class_tl_live {
-                self.class_timelines.borrow_mut()
-            } else {
-                return Ok(());
-            };
-            for (c, tl) in tls.iter_mut().enumerate() {
-                tl.flush();
-                tl.slots.validate()?;
-                let horizon = tl.slots.horizon();
+            for (c, tl) in self.class_timelines.borrow_mut().iter_mut().enumerate() {
                 let class_scan: Vec<(SimTime, u32)> = running
                     .iter()
                     .map(|j| {
@@ -2643,24 +2638,11 @@ impl Slurm {
                         )
                     })
                     .collect();
-                let expected_at = |t: SimTime| -> i64 {
-                    class_scan
-                        .iter()
-                        .filter(|&&(end, _)| end > t)
-                        .map(|&(_, n)| i64::from(n))
-                        .sum()
-                };
-                let mut probes: Vec<SimTime> = tl.slots.slots().iter().map(|&(b, _)| b).collect();
-                probes.extend(class_scan.iter().map(|&(end, _)| end.max(horizon)));
-                for p in probes {
-                    let got = tl.slots.occupied_at(p);
-                    let want = expected_at(p.max(horizon));
-                    if got != want {
-                        return Err(format!(
-                            "class {c} timeline occupancy {got} at {p:?} != profile {want}"
-                        ));
-                    }
-                }
+                tl.check(
+                    &format!("class {c} timeline"),
+                    self.class_tl_live,
+                    &class_scan,
+                )?;
             }
         }
         Ok(())
@@ -3413,6 +3395,167 @@ mod tests {
             s.backfill_pass(t(45));
             s.check_invariants().unwrap();
         }
+    }
+
+    #[test]
+    fn easy1_drive_never_builds_the_timeline() {
+        // The default family takes its one reservation from the running
+        // index: whatever the drive does — blocked heads, the resize
+        // protocol, an estimate refresh, a cancel, a kill-and-requeue,
+        // the hole guard — the aggregate timeline stays dormant and
+        // empty (`check_invariants` holds it to that at every step).
+        let mut s = slurm(10);
+        let a = s.submit(
+            JobRequest::rigid("a", 4).with_expected_runtime(Span::from_secs(500)),
+            t(0),
+        );
+        let b = s.submit(
+            JobRequest::rigid("b", 4).with_expected_runtime(Span::from_secs(300)),
+            t(0),
+        );
+        assert_eq!(s.schedule(t(0)).len(), 2);
+        let head = s.submit(JobRequest::rigid("head", 8), t(1));
+        let tiny = s.submit(
+            JobRequest::rigid("tiny", 1).with_expected_runtime(Span::from_secs(10)),
+            t(2),
+        );
+        let started = s.backfill_pass(t(3));
+        assert_eq!(started.len(), 1, "tiny backfills under head's reservation");
+        s.check_invariants().unwrap();
+        s.complete(tiny, t(8));
+        s.expand_protocol(a, 6, t(10)).unwrap();
+        s.check_invariants().unwrap();
+        assert!(s.backfill_pass(t(12)).is_empty());
+        assert_eq!(s.easy_reservations().map(<[_]>::len), Some(1));
+        s.set_expected_runtime(a, Span::from_secs(2000));
+        s.shrink_protocol(a, 2, t(20)).unwrap();
+        s.check_invariants().unwrap();
+        assert!(
+            s.grow_steals_backfill_hole(a, 6, t(21)),
+            "head holds the hole"
+        );
+        let doomed = s.submit(JobRequest::rigid("doomed", 9), t(22));
+        assert!(s.backfill_pass(t(25)).is_empty());
+        s.cancel(doomed, t(26));
+        let node = s.cluster().nodes_of(b.owner_tag())[0];
+        assert_eq!(s.fail_node(node), FailOutcome::Busy(b.owner_tag()));
+        let b2 = s.requeue_failed(b, t(30)).expect("b was running");
+        s.check_invariants().unwrap();
+        assert_eq!(s.schedule(t(30))[0].id, b2, "the requeued job is boosted");
+        s.backfill_pass(t(31));
+        s.complete(a, t(40));
+        s.complete(b2, t(50));
+        assert_eq!(s.schedule(t(50))[0].id, head);
+        s.check_invariants().unwrap();
+        assert!(!s.tl_live);
+        let tl = s.timeline.borrow();
+        assert!(tl.slots.is_empty() && tl.queued.is_empty());
+    }
+
+    /// A job mix with a hog, three blocked jobs of different depths and
+    /// two small ones, driven through starts, a completion, an estimate
+    /// refresh and the resize protocol without a single backfill pass.
+    fn drive_without_a_backfill_pass(s: &mut Slurm) {
+        let hog = s.submit(
+            JobRequest::rigid("hog", 6).with_expected_runtime(Span::from_secs(995)),
+            t(0),
+        );
+        let mid = s.submit(
+            JobRequest::rigid("mid", 3).with_expected_runtime(Span::from_secs(400)),
+            t(0),
+        );
+        let brief = s.submit(
+            JobRequest::rigid("brief", 2).with_expected_runtime(Span::from_secs(50)),
+            t(0),
+        );
+        assert_eq!(s.schedule(t(0)).len(), 3);
+        for (i, (need, secs)) in [(8, 100), (12, 100), (5, 300), (2, 5000), (2, 100)]
+            .into_iter()
+            .enumerate()
+        {
+            s.submit(
+                JobRequest::rigid(format!("q{i}"), need)
+                    .with_expected_runtime(Span::from_secs(secs)),
+                t(1 + i as u64),
+            );
+        }
+        s.complete(brief, t(60));
+        assert!(s.schedule(t(60)).is_empty(), "q0 still blocks the queue");
+        s.set_expected_runtime(mid, Span::from_secs(700));
+        s.expand_protocol(hog, 7, t(70)).unwrap();
+        s.shrink_protocol(hog, 5, t(80)).unwrap();
+    }
+
+    #[test]
+    fn timeline_built_mid_run_answers_like_one_kept_from_the_start() {
+        for family in [BackfillFamily::easy(2), BackfillFamily::Conservative] {
+            let mut late = slurm(12);
+            let mut early = slurm(12);
+            for s in [&mut late, &mut early] {
+                s.config.backfill_family = family;
+            }
+            // A pass on the empty queue makes the twin's timeline live at
+            // t = 0, so it is maintained delta by delta through the drive.
+            assert!(early.backfill_pass(t(0)).is_empty());
+            assert!(early.tl_live && !late.tl_live);
+            for s in [&mut late, &mut early] {
+                drive_without_a_backfill_pass(s);
+                s.check_invariants().unwrap();
+            }
+            assert!(!late.tl_live, "nothing asked for it yet");
+            let (a, b) = (late.backfill_pass(t(90)), early.backfill_pass(t(90)));
+            assert!(late.tl_live);
+            assert_eq!(a, b, "{family:?}");
+            assert!(!a.is_empty(), "{family:?}: a small job backfills");
+            // A second, fruitless pass retains its plans for comparison.
+            assert_eq!(late.backfill_pass(t(95)), early.backfill_pass(t(95)));
+            assert_eq!(late.easy_reservations(), early.easy_reservations());
+            assert_eq!(late.conservative_plan(), early.conservative_plan());
+            let planned = match family {
+                BackfillFamily::Conservative => late.conservative_plan().map(<[_]>::len),
+                _ => late.easy_reservations().map(<[_]>::len),
+            };
+            assert!(planned >= Some(2), "{family:?}: {planned:?}");
+            for s in [&late, &early] {
+                s.check_invariants().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn easy_k_plans_only_the_reservations_a_later_one_can_see() {
+        // Three blocked jobs under `k = 3`: the first two reservations
+        // are planned into the timeline (the second and third hole
+        // queries must see them), the third is not — nothing of this
+        // pass would ever look at it.
+        let mut s = slurm(10);
+        s.config.backfill_family = BackfillFamily::easy(3);
+        s.submit(
+            JobRequest::rigid("hog", 8).with_expected_runtime(Span::from_secs(995)),
+            t(0),
+        );
+        s.schedule(t(0));
+        for (i, need) in [6, 10, 7].into_iter().enumerate() {
+            s.submit(
+                JobRequest::rigid(format!("blocked{i}"), need)
+                    .with_expected_runtime(Span::from_secs(100)),
+                t(1 + i as u64),
+            );
+        }
+        // The pass body alone, so the journal can be read before the
+        // rollback empties it.
+        let mut pass = EasyPass::new(3);
+        s.activate_timeline(t(5));
+        s.easy_walk(t(5), &mut pass);
+        assert_eq!(pass.reservations.len(), 3);
+        assert_eq!(s.timeline.borrow().slots.journaled(), 2);
+        s.timeline.get_mut().slots.rollback_plans();
+        s.check_invariants().unwrap();
+        // The whole pass grants the same three and leaves nothing behind.
+        assert!(s.backfill_pass(t(5)).is_empty());
+        assert_eq!(s.easy_reservations(), Some(pass.reservations.as_slice()));
+        assert_eq!(s.timeline.borrow().slots.journaled(), 0);
+        s.check_invariants().unwrap();
     }
 
     /// Twin schedulers — incremental on vs off — driven through the same

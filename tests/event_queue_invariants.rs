@@ -1,24 +1,21 @@
 //! Property tests for [`dmr::sim::EventQueue`]: time-ordered pops, FIFO
 //! among same-instant events, and cancellation that never resurrects or
 //! leaks entries — the invariants the whole discrete-event driver (and
-//! therefore sweep determinism) rests on. Every invariant runs against
-//! *both* backends (the binary heap and the hierarchical timer wheel),
-//! and a dedicated cross-backend property drives one random op sequence
-//! — pushes in both event classes, tombstone cancellations, interleaved
-//! pops that trigger compaction — through both queues and requires the
-//! full pop traces to be identical.
+//! therefore sweep determinism) rests on. A model property drives one
+//! random op sequence — pushes in both event classes, tombstone
+//! cancellations, interleaved pops that trigger compaction — through the
+//! queue and a sorted `Vec<(time, class, seq)>` reference and requires
+//! every pop, peek and live count to agree.
 
-use dmr::sim::queue::{EventQueue, QueueKind, CLASS_EARLY, CLASS_NORMAL};
+use dmr::sim::queue::{EventQueue, CLASS_EARLY, CLASS_NORMAL};
 use dmr::sim::SimTime;
 use proptest::prelude::*;
-
-const KINDS: [QueueKind; 2] = [QueueKind::BinaryHeap, QueueKind::TimerWheel];
 
 /// Replays a random schedule: `ops` is a list of (time, cancel_hint)
 /// pairs; every pair pushes an event, and `cancel_hint` (mod pushed so
 /// far) optionally cancels an earlier one.
-fn replay(kind: QueueKind, ops: &[(u64, u64, bool)]) -> (Vec<(SimTime, usize)>, usize) {
-    let mut q: EventQueue<usize> = EventQueue::with_kind(kind);
+fn replay(ops: &[(u64, u64, bool)]) -> (Vec<(SimTime, usize)>, usize) {
+    let mut q: EventQueue<usize> = EventQueue::new();
     let mut keys = Vec::new();
     let mut cancelled = std::collections::HashSet::new();
     for (seq, &(time, hint, do_cancel)) in ops.iter().enumerate() {
@@ -44,24 +41,22 @@ proptest! {
     fn pops_are_time_ordered_and_fifo_within_ties(
         ops in proptest::collection::vec((0u64..50, 0u64..100, proptest::bool::ANY), 1..60),
     ) {
-        for kind in KINDS {
-            let (popped, live) = replay(kind, &ops);
-            // Every live event pops exactly once; cancelled ones never do.
-            prop_assert_eq!(popped.len(), live, "{:?}", kind);
-            for win in popped.windows(2) {
-                let (t0, e0) = win[0];
-                let (t1, e1) = win[1];
-                // Non-decreasing time.
-                prop_assert!(t0 <= t1, "{:?} went backwards: {:?} then {:?}", kind, t0, t1);
-                // FIFO among equal instants: insertion sequence must rise.
-                if t0 == t1 {
-                    prop_assert!(e0 < e1, "{:?} tie at {:?} popped {} before {}", kind, t0, e0, e1);
-                }
+        let (popped, live) = replay(&ops);
+        // Every live event pops exactly once; cancelled ones never do.
+        prop_assert_eq!(popped.len(), live);
+        for win in popped.windows(2) {
+            let (t0, e0) = win[0];
+            let (t1, e1) = win[1];
+            // Non-decreasing time.
+            prop_assert!(t0 <= t1, "went backwards: {:?} then {:?}", t0, t1);
+            // FIFO among equal instants: insertion sequence must rise.
+            if t0 == t1 {
+                prop_assert!(e0 < e1, "tie at {:?} popped {} before {}", t0, e0, e1);
             }
-            // Each popped event carries the time it was pushed with.
-            for &(t, e) in &popped {
-                prop_assert_eq!(t, SimTime(ops[e].0));
-            }
+        }
+        // Each popped event carries the time it was pushed with.
+        for &(t, e) in &popped {
+            prop_assert_eq!(t, SimTime(ops[e].0));
         }
     }
 
@@ -72,136 +67,136 @@ proptest! {
             1..120,
         ),
     ) {
-        for kind in KINDS {
-            // Reference model: a plain list of (time, seq, alive) entries
-            // that never compacts — pops take the minimum (time, seq)
-            // alive entry, exactly the queue's CLASS_NORMAL contract.
-            let mut model: Vec<(u64, usize, bool)> = Vec::new();
-            let model_pop = |model: &mut Vec<(u64, usize, bool)>| -> Option<(SimTime, usize)> {
-                let best = model
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &(_, _, alive))| alive)
-                    .min_by_key(|(_, &(time, seq, _))| (time, seq))
-                    .map(|(i, _)| i)?;
-                model[best].2 = false;
-                Some((SimTime(model[best].0), model[best].1))
-            };
+        // Reference model: a plain list of (time, seq, alive) entries
+        // that never compacts — pops take the minimum (time, seq)
+        // alive entry, exactly the queue's CLASS_NORMAL contract.
+        let mut model: Vec<(u64, usize, bool)> = Vec::new();
+        let model_pop = |model: &mut Vec<(u64, usize, bool)>| -> Option<(SimTime, usize)> {
+            let best = model
+                .iter()
+                .enumerate()
+                .filter(|(_, &(_, _, alive))| alive)
+                .min_by_key(|(_, &(time, seq, _))| (time, seq))
+                .map(|(i, _)| i)?;
+            model[best].2 = false;
+            Some((SimTime(model[best].0), model[best].1))
+        };
 
-            let mut q: EventQueue<usize> = EventQueue::with_kind(kind);
-            let mut keys = Vec::new();
-            for (seq, &(time, hint, do_cancel, do_pop)) in ops.iter().enumerate() {
-                keys.push(q.push(SimTime(time), seq));
-                model.push((time, seq, true));
-                if do_cancel {
-                    let victim = (hint as usize) % keys.len();
-                    if q.cancel(keys[victim]).is_some() {
-                        model[victim].2 = false;
-                    }
-                }
-                if do_pop {
-                    prop_assert_eq!(q.pop(), model_pop(&mut model));
-                }
-                // The compaction bound: dead stored entries never
-                // outnumber live ones, after every single operation.
-                prop_assert!(
-                    q.heap_len() <= 2 * q.len(),
-                    "{:?} stored {} exceeds 2x live {} after op {}",
-                    kind,
-                    q.heap_len(),
-                    q.len(),
-                    seq
-                );
-            }
-            // Drain both to the end: order identical to the
-            // never-compacting reference, bound maintained throughout.
-            loop {
-                let got = q.pop();
-                prop_assert_eq!(got, model_pop(&mut model));
-                prop_assert!(q.heap_len() <= 2 * q.len());
-                if got.is_none() {
-                    break;
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut keys = Vec::new();
+        for (seq, &(time, hint, do_cancel, do_pop)) in ops.iter().enumerate() {
+            keys.push(q.push(SimTime(time), seq));
+            model.push((time, seq, true));
+            if do_cancel {
+                let victim = (hint as usize) % keys.len();
+                if q.cancel(keys[victim]).is_some() {
+                    model[victim].2 = false;
                 }
             }
-            prop_assert_eq!(q.heap_len(), 0, "drained {:?} retains tombstones", kind);
+            if do_pop {
+                prop_assert_eq!(q.pop(), model_pop(&mut model));
+            }
+            // The compaction bound: dead stored entries never
+            // outnumber live ones, after every single operation.
+            prop_assert!(
+                q.heap_len() <= 2 * q.len(),
+                "stored {} exceeds 2x live {} after op {}",
+                q.heap_len(),
+                q.len(),
+                seq
+            );
         }
+        // Drain both to the end: order identical to the
+        // never-compacting reference, bound maintained throughout.
+        loop {
+            let got = q.pop();
+            prop_assert_eq!(got, model_pop(&mut model));
+            prop_assert!(q.heap_len() <= 2 * q.len());
+            if got.is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(q.heap_len(), 0, "drained queue retains tombstones");
     }
 
     #[test]
     fn len_tracks_live_entries_through_cancellation(
         ops in proptest::collection::vec((0u64..20, 0u64..100, proptest::bool::ANY), 1..40),
     ) {
-        for kind in KINDS {
-            let mut q: EventQueue<usize> = EventQueue::with_kind(kind);
-            let mut keys = Vec::new();
-            let mut live = 0usize;
-            for (seq, &(time, hint, do_cancel)) in ops.iter().enumerate() {
-                keys.push(q.push(SimTime(time), seq));
-                live += 1;
-                if do_cancel {
-                    let victim = (hint as usize) % keys.len();
-                    if q.cancel(keys[victim]).is_some() {
-                        live -= 1;
-                    }
-                    // Double cancellation is a no-op.
-                    prop_assert!(q.cancel(keys[victim]).is_none());
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut keys = Vec::new();
+        let mut live = 0usize;
+        for (seq, &(time, hint, do_cancel)) in ops.iter().enumerate() {
+            keys.push(q.push(SimTime(time), seq));
+            live += 1;
+            if do_cancel {
+                let victim = (hint as usize) % keys.len();
+                if q.cancel(keys[victim]).is_some() {
+                    live -= 1;
                 }
-                prop_assert_eq!(q.len(), live);
-                prop_assert_eq!(q.is_empty(), live == 0);
+                // Double cancellation is a no-op.
+                prop_assert!(q.cancel(keys[victim]).is_none());
             }
+            prop_assert_eq!(q.len(), live);
+            prop_assert_eq!(q.is_empty(), live == 0);
         }
     }
 
-    /// The timer wheel is a drop-in replacement for the binary heap: one
-    /// random op sequence — both event classes, far-future times that
-    /// exercise cascading across wheel levels, tombstone cancellations
-    /// interleaved with pops (which trigger compaction on either side) —
-    /// produces byte-identical pop traces and head peeks on both.
+    /// The queue against the simplest thing that could be right: a `Vec`
+    /// of live `(time, class, seq)` triples kept sorted, whose front is
+    /// the next pop. One random op sequence — both event classes, times
+    /// from the same instant to far in the future (and, after pops,
+    /// before the last popped instant), cancellations of live, cancelled
+    /// and already-popped keys, interleaved pops that trigger compaction
+    /// — must produce the same pops, head peeks, cancel results and live
+    /// counts, with the stored-entry bound holding after every step.
     #[test]
-    fn wheel_and_heap_pop_identical_traces(
+    fn queue_matches_a_sorted_vec_model(
         ops in proptest::collection::vec(
-            (0u64..1 << 40, proptest::bool::ANY, 0u64..100, 0u8..4),
+            (0u64..1 << 40, proptest::bool::ANY, proptest::bool::ANY, 0u64..100, 0u8..4),
             1..150,
         ),
     ) {
-        let mut heap: EventQueue<usize> = EventQueue::with_kind(QueueKind::BinaryHeap);
-        let mut wheel: EventQueue<usize> = EventQueue::with_kind(QueueKind::TimerWheel);
-        let mut heap_keys = Vec::new();
-        let mut wheel_keys = Vec::new();
-        let mut trace_h = Vec::new();
-        let mut trace_w = Vec::new();
-        for (seq, &(time, early, hint, action)) in ops.iter().enumerate() {
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut model: Vec<(SimTime, u8, usize)> = Vec::new();
+        let mut keys = Vec::new();
+        for (seq, &(time, near, early, hint, action)) in ops.iter().enumerate() {
+            // Half the pushes share a handful of instants, so ties
+            // (where class and insertion order decide) are common.
+            let time = if near { time % 8 } else { time };
             let class = if early { CLASS_EARLY } else { CLASS_NORMAL };
-            heap_keys.push(heap.push_with_class(SimTime(time), class, seq));
-            wheel_keys.push(wheel.push_with_class(SimTime(time), class, seq));
+            keys.push(q.push_with_class(SimTime(time), class, seq));
+            let at = model.partition_point(|&e| e < (SimTime(time), class, seq));
+            model.insert(at, (SimTime(time), class, seq));
             match action {
-                // Cancel the same victim in both queues.
                 0 => {
-                    let victim = (hint as usize) % heap_keys.len();
-                    prop_assert_eq!(
-                        heap.cancel(heap_keys[victim]),
-                        wheel.cancel(wheel_keys[victim])
-                    );
+                    let victim = (hint as usize) % keys.len();
+                    let at = model.iter().position(|&(_, _, s)| s == victim);
+                    prop_assert_eq!(q.cancel(keys[victim]), at.map(|i| model.remove(i).2));
+                    prop_assert_eq!(q.cancel(keys[victim]), None, "double cancel");
                 }
-                // Pop one event from each and compare immediately.
                 1 => {
-                    trace_h.extend(heap.pop());
-                    trace_w.extend(wheel.pop());
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    prop_assert_eq!(q.pop(), want.map(|(t, _, s)| (t, s)));
                 }
-                // Peek must agree without disturbing either queue.
-                2 => prop_assert_eq!(heap.peek_head(), wheel.peek_head()),
+                2 => prop_assert_eq!(q.peek_head(), model.first().map(|&(t, c, _)| (t, c))),
                 _ => {}
             }
-            prop_assert_eq!(heap.len(), wheel.len(), "live counts diverged at op {}", seq);
+            prop_assert_eq!(q.len(), model.len(), "live counts diverged at op {}", seq);
+            prop_assert!(
+                q.heap_len() <= 2 * q.len(),
+                "stored {} exceeds 2x live {} after op {}",
+                q.heap_len(),
+                q.len(),
+                seq
+            );
         }
-        while let Some(ev) = heap.pop() {
-            trace_h.push(ev);
+        for (t, _, s) in model {
+            prop_assert_eq!(q.pop(), Some((t, s)));
+            prop_assert!(q.heap_len() <= 2 * q.len());
         }
-        while let Some(ev) = wheel.pop() {
-            trace_w.push(ev);
-        }
-        prop_assert_eq!(trace_h, trace_w, "pop traces diverged");
-        prop_assert!(wheel.is_empty() && heap.is_empty());
+        prop_assert_eq!(q.pop(), None);
+        prop_assert!(q.is_empty());
     }
 }
 
@@ -210,41 +205,31 @@ proptest! {
 /// incarnation's pending completion *and* the timeout of any resizer it
 /// was waiting on, then schedules the requeued incarnation's events.
 /// Neither tombstone may ever fire, cancel a second time, or disturb
-/// the surviving events — on either backend.
+/// the surviving events.
 #[test]
 fn killed_jobs_stale_events_never_fire() {
-    for kind in KINDS {
-        let mut q: EventQueue<&'static str> = EventQueue::with_kind(kind);
-        // The doomed incarnation: a completion far out and a resize
-        // timeout before it; an unrelated job's completion in between.
-        let completion = q.push(SimTime(900), "victim-completion");
-        let resize = q.push(SimTime(300), "victim-resize-timeout");
-        let other = q.push(SimTime(500), "other-completion");
-        // The failure lands at t=100: cancel both victim events.
-        assert_eq!(q.cancel(completion), Some("victim-completion"), "{kind:?}");
-        assert_eq!(q.cancel(resize), Some("victim-resize-timeout"), "{kind:?}");
-        // Double-cancel is inert; the tombstoned keys stay dead.
-        assert!(q.cancel(completion).is_none(), "{kind:?}");
-        assert!(q.cancel(resize).is_none(), "{kind:?}");
-        // The requeued incarnation schedules a fresh completion.
-        let requeued = q.push(SimTime(1200), "requeue-completion");
-        // Only live events pop, in time order — no stale firing.
-        assert_eq!(
-            q.pop(),
-            Some((SimTime(500), "other-completion")),
-            "{kind:?}"
-        );
-        assert_eq!(
-            q.pop(),
-            Some((SimTime(1200), "requeue-completion")),
-            "{kind:?}"
-        );
-        assert_eq!(q.pop(), None, "{kind:?}");
-        // Cancelling an already-popped key is a no-op that cannot
-        // resurrect or corrupt anything.
-        assert!(q.cancel(requeued).is_none(), "{kind:?}");
-        assert!(q.cancel(other).is_none(), "{kind:?}");
-        assert!(q.is_empty(), "{kind:?}");
-        assert_eq!(q.heap_len(), 0, "{kind:?} retains tombstones after drain");
-    }
+    let mut q: EventQueue<&'static str> = EventQueue::new();
+    // The doomed incarnation: a completion far out and a resize
+    // timeout before it; an unrelated job's completion in between.
+    let completion = q.push(SimTime(900), "victim-completion");
+    let resize = q.push(SimTime(300), "victim-resize-timeout");
+    let other = q.push(SimTime(500), "other-completion");
+    // The failure lands at t=100: cancel both victim events.
+    assert_eq!(q.cancel(completion), Some("victim-completion"));
+    assert_eq!(q.cancel(resize), Some("victim-resize-timeout"));
+    // Double-cancel is inert; the tombstoned keys stay dead.
+    assert!(q.cancel(completion).is_none());
+    assert!(q.cancel(resize).is_none());
+    // The requeued incarnation schedules a fresh completion.
+    let requeued = q.push(SimTime(1200), "requeue-completion");
+    // Only live events pop, in time order — no stale firing.
+    assert_eq!(q.pop(), Some((SimTime(500), "other-completion")));
+    assert_eq!(q.pop(), Some((SimTime(1200), "requeue-completion")));
+    assert_eq!(q.pop(), None);
+    // Cancelling an already-popped key is a no-op that cannot
+    // resurrect or corrupt anything.
+    assert!(q.cancel(requeued).is_none());
+    assert!(q.cancel(other).is_none());
+    assert!(q.is_empty());
+    assert_eq!(q.heap_len(), 0, "queue retains tombstones after drain");
 }

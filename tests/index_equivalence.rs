@@ -8,8 +8,8 @@
 //! index, dead resizers are reaped through a reverse-dependency map, and
 //! node selection takes the lowest run of a sorted free set. The arena PR
 //! stacked a third path on top: slab job storage keyed by generation-
-//! checked dense ids, a hierarchical timer-wheel event queue, and
-//! same-instant scheduling-pass batching in the driver. The old
+//! checked dense ids and same-instant scheduling-pass batching in the
+//! driver. The old
 //! implementations survive behind [`dmr::slurm::SchedIndex::ScanReference`]
 //! as the oracle (with the PR 5 structures as `SchedIndex::Indexed`);
 //! this suite drives *full experiments* — every workload family × every
