@@ -12,11 +12,10 @@
 //! class *is* the global lowest-id-first selection — the single-class layout
 //! is bit-identical to the historical uniform cluster.
 
-use std::collections::BTreeMap;
-
 use crate::classes::{ClassConstraint, ClassId, ClassTable};
 use crate::freeset::FreeSet;
 use crate::node::{NodeId, NodeState};
+use crate::owners::OwnerTable;
 
 /// Errors from allocation requests.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -74,9 +73,12 @@ pub struct Cluster {
     table: ClassTable,
     states: Vec<NodeState>,
     owner: Vec<Option<u64>>,
-    /// Owner -> sorted list of held nodes. BTreeMap keeps iteration (and
-    /// therefore any derived event order) deterministic.
-    held: BTreeMap<u64, Vec<NodeId>>,
+    /// Owner -> sorted list of held nodes, found by the tag's low 32 bits
+    /// (see [`OwnerTable`]).
+    held: OwnerTable,
+    /// Every class runs at the neutral `1/1` speed factor (fixed by the
+    /// class table): [`Cluster::worst_slowdown`] needs no owner lookup.
+    neutral_speed: bool,
     /// The placeable (unowned, accepting-work) ids, one sorted run set per
     /// class; allocation takes the lowest run of each eligible class.
     free: Vec<FreeSet>,
@@ -99,23 +101,6 @@ pub struct Cluster {
     scan_selection: bool,
 }
 
-/// Appends `granted` to the sorted `held` list, skipping the re-sort in
-/// the common case where the appended run is itself ascending and starts
-/// above the current tail (lowest-id-first selection grants ascending
-/// runs, and a job's later grants usually sit above its first ones). The
-/// check is O(grant) against the O(held log held) sort it avoids.
-fn append_held(held: &mut Vec<NodeId>, granted: &[NodeId]) {
-    let in_order = granted.windows(2).all(|w| w[0] <= w[1])
-        && match (held.last(), granted.first()) {
-            (Some(&last), Some(&first)) => last < first,
-            _ => true,
-        };
-    held.extend_from_slice(granted);
-    if !in_order {
-        held.sort_unstable();
-    }
-}
-
 impl Cluster {
     /// A cluster of `nodes` identical nodes, all up and free.
     pub fn new(nodes: u32, cores_per_node: u32) -> Self {
@@ -135,11 +120,13 @@ impl Cluster {
             })
             .collect();
         let cores_per_node = table.class(0).cores;
+        let neutral_speed = table.classes().iter().all(|c| c.is_neutral_speed());
         Cluster {
             table,
             states: vec![NodeState::Up; nodes as usize],
             owner: vec![None; nodes as usize],
-            held: BTreeMap::new(),
+            held: OwnerTable::default(),
+            neutral_speed,
             free,
             free_count: nodes,
             unavailable_count: 0,
@@ -237,7 +224,7 @@ impl Cluster {
 
     /// Nodes held by `owner` (sorted ascending), empty if none.
     pub fn nodes_of(&self, owner: u64) -> &[NodeId] {
-        self.held.get(&owner).map(Vec::as_slice).unwrap_or(&[])
+        self.held.get(owner).unwrap_or(&[])
     }
 
     /// Number of nodes held by `owner`.
@@ -252,7 +239,7 @@ impl Cluster {
     /// every start and resize of every job on a heterogeneous cluster.
     pub fn held_class_counts(&self, owner: u64) -> Vec<u32> {
         let mut counts = vec![0u32; self.table.num_classes()];
-        if let Some(held) = self.held.get(&owner) {
+        if let Some(held) = self.held.get(owner) {
             let mut lo = 0;
             for (c, count) in counts.iter_mut().enumerate() {
                 let (_, end) = self.table.range(c);
@@ -349,8 +336,7 @@ impl Cluster {
             self.busy_by_class[self.table.class_of(node.0)] += 1;
         }
         self.free_count -= n;
-        let held = self.held.entry(owner).or_default();
-        append_held(held, &granted);
+        self.held.append(owner, &granted);
         Ok(granted)
     }
 
@@ -371,8 +357,7 @@ impl Cluster {
             self.busy_by_class[c] += 1;
         }
         self.free_count -= nodes.len() as u32;
-        let held = self.held.entry(owner).or_default();
-        append_held(held, nodes);
+        self.held.append(owner, nodes);
         Ok(())
     }
 
@@ -419,7 +404,7 @@ impl Cluster {
     pub fn release_all(&mut self, owner: u64) -> Result<Vec<NodeId>, AllocError> {
         let nodes = self
             .held
-            .remove(&owner)
+            .remove(owner)
             .ok_or(AllocError::UnknownOwner(owner))?;
         for &node in &nodes {
             self.owner[node.index()] = None;
@@ -436,7 +421,7 @@ impl Cluster {
     pub fn release_tail(&mut self, owner: u64, n: u32) -> Result<Vec<NodeId>, AllocError> {
         let held = self
             .held
-            .get_mut(&owner)
+            .get_mut(owner)
             .ok_or(AllocError::UnknownOwner(owner))?;
         if (n as usize) > held.len() {
             return Err(AllocError::ShrinkTooLarge {
@@ -446,7 +431,7 @@ impl Cluster {
         }
         let released: Vec<NodeId> = held.split_off(held.len() - n as usize);
         if held.is_empty() {
-            self.held.remove(&owner);
+            self.held.remove(owner);
         }
         for &node in &released {
             self.owner[node.index()] = None;
@@ -461,22 +446,26 @@ impl Cluster {
     pub fn transfer_all(&mut self, from: u64, to: u64) -> Result<Vec<NodeId>, AllocError> {
         let nodes = self
             .held
-            .remove(&from)
+            .remove(from)
             .ok_or(AllocError::UnknownOwner(from))?;
         for &node in &nodes {
             self.owner[node.index()] = Some(to);
         }
-        let held = self.held.entry(to).or_default();
-        append_held(held, &nodes);
+        self.held.append(to, &nodes);
         Ok(nodes)
     }
 
     /// The worst (largest) execution-time multiplier among the classes
     /// `owner` holds nodes on, as a `(num, den)` fraction — jobs run at
     /// the speed of their slowest node. Neutral `(1, 1)` when the owner
-    /// holds nothing. O(classes × log held): the sorted held list is
-    /// probed once per class range.
+    /// holds nothing — and, without looking the owner up, whenever every
+    /// class of the machine runs at the neutral factor (any uniform
+    /// cluster). Otherwise O(classes × log held): the sorted held list
+    /// is probed once per class range.
     pub fn worst_slowdown(&self, owner: u64) -> (u32, u32) {
+        if self.neutral_speed {
+            return (1, 1);
+        }
         let held = self.nodes_of(owner);
         let mut worst: Option<(u32, u32)> = None;
         for c in 0..self.table.num_classes() {
@@ -747,9 +736,10 @@ impl Cluster {
         if self.free.iter().map(|s| s.len()).sum::<u32>() != self.free_count {
             return Err("per-class free sets do not sum to free_count".into());
         }
-        for (o, nodes) in &self.held {
+        self.held.check()?;
+        for (o, nodes) in self.held.iter() {
             for n in nodes {
-                if self.owner[n.index()] != Some(*o) {
+                if self.owner[n.index()] != Some(o) {
                     return Err(format!("held list of {o} contains foreign node {n:?}"));
                 }
             }
@@ -928,6 +918,51 @@ mod tests {
         c.allocate(3, 9).unwrap();
         assert_eq!(c.held_by(9), 5);
         assert_eq!(c.nodes_of(9).len(), 5);
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn owners_sharing_their_low_32_bits_stay_apart() {
+        // Both tags address direct slot 3; whoever arrives second lives
+        // in the overflow until it lets go of everything.
+        let (a, b) = (3u64, (7u64 << 32) | 3);
+        let mut c = Cluster::new(12, 16);
+        assert_eq!(c.allocate(2, a).unwrap(), vec![NodeId(0), NodeId(1)]);
+        assert_eq!(
+            c.allocate(3, b).unwrap(),
+            vec![NodeId(2), NodeId(3), NodeId(4)]
+        );
+        assert_eq!((c.held_by(a), c.held_by(b)), (2, 3));
+        assert_eq!(c.owner_of(NodeId(2)), Some(b));
+        c.check_invariants().unwrap();
+        // A second grant finds each owner where it already lives.
+        c.allocate(1, b).unwrap();
+        c.allocate(1, a).unwrap();
+        assert_eq!(c.nodes_of(b), &[NodeId(2), NodeId(3), NodeId(4), NodeId(5)]);
+        assert_eq!(c.nodes_of(a), &[NodeId(0), NodeId(1), NodeId(6)]);
+        c.check_invariants().unwrap();
+        // A resizer's nodes reattach across the collision, both ways.
+        c.allocate(2, 100).unwrap();
+        assert_eq!(c.transfer_all(100, b).unwrap(), vec![NodeId(7), NodeId(8)]);
+        assert_eq!(c.held_by(b), 6);
+        assert_eq!(c.transfer_all(b, a).unwrap().len(), 6);
+        assert_eq!((c.held_by(a), c.held_by(b)), (9, 0));
+        assert_eq!(c.transfer_all(b, a), Err(AllocError::UnknownOwner(b)));
+        c.check_invariants().unwrap();
+        // The direct occupant shrinks to nothing: the slot is vacant, and
+        // the next owner addressed to it — either tag — takes it.
+        c.allocate(2, b).unwrap();
+        assert_eq!(c.release_tail(a, 9).unwrap().len(), 9);
+        assert_eq!(c.release_tail(a, 1), Err(AllocError::UnknownOwner(a)));
+        assert_eq!((c.held_by(a), c.held_by(b)), (0, 2));
+        c.check_invariants().unwrap();
+        c.allocate(1, a).unwrap();
+        assert_eq!((c.held_by(a), c.held_by(b)), (1, 2));
+        c.check_invariants().unwrap();
+        assert_eq!(c.release_all(b).unwrap(), vec![NodeId(9), NodeId(10)]);
+        assert_eq!(c.release_all(b), Err(AllocError::UnknownOwner(b)));
+        assert_eq!(c.release_all(a).unwrap(), vec![NodeId(0)]);
+        assert_eq!(c.free_nodes(), 12);
         c.check_invariants().unwrap();
     }
 

@@ -24,6 +24,7 @@ pub mod faults;
 pub mod freeset;
 pub mod network;
 pub mod node;
+mod owners;
 pub mod power;
 
 pub use classes::{ClassConstraint, ClassId, ClassTable, MachineClass, MAX_CLASSES};

@@ -114,7 +114,7 @@ impl Driver<'_, '_> {
                 None => {
                     let idx = self.spec_of[st.id];
                     let procs = st.nodes.len() as u32;
-                    let mut rs = RunState::new(idx, procs, now);
+                    let mut rs = RunState::new(idx, &self.jobs[idx], procs, now);
                     // A requeued incarnation resumes from its checkpoint
                     // image (zero steps when restarting from scratch) and
                     // closes the failure-to-restart latency window.
@@ -145,7 +145,7 @@ impl Driver<'_, '_> {
         }
         // Guard against sub-microsecond steps degenerating into zero-time
         // event loops.
-        let step = sim.step_time(rs.procs).max(Span(1));
+        let step = rs.step.max(Span(1));
         let k = if !self.is_flexible(idx) {
             match self.cfg.ckpt_interval_s {
                 // Periodic checkpointing cuts the monolithic rigid

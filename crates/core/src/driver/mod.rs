@@ -34,7 +34,7 @@ pub(crate) mod shrink;
 use dmr_cluster::{Cluster, FaultSource, FaultTrace, PowerMeter};
 use dmr_metrics::{MetricsSink, OnlineAccumulator, SeriesRecorder, StepSeries, WorkloadSummary};
 use dmr_sim::{Engine, EventId, SimTime, Span, CLASS_EARLY};
-use dmr_slurm::{JobId, ResizeAction, SchedIndex, Slurm, SlurmConfig};
+use dmr_slurm::{JobId, JobMap, ResizeAction, SchedIndex, Slurm, SlurmConfig};
 use dmr_workload::WorkloadSource;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -47,8 +47,12 @@ use events::Ev;
 #[derive(Debug)]
 pub(crate) struct RunState {
     pub(crate) spec_idx: usize,
-    /// Current process count (= node count; one rank per node).
+    /// Current process count (= node count; one rank per node). Changed
+    /// only through [`RunState::set_procs`].
     pub(crate) procs: u32,
+    /// [`SimJob::step_time`] at `procs`: every compute segment needs it,
+    /// and it only changes when `procs` does.
+    pub(crate) step: Span,
     pub(crate) steps_done: u32,
     /// Inhibitor gate: checks before this instant are swallowed.
     pub(crate) next_check_at: SimTime,
@@ -86,10 +90,11 @@ pub(crate) struct RunState {
 }
 
 impl RunState {
-    pub(crate) fn new(spec_idx: usize, procs: u32, now: SimTime) -> Self {
+    pub(crate) fn new(spec_idx: usize, sim: &SimJob, procs: u32, now: SimTime) -> Self {
         RunState {
             spec_idx,
             procs,
+            step: sim.step_time(procs),
             steps_done: 0,
             next_check_at: now,
             planned: None,
@@ -104,6 +109,12 @@ impl RunState {
             retry_expand: None,
             retry_attempt: 0,
         }
+    }
+
+    /// Adopts a new process count (`sim` is this job's spec).
+    pub(crate) fn set_procs(&mut self, procs: u32, sim: &SimJob) {
+        self.procs = procs;
+        self.step = sim.step_time(procs);
     }
 }
 
@@ -176,79 +187,6 @@ impl std::ops::Index<usize> for SpecSlab {
 
     fn index(&self, idx: usize) -> &SimJob {
         &self.slots[idx].as_ref().expect("spec slot vacant").1
-    }
-}
-
-/// Per-job driver state addressed directly by the [`JobId`] slot, with
-/// the generation validated on every access — the same trick as
-/// [`dmr_slurm::JobArena`], applied to the driver's side tables
-/// (`running`, `spec_of`, `rj_to_orig`, formerly `BTreeMap<JobId, _>`).
-/// A stale id (its job pruned, its slot re-tenanted) misses the
-/// generation compare exactly as it missed the tree lookup before.
-pub(crate) struct JobMap<T> {
-    slots: Vec<Option<(u32, T)>>,
-    live: usize,
-}
-
-impl<T> Default for JobMap<T> {
-    fn default() -> Self {
-        JobMap {
-            slots: Vec::new(),
-            live: 0,
-        }
-    }
-}
-
-impl<T> JobMap<T> {
-    pub(crate) fn insert(&mut self, id: JobId, value: T) {
-        let idx = id.slot() as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, || None);
-        }
-        debug_assert!(self.slots[idx].is_none(), "{id:?} slot already mapped");
-        self.slots[idx] = Some((id.generation(), value));
-        self.live += 1;
-    }
-
-    pub(crate) fn get(&self, id: JobId) -> Option<&T> {
-        match self.slots.get(id.slot() as usize)? {
-            Some((generation, value)) if *generation == id.generation() => Some(value),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn get_mut(&mut self, id: JobId) -> Option<&mut T> {
-        match self.slots.get_mut(id.slot() as usize)? {
-            Some((generation, value)) if *generation == id.generation() => Some(value),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn remove(&mut self, id: JobId) -> Option<T> {
-        let slot = self.slots.get_mut(id.slot() as usize)?;
-        match slot {
-            Some((generation, _)) if *generation == id.generation() => {
-                self.live -= 1;
-                slot.take().map(|(_, value)| value)
-            }
-            _ => None,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.live
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-}
-
-impl<T> std::ops::Index<JobId> for JobMap<T> {
-    type Output = T;
-
-    fn index(&self, id: JobId) -> &T {
-        self.get(id).expect("job id not mapped")
     }
 }
 

@@ -211,7 +211,7 @@ impl Driver<'_, '_> {
         if let Some(to) = rs.pending_shrink.take() {
             self.finish_shrink(job, to, now);
         } else if let Some(to) = rs.pending_expand.take() {
-            rs.procs = to;
+            rs.set_procs(to, &self.jobs[rs.spec_idx]);
             // A completed expansion refills the injected-failure retry
             // budget for any future target.
             rs.retry_attempt = 0;

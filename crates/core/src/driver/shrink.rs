@@ -38,7 +38,7 @@ impl Driver<'_, '_> {
     pub(crate) fn finish_shrink(&mut self, job: JobId, to: u32, now: SimTime) {
         if self.slurm.shrink_protocol(job, to, now).is_ok() {
             let rs = self.running.get_mut(job).expect("running");
-            rs.procs = to;
+            rs.set_procs(to, &self.jobs[rs.spec_idx]);
         }
         self.update_estimate(job, now);
         self.begin_segment(job, now);

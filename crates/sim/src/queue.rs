@@ -9,12 +9,22 @@
 //! outnumber live entries, so cancelled-event memory stays bounded at
 //! twice the live set no matter how many timers a long run abandons.
 //!
-//! The store is a `BinaryHeap` of `(time, class, seq)` entries; payloads
-//! live in a side map keyed by sequence number, which is what makes
-//! cancellation O(1).
+//! The store is a `BinaryHeap` of `(time, class, seq, slot)` entries;
+//! payloads live in a slab — a `Vec` of `{seq, Option<E>}` slots plus a
+//! LIFO free list — addressed by the entry's `slot`, so push, pop and
+//! cancel reach the payload with one indexed load instead of hashing the
+//! sequence number. A slot is freed the moment its event pops or is
+//! cancelled and is then handed to the next push, which is why the slot
+//! alone cannot say whether a heap entry (or an [`EventKey`]) is still
+//! live: the tombstone of a cancelled event and the entry of the slot's
+//! next tenant name the same slot. The *sequence number* decides — it is
+//! unique per push and stored in the slot by its current tenant, so an
+//! entry or key is live iff `slots[slot].seq == seq` and the payload is
+//! present. The slab never grows past the high-water mark of
+//! simultaneously live events.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -31,21 +41,40 @@ pub const CLASS_EARLY: u8 = 0;
 pub const CLASS_NORMAL: u8 = 1;
 
 /// Opaque handle identifying a scheduled event, used for cancellation.
+/// Carries the event's sequence number and its payload slot; a key whose
+/// slot has since been handed to another event misses on the sequence
+/// compare.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventKey(u64);
+pub struct EventKey {
+    seq: u64,
+    slot: u32,
+}
 
+/// Heap entry. The derived order compares `(time, class, seq)`; `seq` is
+/// unique, so `slot` never decides.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct Entry {
     time: SimTime,
     class: u8,
     seq: u64,
+    slot: u32,
+}
+
+/// One payload slot: the sequence number of its latest tenant and that
+/// tenant's payload until it pops or is cancelled.
+struct Slot<E> {
+    seq: u64,
+    event: Option<E>,
 }
 
 /// A time-ordered queue of events of type `E` supporting O(log n) push/pop
 /// and O(1) cancellation (amortised: tombstones are drained lazily).
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry>>,
-    live: HashMap<u64, E>,
+    slots: Vec<Slot<E>>,
+    /// Vacant slot indices, reused LIFO.
+    free: Vec<u32>,
+    live: usize,
     next_seq: u64,
 }
 
@@ -59,18 +88,20 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
             next_seq: 0,
         }
     }
 
     /// Number of live (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.live
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.live == 0
     }
 
     /// Schedules `event` at `time` in [`CLASS_NORMAL`], returning a key
@@ -84,9 +115,33 @@ impl<E> EventQueue<E> {
     pub fn push_with_class(&mut self, time: SimTime, class: u8, event: E) -> EventKey {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry { time, class, seq }));
-        self.live.insert(seq, event);
-        EventKey(seq)
+        let tenant = Slot {
+            seq,
+            event: Some(event),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(
+                    self.slots[slot as usize].event.is_none(),
+                    "free slot occupied"
+                );
+                self.slots[slot as usize] = tenant;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("event slab overflow");
+                self.slots.push(tenant);
+                slot
+            }
+        };
+        self.heap.push(Reverse(Entry {
+            time,
+            class,
+            seq,
+            slot,
+        }));
+        self.live += 1;
+        EventKey { seq, slot }
     }
 
     /// Number of heap slots currently backing the queue — live entries
@@ -97,10 +152,30 @@ impl<E> EventQueue<E> {
         self.heap.len()
     }
 
+    /// Number of payload slots backing the queue (occupied + vacant):
+    /// the high-water mark of simultaneously live events — capacity
+    /// telemetry, like [`EventQueue::heap_len`].
+    pub fn slab_len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Takes the payload of event `seq` out of `slot` and frees the slot,
+    /// if that event is still its live tenant.
+    fn take(&mut self, seq: u64, slot: u32) -> Option<E> {
+        let entry = self.slots.get_mut(slot as usize)?;
+        if entry.seq != seq {
+            return None;
+        }
+        let event = entry.event.take()?;
+        self.free.push(slot);
+        self.live -= 1;
+        Some(event)
+    }
+
     /// Cancels a previously scheduled event. Returns the payload if the
     /// event was still pending.
     pub fn cancel(&mut self, key: EventKey) -> Option<E> {
-        let payload = self.live.remove(&key.0);
+        let payload = self.take(key.seq, key.slot);
         if payload.is_some() {
             self.maybe_compact();
         }
@@ -126,18 +201,25 @@ impl<E> EventQueue<E> {
         self.settle_head();
         let Reverse(entry) = self.heap.pop()?;
         let event = self
-            .live
-            .remove(&entry.seq)
+            .take(entry.seq, entry.slot)
             .expect("settle_head guarantees the head entry is live");
         self.maybe_compact();
         Some((entry.time, event))
+    }
+
+    /// Whether the heap entry still names a pending event: its slot's
+    /// current tenant is that very event (a tombstone whose slot was
+    /// handed on fails the `seq` compare) and has not been taken.
+    fn is_live(&self, entry: &Entry) -> bool {
+        let slot = &self.slots[entry.slot as usize];
+        slot.seq == entry.seq && slot.event.is_some()
     }
 
     /// Brings the earliest *live* entry to the head of the heap by
     /// popping the tombstones in front of it.
     fn settle_head(&mut self) {
         while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.live.contains_key(&entry.seq) {
+            if self.is_live(entry) {
                 return;
             }
             self.heap.pop();
@@ -149,9 +231,9 @@ impl<E> EventQueue<E> {
     /// entries only happens after ≥ h/2 cancellations or pops, and the
     /// rebuilt heap pops in exactly the same `(time, class, seq)` order.
     fn maybe_compact(&mut self) {
-        if self.heap.len() > 2 * self.live.len() {
+        if self.heap.len() > 2 * self.live {
             let mut entries = std::mem::take(&mut self.heap).into_vec();
-            entries.retain(|Reverse(e)| self.live.contains_key(&e.seq));
+            entries.retain(|Reverse(e)| self.is_live(e));
             self.heap = BinaryHeap::from(entries);
         }
     }

@@ -128,6 +128,85 @@ impl IndexMut<JobId> for JobArena {
     }
 }
 
+/// A side table keyed by [`JobId`]: values sit in a flat `Vec` addressed
+/// by the id's slot, with the generation validated on every access — the
+/// [`JobArena`] layout for state kept *beside* the job records (the
+/// scheduler's running keys, the `dmr-core` driver's per-job tables). A
+/// stale id (its job pruned, its slot re-tenanted) misses the generation
+/// compare exactly as it would miss a tree lookup. The table is as long
+/// as the highest slot ever mapped, which the arena keeps as dense as
+/// the live job set.
+#[derive(Debug)]
+pub struct JobMap<T> {
+    slots: Vec<Option<(u32, T)>>,
+    live: usize,
+}
+
+impl<T> Default for JobMap<T> {
+    fn default() -> Self {
+        JobMap {
+            slots: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T> JobMap<T> {
+    /// Maps `id` to `value`. The slot must be vacant: callers remove a
+    /// job's entry before its id can be recycled.
+    pub fn insert(&mut self, id: JobId, value: T) {
+        let idx = id.slot() as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize_with(idx + 1, || None);
+        }
+        debug_assert!(self.slots[idx].is_none(), "{id:?} slot already mapped");
+        self.slots[idx] = Some((id.generation(), value));
+        self.live += 1;
+    }
+
+    pub fn get(&self, id: JobId) -> Option<&T> {
+        match self.slots.get(id.slot() as usize)? {
+            Some((generation, value)) if *generation == id.generation() => Some(value),
+            _ => None,
+        }
+    }
+
+    pub fn get_mut(&mut self, id: JobId) -> Option<&mut T> {
+        match self.slots.get_mut(id.slot() as usize)? {
+            Some((generation, value)) if *generation == id.generation() => Some(value),
+            _ => None,
+        }
+    }
+
+    pub fn remove(&mut self, id: JobId) -> Option<T> {
+        let slot = self.slots.get_mut(id.slot() as usize)?;
+        match slot {
+            Some((generation, _)) if *generation == id.generation() => {
+                self.live -= 1;
+                slot.take().map(|(_, value)| value)
+            }
+            _ => None,
+        }
+    }
+
+    /// Number of mapped ids.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+}
+
+impl<T> Index<JobId> for JobMap<T> {
+    type Output = T;
+
+    fn index(&self, id: JobId) -> &T {
+        self.get(id).expect("job id not mapped")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

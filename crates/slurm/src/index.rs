@@ -27,7 +27,12 @@
 //!   static-order preconditions, with the walk as the fallback.
 //! * [`RunningIndex`] — running jobs keyed by
 //!   `(expected_end, held_nodes, id)`, exactly the order the EASY
-//!   backfill reservation scan produced by sorting.
+//!   backfill reservation scan produced by sorting. Each job's current
+//!   key sits in a [`JobMap`] — a flat table addressed by the id's slot
+//!   with the generation checked, not a tree — because every start,
+//!   resize, estimate refresh and completion looks it up, and because
+//!   the key's node count doubles as the scheduler's answer to "how
+//!   many nodes does this running job hold" (`Slurm::nodes_of`).
 //! * [`ResizerIndex`] — the parent → resizer reverse-dependency map, so
 //!   resizers orphaned by a completion are reaped in O(affected) instead
 //!   of an O(jobs) scan per scheduling pass.
@@ -41,7 +46,7 @@ use std::ops::Bound::{Excluded, Included, Unbounded};
 
 use dmr_sim::{SimTime, Span};
 
-use crate::arena::JobArena;
+use crate::arena::{JobArena, JobMap};
 use crate::job::{Job, JobId};
 
 /// Index key of one pending job: boosted first, then submit time, then
@@ -351,12 +356,14 @@ impl PendingIndex {
 ///
 /// This is exactly the order the backfill reservation scan produced: a
 /// stable sort of `(expected_end, held_nodes)` pairs collected in id
-/// order. A side map remembers each job's current key so re-keying on
-/// estimate refresh or resize is O(log n).
+/// order. A side table — a [`JobMap`], one indexed load by the id's
+/// slot — remembers each job's current key, so re-keying on estimate
+/// refresh or resize finds the old set entry without a search, and
+/// [`RunningIndex::nodes_of`] answers a running job's size from it.
 #[derive(Debug, Default)]
 pub(crate) struct RunningIndex {
     set: BTreeSet<(SimTime, u32, JobId)>,
-    key_of: BTreeMap<JobId, (SimTime, u32)>,
+    key_of: JobMap<(SimTime, u32)>,
     /// Sum of `held_nodes` over every indexed job, maintained at each
     /// mutation. `free + held_total` is the node count *available over
     /// time* — the base the slot-set timeline subtracts occupancy from.
@@ -365,7 +372,7 @@ pub(crate) struct RunningIndex {
 
 impl RunningIndex {
     pub(crate) fn insert(&mut self, id: JobId, end: SimTime, nodes: u32) {
-        debug_assert!(!self.key_of.contains_key(&id), "{id:?} already running");
+        debug_assert!(self.key_of.get(id).is_none(), "{id:?} already running");
         self.set.insert((end, nodes, id));
         self.key_of.insert(id, (end, nodes));
         self.held_total += nodes;
@@ -376,7 +383,7 @@ impl RunningIndex {
     /// Returns the old `(expected_end, held_nodes)` key so the caller can
     /// unplan the corresponding timeline interval.
     pub(crate) fn remove(&mut self, id: JobId) -> Option<(SimTime, u32)> {
-        let old = self.key_of.remove(&id);
+        let old = self.key_of.remove(id);
         if let Some((end, nodes)) = old {
             self.set.remove(&(end, nodes, id));
             self.held_total -= nodes;
@@ -386,13 +393,20 @@ impl RunningIndex {
 
     /// The expected end currently keyed for `id`, if it is running.
     pub(crate) fn end_of(&self, id: JobId) -> Option<SimTime> {
-        self.key_of.get(&id).map(|&(end, _)| end)
+        self.key_of.get(id).map(|&(end, _)| end)
+    }
+
+    /// The held-node count currently keyed for `id`, if it is running.
+    /// Re-keyed at every start, expand and shrink, so for a running job
+    /// this is the size of its cluster allocation.
+    pub(crate) fn nodes_of(&self, id: JobId) -> Option<u32> {
+        self.key_of.get(id).map(|&(_, nodes)| nodes)
     }
 
     /// Re-keys `id` with a new expected end (estimate refresh); returns
     /// the old key for timeline re-planning.
     pub(crate) fn set_end(&mut self, id: JobId, end: SimTime) -> Option<(SimTime, u32)> {
-        let key = self.key_of.get_mut(&id)?;
+        let key = self.key_of.get_mut(id)?;
         let old = *key;
         self.set.remove(&(old.0, old.1, id));
         key.0 = end;
@@ -403,7 +417,7 @@ impl RunningIndex {
     /// Re-keys `id` with a new held-node count (expand / shrink); returns
     /// the old key for timeline re-planning.
     pub(crate) fn set_nodes(&mut self, id: JobId, nodes: u32) -> Option<(SimTime, u32)> {
-        let key = self.key_of.get_mut(&id)?;
+        let key = self.key_of.get_mut(id)?;
         let old = *key;
         self.set.remove(&(old.0, old.1, id));
         key.1 = nodes;
@@ -414,6 +428,12 @@ impl RunningIndex {
 
     pub(crate) fn len(&self) -> usize {
         self.set.len()
+    }
+
+    /// Number of ids in the key table; equals [`RunningIndex::len`]
+    /// unless the two structures drifted apart (invariant check).
+    pub(crate) fn keyed(&self) -> usize {
+        self.key_of.len()
     }
 
     /// Sum of held nodes over every running job (O(1), maintained).

@@ -836,9 +836,18 @@ impl Slurm {
         self.cluster.allocated_nodes()
     }
 
-    /// Current node count of a job.
+    /// Current node count of a job: the size a running job is keyed
+    /// under in the running index (re-keyed at every start, expand and
+    /// shrink, so it equals the job's cluster allocation — see
+    /// [`Slurm::check_invariants`]), 0 for a job that is not running.
     pub fn nodes_of(&self, id: JobId) -> u32 {
-        self.cluster.held_by(id.owner_tag())
+        let nodes = self.running_index.nodes_of(id).unwrap_or(0);
+        debug_assert_eq!(
+            nodes,
+            self.cluster.held_by(id.owner_tag()),
+            "running key of {id:?} drifted from its allocation"
+        );
+        nodes
     }
 
     /// Submits a job; it becomes eligible at the next [`Slurm::schedule`].
@@ -1449,7 +1458,7 @@ impl Slurm {
         job.start_time = Some(now);
         let end = now + job.expected_runtime;
         let resizer_for = job.dependency.map(|Dependency::ExpandOf(parent)| parent);
-        let held = self.cluster.held_by(id.owner_tag());
+        let held = nodes.len() as u32;
         self.running_index.insert(id, end, held);
         self.tl_queue(end, held, true);
         self.class_plan(id, end);
@@ -2332,7 +2341,7 @@ impl Slurm {
         if job.state != JobState::Running {
             return Err(ExpandError::NotRunning(id));
         }
-        let current = self.cluster.held_by(id.owner_tag());
+        let current = self.nodes_of(id);
         if to <= current {
             return Err(ExpandError::InvalidTarget { current, to });
         }
@@ -2382,7 +2391,7 @@ impl Slurm {
         let Some(Dependency::ExpandOf(original)) = rjob.dependency else {
             return Err(ExpandError::UnknownJob(rj));
         };
-        let delta = self.cluster.held_by(rj.owner_tag());
+        let delta = self.nodes_of(rj);
         // Step 2: update B to zero nodes — the allocation detaches from B.
         if let Some(j) = self.jobs.get_mut(rj) {
             j.requested_nodes = 0;
@@ -2409,7 +2418,7 @@ impl Slurm {
             self.class_plan(original, end);
         }
         if let Some(j) = self.jobs.get_mut(original) {
-            j.requested_nodes = self.cluster.held_by(original.owner_tag());
+            j.requested_nodes = held;
             j.reconfigurations += 1;
         }
         // The re-keyed running set changes `avail` (held grows by the
@@ -2446,7 +2455,7 @@ impl Slurm {
         if job.state != JobState::Running {
             return Err(ExpandError::NotRunning(id));
         }
-        let current = self.cluster.held_by(id.owner_tag());
+        let current = self.nodes_of(id);
         if to >= current || to == 0 {
             return Err(ExpandError::InvalidTarget { current, to });
         }
@@ -2562,6 +2571,26 @@ impl Slurm {
                 self.running_index.len(),
                 running.len()
             ));
+        }
+        // The key table holds exactly the running set, and each key's
+        // node count is the job's cluster allocation — what
+        // [`Slurm::nodes_of`] answers from.
+        if self.running_index.keyed() != running.len() {
+            return Err(format!(
+                "running key table holds {} ids, {} jobs are running",
+                self.running_index.keyed(),
+                running.len()
+            ));
+        }
+        for j in running.iter() {
+            let keyed = self.running_index.nodes_of(j.id);
+            let held = self.cluster.held_by(j.id.owner_tag());
+            if keyed != Some(held) {
+                return Err(format!(
+                    "running key of {:?} says {keyed:?} nodes, the cluster {held}",
+                    j.id
+                ));
+            }
         }
         let mut scan: Vec<(SimTime, u32)> = running
             .iter()
@@ -2860,6 +2889,51 @@ mod tests {
         // Shrink to 0 or >= current rejected.
         assert!(s.shrink_protocol(a, 2, t(31)).is_err());
         assert!(s.shrink_protocol(a, 0, t(31)).is_err());
+    }
+
+    #[test]
+    fn nodes_of_tracks_the_running_key() {
+        let mut s = slurm(12);
+        let a = s.submit(JobRequest::rigid("a", 4), t(0));
+        let b = s.submit(JobRequest::rigid("b", 6), t(0));
+        assert_eq!(s.nodes_of(a), 0, "pending jobs hold nothing");
+        s.schedule(t(0));
+        assert_eq!((s.nodes_of(a), s.nodes_of(b)), (4, 6));
+        // Immediate expand, then shrink: the key follows both.
+        s.expand_protocol(a, 6, t(10)).unwrap();
+        assert_eq!(s.nodes_of(a), 6);
+        s.check_invariants().unwrap();
+        s.shrink_protocol(b, 2, t(20)).unwrap();
+        assert_eq!(s.nodes_of(b), 2);
+        s.check_invariants().unwrap();
+        // A queued resizer holds nothing until it starts; once its
+        // nodes are reattached they count for the original, not for it.
+        let ExpandError::Queued { resizer } = s.expand_protocol(a, 12, t(30)).unwrap_err() else {
+            panic!("4 free nodes cannot grant 6")
+        };
+        assert_eq!((s.nodes_of(resizer), s.nodes_of(a)), (0, 6));
+        s.complete(b, t(40));
+        assert_eq!(s.nodes_of(b), 0, "terminal jobs hold nothing");
+        let started = s.schedule(t(40));
+        assert_eq!(started[0].id, resizer);
+        assert_eq!(s.nodes_of(resizer), 6);
+        s.check_invariants().unwrap();
+        s.finish_expand(resizer, t(40)).unwrap();
+        assert_eq!((s.nodes_of(resizer), s.nodes_of(a)), (0, 12));
+        s.check_invariants().unwrap();
+        // Kill-and-requeue: the victim's key goes with it, the new
+        // incarnation holds nothing until it starts at the old size.
+        let node = s.cluster().nodes_of(a.owner_tag())[0];
+        assert_eq!(s.fail_node(node), FailOutcome::Busy(a.owner_tag()));
+        assert_eq!(s.nodes_of(a), 12, "a failed node stays owned");
+        let again = s.requeue_failed(a, t(50)).unwrap();
+        assert_eq!((s.nodes_of(a), s.nodes_of(again)), (0, 0));
+        s.check_invariants().unwrap();
+        assert!(s.schedule(t(50)).is_empty(), "11 placeable nodes left");
+        s.repair_node(node);
+        assert_eq!(s.schedule(t(60))[0].id, again);
+        assert_eq!(s.nodes_of(again), 12);
+        s.check_invariants().unwrap();
     }
 
     #[test]

@@ -150,16 +150,25 @@ proptest! {
     /// and already-popped keys, interleaved pops that trigger compaction
     /// — must produce the same pops, head peeks, cancel results and live
     /// counts, with the stored-entry bound holding after every step.
+    ///
+    /// Every op pushes before it acts and frees at most one payload
+    /// slot, so a slot freed by one op is re-tenanted by the next op's
+    /// push: the keys kept in `dead` (popped or cancelled in an earlier
+    /// op) all name a slot that now holds a different, live event.
+    /// Cancelling one must miss and leave that tenant alone, and the
+    /// slab must never outgrow the high-water mark of live events.
     #[test]
     fn queue_matches_a_sorted_vec_model(
         ops in proptest::collection::vec(
-            (0u64..1 << 40, proptest::bool::ANY, proptest::bool::ANY, 0u64..100, 0u8..4),
+            (0u64..1 << 40, proptest::bool::ANY, proptest::bool::ANY, 0u64..100, 0u8..5),
             1..150,
         ),
     ) {
         let mut q: EventQueue<usize> = EventQueue::new();
         let mut model: Vec<(SimTime, u8, usize)> = Vec::new();
         let mut keys = Vec::new();
+        let mut dead = Vec::new();
+        let mut high_water = 0;
         for (seq, &(time, near, early, hint, action)) in ops.iter().enumerate() {
             // Half the pushes share a handful of instants, so ties
             // (where class and insertion order decide) are common.
@@ -168,21 +177,40 @@ proptest! {
             keys.push(q.push_with_class(SimTime(time), class, seq));
             let at = model.partition_point(|&e| e < (SimTime(time), class, seq));
             model.insert(at, (SimTime(time), class, seq));
+            high_water = high_water.max(model.len());
             match action {
                 0 => {
                     let victim = (hint as usize) % keys.len();
                     let at = model.iter().position(|&(_, _, s)| s == victim);
                     prop_assert_eq!(q.cancel(keys[victim]), at.map(|i| model.remove(i).2));
                     prop_assert_eq!(q.cancel(keys[victim]), None, "double cancel");
+                    if at.is_some() {
+                        dead.push(keys[victim]);
+                    }
                 }
                 1 => {
                     let want = (!model.is_empty()).then(|| model.remove(0));
                     prop_assert_eq!(q.pop(), want.map(|(t, _, s)| (t, s)));
+                    dead.extend(want.map(|(_, _, s)| keys[s]));
                 }
                 2 => prop_assert_eq!(q.peek_head(), model.first().map(|&(t, c, _)| (t, c))),
+                3 if !dead.is_empty() => {
+                    // A stale key whose slot has a new tenant: the model
+                    // is untouched, so the checks below (and the final
+                    // drain) prove the tenant stayed live.
+                    let stale = dead[(hint as usize) % dead.len()];
+                    prop_assert_eq!(q.cancel(stale), None, "stale key hit a reused slot");
+                }
                 _ => {}
             }
             prop_assert_eq!(q.len(), model.len(), "live counts diverged at op {}", seq);
+            prop_assert!(
+                q.slab_len() <= high_water,
+                "slab {} outgrew the live high-water mark {} after op {}",
+                q.slab_len(),
+                high_water,
+                seq
+            );
             prop_assert!(
                 q.heap_len() <= 2 * q.len(),
                 "stored {} exceeds 2x live {} after op {}",
@@ -232,4 +260,43 @@ fn killed_jobs_stale_events_never_fire() {
     assert!(q.cancel(other).is_none());
     assert!(q.is_empty());
     assert_eq!(q.heap_len(), 0, "queue retains tombstones after drain");
+}
+
+/// A cancelled event's heap entry outlives its payload slot: the slot is
+/// handed to the next push while the tombstone still sits in the heap —
+/// here at its very head. The tombstone names the slot but not the new
+/// tenant's sequence number, so `peek_head` and `pop` must skip it (not
+/// fire the tenant at the cancelled event's instant), and the cancelled
+/// event's key must not reach the tenant either.
+#[test]
+fn tombstone_of_a_reused_slot_is_skipped() {
+    let mut q: EventQueue<&'static str> = EventQueue::new();
+    let cancelled = q.push(SimTime(1), "cancelled");
+    q.push(SimTime(5), "b");
+    q.push(SimTime(6), "c");
+    // Three stored entries against two live ones: no compaction, the
+    // tombstone stays at the head of the heap.
+    assert_eq!(q.cancel(cancelled), Some("cancelled"));
+    assert_eq!(q.heap_len(), 3);
+    // The freed slot is re-tenanted by an event due last.
+    let tenant = q.push(SimTime(9), "tenant");
+    assert_eq!(
+        q.slab_len(),
+        3,
+        "the push reused the cancelled event's slot"
+    );
+    assert_eq!(q.heap_len(), 4, "tombstone still stored");
+    assert_eq!(
+        q.cancel(cancelled),
+        None,
+        "stale key must miss the new tenant"
+    );
+    assert_eq!(q.len(), 3);
+    assert_eq!(q.peek_head(), Some((SimTime(5), CLASS_NORMAL)));
+    assert_eq!(q.pop(), Some((SimTime(5), "b")));
+    assert_eq!(q.pop(), Some((SimTime(6), "c")));
+    assert_eq!(q.pop(), Some((SimTime(9), "tenant")));
+    assert_eq!(q.pop(), None);
+    assert_eq!(q.cancel(tenant), None);
+    assert_eq!(q.slab_len(), 3);
 }
