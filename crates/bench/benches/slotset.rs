@@ -1,8 +1,13 @@
-//! Slot-set timeline micro-benchmarks: hole-finding, plan/unplan
-//! split-merge, and the backfill pass itself at queue depths 1k–100k,
-//! head-to-head with the legacy single-reservation walk the timeline
-//! replaced. The `repro --bench-json` grid measures the same families
-//! end-to-end; this bench isolates the per-operation treap costs.
+//! Slot-set timeline micro-benchmarks: hole-finding and plan/unplan on
+//! timelines of 64, 1 000 and 16 000 plans, and the backfill pass itself
+//! at queue depths 1k–100k, head-to-head with the legacy
+//! single-reservation walk the timeline replaced. The `repro
+//! --bench-json` grid measures the same families end-to-end; this bench
+//! isolates the per-operation costs of the flat boundary array. A live
+//! scheduler's timeline holds tens of boundaries and about a thousand
+//! inside the widest conservative window, so the first two sizes are the
+//! measured range and the third is one step beyond it — where the O(s)
+//! insert and scan start to show.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -11,7 +16,10 @@ use dmr_cluster::Cluster;
 use dmr_sim::{SimTime, Span};
 use dmr_slurm::{BackfillFamily, JobRequest, SlotSet, Slurm, SlurmConfig};
 
+/// Pending-queue depths for the pass benches.
 const DEPTHS: [u32; 3] = [1_000, 10_000, 100_000];
+/// Timeline sizes for the per-operation benches.
+const PLANS: [u32; 3] = [64, 1_000, 16_000];
 
 /// A timeline carrying `plans` staggered intervals (the steady-state
 /// shape after a deep conservative pass: overlapping plans at mixed
@@ -28,11 +36,11 @@ fn planned_timeline(plans: u32) -> SlotSet {
 
 fn bench_hole_finding(c: &mut Criterion) {
     let mut g = c.benchmark_group("slotset");
-    for depth in DEPTHS {
-        let tl = planned_timeline(depth);
+    for plans in PLANS {
+        let tl = planned_timeline(plans);
         // A tight cap forces the query past the congested region instead
         // of accepting the first boundary.
-        g.bench_function(format!("earliest_hole_{depth}slots"), |b| {
+        g.bench_function(format!("earliest_hole_{plans}plans"), |b| {
             b.iter(|| {
                 black_box(tl.earliest_hole(
                     black_box(SimTime::ZERO),
@@ -47,13 +55,14 @@ fn bench_hole_finding(c: &mut Criterion) {
 
 fn bench_plan_unplan(c: &mut Criterion) {
     let mut g = c.benchmark_group("slotset");
-    for depth in DEPTHS {
-        g.bench_function(format!("plan_unplan_{depth}slots"), |b| {
+    for plans in PLANS {
+        g.bench_function(format!("plan_unplan_{plans}plans"), |b| {
             b.iter_batched(
-                || planned_timeline(depth),
+                || planned_timeline(plans),
                 |mut tl| {
-                    // One plan/unplan pair mid-timeline: two splits, a
-                    // lazy range-add, and the coalescing merges back.
+                    // One plan/unplan pair mid-timeline: two inserts, an
+                    // add over the covered range, and the two removals
+                    // that coalesce the boundaries back.
                     let from = SimTime::from_secs(45_000);
                     let until = from + Span::from_secs(500);
                     tl.plan(from, until, 7);

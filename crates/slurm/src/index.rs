@@ -391,11 +391,6 @@ impl RunningIndex {
         old
     }
 
-    /// The expected end currently keyed for `id`, if it is running.
-    pub(crate) fn end_of(&self, id: JobId) -> Option<SimTime> {
-        self.key_of.get(id).map(|&(end, _)| end)
-    }
-
     /// The held-node count currently keyed for `id`, if it is running.
     /// Re-keyed at every start, expand and shrink, so for a running job
     /// this is the size of its cluster allocation.
@@ -444,6 +439,11 @@ impl RunningIndex {
     /// `(expected_end, held_nodes)` pairs in reservation-scan order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (SimTime, u32)> + '_ {
         self.set.iter().map(|&(end, nodes, _)| (end, nodes))
+    }
+
+    /// `(expected_end, id)` of every running job, in the same order.
+    pub(crate) fn jobs(&self) -> impl Iterator<Item = (SimTime, JobId)> + '_ {
+        self.set.iter().map(|&(end, _, id)| (end, id))
     }
 }
 

@@ -2,47 +2,60 @@
 //! behind the backfill families.
 //!
 //! A single EASY reservation is a prefix walk of the running-jobs
-//! end-time index, accumulating freed nodes until the blocked job fits
-//! (`Slurm::reservation_for`) — at most min(running, need) entries, and
-//! the default family asks for nothing else. But the walk can only answer
-//! "when is the *cluster-wide* free count ≥ need", which is not enough
-//! for planning many jobs into the future (EASY-k, conservative
-//! backfill). Those families ask the timeline below, which the scheduler
-//! builds the first time one of them runs.
+//! end-time index (`Slurm::reservation_for`), and the default family asks
+//! for nothing else. But the walk can only answer "when is the
+//! *cluster-wide* free count ≥ need", which is not enough for planning
+//! many jobs into the future (EASY-k, conservative backfill). Those
+//! families ask the timeline below, which the scheduler builds the first
+//! time one of them runs.
 //!
 //! [`SlotSet`] maintains the *planned occupancy* `occ(t)` — the number of
 //! nodes committed at instant `t` by running jobs (and, transiently,
-//! by pass-local reservations) — as an ordered sequence of slots: each
-//! slot is a half-open interval of sim-time `[b_i, b_{i+1})` carrying one
-//! occupancy value, stored as its left boundary. The boundaries live in a
-//! randomized balanced tree (a treap with lazy range-add and subtree
-//! min/max occupancy aggregates), so the core operations are logarithmic
-//! in the slot count `s`:
+//! by pass-local reservations) — as the step function itself: two
+//! parallel arrays holding the `s` slot boundaries in ascending order and
+//! the occupancy of the half-open slot `[b_i, b_{i+1})` each one opens
+//! (the last slot extends forever). The first boundary is the horizon.
 //!
 //! * [`SlotSet::plan`] / [`SlotSet::unplan`] — add / remove `nodes` over
-//!   `[from, until)`: split at most two slots, lazy-add over the covered
-//!   range, and re-merge boundaries that became redundant — O(log s);
+//!   `[from, until)`: two binary searches, at most two inserts (unplan:
+//!   then two removals of boundaries made redundant) and an add over the
+//!   contiguous covered range — O(log s) compares, an O(s) move;
 //! * [`SlotSet::earliest_hole`] — first instant `t ≥ from` with
-//!   `occ ≤ cap` throughout `[t, t + dur)`: descend on the min-occupancy
-//!   aggregate to candidate slots and on the max aggregate to the
-//!   blockers that invalidate them — O(log s) per candidate visited;
-//! * [`SlotSet::advance`] — garbage-collect every boundary behind the
-//!   simulation clock while preserving the step function at and after
-//!   `now`, so the structure holds O(active plans) slots regardless of
-//!   how long the simulation runs.
+//!   `occ ≤ cap` throughout `[t, t + dur)`: a binary search, then one
+//!   forward scan holding a candidate start until a blocker falls inside
+//!   its window — O(s), each boundary visited once ([`SlotSet::max_in`]
+//!   is the same scan over a bounded window);
+//! * [`SlotSet::advance`] — one front drain of every boundary behind the
+//!   simulation clock, so the arrays hold O(active plans) boundaries
+//!   however long the simulation runs;
+//! * [`SlotSet::save`] / [`SlotSet::restore`] — two `clone_from`s.
+//!
+//! **Why flat, and where that stops.** Every boundary is an endpoint of
+//! a live plan or the horizon, and the scheduler plans only running jobs
+//! plus the blocked jobs of the pass in flight, so
+//! `s ≤ 2 (running + bf_max_job_test) + 1`. Measured at the start of a
+//! conservative pass the aggregate timeline holds 44 boundaries on
+//! average on the benchmark's `trace_mixed`; on the largest cell of
+//! `repro --bench-json` (65 536 nodes × 100 k pending) 32, growing to
+//! 531 over the 512-plan window (bound ≈ 1 050; a hole starts on an
+//! existing boundary, so a plan adds one). There a contiguous scan beats
+//! the treap (lazy range-add, min / max aggregates) this module used to
+//! keep: `benches/slotset.rs` reads a plan + unplan pair at 0.11 µs
+//! against 2.2 µs on a 1 000-plan timeline. The array loses from the
+//! tens of thousands of boundaries on (16 000 plans: the pair 57 µs
+//! against 8.6 µs, a tight-cap `earliest_hole` 9.8 µs against 0.13 µs),
+//! where no `Slurm` in this repository goes. Should one, block the
+//! array (chunks carrying min / max / a lazy add) rather than keep a
+//! second representation beside it.
 //!
 //! The free count at `t` is `avail − occ(t)` where `avail` is the free
 //! node count plus every node held by a running job; keeping the *base*
 //! at the actual cluster free count makes detached resizer nodes and
 //! overrunning jobs (expected end in the past) come out right without
-//! special cases. Queries are read-only (`&self`): descents carry the
-//! accumulated lazy tags as a value instead of pushing them down.
+//! special cases. Queries depend only on the step function, never on
+//! which redundant boundaries happen to be stored.
 //!
-//! [`BackfillFamily`] selects which backfill algorithm consumes the
-//! timeline; the legacy single-reservation walk survives as
-//! [`BackfillFamily::LegacyReference`], the equivalence oracle pinned by
-//! `tests/backfill_equivalence.rs` (the same pattern as
-//! [`crate::slurm::SchedIndex::ScanReference`]).
+//! [`BackfillFamily`] selects which backfill algorithm consumes it.
 
 use dmr_sim::{SimTime, Span};
 
@@ -102,107 +115,49 @@ impl BackfillFamily {
     }
 }
 
-/// Sentinel child index ("no node").
-const NIL: u32 = u32::MAX;
-
-/// One slot boundary: the step function takes value `occ` on
-/// `[time, next boundary)`. Stored values are relative to the lazy `add`
-/// tags of the node itself and its ancestors (see [`SlotSet`] internals).
-#[derive(Clone, Debug)]
-struct Slot {
-    time: SimTime,
-    /// Occupancy of the interval starting here, excluding pending adds.
-    occ: i64,
-    /// Subtree min/max occupancy (same frame as `occ`: excluding this
-    /// node's own `add` and every ancestor's).
-    min: i64,
-    max: i64,
-    /// Lazy delta pending for the whole subtree *including this node*.
-    add: i64,
-    /// Heap priority (deterministic hash of an insertion counter).
-    pri: u64,
-    l: u32,
-    r: u32,
-}
-
 /// The free-resource timeline (see module docs).
 #[derive(Debug)]
 pub struct SlotSet {
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    root: u32,
-    /// Earliest represented instant; there is always a boundary exactly
-    /// here, and every query/mutation clamps to it.
-    horizon: SimTime,
-    /// Insertion counter feeding the deterministic priority hash.
-    seq: u64,
+    /// Slot boundaries, strictly ascending and never empty; the first is
+    /// the horizon (the earliest represented instant), and every query
+    /// and mutation clamps to it.
+    times: Vec<SimTime>,
+    /// `occ[i]` is the occupancy on `[times[i], times[i + 1])`.
+    occ: Vec<i64>,
     /// Intervals committed through [`SlotSet::plan_journaled`] and not
-    /// yet rolled back. Retained between passes so the per-pass unwind
-    /// list of the backfill families reuses its capacity instead of
-    /// reallocating every pass.
+    /// yet rolled back (retained between passes for its capacity).
     journal: Vec<(SimTime, SimTime, u32)>,
 }
 
-/// A saved copy of a [`SlotSet`]'s state (see [`SlotSet::save`]).
-///
-/// The conservative backfill pass plans hundreds of pass-local
-/// reservations; unwinding them one [`SlotSet::unplan`] at a time costs
-/// a treap operation each. A checkpoint instead captures the whole slot
-/// arena up front — a capacity-reusing memcpy — and
-/// [`SlotSet::restore`] puts it back in O(slots) flat copies, no tree
-/// surgery. One checkpoint is retained per scheduler and reused across
-/// passes, so steady-state saves allocate nothing.
+/// A saved copy of a [`SlotSet`]'s step function (see [`SlotSet::save`]):
+/// the conservative pass drops its hundreds of pass-local reservations
+/// by restoring one instead of one [`SlotSet::unplan`] each. The
+/// scheduler retains it across passes, so steady-state saves allocate
+/// nothing.
 #[derive(Debug, Default)]
 pub struct SlotSetCheckpoint {
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    root: u32,
-    horizon: SimTime,
-    seq: u64,
-}
-
-/// Running state of one [`SlotSet::earliest_hole`] traversal: the
-/// candidate start currently surviving (its window, so far, holds), and
-/// whether the search has proven it (a blocker at or past the window's
-/// end, or the timeline running out).
-struct HoleScan {
-    cand: Option<SimTime>,
-    done: bool,
-}
-
-/// `splitmix64` — deterministic, well-mixed treap priorities without an
-/// RNG dependency.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+    times: Vec<SimTime>,
+    occ: Vec<i64>,
 }
 
 impl SlotSet {
     /// An empty timeline: occupancy 0 everywhere from `origin` on.
     pub fn new(origin: SimTime) -> Self {
-        let mut s = SlotSet {
-            slots: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
-            horizon: origin,
-            seq: 0,
+        SlotSet {
+            times: vec![origin],
+            occ: vec![0],
             journal: Vec::new(),
-        };
-        s.root = s.alloc(origin, 0);
-        s
+        }
     }
 
-    /// Earliest represented instant (the simulation clock of the last
-    /// [`SlotSet::advance`]).
+    /// Earliest represented instant (the last [`SlotSet::advance`]).
     pub fn horizon(&self) -> SimTime {
-        self.horizon
+        self.times[0]
     }
 
     /// Number of slots (boundaries) currently held.
     pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.times.len()
     }
 
     /// `true` when the timeline holds only the horizon slot.
@@ -210,344 +165,88 @@ impl SlotSet {
         self.len() <= 1
     }
 
-    fn alloc(&mut self, time: SimTime, occ: i64) -> u32 {
-        let pri = splitmix64(self.seq);
-        self.seq += 1;
-        let slot = Slot {
-            time,
-            occ,
-            min: occ,
-            max: occ,
-            add: 0,
-            pri,
-            l: NIL,
-            r: NIL,
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = slot;
-                i
-            }
-            None => {
-                self.slots.push(slot);
-                (self.slots.len() - 1) as u32
-            }
-        }
-    }
-
-    fn release_subtree(&mut self, n: u32) {
-        let mut stack = vec![n];
-        while let Some(n) = stack.pop() {
-            if n == NIL {
-                continue;
-            }
-            let (l, r) = (self.slots[n as usize].l, self.slots[n as usize].r);
-            stack.push(l);
-            stack.push(r);
-            self.free.push(n);
-        }
-    }
-
-    /// Applies this node's pending delta to itself and forwards it to the
-    /// children, so the node's stored fields become frame-exact.
-    fn push_down(&mut self, n: u32) {
-        let a = self.slots[n as usize].add;
-        if a == 0 {
-            return;
-        }
-        let (l, r) = {
-            let s = &mut self.slots[n as usize];
-            s.add = 0;
-            s.occ += a;
-            s.min += a;
-            s.max += a;
-            (s.l, s.r)
-        };
-        if l != NIL {
-            self.slots[l as usize].add += a;
-        }
-        if r != NIL {
-            self.slots[r as usize].add += a;
-        }
-    }
-
-    fn pull_up(&mut self, n: u32) {
-        let (l, r, occ) = {
-            let s = &self.slots[n as usize];
-            (s.l, s.r, s.occ)
-        };
-        let mut min = occ;
-        let mut max = occ;
-        for c in [l, r] {
-            if c != NIL {
-                let cs = &self.slots[c as usize];
-                min = min.min(cs.min + cs.add);
-                max = max.max(cs.max + cs.add);
-            }
-        }
-        let s = &mut self.slots[n as usize];
-        s.min = min;
-        s.max = max;
-    }
-
-    /// Splits into `(times < key, times >= key)`.
-    fn split(&mut self, n: u32, key: SimTime) -> (u32, u32) {
-        if n == NIL {
-            return (NIL, NIL);
-        }
-        self.push_down(n);
-        if self.slots[n as usize].time < key {
-            let r = self.slots[n as usize].r;
-            let (a, b) = self.split(r, key);
-            self.slots[n as usize].r = a;
-            self.pull_up(n);
-            (n, b)
-        } else {
-            let l = self.slots[n as usize].l;
-            let (a, b) = self.split(l, key);
-            self.slots[n as usize].l = b;
-            self.pull_up(n);
-            (a, n)
-        }
-    }
-
-    /// Merges two trees; every time in `a` precedes every time in `b`.
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.slots[a as usize].pri >= self.slots[b as usize].pri {
-            self.push_down(a);
-            let r = self.slots[a as usize].r;
-            let m = self.merge(r, b);
-            self.slots[a as usize].r = m;
-            self.pull_up(a);
-            a
-        } else {
-            self.push_down(b);
-            let l = self.slots[b as usize].l;
-            let m = self.merge(a, l);
-            self.slots[b as usize].l = m;
-            self.pull_up(b);
-            b
-        }
+    /// Index of the slot containing `t` (not before the horizon).
+    fn slot_of(&self, t: SimTime) -> usize {
+        self.times.partition_point(|&b| b <= t) - 1
     }
 
     /// True occupancy at instant `t` (clamped to the horizon).
     pub fn occupied_at(&self, t: SimTime) -> i64 {
-        let t = t.max(self.horizon);
-        let mut n = self.root;
-        let mut acc = 0i64;
-        let mut best = 0i64;
-        while n != NIL {
-            let s = &self.slots[n as usize];
-            let frame = acc + s.add;
-            if s.time <= t {
-                best = s.occ + frame;
-                n = s.r;
-            } else {
-                n = s.l;
-            }
-            acc = frame;
-        }
-        best
-    }
-
-    /// Time and true occupancy of the last boundary in subtree `n`.
-    fn last_value(&self, mut n: u32, mut acc: i64) -> Option<(SimTime, i64)> {
-        let mut best = None;
-        while n != NIL {
-            let s = &self.slots[n as usize];
-            let frame = acc + s.add;
-            best = Some((s.time, s.occ + frame));
-            n = s.r;
-            acc = frame;
-        }
-        best
-    }
-
-    fn first_time(&self, mut n: u32) -> Option<SimTime> {
-        let mut best = None;
-        while n != NIL {
-            let s = &self.slots[n as usize];
-            best = Some(s.time);
-            n = s.l;
-        }
-        best
-    }
-
-    /// One in-order scan from `from` running the whole hole search as a
-    /// state machine: while no candidate start is held, it hunts the
-    /// first boundary with occupancy `<= cap`; while one is held, it
-    /// hunts the blocker (`> cap`) that would invalidate it. A blocker
-    /// inside the candidate's window discards the candidate and the hunt
-    /// flips back; a blocker at or beyond the window's end proves the
-    /// hole and stops. Phase-dependent aggregate pruning skips whole
-    /// subtrees (`min > cap` while fit-hunting, `max <= cap` while
-    /// blocker-hunting), and because this is a single traversal each
-    /// slot is visited at most once per query — the loop of
-    /// root-restarting descents it replaced paid a full root path per
-    /// blocker hopped.
-    fn hole_scan(&self, n: u32, from: SimTime, dur: Span, acc: i64, cap: i64, st: &mut HoleScan) {
-        if n == NIL || st.done {
-            return;
-        }
-        let s = &self.slots[n as usize];
-        let frame = acc + s.add;
-        // The phase cannot flip inside a pruned subtree: no fit means no
-        // new candidate, no blocker means no invalidation.
-        match st.cand {
-            None if s.min + frame > cap => return,
-            Some(_) if s.max + frame <= cap => return,
-            _ => {}
-        }
-        if s.time >= from {
-            self.hole_scan(s.l, from, dur, frame, cap, st);
-            if st.done {
-                return;
-            }
-            let v = s.occ + frame;
-            match st.cand {
-                None => {
-                    if v <= cap {
-                        st.cand = Some(s.time);
-                    }
-                }
-                Some(c) => {
-                    if v > cap {
-                        if s.time.0 >= c.0.saturating_add(dur.0) {
-                            st.done = true;
-                            return;
-                        }
-                        st.cand = None;
-                    }
-                }
-            }
-        }
-        self.hole_scan(s.r, from, dur, frame, cap, st);
+        self.occ[self.slot_of(t.max(self.horizon()))]
     }
 
     /// Maximum occupancy over the window `[from, until)` (clamped to the
     /// horizon; an empty window reports the value at `from`).
     pub fn max_in(&self, from: SimTime, until: SimTime) -> i64 {
-        let from = from.max(self.horizon);
-        let mut best = self.occupied_at(from);
-        self.boundary_max(self.root, from, until, 0, &mut best);
-        best
+        let first = self.slot_of(from.max(self.horizon()));
+        let inside = self.times[first + 1..].iter().take_while(|&&b| b < until);
+        let peak = self.occ[first..=first + inside.count()].iter().max();
+        *peak.expect("the window holds the slot of `from`")
     }
 
-    fn boundary_max(&self, n: u32, from: SimTime, until: SimTime, acc: i64, best: &mut i64) {
-        if n == NIL {
-            return;
+    /// Index of the boundary exactly at `t`, searched for (and, when
+    /// absent, inserted with the value the step function already has
+    /// there) at or after index `lo`. `t` must lie past `times[lo - 1]`.
+    fn ensure_boundary(&mut self, lo: usize, t: SimTime) -> usize {
+        let i = lo + self.times[lo..].partition_point(|&b| b < t);
+        if self.times.get(i) != Some(&t) {
+            self.times.insert(i, t);
+            self.occ.insert(i, self.occ[i - 1]);
         }
-        let s = &self.slots[n as usize];
-        let frame = acc + s.add;
-        if s.max + frame <= *best {
-            return;
-        }
-        if s.time < from {
-            self.boundary_max(s.r, from, until, frame, best);
-        } else if s.time >= until {
-            self.boundary_max(s.l, from, until, frame, best);
-        } else {
-            *best = (*best).max(s.occ + frame);
-            self.boundary_max(s.l, from, until, frame, best);
-            self.boundary_max(s.r, from, until, frame, best);
-        }
+        i
     }
 
-    /// Ensures a boundary exists exactly at `t` (carrying the value the
-    /// step function already has there).
-    fn ensure_boundary(&mut self, t: SimTime) {
-        let (a, bc) = self.split(self.root, t);
-        let (b, c) = self.split(bc, SimTime(t.0.saturating_add(1)));
-        let b = if b == NIL {
-            let carried = self.last_value(a, 0).map_or(0, |(_, v)| v);
-            self.alloc(t, carried)
-        } else {
-            b
-        };
-        let ab = self.merge(a, b);
-        self.root = self.merge(ab, c);
+    /// Adds `delta` over `[from, until)` (clamped to the horizon); the
+    /// indices of the two boundaries, or `None` for an empty interval.
+    fn apply(&mut self, from: SimTime, until: SimTime, delta: i64) -> Option<(usize, usize)> {
+        let from = from.max(self.horizon());
+        if until <= from || delta == 0 {
+            return None;
+        }
+        let lo = self.ensure_boundary(0, from);
+        let hi = self.ensure_boundary(lo + 1, until);
+        for v in &mut self.occ[lo..hi] {
+            *v += delta;
+            debug_assert!(*v >= 0, "negative planned occupancy");
+        }
+        Some((lo, hi))
     }
 
-    fn remove_boundary(&mut self, t: SimTime) {
-        let (a, bc) = self.split(self.root, t);
-        let (b, c) = self.split(bc, SimTime(t.0.saturating_add(1)));
-        if b != NIL {
-            self.release_subtree(b);
+    /// Drops boundary `i` if it carries the same occupancy as its
+    /// predecessor. The horizon boundary is never dropped.
+    fn coalesce(&mut self, i: usize) {
+        if i > 0 && self.occ[i] == self.occ[i - 1] {
+            self.times.remove(i);
+            self.occ.remove(i);
         }
-        self.root = self.merge(a, c);
-    }
-
-    /// Drops boundary `t` if it carries the same occupancy as its
-    /// predecessor (the slot-merge half of split/merge). The horizon
-    /// boundary is never dropped.
-    fn coalesce(&mut self, t: SimTime) {
-        if t <= self.horizon || t.0 == u64::MAX {
-            return;
-        }
-        let here = self.occupied_at(t);
-        let before = self.occupied_at(SimTime(t.0 - 1));
-        if here == before && self.has_boundary(t) {
-            self.remove_boundary(t);
-        }
-    }
-
-    fn has_boundary(&self, t: SimTime) -> bool {
-        let mut n = self.root;
-        while n != NIL {
-            let s = &self.slots[n as usize];
-            match t.cmp(&s.time) {
-                std::cmp::Ordering::Equal => return true,
-                std::cmp::Ordering::Less => n = s.l,
-                std::cmp::Ordering::Greater => n = s.r,
-            }
-        }
-        false
-    }
-
-    fn range_apply(&mut self, from: SimTime, until: SimTime, delta: i64) {
-        let (a, bc) = self.split(self.root, from);
-        let (b, c) = self.split(bc, until);
-        if b != NIL {
-            let s = &mut self.slots[b as usize];
-            s.add += delta;
-            debug_assert!(s.min + s.add >= 0, "negative planned occupancy");
-        }
-        let ab = self.merge(a, b);
-        self.root = self.merge(ab, c);
     }
 
     /// Commits `nodes` over `[from, until)` (clamped to the horizon).
     pub fn plan(&mut self, from: SimTime, until: SimTime, nodes: u32) {
-        let from = from.max(self.horizon);
-        if until <= from || nodes == 0 {
-            return;
-        }
-        self.ensure_boundary(from);
-        self.ensure_boundary(until);
-        self.range_apply(from, until, i64::from(nodes));
+        self.apply(from, until, i64::from(nodes));
     }
 
-    /// [`SlotSet::plan`] plus a journal entry: the interval is recorded
-    /// so one [`SlotSet::rollback_plans`] call reverts every temporary
-    /// commitment of the current pass. The backfill families plan
-    /// shadow-time reservations this way — the reservations steer the
-    /// pass's hole queries but must not leak into the next pass, whose
-    /// occupancy is re-derived from the running set alone.
+    /// Reverts a [`SlotSet::plan`] of `nodes` over `[from, until)` and
+    /// drops the boundaries the revert made redundant.
+    pub fn unplan(&mut self, from: SimTime, until: SimTime, nodes: u32) {
+        if let Some((lo, hi)) = self.apply(from, until, -i64::from(nodes)) {
+            self.coalesce(hi);
+            self.coalesce(lo);
+        }
+    }
+
+    /// [`SlotSet::plan`] plus a journal entry, so one
+    /// [`SlotSet::rollback_plans`] call reverts every temporary
+    /// commitment of the current pass: EASY-k's shadow-time reservations
+    /// steer the pass's hole queries but must not leak into the next.
     pub fn plan_journaled(&mut self, from: SimTime, until: SimTime, nodes: u32) {
         self.plan(from, until, nodes);
         self.journal.push((from, until, nodes));
     }
 
-    /// Reverts, newest first, every interval recorded by
-    /// [`SlotSet::plan_journaled`] since the last rollback. Plans are
-    /// commutative interval adds, so the timeline is restored exactly no
-    /// matter how the journaled intervals overlapped.
+    /// Reverts every interval recorded by [`SlotSet::plan_journaled`]
+    /// since the last rollback. Plans are commutative interval adds, so
+    /// the step function is restored exactly however they overlapped.
     pub fn rollback_plans(&mut self) {
         while let Some((from, until, nodes)) = self.journal.pop() {
             self.unplan(from, until, nodes);
@@ -560,136 +259,90 @@ impl SlotSet {
         self.journal.len()
     }
 
-    /// Copies the whole timeline into `into`, reusing its buffers. The
-    /// caller may then mutate freely with [`SlotSet::plan`] /
-    /// [`SlotSet::unplan`] and revert everything at once with
-    /// [`SlotSet::restore`] — a flat memcpy either way, with no
-    /// per-interval treap unwinding. Must not be called with journaled
-    /// plans outstanding: restore would silently discard the journal's
-    /// pairing with the tree state.
+    /// Copies the whole timeline into `into`, reusing its buffers, for
+    /// [`SlotSet::restore`] to revert every mutation made in between.
+    /// Must not be called with journaled plans outstanding: restore
+    /// would silently discard the journal's pairing with the timeline.
     pub fn save(&self, into: &mut SlotSetCheckpoint) {
         debug_assert!(self.journal.is_empty(), "checkpoint with live journal");
-        into.slots.clone_from(&self.slots);
-        into.free.clone_from(&self.free);
-        into.root = self.root;
-        into.horizon = self.horizon;
-        into.seq = self.seq;
+        into.times.clone_from(&self.times);
+        into.occ.clone_from(&self.occ);
     }
 
-    /// Restores the state captured by [`SlotSet::save`], discarding every
-    /// mutation made since. The checkpoint is unchanged and may be
-    /// restored again.
+    /// Restores the state captured by [`SlotSet::save`] (the horizon
+    /// included), discarding every mutation made since. The checkpoint
+    /// is unchanged and may be restored again.
     pub fn restore(&mut self, from: &SlotSetCheckpoint) {
-        self.slots.clone_from(&from.slots);
-        self.free.clone_from(&from.free);
-        self.root = from.root;
-        self.horizon = from.horizon;
-        self.seq = from.seq;
+        self.times.clone_from(&from.times);
+        self.occ.clone_from(&from.occ);
         self.journal.clear();
     }
 
-    /// Reverts a [`SlotSet::plan`] of `nodes` over `[from, until)` and
-    /// merges boundaries the revert made redundant.
-    pub fn unplan(&mut self, from: SimTime, until: SimTime, nodes: u32) {
-        let from = from.max(self.horizon);
-        if until <= from || nodes == 0 {
-            return;
-        }
-        self.ensure_boundary(from);
-        self.ensure_boundary(until);
-        self.range_apply(from, until, -i64::from(nodes));
-        self.coalesce(until);
-        self.coalesce(from);
-    }
-
-    /// Moves the horizon forward to `now`: every boundary strictly before
-    /// `now` is dropped, preserving the step function at and after `now`.
-    /// A `now` at or behind the horizon is a no-op.
+    /// Moves the horizon forward to `now`, dropping every boundary before
+    /// it; the step function at and after `now` is unchanged. A `now` at
+    /// or behind the horizon is a no-op.
     pub fn advance(&mut self, now: SimTime) {
-        if now <= self.horizon {
+        if now <= self.horizon() {
             return;
         }
-        let (a, b) = self.split(self.root, now);
-        let carried = self.last_value(a, 0).map_or(0, |(_, v)| v);
-        self.release_subtree(a);
-        self.root = if self.first_time(b) == Some(now) {
-            b
-        } else {
-            let n = self.alloc(now, carried);
-            self.merge(n, b)
-        };
-        self.horizon = now;
+        // The slot containing `now` becomes the horizon slot.
+        let keep = self.slot_of(now);
+        self.times.drain(..keep);
+        self.occ.drain(..keep);
+        self.times[0] = now;
     }
 
     /// Earliest `t >= from` such that `occ(s) <= cap` for every `s` in
     /// `[t, t + dur)`, or `None` when the occupancy never falls to `cap`.
-    /// A single pruned in-order traversal (`hole_scan`) runs
-    /// the candidate/blocker alternation to completion; the seed handles
-    /// `from` itself lying mid-slot (its controlling boundary sits before
-    /// `from`, where the scan never looks).
+    /// One forward scan from the slot containing `from`: while no
+    /// candidate start is held it hunts the first boundary with
+    /// occupancy `<= cap`; while one is held, a blocker (`> cap`) inside
+    /// the candidate's window discards it, and the first boundary at or
+    /// past the window's end — or the timeline running out — proves it.
     pub fn earliest_hole(&self, from: SimTime, cap: i64, dur: Span) -> Option<SimTime> {
         if cap < 0 {
             return None;
         }
-        let t = from.max(self.horizon);
-        let mut st = HoleScan {
-            cand: (self.occupied_at(t) <= cap).then_some(t),
-            done: false,
-        };
-        self.hole_scan(
-            self.root,
-            SimTime(t.0.saturating_add(1)),
-            dur,
-            0,
-            cap,
-            &mut st,
-        );
-        st.cand
+        let t = from.max(self.horizon());
+        let first = self.slot_of(t);
+        let mut cand = (self.occ[first] <= cap).then_some(t);
+        let later = self.times[first + 1..].iter().zip(&self.occ[first + 1..]);
+        for (&b, &v) in later {
+            match cand {
+                Some(c) if b.0 >= c.0.saturating_add(dur.0) => break,
+                Some(_) if v > cap => cand = None,
+                None if v <= cap => cand = Some(b),
+                _ => {}
+            }
+        }
+        cand
     }
 
     /// All slots as `(left boundary, occupancy)` in time order (test and
     /// debugging aid).
     pub fn slots(&self) -> Vec<(SimTime, i64)> {
-        let mut out = Vec::with_capacity(self.len());
-        self.collect(self.root, 0, &mut out);
-        out
+        let pairs = std::iter::zip(&self.times, &self.occ);
+        pairs.map(|(&b, &v)| (b, v)).collect()
     }
 
-    fn collect(&self, n: u32, acc: i64, out: &mut Vec<(SimTime, i64)>) {
-        if n == NIL {
-            return;
-        }
-        let s = &self.slots[n as usize];
-        let frame = acc + s.add;
-        self.collect(s.l, frame, out);
-        out.push((s.time, s.occ + frame));
-        self.collect(s.r, frame, out);
-    }
-
-    /// Structural invariants: slots sorted and disjoint (strictly
-    /// increasing boundaries), the horizon slot present and first, no
-    /// negative occupancy.
+    /// Structural invariants: one occupancy per boundary, the horizon
+    /// slot present, boundaries strictly increasing, nothing negative.
     pub fn validate(&self) -> Result<(), String> {
-        let slots = self.slots();
-        let Some(&(first, _)) = slots.first() else {
-            return Err("timeline has no slots (horizon slot missing)".into());
-        };
-        if first != self.horizon {
+        let (boundaries, values) = (self.times.len(), self.occ.len());
+        if boundaries == 0 || boundaries != values {
+            return Err(format!("{boundaries} boundaries, {values} occupancies"));
+        }
+        if let Some(w) = self.times.windows(2).find(|w| w[0] >= w[1]) {
             return Err(format!(
-                "first slot at {:?} != horizon {:?}",
-                first, self.horizon
+                "slots out of order / overlapping: {:?} then {:?}",
+                w[0], w[1]
             ));
         }
-        for w in slots.windows(2) {
-            if w[0].0 >= w[1].0 {
-                return Err(format!(
-                    "slots out of order / overlapping: {:?} then {:?}",
-                    w[0], w[1]
-                ));
-            }
-        }
-        if let Some(&(t, occ)) = slots.iter().find(|&&(_, occ)| occ < 0) {
-            return Err(format!("negative occupancy {occ} at {t:?}"));
+        if let Some(i) = self.occ.iter().position(|&occ| occ < 0) {
+            return Err(format!(
+                "negative occupancy {} at {:?}",
+                self.occ[i], self.times[i]
+            ));
         }
         Ok(())
     }
@@ -705,7 +358,7 @@ mod tests {
     }
 
     /// Brute-force model: occupancy per microsecond boundary map.
-    #[derive(Default)]
+    #[derive(Default, Clone)]
     struct Model {
         steps: BTreeMap<u64, i64>,
         horizon: u64,
@@ -739,6 +392,12 @@ mod tests {
             self.steps = self.steps.split_off(&now);
             self.steps.entry(now).or_insert(carried);
             self.horizon = now;
+        }
+
+        fn max_in(&self, from: u64, until: u64) -> i64 {
+            let from = from.max(self.horizon);
+            let inside = self.steps.range(from..until.max(from)).map(|(_, &v)| v);
+            inside.fold(self.occ(from), i64::max)
         }
 
         fn earliest_hole(&self, from: u64, cap: i64, dur: u64) -> Option<u64> {
@@ -836,10 +495,13 @@ mod tests {
         tl.restore(&ckpt);
         assert_eq!(tl.slots(), before, "restore must revert every mutation");
         tl.validate().unwrap();
-        // The checkpoint is reusable: mutate and restore again.
+        // The checkpoint is reusable, and carries the horizon: mutate,
+        // move the clock, and restore again.
         tl.plan(t(5), t(95), 7);
+        tl.advance(t(40));
         tl.restore(&ckpt);
         assert_eq!(tl.slots(), before);
+        assert_eq!(tl.horizon(), SimTime::ZERO);
         tl.validate().unwrap();
     }
 
@@ -909,63 +571,168 @@ mod tests {
         assert_eq!(tl.earliest_hole(t(150), 6, Span::ZERO), Some(t(150)));
     }
 
+    /// One generated op sequence per round mixes every mutation and
+    /// query of the public API against the brute-force [`Model`]:
+    /// `plan` / `unplan`, journaled plans and their rollback, `save` …
+    /// mutate … `restore`, `advance`, `earliest_hole`, `max_in` and
+    /// `occupied_at`, with `validate()` after every mutation. The hostile
+    /// shapes ride along: `until = u64::MAX`, `from` behind the horizon,
+    /// `advance` onto an existing boundary, zero-length and zero-node
+    /// plans. Most rounds are small and dense (boundaries collide); the
+    /// wide ones grow the timeline past 2 000 live boundaries.
     #[test]
     fn randomized_ops_match_the_brute_force_model() {
+        type Plans = Vec<(u64, u64, u32)>;
         let mut rng = Lcg(0x5eed_d312);
-        for round in 0..60 {
+        let mut peak_len = 0;
+        for round in 0..62 {
+            // (ops, time range, share of ops out of 16 that plan)
+            let (ops, range, plan_share) = if round < 60 {
+                (160, 1_000, 5)
+            } else {
+                (6_000, 5_000_000, 10)
+            };
             let mut tl = SlotSet::new(SimTime::ZERO);
             let mut model = Model::default();
-            let mut live: Vec<(u64, u64, u32)> = Vec::new();
-            for _ in 0..120 {
-                match rng.next() % 5 {
-                    0 | 1 => {
-                        let from = rng.next() % 1000;
-                        let until = from + 1 + rng.next() % 400;
-                        let nodes = (rng.next() % 16) as u32 + 1;
+            let mut live: Plans = Vec::new();
+            let mut journal: Plans = Vec::new();
+            let mut ckpt = SlotSetCheckpoint::default();
+            let mut saved: Option<(Model, Plans)> = None;
+            for _ in 0..ops {
+                let op = rng.next() % 16;
+                if op < plan_share {
+                    let mut from = model.horizon + rng.next() % range;
+                    let mut until = from + 1 + rng.next() % (range * 2 / 5);
+                    let mut nodes = (rng.next() % 16) as u32 + 1;
+                    match rng.next() % 12 {
+                        0 => until = u64::MAX,
+                        1 => from = model.horizon.saturating_sub(rng.next() % 50),
+                        2 => until = from,
+                        3 => nodes = 0,
+                        _ => {}
+                    }
+                    if op == 0 {
+                        tl.plan_journaled(SimTime(from), SimTime(until), nodes);
+                        journal.push((from, until, nodes));
+                    } else {
                         tl.plan(SimTime(from), SimTime(until), nodes);
-                        model.apply(from, until, i64::from(nodes));
                         live.push((from, until, nodes));
                     }
-                    2 => {
-                        if !live.is_empty() {
+                    model.apply(from, until, i64::from(nodes));
+                } else {
+                    match op {
+                        10 | 11 if !live.is_empty() => {
                             let i = (rng.next() as usize) % live.len();
                             let (from, until, nodes) = live.swap_remove(i);
                             tl.unplan(SimTime(from), SimTime(until), nodes);
                             model.apply(from, until, -i64::from(nodes));
                         }
-                    }
-                    3 => {
-                        let now = model.horizon + rng.next() % 300;
-                        tl.advance(SimTime(now));
-                        model.advance(now);
-                        // Plans now partially behind the horizon unplan
-                        // only their remaining suffix, like running jobs.
-                        for e in live.iter_mut() {
-                            e.0 = e.0.max(now);
+                        12 => {
+                            tl.rollback_plans();
+                            for (from, until, nodes) in journal.drain(..) {
+                                model.apply(from, until, -i64::from(nodes));
+                            }
                         }
-                        live.retain(|&(from, until, _)| from < until);
-                    }
-                    _ => {
-                        let from = model.horizon + rng.next() % 1200;
-                        let cap = (rng.next() % 24) as i64;
-                        let dur = rng.next() % 500;
-                        assert_eq!(
-                            tl.earliest_hole(SimTime(from), cap, Span(dur)),
-                            model.earliest_hole(from, cap, dur).map(SimTime),
-                            "hole query diverged (round {round})"
-                        );
+                        13 => match saved.take() {
+                            // Restore drops the plans, journal entries and
+                            // horizon moves made since the save; one time
+                            // in four the checkpoint is kept for a second
+                            // restore.
+                            Some((m, l)) => {
+                                tl.restore(&ckpt);
+                                if rng.next() % 4 == 0 {
+                                    saved = Some((m.clone(), l.clone()));
+                                }
+                                (model, live) = (m, l);
+                                journal.clear();
+                            }
+                            None if journal.is_empty() => {
+                                tl.save(&mut ckpt);
+                                saved = Some((model.clone(), live.clone()));
+                            }
+                            None => {}
+                        },
+                        14 => {
+                            // Every other advance lands exactly on a
+                            // stored boundary.
+                            let next = model.steps.range(model.horizon + 1..).next();
+                            let now = match next {
+                                Some((&b, _)) if rng.next() % 2 == 0 => b,
+                                _ => model.horizon + rng.next() % 300,
+                            };
+                            tl.advance(SimTime(now));
+                            model.advance(now);
+                        }
+                        _ => {
+                            let from = (model.horizon + rng.next() % (range * 6 / 5))
+                                .saturating_sub(rng.next() % 100);
+                            let cap = (rng.next() % 24) as i64 - 1;
+                            let dur = match rng.next() % 8 {
+                                0 => u64::MAX,
+                                _ => rng.next() % (range / 2),
+                            };
+                            assert_eq!(
+                                tl.earliest_hole(SimTime(from), cap, Span(dur)),
+                                model.earliest_hole(from, cap, dur).map(SimTime),
+                                "hole query diverged (round {round})"
+                            );
+                            let until = from.saturating_add(dur);
+                            assert_eq!(
+                                tl.max_in(SimTime(from), SimTime(until)),
+                                model.max_in(from, until),
+                                "window peak diverged (round {round})"
+                            );
+                        }
                     }
                 }
                 tl.validate().unwrap();
+                assert_eq!(tl.horizon(), SimTime(model.horizon));
+                peak_len = peak_len.max(tl.len());
                 for probe in 0..8 {
-                    let at = model.horizon + probe * 173;
+                    let at = (model.horizon + probe * (range / 6 + 7)).saturating_sub(40);
                     assert_eq!(
                         tl.occupied_at(SimTime(at)),
                         model.occ(at),
                         "occ diverged at {at} (round {round})"
                     );
                 }
+                assert_eq!(tl.occupied_at(SimTime(u64::MAX)), model.occ(u64::MAX));
             }
+            // Teardown: with every plan reverted nothing but the horizon
+            // slot may remain — each unplan drops the boundaries it made
+            // redundant, whatever was advanced past or restored meanwhile.
+            tl.rollback_plans();
+            for (from, until, nodes) in live {
+                tl.unplan(SimTime(from), SimTime(until), nodes);
+                tl.validate().unwrap();
+            }
+            assert_eq!(tl.slots(), vec![(SimTime(model.horizon), 0)]);
+        }
+        assert!(peak_len >= 2_000, "widest timeline held {peak_len} slots");
+    }
+
+    /// `now + expected_runtime` saturates to `u64::MAX`. A boundary
+    /// lookup phrased as the range `[t, t + 1)` finds nothing there (the
+    /// balanced tree this module once kept did that: every plan ending
+    /// at `u64::MAX` added a duplicate boundary that failed `validate()`
+    /// and never coalesced); searching for `t` itself has no such edge.
+    #[test]
+    fn plans_ending_at_the_last_instant_share_one_boundary() {
+        let end = SimTime(u64::MAX);
+        let mut tl = SlotSet::new(SimTime::ZERO);
+        tl.plan(t(10), end, 2);
+        tl.plan(t(20), end, 3);
+        tl.validate().unwrap();
+        assert_eq!(
+            tl.slots(),
+            vec![(t(0), 0), (t(10), 2), (t(20), 5), (end, 0)]
+        );
+        tl.unplan(t(10), end, 2);
+        tl.unplan(t(20), end, 3);
+        tl.validate().unwrap();
+        assert_eq!(tl.len(), 1);
+        for at in [SimTime::ZERO, t(10), t(15), t(20), t(1 << 40), end] {
+            assert_eq!(tl.occupied_at(at), 0);
         }
     }
 

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use dmr_cluster::{ClassConstraint, Cluster, FailOutcome, NodeId};
 use dmr_sim::{SimTime, Span};
 
-use crate::arena::JobArena;
+use crate::arena::{JobArena, JobMap};
 use crate::index::{NeedBucket, PendingIndex, PendingKey, ResizerIndex, RunningIndex};
 use crate::job::{Dependency, Job, JobId, JobRequest, JobState};
 use crate::policy::{PolicyKind, ResizePolicy};
@@ -246,12 +246,12 @@ pub struct Slurm {
     /// Per-class held-node counts of each running job at its last plan
     /// (multi-class only): the exact counts the matching unplan must
     /// mirror, whatever the allocation looks like by then.
-    class_counts: std::collections::BTreeMap<JobId, Vec<u32>>,
+    class_counts: JobMap<Vec<u32>>,
     /// Per-class totals of held nodes across running jobs (multi-class
     /// only) — the per-class analogue of `RunningIndex::total_held`.
     class_held: Vec<u32>,
     /// Whether the per-class timelines are live. They sit dormant — no
-    /// treap maintenance at all — until the first class-constrained
+    /// timeline maintenance at all — until the first class-constrained
     /// submission ([`Slurm::activate_class_timelines`]), because they are
     /// only ever queried on behalf of a job with a sole eligible class,
     /// and such a job must have been submitted first. Unconstrained
@@ -264,8 +264,9 @@ pub struct Slurm {
 
 /// One deferred timeline mutation: a running job's node commitment over
 /// `[horizon, end)`, to add (`plan`) or remove. Queued O(1) at the index
-/// mutation sites; applied (O(log slots) each) the next time the timeline
-/// is consulted, so the scheduling hot paths never pay tree costs.
+/// mutation sites; applied (a [`SlotSet::plan`] / `unplan` each) the next
+/// time the timeline is consulted, so the scheduling hot paths never pay
+/// for them.
 /// Applying from the *current* horizon is exact: occupancy behind the
 /// horizon is clipped on both plan and unplan, and [`SlotSet::advance`]
 /// prunes whatever a plan wrote behind the clock before any query runs.
@@ -660,7 +661,7 @@ impl Slurm {
             timeline: RefCell::new(Timeline::new()),
             tl_live: false,
             class_timelines: RefCell::new((0..per_class).map(|_| Timeline::new()).collect()),
-            class_counts: std::collections::BTreeMap::new(),
+            class_counts: JobMap::default(),
             class_held: vec![0; per_class],
             class_tl_live: false,
             incr: IncrState::default(),
@@ -959,9 +960,10 @@ impl Slurm {
                 // commitment intervals.
                 self.tl_queue(old_end, nodes, false);
                 self.tl_queue(new_end, nodes, true);
-                if let Some(counts) = self.class_counts.get(&id).cloned() {
-                    self.tlc_queue(&counts, old_end, false);
-                    self.tlc_queue(&counts, new_end, true);
+                if let Some(counts) = self.class_counts.get(id) {
+                    let (live, tls) = (self.class_tl_live, self.class_timelines.get_mut());
+                    Self::tlc_queue(live, tls, counts, old_end, false);
+                    Self::tlc_queue(live, tls, counts, new_end, true);
                 }
             }
         }
@@ -986,13 +988,14 @@ impl Slurm {
 
     /// Queues per-class timeline deltas mirroring an aggregate delta.
     /// No-op on uniform inventories (`counts` is empty then) and while
-    /// the class timelines are dormant (they are rebuilt wholesale when
-    /// they go live, see [`Slurm::activate_class_timelines`]).
-    fn tlc_queue(&mut self, counts: &[u32], end: SimTime, plan: bool) {
-        if !self.class_tl_live {
+    /// the class timelines are dormant (`live` false: they are rebuilt
+    /// wholesale when they go live, see
+    /// [`Slurm::activate_class_timelines`]). Takes the fields rather than
+    /// `&mut self` so `counts` can stay borrowed from the side table.
+    fn tlc_queue(live: bool, tls: &mut [Timeline], counts: &[u32], end: SimTime, plan: bool) {
+        if !live {
             return;
         }
-        let tls = self.class_timelines.get_mut();
         for (c, &nodes) in counts.iter().enumerate() {
             if nodes != 0 {
                 tls[c].queue(TimelineDelta { end, nodes, plan });
@@ -1011,7 +1014,8 @@ impl Slurm {
         for (c, &n) in counts.iter().enumerate() {
             self.class_held[c] += n;
         }
-        self.tlc_queue(&counts, end, true);
+        let tls = self.class_timelines.get_mut();
+        Self::tlc_queue(self.class_tl_live, tls, &counts, end, true);
         self.class_counts.insert(id, counts);
     }
 
@@ -1019,11 +1023,12 @@ impl Slurm {
     /// (multi-class clusters only; tolerates a job that was never
     /// planned, mirroring the scheduler's release-mode leniency).
     fn class_unplan(&mut self, id: JobId, end: SimTime) {
-        if let Some(counts) = self.class_counts.remove(&id) {
+        if let Some(counts) = self.class_counts.remove(id) {
             for (c, &n) in counts.iter().enumerate() {
                 self.class_held[c] -= n;
             }
-            self.tlc_queue(&counts, end, false);
+            let tls = self.class_timelines.get_mut();
+            Self::tlc_queue(self.class_tl_live, tls, &counts, end, false);
         }
     }
 
@@ -1070,9 +1075,9 @@ impl Slurm {
         self.class_tl_live = true;
         for (c, tl) in self.class_timelines.get_mut().iter_mut().enumerate() {
             let held = self
-                .class_counts
-                .iter()
-                .filter_map(|(&id, counts)| Some((self.running_index.end_of(id)?, counts[c])));
+                .running_index
+                .jobs()
+                .filter_map(|(end, id)| Some((end, self.class_counts.get(id)?[c])));
             tl.go_live(now, held);
         }
     }
@@ -1728,7 +1733,7 @@ impl Slurm {
     /// every reservation, it either ends by the shadow time or fits in
     /// the spare nodes (which it then consumes). The first reservation
     /// is the legacy walk's ([`Slurm::reservation_for`]); deeper ones are
-    /// O(log slots) hole queries on the slot-set timeline, which only a
+    /// hole queries (one scan) on the slot-set timeline, which only a
     /// pass with `k >= 2` therefore needs. A reservation is planned into
     /// the timeline while a later one of the same pass can still see it,
     /// and unplanned before returning.
@@ -1955,10 +1960,9 @@ impl Slurm {
         self.activate_timeline(now);
         self.sync_timelines(now);
         // Temporary plans go in un-journaled: the pass plans up to
-        // `window` reservations, and unwinding them one treap op at a
-        // time dominates the pass. A checkpoint reverts them all in one
-        // flat copy; mid-pass starts are replayed on top (see
-        // [`Timeline::save`]).
+        // `window` reservations, and a checkpoint reverts them all in
+        // one flat copy instead of one `unplan` each; mid-pass starts
+        // are replayed on top (see [`Timeline::save`]).
         self.timeline.get_mut().save();
         if self.class_tl_live {
             for tl in self.class_timelines.get_mut() {
@@ -2616,7 +2620,7 @@ impl Slurm {
         // The slot-set timeline (deferred deltas flushed) must equal the
         // running-jobs occupancy profile at every breakpoint of either
         // step function: free-count conservation across plan / unplan /
-        // merge and resize re-planning.
+        // coalesce and resize re-planning.
         self.timeline
             .borrow_mut()
             .check("timeline", self.tl_live, &scan)?;
@@ -2627,14 +2631,11 @@ impl Slurm {
             // equal its class's occupancy profile.
             let nclasses = self.cluster.table().num_classes();
             let mut want_held = vec![0u32; nclasses];
+            let zeros = vec![0; nclasses];
             for j in running.iter() {
                 let counts = self.cluster.held_class_counts(j.id.owner_tag());
-                let recorded = self
-                    .class_counts
-                    .get(&j.id)
-                    .cloned()
-                    .unwrap_or_else(|| vec![0; nclasses]);
-                if counts != recorded {
+                let recorded = self.class_counts.get(j.id).unwrap_or(&zeros);
+                if counts != *recorded {
                     return Err(format!(
                         "class counts of {:?}: recorded {recorded:?} != held {counts:?}",
                         j.id
@@ -2663,7 +2664,7 @@ impl Slurm {
                     .map(|j| {
                         (
                             j.expected_end().expect("running job has a start time"),
-                            self.class_counts.get(&j.id).map_or(0, |v| v[c]),
+                            self.class_counts.get(j.id).map_or(0, |v| v[c]),
                         )
                     })
                     .collect();
@@ -3394,6 +3395,48 @@ mod tests {
         assert_eq!(s.job(long_small).unwrap().state, JobState::Pending);
         assert_eq!(s.job(blocked1).unwrap().state, JobState::Pending);
         assert_eq!(s.job(blocked2).unwrap().state, JobState::Pending);
+        s.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn conservative_mid_pass_starts_survive_the_checkpoint_restore() {
+        // Plans and starts alternate inside one pass: blocked1 planned,
+        // short1 started, blocked2 planned, short2 started. The restore
+        // drops both plans and replays both starts' recorded deltas on
+        // top of the checkpoint, so what remains is the running profile
+        // and nothing else.
+        let mut s = slurm(12);
+        s.config.backfill_family = BackfillFamily::Conservative;
+        let runtime = |secs| Span::from_secs(secs);
+        s.submit(
+            JobRequest::rigid("hog", 8).with_expected_runtime(runtime(1000)),
+            t(0),
+        );
+        s.schedule(t(0));
+        let mut submit = |name: &str, nodes, secs| {
+            s.submit(
+                JobRequest::rigid(name, nodes).with_expected_runtime(runtime(secs)),
+                t(1),
+            )
+        };
+        let blocked1 = submit("blocked1", 6, 100);
+        let short1 = submit("short1", 2, 50);
+        let blocked2 = submit("blocked2", 12, 100);
+        let short2 = submit("short2", 2, 80);
+        let started = s.backfill_pass(t(5));
+        let ids: Vec<JobId> = started.iter().map(|j| j.id).collect();
+        assert_eq!(ids, [short1, short2]);
+        for blocked in [blocked1, blocked2] {
+            assert_eq!(s.job(blocked).unwrap().state, JobState::Pending);
+        }
+        let tl = s.timeline.get_mut();
+        assert!(!tl.recording && tl.recorded.is_empty() && tl.queued.is_empty());
+        assert_eq!(
+            tl.slots.slots(),
+            [(t(5), 12), (t(55), 10), (t(85), 8), (t(1000), 0)]
+        );
+        tl.check("timeline", true, &[(t(1000), 8), (t(55), 2), (t(85), 2)])
+            .unwrap();
         s.check_invariants().unwrap();
     }
 

@@ -69,7 +69,9 @@ impl Default for SwfMapping {
 
 /// Streaming SWF trace replayer; see the module docs.
 pub struct SwfTrace<R> {
-    lines: io::Lines<R>,
+    reader: R,
+    /// The one line buffer every record is read into.
+    line: String,
     mapping: SwfMapping,
     emitted: u32,
     /// Submit instant of the first accepted job (normalization base).
@@ -106,7 +108,8 @@ impl<R: BufRead> SwfTrace<R> {
     /// Streams SWF records from any buffered reader.
     pub fn from_reader(reader: R, mapping: SwfMapping) -> Self {
         SwfTrace {
-            lines: reader.lines(),
+            reader,
+            line: String::new(),
             mapping,
             emitted: 0,
             first_submit: None,
@@ -124,19 +127,17 @@ impl<R: BufRead> SwfTrace<R> {
 
     /// Parses one record line into `(submit_s, runtime_s, procs,
     /// walltime_s)`, or `None` if it is not a usable job.
-    fn parse_record(&self, line: &str) -> Option<(f64, f64, u32, f64)> {
-        let f: Vec<&str> = line.split_whitespace().collect();
+    fn parse_record(line: &str) -> Option<(f64, f64, u32, f64)> {
         // Fields (SWF v2.2): 0 job, 1 submit, 2 wait, 3 run, 4 allocated
         // procs, 7 requested procs, 8 requested time. Anything shorter
-        // than the requested-time field is malformed.
-        if f.len() < 9 {
-            return None;
-        }
-        let submit: f64 = f[1].parse().ok()?;
-        let runtime: f64 = f[3].parse().ok()?;
-        let allocated: i64 = f[4].parse().ok()?;
-        let requested: i64 = f[7].parse().ok()?;
-        let req_time: f64 = f[8].parse().ok()?;
+        // than the requested-time field is malformed. Each `nth` skips
+        // the fields between the previous one taken and the next.
+        let mut f = line.split_whitespace();
+        let submit: f64 = f.nth(1)?.parse().ok()?;
+        let runtime: f64 = f.nth(1)?.parse().ok()?;
+        let allocated: i64 = f.next()?.parse().ok()?;
+        let requested: i64 = f.nth(2)?.parse().ok()?;
+        let req_time: f64 = f.next()?.parse().ok()?;
         // Unknown values are -1 in SWF; prefer the allocation, fall back
         // to the request.
         let procs = if allocated > 0 { allocated } else { requested };
@@ -150,6 +151,43 @@ impl<R: BufRead> SwfTrace<R> {
         };
         Some((submit, runtime, procs as u32, walltime))
     }
+
+    /// Maps one accepted record onto the next [`JobSpec`].
+    fn emit(&mut self, (submit, runtime, raw_procs, walltime): (f64, f64, u32, f64)) -> JobSpec {
+        let m = &self.mapping;
+        let cap = m.max_procs.unwrap_or(u32::MAX).max(1);
+        let procs = raw_procs.min(cap);
+        let base = *self.first_submit.get_or_insert(submit);
+        let raw_arrival = if m.normalize_arrivals {
+            (submit - base).max(0.0)
+        } else {
+            submit
+        };
+        let arrival_s = raw_arrival.max(self.last_arrival);
+        self.last_arrival = arrival_s;
+        let steps = m.max_steps.min(runtime.ceil() as u32).max(1);
+        let job = JobSpec {
+            index: self.emitted,
+            arrival_s,
+            submit_procs: procs,
+            steps,
+            step_s: runtime / steps as f64,
+            walltime_s: walltime.max(runtime),
+            data_bytes: m.data_bytes,
+            app: m.app,
+            flexible: ratio_slot(self.emitted, m.flexible_ratio),
+            gpu: false,
+            malleability: MalleabilitySpec {
+                min_procs: (procs / m.min_div.max(1)).max(1),
+                max_procs: procs.saturating_mul(m.max_mul.max(1)).min(cap).max(procs),
+                preferred: None,
+                factor: 2,
+                sched_period_s: None,
+            },
+        };
+        self.emitted += 1;
+        job
+    }
 }
 
 impl<R: BufRead> WorkloadSource for SwfTrace<R> {
@@ -159,54 +197,24 @@ impl<R: BufRead> WorkloadSource for SwfTrace<R> {
 
     fn next_job(&mut self) -> Option<JobSpec> {
         loop {
-            let line = match self.lines.next()? {
-                Ok(line) => line,
+            self.line.clear();
+            match self.reader.read_line(&mut self.line) {
+                Ok(0) => return None,
+                Ok(_) => {}
                 Err(_) => {
                     self.skipped += 1;
                     return None;
                 }
-            };
-            let trimmed = line.trim();
+            }
+            let trimmed = self.line.trim();
             if trimmed.is_empty() || trimmed.starts_with(';') {
                 continue;
             }
-            let Some((submit, runtime, raw_procs, walltime)) = self.parse_record(trimmed) else {
+            let Some(record) = Self::parse_record(trimmed) else {
                 self.skipped += 1;
                 continue;
             };
-            let m = &self.mapping;
-            let cap = m.max_procs.unwrap_or(u32::MAX).max(1);
-            let procs = raw_procs.min(cap);
-            let base = *self.first_submit.get_or_insert(submit);
-            let raw_arrival = if m.normalize_arrivals {
-                (submit - base).max(0.0)
-            } else {
-                submit
-            };
-            let arrival_s = raw_arrival.max(self.last_arrival);
-            self.last_arrival = arrival_s;
-            let steps = m.max_steps.min(runtime.ceil() as u32).max(1);
-            let job = JobSpec {
-                index: self.emitted,
-                arrival_s,
-                submit_procs: procs,
-                steps,
-                step_s: runtime / steps as f64,
-                walltime_s: walltime.max(runtime),
-                data_bytes: m.data_bytes,
-                app: m.app,
-                flexible: ratio_slot(self.emitted, m.flexible_ratio),
-                gpu: false,
-                malleability: MalleabilitySpec {
-                    min_procs: (procs / m.min_div.max(1)).max(1),
-                    max_procs: procs.saturating_mul(m.max_mul.max(1)).min(cap).max(procs),
-                    preferred: None,
-                    factor: 2,
-                    sched_period_s: None,
-                },
-            };
-            self.emitted += 1;
-            return Some(job);
+            return Some(self.emit(record));
         }
     }
 }
@@ -248,6 +256,112 @@ this line is garbage
         for (i, j) in jobs.iter().enumerate() {
             assert_eq!(j.index, i as u32);
         }
+    }
+
+    /// The parser this one replaced — a fresh `String` per line
+    /// (`BufRead::lines`) and the fields collected into a `Vec` — kept as
+    /// the oracle for the accept / skip decisions. Returns what
+    /// `collect_jobs` and `skipped_lines` would have.
+    fn reference(trace: &[u8], mapping: SwfMapping) -> (Vec<JobSpec>, u64) {
+        fn record(line: &str) -> Option<(f64, f64, u32, f64)> {
+            let f: Vec<&str> = line.split_whitespace().collect();
+            if f.len() < 9 {
+                return None;
+            }
+            let submit: f64 = f[1].parse().ok()?;
+            let runtime: f64 = f[3].parse().ok()?;
+            let allocated: i64 = f[4].parse().ok()?;
+            let requested: i64 = f[7].parse().ok()?;
+            let req_time: f64 = f[8].parse().ok()?;
+            let procs = if allocated > 0 { allocated } else { requested };
+            if runtime <= 0.0 || procs <= 0 || submit < 0.0 {
+                return None;
+            }
+            let walltime = if req_time > 0.0 {
+                req_time
+            } else {
+                runtime * 2.5
+            };
+            Some((submit, runtime, procs as u32, walltime))
+        }
+        let mut state = SwfTrace::from_reader(io::empty(), mapping);
+        let mut jobs = Vec::new();
+        for line in trace.lines() {
+            let Ok(line) = line else {
+                state.skipped += 1;
+                break;
+            };
+            let trimmed = line.trim();
+            if trimmed.is_empty() || trimmed.starts_with(';') {
+                continue;
+            }
+            match record(trimmed) {
+                Some(r) => jobs.push(state.emit(r)),
+                None => state.skipped += 1,
+            }
+        }
+        (jobs, state.skipped)
+    }
+
+    #[test]
+    fn buffer_reusing_parser_matches_the_reference_job_for_job() {
+        // Every way a line can be rejected or survive: short by one
+        // field, exactly nine fields, a non-number in each field read
+        // (1, 3, 4, 7, 8) and in fields that are not (0, 2, 5, 6, 9),
+        // zero / negative sizes and times, tabs and leading blanks.
+        const HOSTILE: &str = "\
+1 10 0 50 2 -1 -1 2
+2 20 0 50 2 -1 -1 2 100
+3 x 0 50 2 -1 -1 2 100 -1
+4 30 0 x 2 -1 -1 2 100 -1
+5 30 0 50 x -1 -1 2 100 -1
+6 30 0 50 2 -1 -1 x 100 -1
+7 30 0 50 2 -1 -1 2 x -1
+x 40 y 50 2 z w 2 100 v
+9 50 0 0 2 -1 -1 2 100
+10 50 0 50 0 -1 -1 0 100
+11 50 0 50 -1 -1 -1 -1 100
+12 -5 0 50 2 -1 -1 2 100
+ \t13\t60  0 1.5 3 -1 -1 9 0 -1 \t
+   \t
+;14 70 0 50 2 -1 -1 2 100
+15 1e2 0 5e1 2 -1 -1 2 1e3 -1";
+        let crlf = SAMPLE.replace('\n', "\r\n");
+        let mut invalid_utf8 = SAMPLE.as_bytes().to_vec();
+        invalid_utf8.extend_from_slice(b"5 300 0 10 \xff 1 1 1 10\n6 400 0 10 1 -1 -1 1 10\n");
+        let traces: [(&str, &[u8]); 6] = [
+            (
+                "tiny.swf",
+                include_bytes!("../../../tests/fixtures/tiny.swf"),
+            ),
+            ("SAMPLE", SAMPLE.as_bytes()),
+            ("no trailing newline", SAMPLE.trim_end().as_bytes()),
+            ("CRLF endings", crlf.as_bytes()),
+            ("hostile lines", HOSTILE.as_bytes()),
+            ("read error mid-stream", &invalid_utf8),
+        ];
+        let capped = SwfMapping {
+            flexible_ratio: 0.5,
+            max_procs: Some(4),
+            normalize_arrivals: false,
+            ..SwfMapping::default()
+        };
+        for (what, trace) in traces {
+            for mapping in [SwfMapping::default(), capped] {
+                let (want, want_skipped) = reference(trace, mapping);
+                let mut src = SwfTrace::from_reader(trace, mapping);
+                let got = collect_jobs(&mut src);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+                assert_eq!(src.skipped_lines(), want_skipped, "{what}");
+            }
+        }
+        // The cases above did exercise both verdicts.
+        assert_eq!(reference(HOSTILE.as_bytes(), capped).0.len(), 4);
+        assert_eq!(reference(HOSTILE.as_bytes(), capped).1, 10);
+        // The undecodable line ends the stream: SAMPLE's three jobs and
+        // two skips, one more skip, and job 6 never replayed.
+        let (jobs, skipped) = reference(&invalid_utf8, capped);
+        assert_eq!((jobs.len(), skipped), (3, 3));
     }
 
     #[test]
