@@ -1,8 +1,7 @@
-//! Hot-path micro-benchmarks: each optimisation layer head-to-head with
-//! its reference — node allocation, pending-order consultation, the EASY
-//! backfill pass (reservation + reap), one full churn round across all
-//! three scheduler paths, and the slab job table against the `BTreeMap`
-//! it replaced. `repro --bench-json` measures the same contrast
+//! Hot-path micro-benchmarks: the production path head-to-head with the
+//! scan reference — node allocation, pending-order consultation, the
+//! EASY backfill pass (reservation + reap), one full churn round — and
+//! the slab job table against the `BTreeMap` it replaced. `repro --bench-json` measures the same contrast
 //! end-to-end and appends to the `BENCH_sched.json` trajectory.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -10,14 +9,13 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 
 use dmr_bench::hotpath;
-use dmr_cluster::Cluster;
+use dmr_cluster::{ClassConstraint, Cluster};
 use dmr_sim::{SimTime, Span};
 use dmr_slurm::{Job, JobArena, JobId, JobRequest, JobState, SchedIndex, Slurm, SlurmConfig};
 
-fn modes() -> [(&'static str, SchedIndex); 3] {
+fn modes() -> [(&'static str, SchedIndex); 2] {
     [
         ("arena", SchedIndex::Arena),
-        ("indexed", SchedIndex::Indexed),
         ("scan", SchedIndex::ScanReference),
     ]
 }
@@ -104,7 +102,11 @@ fn bench_churn_round(c: &mut Criterion) {
     g.sample_size(3);
     for (label, mode) in modes() {
         g.bench_function(format!("n1024_q4000_{label}"), |b| {
-            b.iter(|| black_box(hotpath::run_cell(1024, 4_000, mode, 50).events))
+            let cell = hotpath::Cell {
+                reference: mode == SchedIndex::ScanReference,
+                ..hotpath::Cell::base(1024, 4_000)
+            };
+            b.iter(|| black_box(hotpath::run_cell(&cell, 50).events))
         });
     }
     g.finish();
@@ -125,6 +127,7 @@ fn record(id: JobId, seq: u64) -> Job {
         base_priority: 0,
         boosted: false,
         resize: None,
+        constraint: ClassConstraint::Any,
         submit_time: SimTime::from_secs(seq),
         start_time: None,
         end_time: None,

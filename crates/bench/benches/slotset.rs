@@ -1,7 +1,7 @@
 //! Slot-set timeline micro-benchmarks: hole-finding and plan/unplan on
 //! timelines of 64, 1 000 and 16 000 plans, and the backfill pass itself
-//! at queue depths 1k–100k, head-to-head with the legacy
-//! single-reservation walk the timeline replaced. The `repro
+//! at queue depths 1k–100k under EASY-1 (which never builds the
+//! timeline), EASY-8 and conservative. The `repro
 //! --bench-json` grid measures the same families end-to-end; this bench
 //! isolates the per-operation costs of the flat boundary array. A live
 //! scheduler's timeline holds tens of boundaries and about a thousand
@@ -104,7 +104,6 @@ fn bench_backfill_pass(c: &mut Criterion) {
     let mut g = c.benchmark_group("backfill");
     for depth in DEPTHS {
         for (label, family) in [
-            ("legacy", BackfillFamily::LegacyReference),
             ("easy1", BackfillFamily::easy(1)),
             ("easy8", BackfillFamily::easy(8)),
             ("conservative", BackfillFamily::Conservative),

@@ -28,7 +28,8 @@
 //! `--hist` prints ASCII histograms of the waiting / execution /
 //! completion distributions. `--gen-swf` writes a synthetic SWF trace to
 //! stdout for long-replay smoke tests. `--bench-json` runs the scheduler
-//! hot-path throughput grid (arena vs indexed vs scan-reference) and
+//! hot-path throughput grid (the production path per backfill family,
+//! machine and fault axis, and the scan reference) and
 //! appends one run to the `BENCH_sched.json` perf-trajectory document,
 //! keeping every prior run byte-identical (default path: repo root /
 //! current directory; `--smoke` shrinks the grid for CI; `--bench-label`
@@ -67,8 +68,7 @@ fn main() {
             }
         };
         let seed = parsed_flag(&args, "--seed").unwrap_or(SEED);
-        let spacing = parsed_flag::<f64>(&args, "--spacing");
-        gen_swf(jobs, seed, spacing);
+        gen_swf(jobs, seed, positive_seconds(&args, "--spacing"));
         return;
     }
     let target = args.first().map(String::as_str).unwrap_or("quick");
@@ -88,6 +88,19 @@ fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
         Ok(v) => v,
         Err(_) => {
             eprintln!("{flag} expects a number, got `{v}`");
+            std::process::exit(2);
+        }
+    })
+}
+
+/// Parses `--flag S` as a finite, positive number of seconds. `nan` and
+/// `inf` parse as `f64`, and NaN passes a `<= 0.0` check, so the test is
+/// written the other way round.
+fn positive_seconds(args: &[String], flag: &str) -> Option<f64> {
+    flag_value(args, flag).map(|v| match v.parse::<f64>() {
+        Ok(s) if s.is_finite() && s > 0.0 => s,
+        _ => {
+            eprintln!("{flag} expects a positive number of seconds, got `{v}`");
             std::process::exit(2);
         }
     })
@@ -152,9 +165,9 @@ fn fault_flags(args: &[String]) -> (dmr_core::FaultLoad, Option<dmr_core::FaultT
 /// `BENCH_sched.json` trajectory (prior runs stay byte-identical; a
 /// legacy v1 snapshot is migrated verbatim as run 0). Exits non-zero if
 /// the spliced document fails its schema gate or any acceptance bar
-/// regresses: arena-vs-indexed headline speedup, conservative backfill
-/// against its own last committed full run, or the incremental-scheduling
-/// cross-run throughput gate against the `pr7-slotset-backfill` run.
+/// regresses: conservative backfill against its own last committed full
+/// run, the headline cell against the `pr7-slotset-backfill` run, or the
+/// within-run hetero3/uniform and faulty/calm ratios.
 fn run_bench_json(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
     let path = flag_value(args, "--bench-out").unwrap_or("BENCH_sched.json");
@@ -170,19 +183,14 @@ fn run_bench_json(args: &[String]) {
         eprintln!(
             "bench: n{:<5} q{:<6} {:<16} {:>12.0} events/s  ({:.0} jobs/s, peak queue {}, \
              passes {} run / {} elided)",
-            cell.nodes,
-            cell.queue_depth,
+            cell.cell.nodes,
+            cell.cell.depth,
             format!(
-                "{}/{}/{}{}{}",
-                cell.mode,
-                cell.backfill,
-                cell.incremental,
-                if cell.machine == "uniform" {
-                    ""
-                } else {
-                    "/hetero3"
-                },
-                if cell.faults == "off" { "" } else { "/faulty" }
+                "{}/{}{}{}",
+                cell.cell.mode(),
+                cell.cell.family.label(),
+                if cell.cell.hetero { "/hetero3" } else { "" },
+                if cell.cell.faulty { "/faulty" } else { "" }
             ),
             cell.events_per_sec(),
             cell.jobs_per_sec(),
@@ -207,21 +215,15 @@ fn run_bench_json(args: &[String]) {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(1);
     }
-    let speedup = hotpath::headline_speedup(&doc).unwrap_or(0.0);
     eprintln!(
-        "appended run \"{label}\" to {path} ({} runs; headline speedup vs indexed: {speedup:.1}x)",
+        "appended run \"{label}\" to {path} ({} runs)",
         hotpath::run_count(&doc)
     );
-    // The bar was 5x when the indexed path re-derived everything per
-    // pass. Pass elision is index-agnostic — both paths skip the same
-    // provably-no-op passes — so the headline contrast compressed to the
-    // per-pass walk advantage (~1.25x measured best-of-5). The gate is
-    // now a regression guard: arena must stay strictly ahead of the
-    // indexed path, with margin for scheduler-interference noise.
-    if speedup < 1.1 {
-        eprintln!("headline speedup {speedup:.1}x is below the 1.1x acceptance bar");
-        std::process::exit(1);
-    }
+    // There is no within-run gate on the headline cell: it used to be
+    // held >= 1.1x above a second index-served path kept only as that
+    // denominator, which nobody tuned (it lost 25 % on this cell in one
+    // PR) and which is gone. The pr7 cross-run gate below guards the
+    // same cell.
     // Deep-backfill gate. Conservative used to be gated against EASY-1
     // of the same run (>= 0.85x); the indexed EASY pass moved that
     // denominator fivefold without touching conservative, so the family
@@ -233,7 +235,7 @@ fn run_bench_json(args: &[String]) {
     let ratio = hotpath::backfill_ratio(&doc).unwrap_or(0.0);
     eprintln!("backfill axis: conservative runs at {ratio:.2}x the easy1 events/s");
     let conservative = |doc: &str, label: &str| {
-        hotpath::run_cell_lookup(doc, label, nodes, depth, "arena", "conservative", "on")
+        hotpath::run_cell_lookup(doc, label, nodes, depth, "arena", "conservative")
     };
     let prior = existing.as_deref().and_then(|old| {
         let label = hotpath::last_full_run(old)?;
@@ -257,10 +259,7 @@ fn run_bench_json(args: &[String]) {
         ),
     }
     if let Some(rate) = hotpath::elision_rate(&doc) {
-        eprintln!(
-            "incremental axis: {:.1}% of headline passes elided",
-            rate * 100.0
-        );
+        eprintln!("headline cell: {:.1}% of passes elided", rate * 100.0);
     }
     // Cross-run gate: the incremental scheduler must beat the
     // pre-incremental trajectory run on the headline cell by ≥ 1.3x.
@@ -270,16 +269,8 @@ fn run_bench_json(args: &[String]) {
     // interleaved repeats cannot spread interference across them — so
     // only full runs (300-round cells) enforce it; smoke runs report the
     // comparison without failing.
-    let baseline = hotpath::run_cell_lookup(
-        &doc,
-        "pr7-slotset-backfill",
-        nodes,
-        depth,
-        "arena",
-        "easy1",
-        "on",
-    );
-    let fresh = hotpath::run_cell_lookup(&doc, &label, nodes, depth, "arena", "easy1", "on");
+    let easy1 = |label: &str| hotpath::run_cell_lookup(&doc, label, nodes, depth, "arena", "easy1");
+    let (baseline, fresh) = (easy1("pr7-slotset-backfill"), easy1(&label));
     match (baseline, fresh) {
         (Some(base), Some(fresh)) if base.events_per_sec > 0.0 => {
             let gain = fresh.events_per_sec / base.events_per_sec;
@@ -446,11 +437,7 @@ fn run_trace(path: &str, args: &[String]) {
         .with_nodes(nodes)
         .with_faults(load)
         .online();
-    if let Some(s) = parsed_flag::<f64>(args, "--ckpt-interval") {
-        if s <= 0.0 {
-            eprintln!("--ckpt-interval expects a positive number of seconds, got `{s}`");
-            std::process::exit(2);
-        }
+    if let Some(s) = positive_seconds(args, "--ckpt-interval") {
         cfg = cfg.with_ckpt_interval(s);
     }
     // A trace replay has no randomness: two opens of the same file are

@@ -4,33 +4,37 @@
 //! Drives a synthetic churn workload (a full machine with a deep pending
 //! queue, one completion + one submission + one scheduling pass per
 //! round, a backfill pass every `bf_interval`-like 30 rounds) through
-//! the scheduler once per mode per grid cell: the arena hot path
-//! ([`SchedIndex::Arena`], the default), the previous incremental-index
-//! path ([`SchedIndex::Indexed`], the baseline the arena is gated
-//! against) and — on the cells where it finishes in reasonable time —
-//! the pre-index scan reference ([`SchedIndex::ScanReference`]). All
-//! runs execute the *identical* operation sequence — the paths are
-//! decision-identical by construction (pinned by
-//! `tests/index_equivalence.rs`) — so the wall-clock ratios are a pure
-//! measure of each optimisation layer.
+//! the scheduler once per [`Cell`] of a declarative table
+//! ([`cell_table`]): the production path ([`SchedIndex::Arena`]) under
+//! each backfill family, on the three-class machine and under node
+//! failures, and — on the grid cells where it finishes in reasonable
+//! time — the scan reference ([`SchedIndex::ScanReference`]). Cells that
+//! differ only in `reference` execute the *identical* operation sequence
+//! (the two paths are decision-identical, pinned by
+//! `tests/index_equivalence.rs`), so their wall-clock ratio measures the
+//! indices and memos alone.
 //!
 //! The document `repro --bench-json` maintains is **append-only**: every
 //! invocation renders one *run* object ([`render_run`]) and splices it
 //! into the existing `dmr-bench-sched/v2` document ([`append_run`]),
 //! leaving every prior run byte-for-byte intact — the file is a perf
 //! trajectory across PRs, not a snapshot. A legacy `dmr-bench-sched/v1`
-//! snapshot is migrated verbatim as run 0. [`validate_bench_json`] is
-//! the schema gate the CI smoke step (and the unit tests) run against
-//! the rendered document.
+//! snapshot is migrated verbatim as run 0. Runs committed before the
+//! scheduler was cut down to two paths carry `"mode": "indexed"` and
+//! `"incremental": "off"` cells, an `incremental_axis` block and an
+//! arena-over-indexed speedup in the headline; nothing renders or
+//! requires those any more, and the parser still reads them. [`validate_bench_json`] is the
+//! schema gate the CI smoke step (and the unit tests) run against the
+//! rendered document.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use dmr_cluster::Cluster;
+use dmr_cluster::{Cluster, FailOutcome, NodeId};
 use dmr_core::MachineMix;
 use dmr_sim::{SimTime, Span};
-use dmr_slurm::{BackfillFamily, JobRequest, SchedIncremental, SchedIndex, Slurm, SlurmConfig};
+use dmr_slurm::{BackfillFamily, JobId, JobRequest, SchedIndex, Slurm, SlurmConfig};
 
 /// Schema identifier embedded in (and required from) every document.
 pub const SCHEMA: &str = "dmr-bench-sched/v2";
@@ -45,27 +49,73 @@ const DOC_PREFIX: &str = "{\"schema\": \"dmr-bench-sched/v2\",\n\"runs\": [\n";
 /// prior runs stay byte-identical (the CI trajectory invariant).
 const DOC_SUFFIX: &str = "\n]}\n";
 
-/// One (cluster size, queue depth, mode) measurement.
+/// What one measurement runs: a grid cell and one setting per axis.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Cell {
+    pub nodes: u32,
+    /// Pending jobs queued before the first round.
+    pub depth: u32,
+    /// The scan reference instead of the production path.
+    pub reference: bool,
+    pub family: BackfillFamily,
+    /// The same churn on a three-class [`MachineMix::Hetero3`] cluster,
+    /// driving the per-class free sets and timelines on every pass. The
+    /// churn jobs stay class-unconstrained, so the pass-elision memos
+    /// keep firing and the measured contrast is the per-class
+    /// bookkeeping alone.
+    pub hetero: bool,
+    /// A deterministic node failure every 10th round (kill-and-requeue
+    /// when the node was serving a job) repaired five rounds later, so
+    /// at most one node is down at a time and capacity recovers.
+    pub faulty: bool,
+}
+
+impl Cell {
+    /// The cell every axis is read against: the production path, EASY-1
+    /// (the paper's configuration), uniform machine, no faults.
+    pub fn base(nodes: u32, depth: u32) -> Cell {
+        Cell {
+            nodes,
+            depth,
+            reference: false,
+            family: BackfillFamily::easy(1),
+            hetero: false,
+            faulty: false,
+        }
+    }
+
+    /// `"arena"` or `"scan"` — the `mode` key of a rendered cell.
+    pub fn mode(&self) -> &'static str {
+        if self.reference {
+            "scan"
+        } else {
+            "arena"
+        }
+    }
+
+    /// `"uniform"` or `"hetero3"` — the `machine` key.
+    pub fn machine(&self) -> &'static str {
+        if self.hetero {
+            "hetero3"
+        } else {
+            "uniform"
+        }
+    }
+
+    /// `"off"` or `"on"` — the `faults` key.
+    pub fn faults(&self) -> &'static str {
+        if self.faulty {
+            "on"
+        } else {
+            "off"
+        }
+    }
+}
+
+/// One measured [`Cell`].
 #[derive(Clone, Debug)]
 pub struct CellResult {
-    pub nodes: u32,
-    pub queue_depth: u32,
-    /// `"arena"`, `"indexed"` or `"scan"`.
-    pub mode: &'static str,
-    /// Backfill family the cell ran (`"easy1"`, `"easy8"`, `"easy64"` or
-    /// `"conservative"`) — the backfill-depth axis.
-    pub backfill: &'static str,
-    /// `"on"` (the default incremental scheduler) or `"off"` (the costed
-    /// from-scratch baseline) — the incremental axis.
-    pub incremental: &'static str,
-    /// `"uniform"` (the historical single-class machine) or `"hetero3"`
-    /// (the three-class machine driving per-class free sets and
-    /// timelines) — the machine axis.
-    pub machine: &'static str,
-    /// `"off"` (the historical fault-free churn) or `"on"` (periodic
-    /// node failures with kill-and-requeue plus repairs) — the fault
-    /// axis.
-    pub faults: &'static str,
+    pub cell: Cell,
     pub rounds: u32,
     /// Scheduling events processed: submissions + completions + passes +
     /// job starts.
@@ -73,8 +123,8 @@ pub struct CellResult {
     pub jobs_started: u64,
     pub peak_queue_depth: u64,
     /// Scheduling + backfill passes that executed / that returned via the
-    /// O(1) elision path — reported per cell so the incremental win is
-    /// attributable, not inferred (always 0 elided under `"off"`).
+    /// O(1) elision path — reported per cell so the memos' win is
+    /// attributable, not inferred (the reference never elides).
     pub passes_run: u64,
     pub passes_elided: u64,
     pub elapsed_s: f64,
@@ -82,29 +132,27 @@ pub struct CellResult {
 
 impl CellResult {
     pub fn events_per_sec(&self) -> f64 {
-        if self.elapsed_s > 0.0 {
-            self.events as f64 / self.elapsed_s
-        } else {
-            0.0
-        }
+        ratio(self.events as f64, self.elapsed_s)
     }
 
     pub fn jobs_per_sec(&self) -> f64 {
-        if self.elapsed_s > 0.0 {
-            self.jobs_started as f64 / self.elapsed_s
-        } else {
-            0.0
-        }
+        ratio(self.jobs_started as f64, self.elapsed_s)
     }
 
     /// Fraction of passes answered by the O(1) elision path.
     pub fn elision_rate(&self) -> f64 {
-        let total = self.passes_run + self.passes_elided;
-        if total > 0 {
-            self.passes_elided as f64 / total as f64
-        } else {
-            0.0
-        }
+        ratio(
+            self.passes_elided as f64,
+            (self.passes_run + self.passes_elided) as f64,
+        )
+    }
+}
+
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
     }
 }
 
@@ -126,50 +174,57 @@ pub fn grid(smoke: bool) -> Vec<(u32, u32)> {
     }
 }
 
-/// Modes measured on one cell. The scan reference recomputes every
-/// pending priority per pass — O(queue) work per round that the paper's
-/// own trajectory already quantified at 4096×10k — so the cells beyond
-/// that scale run only the two indexed paths (the contrast the headline
-/// gate reads).
-pub fn modes_for(nodes: u32, depth: u32) -> Vec<SchedIndex> {
-    if nodes > 4096 || depth > 10_000 {
-        vec![SchedIndex::Arena, SchedIndex::Indexed]
-    } else {
-        vec![
-            SchedIndex::Arena,
-            SchedIndex::Indexed,
-            SchedIndex::ScanReference,
-        ]
+/// Everything a run measures, one group per [`grid`] cell (a group is
+/// what one best-of-N measurement interleaves). Every group opens with
+/// its [`Cell::base`]. The 4096×10k mid-scale cell and the 65,536×100k
+/// headline cell (smoke: the headline cell only) carry the axes: the
+/// machine and fault twins *adjacent* to the base cell — their gates are
+/// ratios against it, and back-to-back measurements compare better than
+/// the two ends of a sweep — then the deeper backfill families. The scan
+/// reference recomputes every pending priority per pass — O(queue) work
+/// per round — so it runs up to 4096×10k and not beyond.
+pub fn cell_table(smoke: bool) -> Vec<Vec<Cell>> {
+    let mut table = Vec::new();
+    for (nodes, depth) in grid(smoke) {
+        let base = Cell::base(nodes, depth);
+        let with_axes =
+            (nodes, depth) == (65_536, 100_000) || (!smoke && (nodes, depth) == (4096, 10_000));
+        let mut group = vec![base];
+        if with_axes {
+            group.push(Cell {
+                hetero: true,
+                ..base
+            });
+            group.push(Cell {
+                faulty: true,
+                ..base
+            });
+        }
+        if nodes <= 4096 && depth <= 10_000 {
+            group.push(Cell {
+                reference: true,
+                ..base
+            });
+        }
+        if with_axes {
+            group.extend(
+                [
+                    BackfillFamily::easy(8),
+                    BackfillFamily::easy(64),
+                    BackfillFamily::Conservative,
+                ]
+                .map(|family| Cell { family, ..base }),
+            );
+        }
+        table.push(group);
     }
-}
-
-/// The backfill-depth axis: deeper families measured on top of the
-/// default EASY-1 arena cell (k ∈ {8, 64} and conservative; the k = 1
-/// baseline for the ratio *is* the regular arena cell).
-pub fn backfill_axis_families() -> [BackfillFamily; 3] {
-    [
-        BackfillFamily::easy(8),
-        BackfillFamily::easy(64),
-        BackfillFamily::Conservative,
-    ]
-}
-
-/// The grid cells that also run the backfill-depth axis: the 4096×10k
-/// mid-scale cell and the 65,536×100k headline cell (smoke runs only the
-/// headline cell, which its grid already ends with).
-pub fn backfill_axis_cells(smoke: bool) -> Vec<(u32, u32)> {
-    if smoke {
-        vec![(65_536, 100_000)]
-    } else {
-        vec![(4096, 10_000), (65_536, 100_000)]
-    }
+    table
 }
 
 /// Rounds of churn per cell. The smoke count is chosen so the headline
 /// cell's timed section is long enough (≥ tens of milliseconds) for the
-/// arena/indexed ratio to be stable: at 30 rounds the arena sample sat
-/// under 10 ms and run-to-run noise alone swung the smoke gate across
-/// the 5x bar.
+/// within-run ratios to be stable: at 30 rounds a sample sat under 10 ms
+/// and run-to-run noise alone swung a gate across its bar.
 pub fn rounds(smoke: bool) -> u32 {
     if smoke {
         150
@@ -178,7 +233,7 @@ pub fn rounds(smoke: bool) -> u32 {
     }
 }
 
-/// Runs one grid cell under `mode` with the default EASY-1 backfill.
+/// Runs one cell.
 ///
 /// The churn loop mirrors the driver's steady state: the machine starts
 /// full (one running job per 64th of the cluster), the queue starts
@@ -186,90 +241,17 @@ pub fn rounds(smoke: bool) -> u32 {
 /// running job, submits a replacement, and runs the event-driven
 /// scheduling pass; every 30th round runs the periodic backfill pass
 /// (Slurm's `bf_interval` at one round per second).
-pub fn run_cell(nodes: u32, depth: u32, mode: SchedIndex, rounds: u32) -> CellResult {
-    run_cell_family(nodes, depth, mode, rounds, BackfillFamily::easy(1))
-}
-
-/// [`run_cell`] with an explicit backfill family — the backfill-depth
-/// axis runs the arena path under EASY-8 / EASY-64 / conservative on the
-/// same churn sequence.
-pub fn run_cell_family(
-    nodes: u32,
-    depth: u32,
-    mode: SchedIndex,
-    rounds: u32,
-    family: BackfillFamily,
-) -> CellResult {
-    run_cell_incremental(nodes, depth, mode, rounds, family, SchedIncremental::On)
-}
-
-/// [`run_cell_family`] with an explicit incremental setting — the
-/// incremental axis re-measures the headline cells with pass elision and
-/// the persistent plans disabled ([`SchedIncremental::Off`], the costed
-/// baseline) on the same churn sequence.
-pub fn run_cell_incremental(
-    nodes: u32,
-    depth: u32,
-    mode: SchedIndex,
-    rounds: u32,
-    family: BackfillFamily,
-    incremental: SchedIncremental,
-) -> CellResult {
-    run_cell_machine(nodes, depth, mode, rounds, family, incremental, false)
-}
-
-/// [`run_cell_incremental`] with an explicit machine axis — `hetero`
-/// runs the same churn on a three-class [`MachineMix::Hetero3`] cluster,
-/// driving the per-class free sets and timelines on every pass. The
-/// churn jobs stay class-unconstrained, so the pass-elision memos keep
-/// firing and the measured contrast is the per-class bookkeeping alone.
-pub fn run_cell_machine(
-    nodes: u32,
-    depth: u32,
-    mode: SchedIndex,
-    rounds: u32,
-    family: BackfillFamily,
-    incremental: SchedIncremental,
-    hetero: bool,
-) -> CellResult {
-    run_cell_faulty(
-        nodes,
-        depth,
-        mode,
-        rounds,
-        family,
-        incremental,
-        hetero,
-        false,
-    )
-}
-
-/// [`run_cell_machine`] with an explicit fault axis — `faulty` injects a
-/// deterministic node failure every 10th round (kill-and-requeue when
-/// the node was serving a job) and repairs it five rounds later, so at
-/// most one node is down at a time and the machine's capacity recovers.
-/// The gate reads this cell against its calm twin: failure handling —
-/// incremental capacity invalidation, requeue resubmission, repair
-/// wake-up — must not collapse the scheduler hot path.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_faulty(
-    nodes: u32,
-    depth: u32,
-    mode: SchedIndex,
-    rounds: u32,
-    family: BackfillFamily,
-    incremental: SchedIncremental,
-    hetero: bool,
-    faulty: bool,
-) -> CellResult {
+pub fn run_cell(cell: &Cell, rounds: u32) -> CellResult {
+    let Cell { nodes, depth, .. } = *cell;
     let mut cfg = SlurmConfig::for_cluster(nodes);
-    cfg.sched_index = mode;
-    cfg.backfill_family = family;
-    cfg.sched_incremental = incremental;
+    if cell.reference {
+        cfg.sched_index = SchedIndex::ScanReference;
+    }
+    cfg.backfill_family = cell.family;
     // Steady-state churn would grow the terminal-record table without
     // bound; the streaming driver prunes it, so the bench does too.
     cfg.retain_completed = false;
-    let cluster = if hetero {
+    let cluster = if cell.hetero {
         Cluster::with_classes(MachineMix::Hetero3.table(nodes, 16))
     } else {
         Cluster::new(nodes, 16)
@@ -300,7 +282,7 @@ pub fn run_cell_faulty(
     let mut jobs_started: u64 = 0;
     let mut pending = u64::from(depth);
     let mut peak = pending;
-    let mut down: VecDeque<dmr_cluster::NodeId> = VecDeque::new();
+    let mut down: VecDeque<NodeId> = VecDeque::new();
     let t0 = Instant::now();
     for r in 0..rounds {
         let now = SimTime::from_secs(1000 + u64::from(r));
@@ -308,28 +290,24 @@ pub fn run_cell_faulty(
             s.complete(id, now);
             events += 1;
         }
-        if faulty && r % 10 == 3 {
+        if cell.faulty && r % 10 == 3 {
             // Deterministic victim walk; most hits land on busy nodes
             // (the machine runs full), exercising kill-and-requeue.
-            let node = dmr_cluster::NodeId((r / 10 * 17 + 1) % nodes);
-            match s.fail_node(node) {
-                dmr_cluster::FailOutcome::Busy(owner) => {
-                    let victim = dmr_slurm::JobId(owner);
-                    running.retain(|&id| id != victim);
-                    if s.requeue_failed(victim, now).is_some() {
-                        pending += 1;
-                    }
-                    down.push_back(node);
-                    events += 1;
+            let node = NodeId((r / 10 * 17 + 1) % nodes);
+            let outcome = s.fail_node(node);
+            if let FailOutcome::Busy(owner) = outcome {
+                let victim = JobId(owner);
+                running.retain(|&id| id != victim);
+                if s.requeue_failed(victim, now).is_some() {
+                    pending += 1;
                 }
-                dmr_cluster::FailOutcome::Idle => {
-                    down.push_back(node);
-                    events += 1;
-                }
-                dmr_cluster::FailOutcome::Skipped => {}
+            }
+            if outcome != FailOutcome::Skipped {
+                down.push_back(node);
+                events += 1;
             }
         }
-        if faulty && r % 10 == 8 {
+        if cell.faulty && r % 10 == 8 {
             if let Some(node) = down.pop_front() {
                 s.repair_node(node);
                 events += 1;
@@ -342,22 +320,17 @@ pub fn run_cell_faulty(
             now,
         );
         pending += 1;
-        events += 1;
-        events += 1; // the scheduling pass itself
-        for start in s.schedule(now) {
+        events += 2; // the submission and the scheduling pass itself
+        let mut started = s.schedule(now);
+        if r % 30 == 29 {
+            events += 1;
+            started.extend(s.backfill_pass(now));
+        }
+        for start in started {
             running.push_back(start.id);
             jobs_started += 1;
             pending -= 1;
             events += 1;
-        }
-        if r % 30 == 29 {
-            events += 1;
-            for start in s.backfill_pass(now) {
-                running.push_back(start.id);
-                jobs_started += 1;
-                pending -= 1;
-                events += 1;
-            }
         }
         peak = peak.max(pending);
     }
@@ -365,20 +338,7 @@ pub fn run_cell_faulty(
     let stats = s.incremental_stats();
 
     CellResult {
-        nodes,
-        queue_depth: depth,
-        mode: match mode {
-            SchedIndex::Arena => "arena",
-            SchedIndex::Indexed => "indexed",
-            SchedIndex::ScanReference => "scan",
-        },
-        backfill: family.label(),
-        incremental: match incremental {
-            SchedIncremental::On => "on",
-            SchedIncremental::Off => "off",
-        },
-        machine: if hetero { "hetero3" } else { "uniform" },
-        faults: if faulty { "on" } else { "off" },
+        cell: *cell,
         rounds,
         events,
         jobs_started,
@@ -391,50 +351,30 @@ pub fn run_cell_faulty(
 
 /// Measurement repeats per cell; the fastest repeat is kept. The timed
 /// churn sections are tens of milliseconds, short enough that
-/// scheduler-interference noise alone used to swing the CI speedup gate
-/// across its bar — and interference is one-sided (contention only ever
+/// scheduler-interference noise alone used to swing the CI gates across
+/// their bars — and interference is one-sided (contention only ever
 /// slows a run down), so best-of-N converges on the machine's true rate.
-/// Pass elision made the timed sections shorter still, which is why the
-/// full run now takes the same repeat count instead of a single sample.
-pub fn repeats(_smoke: bool) -> u32 {
-    5
-}
+pub const REPEATS: u32 = 5;
 
-/// Measures every config of one grid cell, *rep-major*: each repeat
-/// sweeps all configs once before any config repeats. Every acceptance
-/// gate is a ratio between configs of the same cell (arena/indexed,
-/// conservative/easy1, on/off, hetero/uniform); a config-major order
-/// would let a burst of machine interference land entirely on one side
-/// of a ratio and swing the gate, while interleaving spreads any burst
-/// across all sides. Each repeat also *rotates* its starting config:
-/// slow-changing bias (frequency scaling, a neighbour spinning up)
-/// penalises whatever runs late in a sweep, and without rotation the
-/// same config sits in the same slot every repeat — a bias best-of-N
-/// can never average away, which showed up as the last-listed hetero
-/// cell reading 15-25% slow against its uniform twin measured first.
-/// The fastest repeat per config is kept.
-fn best_cells(
-    nodes: u32,
-    depth: u32,
-    rounds: u32,
-    configs: &[(SchedIndex, BackfillFamily, SchedIncremental, bool, bool)],
-    reps: u32,
-) -> Vec<CellResult> {
-    let mut best: Vec<Option<CellResult>> = configs.iter().map(|_| None).collect();
-    for rep in 0..reps as usize {
-        for k in 0..configs.len() {
-            let idx = (k + rep) % configs.len();
-            let (mode, family, incremental, hetero, faulty) = configs[idx];
-            let next = run_cell_faulty(
-                nodes,
-                depth,
-                mode,
-                rounds,
-                family,
-                incremental,
-                hetero,
-                faulty,
-            );
+/// Measures every cell of one group, *rep-major*: each repeat sweeps
+/// all cells once before any cell repeats. Every within-run gate is a
+/// ratio between cells of the same group (conservative/easy1,
+/// hetero/uniform, faulty/calm); a cell-major order would let a burst
+/// of machine interference land entirely on one side of a ratio and
+/// swing the gate, while interleaving spreads any burst across all
+/// sides. Each repeat also *rotates* its starting cell: slow-changing
+/// bias (frequency scaling, a neighbour spinning up) penalises whatever
+/// runs late in a sweep, and without rotation the same cell sits in the
+/// same slot every repeat — a bias best-of-N can never average away,
+/// which showed up as the last-listed hetero cell reading 15-25% slow
+/// against its uniform twin measured first. The fastest repeat per cell
+/// is kept.
+fn best_cells(group: &[Cell], rounds: u32) -> Vec<CellResult> {
+    let mut best: Vec<Option<CellResult>> = group.iter().map(|_| None).collect();
+    for rep in 0..REPEATS as usize {
+        for k in 0..group.len() {
+            let idx = (k + rep) % group.len();
+            let next = run_cell(&group[idx], rounds);
             match &mut best[idx] {
                 Some(b) => {
                     debug_assert_eq!(next.events, b.events, "repeats diverged");
@@ -449,85 +389,12 @@ fn best_cells(
     best.into_iter().flatten().collect()
 }
 
-/// Runs the whole grid (every [`modes_for`] mode per cell), reporting
-/// progress through `progress` (one line per finished cell; `repro`
-/// points this at stderr). The backfill-axis cells additionally measure
-/// the incremental axis: EASY-1 and conservative re-run with
-/// [`SchedIncremental::Off`], so each headline cell carries an on/off
-/// pair (the on cells are the regular grid / backfill-axis cells).
+/// Runs the whole [`cell_table`], reporting progress through `progress`
+/// (one line per finished cell; `repro` points this at stderr).
 pub fn run_grid(smoke: bool, mut progress: impl FnMut(&CellResult)) -> Vec<CellResult> {
-    let rounds = rounds(smoke);
-    let reps = repeats(smoke);
-    let axis = backfill_axis_cells(smoke);
     let mut out = Vec::new();
-    for (nodes, depth) in grid(smoke) {
-        let mut configs: Vec<(SchedIndex, BackfillFamily, SchedIncremental, bool, bool)> =
-            modes_for(nodes, depth)
-                .into_iter()
-                .map(|mode| {
-                    (
-                        mode,
-                        BackfillFamily::easy(1),
-                        SchedIncremental::On,
-                        false,
-                        false,
-                    )
-                })
-                .collect();
-        if axis.contains(&(nodes, depth)) {
-            configs.extend(backfill_axis_families().into_iter().map(|family| {
-                (
-                    SchedIndex::Arena,
-                    family,
-                    SchedIncremental::On,
-                    false,
-                    false,
-                )
-            }));
-            configs.extend(
-                [BackfillFamily::easy(1), BackfillFamily::Conservative]
-                    .into_iter()
-                    .map(|family| {
-                        (
-                            SchedIndex::Arena,
-                            family,
-                            SchedIncremental::Off,
-                            false,
-                            false,
-                        )
-                    }),
-            );
-            // The machine axis: the same arena EASY-1 churn on the
-            // three-class cluster — the "per-class bookkeeping does not
-            // collapse the hot path" gate reads this cell against its
-            // uniform twin, so it is inserted *adjacent* to that twin:
-            // the gate ratio then compares back-to-back measurements
-            // rather than the two ends of a sweep.
-            configs.insert(
-                1,
-                (
-                    SchedIndex::Arena,
-                    BackfillFamily::easy(1),
-                    SchedIncremental::On,
-                    true,
-                    false,
-                ),
-            );
-            // The fault axis: the same arena EASY-1 churn under periodic
-            // node failure and repair — adjacent to the calm twin for
-            // the same back-to-back-measurement reason.
-            configs.insert(
-                2,
-                (
-                    SchedIndex::Arena,
-                    BackfillFamily::easy(1),
-                    SchedIncremental::On,
-                    false,
-                    true,
-                ),
-            );
-        }
-        for cell in best_cells(nodes, depth, rounds, &configs, reps) {
+    for group in cell_table(smoke) {
+        for cell in best_cells(&group, rounds(smoke)) {
             progress(&cell);
             out.push(cell);
         }
@@ -548,13 +415,45 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+/// The within-run axes: block name, the base cell's name on that axis,
+/// the axis cell's name, and what picks the axis cell. A block renders
+/// as `"<block>": {.., "<base>_events_per_sec", "<axis>_events_per_sec",
+/// "<axis>_vs_<base>"}`; `repro` gates the ratios (conservative against
+/// its own history instead, hetero3 ≥ 0.8, faulty ≥ 0.7).
+type Axis = (&'static str, &'static str, &'static str, fn(&Cell) -> bool);
+const AXES: [Axis; 3] = [
+    ("backfill_axis", "easy1", "conservative", |c| {
+        c.family == BackfillFamily::Conservative
+    }),
+    ("hetero_axis", "uniform", "hetero", |c| c.hetero),
+    ("fault_axis", "calm", "faulty", |c| c.faulty),
+];
+
+/// The last production cell `pick` selects and the base cell of the same
+/// grid cell — the two sides of an axis ratio. `None` when the run
+/// measured no such pair.
+fn axis_pair(
+    cells: &[CellResult],
+    pick: impl Fn(&Cell) -> bool,
+) -> Option<(&CellResult, &CellResult)> {
+    let axis = cells
+        .iter()
+        .rev()
+        .find(|c| !c.cell.reference && pick(&c.cell))?;
+    let base = Cell::base(axis.cell.nodes, axis.cell.depth);
+    Some((axis, cells.iter().find(|c| c.cell == base)?))
+}
+
 /// Renders one grid run as a v2 *run* object (the element
 /// [`append_run`] splices into the trajectory document).
 ///
-/// The headline block compares the arena and indexed paths on the last
-/// grid cell (the 65,536-node / 100k-pending scenario):
-/// `speedup_vs_indexed` is the events-per-second ratio the acceptance
-/// gate reads.
+/// The headline block is the base cell of the last grid cell (the
+/// 65,536-node / 100k-pending scenario) — the events-per-second figure
+/// `repro`'s cross-run gate reads through [`run_cell_lookup`] — with
+/// the fraction of its passes the memos elided. Every cell carries
+/// `"incremental": "on"`: committed runs hold `"off"` twins, and one
+/// format lets [`run_cell_lookup`] tell them apart in old and new runs
+/// alike.
 pub fn render_run(cells: &[CellResult], smoke: bool, label: &str) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"label\": \"{}\",", label.replace('"', "'"));
@@ -564,17 +463,16 @@ pub fn render_run(cells: &[CellResult], smoke: bool, label: &str) -> String {
         let _ = write!(
             out,
             "    {{\"nodes\": {}, \"queue_depth\": {}, \"mode\": \"{}\", \"backfill\": \"{}\", \
-             \"incremental\": \"{}\", \"machine\": \"{}\", \"faults\": \"{}\", \"rounds\": {}, \
+             \"incremental\": \"on\", \"machine\": \"{}\", \"faults\": \"{}\", \"rounds\": {}, \
              \"events\": {}, \"jobs_started\": {}, \"peak_queue_depth\": {}, \
              \"passes_run\": {}, \"passes_elided\": {}, \
              \"elapsed_s\": {}, \"events_per_sec\": {}, \"jobs_per_sec\": {}}}",
-            c.nodes,
-            c.queue_depth,
-            c.mode,
-            c.backfill,
-            c.incremental,
-            c.machine,
-            c.faults,
+            c.cell.nodes,
+            c.cell.depth,
+            c.cell.mode(),
+            c.cell.family.label(),
+            c.cell.machine(),
+            c.cell.faults(),
             c.rounds,
             c.events,
             c.jobs_started,
@@ -588,282 +486,44 @@ pub fn render_run(cells: &[CellResult], smoke: bool, label: &str) -> String {
         out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
-    let headline = headline(cells);
+    let is_base = |c: &&CellResult| c.cell == Cell::base(c.cell.nodes, c.cell.depth);
+    let (nodes, depth, eps, elided) =
+        cells
+            .iter()
+            .rev()
+            .find(is_base)
+            .map_or((0, 0, 0.0, 0.0), |c| {
+                (
+                    c.cell.nodes,
+                    c.cell.depth,
+                    c.events_per_sec(),
+                    c.elision_rate(),
+                )
+            });
     let _ = write!(
         out,
-        "  \"headline\": {{\"nodes\": {}, \"queue_depth\": {}, \
-         \"arena_events_per_sec\": {}, \"indexed_events_per_sec\": {}, \
-         \"speedup_vs_indexed\": {}}}",
-        headline.0,
-        headline.1,
-        json_f64(headline.2),
-        json_f64(headline.3),
-        json_f64(headline.4),
+        "  \"headline\": {{\"nodes\": {nodes}, \"queue_depth\": {depth}, \
+         \"arena_events_per_sec\": {}, \"elision_rate\": {}}}",
+        json_f64(eps),
+        json_f64(elided),
     );
-    if let Some(axis) = backfill_headline(cells) {
-        let _ = write!(
-            out,
-            ",\n  \"backfill_axis\": {{\"nodes\": {}, \"queue_depth\": {}, \
-             \"easy1_events_per_sec\": {}, \"conservative_events_per_sec\": {}, \
-             \"conservative_vs_easy1\": {}}}",
-            axis.0,
-            axis.1,
-            json_f64(axis.2),
-            json_f64(axis.3),
-            json_f64(axis.4),
-        );
-    }
-    if let Some(axis) = incremental_headline(cells) {
-        // Rendered *after* backfill_axis on purpose: it repeats the
-        // conservative_vs_easy1 key (computed from the same On cells, so
-        // the values agree) and the rsplit scrapers read the last
-        // occurrence — old and new gates see the same number.
-        let _ = write!(
-            out,
-            ",\n  \"incremental_axis\": {{\"nodes\": {}, \"queue_depth\": {}, \
-             \"easy1_on_events_per_sec\": {}, \"easy1_off_events_per_sec\": {}, \
-             \"easy1_on_vs_off\": {}, \
-             \"conservative_on_events_per_sec\": {}, \"conservative_off_events_per_sec\": {}, \
-             \"conservative_on_vs_off\": {}, \
-             \"conservative_vs_easy1\": {}, \"elision_rate\": {}}}",
-            axis.nodes,
-            axis.queue_depth,
-            json_f64(axis.easy1_on),
-            json_f64(axis.easy1_off),
-            json_f64(ratio(axis.easy1_on, axis.easy1_off)),
-            json_f64(axis.conservative_on),
-            json_f64(axis.conservative_off),
-            json_f64(ratio(axis.conservative_on, axis.conservative_off)),
-            json_f64(ratio(axis.conservative_on, axis.easy1_on)),
-            json_f64(axis.elision_rate),
-        );
-    }
-    if let Some(axis) = hetero_headline(cells) {
-        let _ = write!(
-            out,
-            ",\n  \"hetero_axis\": {{\"nodes\": {}, \"queue_depth\": {}, \
-             \"uniform_events_per_sec\": {}, \"hetero_events_per_sec\": {}, \
-             \"hetero_vs_uniform\": {}}}",
-            axis.0,
-            axis.1,
-            json_f64(axis.2),
-            json_f64(axis.3),
-            json_f64(axis.4),
-        );
-    }
-    if let Some(axis) = fault_headline(cells) {
-        let _ = write!(
-            out,
-            ",\n  \"fault_axis\": {{\"nodes\": {}, \"queue_depth\": {}, \
-             \"calm_events_per_sec\": {}, \"faulty_events_per_sec\": {}, \
-             \"faulty_vs_calm\": {}}}",
-            axis.0,
-            axis.1,
-            json_f64(axis.2),
-            json_f64(axis.3),
-            json_f64(axis.4),
-        );
+    for (block, base_name, axis_name, pick) in AXES {
+        if let Some((axis, base)) = axis_pair(cells, pick) {
+            let _ = write!(
+                out,
+                ",\n  \"{block}\": {{\"nodes\": {}, \"queue_depth\": {}, \
+                 \"{base_name}_events_per_sec\": {}, \"{axis_name}_events_per_sec\": {}, \
+                 \"{axis_name}_vs_{base_name}\": {}}}",
+                axis.cell.nodes,
+                axis.cell.depth,
+                json_f64(base.events_per_sec()),
+                json_f64(axis.events_per_sec()),
+                json_f64(ratio(axis.events_per_sec(), base.events_per_sec())),
+            );
+        }
     }
     out.push_str("\n}");
     out
-}
-
-fn ratio(num: f64, den: f64) -> f64 {
-    if den > 0.0 {
-        num / den
-    } else {
-        0.0
-    }
-}
-
-/// `(nodes, depth, arena ev/s, indexed ev/s, speedup)` of the last cell.
-/// The backfill-depth axis cells (deeper-than-EASY-1 families) are not
-/// headline candidates — the headline compares hot-path layers on the
-/// paper's Slurm configuration.
-fn headline(cells: &[CellResult]) -> (u32, u32, f64, f64, f64) {
-    let Some(arena) = cells.iter().rev().find(|c| {
-        c.mode == "arena"
-            && c.backfill == "easy1"
-            && c.incremental == "on"
-            && c.machine == "uniform"
-            && c.faults == "off"
-    }) else {
-        return (0, 0, 0.0, 0.0, 0.0);
-    };
-    let indexed = cells.iter().rev().find(|c| {
-        c.mode == "indexed"
-            && c.incremental == "on"
-            && c.machine == "uniform"
-            && c.faults == "off"
-            && c.nodes == arena.nodes
-            && c.queue_depth == arena.queue_depth
-    });
-    let Some(indexed) = indexed else {
-        return (
-            arena.nodes,
-            arena.queue_depth,
-            arena.events_per_sec(),
-            0.0,
-            0.0,
-        );
-    };
-    let speedup = if indexed.events_per_sec() > 0.0 {
-        arena.events_per_sec() / indexed.events_per_sec()
-    } else {
-        0.0
-    };
-    (
-        arena.nodes,
-        arena.queue_depth,
-        arena.events_per_sec(),
-        indexed.events_per_sec(),
-        speedup,
-    )
-}
-
-/// `(nodes, depth, easy1 ev/s, conservative ev/s, ratio)` of the last
-/// backfill-axis cell — the "deep backfill does not collapse" gate reads
-/// the ratio. `None` when the run measured no conservative cell.
-fn backfill_headline(cells: &[CellResult]) -> Option<(u32, u32, f64, f64, f64)> {
-    let cons = cells.iter().rev().find(|c| {
-        c.mode == "arena"
-            && c.backfill == "conservative"
-            && c.incremental == "on"
-            && c.machine == "uniform"
-            && c.faults == "off"
-    })?;
-    let easy1 = cells.iter().rev().find(|c| {
-        c.mode == "arena"
-            && c.backfill == "easy1"
-            && c.incremental == "on"
-            && c.machine == "uniform"
-            && c.faults == "off"
-            && c.nodes == cons.nodes
-            && c.queue_depth == cons.queue_depth
-    })?;
-    let ratio = if easy1.events_per_sec() > 0.0 {
-        cons.events_per_sec() / easy1.events_per_sec()
-    } else {
-        0.0
-    };
-    Some((
-        cons.nodes,
-        cons.queue_depth,
-        easy1.events_per_sec(),
-        cons.events_per_sec(),
-        ratio,
-    ))
-}
-
-/// The incremental-axis headline: the last cell measured with
-/// [`SchedIncremental::Off`] paired with its On twin, for EASY-1 and
-/// conservative.
-struct IncrementalAxis {
-    nodes: u32,
-    queue_depth: u32,
-    easy1_on: f64,
-    easy1_off: f64,
-    conservative_on: f64,
-    conservative_off: f64,
-    /// Elision rate of the EASY-1 arena *On* cell — the fraction of
-    /// passes the memos answered in O(1).
-    elision_rate: f64,
-}
-
-fn incremental_headline(cells: &[CellResult]) -> Option<IncrementalAxis> {
-    let off = |backfill: &str| {
-        cells.iter().rev().find(|c| {
-            c.mode == "arena"
-                && c.backfill == backfill
-                && c.incremental == "off"
-                && c.machine == "uniform"
-                && c.faults == "off"
-        })
-    };
-    let easy_off = off("easy1")?;
-    let cons_off = off("conservative")?;
-    let on = |backfill: &str| {
-        cells.iter().rev().find(|c| {
-            c.mode == "arena"
-                && c.backfill == backfill
-                && c.incremental == "on"
-                && c.machine == "uniform"
-                && c.faults == "off"
-                && c.nodes == easy_off.nodes
-                && c.queue_depth == easy_off.queue_depth
-        })
-    };
-    let easy_on = on("easy1")?;
-    let cons_on = on("conservative")?;
-    Some(IncrementalAxis {
-        nodes: easy_off.nodes,
-        queue_depth: easy_off.queue_depth,
-        easy1_on: easy_on.events_per_sec(),
-        easy1_off: easy_off.events_per_sec(),
-        conservative_on: cons_on.events_per_sec(),
-        conservative_off: cons_off.events_per_sec(),
-        elision_rate: easy_on.elision_rate(),
-    })
-}
-
-/// `(nodes, depth, uniform ev/s, hetero ev/s, ratio)` of the last
-/// machine-axis cell — the "per-class bookkeeping does not collapse the
-/// hot path" gate reads the ratio (gated at ≥ 0.8 by `repro`). `None`
-/// when the run measured no heterogeneous cell.
-fn hetero_headline(cells: &[CellResult]) -> Option<(u32, u32, f64, f64, f64)> {
-    let hetero = cells.iter().rev().find(|c| {
-        c.mode == "arena"
-            && c.backfill == "easy1"
-            && c.incremental == "on"
-            && c.machine == "hetero3"
-            && c.faults == "off"
-    })?;
-    let uniform = cells.iter().rev().find(|c| {
-        c.mode == "arena"
-            && c.backfill == "easy1"
-            && c.incremental == "on"
-            && c.machine == "uniform"
-            && c.faults == "off"
-            && c.nodes == hetero.nodes
-            && c.queue_depth == hetero.queue_depth
-    })?;
-    Some((
-        hetero.nodes,
-        hetero.queue_depth,
-        uniform.events_per_sec(),
-        hetero.events_per_sec(),
-        ratio(hetero.events_per_sec(), uniform.events_per_sec()),
-    ))
-}
-
-/// `(nodes, depth, calm ev/s, faulty ev/s, ratio)` of the last
-/// fault-axis cell — the "failure handling does not collapse the hot
-/// path" gate reads the ratio (gated at ≥ 0.7 by `repro`). `None` when
-/// the run measured no faulty cell.
-fn fault_headline(cells: &[CellResult]) -> Option<(u32, u32, f64, f64, f64)> {
-    let faulty = cells.iter().rev().find(|c| {
-        c.mode == "arena"
-            && c.backfill == "easy1"
-            && c.incremental == "on"
-            && c.machine == "uniform"
-            && c.faults == "on"
-    })?;
-    let calm = cells.iter().rev().find(|c| {
-        c.mode == "arena"
-            && c.backfill == "easy1"
-            && c.incremental == "on"
-            && c.machine == "uniform"
-            && c.faults == "off"
-            && c.nodes == faulty.nodes
-            && c.queue_depth == faulty.queue_depth
-    })?;
-    Some((
-        faulty.nodes,
-        faulty.queue_depth,
-        calm.events_per_sec(),
-        faulty.events_per_sec(),
-        ratio(faulty.events_per_sec(), calm.events_per_sec()),
-    ))
 }
 
 /// Splices `run` (a [`render_run`] object) into `existing`, returning
@@ -906,58 +566,42 @@ pub fn run_count(doc: &str) -> usize {
     doc.matches("\"label\"").count() + doc.matches(SCHEMA_V1).count()
 }
 
-/// Extracts the **last** run's `headline.speedup_vs_indexed` from a
-/// rendered document — the one scraper shared by the schema gate and the
-/// `repro` acceptance check, so the key format lives in exactly one
-/// place.
-pub fn headline_speedup(doc: &str) -> Option<f64> {
-    let (_, rest) = doc.rsplit_once("\"speedup_vs_indexed\": ")?;
+/// The **last** occurrence of `"key": <number>` in a rendered document.
+/// The axis blocks and the headline are rendered once per run, so this
+/// reads the last run that carried the key.
+fn last_number(doc: &str, key: &str) -> Option<f64> {
+    let (_, rest) = doc.rsplit_once(&format!("\"{key}\": "))?;
     rest.split(['}', ','])
         .next()
         .and_then(|v| v.trim().parse::<f64>().ok())
 }
 
-/// Extracts the **last** run's `backfill_axis.conservative_vs_easy1`
-/// ratio — the deep-backfill acceptance gate. `None` when no run carried
-/// the backfill-depth axis (every pre-axis document).
+/// The last `backfill_axis.conservative_vs_easy1` ratio. `None` when no
+/// run carried the backfill-depth axis (every pre-axis document).
 pub fn backfill_ratio(doc: &str) -> Option<f64> {
-    let (_, rest) = doc.rsplit_once("\"conservative_vs_easy1\": ")?;
-    rest.split(['}', ','])
-        .next()
-        .and_then(|v| v.trim().parse::<f64>().ok())
+    last_number(doc, "conservative_vs_easy1")
 }
 
-/// Extracts the **last** run's `hetero_axis.hetero_vs_uniform` ratio —
-/// the heterogeneous-machine acceptance gate (per-class free sets and
-/// timelines must keep the arena path within 0.8x of the uniform cell).
-/// `None` when no run carried the machine axis (every pre-hetero
-/// document).
+/// The last `hetero_axis.hetero_vs_uniform` ratio — the
+/// heterogeneous-machine acceptance gate (per-class free sets and
+/// timelines must keep the production path within 0.8x of the uniform
+/// cell).
 pub fn hetero_ratio(doc: &str) -> Option<f64> {
-    let (_, rest) = doc.rsplit_once("\"hetero_vs_uniform\": ")?;
-    rest.split(['}', ','])
-        .next()
-        .and_then(|v| v.trim().parse::<f64>().ok())
+    last_number(doc, "hetero_vs_uniform")
 }
 
-/// Extracts the **last** run's `fault_axis.faulty_vs_calm` ratio — the
-/// fault-injection acceptance gate (kill-and-requeue plus repair churn
-/// must keep the arena path within 0.7x of the calm cell). `None` when
-/// no run carried the fault axis (every pre-fault document).
+/// The last `fault_axis.faulty_vs_calm` ratio — the fault-injection
+/// acceptance gate (kill-and-requeue plus repair churn must keep the
+/// production path within 0.7x of the calm cell).
 pub fn fault_ratio(doc: &str) -> Option<f64> {
-    let (_, rest) = doc.rsplit_once("\"faulty_vs_calm\": ")?;
-    rest.split(['}', ','])
-        .next()
-        .and_then(|v| v.trim().parse::<f64>().ok())
+    last_number(doc, "faulty_vs_calm")
 }
 
-/// Extracts the **last** run's `incremental_axis.elision_rate` — the
-/// fraction of headline-cell passes the memos answered in O(1). `None`
-/// for pre-incremental documents.
+/// The last `elision_rate` — the fraction of headline-cell passes the
+/// memos answered in O(1) (in the `headline` block; in the
+/// `incremental_axis` block of runs that still measured an on/off pair).
 pub fn elision_rate(doc: &str) -> Option<f64> {
-    let (_, rest) = doc.rsplit_once("\"elision_rate\": ")?;
-    rest.split(['}', ','])
-        .next()
-        .and_then(|v| v.trim().parse::<f64>().ok())
+    last_number(doc, "elision_rate")
 }
 
 /// One cell parsed back out of a trajectory document — the cross-run
@@ -1073,9 +717,10 @@ pub fn trajectory_cells(fragment: &str) -> Vec<TrajectoryCell> {
     out
 }
 
-/// Looks up one cell of one labelled run — the cross-run regression
-/// gates' accessor (`repro` compares the fresh headline cell against the
-/// same cell of a named prior run).
+/// Looks up one production-side cell of one labelled run (uniform
+/// machine, no faults, `"incremental": "on"`) — the cross-run regression
+/// gates' accessor: `repro` compares the fresh headline cell against the
+/// same cell of a named prior run.
 pub fn run_cell_lookup(
     doc: &str,
     label: &str,
@@ -1083,7 +728,6 @@ pub fn run_cell_lookup(
     depth: u32,
     mode: &str,
     backfill: &str,
-    incremental: &str,
 ) -> Option<TrajectoryCell> {
     trajectory_cells(run_fragment(doc, label)?)
         .into_iter()
@@ -1092,14 +736,14 @@ pub fn run_cell_lookup(
                 && c.queue_depth == depth
                 && c.mode == mode
                 && c.backfill == backfill
-                && c.incremental == incremental
+                && c.incremental == "on"
                 && c.machine == "uniform"
                 && c.faults == "off"
         })
 }
 
 /// Structural schema gate for a rendered document: required keys present,
-/// braces balanced, a parseable headline speedup on the last run.
+/// braces balanced, every ratio a run carries a number in range.
 /// Deliberately minimal — it guards the CI artifact against shape
 /// regressions, not against perf regressions (those need comparable
 /// hardware).
@@ -1114,7 +758,6 @@ pub fn validate_bench_json(doc: &str) -> Result<(), String> {
         "\"events_per_sec\"",
         "\"jobs_per_sec\"",
         "\"peak_queue_depth\"",
-        "\"speedup_vs_indexed\"",
     ] {
         if !doc.contains(key) {
             return Err(format!("missing key {key}"));
@@ -1128,37 +771,21 @@ pub fn validate_bench_json(doc: &str) -> Result<(), String> {
     if opens != closes {
         return Err(format!("unbalanced braces: {opens} vs {closes}"));
     }
-    let speedup = headline_speedup(doc).ok_or("speedup_vs_indexed is not a number")?;
-    if !speedup.is_finite() || speedup < 0.0 {
-        return Err(format!("speedup_vs_indexed {speedup} out of range"));
-    }
-    // The backfill axis is optional (pre-axis runs lack it) but must be
-    // well-formed where present.
-    if doc.contains("\"backfill_axis\"") {
-        let ratio = backfill_ratio(doc).ok_or("conservative_vs_easy1 is not a number")?;
-        if !ratio.is_finite() || ratio < 0.0 {
-            return Err(format!("conservative_vs_easy1 {ratio} out of range"));
+    // Every axis is optional (older runs lack it) but must be well-formed
+    // where present; so must the elision rate.
+    for (block, base_name, axis_name, _) in AXES {
+        if doc.contains(&format!("\"{block}\"")) {
+            let key = format!("{axis_name}_vs_{base_name}");
+            let ratio = last_number(doc, &key).ok_or(format!("{key} is not a number"))?;
+            if !ratio.is_finite() || ratio < 0.0 {
+                return Err(format!("{key} {ratio} out of range"));
+            }
         }
     }
-    // Same for the incremental axis (pre-incremental runs lack it).
-    if doc.contains("\"incremental_axis\"") {
+    if doc.contains("\"elision_rate\"") {
         let rate = elision_rate(doc).ok_or("elision_rate is not a number")?;
         if !(0.0..=1.0).contains(&rate) {
             return Err(format!("elision_rate {rate} out of range"));
-        }
-    }
-    // And the machine axis (pre-hetero runs lack it).
-    if doc.contains("\"hetero_axis\"") {
-        let ratio = hetero_ratio(doc).ok_or("hetero_vs_uniform is not a number")?;
-        if !ratio.is_finite() || ratio < 0.0 {
-            return Err(format!("hetero_vs_uniform {ratio} out of range"));
-        }
-    }
-    // And the fault axis (pre-fault runs lack it).
-    if doc.contains("\"fault_axis\"") {
-        let ratio = fault_ratio(doc).ok_or("faulty_vs_calm is not a number")?;
-        if !ratio.is_finite() || ratio < 0.0 {
-            return Err(format!("faulty_vs_calm {ratio} out of range"));
         }
     }
     Ok(())
@@ -1174,20 +801,44 @@ pub fn bench_run(smoke: bool, label: &str, progress: impl FnMut(&CellResult)) ->
 mod tests {
     use super::*;
 
-    fn tiny_cells() -> Vec<CellResult> {
-        [
-            SchedIndex::Arena,
-            SchedIndex::Indexed,
-            SchedIndex::ScanReference,
-        ]
-        .into_iter()
-        .map(|m| run_cell(16, 20, m, 5))
-        .collect()
+    const TINY: Cell = Cell {
+        nodes: 16,
+        depth: 20,
+        reference: false,
+        family: BackfillFamily::Easy { reservations: 1 },
+        hetero: false,
+        faulty: false,
+    };
+
+    /// The tiny cell on the production path and on the scan reference.
+    fn tiny_cells() -> [CellResult; 2] {
+        [false, true].map(|reference| run_cell(&Cell { reference, ..TINY }, 5))
     }
 
     fn tiny_doc() -> String {
         append_run(None, &render_run(&tiny_cells(), true, "t0")).unwrap()
     }
+
+    /// A run as committed before the scheduler was cut down to two paths:
+    /// `indexed` and `"incremental": "off"` cells, the indexed rate in the
+    /// headline and an `incremental_axis` block.
+    const OLD_RUN: &str = "{\n  \"label\": \"old\",\n  \"smoke\": false,\n  \"cells\": [\n    \
+        {\"nodes\": 16, \"queue_depth\": 20, \"mode\": \"arena\", \"backfill\": \"conservative\", \
+        \"incremental\": \"off\", \"machine\": \"uniform\", \"faults\": \"off\", \"rounds\": 5, \
+        \"events\": 20, \"jobs_started\": 5, \"peak_queue_depth\": 21, \"passes_run\": 5, \
+        \"passes_elided\": 0, \"elapsed_s\": 0.002, \"events_per_sec\": 10000, \"jobs_per_sec\": 2500},\n    \
+        {\"nodes\": 16, \"queue_depth\": 20, \"mode\": \"arena\", \"backfill\": \"conservative\", \
+        \"incremental\": \"on\", \"machine\": \"uniform\", \"faults\": \"off\", \"rounds\": 5, \
+        \"events\": 20, \"jobs_started\": 5, \"peak_queue_depth\": 21, \"passes_run\": 4, \
+        \"passes_elided\": 1, \"elapsed_s\": 0.001, \"events_per_sec\": 20000, \"jobs_per_sec\": 5000},\n    \
+        {\"nodes\": 16, \"queue_depth\": 20, \"mode\": \"indexed\", \"backfill\": \"easy1\", \
+        \"incremental\": \"on\", \"machine\": \"uniform\", \"faults\": \"off\", \"rounds\": 5, \
+        \"events\": 20, \"jobs_started\": 5, \"peak_queue_depth\": 21, \"passes_run\": 4, \
+        \"passes_elided\": 1, \"elapsed_s\": 0.004, \"events_per_sec\": 5000, \"jobs_per_sec\": 1250}\n  ],\n  \
+        \"headline\": {\"nodes\": 16, \"queue_depth\": 20, \"arena_events_per_sec\": 20000, \
+        \"indexed_events_per_sec\": 5000},\n  \
+        \"incremental_axis\": {\"nodes\": 16, \"queue_depth\": 20, \"conservative_on_vs_off\": 2, \
+        \"conservative_vs_easy1\": 0.9, \"elision_rate\": 0.2}\n}";
 
     #[test]
     fn last_full_run_skips_smoke_runs() {
@@ -1201,13 +852,13 @@ mod tests {
     }
 
     #[test]
-    fn identical_operation_sequences_in_all_modes() {
-        let cells = tiny_cells();
-        for c in &cells[1..] {
-            assert_eq!(cells[0].events, c.events, "{} diverged", c.mode);
-            assert_eq!(cells[0].jobs_started, c.jobs_started, "{}", c.mode);
-            assert_eq!(cells[0].peak_queue_depth, c.peak_queue_depth, "{}", c.mode);
-        }
+    fn identical_operation_sequences_on_both_paths() {
+        let [arena, scan] = tiny_cells();
+        assert_eq!(arena.events, scan.events);
+        assert_eq!(arena.jobs_started, scan.jobs_started);
+        assert_eq!(arena.peak_queue_depth, scan.peak_queue_depth);
+        assert_eq!(scan.passes_elided, 0, "the reference never elides");
+        assert!(scan.passes_run > 0);
     }
 
     #[test]
@@ -1215,15 +866,26 @@ mod tests {
         let doc = tiny_doc();
         validate_bench_json(&doc).unwrap();
         assert!(doc.contains("\"mode\": \"arena\""));
-        assert!(doc.contains("\"mode\": \"indexed\""));
         assert!(doc.contains("\"mode\": \"scan\""));
+        assert!(doc.contains("\"incremental\": \"on\""));
         assert_eq!(run_count(&doc), 1);
+        // The headline block carries the elision rate, and nothing
+        // renders the retired keys.
+        let (_, headline) = doc.rsplit_once("\"headline\"").unwrap();
+        assert!(headline.contains("\"elision_rate\""));
+        assert!((0.0..=1.0).contains(&elision_rate(&doc).unwrap()));
+        for retired in ["indexed", "incremental_axis", "\"incremental\": \"off\""] {
+            assert!(!doc.contains(retired), "{retired}");
+        }
     }
 
     #[test]
     fn validator_rejects_broken_documents() {
         let doc = tiny_doc();
-        assert!(validate_bench_json(&doc.replace("speedup_vs_indexed", "nope")).is_err());
+        assert!(validate_bench_json(&doc.replace("headline", "nope")).is_err());
+        assert!(
+            validate_bench_json(&doc.replace("\"elision_rate\": ", "\"elision_rate\": x")).is_err()
+        );
         assert!(
             validate_bench_json(&doc[..doc.len() - 3]).is_err(),
             "unbalanced"
@@ -1240,8 +902,49 @@ mod tests {
         assert_eq!(&doc2[..kept], &doc1[..kept], "prior bytes rewritten");
         assert_eq!(run_count(&doc2), 2);
         validate_bench_json(&doc2).unwrap();
-        // The scraper reads the *last* run's headline.
-        assert!(headline_speedup(&doc2).is_some());
+    }
+
+    #[test]
+    fn runs_from_before_the_two_path_scheduler_still_read() {
+        // Old run first, fresh run appended: the document validates, the
+        // old bytes survive, and the lookup never hands a cross-run gate
+        // the `"incremental": "off"` twin that comes first in the old run.
+        let old = append_run(None, OLD_RUN).unwrap();
+        validate_bench_json(&old).unwrap();
+        let doc = append_run(Some(&old), &render_run(&tiny_cells(), true, "new")).unwrap();
+        validate_bench_json(&doc).unwrap();
+        assert!(doc.contains(OLD_RUN));
+        let cons = run_cell_lookup(&doc, "old", 16, 20, "arena", "conservative").unwrap();
+        assert_eq!(
+            (cons.incremental.as_str(), cons.events_per_sec),
+            ("on", 20000.0)
+        );
+        assert!(run_cell_lookup(&doc, "old", 16, 20, "indexed", "easy1").is_some());
+        assert!(run_cell_lookup(&doc, "new", 16, 20, "arena", "easy1").is_some());
+        // The scrapers read the last run that carried a key: the fresh
+        // headline's elision rate, the old run's conservative ratio.
+        assert_ne!(elision_rate(&doc), Some(0.2));
+        assert_eq!(backfill_ratio(&doc), Some(0.9));
+    }
+
+    #[test]
+    fn committed_trajectory_validates() {
+        let doc = include_str!("../../../BENCH_sched.json");
+        validate_bench_json(doc).unwrap();
+        // Its conservative gate baseline is an elided-pass cell, not the
+        // from-scratch twin recorded beside it.
+        let label = last_full_run(doc).expect("a committed full run");
+        let cons = run_cell_lookup(doc, label, 65_536, 100_000, "arena", "conservative").unwrap();
+        assert_eq!(cons.incremental, "on");
+        assert!(run_cell_lookup(
+            doc,
+            "pr7-slotset-backfill",
+            65_536,
+            100_000,
+            "arena",
+            "easy1"
+        )
+        .is_some());
     }
 
     #[test]
@@ -1288,249 +991,161 @@ mod tests {
     }
 
     #[test]
-    fn grid_ends_with_the_headline_cell() {
+    fn table_ends_with_the_headline_group() {
         for smoke in [true, false] {
-            assert_eq!(*grid(smoke).last().unwrap(), (65_536, 100_000));
-            // The backfill-depth axis always covers the headline cell.
-            assert!(backfill_axis_cells(smoke).contains(&(65_536, 100_000)));
-            for cell in backfill_axis_cells(smoke) {
-                assert!(grid(smoke).contains(&cell), "axis cell {cell:?} off-grid");
+            let table = cell_table(smoke);
+            assert_eq!(table.len(), grid(smoke).len());
+            for (group, (nodes, depth)) in table.iter().zip(grid(smoke)) {
+                assert_eq!(group[0], Cell::base(nodes, depth));
+                assert!(group.iter().all(|c| (c.nodes, c.depth) == (nodes, depth)));
             }
+            // The headline group measures every axis against its base
+            // cell, twins adjacent, and no scan cell at that scale.
+            let last = table.last().unwrap();
+            assert_eq!(last[0], Cell::base(65_536, 100_000));
+            assert!(last[1].hetero && last[2].faulty);
+            let families: Vec<_> = last.iter().map(|c| c.family.label()).collect();
+            assert_eq!(
+                families,
+                ["easy1", "easy1", "easy1", "easy8", "easy64", "conservative"]
+            );
+            assert!(last.iter().all(|c| !c.reference));
+            assert!(table[0].iter().any(|c| c.reference));
         }
-        // The headline cell measures exactly the two gated paths.
-        assert_eq!(modes_for(65_536, 100_000).len(), 2);
-        assert_eq!(modes_for(64, 100).len(), 3);
+        let axes = |smoke| cell_table(smoke).iter().filter(|g| g.len() > 2).count();
+        assert_eq!((axes(true), axes(false)), (1, 2));
     }
 
     #[test]
-    fn backfill_axis_lands_in_the_rendered_run() {
-        let mut cells = tiny_cells();
-        for family in backfill_axis_families() {
-            cells.push(run_cell_family(16, 20, SchedIndex::Arena, 5, family));
-        }
-        let run = render_run(&cells, true, "axis");
-        let doc = append_run(None, &run).unwrap();
+    fn every_axis_lands_in_the_rendered_run() {
+        let mut cells = tiny_cells().to_vec();
+        let axis_cells = [
+            Cell {
+                hetero: true,
+                ..TINY
+            },
+            Cell {
+                faulty: true,
+                ..TINY
+            },
+            Cell {
+                family: BackfillFamily::easy(8),
+                ..TINY
+            },
+            Cell {
+                family: BackfillFamily::easy(64),
+                ..TINY
+            },
+            Cell {
+                family: BackfillFamily::Conservative,
+                ..TINY
+            },
+        ];
+        cells.extend(axis_cells.iter().map(|cell| run_cell(cell, 50)));
+        let doc = append_run(None, &render_run(&cells, true, "axes")).unwrap();
         validate_bench_json(&doc).unwrap();
-        assert!(doc.contains("\"backfill\": \"easy1\""));
-        assert!(doc.contains("\"backfill\": \"easy8\""));
-        assert!(doc.contains("\"backfill\": \"easy64\""));
-        assert!(doc.contains("\"backfill\": \"conservative\""));
-        assert!(doc.contains("\"backfill_axis\""));
-        let ratio = backfill_ratio(&doc).expect("axis ratio present");
-        assert!(ratio.is_finite() && ratio >= 0.0);
-        // The headline still compares the EASY-1 hot paths, not an axis
-        // cell that happens to come last.
-        assert!(doc.contains("\"speedup_vs_indexed\""));
-    }
-
-    #[test]
-    fn deeper_families_run_the_same_churn_shape() {
-        // Same submission/completion churn in every family; the set of
-        // backfilled jobs may legitimately differ (deeper reservations
-        // can refuse a start EASY-1 would have allowed), so only the
-        // shape is pinned here — cross-mode equality within one family
-        // is what identical_operation_sequences_in_all_modes covers.
-        let easy1 = run_cell(16, 20, SchedIndex::Arena, 5);
-        assert_eq!(easy1.backfill, "easy1");
-        for family in backfill_axis_families() {
-            let deep = run_cell_family(16, 20, SchedIndex::Arena, 5, family);
-            assert_eq!(deep.rounds, easy1.rounds);
-            assert_eq!(deep.backfill, family.label());
+        for key in [
+            "\"backfill\": \"easy8\"",
+            "\"backfill\": \"easy64\"",
+            "\"backfill\": \"conservative\"",
+            "\"machine\": \"hetero3\"",
+            "\"faults\": \"on\"",
+            "\"backfill_axis\"",
+            "\"hetero_axis\"",
+            "\"fault_axis\"",
+            "\"easy1_events_per_sec\"",
+            "\"uniform_events_per_sec\"",
+            "\"calm_events_per_sec\"",
+        ] {
+            assert!(doc.contains(key), "{key}");
+        }
+        // Each ratio is its axis cell over the base cell — which stays
+        // the 5-round cell `tiny_cells` measured first, not an axis cell
+        // that happens to come last.
+        let parsed = trajectory_cells(run_fragment(&doc, "axes").unwrap());
+        let eps = |pick: &dyn Fn(&TrajectoryCell) -> bool| {
+            let picked: Vec<_> = parsed
+                .iter()
+                .filter(|c| c.mode == "arena" && pick(c))
+                .collect();
+            assert_eq!(picked.len(), 1);
+            picked[0].events_per_sec
+        };
+        let base = eps(&|c| c.backfill == "easy1" && c.machine == "uniform" && c.faults == "off");
+        for (got, axis) in [
+            (backfill_ratio(&doc), eps(&|c| c.backfill == "conservative")),
+            (hetero_ratio(&doc), eps(&|c| c.machine == "hetero3")),
+            (fault_ratio(&doc), eps(&|c| c.faults == "on")),
+        ] {
+            let (got, want) = (got.expect("ratio present"), axis / base);
             assert!(
-                deep.events > 0 && deep.jobs_started > 0,
-                "{}",
-                deep.backfill
+                (got - want).abs() <= 1e-9 * want.max(1.0),
+                "{got} vs {want}"
             );
         }
+        assert_eq!(last_number(&doc, "arena_events_per_sec"), Some(base));
+        // Cross-run lookup stays pinned to the uniform, calm twin.
+        let cell = run_cell_lookup(&doc, "axes", 16, 20, "arena", "easy1").unwrap();
+        assert_eq!(
+            (cell.machine.as_str(), cell.faults.as_str()),
+            ("uniform", "off")
+        );
+    }
+
+    #[test]
+    fn axis_cells_run_the_same_churn_shape() {
+        // Same submission/completion churn in every family and on the
+        // three-class machine; the set of backfilled jobs may
+        // legitimately differ (deeper reservations can refuse a start
+        // EASY-1 would have allowed), so only the shape is pinned here.
+        for family in [8, 64]
+            .map(BackfillFamily::easy)
+            .into_iter()
+            .chain([BackfillFamily::Conservative])
+        {
+            let deep = run_cell(&Cell { family, ..TINY }, 5);
+            assert_eq!(deep.cell.family.label(), family.label());
+            assert!(deep.events > 0 && deep.jobs_started > 0, "{family:?}");
+        }
+        let hetero = run_cell(
+            &Cell {
+                hetero: true,
+                ..TINY
+            },
+            5,
+        );
+        assert!(hetero.events > 0 && hetero.jobs_started > 0);
     }
 
     #[test]
     fn pre_axis_documents_still_validate() {
-        // A trajectory whose runs predate the backfill axis has no
-        // backfill_axis block; the validator must keep accepting it.
+        // A trajectory whose runs predate the axes has none of their
+        // blocks; the validator must keep accepting it.
         let doc = tiny_doc();
-        assert!(!doc.contains("\"backfill_axis\""));
-        assert!(!doc.contains("\"incremental_axis\""));
-        assert!(!doc.contains("\"hetero_axis\""));
-        assert!(!doc.contains("\"fault_axis\""));
+        for (block, ..) in AXES {
+            assert!(!doc.contains(block), "{block}");
+        }
         assert_eq!(backfill_ratio(&doc), None);
-        assert_eq!(elision_rate(&doc), None);
         assert_eq!(hetero_ratio(&doc), None);
         assert_eq!(fault_ratio(&doc), None);
         validate_bench_json(&doc).unwrap();
     }
 
     #[test]
-    fn incremental_off_runs_the_same_sequence_without_eliding() {
-        let on = run_cell(16, 20, SchedIndex::Arena, 5);
-        let off = run_cell_incremental(
-            16,
-            20,
-            SchedIndex::Arena,
-            5,
-            BackfillFamily::easy(1),
-            SchedIncremental::Off,
-        );
-        assert_eq!(on.incremental, "on");
-        assert_eq!(off.incremental, "off");
-        assert_eq!(on.events, off.events, "on/off decisions diverged");
-        assert_eq!(on.jobs_started, off.jobs_started);
-        assert_eq!(off.passes_elided, 0, "off must never elide");
-        assert!(off.passes_run > 0);
-        assert_eq!(off.elision_rate(), 0.0);
-    }
-
-    #[test]
-    fn incremental_axis_lands_in_the_rendered_run() {
-        let mut cells = tiny_cells();
-        cells.push(run_cell_family(
-            16,
-            20,
-            SchedIndex::Arena,
-            5,
-            BackfillFamily::Conservative,
-        ));
-        for family in [BackfillFamily::easy(1), BackfillFamily::Conservative] {
-            cells.push(run_cell_incremental(
-                16,
-                20,
-                SchedIndex::Arena,
-                5,
-                family,
-                SchedIncremental::Off,
-            ));
-        }
-        let doc = append_run(None, &render_run(&cells, true, "axis")).unwrap();
-        validate_bench_json(&doc).unwrap();
-        assert!(doc.contains("\"incremental_axis\""));
-        assert!(doc.contains("\"incremental\": \"off\""));
-        assert!(doc.contains("\"passes_elided\""));
-        assert!(doc.contains("\"easy1_on_vs_off\""));
-        let rate = elision_rate(&doc).expect("elision rate present");
-        assert!((0.0..=1.0).contains(&rate));
-        // The repeated conservative_vs_easy1 key (the rsplit scraper
-        // reads the incremental_axis copy) must agree with the
-        // backfill_axis value — both derive from the same On cells.
-        let parsed = trajectory_cells(run_fragment(&doc, "axis").unwrap());
-        let eps = |backfill: &str, incremental: &str| {
-            parsed
-                .iter()
-                .find(|c| {
-                    c.mode == "arena" && c.backfill == backfill && c.incremental == incremental
-                })
-                .map(|c| c.events_per_sec)
-                .unwrap()
-        };
-        let want = eps("conservative", "on") / eps("easy1", "on");
-        let got = backfill_ratio(&doc).unwrap();
-        assert!((got - want).abs() <= 1e-9 * want.abs().max(1.0));
-    }
-
-    #[test]
-    fn hetero_axis_lands_in_the_rendered_run() {
-        let mut cells = tiny_cells();
-        cells.push(run_cell_machine(
-            16,
-            20,
-            SchedIndex::Arena,
-            5,
-            BackfillFamily::easy(1),
-            SchedIncremental::On,
-            true,
-        ));
-        let doc = append_run(None, &render_run(&cells, true, "hetero")).unwrap();
-        validate_bench_json(&doc).unwrap();
-        assert!(doc.contains("\"machine\": \"hetero3\""));
-        assert!(doc.contains("\"hetero_axis\""));
-        let ratio = hetero_ratio(&doc).expect("machine-axis ratio present");
-        assert!(ratio.is_finite() && ratio > 0.0);
-        // The headline still reads the uniform cells, and the parser
-        // carries the machine column through (defaulting old cells).
-        assert!(headline_speedup(&doc).is_some());
-        let parsed = trajectory_cells(run_fragment(&doc, "hetero").unwrap());
-        assert!(parsed.iter().any(|c| c.machine == "hetero3"));
-        assert!(parsed.iter().any(|c| c.machine == "uniform"));
-        // Cross-run lookup stays pinned to the uniform twin.
-        let cell = run_cell_lookup(&doc, "hetero", 16, 20, "arena", "easy1", "on").unwrap();
-        assert_eq!(cell.machine, "uniform");
-    }
-
-    #[test]
-    fn fault_axis_lands_in_the_rendered_run() {
-        let mut cells = tiny_cells();
-        cells.push(run_cell_faulty(
-            16,
-            20,
-            SchedIndex::Arena,
-            50,
-            BackfillFamily::easy(1),
-            SchedIncremental::On,
-            false,
-            true,
-        ));
-        let doc = append_run(None, &render_run(&cells, true, "faults")).unwrap();
-        validate_bench_json(&doc).unwrap();
-        assert!(doc.contains("\"faults\": \"on\""));
-        assert!(doc.contains("\"fault_axis\""));
-        let ratio = fault_ratio(&doc).expect("fault-axis ratio present");
-        assert!(ratio.is_finite() && ratio > 0.0);
-        // The headline still reads the calm cells, and the parser carries
-        // the fault column through (defaulting old cells to "off").
-        assert!(headline_speedup(&doc).is_some());
-        let parsed = trajectory_cells(run_fragment(&doc, "faults").unwrap());
-        assert!(parsed.iter().any(|c| c.faults == "on"));
-        assert!(parsed.iter().any(|c| c.faults == "off"));
-        // Cross-run lookup stays pinned to the calm twin.
-        let cell = run_cell_lookup(&doc, "faults", 16, 20, "arena", "easy1", "on").unwrap();
-        assert_eq!(cell.faults, "off");
-    }
-
-    #[test]
     fn faulty_churn_requeues_and_survives() {
         // Enough rounds for several failure/repair cycles on the tiny
         // cell; the run must keep starting jobs and stay deterministic.
-        let a = run_cell_faulty(
-            16,
-            20,
-            SchedIndex::Arena,
-            50,
-            BackfillFamily::easy(1),
-            SchedIncremental::On,
-            false,
-            true,
-        );
-        assert_eq!(a.faults, "on");
+        let faulty = Cell {
+            faulty: true,
+            ..TINY
+        };
+        let a = run_cell(&faulty, 50);
         assert!(a.events > 0 && a.jobs_started > 0);
-        let b = run_cell_faulty(
-            16,
-            20,
-            SchedIndex::Arena,
-            50,
-            BackfillFamily::easy(1),
-            SchedIncremental::On,
-            false,
-            true,
-        );
+        let b = run_cell(&faulty, 50);
         assert_eq!(a.events, b.events, "faulty churn nondeterministic");
         assert_eq!(a.jobs_started, b.jobs_started);
         // The injection actually changes the schedule vs the calm twin.
-        let calm = run_cell(16, 20, SchedIndex::Arena, 50);
-        assert_ne!(a.events, calm.events, "faults were a no-op");
-    }
-
-    #[test]
-    fn hetero_churn_makes_progress_on_three_classes() {
-        let cell = run_cell_machine(
-            16,
-            20,
-            SchedIndex::Arena,
-            5,
-            BackfillFamily::easy(1),
-            SchedIncremental::On,
-            true,
-        );
-        assert_eq!(cell.machine, "hetero3");
-        assert!(cell.events > 0 && cell.jobs_started > 0);
+        assert_ne!(a.events, run_cell(&TINY, 50).events, "faults were a no-op");
     }
 
     #[test]
@@ -1557,11 +1172,11 @@ mod tests {
         assert!(c.elapsed_s > 0.0, "zero elapsed must be repaired");
         assert!((c.elapsed_s - 1172.0 / 2500058.662).abs() < 1e-12);
         // Labelled lookup finds the v2 run's cells with stored elapsed.
-        let fresh = run_cell_lookup(&doc, "t1", 16, 20, "arena", "easy1", "on")
+        let fresh = run_cell_lookup(&doc, "t1", 16, 20, "arena", "easy1")
             .expect("fresh cell found by label");
         assert!(fresh.elapsed_s > 0.0 && fresh.events_per_sec > 0.0);
         assert_eq!(
-            run_cell_lookup(&doc, "no-such-run", 16, 20, "arena", "easy1", "on"),
+            run_cell_lookup(&doc, "no-such-run", 16, 20, "arena", "easy1"),
             None
         );
     }

@@ -157,7 +157,7 @@ mod tests {
         m.sample(SimTime(10_000_000), &[0], &[0]);
         m.sample(SimTime(15_000_000), &[3], &[0]);
         let expect = 4 * c.watts_idle() as u128 * 10_000_000
-            + (3 * c.watts_busy() as u64 + c.watts_idle()) as u128 * 5_000_000;
+            + (3 * c.watts_busy() + c.watts_idle()) as u128 * 5_000_000;
         assert_eq!(m.energy_wus(), expect);
         assert_eq!(m.avg_watts(), expect as f64 / 15_000_000.0);
         // Busy integral: 3 nodes × 5 s of a 4-node × 15 s window.

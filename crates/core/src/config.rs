@@ -1,7 +1,7 @@
 //! Experiment configuration.
 
 use dmr_cluster::{ClassTable, FaultLoad, MachineClass, NetworkModel};
-use dmr_slurm::{BackfillFamily, PolicyKind, SchedIncremental, SchedIndex};
+use dmr_slurm::{BackfillFamily, PolicyKind, SchedIndex};
 
 /// Machine-class layout of the simulated cluster — a `Copy` selector in
 /// the mould of [`PolicyKind`], expanded into a [`ClassTable`] when the
@@ -152,10 +152,9 @@ pub struct ExperimentConfig {
     /// EASY backfill on/off (ablation; the paper always runs with it).
     pub backfill: bool,
     /// Which backfill family the scheduler runs when `backfill` is on:
-    /// EASY-k over the slot-set timeline (`k = 1` is the paper's Slurm
-    /// configuration and the default), conservative (every blocked job
-    /// planned), or the legacy single-reservation walk kept as the
-    /// equivalence oracle (see [`BackfillFamily`]).
+    /// EASY-k (`k = 1` is the paper's Slurm configuration and the
+    /// default) or conservative, every blocked job planned (see
+    /// [`BackfillFamily`]).
     pub backfill_family: BackfillFamily,
     /// Period of the backfill pass, seconds (Slurm's `bf_interval`,
     /// default 30). The event-driven pass is FIFO-only, as in Slurm.
@@ -177,10 +176,9 @@ pub struct ExperimentConfig {
     /// Buffered ([`Telemetry::Full`]) or streaming bounded-memory
     /// ([`Telemetry::Online`]) metric recording.
     pub telemetry: Telemetry,
-    /// Scheduler hot-path implementation: the arena path (the default),
-    /// the previous indexed path (benchmark baseline) or the pre-index
-    /// scan reference kept as the equivalence oracle (see
-    /// [`SchedIndex`]).
+    /// Scheduler implementation: the production path (the default) or
+    /// the from-scratch scan reference the equivalence suites compare it
+    /// with (see [`SchedIndex`]).
     pub sched_index: SchedIndex,
     /// Machine-class layout of the simulated cluster. The default
     /// [`MachineMix::Uniform`] reproduces the paper's homogeneous testbed
@@ -213,13 +211,6 @@ pub struct ExperimentConfig {
     /// `p` seconds of execution — a requeued job loses only the work
     /// since its last image.
     pub ckpt_interval_s: Option<f64>,
-    /// Incremental scheduling across passes: `On` (the default) keeps
-    /// fruitless-pass memos, the persistent pending order and the retained
-    /// backfill plans alive between instants and elides passes whose
-    /// trigger provably cannot change any decision; `Off` re-derives every
-    /// pass from scratch and serves as the costed baseline (see
-    /// [`SchedIncremental`]). Decisions are bit-identical either way.
-    pub sched_incremental: SchedIncremental,
 }
 
 impl ExperimentConfig {
@@ -249,7 +240,6 @@ impl ExperimentConfig {
             faults: FaultLoad::None,
             fault_seed: 0xFA17,
             ckpt_interval_s: None,
-            sched_incremental: SchedIncremental::On,
         }
     }
 
@@ -303,9 +293,8 @@ impl ExperimentConfig {
         self
     }
 
-    /// Selects the backfill family the scheduler runs (EASY-k depth,
-    /// conservative planning, or the legacy oracle). Only consulted while
-    /// `backfill` is on.
+    /// Selects the backfill family the scheduler runs (EASY-k depth or
+    /// conservative planning). Only consulted while `backfill` is on.
     pub fn with_backfill_family(mut self, family: BackfillFamily) -> Self {
         self.backfill_family = family;
         self
@@ -315,14 +304,6 @@ impl ExperimentConfig {
     /// gets a planned slot and backfill may not delay any plan.
     pub fn conservative_backfill(mut self) -> Self {
         self.backfill_family = BackfillFamily::Conservative;
-        self
-    }
-
-    /// Runs backfill on the legacy single-reservation walk
-    /// ([`BackfillFamily::LegacyReference`]) — the pre-slot-set oracle the
-    /// Easy{1} path is pinned against, mirroring [`Self::scan_reference`].
-    pub fn legacy_backfill_reference(mut self) -> Self {
-        self.backfill_family = BackfillFamily::LegacyReference;
         self
     }
 
@@ -349,15 +330,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Disables incremental scheduling ([`SchedIncremental::Off`]): every
-    /// pass re-derives its decisions from scratch. This is the costed
-    /// baseline the incremental path is benchmarked and equivalence-tested
-    /// against; results are bit-identical to the default.
-    pub fn incremental_off(mut self) -> Self {
-        self.sched_incremental = SchedIncremental::Off;
-        self
-    }
-
     /// Selects the injected faultload preset (`--faults` on the CLI).
     /// [`FaultLoad::None`] keeps the zero-fault oracle behaviour.
     pub fn with_faults(mut self, faults: FaultLoad) -> Self {
@@ -379,22 +351,13 @@ impl ExperimentConfig {
         self
     }
 
-    /// Runs the scheduler on the pre-index scan reference
-    /// ([`SchedIndex::ScanReference`]). Scheduling decisions are
-    /// bit-identical to the default indexed path — this exists so
-    /// equivalence tests and benchmarks can hold the old hot path up as
-    /// an oracle / baseline.
+    /// Runs the scheduler on the scan reference
+    /// ([`SchedIndex::ScanReference`]): every pass from scratch, no
+    /// index, memo or elided pass, one scheduling pass per submission.
+    /// Decisions are bit-identical to the production path — this is the
+    /// twin equivalence tests and benchmarks hold it against.
     pub fn scan_reference(mut self) -> Self {
         self.sched_index = SchedIndex::ScanReference;
-        self
-    }
-
-    /// Runs the scheduler on the previous indexed hot path
-    /// ([`SchedIndex::Indexed`]) — the PR-5 baseline the arena path is
-    /// benchmarked against. Scheduling decisions are bit-identical to
-    /// both the arena default and the scan reference.
-    pub fn indexed_reference(mut self) -> Self {
-        self.sched_index = SchedIndex::Indexed;
         self
     }
 }
@@ -444,15 +407,12 @@ mod tests {
         assert_eq!(c.backfill_family, BackfillFamily::easy(8));
         let c = ExperimentConfig::preliminary().conservative_backfill();
         assert_eq!(c.backfill_family, BackfillFamily::Conservative);
-        let c = ExperimentConfig::preliminary().legacy_backfill_reference();
-        assert_eq!(c.backfill_family, BackfillFamily::LegacyReference);
         assert_eq!(
-            ExperimentConfig::preliminary().sched_incremental,
-            SchedIncremental::On,
-            "incremental scheduling is the default; Off is the costed baseline"
+            ExperimentConfig::preliminary().sched_index,
+            SchedIndex::Arena
         );
-        let c = ExperimentConfig::preliminary().incremental_off();
-        assert_eq!(c.sched_incremental, SchedIncremental::Off);
+        let c = ExperimentConfig::preliminary().scan_reference();
+        assert_eq!(c.sched_index, SchedIndex::ScanReference);
         assert_eq!(
             ExperimentConfig::preliminary().machine_mix,
             MachineMix::Uniform,

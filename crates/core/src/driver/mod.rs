@@ -34,7 +34,7 @@ pub(crate) mod shrink;
 use dmr_cluster::{Cluster, FaultSource, FaultTrace, PowerMeter};
 use dmr_metrics::{MetricsSink, OnlineAccumulator, SeriesRecorder, StepSeries, WorkloadSummary};
 use dmr_sim::{Engine, EventId, SimTime, Span, CLASS_EARLY};
-use dmr_slurm::{JobId, JobMap, ResizeAction, SchedIndex, Slurm, SlurmConfig};
+use dmr_slurm::{JobId, JobMap, ResizeAction, Slurm, SlurmConfig};
 use dmr_workload::WorkloadSource;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -445,7 +445,6 @@ impl<'a, 's> Driver<'a, 's> {
         scfg.shrink_boost = cfg.shrink_boost;
         scfg.policy = cfg.policy;
         scfg.sched_index = cfg.sched_index;
-        scfg.sched_incremental = cfg.sched_incremental;
         scfg.hole_guard = cfg.hole_guard;
         // The driver copies each job's accounting into the sink at
         // completion, so the scheduler never needs to keep terminal
@@ -540,10 +539,11 @@ impl<'a, 's> Driver<'a, 's> {
         self.finish()
     }
 
-    /// Runs a scheduling cycle now — or, on the arena and indexed paths,
-    /// marks one due and lets the run loop flush it once the current
-    /// instant's arrival batch is fully submitted (the scan reference
-    /// keeps the unbatched pass-per-submission cadence as the oracle).
+    /// Runs a scheduling cycle now — or, on the production path, marks
+    /// one due and lets the run loop flush it once the current instant's
+    /// arrival batch is fully submitted (the scan reference keeps the
+    /// unbatched pass-per-submission cadence, and its order is never
+    /// static).
     /// Batching is sound precisely when the
     /// pending order is the static `(boosted, submit, seq)` key order
     /// ([`Slurm::pending_order_is_static`]): a new submission then sorts
@@ -551,11 +551,7 @@ impl<'a, 's> Driver<'a, 's> {
     /// walks the queue through the same decisions the per-submission
     /// passes would have made.
     pub(crate) fn request_schedule(&mut self, now: SimTime) {
-        if matches!(
-            self.cfg.sched_index,
-            SchedIndex::Arena | SchedIndex::Indexed
-        ) && self.slurm.pending_order_is_static()
-        {
+        if self.slurm.pending_order_is_static() {
             self.pass_due = true;
         } else {
             self.do_schedule(now);

@@ -11,9 +11,9 @@
 //! * **backfill families** — the `sched/backfill` behaviour as a
 //!   selectable [`slotset::BackfillFamily`] over a slot-set free-resource
 //!   timeline ([`slotset::SlotSet`]): EASY-k (reservations for the first
-//!   `k` blocked jobs; `k = 1` is the paper's configuration), conservative
-//!   (every blocked job planned), and the legacy single-reservation walk
-//!   kept as the equivalence oracle ([`slurm::Slurm::backfill_pass`]);
+//!   `k` blocked jobs; `k = 1` is the paper's configuration) and
+//!   conservative (every blocked job planned)
+//!   ([`slurm::Slurm::backfill_pass`]);
 //! * **the malleability protocol** (§III) — expansion through a *resizer
 //!   job* (submit B depending on A → update B to 0 nodes → cancel B →
 //!   update A to N_A+N_B) and shrinking through a node-releasing update
@@ -44,6 +44,4 @@ pub use policy::{
 };
 pub use priority::MultifactorConfig;
 pub use slotset::{BackfillFamily, SlotSet};
-pub use slurm::{
-    ExpandError, IncrementalStats, JobStart, SchedIncremental, SchedIndex, Slurm, SlurmConfig,
-};
+pub use slurm::{ExpandError, IncrementalStats, JobStart, SchedIndex, Slurm, SlurmConfig};

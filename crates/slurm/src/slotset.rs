@@ -64,9 +64,11 @@ use dmr_sim::{SimTime, Span};
 /// All families share the FIFO head behaviour (start jobs in priority
 /// order until one blocks); they differ in how many blocked jobs get a
 /// planned start and in what lower-priority jobs may do around those
-/// plans. `Easy { reservations: 1 }` (the default) is bit-for-bit
-/// identical to [`BackfillFamily::LegacyReference`] — pinned by
-/// `tests/backfill_equivalence.rs` — only the cost differs.
+/// plans. `Easy { reservations: 1 }` (the default) is the paper's
+/// `sched/backfill` configuration; its reference is the same family on
+/// [`crate::slurm::SchedIndex::ScanReference`] (a walk of the whole
+/// queue against one scanned reservation), pinned by
+/// `tests/backfill_equivalence.rs`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BackfillFamily {
     /// EASY-k: the first `reservations` blocked jobs get a shadow-time
@@ -82,10 +84,6 @@ pub enum BackfillFamily {
     /// so delays none of those plans (its whole expected runtime fits
     /// under the planned occupancy).
     Conservative,
-    /// The pre-slot-set EASY implementation: one reservation derived by
-    /// walking the running-jobs end-time index per pass. Kept as the
-    /// equivalence oracle; it never consults the timeline.
-    LegacyReference,
 }
 
 impl Default for BackfillFamily {
@@ -110,7 +108,6 @@ impl BackfillFamily {
             BackfillFamily::Easy { reservations: 64 } => "easy64",
             BackfillFamily::Easy { .. } => "easyk",
             BackfillFamily::Conservative => "conservative",
-            BackfillFamily::LegacyReference => "legacy",
         }
     }
 }
@@ -640,7 +637,7 @@ mod tests {
                             // restore.
                             Some((m, l)) => {
                                 tl.restore(&ckpt);
-                                if rng.next() % 4 == 0 {
+                                if rng.next().is_multiple_of(4) {
                                     saved = Some((m.clone(), l.clone()));
                                 }
                                 (model, live) = (m, l);
@@ -657,7 +654,7 @@ mod tests {
                             // stored boundary.
                             let next = model.steps.range(model.horizon + 1..).next();
                             let now = match next {
-                                Some((&b, _)) if rng.next() % 2 == 0 => b,
+                                Some((&b, _)) if rng.next().is_multiple_of(2) => b,
                                 _ => model.horizon + rng.next() % 300,
                             };
                             tl.advance(SimTime(now));
@@ -758,6 +755,5 @@ mod tests {
         assert_eq!(BackfillFamily::easy(64).label(), "easy64");
         assert_eq!(BackfillFamily::easy(3).label(), "easyk");
         assert_eq!(BackfillFamily::Conservative.label(), "conservative");
-        assert_eq!(BackfillFamily::LegacyReference.label(), "legacy");
     }
 }

@@ -1,7 +1,7 @@
 //! The scheduler core: queue, EASY backfill, and the malleability
 //! protocol of §III.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -16,58 +16,28 @@ use crate::policy::{PolicyKind, ResizePolicy};
 use crate::priority::MultifactorConfig;
 use crate::slotset::{BackfillFamily, SlotSet, SlotSetCheckpoint};
 
-/// Which hot-path implementation the scheduler runs on.
+/// Which implementation of the scheduler's hot paths runs.
 ///
-/// [`SchedIndex::Arena`] (the default) adds, on top of the incremental
-/// indices, slab-arena job storage ([`crate::arena::JobArena`]), a
-/// cursor walk of the pending index in [`Slurm::schedule`] (O(starts)
-/// instead of O(pending) per pass), the indexed EASY backfill pass
-/// (only the jobs that can pass the harmless check are visited, see
-/// [`Slurm::backfill_pass`]) and precise queue-cache invalidation
-/// (a completion that removes nothing from the pending set keeps the
-/// memoized order alive). [`SchedIndex::Indexed`] is the previous
-/// index-served hot path — every backfill pass walks the materialised
-/// order — kept costed as before so benchmarks can measure the arena
-/// win against it. [`SchedIndex::ScanReference`]
-/// keeps the pre-index full-scan implementations alive as the
-/// *equivalence oracle*: all modes produce bit-identical scheduling
-/// decisions (pinned by `tests/index_equivalence.rs`); only the cost
-/// differs. Benchmarks run all of them to measure each step's win.
+/// [`SchedIndex::Arena`] (the default) is the production path: job
+/// records in a slab ([`crate::arena::JobArena`]), the pending and
+/// running orders served from the incremental indices, a cursor walk
+/// in [`Slurm::schedule`], the indexed EASY backfill pass (see
+/// [`Slurm::backfill_pass`]) and the cross-pass memos that elide a pass
+/// whose trigger provably cannot change any decision (counted by
+/// [`IncrementalStats`]). [`SchedIndex::ScanReference`] is the
+/// from-scratch twin every equivalence suite compares it with: each
+/// pass re-derives the pending order by a sort, the reservation by a
+/// scan of the job table and the dead resizers by another, walks the
+/// whole queue, selects nodes by scan and never memoises or elides.
+/// Both make bit-identical decisions; only the cost differs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedIndex {
-    /// Slab job storage + pending-index cursor walk + precise cache
-    /// invalidation (the fastest path).
+    /// Indexed, memoising production path.
     #[default]
     Arena,
-    /// Incremental indices with per-pass order materialisation (the
-    /// previous hot path, kept as the benchmark baseline).
-    Indexed,
-    /// Pre-index scans and sorts on every pass (reference / oracle).
+    /// Scans and sorts on every pass, nothing carried between passes
+    /// (the reference).
     ScanReference,
-}
-
-/// Whether the scheduler carries state *across* passes: watermark pass
-/// elision, the persistent (tombstoned, appendable) pending-order cache,
-/// retained backfill reservations / conservative plans, and the
-/// per-instant resizer-reap memo.
-///
-/// [`SchedIncremental::On`] (the default) makes a scheduling or backfill
-/// pass whose trigger provably cannot change any decision return in O(1)
-/// — the *elision contract*: an elided pass is bit-for-bit identical to
-/// an executed one (same empty start list, same observable state), which
-/// `tests/incremental_equivalence.rs` pins by forking states and running
-/// both paths. [`SchedIncremental::Off`] keeps every pass paying full
-/// cost — the costed baseline the `BENCH_sched.json` incremental axis
-/// measures the win against. The knob never changes decisions; only when
-/// work is (provably redundantly) repeated.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedIncremental {
-    /// Elide provably-identical passes and persist order / reservation /
-    /// plan state across passes (the fast path).
-    #[default]
-    On,
-    /// Recompute every pass from scratch (the costed baseline).
-    Off,
 }
 
 /// Scheduler-wide configuration.
@@ -76,9 +46,9 @@ pub struct SlurmConfig {
     /// Enable EASY backfill (the paper's `sched/backfill`); disabling it
     /// degrades to strict priority-FIFO — kept as an ablation knob.
     pub backfill: bool,
-    /// Which backfill algorithm [`Slurm::backfill_pass`] runs (EASY-k /
-    /// conservative / the legacy single-reservation oracle). Only
-    /// consulted while [`SlurmConfig::backfill`] is on.
+    /// Which backfill algorithm [`Slurm::backfill_pass`] runs (EASY-k or
+    /// conservative). Only consulted while [`SlurmConfig::backfill`] is
+    /// on.
     pub backfill_family: BackfillFamily,
     /// Cap on blocked jobs the conservative pass examines (and therefore
     /// plans) per invocation — Slurm's `bf_max_job_test`, which defaults
@@ -108,15 +78,8 @@ pub struct SlurmConfig {
     /// priority, backfill reservations and resize policies all filter on
     /// live states), so the two settings schedule identically.
     pub retain_completed: bool,
-    /// Hot-path implementation selector (see [`SchedIndex`]). Kept in the
-    /// config so experiments and benchmarks can pit the indexed path
-    /// against the scan oracle without code changes.
+    /// Production path or scan reference (see [`SchedIndex`]).
     pub sched_index: SchedIndex,
-    /// Cross-pass state selector (see [`SchedIncremental`]): pass
-    /// elision, the persistent pending-order cache, retained backfill
-    /// artifacts and the per-instant reap memo. Never consulted under
-    /// [`SchedIndex::ScanReference`] (the oracle always pays full cost).
-    pub sched_incremental: SchedIncremental,
     /// Let grow-happy policies ([`PolicyKind::UtilizationTarget`],
     /// [`PolicyKind::EnergyAware`]) consult the first blocked job's
     /// backfill reservation before expanding
@@ -141,7 +104,6 @@ impl SlurmConfig {
             policy: PolicyKind::Algorithm1,
             retain_completed: true,
             sched_index: SchedIndex::Arena,
-            sched_incremental: SchedIncremental::On,
             hole_guard: true,
         }
     }
@@ -258,7 +220,7 @@ pub struct Slurm {
     /// workloads on heterogeneous clusters therefore never pay the
     /// per-class plan/sync/checkpoint costs.
     class_tl_live: bool,
-    /// Cross-pass incremental state ([`SchedIncremental`] layer).
+    /// Cross-pass incremental state (production path only).
     incr: IncrState,
 }
 
@@ -431,19 +393,15 @@ struct QueueCache {
     /// Whether it came from the index (then it is valid at *any* instant
     /// while the index stays exact, not just at `at`).
     from_index: bool,
-    /// Pending ids in index key order. Under the persistent regime
-    /// (`SchedIncremental::On` + arena + exact index) entries may be
-    /// *tombstones* — ids whose job has since started, been cancelled or
-    /// been pruned. Readers filter them against the generation-checked
-    /// arena, so the order survives starts/cancellations (a removal never
-    /// reorders the survivors) and submissions append in O(1) (a fresh
-    /// non-boosted job sorts strictly last under the exact index key).
-    /// Empty placeholder unless `persistent`.
+    /// Pending ids in scheduling order. An index-served order persists
+    /// across mutations: entries may be *tombstones* — ids whose job has
+    /// since started, been cancelled or been pruned. Readers filter them
+    /// against the generation-checked arena, so the order survives
+    /// starts/cancellations (a removal never reorders the survivors) and
+    /// submissions append in O(1) (a fresh non-boosted job sorts
+    /// strictly last under the exact index key). A sort-served order is
+    /// dropped by the first mutation instead.
     order: Arc<Vec<JobId>>,
-    /// Whether `order` is populated and may be appended to / tombstoned
-    /// (entries created in the persistent regime). Guards against a
-    /// mid-run [`SchedIncremental`] flip trusting a placeholder order.
-    persistent: bool,
     /// Number of tombstones currently in `order`.
     stale: usize,
     /// Memoized tombstone-free materialisation, built lazily for the
@@ -452,22 +410,6 @@ struct QueueCache {
     /// The resizer-free view, built lazily on the first
     /// [`Slurm::pending_queue`] call of the cycle.
     no_resizers: Option<Arc<[JobId]>>,
-}
-
-/// A pass's borrowed walk order: either the clean shared slice (the
-/// non-persistent regimes) or the persistent possibly-tombstoned order.
-enum PassOrder {
-    Shared(Arc<[JobId]>),
-    Persistent(Arc<Vec<JobId>>),
-}
-
-impl PassOrder {
-    fn ids(&self) -> &[JobId] {
-        match self {
-            PassOrder::Shared(s) => s,
-            PassOrder::Persistent(v) => v,
-        }
-    }
 }
 
 /// Running state of one EASY backfill pass.
@@ -561,9 +503,7 @@ impl ShadowStairs {
 /// its decisions depended on. While it stays valid (see the invalidation
 /// wiring in [`Slurm`]'s mutators) a repeat pass is provably identical —
 /// it would again start nothing and leave no observable state — and is
-/// elided in O(1). The retained reservation / plan artifacts double as
-/// the cross-pass caches exposed by [`Slurm::easy_reservations`] and
-/// [`Slurm::conservative_plan`].
+/// elided in O(1). [`SchedIndex::ScanReference`] never records one.
 #[derive(Debug)]
 struct BfMemo {
     /// Instant of the memoized pass. Refusals are monotone in time (the
@@ -589,12 +529,6 @@ struct BfMemo {
     family: BackfillFamily,
     backfill_on: bool,
     window: u32,
-    /// EASY-k `(shadow, spare)` reservations retained from the memoized
-    /// pass — reused (by elision) while the blocking set is unchanged.
-    easy_reservations: Vec<(SimTime, u32)>,
-    /// Conservative planned slots `(job, planned start)` retained from
-    /// the memoized pass.
-    conservative_plan: Vec<(JobId, SimTime)>,
 }
 
 /// Cross-pass incremental-scheduling state (all of it soundness-gated:
@@ -889,7 +823,7 @@ impl Slurm {
         }
         // A new registration may be a dead-resizer candidate.
         self.incr.reaped_at = None;
-        if self.incr_on() && self.index_is_exact() {
+        if self.index_is_exact() {
             // The fresh non-boosted job sorts strictly last: append to
             // the persistent order instead of dropping it. The sched
             // memo survives (the blocked head still blocks first, and
@@ -1138,21 +1072,6 @@ impl Slurm {
         *self.queue_cache.borrow_mut() = None;
     }
 
-    /// Whether the incremental layer is active: the knob is on and the
-    /// mode is not the full-cost oracle.
-    fn incr_on(&self) -> bool {
-        self.config.sched_incremental == SchedIncremental::On
-            && self.config.sched_index != SchedIndex::ScanReference
-    }
-
-    /// Whether the queue cache runs in the persistent (tombstoned,
-    /// appendable) regime. Arena-only: the `Indexed` mode keeps its
-    /// per-pass materialisation cost so benchmarks can still measure the
-    /// arena step against it.
-    fn cache_is_persistent(&self) -> bool {
-        self.incr_on() && self.config.sched_index == SchedIndex::Arena
-    }
-
     /// Clears every cross-pass decision memo. The catch-all for mutations
     /// whose effect on pass outcomes is not worth proving finer rules
     /// about.
@@ -1192,16 +1111,12 @@ impl Slurm {
     }
 
     /// A pending job left the pending set without changing the relative
-    /// order of the rest (start / cancellation): under the persistent
-    /// cache its entry becomes a tombstone; otherwise the cache drops.
+    /// order of the rest (start / cancellation): in an index-served
+    /// order its entry becomes a tombstone; a sort-served one drops.
     fn queue_cache_tombstone(&mut self) {
-        if !self.cache_is_persistent() {
-            self.invalidate_queue_cache();
-            return;
-        }
         let mut cache = self.queue_cache.borrow_mut();
         if let Some(c) = cache.as_mut() {
-            if !c.from_index || !c.persistent {
+            if !c.from_index {
                 *cache = None;
                 return;
             }
@@ -1222,7 +1137,7 @@ impl Slurm {
     fn queue_cache_append(&mut self, id: JobId) {
         let mut cache = self.queue_cache.borrow_mut();
         if let Some(c) = cache.as_mut() {
-            if c.from_index && c.persistent {
+            if c.from_index {
                 Arc::make_mut(&mut c.order).push(id);
                 c.shared = None;
                 c.no_resizers = None;
@@ -1232,31 +1147,38 @@ impl Slurm {
         }
     }
 
-    /// The order a backfill pass walks. Persistent regime: the retained
-    /// (possibly tombstoned) order, rebuilt from the index only when
-    /// absent — passes then filter tombstones instead of materialising a
-    /// fresh order. Elsewhere: the classic shared slice at full cost.
-    fn pass_order(&self, now: SimTime) -> PassOrder {
-        if self.cache_is_persistent() && self.index_is_exact() {
-            let mut cache = self.queue_cache.borrow_mut();
-            if let Some(c) = cache.as_ref() {
-                if c.from_index && c.persistent {
-                    return PassOrder::Persistent(Arc::clone(&c.order));
-                }
-            }
-            let order = Arc::new(self.pending_index.ids_vec());
+    /// The memoized pending order, recomputed first unless it is valid
+    /// at `now`: an index-served order is time-invariant until the next
+    /// mutation (which drops, appends to or tombstones the cache), so it
+    /// survives across instants; a sort-served one holds at `at` only.
+    fn cached_order(&self, now: SimTime) -> RefMut<'_, QueueCache> {
+        let indexed = self.index_is_exact();
+        let mut cache = self.queue_cache.borrow_mut();
+        if !cache
+            .as_ref()
+            .is_some_and(|c| c.at == now || (c.from_index && indexed))
+        {
+            let order = if indexed {
+                self.pending_index.ids_vec()
+            } else {
+                self.pending_order_scan(now)
+            };
             *cache = Some(QueueCache {
                 at: now,
-                from_index: true,
-                order: Arc::clone(&order),
-                persistent: true,
+                from_index: indexed,
+                order: Arc::new(order),
                 stale: 0,
                 shared: None,
                 no_resizers: None,
             });
-            return PassOrder::Persistent(order);
         }
-        PassOrder::Shared(self.pending_ids_by_priority(now))
+        RefMut::map(cache, |c| c.as_mut().expect("filled above"))
+    }
+
+    /// The order a backfill pass walks: possibly tombstoned, so passes
+    /// filter on the job's state instead of materialising a clean order.
+    fn pass_order(&self, now: SimTime) -> Arc<Vec<JobId>> {
+        Arc::clone(&self.cached_order(now).order)
     }
 
     /// Whether the [`PendingIndex`] key order provably equals the
@@ -1266,12 +1188,12 @@ impl Slurm {
     /// priority rounding is monotone in age, so `(priority desc, submit
     /// asc, seq asc)` collapses to the static `(boosted, submit, seq)`
     /// key — order can then only change at mutation points, never with
-    /// time.
+    /// time. Never on the reference, which therefore sorts on every
+    /// pass, and — every cross-pass memo being gated on this — neither
+    /// memoises nor elides.
     fn index_is_exact(&self) -> bool {
-        matches!(
-            self.config.sched_index,
-            SchedIndex::Arena | SchedIndex::Indexed
-        ) && self.config.multifactor.weight_size == 0
+        self.config.sched_index == SchedIndex::Arena
+            && self.config.multifactor.weight_size == 0
             && self.pending_index.nonzero_base() == 0
     }
 
@@ -1285,64 +1207,25 @@ impl Slurm {
         self.index_is_exact()
     }
 
+    /// The tombstone-free pending order, materialised once per cache
+    /// state.
     fn pending_ids_by_priority(&self, now: SimTime) -> Arc<[JobId]> {
-        let indexed = self.index_is_exact();
-        {
-            let mut cache = self.queue_cache.borrow_mut();
-            if let Some(c) = cache.as_mut() {
-                // An index-served order is time-invariant until the next
-                // mutation (which clears or tombstones the cache), so it
-                // survives across instants; sort-served orders are valid
-                // at `at` only.
-                if c.at == now || (c.from_index && indexed) {
-                    if let Some(s) = &c.shared {
-                        return Arc::clone(s);
-                    }
-                    // Materialise the clean slice, filtering tombstones
-                    // out of the persistent order (a no-op filter when
-                    // the cache was never tombstoned).
-                    let s: Arc<[JobId]> = if c.stale == 0 {
-                        c.order.iter().copied().collect()
-                    } else {
-                        c.order
-                            .iter()
-                            .copied()
-                            .filter(|&id| {
-                                self.jobs
-                                    .get(id)
-                                    .is_some_and(|j| j.state == JobState::Pending)
-                            })
-                            .collect()
-                    };
-                    c.shared = Some(Arc::clone(&s));
-                    return s;
-                }
-            }
+        let mut c = self.cached_order(now);
+        if let Some(s) = &c.shared {
+            return Arc::clone(s);
         }
-        let shared: Arc<[JobId]> = if indexed {
-            self.pending_index.ids().collect::<Vec<JobId>>().into()
+        let s: Arc<[JobId]> = if c.stale == 0 {
+            c.order.iter().copied().collect()
         } else {
-            self.pending_order_scan(now).into()
+            let pending = |id: &JobId| {
+                self.jobs
+                    .get(*id)
+                    .is_some_and(|j| j.state == JobState::Pending)
+            };
+            c.order.iter().copied().filter(pending).collect()
         };
-        // Only the persistent regime ever walks / appends / tombstones
-        // `order`; everywhere else the clean slice is the whole cache and
-        // `order` stays an empty placeholder (no second copy paid).
-        let persistent = self.cache_is_persistent() && indexed;
-        let order = if persistent {
-            Arc::new(shared.to_vec())
-        } else {
-            Arc::new(Vec::new())
-        };
-        *self.queue_cache.borrow_mut() = Some(QueueCache {
-            at: now,
-            from_index: indexed,
-            order,
-            persistent,
-            stale: 0,
-            shared: Some(Arc::clone(&shared)),
-            no_resizers: None,
-        });
-        shared
+        c.shared = Some(Arc::clone(&s));
+        s
     }
 
     /// The pre-index pending order: recompute every multifactor priority
@@ -1488,15 +1371,13 @@ impl Slurm {
         // backfill_pass() at the same instant reaps once. Any mutation
         // that can create candidates or change dependency state (submit,
         // start, complete, cancel) re-arms it.
-        if self.incr_on() && self.incr.reaped_at == Some(now) {
+        if self.incr.reaped_at == Some(now) {
             return;
         }
         // O(1) in the common case: completions push orphaned resizers
         // onto the candidate list; nothing queued means nothing to do.
         if !self.resizer_index.has_dead_candidates() {
-            if self.incr_on() {
-                self.incr.reaped_at = Some(now);
-            }
+            self.incr.reaped_at = Some(now);
             return;
         }
         for id in self.resizer_index.take_dead() {
@@ -1517,9 +1398,7 @@ impl Slurm {
             self.cancel(id, now);
         }
         // Arm the memo last: the cancels above cleared it.
-        if self.incr_on() {
-            self.incr.reaped_at = Some(now);
-        }
+        self.incr.reaped_at = Some(now);
     }
 
     /// The pre-index reap: scan every job record for pending resizers
@@ -1552,8 +1431,7 @@ impl Slurm {
         // `incr_clear` / `incr_capacity_freed` call sites). Requires the
         // static order (new submissions sort last, so the head still
         // blocks first) and a provably no-op reap.
-        if self.incr_on()
-            && self.index_is_exact()
+        if self.index_is_exact()
             && !self.resizer_index.has_dead_candidates()
             && self.incr.sched_block.is_some()
         {
@@ -1562,11 +1440,7 @@ impl Slurm {
         }
         self.incr.sched_runs += 1;
         self.reap_dead_resizers(now);
-        let (started, blocked) = if matches!(
-            self.config.sched_index,
-            SchedIndex::Arena | SchedIndex::Indexed
-        ) && self.index_is_exact()
-        {
+        let (started, blocked) = if self.index_is_exact() {
             self.schedule_walk(now)
         } else {
             let order = self.pending_ids_by_priority(now);
@@ -1594,7 +1468,7 @@ impl Slurm {
         // Memoize only a fully fruitless pass: a pass that started jobs
         // may have flipped a skipped resizer's dependency mid-walk, and
         // `start_job` cleared the memos anyway.
-        if self.incr_on() && self.index_is_exact() && started.is_empty() {
+        if self.index_is_exact() && started.is_empty() {
             self.incr.sched_block = blocked;
         }
         started
@@ -1606,9 +1480,8 @@ impl Slurm {
     /// O(k log n). Visit order is the exact index key order — identical
     /// to the slice the materialising path would have walked (the only
     /// mid-walk mutation, [`Slurm::start_job`], removes keys the cursor
-    /// has already passed). Used by both [`SchedIndex::Arena`] and
-    /// [`SchedIndex::Indexed`] whenever the index is exact. Also returns
-    /// the blocked head's request size for the elision watermark.
+    /// has already passed). Also returns the blocked head's request size
+    /// for the elision watermark.
     fn schedule_walk(&mut self, now: SimTime) -> (Vec<JobStart>, Option<u32>) {
         let mut started = Vec::new();
         let mut blocked = None;
@@ -1640,7 +1513,7 @@ impl Slurm {
     ///   shadow-time reservations (the first from the running index, the
     ///   deeper ones from the slot-set timeline); lower-priority jobs
     ///   jump ahead only if they delay none of them.
-    ///   `k = 1` is bit-for-bit the legacy behaviour. On the production
+    ///   `k = 1` is classic EASY. On the production
     ///   path the pass does not walk the queue: once the reservations
     ///   are held it visits, per requested node count that still fits,
     ///   only the jobs short enough to delay none of them — the walk's
@@ -1650,18 +1523,14 @@ impl Slurm {
     /// * [`BackfillFamily::Conservative`] — every blocked job gets a slot
     ///   planned in the timeline; a job starts now only if its whole
     ///   expected runtime fits under every plan.
-    /// * [`BackfillFamily::LegacyReference`] — the pre-slot-set
-    ///   single-reservation walk, kept as the equivalence oracle.
     ///
-    /// Under [`SchedIncremental::On`] a pass whose memo is still valid —
-    /// same family and knobs, a later-or-equal instant (refusals are
-    /// monotone in time), no invalidating mutation since, and a provably
-    /// no-op reap — is elided in O(1): it would start nothing and leave
-    /// no observable state, bit-for-bit like running it. The legacy
-    /// oracle never creates memos, so it never elides.
+    /// On the production path a pass whose memo is still valid — same
+    /// family and knobs, a later-or-equal instant (refusals are monotone
+    /// in time), no invalidating mutation since, and a provably no-op
+    /// reap — is elided in O(1): it would start nothing and leave no
+    /// observable state, bit-for-bit like running it.
     pub fn backfill_pass(&mut self, now: SimTime) -> Vec<JobStart> {
-        if self.incr_on()
-            && self.index_is_exact()
+        if self.index_is_exact()
             && !self.resizer_index.has_dead_candidates()
             && self.incr.bf_memo.as_ref().is_some_and(|m| {
                 (if m.fitting_refused {
@@ -1682,57 +1551,15 @@ impl Slurm {
                 self.backfill_pass_easy(now, reservations.max(1))
             }
             BackfillFamily::Conservative => self.backfill_pass_conservative(now),
-            BackfillFamily::LegacyReference => self.backfill_pass_legacy(now),
         }
-    }
-
-    /// The pre-slot-set EASY pass: one reservation computed by the
-    /// running-index walk ([`Slurm::reservation_for`]), kept verbatim as
-    /// the equivalence oracle for `Easy { reservations: 1 }`.
-    fn backfill_pass_legacy(&mut self, now: SimTime) -> Vec<JobStart> {
-        self.reap_dead_resizers(now);
-        let order = self.pending_ids_by_priority(now);
-        let mut started = Vec::new();
-        let mut reservation: Option<(SimTime, u32)> = None;
-        for &id in order.iter() {
-            let job = &self.jobs[id];
-            if !self.dependency_satisfied(job) {
-                continue;
-            }
-            self.incr.bf_examined += 1;
-            let need = job.requested_nodes;
-            let fits = self.cluster.can_allocate_in(need, job.constraint);
-            match (&mut reservation, fits) {
-                (None, true) => {
-                    started.push(self.start_job(id, now));
-                }
-                (None, false) => {
-                    if !self.config.backfill {
-                        break;
-                    }
-                    reservation = Some(self.reservation_for(need, now));
-                }
-                (Some((shadow, extra)), true) => {
-                    // Backfill: must not delay the reservation holder.
-                    let est_end = now + self.jobs[id].expected_runtime;
-                    if est_end <= *shadow {
-                        started.push(self.start_job(id, now));
-                    } else if need <= *extra {
-                        *extra -= need;
-                        started.push(self.start_job(id, now));
-                    }
-                }
-                (Some(_), false) => {}
-            }
-        }
-        started
     }
 
     /// EASY-k: up to `k` blocked jobs hold `(shadow, spare)`
     /// reservations; a fitting lower-priority job starts only if, for
     /// every reservation, it either ends by the shadow time or fits in
     /// the spare nodes (which it then consumes). The first reservation
-    /// is the legacy walk's ([`Slurm::reservation_for`]); deeper ones are
+    /// is a prefix walk of the running index
+    /// ([`Slurm::reservation_for`]); deeper ones are
     /// hole queries (one scan) on the slot-set timeline, which only a
     /// pass with `k >= 2` therefore needs. A reservation is planned into
     /// the timeline while a later one of the same pass can still see it,
@@ -1743,23 +1570,34 @@ impl Slurm {
     /// pass ([`Slurm::easy_indexed`]) offers only those that can pass
     /// the harmless check and runs whenever its preconditions hold; the
     /// walk ([`Slurm::easy_walk`]) offers all of them and is the
-    /// fallback — and, under [`SchedIndex::ScanReference`], the oracle.
+    /// fallback — and, under [`SchedIndex::ScanReference`], the
+    /// reference.
     fn backfill_pass_easy(&mut self, now: SimTime, k: u32) -> Vec<JobStart> {
+        // The need view holds the whole pending set, and "fits" is
+        // "requests at most the free count", only while no resizer and no
+        // class-constrained job is pending; it is in scheduling order
+        // only while that order is static.
+        let indexed = self.index_is_exact()
+            && self.pending_index.pending_resizers() == 0
+            && self.pending_index.constrained() == 0;
+        let pass = self.easy_pass(now, k, indexed);
+        if pass.started.is_empty() {
+            self.bf_memoize(now, pass.watermark, pass.fitting_refused);
+        }
+        pass.started
+    }
+
+    /// One EASY pass with the chosen body between the shared prologue
+    /// (reap, timelines brought to `now`) and epilogue (the pass's
+    /// journaled reservations unplanned).
+    fn easy_pass(&mut self, now: SimTime, k: u32, indexed: bool) -> EasyPass {
         self.reap_dead_resizers(now);
         if k >= 2 {
             self.activate_timeline(now);
         }
         self.sync_timelines(now);
         let mut pass = EasyPass::new(k);
-        // The need view holds the whole pending set, and "fits" is
-        // "requests at most the free count", only while no resizer and no
-        // class-constrained job is pending; it is in scheduling order
-        // only while that order is static.
-        if self.config.sched_index == SchedIndex::Arena
-            && self.index_is_exact()
-            && self.pending_index.pending_resizers() == 0
-            && self.pending_index.constrained() == 0
-        {
+        if indexed {
             self.easy_indexed(now, &mut pass);
         } else {
             self.easy_walk(now, &mut pass);
@@ -1770,15 +1608,7 @@ impl Slurm {
                 tl.slots.rollback_plans();
             }
         }
-        self.bf_memoize(
-            now,
-            pass.watermark,
-            pass.fitting_refused,
-            pass.started.is_empty(),
-            pass.reservations,
-            Vec::new(),
-        );
-        pass.started
+        pass
     }
 
     /// One pending job's turn in an EASY pass: start it if it fits and
@@ -1855,7 +1685,7 @@ impl Slurm {
     /// The EASY walk: every pending job, in scheduling order.
     fn easy_walk(&mut self, now: SimTime, pass: &mut EasyPass) {
         let order = self.pass_order(now);
-        for &id in order.ids() {
+        for &id in order.iter() {
             if let EasyVisit::Stop = self.easy_visit(id, now, pass) {
                 break;
             }
@@ -1972,12 +1802,12 @@ impl Slurm {
         let window = self.config.bf_max_job_test.max(1);
         let order = self.pass_order(now);
         let mut started = Vec::new();
-        let mut plan_slots: Vec<(JobId, SimTime)> = Vec::new();
+        let mut planned = false;
         let mut tested: u32 = 0;
         // Refusal records for the elision memo (see [`BfMemo`]).
         let mut watermark = u32::MAX;
         let mut fitting_refused = false;
-        for &id in order.ids() {
+        for &id in order.iter() {
             // Tombstone / state filter (see `backfill_pass_easy`). Under
             // the persistent order this is what makes the pass a *window
             // over the retained order* — O(window + skips) instead of a
@@ -1995,7 +1825,7 @@ impl Slurm {
             let need = job.requested_nodes;
             let dur = job.expected_runtime;
             let fits = self.cluster.can_allocate_in(need, job.constraint);
-            if !fits && plan_slots.is_empty() && !self.config.backfill {
+            if !fits && !planned && !self.config.backfill {
                 watermark = watermark.min(need);
                 break;
             }
@@ -2049,7 +1879,7 @@ impl Slurm {
                     if let Some(c) = sole {
                         self.class_timelines.get_mut()[c].slots.plan(s, until, need);
                     }
-                    plan_slots.push((id, s));
+                    planned = true;
                 }
                 None => {
                     if fits {
@@ -2066,42 +1896,26 @@ impl Slurm {
                 tl.restore();
             }
         }
-        self.bf_memoize(
-            now,
-            watermark,
-            fitting_refused,
-            started.is_empty(),
-            Vec::new(),
-            plan_slots,
-        );
+        if started.is_empty() {
+            self.bf_memoize(now, watermark, fitting_refused);
+        }
         started
     }
 
     /// Records the memo of a fruitless backfill pass (see [`BfMemo`]).
-    /// Passes that started jobs need no action: `start_job` already
+    /// Not called after a pass that started jobs: `start_job` already
     /// cleared any previous memo.
-    fn bf_memoize(
-        &mut self,
-        now: SimTime,
-        watermark: u32,
-        fitting_refused: bool,
-        fruitless: bool,
-        easy_reservations: Vec<(SimTime, u32)>,
-        conservative_plan: Vec<(JobId, SimTime)>,
-    ) {
-        if !(self.incr_on() && self.index_is_exact() && fruitless) {
-            return;
+    fn bf_memoize(&mut self, now: SimTime, watermark: u32, fitting_refused: bool) {
+        if self.index_is_exact() {
+            self.incr.bf_memo = Some(BfMemo {
+                at: now,
+                watermark,
+                fitting_refused,
+                family: self.config.backfill_family,
+                backfill_on: self.config.backfill,
+                window: self.config.bf_max_job_test,
+            });
         }
-        self.incr.bf_memo = Some(BfMemo {
-            at: now,
-            watermark,
-            fitting_refused,
-            family: self.config.backfill_family,
-            backfill_on: self.config.backfill,
-            window: self.config.bf_max_job_test,
-            easy_reservations,
-            conservative_plan,
-        });
     }
 
     /// Pass counters of the incremental layer: executed versus elided
@@ -2116,31 +1930,15 @@ impl Slurm {
         }
     }
 
-    /// The EASY-k `(shadow, spare)` reservations retained from the last
-    /// fruitless backfill pass, while still provably current (every
-    /// invalidating mutation drops them together with the pass memo).
-    /// `None` when no memo is live or the memoized family was not EASY.
-    /// This is the cross-pass reservation cache: while the blocking set
-    /// is unchanged, repeat passes are elided and the pairs are served
-    /// from here instead of being recomputed.
-    pub fn easy_reservations(&self) -> Option<&[(SimTime, u32)]> {
-        self.incr.bf_memo.as_ref().and_then(|m| {
-            matches!(m.family, BackfillFamily::Easy { .. })
-                .then_some(m.easy_reservations.as_slice())
-        })
-    }
-
     /// Whether growing running job `id` to `to` nodes would steal the
     /// backfill hole of the first blocked pending job. Grow-happy
     /// policies consult this before returning an expand verdict when
     /// [`SlurmConfig::hole_guard`] is on (default); off restores the
     /// reservation-blind behaviour.
     ///
-    /// The check is deliberately mode-independent: it recomputes the
-    /// blocked head's reservation instead of peeking at
-    /// [`Slurm::easy_reservations`] (whose presence depends on the
-    /// [`SchedIncremental`] knob), so policy decisions stay
-    /// bit-identical across every hot-path / incremental setting. A
+    /// The check recomputes the blocked head's reservation — a pass
+    /// keeps none behind — so the verdict is the same on the production
+    /// path and on the reference, whatever passes ran or were elided. A
     /// grow steals the hole when its extra nodes exceed the
     /// reservation's spare count while the grown job is still expected
     /// to run at the shadow time.
@@ -2191,18 +1989,6 @@ impl Slurm {
         delta > spare && grown_end > shadow
     }
 
-    /// The conservative plan `(job, planned start)` retained from the
-    /// last fruitless backfill pass, while still provably current.
-    /// Entries are as of the memoized instant (the memo's `at`): with the
-    /// cluster unchanged since, no planned job can start earlier, so the
-    /// plan remains the schedule the pass would reproduce. `None` when no
-    /// memo is live or the memoized family was not conservative.
-    pub fn conservative_plan(&self) -> Option<&[(JobId, SimTime)]> {
-        self.incr.bf_memo.as_ref().and_then(|m| {
-            (m.family == BackfillFamily::Conservative).then_some(m.conservative_plan.as_slice())
-        })
-    }
-
     /// A deeper EASY-k reservation: the earliest timeline hole fitting
     /// `need` nodes for `dur`, with the spare count taken against the
     /// occupancy peak inside the window (so backfilling against this
@@ -2250,8 +2036,8 @@ impl Slurm {
         // removes nothing from the pending set and touches no priority
         // input, so the memoized pending order stays valid. (Orphaned
         // resizers are reaped via `cancel`, which does invalidate.) The
-        // older paths invalidate unconditionally, exactly as before.
-        if was_pending || self.config.sched_index != SchedIndex::Arena {
+        // reference invalidates unconditionally.
+        if was_pending || self.config.sched_index == SchedIndex::ScanReference {
             self.invalidate_queue_cache();
         }
         // A job that shrank to zero nodes cannot exist (envelope min >= 1),
@@ -2301,8 +2087,8 @@ impl Slurm {
         }
         self.resizer_index.parent_terminal(id);
         if was_pending {
-            // Removal without reorder: tombstone under the persistent
-            // cache, full drop elsewhere (exactly the old behaviour).
+            // Removal without reorder: a tombstone in an index-served
+            // order, a full drop of a sort-served one.
             self.queue_cache_tombstone();
         } else {
             self.invalidate_queue_cache();
@@ -3176,7 +2962,6 @@ mod tests {
             // capacity refusal, the smallest is the watermark.
             let memo = s.incr.bf_memo.as_ref().expect("fruitless pass memoised");
             assert_eq!((memo.watermark, memo.fitting_refused), (1, false));
-            assert_eq!(memo.easy_reservations.len(), k as usize);
         }
     }
 
@@ -3382,7 +3167,7 @@ mod tests {
     }
 
     #[test]
-    fn conservative_plans_every_blocked_job() {
+    fn conservative_gives_every_blocked_job_a_plan() {
         // Conservative: blocked1 and blocked2 get planned slots, the long
         // job would overlap blocked2's plan (occupancy 10 > cap 8 inside
         // its window) and is only planned for later — the short job fits
@@ -3438,38 +3223,6 @@ mod tests {
         tl.check("timeline", true, &[(t(1000), 8), (t(55), 2), (t(85), 2)])
             .unwrap();
         s.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn easy1_and_legacy_reference_schedule_identically() {
-        // Twin drive (the `indexed_and_scan_paths_schedule_identically`
-        // pattern): the slot-set Easy{1} path and the legacy walk must
-        // agree on every observable through a mixed op sequence.
-        let mut easy = slurm(16);
-        let mut legacy = slurm(16);
-        legacy.config.backfill_family = BackfillFamily::LegacyReference;
-        for s in [&mut easy, &mut legacy] {
-            for i in 0..8u32 {
-                s.submit(
-                    JobRequest::rigid(format!("j{i}"), 2 + (i * 5) % 11)
-                        .with_expected_runtime(Span::from_secs(60 + (i as u64 * 131) % 700)),
-                    t(i as u64),
-                );
-            }
-        }
-        let a = easy.schedule(t(10));
-        assert_eq!(a, legacy.schedule(t(10)));
-        assert_eq!(easy.backfill_pass(t(12)), legacy.backfill_pass(t(12)));
-        let first = a[0].id;
-        for s in [&mut easy, &mut legacy] {
-            s.complete(first, t(40));
-            s.set_expected_runtime(a[1].id, Span::from_secs(2000));
-        }
-        assert_eq!(easy.backfill_pass(t(45)), legacy.backfill_pass(t(45)));
-        assert_eq!(easy.schedule(t(50)), legacy.schedule(t(50)));
-        assert_eq!(easy.backfill_pass(t(55)), legacy.backfill_pass(t(55)));
-        easy.check_invariants().unwrap();
-        legacy.check_invariants().unwrap();
     }
 
     #[test]
@@ -3543,7 +3296,7 @@ mod tests {
         s.expand_protocol(a, 6, t(10)).unwrap();
         s.check_invariants().unwrap();
         assert!(s.backfill_pass(t(12)).is_empty());
-        assert_eq!(s.easy_reservations().map(<[_]>::len), Some(1));
+        assert!(s.incr.bf_memo.is_some(), "fruitless pass memoised");
         s.set_expected_runtime(a, Span::from_secs(2000));
         s.shrink_protocol(a, 2, t(20)).unwrap();
         s.check_invariants().unwrap();
@@ -3624,15 +3377,23 @@ mod tests {
             assert!(late.tl_live);
             assert_eq!(a, b, "{family:?}");
             assert!(!a.is_empty(), "{family:?}: a small job backfills");
-            // A second, fruitless pass retains its plans for comparison.
-            assert_eq!(late.backfill_pass(t(95)), early.backfill_pass(t(95)));
-            assert_eq!(late.easy_reservations(), early.easy_reservations());
-            assert_eq!(late.conservative_plan(), early.conservative_plan());
-            let planned = match family {
-                BackfillFamily::Conservative => late.conservative_plan().map(<[_]>::len),
-                _ => late.easy_reservations().map(<[_]>::len),
-            };
-            assert!(planned >= Some(2), "{family:?}: {planned:?}");
+            // A second, fruitless pass, then the hole queries a pass
+            // makes, asked of both timelines directly.
+            let (a, b) = (late.backfill_pass(t(95)), early.backfill_pass(t(95)));
+            assert!(a.is_empty() && b.is_empty(), "{family:?}");
+            let mut later_holes = 0;
+            for need in 1..=12 {
+                for secs in [50, 100, 300, 5000] {
+                    let hole = late.hole_reservation(need, Span::from_secs(secs), t(95));
+                    assert_eq!(
+                        hole,
+                        early.hole_reservation(need, Span::from_secs(secs), t(95)),
+                        "{family:?}: {need} nodes for {secs} s"
+                    );
+                    later_holes += u32::from(hole.0 > t(95));
+                }
+            }
+            assert!(later_holes >= 2, "{family:?}: every hole is at `now`");
             for s in [&late, &early] {
                 s.check_invariants().unwrap();
             }
@@ -3668,16 +3429,15 @@ mod tests {
         assert_eq!(s.timeline.borrow().slots.journaled(), 2);
         s.timeline.get_mut().slots.rollback_plans();
         s.check_invariants().unwrap();
-        // The whole pass grants the same three and leaves nothing behind.
+        // The whole pass leaves nothing behind.
         assert!(s.backfill_pass(t(5)).is_empty());
-        assert_eq!(s.easy_reservations(), Some(pass.reservations.as_slice()));
         assert_eq!(s.timeline.borrow().slots.journaled(), 0);
         s.check_invariants().unwrap();
     }
 
-    /// Twin schedulers — incremental on vs off — driven through the same
-    /// operation sequence must make bit-identical decisions at every
-    /// pass, while the incremental twin actually elides some of them.
+    /// Twin schedulers — production vs the from-scratch scan reference —
+    /// driven through the same operation sequence must make bit-identical
+    /// decisions at every pass, while production actually elides some.
     #[test]
     fn incremental_twin_matches_costed_baseline() {
         twin_run(BackfillFamily::easy(1));
@@ -3686,8 +3446,7 @@ mod tests {
 
     fn twin_run(family: BackfillFamily) {
         let mut on = slurm(10);
-        let mut off = slurm(10);
-        off.config.sched_incremental = SchedIncremental::Off;
+        let mut off = scan_twin(10);
         on.config.backfill_family = family;
         off.config.backfill_family = family;
         let mut ids = Vec::new();
@@ -3747,8 +3506,11 @@ mod tests {
             "no backfill pass elided: {stats:?}"
         );
         let stats = off.incremental_stats();
-        assert_eq!(stats.sched_passes_elided, 0, "Off must never elide");
-        assert_eq!(stats.backfill_passes_elided, 0, "Off must never elide");
+        assert_eq!(stats.sched_passes_elided, 0, "the reference never elides");
+        assert_eq!(
+            stats.backfill_passes_elided, 0,
+            "the reference never elides"
+        );
         let on_jobs: Vec<_> = on
             .jobs()
             .map(|j| (j.name.clone(), j.state, j.start_time, j.end_time))
@@ -3758,6 +3520,130 @@ mod tests {
             .map(|j| (j.name.clone(), j.state, j.start_time, j.end_time))
             .collect();
         assert_eq!(on_jobs, off_jobs);
+    }
+
+    /// What the deleted `Indexed` walking twin pinned, without a knob: the
+    /// memo inputs `easy_indexed` derives by two seeks — the watermark and
+    /// whether a fitting job was refused — are the ones `easy_walk`
+    /// records job by job, and both bodies start the same jobs against
+    /// the same reservations. Twin production schedulers take one random
+    /// op sequence; at every pass one runs the walk and the other the
+    /// indexed body inside the same prologue and epilogue. (A scan twin
+    /// never memoises, so it cannot see an over-liberal memo until the
+    /// one state where the elided pass would have started something.)
+    #[test]
+    fn indexed_easy_body_matches_the_walk_in_starts_reservations_and_memo_inputs() {
+        for k in [1, 2, 8] {
+            let (mut fruitless, mut fruitful, mut phase2) = (0, 0, 0);
+            for seed in 1..=6u64 {
+                let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                let mut next = move || {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng
+                };
+                let mut twins = [slurm(24), slurm(24)];
+                let mut serial = 0u64;
+                let mut submit = |twins: &mut [Slurm; 2], need: u64, secs: u64, now| {
+                    serial += 1;
+                    let req = JobRequest::rigid(format!("j{serial}"), need as u32)
+                        .with_expected_runtime(Span::from_secs(secs));
+                    twins.each_mut().map(|s| s.submit(req.clone(), now))[0]
+                };
+                // A full machine, then a queue deep enough that every
+                // pass still has jobs behind its `k` reservation holders.
+                for _ in 0..8 {
+                    submit(&mut twins, 3, 200 + next() % 900, t(0));
+                }
+                let mut running: Vec<JobId> = Vec::new();
+                for s in &mut twins {
+                    running = s.schedule(t(0)).iter().map(|j| j.id).collect();
+                }
+                let mut pending: Vec<JobId> = (0..60)
+                    .map(|_| submit(&mut twins, 1 + next() % 12, 20 + next() % 1500, t(1)))
+                    .collect();
+                for round in 0..120u64 {
+                    let now = t(100 + round * 7);
+                    let pick = |v: &[JobId], r: u64| {
+                        (!v.is_empty()).then(|| v[(r % v.len() as u64) as usize])
+                    };
+                    match next() % 8 {
+                        0 | 1 => pending.push(submit(
+                            &mut twins,
+                            1 + next() % 12,
+                            20 + next() % 1500,
+                            now,
+                        )),
+                        2 | 3 => {
+                            if let Some(id) = pick(&running, next()) {
+                                running.retain(|&r| r != id);
+                                twins.iter_mut().for_each(|s| s.complete(id, now));
+                            }
+                        }
+                        4 => {
+                            if let Some(id) = pick(&pending, next()) {
+                                pending.retain(|&p| p != id);
+                                twins.iter_mut().for_each(|s| s.cancel(id, now));
+                            }
+                        }
+                        5 => {
+                            if let Some(id) = pick(&pending, next()) {
+                                twins.iter_mut().for_each(|s| s.boost(id));
+                            }
+                        }
+                        6 => {
+                            let all: Vec<JobId> = pending.iter().chain(&running).copied().collect();
+                            if let Some(id) = pick(&all, next()) {
+                                let est = Span::from_secs(10 + next() % 2000);
+                                twins
+                                    .iter_mut()
+                                    .for_each(|s| s.set_expected_runtime(id, est));
+                            }
+                        }
+                        _ if next() % 4 == 0 => {
+                            let on = twins[0].config.backfill;
+                            twins.iter_mut().for_each(|s| s.config.backfill = !on);
+                        }
+                        _ => {}
+                    }
+                    let [walk, fast] = &mut twins;
+                    let mut started = Vec::new();
+                    if next() % 2 == 0 {
+                        started = walk.schedule(now);
+                        assert_eq!(started, fast.schedule(now));
+                    }
+                    assert!(fast.index_is_exact());
+                    assert_eq!(fast.pending_index.pending_resizers(), 0);
+                    let (w, f) = (walk.easy_pass(now, k, false), fast.easy_pass(now, k, true));
+                    let what = format!("k {k} seed {seed} round {round}");
+                    assert_eq!(w.started, f.started, "{what}");
+                    assert_eq!(w.reservations, f.reservations, "{what}");
+                    if w.started.is_empty() {
+                        // Only a fruitless pass memoises.
+                        assert_eq!(
+                            (w.watermark, w.fitting_refused),
+                            (f.watermark, f.fitting_refused),
+                            "{what}: memo inputs"
+                        );
+                        fruitless += 1;
+                    } else {
+                        fruitful += 1;
+                    }
+                    phase2 += u32::from(f.reservations.len() as u32 == k);
+                    for j in started.iter().chain(&w.started) {
+                        pending.retain(|&p| p != j.id);
+                        running.push(j.id);
+                    }
+                    walk.check_invariants().unwrap();
+                    fast.check_invariants().unwrap();
+                }
+            }
+            assert!(
+                fruitless > 20 && fruitful > 20 && phase2 > 100,
+                "k {k}: {fruitless} fruitless, {fruitful} fruitful, {phase2} reached phase 2"
+            );
+        }
     }
 
     /// Regression: a job submitted below a live memo's watermark must
@@ -3797,54 +3683,6 @@ mod tests {
             "small must backfill into the freed nodes"
         );
         assert_eq!(s.job(small).unwrap().state, JobState::Running);
-    }
-
-    /// The retained-plan accessors expose exactly what the live memo
-    /// holds: EASY reservations under the Easy family, planned slots
-    /// under Conservative, and nothing once the memo is invalidated.
-    #[test]
-    fn retained_plan_accessors_track_the_live_memo() {
-        let mut s = slurm(10);
-        let r1 = s.submit(
-            JobRequest::rigid("r1", 6).with_expected_runtime(Span::from_secs(1000)),
-            t(0),
-        );
-        s.schedule(t(0));
-        let big = s.submit(
-            JobRequest::rigid("big", 8).with_expected_runtime(Span::from_secs(100)),
-            t(1),
-        );
-        s.schedule(t(1));
-        assert!(s.easy_reservations().is_none(), "no pass run yet");
-        assert!(s.backfill_pass(t(1)).is_empty());
-        let res = s.easy_reservations().expect("fruitless EASY pass memoised");
-        assert_eq!(res.len(), 1, "one blocked job, one reservation");
-        assert_eq!(res[0].0, t(1000), "shadow = r1's expected end");
-        assert!(s.conservative_plan().is_none(), "family is Easy");
-        // Any capacity event that can change the pass drops the memo.
-        s.complete(r1, t(2));
-        assert!(s.easy_reservations().is_none());
-
-        let mut s = slurm(10);
-        s.config.backfill_family = BackfillFamily::Conservative;
-        let _r1 = s.submit(
-            JobRequest::rigid("r1", 6).with_expected_runtime(Span::from_secs(1000)),
-            t(0),
-        );
-        s.schedule(t(0));
-        let big2 = s.submit(
-            JobRequest::rigid("big", 8).with_expected_runtime(Span::from_secs(100)),
-            t(1),
-        );
-        s.schedule(t(1));
-        assert!(s.backfill_pass(t(1)).is_empty());
-        let plan = s.conservative_plan().expect("fruitless pass memoised");
-        assert_eq!(plan, &[(big2, t(1000))], "big planned at r1's end");
-        assert!(s.easy_reservations().is_none(), "family is Conservative");
-        let _ = big;
-        // A fitting submission invalidates the memo outright.
-        s.submit(JobRequest::rigid("fits", 2), t(5));
-        assert!(s.conservative_plan().is_none());
     }
 
     /// Same-instant duplicate reap scans are skipped under incremental

@@ -1,18 +1,17 @@
-//! Property test: slot-set `Easy { reservations: 1 }` backfill is
-//! bit-identical to the legacy single-reservation oracle.
+//! Property tests of the backfill families against the scan reference.
 //!
-//! The slot-set PR replaced the per-pass running-index reservation walk
-//! with a free-resource timeline (`dmr_slurm::slotset`): EASY-k holds up
-//! to `k` reservations found by O(log) hole queries, conservative plans
-//! every blocked job in its window. The pre-slot-set walk survives as
-//! [`dmr::slurm::BackfillFamily::LegacyReference`] — the same oracle
-//! pattern as `SchedIndex::ScanReference` — and this suite drives *full
-//! experiments* (every workload family × resize policy × fixed/flexible ×
-//! sync/async, under every scheduler hot path) through both families,
+//! EASY-k holds up to `k` reservations (the first from the running
+//! index, deeper ones from hole queries on the slot-set timeline,
+//! `dmr_slurm::slotset`); conservative plans every blocked job in its
+//! window. On the production path an EASY pass does not even walk the
+//! queue. The reference for all of it is the same family under
+//! `SchedIndex::ScanReference`: a walk of every pending entry against
+//! reservations taken from a scan of the job table, nothing memoised.
+//! This suite drives *full experiments* (every workload family × resize
+//! policy × fixed/flexible × sync/async × estimate source) through both,
 //! requiring bit-identical results down to the raw f64 bits of every
-//! summary field and the exact bytes of the sweep CSV row. Deeper
-//! families cannot be pinned to the oracle (they schedule differently by
-//! design), so they are checked for lawfulness instead: every job runs
+//! summary field and the exact bytes of the sweep CSV row; the deeper
+//! families are additionally checked for lawfulness: every job runs
 //! exactly once, nothing schedules in the past, and the timeline's
 //! occupancy invariants hold through a direct scheduler drive.
 //!
@@ -21,89 +20,19 @@
 //! the whole scheduler sits between the property and the structure.
 //!
 //! The last section is the differential test of the *indexed EASY pass*:
-//! the production arena path visits only the jobs that can pass the
-//! harmless check, and must start exactly the jobs — in exactly the
-//! order — that the walk of every pending entry starts, call by call.
+//! the production path visits only the jobs that can pass the harmless
+//! check, and must start exactly the jobs — in exactly the order — that
+//! the walk of every pending entry starts, call by call.
 
-use dmr::core::{
-    run_experiment_streaming, BackfillFamily, ExperimentConfig, ExperimentResult, PolicyKind,
-    WorkloadKind,
-};
+mod common;
+
+use common::{assert_bit_identical, csv_row, kind_for, policy_for};
+use dmr::core::config::EstimateMode;
+use dmr::core::{run_experiment_streaming, BackfillFamily, ExperimentConfig, WorkloadKind};
 use dmr::sim::{SimTime, Span};
 use dmr::slurm::{ExpandError, JobId, JobRequest, JobState, SchedIndex, Slurm, SlurmConfig};
-use dmr_bench::sweep::SweepCell;
 use dmr_cluster::{ClassConstraint, Cluster};
 use proptest::prelude::*;
-
-fn kind_for(kind: u8) -> WorkloadKind {
-    match kind % 5 {
-        0 => WorkloadKind::FsPreliminary,
-        1 => WorkloadKind::FsMicroSteps,
-        2 => WorkloadKind::RealMix,
-        3 => WorkloadKind::burst(),
-        _ => WorkloadKind::diurnal(),
-    }
-}
-
-fn policy_for(policy: u8) -> PolicyKind {
-    match policy % 3 {
-        0 => PolicyKind::Algorithm1,
-        1 => PolicyKind::utilization_target(),
-        _ => PolicyKind::fair_share(),
-    }
-}
-
-/// One sweep-style CSV row for a result (fixed labels: only the numbers
-/// — i.e. the scheduling outcome — can differ between the two families).
-fn csv_row(kind: WorkloadKind, cfg: &ExperimentConfig, seed: u64, r: &ExperimentResult) -> String {
-    SweepCell {
-        scenario: "backfill-equivalence".into(),
-        workload: kind.name(),
-        policy: cfg.policy.label(),
-        mode: "sync",
-        backfill: "easy1-vs-legacy",
-        machine_mix: cfg.machine_mix.name(),
-        faults: cfg.faults.name(),
-        seed,
-        nodes: cfg.nodes,
-        summary: r.summary.clone(),
-        events: r.events,
-        past_schedules: r.past_schedules,
-    }
-    .csv_row()
-}
-
-fn assert_bit_identical(a: &ExperimentResult, b: &ExperimentResult) -> Result<(), String> {
-    let sa = &a.summary;
-    let sb = &b.summary;
-    prop_assert_eq!(sa.jobs, sb.jobs);
-    prop_assert_eq!(sa.reconfigurations, sb.reconfigurations);
-    // Raw-bit float comparison: even sub-rounding divergence fails.
-    for (x, y, what) in [
-        (sa.makespan_s, sb.makespan_s, "makespan"),
-        (sa.utilization, sb.utilization, "utilization"),
-        (sa.avg_waiting_s, sb.avg_waiting_s, "avg_wait"),
-        (sa.avg_execution_s, sb.avg_execution_s, "avg_exec"),
-        (sa.avg_completion_s, sb.avg_completion_s, "avg_compl"),
-        (sa.waiting_q.p50_s, sb.waiting_q.p50_s, "p50_wait"),
-        (sa.waiting_q.p99_s, sb.waiting_q.p99_s, "p99_wait"),
-        (sa.execution_q.p95_s, sb.execution_q.p95_s, "p95_exec"),
-        (sa.completion_q.p99_s, sb.completion_q.p99_s, "p99_compl"),
-    ] {
-        prop_assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{} diverged: {} vs {}",
-            what,
-            x,
-            y
-        );
-    }
-    prop_assert_eq!(a.events, b.events, "event streams diverged");
-    prop_assert_eq!(a.past_schedules, b.past_schedules);
-    prop_assert_eq!(a.end_time, b.end_time);
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
@@ -115,12 +44,12 @@ proptest! {
         policy in 0u8..3,
         asynchronous in 0u8..2,
         fixed in 0u8..2,
-        hot_path in 0u8..3,
-        incremental in 0u8..2,
+        exact_estimates in 0u8..2,
     ) {
         let kind = kind_for(kind);
         let mut cfg = ExperimentConfig::preliminary()
             .with_policy(policy_for(policy))
+            .with_backfill_family(BackfillFamily::easy(1))
             .online();
         if asynchronous == 1 {
             cfg = cfg.asynchronous();
@@ -128,30 +57,21 @@ proptest! {
         if fixed == 1 {
             cfg = cfg.as_fixed();
         }
-        // The family equivalence must hold under every scheduler hot
-        // path and with incremental pass elision both on and off (the
-        // oracle axes are orthogonal).
-        cfg = match hot_path {
-            0 => cfg,
-            1 => cfg.indexed_reference(),
-            _ => cfg.scan_reference(),
-        };
-        if incremental == 1 {
-            cfg = cfg.incremental_off();
+        // Near-exact estimates leave backfill the fewest holes and the
+        // tightest shadow times: the other regime of the harmless check.
+        if exact_estimates == 1 {
+            cfg.estimate_mode = EstimateMode::Actual;
         }
-        let easy1 = run_experiment_streaming(
-            &cfg.with_backfill_family(BackfillFamily::easy(1)),
+        let easy1 = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
+        let walked = run_experiment_streaming(
+            &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );
-        let legacy = run_experiment_streaming(
-            &cfg.legacy_backfill_reference(),
-            kind.build(jobs, seed).as_mut(),
-        );
-        assert_bit_identical(&easy1, &legacy)?;
+        assert_bit_identical(&easy1, &walked)?;
         // The derived sweep CSV rows must be byte-identical too.
         prop_assert_eq!(
-            csv_row(kind, &cfg, seed, &easy1),
-            csv_row(kind, &cfg, seed, &legacy)
+            csv_row(kind.name(), &cfg, seed, &easy1),
+            csv_row(kind.name(), &cfg, seed, &walked)
         );
     }
 }
@@ -161,29 +81,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
     fn easy1_outcomes_match_the_legacy_oracle(seed in 0u64..1000, jobs in 1u32..20) {
-        let cfg = ExperimentConfig::preliminary();
-        let kind = WorkloadKind::FsPreliminary;
-        let easy1 = run_experiment_streaming(
-            &cfg.with_backfill_family(BackfillFamily::easy(1)),
+        let cfg = ExperimentConfig::preliminary().with_backfill_family(BackfillFamily::easy(1));
+        let kind = WorkloadKind::RealMix;
+        let easy1 = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
+        let walked = run_experiment_streaming(
+            &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );
-        let legacy = run_experiment_streaming(
-            &cfg.legacy_backfill_reference(),
-            kind.build(jobs, seed).as_mut(),
-        );
-        prop_assert_eq!(easy1.outcomes.len(), legacy.outcomes.len());
-        for (x, y) in easy1.outcomes.iter().zip(&legacy.outcomes) {
-            prop_assert_eq!(x.submit, y.submit);
-            prop_assert_eq!(x.start, y.start);
-            prop_assert_eq!(x.end, y.end);
-            prop_assert_eq!(x.reconfigurations, y.reconfigurations);
-        }
-        assert_bit_identical(&easy1, &legacy)?;
+        prop_assert_eq!(easy1.outcomes.len(), jobs as usize);
+        assert_bit_identical(&easy1, &walked)?;
     }
 }
 
-// Deeper families are not oracle-pinned (they schedule differently by
-// design) but must stay lawful on the same experiment matrix.
+// Deeper families schedule differently from EASY-1 by design; they must
+// stay lawful on the same experiment matrix, and equal to their own
+// from-scratch twin.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]
@@ -208,34 +120,35 @@ proptest! {
         prop_assert_eq!(r.past_schedules, 0, "scheduled in the past");
         prop_assert!(r.summary.makespan_s.is_finite() && r.summary.makespan_s >= 0.0);
         prop_assert!(r.summary.utilization >= 0.0 && r.summary.utilization <= 1.0 + 1e-9);
-        // Not oracle-pinned, but the incremental elision contract still
-        // holds for the deep families: off must reproduce on exactly.
-        let off = run_experiment_streaming(
-            &cfg.incremental_off(),
+        let scan = run_experiment_streaming(
+            &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );
-        assert_bit_identical(&r, &off)?;
+        assert_bit_identical(&r, &scan)?;
     }
 }
 
-// A direct scheduler drive under each family, with the timeline/index
-// invariants checked after every mutation batch — the whole-scheduler
-// counterpart of the slot-set model tests.
+// A direct scheduler drive under each family, on either path, with the
+// timeline/index invariants checked after every mutation batch — the
+// whole-scheduler counterpart of the slot-set model tests.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
     fn scheduler_invariants_hold_under_every_family(
         seed in 0u64..10_000,
-        family in 0u8..4,
+        family in 0u8..3,
+        reference in proptest::bool::ANY,
     ) {
         let family = match family {
             0 => BackfillFamily::easy(1),
             1 => BackfillFamily::easy(3),
-            2 => BackfillFamily::Conservative,
-            _ => BackfillFamily::LegacyReference,
+            _ => BackfillFamily::Conservative,
         };
         let mut cfg = SlurmConfig::for_cluster(24);
         cfg.backfill_family = family;
+        if reference {
+            cfg.sched_index = SchedIndex::ScanReference;
+        }
         let mut s = Slurm::new(Cluster::new(24, 16), cfg);
         let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
         let mut step = || {
@@ -244,7 +157,7 @@ proptest! {
             rng ^= rng << 17;
             rng
         };
-        let mut live: Vec<dmr::slurm::JobId> = Vec::new();
+        let mut live: Vec<JobId> = Vec::new();
         for round in 0..40u64 {
             let now = SimTime::from_secs(round * 5);
             match step() % 4 {
@@ -259,9 +172,7 @@ proptest! {
                     live.push(id);
                 }
                 2 => {
-                    for start in s.schedule(now) {
-                        let _ = start;
-                    }
+                    s.schedule(now);
                 }
                 _ => {
                     if !live.is_empty() {
@@ -269,8 +180,8 @@ proptest! {
                         // Complete if running, cancel if still pending;
                         // both paths must keep the timeline in sync.
                         match s.job(id).map(|j| j.state) {
-                            Some(dmr::slurm::JobState::Running) => s.complete(id, now),
-                            Some(dmr::slurm::JobState::Pending) => s.cancel(id, now),
+                            Some(JobState::Running) => s.complete(id, now),
+                            Some(JobState::Pending) => s.cancel(id, now),
                             _ => {}
                         }
                     }
@@ -293,14 +204,14 @@ proptest! {
 // The indexed EASY pass against the walk.
 // ---------------------------------------------------------------------
 
-/// The production scheduler and its two walking twins, driven in
-/// lock-step. `Indexed` walks the materialised order but memoises and
-/// elides exactly like the arena path, so reservations and pass counters
-/// must match it field for field; `ScanReference` is the oracle that
-/// never elides, so only its decisions are comparable.
+/// The production scheduler and the scan reference, driven in
+/// lock-step. The reference walks every pending entry on every pass and
+/// never memoises or elides, so its decisions are what is comparable —
+/// and its pass counters are the from-scratch cost (the memo inputs the
+/// indexed pass derives are pinned against the walk's inside
+/// `dmr-slurm`, where both bodies can run on one state).
 struct Twins {
     arena: Slurm,
-    indexed: Slurm,
     scan: Slurm,
     /// Whether [`Slurm::check_invariants`] runs on the production
     /// scheduler after every operation. It sorts the pending set and, in
@@ -322,58 +233,31 @@ impl Twins {
         };
         Twins {
             arena: build(SchedIndex::Arena),
-            indexed: build(SchedIndex::Indexed),
             scan: build(SchedIndex::ScanReference),
             check_every_op: nodes <= 64,
             check_every_round: nodes <= 1024,
         }
     }
 
-    /// Applies `op` to all three and requires one answer.
+    /// Applies `op` to both and requires one answer.
     fn all<T: PartialEq + std::fmt::Debug>(
         &mut self,
         what: &str,
         mut op: impl FnMut(&mut Slurm) -> T,
     ) -> T {
         let a = op(&mut self.arena);
-        let i = op(&mut self.indexed);
         let s = op(&mut self.scan);
-        assert_eq!(a, i, "{what}: arena vs indexed walk");
-        assert_eq!(a, s, "{what}: arena vs scan oracle");
-        assert_eq!(
-            self.arena.easy_reservations(),
-            self.indexed.easy_reservations(),
-            "{what}: retained reservations"
-        );
-        let (x, y) = (
-            self.arena.incremental_stats(),
-            self.indexed.incremental_stats(),
-        );
-        assert_eq!(
-            (
-                x.sched_passes_run,
-                x.sched_passes_elided,
-                x.backfill_passes_run,
-                x.backfill_passes_elided
-            ),
-            (
-                y.sched_passes_run,
-                y.sched_passes_elided,
-                y.backfill_passes_run,
-                y.backfill_passes_elided
-            ),
-            "{what}: pass counters"
-        );
+        assert_eq!(a, s, "{what}: production vs scan reference");
         if self.check_every_op {
             self.check(what, false);
         }
         a
     }
 
-    fn check(&self, what: &str, twins_too: bool) {
+    fn check(&self, what: &str, twin_too: bool) {
         let mut checked = vec![("arena", &self.arena)];
-        if twins_too {
-            checked.extend([("indexed", &self.indexed), ("scan", &self.scan)]);
+        if twin_too {
+            checked.push(("scan", &self.scan));
         }
         for (name, s) in checked {
             if let Err(e) = s.check_invariants() {
@@ -417,6 +301,10 @@ fn drive_twins(nodes: u32, k: u32, depth: u32, rounds: u32, seed: u64) {
     let mut running: std::collections::VecDeque<JobId> = Default::default();
     let mut pending: Vec<JobId> = Vec::new();
     let mut resizers: Vec<JobId> = Vec::new();
+    // Fallback triggers, each with the round it is withdrawn in: left
+    // pending deep in the queue, one of them would keep every later pass
+    // on the fallback walk.
+    let mut triggers: std::collections::VecDeque<(u64, JobId)> = Default::default();
     // The machine starts full, the queue `depth` deep.
     for i in 0..u64::from(nodes / width) {
         let req = JobRequest::rigid(format!("run{i}"), width)
@@ -442,16 +330,31 @@ fn drive_twins(nodes: u32, k: u32, depth: u32, rounds: u32, seed: u64) {
         if let Some(id) = running.pop_front() {
             t.all(&what, |s| s.complete(id, now));
         }
+        while triggers.front().is_some_and(|&(due, _)| due <= round) {
+            let (_, id) = triggers.pop_front().expect("checked");
+            if t.arena
+                .job(id)
+                .is_some_and(|j| j.state == JobState::Pending)
+            {
+                pending.retain(|&p| p != id);
+                t.all(&what, |s| s.cancel(id, now));
+            }
+        }
         for _ in 0..1 + next() % 2 {
             serial += 1;
             let mut req = request(&mut next, serial);
             // Fallback triggers: a class-constrained job, a base priority.
-            match next() % 97 {
+            let trigger = next() % 97;
+            match trigger {
                 0 => req = req.with_constraint(ClassConstraint::Class(0)),
                 1 => req.base_priority = 1 + next() % 5000,
                 _ => {}
             }
-            pending.push(t.all(&what, |s| s.submit(req.clone(), now)));
+            let id = t.all(&what, |s| s.submit(req.clone(), now));
+            pending.push(id);
+            if trigger < 2 {
+                triggers.push_back((round + 8, id));
+            }
         }
         match next() % 16 {
             0 | 1 => {
@@ -528,10 +431,25 @@ fn drive_twins(nodes: u32, k: u32, depth: u32, rounds: u32, seed: u64) {
         }
     }
     t.check("end of run", true);
-    let stats = t.arena.incremental_stats();
+    let (stats, walked) = (t.arena.incremental_stats(), t.scan.incremental_stats());
     assert!(
         stats.backfill_passes_run > u64::from(rounds / 10),
         "{stats:?}"
+    );
+    // What ran was the indexed body and the memos, not the fallback walk
+    // at full cost: some passes were elided, and the executed ones
+    // examined fewer jobs than the reference's walks of the queue.
+    assert!(
+        stats.sched_passes_elided + stats.backfill_passes_elided > 0,
+        "{stats:?}"
+    );
+    assert!(
+        stats.backfill_jobs_examined < walked.backfill_jobs_examined,
+        "{stats:?} vs {walked:?}"
+    );
+    assert_eq!(
+        walked.sched_passes_elided + walked.backfill_passes_elided,
+        0
     );
     assert!(
         t.arena.jobs().any(|j| j.state == JobState::Pending),

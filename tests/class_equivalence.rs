@@ -20,72 +20,17 @@
 //! randomized allocate/release/power sequences that cross class
 //! boundaries.
 
+mod common;
+
+use common::{assert_bit_identical, csv_row};
 use dmr::cluster::{ClassConstraint, ClassTable, Cluster, MachineClass, NodeState};
-use dmr::core::{
-    run_experiment_streaming, ExperimentConfig, ExperimentResult, MachineMix, PolicyKind,
-};
+use dmr::core::{run_experiment_streaming, ExperimentResult, MachineMix, PolicyKind};
 use dmr_bench::scenario::smoke_registry;
-use dmr_bench::sweep::SweepCell;
 use proptest::prelude::*;
 
-fn assert_bit_identical(a: &ExperimentResult, b: &ExperimentResult, what: &str) {
-    let sa = &a.summary;
-    let sb = &b.summary;
-    assert_eq!(sa.jobs, sb.jobs, "{what}: job counts diverged");
-    assert_eq!(sa.reconfigurations, sb.reconfigurations, "{what}");
-    // Raw-bit float comparison: even sub-rounding divergence fails.
-    for (x, y, field) in [
-        (sa.makespan_s, sb.makespan_s, "makespan"),
-        (sa.utilization, sb.utilization, "utilization"),
-        (sa.avg_waiting_s, sb.avg_waiting_s, "avg_wait"),
-        (sa.avg_execution_s, sb.avg_execution_s, "avg_exec"),
-        (sa.avg_completion_s, sb.avg_completion_s, "avg_compl"),
-        (sa.waiting_q.p50_s, sb.waiting_q.p50_s, "p50_wait"),
-        (sa.waiting_q.p95_s, sb.waiting_q.p95_s, "p95_wait"),
-        (sa.waiting_q.p99_s, sb.waiting_q.p99_s, "p99_wait"),
-        (sa.execution_q.p95_s, sb.execution_q.p95_s, "p95_exec"),
-        (sa.completion_q.p99_s, sb.completion_q.p99_s, "p99_compl"),
-        (sa.energy_to_solution_j, sb.energy_to_solution_j, "energy_j"),
-        (sa.avg_watts, sb.avg_watts, "avg_watts"),
-    ] {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: {field} diverged ({x} vs {y})"
-        );
-    }
-    assert_eq!(a.events, b.events, "{what}: event streams diverged");
-    assert_eq!(a.past_schedules, b.past_schedules, "{what}");
-    assert_eq!(a.end_time, b.end_time, "{what}");
-    // Per-job outcomes (empty under online telemetry, full otherwise —
-    // either way they must agree).
-    assert_eq!(a.outcomes.len(), b.outcomes.len(), "{what}");
-    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.submit.to_bits(), y.submit.to_bits(), "{what}");
-        assert_eq!(x.start.to_bits(), y.start.to_bits(), "{what}");
-        assert_eq!(x.end.to_bits(), y.end.to_bits(), "{what}");
-        assert_eq!(x.reconfigurations, y.reconfigurations, "{what}");
-    }
-}
-
-/// The sweep CSV row for a result under fixed labels, so the byte-level
-/// comparison covers exactly the numeric columns.
-fn csv_row(cfg: &ExperimentConfig, r: &ExperimentResult) -> String {
-    SweepCell {
-        scenario: "class-equivalence".into(),
-        workload: "grid",
-        policy: cfg.policy.label(),
-        mode: "grid",
-        backfill: cfg.backfill_family.label(),
-        machine_mix: "oracle",
-        faults: cfg.faults.name(),
-        seed: dmr_bench::SEED,
-        nodes: cfg.nodes,
-        summary: r.summary.clone(),
-        events: r.events,
-        past_schedules: r.past_schedules,
-    }
-    .csv_row()
+/// [`assert_bit_identical`] as a hard failure naming the scenario.
+fn must_match(a: &ExperimentResult, b: &ExperimentResult, scenario: &str) {
+    assert_bit_identical(a, b).unwrap_or_else(|e| panic!("{scenario}: {e}"));
 }
 
 /// Every uniform cell of the CI grid — all workload families × all four
@@ -102,10 +47,12 @@ fn single_class_matches_uniform_bit_for_bit_across_the_grid() {
         let cfg_single = cfg_uniform.with_machine_mix(MachineMix::SingleClass);
         let uniform = run_experiment_streaming(&cfg_uniform, sc.source(dmr_bench::SEED).as_mut());
         let single = run_experiment_streaming(&cfg_single, sc.source(dmr_bench::SEED).as_mut());
-        assert_bit_identical(&uniform, &single, &sc.name());
+        must_match(&uniform, &single, &sc.name());
+        // One set of labels for both rows: only the numbers may differ.
+        let row = |r| csv_row(sc.workload.name(), &cfg_uniform, dmr_bench::SEED, r);
         assert_eq!(
-            csv_row(&cfg_uniform, &uniform),
-            csv_row(&cfg_single, &single),
+            row(&uniform),
+            row(&single),
             "{}: CSV bytes diverged",
             sc.name()
         );
@@ -126,7 +73,7 @@ fn single_class_matches_uniform_outcomes_under_full_telemetry() {
         let uniform = run_experiment_streaming(&cfg_uniform, sc.source(dmr_bench::SEED).as_mut());
         let single = run_experiment_streaming(&cfg_single, sc.source(dmr_bench::SEED).as_mut());
         assert!(!uniform.outcomes.is_empty(), "{}", sc.name());
-        assert_bit_identical(&uniform, &single, &sc.name());
+        must_match(&uniform, &single, &sc.name());
     }
 }
 
@@ -143,7 +90,7 @@ fn hole_guard_flag_is_invisible_to_algorithm1() {
         assert!(cfg_on.hole_guard && !cfg_off.hole_guard);
         let on = run_experiment_streaming(&cfg_on, sc.source(dmr_bench::SEED).as_mut());
         let off = run_experiment_streaming(&cfg_off, sc.source(dmr_bench::SEED).as_mut());
-        assert_bit_identical(&on, &off, &sc.name());
+        must_match(&on, &off, &sc.name());
     }
 }
 

@@ -10,95 +10,25 @@
 //! fixed/flexible × sync/async × `SchedIndex` matrix, regardless of the
 //! fault seed or a configured checkpoint interval. On top of that:
 //! scripted [`FaultTrace`]s replay deterministically (same script ⇒
-//! identical outcomes, run after run and across sweep thread counts),
-//! the PR 5 drained-while-allocated fix holds for *failures* on all
-//! three hot paths and on per-class clusters, and twin schedulers pin
-//! that an elided pass never masks a failure invalidation.
+//! identical outcomes, run after run, on the production path and on the
+//! scan reference, and across sweep thread counts), the PR 5
+//! drained-while-allocated fix holds for *failures* on both paths and
+//! on per-class clusters, and twin schedulers pin that an elided pass
+//! never masks a failure invalidation.
 
+mod common;
+
+use common::{assert_bit_identical, csv_row, kind_for, policy_for};
 use dmr::cluster::{Cluster, FailOutcome, NodeId, NodeState};
 use dmr::core::{
-    run_experiment_streaming, run_experiment_streaming_with_faults, ExperimentConfig,
-    ExperimentResult, FaultLoad, FaultTrace, MachineMix, PolicyKind, WorkloadKind,
+    run_experiment_streaming, run_experiment_streaming_with_faults, ExperimentConfig, FaultLoad,
+    FaultTrace, MachineMix,
 };
 use dmr::sim::{SimTime, Span};
-use dmr::slurm::{JobId, JobRequest, JobState, SchedIncremental, Slurm, SlurmConfig};
+use dmr::slurm::{JobId, JobRequest, JobState, SchedIndex, Slurm, SlurmConfig};
 use dmr_bench::scenario::fault_axis;
-use dmr_bench::sweep::{csv_report, run_sweep, SweepCell};
+use dmr_bench::sweep::{csv_report, run_sweep};
 use proptest::prelude::*;
-
-fn kind_for(kind: u8) -> WorkloadKind {
-    match kind % 5 {
-        0 => WorkloadKind::FsPreliminary,
-        1 => WorkloadKind::FsMicroSteps,
-        2 => WorkloadKind::RealMix,
-        3 => WorkloadKind::burst(),
-        _ => WorkloadKind::diurnal(),
-    }
-}
-
-fn policy_for(policy: u8) -> PolicyKind {
-    match policy % 3 {
-        0 => PolicyKind::Algorithm1,
-        1 => PolicyKind::utilization_target(),
-        _ => PolicyKind::fair_share(),
-    }
-}
-
-fn assert_bit_identical(a: &ExperimentResult, b: &ExperimentResult) -> Result<(), String> {
-    let sa = &a.summary;
-    let sb = &b.summary;
-    prop_assert_eq!(sa.jobs, sb.jobs);
-    prop_assert_eq!(sa.reconfigurations, sb.reconfigurations);
-    prop_assert_eq!(sa.failures, sb.failures);
-    prop_assert_eq!(sa.requeues, sb.requeues);
-    // Raw-bit float comparison: even sub-rounding divergence fails.
-    for (x, y, what) in [
-        (sa.makespan_s, sb.makespan_s, "makespan"),
-        (sa.utilization, sb.utilization, "utilization"),
-        (sa.avg_waiting_s, sb.avg_waiting_s, "avg_wait"),
-        (sa.avg_execution_s, sb.avg_execution_s, "avg_exec"),
-        (sa.avg_completion_s, sb.avg_completion_s, "avg_compl"),
-        (sa.waiting_q.p50_s, sb.waiting_q.p50_s, "p50_wait"),
-        (sa.waiting_q.p99_s, sb.waiting_q.p99_s, "p99_wait"),
-        (sa.execution_q.p95_s, sb.execution_q.p95_s, "p95_exec"),
-        (sa.completion_q.p99_s, sb.completion_q.p99_s, "p99_compl"),
-        (sa.lost_work_s, sb.lost_work_s, "lost_work"),
-        (sa.goodput_ratio, sb.goodput_ratio, "goodput"),
-        (sa.restart_p95_s, sb.restart_p95_s, "restart_p95"),
-    ] {
-        prop_assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{} diverged: {} vs {}",
-            what,
-            x,
-            y
-        );
-    }
-    prop_assert_eq!(a.events, b.events, "event streams diverged");
-    prop_assert_eq!(a.past_schedules, b.past_schedules);
-    prop_assert_eq!(a.end_time, b.end_time);
-    Ok(())
-}
-
-/// One sweep-style CSV row for a result — the byte-level oracle.
-fn csv_row(kind: WorkloadKind, cfg: &ExperimentConfig, seed: u64, r: &ExperimentResult) -> String {
-    SweepCell {
-        scenario: "fault-equivalence".into(),
-        workload: kind.name(),
-        policy: cfg.policy.label(),
-        mode: "sync",
-        backfill: cfg.backfill_family.label(),
-        machine_mix: cfg.machine_mix.name(),
-        faults: cfg.faults.name(),
-        seed,
-        nodes: cfg.nodes,
-        summary: r.summary.clone(),
-        events: r.events,
-        past_schedules: r.past_schedules,
-    }
-    .csv_row()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -130,11 +60,10 @@ proptest! {
         let base = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
         // A different fault seed is unobservable when no process runs,
         // and an armed checkpoint interval is unobservable with nothing
-        // to recover from — on every hot path.
+        // to recover from — on both paths.
         for cfg2 in [
             cfg.with_faults(FaultLoad::None).with_fault_seed(fault_seed),
             cfg.with_ckpt_interval(600.0),
-            cfg.indexed_reference().with_fault_seed(fault_seed),
             cfg.scan_reference().with_fault_seed(fault_seed),
         ] {
             let r = run_experiment_streaming(&cfg2, kind.build(jobs, seed).as_mut());
@@ -146,15 +75,15 @@ proptest! {
         prop_assert_eq!(s.lost_work_s.to_bits(), 0.0f64.to_bits());
         prop_assert_eq!(s.goodput_ratio.to_bits(), 1.0f64.to_bits());
         prop_assert_eq!(s.restart_p95_s.to_bits(), 0.0f64.to_bits());
-        let row = csv_row(kind, &cfg, seed, &base);
+        let row = csv_row(kind.name(), &cfg, seed, &base);
         let with_seed = cfg.with_fault_seed(fault_seed);
         let r = run_experiment_streaming(&with_seed, kind.build(jobs, seed).as_mut());
-        prop_assert_eq!(&row, &csv_row(kind, &with_seed, seed, &r));
+        prop_assert_eq!(&row, &csv_row(kind.name(), &with_seed, seed, &r));
     }
 
     /// Scripted faultloads are deterministic: replaying the same
     /// [`FaultTrace`] over the same workload gives bit-identical results,
-    /// run after run, on every hot path.
+    /// run after run and on both paths.
     #[test]
     fn scripted_fault_traces_replay_deterministically(
         seed in 0u64..10_000,
@@ -178,31 +107,30 @@ proptest! {
         let a = run_experiment_streaming_with_faults(&cfg, kind.build(jobs, seed).as_mut(), trace());
         let b = run_experiment_streaming_with_faults(&cfg, kind.build(jobs, seed).as_mut(), trace());
         assert_bit_identical(&a, &b)?;
-        let idx = cfg.indexed_reference();
-        let c = run_experiment_streaming_with_faults(&idx, kind.build(jobs, seed).as_mut(), trace());
-        let d = run_experiment_streaming_with_faults(&idx, kind.build(jobs, seed).as_mut(), trace());
+        let scan = cfg.scan_reference();
+        let c = run_experiment_streaming_with_faults(&scan, kind.build(jobs, seed).as_mut(), trace());
+        let d = run_experiment_streaming_with_faults(&scan, kind.build(jobs, seed).as_mut(), trace());
         assert_bit_identical(&c, &d)?;
+        assert_bit_identical(&a, &c)?;
     }
 
     /// The PR 5 fix, extended to failures: a node that fails *while
     /// allocated* returns to the unavailable pool when its job's nodes
-    /// release — never to a free set — on all three `SchedIndex` paths
-    /// and on a per-class (three-FreeSet) cluster alike. Repair is the
+    /// release — never to a free set — on both `SchedIndex` paths and
+    /// on a per-class (three-FreeSet) cluster alike. Repair is the
     /// only transition that makes it placeable again.
     #[test]
     fn failed_while_allocated_nodes_return_unavailable(
         seed in 0u64..100_000,
         nodes in 8u32..33,
         hetero in proptest::bool::ANY,
-        path in 0u8..3,
+        reference in proptest::bool::ANY,
         rounds in 10u64..40,
     ) {
         let mut cfg = SlurmConfig::for_cluster(nodes);
-        cfg.sched_index = match path {
-            0 => dmr::slurm::SchedIndex::Arena,
-            1 => dmr::slurm::SchedIndex::Indexed,
-            _ => dmr::slurm::SchedIndex::ScanReference,
-        };
+        if reference {
+            cfg.sched_index = SchedIndex::ScanReference;
+        }
         let cluster = if hetero {
             Cluster::with_classes(MachineMix::Hetero3.table(nodes, 16))
         } else {
@@ -274,9 +202,9 @@ proptest! {
         }
     }
 
-    /// Twin schedulers (incremental on vs off) driven through churn with
-    /// injected failures and repairs: every pass must agree, and
-    /// whenever the incremental twin elides a pass the baseline must
+    /// Twin schedulers (production vs scan reference) driven through
+    /// churn with injected failures and repairs: every pass must agree,
+    /// and whenever the production twin elides a pass the reference must
     /// have started nothing — i.e. no elided pass ever masks a failure
     /// or repair invalidation.
     #[test]
@@ -284,13 +212,13 @@ proptest! {
         seed in 0u64..100_000,
         nodes in 8u32..25,
     ) {
-        let mk = |incremental: SchedIncremental| {
+        let mk = |sched_index: SchedIndex| {
             let mut cfg = SlurmConfig::for_cluster(nodes);
-            cfg.sched_incremental = incremental;
+            cfg.sched_index = sched_index;
             Slurm::new(Cluster::new(nodes, 16), cfg)
         };
-        let mut on = mk(SchedIncremental::On);
-        let mut off = mk(SchedIncremental::Off);
+        let mut on = mk(SchedIndex::Arena);
+        let mut off = mk(SchedIndex::ScanReference);
         let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
         let mut step = || {
             rng ^= rng << 13;

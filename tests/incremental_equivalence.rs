@@ -1,97 +1,39 @@
-//! Property test: incremental scheduling is bit-identical to the costed
-//! from-scratch baseline, and every elided pass equals the pass it
+//! Property test: incremental scheduling is bit-identical to the
+//! from-scratch reference, and every elided pass equals the pass it
 //! elided.
 //!
-//! The incremental-scheduling PR made the scheduler stateful *between*
-//! passes: fruitless scheduling and backfill passes leave a memo (the
-//! blocked head's need, the minimum need over the pass's non-fitting
-//! refusals, the retained EASY reservations / conservative plan), and a
-//! later pass whose trigger provably cannot change any decision returns
-//! in O(1) instead of re-walking the queue. Every mutation — submit,
-//! start, boost, complete, cancel, shrink, expand, estimate refresh —
-//! either invalidates the memos or tightens them (a submission below the
-//! live watermark lowers it). `SchedIncremental::Off` keeps the
-//! re-derive-everything behaviour as the oracle.
+//! The production scheduler is stateful *between* passes: fruitless
+//! scheduling and backfill passes leave a memo (the blocked head's need;
+//! the minimum need over the pass's non-fitting refusals and whether a
+//! fitting job was refused), and a later pass whose trigger provably
+//! cannot change any decision returns in O(1) instead of re-walking the
+//! queue. Every mutation — submit, start, boost, complete, cancel,
+//! shrink, expand, estimate refresh — either invalidates the memos or
+//! tightens them (a submission below the live watermark lowers it).
+//! There is no switch for any of this; the twin that re-derives
+//! everything is `SchedIndex::ScanReference`, which never memoises —
+//! the costed baseline.
 //!
 //! Two properties pin the contract:
 //!
 //! 1. **Full-experiment equivalence** — every workload family × resize
-//!    policy × backfill family × hot path, run with incremental
-//!    scheduling on and off, must agree down to the raw f64 bits of
-//!    every summary field.
+//!    policy × backfill family, run on the production path and on the
+//!    reference, must agree down to the raw f64 bits of every summary
+//!    field.
 //! 2. **The shadow check** — twin schedulers driven through the same
 //!    random operation sequence must start the same jobs at every pass,
-//!    and whenever the incremental twin elides a pass, the baseline twin
+//!    and whenever the production twin elides a pass, the reference twin
 //!    (identical state, pass actually executed) must have started
 //!    nothing — an elided pass *is* the pass it elided.
 
-use dmr::core::{
-    run_experiment_streaming, BackfillFamily, ExperimentConfig, ExperimentResult, PolicyKind,
-    WorkloadKind,
-};
+mod common;
+
+use common::{assert_bit_identical, family_for, kind_for, policy_for};
+use dmr::core::{run_experiment_streaming, ExperimentConfig, WorkloadKind};
 use dmr::sim::{SimTime, Span};
-use dmr::slurm::{JobRequest, JobState, SchedIncremental, Slurm, SlurmConfig};
+use dmr::slurm::{JobRequest, JobState, SchedIndex, Slurm, SlurmConfig};
 use dmr_cluster::Cluster;
 use proptest::prelude::*;
-
-fn kind_for(kind: u8) -> WorkloadKind {
-    match kind % 5 {
-        0 => WorkloadKind::FsPreliminary,
-        1 => WorkloadKind::FsMicroSteps,
-        2 => WorkloadKind::RealMix,
-        3 => WorkloadKind::burst(),
-        _ => WorkloadKind::diurnal(),
-    }
-}
-
-fn policy_for(policy: u8) -> PolicyKind {
-    match policy % 3 {
-        0 => PolicyKind::Algorithm1,
-        1 => PolicyKind::utilization_target(),
-        _ => PolicyKind::fair_share(),
-    }
-}
-
-fn family_for(family: u8) -> BackfillFamily {
-    match family % 4 {
-        0 => BackfillFamily::easy(1),
-        1 => BackfillFamily::easy(8),
-        2 => BackfillFamily::Conservative,
-        _ => BackfillFamily::LegacyReference,
-    }
-}
-
-fn assert_bit_identical(a: &ExperimentResult, b: &ExperimentResult) -> Result<(), String> {
-    let sa = &a.summary;
-    let sb = &b.summary;
-    prop_assert_eq!(sa.jobs, sb.jobs);
-    prop_assert_eq!(sa.reconfigurations, sb.reconfigurations);
-    // Raw-bit float comparison: even sub-rounding divergence fails.
-    for (x, y, what) in [
-        (sa.makespan_s, sb.makespan_s, "makespan"),
-        (sa.utilization, sb.utilization, "utilization"),
-        (sa.avg_waiting_s, sb.avg_waiting_s, "avg_wait"),
-        (sa.avg_execution_s, sb.avg_execution_s, "avg_exec"),
-        (sa.avg_completion_s, sb.avg_completion_s, "avg_compl"),
-        (sa.waiting_q.p50_s, sb.waiting_q.p50_s, "p50_wait"),
-        (sa.waiting_q.p99_s, sb.waiting_q.p99_s, "p99_wait"),
-        (sa.execution_q.p95_s, sb.execution_q.p95_s, "p95_exec"),
-        (sa.completion_q.p99_s, sb.completion_q.p99_s, "p99_compl"),
-    ] {
-        prop_assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{} diverged: {} vs {}",
-            what,
-            x,
-            y
-        );
-    }
-    prop_assert_eq!(a.events, b.events, "event streams diverged");
-    prop_assert_eq!(a.past_schedules, b.past_schedules);
-    prop_assert_eq!(a.end_time, b.end_time);
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
@@ -104,7 +46,6 @@ proptest! {
         family in 0u8..4,
         asynchronous in 0u8..2,
         fixed in 0u8..2,
-        hot_path in 0u8..2,
     ) {
         let kind = kind_for(kind);
         let mut cfg = ExperimentConfig::preliminary()
@@ -117,17 +58,14 @@ proptest! {
         if fixed == 1 {
             cfg = cfg.as_fixed();
         }
-        // Elision exists on both order-indexed hot paths; the scan
-        // reference never elides and is covered by index_equivalence.
-        if hot_path == 1 {
-            cfg = cfg.indexed_reference();
-        }
         let on = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
         let off = run_experiment_streaming(
-            &cfg.incremental_off(),
+            &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );
         assert_bit_identical(&on, &off)?;
+        let passes = off.sched;
+        prop_assert_eq!(passes.sched_passes_elided + passes.backfill_passes_elided, 0);
     }
 }
 
@@ -145,16 +83,10 @@ proptest! {
         let kind = WorkloadKind::FsPreliminary;
         let on = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
         let off = run_experiment_streaming(
-            &cfg.incremental_off(),
+            &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );
-        prop_assert_eq!(on.outcomes.len(), off.outcomes.len());
-        for (x, y) in on.outcomes.iter().zip(&off.outcomes) {
-            prop_assert_eq!(x.submit, y.submit);
-            prop_assert_eq!(x.start, y.start);
-            prop_assert_eq!(x.end, y.end);
-            prop_assert_eq!(x.reconfigurations, y.reconfigurations);
-        }
+        prop_assert_eq!(on.outcomes.len(), jobs as usize);
         assert_bit_identical(&on, &off)?;
     }
 }
@@ -178,13 +110,13 @@ fn job_table(s: &Slurm) -> Vec<JobRow> {
         .collect()
 }
 
-// The shadow check, institutionalised: twin schedulers — incremental on
-// vs off — driven in lockstep through random submit / complete / cancel
-// / boost / estimate-refresh sequences. Both twins see identical state
-// before every pass, so comparing the started sets checks precisely
-// that each elided pass equals the executed pass it stands in for; the
-// elision counters prove the incremental twin actually took the O(1)
-// path while the baseline walked the queue.
+// The shadow check, institutionalised: twin schedulers — production vs
+// scan reference — driven in lockstep through random submit / complete
+// / cancel / boost / estimate-refresh sequences. Both twins see
+// identical state before every pass, so comparing the started sets
+// checks precisely that each elided pass equals the executed pass it
+// stands in for; the elision counters prove the production twin
+// actually took the O(1) path while the reference walked the queue.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
@@ -194,14 +126,14 @@ proptest! {
         nodes in 8u32..33,
     ) {
         let family = family_for(family);
-        let mk = |incremental: SchedIncremental| {
+        let mk = |sched_index: SchedIndex| {
             let mut cfg = SlurmConfig::for_cluster(nodes);
             cfg.backfill_family = family;
-            cfg.sched_incremental = incremental;
+            cfg.sched_index = sched_index;
             Slurm::new(Cluster::new(nodes, 16), cfg)
         };
-        let mut on = mk(SchedIncremental::On);
-        let mut off = mk(SchedIncremental::Off);
+        let mut on = mk(SchedIndex::Arena);
+        let mut off = mk(SchedIndex::ScanReference);
         let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
         let mut step = || {
             rng ^= rng << 13;
@@ -281,9 +213,8 @@ proptest! {
                     b
                 );
             }
-            // The retained plans are only ever a snapshot of a fruitless
-            // pass on the current state; invariants (timeline occupancy
-            // vs running set among them) must hold on both twins.
+            // Invariants (timeline occupancy vs running set among them)
+            // must hold on both twins.
             prop_assert!(on.check_invariants().is_ok());
             prop_assert!(off.check_invariants().is_ok());
             prop_assert_eq!(
@@ -295,7 +226,7 @@ proptest! {
         }
         prop_assert_eq!(job_table(&on), job_table(&off));
         let stats = off.incremental_stats();
-        prop_assert_eq!(stats.sched_passes_elided, 0, "Off must never elide");
-        prop_assert_eq!(stats.backfill_passes_elided, 0, "Off must never elide");
+        prop_assert_eq!(stats.sched_passes_elided, 0, "the reference never elides");
+        prop_assert_eq!(stats.backfill_passes_elided, 0, "the reference never elides");
     }
 }
