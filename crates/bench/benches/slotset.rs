@@ -1,13 +1,14 @@
-//! Slot-set timeline micro-benchmarks: hole-finding and plan/unplan on
-//! timelines of 64, 1 000 and 16 000 plans, and the backfill pass itself
-//! at queue depths 1k–100k under EASY-1 (which never builds the
-//! timeline), EASY-8 and conservative. The `repro
-//! --bench-json` grid measures the same families end-to-end; this bench
-//! isolates the per-operation costs of the flat boundary array. A live
-//! scheduler's timeline holds tens of boundaries and about a thousand
-//! inside the widest conservative window, so the first two sizes are the
-//! measured range and the third is one step beyond it — where the O(s)
-//! insert and scan start to show.
+//! Slot-set timeline micro-benchmarks: hole-finding on timelines of 64,
+//! 1 000 and 16 000 plans, the rebuild a pass opens with from as many
+//! running commitments (and a plan into the result), and the backfill
+//! pass itself at queue depths 1k–100k under EASY-1 (which never builds
+//! the timeline), EASY-8 and conservative. The `repro --bench-json` grid
+//! measures the same families end-to-end; this bench isolates the
+//! per-operation costs of the flat boundary array. A scheduler's
+//! timeline holds tens of boundaries at the start of a pass and about a
+//! thousand inside the widest conservative window, so the first two
+//! sizes are the measured range and the third is one step beyond it —
+//! where the O(s) insert and scan start to show.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -53,20 +54,33 @@ fn bench_hole_finding(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_plan_unplan(c: &mut Criterion) {
+fn bench_rebuild_and_plan(c: &mut Criterion) {
     let mut g = c.benchmark_group("slotset");
     for plans in PLANS {
-        g.bench_function(format!("plan_unplan_{plans}plans"), |b| {
+        // What opens a pass: the whole timeline from the running set —
+        // commitments as the running index hands them over, ascending by
+        // end, a few sharing one — into the buffers of the previous pass.
+        let commitments: Vec<(SimTime, u32)> = (0..u64::from(plans))
+            .map(|i| (SimTime::from_secs(100 + i * 37 / 4), 1 + (i % 64) as u32))
+            .collect();
+        let mut tl = SlotSet::new(SimTime::ZERO);
+        g.bench_function(format!("rebuild_{plans}commitments"), |b| {
+            b.iter(|| {
+                tl.rebuild(
+                    SimTime::from_secs(50),
+                    black_box(&commitments).iter().copied(),
+                );
+                black_box(tl.len())
+            })
+        });
+        // One reservation mid-timeline: two inserts and an add over the
+        // covered range.
+        g.bench_function(format!("plan_{plans}plans"), |b| {
             b.iter_batched(
                 || planned_timeline(plans),
                 |mut tl| {
-                    // One plan/unplan pair mid-timeline: two inserts, an
-                    // add over the covered range, and the two removals
-                    // that coalesce the boundaries back.
                     let from = SimTime::from_secs(45_000);
-                    let until = from + Span::from_secs(500);
-                    tl.plan(from, until, 7);
-                    tl.unplan(from, until, 7);
+                    tl.plan(from, from + Span::from_secs(500), 7);
                     black_box(tl.len())
                 },
                 BatchSize::SmallInput,
@@ -123,7 +137,7 @@ fn bench_backfill_pass(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_hole_finding,
-    bench_plan_unplan,
+    bench_rebuild_and_plan,
     bench_backfill_pass
 );
 criterion_main!(benches);

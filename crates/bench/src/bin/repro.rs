@@ -130,9 +130,9 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 
 /// Parses `--faults none|rare|harsh|trace:PATH` into the preset load
 /// plus an optional scripted trace (read and parsed from `PATH`, one
-/// `<t_s> fail|repair <node>` event per line). Absent flag → the
-/// zero-fault oracle default.
-fn fault_flags(args: &[String]) -> (dmr_core::FaultLoad, Option<dmr_core::FaultTrace>) {
+/// `<t_s> fail|repair <node>` event per line, the node one of the
+/// machine's `nodes`). Absent flag → the zero-fault oracle default.
+fn fault_flags(args: &[String], nodes: u32) -> (dmr_core::FaultLoad, Option<dmr_core::FaultTrace>) {
     use dmr_core::{FaultLoad, FaultTrace};
     match flag_value(args, "--faults") {
         None | Some("none") => (FaultLoad::None, None),
@@ -150,7 +150,7 @@ fn fault_flags(args: &[String]) -> (dmr_core::FaultLoad, Option<dmr_core::FaultT
                     std::process::exit(2);
                 }
             };
-            match FaultTrace::parse(&text) {
+            match FaultTrace::parse_for(&text, nodes) {
                 Ok(trace) => (FaultLoad::None, Some(trace)),
                 Err(e) => {
                     eprintln!("malformed fault trace `{path}`: {e}");
@@ -429,7 +429,7 @@ fn run_trace(path: &str, args: &[String]) {
         },
         None => 20,
     };
-    let (load, fault_trace) = fault_flags(args);
+    let (load, fault_trace) = fault_flags(args, nodes);
     // Long traces replay through the O(1)-memory online telemetry path;
     // the summary (including the percentile columns) is bit-identical to
     // the buffered path, which `--check-prefix` verifies on demand.

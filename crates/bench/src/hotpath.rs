@@ -59,7 +59,7 @@ pub struct Cell {
     pub reference: bool,
     pub family: BackfillFamily,
     /// The same churn on a three-class [`MachineMix::Hetero3`] cluster,
-    /// driving the per-class free sets and timelines on every pass. The
+    /// driving the per-class free sets and class splits on every start. The
     /// churn jobs stay class-unconstrained, so the pass-elision memos
     /// keep firing and the measured contrast is the per-class
     /// bookkeeping alone.

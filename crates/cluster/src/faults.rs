@@ -231,8 +231,17 @@ impl FaultTrace {
         FaultTrace { events }
     }
 
-    /// Parses the text form described on [`FaultTrace`].
+    /// Parses the text form described on [`FaultTrace`], for a machine of
+    /// any size: whoever runs the trace checks the node ids
+    /// ([`FaultTrace::check_nodes`]).
     pub fn parse(text: &str) -> Result<Self, String> {
+        Self::parse_for(text, u32::MAX)
+    }
+
+    /// [`FaultTrace::parse`] for a machine of `total_nodes` nodes: a line
+    /// naming a node the machine does not have is rejected like any
+    /// other malformed one.
+    pub fn parse_for(text: &str, total_nodes: u32) -> Result<Self, String> {
         let mut events = Vec::new();
         for (i, line) in text.lines().enumerate() {
             let line = line.split('#').next().unwrap_or("").trim();
@@ -245,6 +254,11 @@ impl FaultTrace {
                 .next()
                 .and_then(|s| s.parse().ok())
                 .ok_or_else(|| err("expected <seconds> first"))?;
+            // `nan`, `inf` and `-5` all parse as f64, and all three
+            // would saturate into an event at t = 0.
+            if !secs.is_finite() || secs < 0.0 {
+                return Err(err("<seconds> must be finite and non-negative"));
+            }
             let kind = parts.next().ok_or_else(|| err("expected fail|repair"))?;
             let node: u32 = parts
                 .next()
@@ -252,6 +266,9 @@ impl FaultTrace {
                 .ok_or_else(|| err("expected <node id>"))?;
             if parts.next().is_some() {
                 return Err(err("trailing tokens"));
+            }
+            if node >= total_nodes {
+                return Err(err(&format!("the machine has {total_nodes} nodes")));
             }
             let at = SimTime::from_secs_f64(secs);
             let node = NodeId(node);
@@ -262,6 +279,17 @@ impl FaultTrace {
             });
         }
         Ok(FaultTrace::new(events))
+    }
+
+    /// Checks every event against a machine of `total_nodes` nodes; the
+    /// error names the first event whose node the machine does not have.
+    pub fn check_nodes(&self, total_nodes: u32) -> Result<(), String> {
+        match self.events.iter().find(|e| e.node().0 >= total_nodes) {
+            Some(e) => Err(format!(
+                "fault event {e:?} names a node the {total_nodes}-node machine does not have"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// The events in firing order.
@@ -437,6 +465,40 @@ mod tests {
         assert!(FaultTrace::parse("abc fail 3").is_err());
         assert!(FaultTrace::parse("100 fail").is_err());
         assert!(FaultTrace::parse("100 fail 3 4").is_err());
+    }
+
+    #[test]
+    fn trace_parse_rejects_instants_that_are_not_on_the_clock() {
+        for line in ["nan fail 3", "inf fail 2", "-inf fail 2", "-5 repair 3"] {
+            let script = format!("10 fail 1\n{line}\n");
+            let e = FaultTrace::parse(&script).expect_err(line);
+            assert!(
+                e.starts_with("fault trace line 2: <seconds> must be"),
+                "{e}"
+            );
+        }
+        assert_eq!(FaultTrace::parse("0 fail 3\n-0 repair 3").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn node_ids_are_checked_against_the_machine() {
+        let script = "100 fail 19\n200 fail 9999\n";
+        let e = FaultTrace::parse_for(script, 20).expect_err("node 9999 of 20");
+        assert!(
+            e.starts_with("fault trace line 2: the machine has 20"),
+            "{e}"
+        );
+        let e = FaultTrace::parse_for("1 repair 20", 20).expect_err("ids start at 0");
+        assert!(e.starts_with("fault trace line 1:"), "{e}");
+        // Parsed for no machine in particular, the same script is
+        // checked when it meets one; the error names the event.
+        let t = FaultTrace::parse(script).unwrap();
+        assert_eq!(t.check_nodes(10_000), Ok(()));
+        let e = t.check_nodes(20).expect_err("node 9999 of 20");
+        assert!(
+            e.contains("t=200") && e.contains("n9999") && e.contains("20-node"),
+            "{e}"
+        );
     }
 
     #[test]

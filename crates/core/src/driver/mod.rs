@@ -492,8 +492,12 @@ impl<'a, 's> Driver<'a, 's> {
     }
 
     /// Replaces the configured faultload with a scripted trace (the
-    /// regression-test / incident-replay path).
+    /// regression-test / incident-replay path). Panics, before anything
+    /// ran, on a trace that names a node the machine does not have.
     fn with_fault_trace(mut self, trace: FaultTrace) -> Self {
+        if let Err(e) = trace.check_nodes(self.slurm.cluster().total_nodes()) {
+            panic!("{e}");
+        }
         self.faults = FaultSource::from_trace(trace);
         self
     }
@@ -892,6 +896,17 @@ mod tests {
         // Outcome accounting spans incarnations: waiting is measured from
         // the original submission.
         assert!(faulty.outcomes[0].waiting_s() >= 25.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "names a node the 20-node machine does not have")]
+    fn a_scripted_fault_on_a_node_the_machine_lacks_stops_the_run_before_it_starts() {
+        use dmr_cluster::FaultTrace;
+        // Scheduled at t = 1e9 s, long after the job is done: the check
+        // is made up front, not when (or whether) the event fires.
+        let trace = FaultTrace::parse("1000000000 fail 20\n").unwrap();
+        assert_eq!(cfg().nodes, 20);
+        run_experiment_with_faults(&cfg(), &[fs_job(0, 0.0, 4, 2, 30.0)], trace);
     }
 
     #[test]

@@ -380,15 +380,11 @@ impl RunningIndex {
 
     /// Removes `id` if it is indexed (jobs completed defensively twice
     /// are tolerated, mirroring the scheduler's release-mode leniency).
-    /// Returns the old `(expected_end, held_nodes)` key so the caller can
-    /// unplan the corresponding timeline interval.
-    pub(crate) fn remove(&mut self, id: JobId) -> Option<(SimTime, u32)> {
-        let old = self.key_of.remove(id);
-        if let Some((end, nodes)) = old {
+    pub(crate) fn remove(&mut self, id: JobId) {
+        if let Some((end, nodes)) = self.key_of.remove(id) {
             self.set.remove(&(end, nodes, id));
             self.held_total -= nodes;
         }
-        old
     }
 
     /// The held-node count currently keyed for `id`, if it is running.
@@ -398,27 +394,27 @@ impl RunningIndex {
         self.key_of.get(id).map(|&(_, nodes)| nodes)
     }
 
-    /// Re-keys `id` with a new expected end (estimate refresh); returns
-    /// the old key for timeline re-planning.
-    pub(crate) fn set_end(&mut self, id: JobId, end: SimTime) -> Option<(SimTime, u32)> {
-        let key = self.key_of.get_mut(id)?;
-        let old = *key;
-        self.set.remove(&(old.0, old.1, id));
-        key.0 = end;
-        self.set.insert((end, old.1, id));
-        Some(old)
+    /// Re-keys `id`, if it is indexed, with a new expected end (estimate
+    /// refresh).
+    pub(crate) fn set_end(&mut self, id: JobId, end: SimTime) {
+        if let Some(key) = self.key_of.get_mut(id) {
+            self.set.remove(&(key.0, key.1, id));
+            key.0 = end;
+            self.set.insert((end, key.1, id));
+        }
     }
 
-    /// Re-keys `id` with a new held-node count (expand / shrink); returns
-    /// the old key for timeline re-planning.
-    pub(crate) fn set_nodes(&mut self, id: JobId, nodes: u32) -> Option<(SimTime, u32)> {
-        let key = self.key_of.get_mut(id)?;
-        let old = *key;
-        self.set.remove(&(old.0, old.1, id));
+    /// Re-keys `id` with a new held-node count (expand / shrink);
+    /// whether it was indexed at all.
+    pub(crate) fn set_nodes(&mut self, id: JobId, nodes: u32) -> bool {
+        let Some(key) = self.key_of.get_mut(id) else {
+            return false;
+        };
+        self.set.remove(&(key.0, key.1, id));
+        self.held_total = self.held_total - key.1 + nodes;
         key.1 = nodes;
-        self.set.insert((old.0, nodes, id));
-        self.held_total = self.held_total - old.1 + nodes;
-        Some(old)
+        self.set.insert((key.0, nodes, id));
+        true
     }
 
     pub(crate) fn len(&self) -> usize {

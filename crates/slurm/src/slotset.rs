@@ -5,55 +5,58 @@
 //! end-time index (`Slurm::reservation_for`), and the default family asks
 //! for nothing else. But the walk can only answer "when is the
 //! *cluster-wide* free count ≥ need", which is not enough for planning
-//! many jobs into the future (EASY-k, conservative backfill). Those
-//! families ask the timeline below, which the scheduler builds the first
-//! time one of them runs.
+//! many jobs into the future (EASY-k, conservative backfill) or for a
+//! job confined to one machine class. A pass that has such a question
+//! builds the timeline below from that same index, queries and plans
+//! into it, and leaves it behind — like Slurm's backfill thread, which
+//! draws its free-resource map afresh every cycle. Nothing is maintained
+//! between passes, so nothing is ever undone.
 //!
-//! [`SlotSet`] maintains the *planned occupancy* `occ(t)` — the number of
-//! nodes committed at instant `t` by running jobs (and, transiently,
-//! by pass-local reservations) — as the step function itself: two
+//! [`SlotSet`] holds the *planned occupancy* `occ(t)` — the number of
+//! nodes committed at instant `t` by running jobs and by the
+//! reservations of the pass in flight — as the step function itself: two
 //! parallel arrays holding the `s` slot boundaries in ascending order and
 //! the occupancy of the half-open slot `[b_i, b_{i+1})` each one opens
 //! (the last slot extends forever). The first boundary is the horizon.
 //!
-//! * [`SlotSet::plan`] / [`SlotSet::unplan`] — add / remove `nodes` over
-//!   `[from, until)`: two binary searches, at most two inserts (unplan:
-//!   then two removals of boundaries made redundant) and an add over the
-//!   contiguous covered range — O(log s) compares, an O(s) move;
+//! * [`SlotSet::rebuild`] — the timeline of a set of running
+//!   commitments `(end, nodes)` at `now`, from one walk in end order:
+//!   O(commitments), into the buffers of the previous pass;
+//! * [`SlotSet::plan`] — add `nodes` over `[from, until)`: two binary
+//!   searches, at most two inserts and an add over the contiguous
+//!   covered range — O(log s) compares, an O(s) move;
 //! * [`SlotSet::earliest_hole`] — first instant `t ≥ from` with
 //!   `occ ≤ cap` throughout `[t, t + dur)`: a binary search, then one
 //!   forward scan holding a candidate start until a blocker falls inside
 //!   its window — O(s), each boundary visited once ([`SlotSet::max_in`]
-//!   is the same scan over a bounded window);
-//! * [`SlotSet::advance`] — one front drain of every boundary behind the
-//!   simulation clock, so the arrays hold O(active plans) boundaries
-//!   however long the simulation runs;
-//! * [`SlotSet::save`] / [`SlotSet::restore`] — two `clone_from`s.
+//!   is the same scan over a bounded window).
 //!
-//! **Why flat, and where that stops.** Every boundary is an endpoint of
-//! a live plan or the horizon, and the scheduler plans only running jobs
-//! plus the blocked jobs of the pass in flight, so
-//! `s ≤ 2 (running + bf_max_job_test) + 1`. Measured at the start of a
-//! conservative pass the aggregate timeline holds 44 boundaries on
-//! average on the benchmark's `trace_mixed`; on the largest cell of
-//! `repro --bench-json` (65 536 nodes × 100 k pending) 32, growing to
-//! 531 over the 512-plan window (bound ≈ 1 050; a hole starts on an
-//! existing boundary, so a plan adds one). There a contiguous scan beats
-//! the treap (lazy range-add, min / max aggregates) this module used to
-//! keep: `benches/slotset.rs` reads a plan + unplan pair at 0.11 µs
-//! against 2.2 µs on a 1 000-plan timeline. The array loses from the
-//! tens of thousands of boundaries on (16 000 plans: the pair 57 µs
-//! against 8.6 µs, a tight-cap `earliest_hole` 9.8 µs against 0.13 µs),
-//! where no `Slurm` in this repository goes. Should one, block the
-//! array (chunks carrying min / max / a lazy add) rather than keep a
-//! second representation beside it.
+//! **Why flat, and where that stops.** Every boundary is the end of a
+//! running job, an endpoint of a plan of the pass in flight, or the
+//! horizon, so `s ≤ running + 2 bf_max_job_test + 1`. Measured at the
+//! start of a conservative pass the aggregate timeline holds 44
+//! boundaries on average on the benchmark's `trace_mixed`; on the
+//! largest cell of `repro --bench-json` (65 536 nodes × 100 k pending)
+//! 32, growing to 531 over the 512-plan window (bound ≈ 1 050; a hole
+//! starts on an existing boundary, so a plan adds one). There a
+//! contiguous scan beats the treap (lazy range-add, min / max
+//! aggregates) this module used to keep: `benches/slotset.rs` reads a
+//! `plan` into a 1 000-plan timeline at 0.08 µs, where the treap took
+//! 2.2 µs over a plan and its removal, and a `rebuild` from 1 000
+//! commitments at 1.8 µs (0.15 µs from 64). The array loses from the
+//! tens of thousands of boundaries on (16 000 plans: a `plan` 29 µs
+//! against the treap's 8.6 µs for the pair, a tight-cap `earliest_hole`
+//! 10.8 µs against 0.13 µs), where no `Slurm` in this repository goes.
+//! Should one, block the array (chunks carrying min / max / a lazy add)
+//! rather than keep a second representation beside it.
 //!
 //! The free count at `t` is `avail − occ(t)` where `avail` is the free
 //! node count plus every node held by a running job; keeping the *base*
 //! at the actual cluster free count makes detached resizer nodes and
-//! overrunning jobs (expected end in the past) come out right without
-//! special cases. Queries depend only on the step function, never on
-//! which redundant boundaries happen to be stored.
+//! overrunning jobs (expected end in the past, which occupy nothing)
+//! come out right without special cases. Queries depend only on the
+//! step function, never on which redundant boundaries happen to be
+//! stored.
 //!
 //! [`BackfillFamily`] selects which backfill algorithm consumes it.
 
@@ -113,27 +116,13 @@ impl BackfillFamily {
 }
 
 /// The free-resource timeline (see module docs).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct SlotSet {
     /// Slot boundaries, strictly ascending and never empty; the first is
     /// the horizon (the earliest represented instant), and every query
-    /// and mutation clamps to it.
+    /// and plan clamps to it.
     times: Vec<SimTime>,
     /// `occ[i]` is the occupancy on `[times[i], times[i + 1])`.
-    occ: Vec<i64>,
-    /// Intervals committed through [`SlotSet::plan_journaled`] and not
-    /// yet rolled back (retained between passes for its capacity).
-    journal: Vec<(SimTime, SimTime, u32)>,
-}
-
-/// A saved copy of a [`SlotSet`]'s step function (see [`SlotSet::save`]):
-/// the conservative pass drops its hundreds of pass-local reservations
-/// by restoring one instead of one [`SlotSet::unplan`] each. The
-/// scheduler retains it across passes, so steady-state saves allocate
-/// nothing.
-#[derive(Debug, Default)]
-pub struct SlotSetCheckpoint {
-    times: Vec<SimTime>,
     occ: Vec<i64>,
 }
 
@@ -143,11 +132,41 @@ impl SlotSet {
         SlotSet {
             times: vec![origin],
             occ: vec![0],
-            journal: Vec::new(),
         }
     }
 
-    /// Earliest represented instant (the last [`SlotSet::advance`]).
+    /// Makes this the timeline of `commitments` — `(end, nodes)` pairs in
+    /// ascending order of `end`, each holding its nodes over `[now, end)`
+    /// — with the horizon at `now`, whatever it held before (the buffers
+    /// are reused). A commitment ending at or before `now` occupies
+    /// nothing. One walk records, per distinct end, the nodes released
+    /// there; summed from the back those drops are the levels.
+    pub fn rebuild(&mut self, now: SimTime, commitments: impl IntoIterator<Item = (SimTime, u32)>) {
+        self.times.clear();
+        self.occ.clear();
+        self.times.push(now);
+        self.occ.push(0);
+        for (end, nodes) in commitments {
+            let last = self.times.len() - 1;
+            debug_assert!(end <= now || end >= self.times[last], "ends must ascend");
+            if end <= now || nodes == 0 {
+                continue;
+            }
+            if self.times[last] == end {
+                self.occ[last] += i64::from(nodes);
+            } else {
+                self.times.push(end);
+                self.occ.push(i64::from(nodes));
+            }
+        }
+        let mut level = 0;
+        for slot in self.occ.iter_mut().rev() {
+            level += std::mem::replace(slot, level);
+        }
+    }
+
+    /// Earliest represented instant (the `now` of the last
+    /// [`SlotSet::rebuild`]).
     pub fn horizon(&self) -> SimTime {
         self.times[0]
     }
@@ -193,100 +212,17 @@ impl SlotSet {
         i
     }
 
-    /// Adds `delta` over `[from, until)` (clamped to the horizon); the
-    /// indices of the two boundaries, or `None` for an empty interval.
-    fn apply(&mut self, from: SimTime, until: SimTime, delta: i64) -> Option<(usize, usize)> {
+    /// Commits `nodes` over `[from, until)` (clamped to the horizon).
+    pub fn plan(&mut self, from: SimTime, until: SimTime, nodes: u32) {
         let from = from.max(self.horizon());
-        if until <= from || delta == 0 {
-            return None;
+        if until <= from || nodes == 0 {
+            return;
         }
         let lo = self.ensure_boundary(0, from);
         let hi = self.ensure_boundary(lo + 1, until);
         for v in &mut self.occ[lo..hi] {
-            *v += delta;
-            debug_assert!(*v >= 0, "negative planned occupancy");
+            *v += i64::from(nodes);
         }
-        Some((lo, hi))
-    }
-
-    /// Drops boundary `i` if it carries the same occupancy as its
-    /// predecessor. The horizon boundary is never dropped.
-    fn coalesce(&mut self, i: usize) {
-        if i > 0 && self.occ[i] == self.occ[i - 1] {
-            self.times.remove(i);
-            self.occ.remove(i);
-        }
-    }
-
-    /// Commits `nodes` over `[from, until)` (clamped to the horizon).
-    pub fn plan(&mut self, from: SimTime, until: SimTime, nodes: u32) {
-        self.apply(from, until, i64::from(nodes));
-    }
-
-    /// Reverts a [`SlotSet::plan`] of `nodes` over `[from, until)` and
-    /// drops the boundaries the revert made redundant.
-    pub fn unplan(&mut self, from: SimTime, until: SimTime, nodes: u32) {
-        if let Some((lo, hi)) = self.apply(from, until, -i64::from(nodes)) {
-            self.coalesce(hi);
-            self.coalesce(lo);
-        }
-    }
-
-    /// [`SlotSet::plan`] plus a journal entry, so one
-    /// [`SlotSet::rollback_plans`] call reverts every temporary
-    /// commitment of the current pass: EASY-k's shadow-time reservations
-    /// steer the pass's hole queries but must not leak into the next.
-    pub fn plan_journaled(&mut self, from: SimTime, until: SimTime, nodes: u32) {
-        self.plan(from, until, nodes);
-        self.journal.push((from, until, nodes));
-    }
-
-    /// Reverts every interval recorded by [`SlotSet::plan_journaled`]
-    /// since the last rollback. Plans are commutative interval adds, so
-    /// the step function is restored exactly however they overlapped.
-    pub fn rollback_plans(&mut self) {
-        while let Some((from, until, nodes)) = self.journal.pop() {
-            self.unplan(from, until, nodes);
-        }
-    }
-
-    /// Journaled intervals not yet rolled back.
-    #[cfg(test)]
-    pub(crate) fn journaled(&self) -> usize {
-        self.journal.len()
-    }
-
-    /// Copies the whole timeline into `into`, reusing its buffers, for
-    /// [`SlotSet::restore`] to revert every mutation made in between.
-    /// Must not be called with journaled plans outstanding: restore
-    /// would silently discard the journal's pairing with the timeline.
-    pub fn save(&self, into: &mut SlotSetCheckpoint) {
-        debug_assert!(self.journal.is_empty(), "checkpoint with live journal");
-        into.times.clone_from(&self.times);
-        into.occ.clone_from(&self.occ);
-    }
-
-    /// Restores the state captured by [`SlotSet::save`] (the horizon
-    /// included), discarding every mutation made since. The checkpoint
-    /// is unchanged and may be restored again.
-    pub fn restore(&mut self, from: &SlotSetCheckpoint) {
-        self.times.clone_from(&from.times);
-        self.occ.clone_from(&from.occ);
-        self.journal.clear();
-    }
-
-    /// Moves the horizon forward to `now`, dropping every boundary before
-    /// it; the step function at and after `now` is unchanged. A `now` at
-    /// or behind the horizon is a no-op.
-    pub fn advance(&mut self, now: SimTime) {
-        if now <= self.horizon() {
-            return;
-        }
-        // The slot containing `now` becomes the horizon slot.
-        let keep = self.slot_of(now);
-        self.times.drain(..keep);
-        self.occ.drain(..keep);
-        self.times[0] = now;
     }
 
     /// Earliest `t >= from` such that `occ(s) <= cap` for every `s` in
@@ -367,7 +303,7 @@ mod tests {
             self.steps.range(..=at).next_back().map_or(0, |(_, &v)| v)
         }
 
-        fn apply(&mut self, from: u64, until: u64, delta: i64) {
+        fn plan(&mut self, from: u64, until: u64, nodes: u32) {
             let from = from.max(self.horizon);
             if until <= from {
                 return;
@@ -377,18 +313,17 @@ mod tests {
             self.steps.entry(from).or_insert(at_from);
             self.steps.entry(until).or_insert(at_until);
             for (_, v) in self.steps.range_mut(from..until) {
-                *v += delta;
+                *v += i64::from(nodes);
             }
         }
 
-        fn advance(&mut self, now: u64) {
-            if now <= self.horizon {
-                return;
-            }
-            let carried = self.occ(now);
-            self.steps = self.steps.split_off(&now);
-            self.steps.entry(now).or_insert(carried);
+        /// Starts over at `now`: each commitment is a plan from there.
+        fn rebuild(&mut self, now: u64, commitments: &[(u64, u32)]) {
+            self.steps.clear();
             self.horizon = now;
+            for &(end, nodes) in commitments {
+                self.plan(now, end, nodes);
+            }
         }
 
         fn max_in(&self, from: u64, until: u64) -> i64 {
@@ -431,75 +366,28 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             self.0 >> 33
         }
-    }
 
-    #[test]
-    fn plan_and_unplan_round_trip_conserves_the_timeline() {
-        let mut tl = SlotSet::new(SimTime::ZERO);
-        tl.plan(t(10), t(50), 4);
-        tl.plan(t(20), t(80), 3);
-        let before = tl.slots();
-        tl.plan(t(30), t(60), 5);
-        tl.unplan(t(30), t(60), 5);
-        assert_eq!(tl.slots(), before, "plan+unplan must be a no-op");
-        tl.validate().unwrap();
-        // Full teardown returns to the empty timeline.
-        tl.unplan(t(20), t(80), 3);
-        tl.unplan(t(10), t(50), 4);
-        assert_eq!(tl.slots(), vec![(SimTime::ZERO, 0)]);
-        tl.validate().unwrap();
-    }
-
-    #[test]
-    fn journaled_plans_roll_back_exactly() {
-        let mut tl = SlotSet::new(SimTime::ZERO);
-        tl.plan(t(10), t(50), 4);
-        let before = tl.slots();
-        // Overlapping temporary reservations, as a backfill pass plans
-        // them, including one extending the represented range.
-        tl.plan_journaled(t(30), t(60), 5);
-        tl.plan_journaled(t(20), t(90), 2);
-        tl.plan_journaled(t(30), t(40), 1);
-        assert_eq!(tl.occupied_at(t(35)), 4 + 5 + 2 + 1);
-        tl.rollback_plans();
-        assert_eq!(tl.slots(), before, "rollback must restore the pass state");
-        tl.validate().unwrap();
-        // The journal is drained: a second rollback is a no-op, and the
-        // next pass's entries stand alone.
-        tl.rollback_plans();
-        assert_eq!(tl.slots(), before);
-        tl.plan_journaled(t(15), t(25), 3);
-        tl.rollback_plans();
-        assert_eq!(tl.slots(), before);
-        tl.validate().unwrap();
-    }
-
-    #[test]
-    fn checkpoint_restore_reverts_arbitrary_mutation() {
-        let mut tl = SlotSet::new(SimTime::ZERO);
-        tl.plan(t(10), t(50), 4);
-        tl.plan(t(20), t(80), 3);
-        let before = tl.slots();
-        let mut ckpt = SlotSetCheckpoint::default();
-        tl.save(&mut ckpt);
-        // A conservative-pass-shaped burst of un-journaled plans,
-        // including boundary churn from an interleaved unplan.
-        for i in 0..64u64 {
-            tl.plan(t(30 + i), t(60 + 2 * i), 1 + (i % 5) as u32);
+        /// `count` commitments around `now`, ascending by end, with the
+        /// hostile shapes mixed in: an end repeated, at `now`, behind it,
+        /// at `u64::MAX`, and a commitment of zero nodes.
+        fn commitments(&mut self, now: u64, range: u64, count: u64) -> Vec<(u64, u32)> {
+            let mut out: Vec<(u64, u32)> = Vec::new();
+            for _ in 0..count {
+                let mut end = now + 1 + self.next() % range;
+                let mut nodes = (self.next() % 16) as u32 + 1;
+                match self.next() % 12 {
+                    0 => end = u64::MAX,
+                    1 => end = now,
+                    2 => end = now.saturating_sub(self.next() % 50),
+                    3 => nodes = 0,
+                    4 => end = out.last().map_or(end, |&(e, _)| e),
+                    _ => {}
+                }
+                out.push((end, nodes));
+            }
+            out.sort_by_key(|&(end, _)| end);
+            out
         }
-        tl.unplan(t(20), t(80), 3);
-        assert_ne!(tl.slots(), before);
-        tl.restore(&ckpt);
-        assert_eq!(tl.slots(), before, "restore must revert every mutation");
-        tl.validate().unwrap();
-        // The checkpoint is reusable, and carries the horizon: mutate,
-        // move the clock, and restore again.
-        tl.plan(t(5), t(95), 7);
-        tl.advance(t(40));
-        tl.restore(&ckpt);
-        assert_eq!(tl.slots(), before);
-        assert_eq!(tl.horizon(), SimTime::ZERO);
-        tl.validate().unwrap();
     }
 
     #[test]
@@ -513,24 +401,6 @@ mod tests {
         assert_eq!(tl.occupied_at(t(30)), 5);
         assert_eq!(tl.occupied_at(t(40)), 0);
         tl.validate().unwrap();
-    }
-
-    #[test]
-    fn advance_preserves_the_suffix_and_prunes_the_past() {
-        let mut tl = SlotSet::new(SimTime::ZERO);
-        tl.plan(t(10), t(30), 2);
-        tl.plan(t(20), t(40), 5);
-        tl.advance(t(25));
-        assert_eq!(tl.horizon(), t(25));
-        assert_eq!(tl.occupied_at(t(25)), 7);
-        assert_eq!(tl.occupied_at(t(35)), 5);
-        assert_eq!(tl.occupied_at(t(40)), 0);
-        // Everything before now is clamped to the horizon value.
-        assert_eq!(tl.occupied_at(t(1)), 7);
-        tl.validate().unwrap();
-        // Advancing past every plan empties the timeline.
-        tl.advance(t(100));
-        assert_eq!(tl.slots(), vec![(t(100), 0)]);
     }
 
     #[test]
@@ -568,35 +438,33 @@ mod tests {
         assert_eq!(tl.earliest_hole(t(150), 6, Span::ZERO), Some(t(150)));
     }
 
-    /// One generated op sequence per round mixes every mutation and
-    /// query of the public API against the brute-force [`Model`]:
-    /// `plan` / `unplan`, journaled plans and their rollback, `save` …
-    /// mutate … `restore`, `advance`, `earliest_hole`, `max_in` and
-    /// `occupied_at`, with `validate()` after every mutation. The hostile
-    /// shapes ride along: `until = u64::MAX`, `from` behind the horizon,
-    /// `advance` onto an existing boundary, zero-length and zero-node
-    /// plans. Most rounds are small and dense (boundaries collide); the
-    /// wide ones grow the timeline past 2 000 live boundaries.
+    /// One generated op sequence per round mixes the constructor, the
+    /// mutation and every query of the public API against the
+    /// brute-force [`Model`]: `rebuild` (which a round opens with, so
+    /// every later op runs on a rebuilt timeline), `plan`,
+    /// `earliest_hole`, `max_in` and `occupied_at`, with `validate()`
+    /// after every op. The hostile shapes ride along: commitments with
+    /// equal ends, ends at and behind `now`, zero nodes and
+    /// `end = u64::MAX`, none at all; plans with `until = u64::MAX`,
+    /// `from` behind the horizon, zero length and zero nodes. Most rounds
+    /// are small and dense (boundaries collide); the wide ones rebuild
+    /// from over 2 000 commitments and plan on top of them.
     #[test]
     fn randomized_ops_match_the_brute_force_model() {
-        type Plans = Vec<(u64, u64, u32)>;
         let mut rng = Lcg(0x5eed_d312);
         let mut peak_len = 0;
         for round in 0..62 {
-            // (ops, time range, share of ops out of 16 that plan)
-            let (ops, range, plan_share) = if round < 60 {
-                (160, 1_000, 5)
+            // (ops, time range, share of ops out of 16 that plan, most
+            // commitments of a rebuild, one op-14 in how many rebuilds)
+            let (ops, range, plan_share, most, rebuild_every) = if round < 60 {
+                (160, 1_000, 5, 12, 1)
             } else {
-                (6_000, 5_000_000, 10)
+                (6_000, 5_000_000, 10, 2_400, 64)
             };
             let mut tl = SlotSet::new(SimTime::ZERO);
             let mut model = Model::default();
-            let mut live: Plans = Vec::new();
-            let mut journal: Plans = Vec::new();
-            let mut ckpt = SlotSetCheckpoint::default();
-            let mut saved: Option<(Model, Plans)> = None;
-            for _ in 0..ops {
-                let op = rng.next() % 16;
+            for step in 0..ops {
+                let op = if step == 0 { 14 } else { rng.next() % 16 };
                 if op < plan_share {
                     let mut from = model.horizon + rng.next() % range;
                     let mut until = from + 1 + rng.next() % (range * 2 / 5);
@@ -608,79 +476,36 @@ mod tests {
                         3 => nodes = 0,
                         _ => {}
                     }
-                    if op == 0 {
-                        tl.plan_journaled(SimTime(from), SimTime(until), nodes);
-                        journal.push((from, until, nodes));
-                    } else {
-                        tl.plan(SimTime(from), SimTime(until), nodes);
-                        live.push((from, until, nodes));
-                    }
-                    model.apply(from, until, i64::from(nodes));
+                    tl.plan(SimTime(from), SimTime(until), nodes);
+                    model.plan(from, until, nodes);
+                } else if op == 14 && (step == 0 || rng.next().is_multiple_of(rebuild_every)) {
+                    // The opening rebuild is the widest; a later one may
+                    // be empty, and `now` may move either way.
+                    let count = if step == 0 { most } else { rng.next() % most };
+                    let now = (model.horizon + rng.next() % 300).saturating_sub(rng.next() % 100);
+                    let commitments = rng.commitments(now, range, count);
+                    let timed = commitments.iter().map(|&(end, n)| (SimTime(end), n));
+                    tl.rebuild(SimTime(now), timed);
+                    model.rebuild(now, &commitments);
                 } else {
-                    match op {
-                        10 | 11 if !live.is_empty() => {
-                            let i = (rng.next() as usize) % live.len();
-                            let (from, until, nodes) = live.swap_remove(i);
-                            tl.unplan(SimTime(from), SimTime(until), nodes);
-                            model.apply(from, until, -i64::from(nodes));
-                        }
-                        12 => {
-                            tl.rollback_plans();
-                            for (from, until, nodes) in journal.drain(..) {
-                                model.apply(from, until, -i64::from(nodes));
-                            }
-                        }
-                        13 => match saved.take() {
-                            // Restore drops the plans, journal entries and
-                            // horizon moves made since the save; one time
-                            // in four the checkpoint is kept for a second
-                            // restore.
-                            Some((m, l)) => {
-                                tl.restore(&ckpt);
-                                if rng.next().is_multiple_of(4) {
-                                    saved = Some((m.clone(), l.clone()));
-                                }
-                                (model, live) = (m, l);
-                                journal.clear();
-                            }
-                            None if journal.is_empty() => {
-                                tl.save(&mut ckpt);
-                                saved = Some((model.clone(), live.clone()));
-                            }
-                            None => {}
-                        },
-                        14 => {
-                            // Every other advance lands exactly on a
-                            // stored boundary.
-                            let next = model.steps.range(model.horizon + 1..).next();
-                            let now = match next {
-                                Some((&b, _)) if rng.next().is_multiple_of(2) => b,
-                                _ => model.horizon + rng.next() % 300,
-                            };
-                            tl.advance(SimTime(now));
-                            model.advance(now);
-                        }
-                        _ => {
-                            let from = (model.horizon + rng.next() % (range * 6 / 5))
-                                .saturating_sub(rng.next() % 100);
-                            let cap = (rng.next() % 24) as i64 - 1;
-                            let dur = match rng.next() % 8 {
-                                0 => u64::MAX,
-                                _ => rng.next() % (range / 2),
-                            };
-                            assert_eq!(
-                                tl.earliest_hole(SimTime(from), cap, Span(dur)),
-                                model.earliest_hole(from, cap, dur).map(SimTime),
-                                "hole query diverged (round {round})"
-                            );
-                            let until = from.saturating_add(dur);
-                            assert_eq!(
-                                tl.max_in(SimTime(from), SimTime(until)),
-                                model.max_in(from, until),
-                                "window peak diverged (round {round})"
-                            );
-                        }
-                    }
+                    let from = (model.horizon + rng.next() % (range * 6 / 5))
+                        .saturating_sub(rng.next() % 100);
+                    let cap = (rng.next() % 24) as i64 - 1;
+                    let dur = match rng.next() % 8 {
+                        0 => u64::MAX,
+                        _ => rng.next() % (range / 2),
+                    };
+                    assert_eq!(
+                        tl.earliest_hole(SimTime(from), cap, Span(dur)),
+                        model.earliest_hole(from, cap, dur).map(SimTime),
+                        "hole query diverged (round {round})"
+                    );
+                    let until = from.saturating_add(dur);
+                    assert_eq!(
+                        tl.max_in(SimTime(from), SimTime(until)),
+                        model.max_in(from, until),
+                        "window peak diverged (round {round})"
+                    );
                 }
                 tl.validate().unwrap();
                 assert_eq!(tl.horizon(), SimTime(model.horizon));
@@ -695,14 +520,8 @@ mod tests {
                 }
                 assert_eq!(tl.occupied_at(SimTime(u64::MAX)), model.occ(u64::MAX));
             }
-            // Teardown: with every plan reverted nothing but the horizon
-            // slot may remain — each unplan drops the boundaries it made
-            // redundant, whatever was advanced past or restored meanwhile.
-            tl.rollback_plans();
-            for (from, until, nodes) in live {
-                tl.unplan(SimTime(from), SimTime(until), nodes);
-                tl.validate().unwrap();
-            }
+            // Rebuilt from nothing, nothing of the round remains.
+            tl.rebuild(SimTime(model.horizon), []);
             assert_eq!(tl.slots(), vec![(SimTime(model.horizon), 0)]);
         }
         assert!(peak_len >= 2_000, "widest timeline held {peak_len} slots");
@@ -711,8 +530,9 @@ mod tests {
     /// `now + expected_runtime` saturates to `u64::MAX`. A boundary
     /// lookup phrased as the range `[t, t + 1)` finds nothing there (the
     /// balanced tree this module once kept did that: every plan ending
-    /// at `u64::MAX` added a duplicate boundary that failed `validate()`
-    /// and never coalesced); searching for `t` itself has no such edge.
+    /// at `u64::MAX` added a duplicate boundary that failed `validate()`);
+    /// searching for `t` itself has no such edge, and `rebuild` folds
+    /// equal ends into one boundary wherever they fall.
     #[test]
     fn plans_ending_at_the_last_instant_share_one_boundary() {
         let end = SimTime(u64::MAX);
@@ -724,13 +544,26 @@ mod tests {
             tl.slots(),
             vec![(t(0), 0), (t(10), 2), (t(20), 5), (end, 0)]
         );
-        tl.unplan(t(10), end, 2);
-        tl.unplan(t(20), end, 3);
+        // Rebuilt at t = 5 from running commitments: the ones ending
+        // before and at `now` hold nothing, the two that never end share
+        // `end`.
+        let overrun = [(t(3), 7), (t(5), 4)];
+        tl.rebuild(
+            t(5),
+            overrun.into_iter().chain([(t(30), 1), (end, 2), (end, 3)]),
+        );
         tl.validate().unwrap();
-        assert_eq!(tl.len(), 1);
-        for at in [SimTime::ZERO, t(10), t(15), t(20), t(1 << 40), end] {
-            assert_eq!(tl.occupied_at(at), 0);
+        assert_eq!(tl.slots(), vec![(t(5), 6), (t(30), 5), (end, 0)]);
+        tl.plan(t(10), end, 4);
+        tl.validate().unwrap();
+        assert_eq!(
+            tl.slots(),
+            vec![(t(5), 6), (t(10), 10), (t(30), 9), (end, 0)]
+        );
+        for at in [SimTime::ZERO, t(5), t(29)] {
+            assert!(tl.occupied_at(at) > 0);
         }
+        assert_eq!(tl.occupied_at(end), 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::index::{NeedBucket, PendingIndex, PendingKey, ResizerIndex, RunningIn
 use crate::job::{Dependency, Job, JobId, JobRequest, JobState};
 use crate::policy::{PolicyKind, ResizePolicy};
 use crate::priority::MultifactorConfig;
-use crate::slotset::{BackfillFamily, SlotSet, SlotSetCheckpoint};
+use crate::slotset::{BackfillFamily, SlotSet};
 
 /// Which implementation of the scheduler's hot paths runs.
 ///
@@ -189,201 +189,38 @@ pub struct Slurm {
     running_index: RunningIndex,
     /// Parent → resizer reverse-dependency map for O(affected) reaping.
     resizer_index: ResizerIndex,
-    /// The slot-set free-resource timeline the deeper EASY-k
-    /// reservations and the conservative family query (see
-    /// [`crate::slotset`]). `RefCell`: the deferred deltas are flushed
-    /// behind `&self` in [`Slurm::check_invariants`].
-    timeline: RefCell<Timeline>,
-    /// Whether the aggregate timeline is live. It sits dormant — empty,
-    /// every delta dropped — until a pass asks something only it can
-    /// answer ([`Slurm::activate_timeline`]): the default EASY pass takes
-    /// its one reservation from the running index and never does.
-    tl_live: bool,
-    /// One timeline per machine class, populated only when the cluster
-    /// spans more than one class (empty on uniform inventories, so the
-    /// single-class hot path pays nothing — the bit-identity oracle).
-    /// Class-constrained jobs find their backfill holes here instead of
-    /// in the over-optimistic aggregate.
-    class_timelines: RefCell<Vec<Timeline>>,
-    /// Per-class held-node counts of each running job at its last plan
-    /// (multi-class only): the exact counts the matching unplan must
-    /// mirror, whatever the allocation looks like by then.
+    /// Scratch of the pass in flight: the slot-set free-resource
+    /// timeline (see [`crate::slotset`]) that the deeper EASY-k
+    /// reservations, the conservative family and class-constrained jobs
+    /// query. A pass that will ask it rebuilds it from `running_index`
+    /// first ([`Slurm::build_timelines`]) and nothing reads it once the
+    /// pass returns, so between passes it is kept only for its buffers.
+    /// `RefCell`: the hole guard builds it behind `&self`.
+    timeline: RefCell<SlotSet>,
+    /// One scratch timeline per machine class when the cluster spans
+    /// more than one (none on uniform inventories). A job confined to
+    /// one class finds its backfill hole here instead of in the
+    /// over-optimistic aggregate; built only by a pass that runs while
+    /// such a job is pending.
+    class_timelines: RefCell<Vec<SlotSet>>,
+    /// How each running job's nodes split over the machine classes
+    /// (multi-class only), recorded wherever its allocation changes
+    /// ([`Slurm::record_class_split`]): what a per-class timeline is
+    /// built from.
     class_counts: JobMap<Vec<u32>>,
     /// Per-class totals of held nodes across running jobs (multi-class
     /// only) — the per-class analogue of `RunningIndex::total_held`.
     class_held: Vec<u32>,
-    /// Whether the per-class timelines are live. They sit dormant — no
-    /// timeline maintenance at all — until the first class-constrained
-    /// submission ([`Slurm::activate_class_timelines`]), because they are
-    /// only ever queried on behalf of a job with a sole eligible class,
-    /// and such a job must have been submitted first. Unconstrained
-    /// workloads on heterogeneous clusters therefore never pay the
-    /// per-class plan/sync/checkpoint costs.
-    class_tl_live: bool,
     /// Cross-pass incremental state (production path only).
     incr: IncrState,
 }
 
-/// One deferred timeline mutation: a running job's node commitment over
-/// `[horizon, end)`, to add (`plan`) or remove. Queued O(1) at the index
-/// mutation sites; applied (a [`SlotSet::plan`] / `unplan` each) the next
-/// time the timeline is consulted, so the scheduling hot paths never pay
-/// for them.
-/// Applying from the *current* horizon is exact: occupancy behind the
-/// horizon is clipped on both plan and unplan, and [`SlotSet::advance`]
-/// prunes whatever a plan wrote behind the clock before any query runs.
-#[derive(Debug, Clone, Copy)]
-struct TimelineDelta {
-    end: SimTime,
-    nodes: u32,
-    plan: bool,
-}
-
-/// The timeline plus its deferred-delta queue (see [`TimelineDelta`]).
-#[derive(Debug)]
-struct Timeline {
-    slots: SlotSet,
-    queued: Vec<TimelineDelta>,
-    /// Checkpoint buffer for [`Timeline::save`], retained so steady-state
-    /// saves are allocation-free memcpys.
-    ckpt: SlotSetCheckpoint,
-    /// Real (non-plan) deltas flushed while a checkpoint is active — the
-    /// mid-pass starts whose commitments must survive the restore.
-    recorded: Vec<TimelineDelta>,
-    /// Whether a [`Timeline::save`] checkpoint is awaiting restore.
-    recording: bool,
-}
-
-impl Timeline {
-    fn new() -> Self {
-        Timeline {
-            slots: SlotSet::new(SimTime::ZERO),
-            queued: Vec::new(),
-            ckpt: SlotSetCheckpoint::default(),
-            recorded: Vec::new(),
-            recording: false,
-        }
-    }
-
-    /// Defers one delta to the next consultation.
-    fn queue(&mut self, delta: TimelineDelta) {
-        self.queued.push(delta);
-        // Keep memory O(running) even when no backfill pass ever drains
-        // the queue (backfill disabled): paired plan/unplan deltas cancel
-        // once applied.
-        if self.queued.len() >= 1024 {
-            self.flush();
-        }
-    }
-
-    /// Takes a dormant (empty) timeline live at `now`: plans each running
-    /// commitment `(expected end, nodes)` from `now` on — the step
-    /// function a timeline maintained from the start holds at and after
-    /// `now`, so every query answers identically.
-    fn go_live(&mut self, now: SimTime, commitments: impl Iterator<Item = (SimTime, u32)>) {
-        debug_assert!(!self.recording, "timeline went live mid-pass");
-        self.slots.advance(now);
-        for (end, nodes) in commitments {
-            self.slots.plan(now, end, nodes);
-        }
-    }
-
-    /// Applies every queued delta (without moving the horizon).
-    fn flush(&mut self) {
-        for d in self.queued.drain(..) {
-            let h = self.slots.horizon();
-            if d.plan {
-                self.slots.plan(h, d.end, d.nodes);
-            } else {
-                self.slots.unplan(h, d.end, d.nodes);
-            }
-            if self.recording {
-                self.recorded.push(d);
-            }
-        }
-    }
-
-    /// Brings the timeline up to date with the simulation clock: applies
-    /// queued deltas, then garbage-collects everything behind `now`.
-    fn sync(&mut self, now: SimTime) {
-        self.flush();
-        self.slots.advance(now);
-    }
-
-    /// Checkpoints the timeline so a pass can commit temporary plans
-    /// directly ([`SlotSet::plan`], no journal) and drop them all with
-    /// one [`Timeline::restore`]. Real deltas flushed in between (jobs
-    /// the pass *started*) are recorded and survive the restore — they
-    /// are replayed on top of the checkpoint. The queue must be empty
-    /// (call [`Timeline::sync`] first) so the checkpoint is exact.
-    fn save(&mut self) {
-        debug_assert!(self.queued.is_empty(), "checkpoint with queued deltas");
-        self.slots.save(&mut self.ckpt);
-        self.recorded.clear();
-        self.recording = true;
-    }
-
-    /// Invariant check. A dormant timeline holds no slots and no queued
-    /// deltas; a live one (deferred deltas flushed) equals the occupancy
-    /// profile of `commitments` — each running job's `(expected end,
-    /// held nodes)` — at every breakpoint of either step function.
-    fn check(
-        &mut self,
-        what: &str,
-        live: bool,
-        commitments: &[(SimTime, u32)],
-    ) -> Result<(), String> {
-        if !live {
-            if !self.slots.is_empty() || !self.queued.is_empty() {
-                return Err(format!(
-                    "dormant {what} holds {} slots and {} queued deltas",
-                    self.slots.len(),
-                    self.queued.len()
-                ));
-            }
-            return Ok(());
-        }
-        self.flush();
-        self.slots.validate()?;
-        let horizon = self.slots.horizon();
-        let expected_at = |t: SimTime| -> i64 {
-            commitments
-                .iter()
-                .filter(|&&(end, _)| end > t)
-                .map(|&(_, n)| i64::from(n))
-                .sum()
-        };
-        let mut probes: Vec<SimTime> = self.slots.slots().iter().map(|&(b, _)| b).collect();
-        probes.extend(commitments.iter().map(|&(end, _)| end.max(horizon)));
-        for p in probes {
-            let got = self.slots.occupied_at(p);
-            let want = expected_at(p.max(horizon));
-            if got != want {
-                return Err(format!(
-                    "{what} occupancy {got} at {p:?} != running profile {want}"
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Reverts to the last [`Timeline::save`], then replays the real
-    /// deltas recorded since. The horizon did not move while recording
-    /// (passes run at one instant), so replaying from the restored
-    /// horizon is exact — the same clipping [`Timeline::flush`] applied.
-    fn restore(&mut self) {
-        debug_assert!(self.recording, "restore without a checkpoint");
-        self.recording = false;
-        self.slots.restore(&self.ckpt);
-        let h = self.slots.horizon();
-        for d in self.recorded.drain(..) {
-            if d.plan {
-                self.slots.plan(h, d.end, d.nodes);
-            } else {
-                self.slots.unplan(h, d.end, d.nodes);
-            }
-        }
-    }
+/// Which timelines the pass in flight built (see
+/// [`Slurm::build_timelines`]) and so must show the jobs it starts.
+#[derive(Clone, Copy)]
+struct PassTimelines {
+    aggregate: bool,
+    per_class: bool,
 }
 
 /// One memoized pending order (see [`Slurm::pending_queue`]).
@@ -416,6 +253,7 @@ struct QueueCache {
 struct EasyPass {
     /// Reservations the family grants (`k >= 1`).
     k: u32,
+    built: PassTimelines,
     started: Vec<JobStart>,
     /// `(shadow, spare)` of the blocked jobs holding a reservation.
     reservations: Vec<(SimTime, u32)>,
@@ -425,9 +263,10 @@ struct EasyPass {
 }
 
 impl EasyPass {
-    fn new(k: u32) -> Self {
+    fn new(k: u32, built: PassTimelines) -> Self {
         EasyPass {
             k,
+            built,
             started: Vec::new(),
             reservations: Vec::new(),
             watermark: u32::MAX,
@@ -592,12 +431,10 @@ impl Slurm {
             pending_index: PendingIndex::default(),
             running_index: RunningIndex::default(),
             resizer_index: ResizerIndex::default(),
-            timeline: RefCell::new(Timeline::new()),
-            tl_live: false,
-            class_timelines: RefCell::new((0..per_class).map(|_| Timeline::new()).collect()),
+            timeline: RefCell::new(SlotSet::new(SimTime::ZERO)),
+            class_timelines: RefCell::new(vec![SlotSet::new(SimTime::ZERO); per_class]),
             class_counts: JobMap::default(),
             class_held: vec![0; per_class],
-            class_tl_live: false,
             incr: IncrState::default(),
         }
     }
@@ -846,10 +683,6 @@ impl Slurm {
             self.invalidate_queue_cache();
             self.incr_clear();
         }
-        if self.jobs[id].constraint != ClassConstraint::Any {
-            self.activate_timeline(now);
-            self.activate_class_timelines(now);
-        }
         id
     }
 
@@ -884,135 +717,100 @@ impl Slurm {
         // hole durations) but never the priority-FIFO walk: drop the
         // backfill memo, keep the schedule memo.
         self.incr.bf_memo = None;
-        let started_at = (j.state == JobState::Running)
-            .then_some(j.start_time)
-            .flatten();
-        if let Some(start) = started_at {
-            let new_end = start + estimate;
-            if let Some((old_end, nodes)) = self.running_index.set_end(id, new_end) {
-                // Re-plan only the affected slots: this job's old and new
-                // commitment intervals.
-                self.tl_queue(old_end, nodes, false);
-                self.tl_queue(new_end, nodes, true);
-                if let Some(counts) = self.class_counts.get(id) {
-                    let (live, tls) = (self.class_tl_live, self.class_timelines.get_mut());
-                    Self::tlc_queue(live, tls, counts, old_end, false);
-                    Self::tlc_queue(live, tls, counts, new_end, true);
-                }
-            }
+        // Re-keys a running job; any other is not in the index.
+        if let Some(start) = j.start_time {
+            self.running_index.set_end(id, start + estimate);
         }
     }
 
-    /// Queues a timeline delta (a running job's node commitment until
-    /// `end`) for application at the next timeline consultation. Dropped
-    /// while the timeline is dormant: going live rebuilds it from the
-    /// running index (see [`Slurm::activate_timeline`]).
-    fn tl_queue(&mut self, end: SimTime, nodes: u32, plan: bool) {
-        if nodes != 0 && self.tl_live {
-            let delta = TimelineDelta { end, nodes, plan };
-            self.timeline.get_mut().queue(delta);
-        }
-    }
-
-    /// Whether the inventory spans more than one machine class (the
-    /// per-class timeline machinery is live).
+    /// Whether the inventory spans more than one machine class (and the
+    /// per-class split of every running job is therefore recorded).
     fn multi_class(&self) -> bool {
         !self.class_held.is_empty()
     }
 
-    /// Queues per-class timeline deltas mirroring an aggregate delta.
-    /// No-op on uniform inventories (`counts` is empty then) and while
-    /// the class timelines are dormant (`live` false: they are rebuilt
-    /// wholesale when they go live, see
-    /// [`Slurm::activate_class_timelines`]). Takes the fields rather than
-    /// `&mut self` so `counts` can stay borrowed from the side table.
-    fn tlc_queue(live: bool, tls: &mut [Timeline], counts: &[u32], end: SimTime, plan: bool) {
-        if !live {
-            return;
-        }
-        for (c, &nodes) in counts.iter().enumerate() {
-            if nodes != 0 {
-                tls[c].queue(TimelineDelta { end, nodes, plan });
-            }
-        }
-    }
-
-    /// Records a running job's per-class node commitment until `end`:
-    /// plans the class timelines and bumps the per-class held totals
-    /// (multi-class clusters only).
-    fn class_plan(&mut self, id: JobId, end: SimTime) {
+    /// Records how running job `id`'s nodes split over the machine
+    /// classes, in place of any earlier record: called wherever an
+    /// allocation changes (start, expand, shrink). It describes the
+    /// allocation, not a timeline — the per-class timelines are built
+    /// from it — and asking the cluster for it per running job per pass
+    /// instead was measured and lost. No-op on uniform inventories.
+    fn record_class_split(&mut self, id: JobId) {
         if !self.multi_class() {
             return;
         }
+        self.drop_class_split(id);
         let counts = self.cluster.held_class_counts(id.owner_tag());
-        for (c, &n) in counts.iter().enumerate() {
-            self.class_held[c] += n;
+        for (held, &n) in self.class_held.iter_mut().zip(&counts) {
+            *held += n;
         }
-        let tls = self.class_timelines.get_mut();
-        Self::tlc_queue(self.class_tl_live, tls, &counts, end, true);
         self.class_counts.insert(id, counts);
     }
 
-    /// Removes the per-class commitment recorded by [`Slurm::class_plan`]
-    /// (multi-class clusters only; tolerates a job that was never
-    /// planned, mirroring the scheduler's release-mode leniency).
-    fn class_unplan(&mut self, id: JobId, end: SimTime) {
+    /// Forgets the class split of a job that stopped running (tolerates
+    /// a job that has none, mirroring the scheduler's release-mode
+    /// leniency).
+    fn drop_class_split(&mut self, id: JobId) {
         if let Some(counts) = self.class_counts.remove(id) {
-            for (c, &n) in counts.iter().enumerate() {
-                self.class_held[c] -= n;
-            }
-            let tls = self.class_timelines.get_mut();
-            Self::tlc_queue(self.class_tl_live, tls, &counts, end, false);
-        }
-    }
-
-    /// Brings every live timeline up to date with the simulation clock.
-    fn sync_timelines(&mut self, now: SimTime) {
-        if self.tl_live {
-            self.timeline.get_mut().sync(now);
-        }
-        if self.class_tl_live {
-            for tl in self.class_timelines.get_mut() {
-                tl.sync(now);
+            for (held, &n) in self.class_held.iter_mut().zip(&counts) {
+                *held -= n;
             }
         }
     }
 
-    /// Brings the aggregate timeline live: plans every running job's
-    /// `(expected end, held nodes)` commitment from `now` on, after which
-    /// every mutation maintains it through [`Slurm::tl_queue`]. Called by
-    /// the consumers that need more than the first EASY reservation: a
-    /// conservative pass, an EASY pass granting two or more reservations,
-    /// and the first class-constrained submission (whose reservation
-    /// [`Slurm::constrained_hole`] may take from the aggregate, also on
-    /// behalf of the `&self` hole guard).
-    fn activate_timeline(&mut self, now: SimTime) {
-        if self.tl_live {
-            return;
-        }
-        self.tl_live = true;
-        self.timeline
-            .get_mut()
-            .go_live(now, self.running_index.iter());
+    /// Every running job's `(expected end, nodes held in class c)`, in
+    /// running-index order.
+    fn class_commitments(&self, c: usize) -> impl Iterator<Item = (SimTime, u32)> + '_ {
+        let ends = self.running_index.jobs();
+        ends.filter_map(move |(end, id)| Some((end, self.class_counts.get(id)?[c])))
     }
 
-    /// Brings the per-class timelines live: rebuilds each class's
-    /// occupancy profile from the recorded running commitments, after
-    /// which every mutation maintains them eagerly. Called on the first
-    /// class-constrained submission — queries only ever target a class
-    /// timeline on behalf of a constrained pending job, so until one
-    /// exists the timelines can sit dormant for free.
-    fn activate_class_timelines(&mut self, now: SimTime) {
-        if !self.multi_class() || self.class_tl_live {
-            return;
+    /// Rebuilds from the running index, at `now`, the timelines a pass
+    /// (or a hole-guard call) is about to query, and reports which. The
+    /// aggregate is needed by a `deep` pass — conservative, or EASY
+    /// granting two or more reservations: the first comes from the
+    /// running index itself — and by any pass while a class-constrained
+    /// job is pending, whose reservation [`Slurm::constrained_hole`]
+    /// takes from its class's timeline or, when several classes are
+    /// eligible, from the aggregate; the per-class ones only then.
+    /// Nothing is submitted during a pass, so the test made here holds
+    /// to its end.
+    fn build_timelines(&self, now: SimTime, deep: bool) -> PassTimelines {
+        let constrained = self.pending_index.constrained() > 0;
+        let built = PassTimelines {
+            aggregate: deep || constrained,
+            per_class: constrained && self.multi_class(),
+        };
+        if built.aggregate {
+            let mut tl = self.timeline.borrow_mut();
+            tl.rebuild(now, self.running_index.iter());
         }
-        self.class_tl_live = true;
-        for (c, tl) in self.class_timelines.get_mut().iter_mut().enumerate() {
-            let held = self
-                .running_index
-                .jobs()
-                .filter_map(|(end, id)| Some((end, self.class_counts.get(id)?[c])));
-            tl.go_live(now, held);
+        if built.per_class {
+            for (c, tl) in self.class_timelines.borrow_mut().iter_mut().enumerate() {
+                tl.rebuild(now, self.class_commitments(c));
+            }
+        }
+        built
+    }
+
+    /// A pass just started `id` on `nodes` nodes until `end`: the
+    /// timelines it built must show that to the plans that follow.
+    fn plan_start(
+        &mut self,
+        id: JobId,
+        now: SimTime,
+        end: SimTime,
+        nodes: u32,
+        built: PassTimelines,
+    ) {
+        if built.aggregate {
+            self.timeline.get_mut().plan(now, end, nodes);
+        }
+        if built.per_class {
+            let split = self.class_counts.get(id).into_iter().flatten();
+            for (tl, &n) in self.class_timelines.get_mut().iter_mut().zip(split) {
+                tl.plan(now, end, n);
+            }
         }
     }
 
@@ -1057,9 +855,9 @@ impl Slurm {
         }
         let cap = i64::from(avail - need);
         let tls = self.class_timelines.borrow();
-        match tls[c].slots.earliest_hole(now, cap, dur) {
+        match tls[c].earliest_hole(now, cap, dur) {
             Some(s) => {
-                let peak = tls[c].slots.max_in(s, s + dur);
+                let peak = tls[c].max_in(s, s + dur);
                 (s, (cap - peak) as u32)
             }
             None => (SimTime(u64::MAX), 0),
@@ -1348,8 +1146,7 @@ impl Slurm {
         let resizer_for = job.dependency.map(|Dependency::ExpandOf(parent)| parent);
         let held = nodes.len() as u32;
         self.running_index.insert(id, end, held);
-        self.tl_queue(end, held, true);
-        self.class_plan(id, end);
+        self.record_class_split(id);
         // A start changes the free count, the running set and (for
         // resizer parents) dependency satisfiability: every memo dies;
         // the persistent order keeps the started id as a tombstone.
@@ -1561,9 +1358,9 @@ impl Slurm {
     /// is a prefix walk of the running index
     /// ([`Slurm::reservation_for`]); deeper ones are
     /// hole queries (one scan) on the slot-set timeline, which only a
-    /// pass with `k >= 2` therefore needs. A reservation is planned into
-    /// the timeline while a later one of the same pass can still see it,
-    /// and unplanned before returning.
+    /// pass with `k >= 2` therefore builds. A reservation is planned into
+    /// the timeline only while a later one of the same pass can still
+    /// see it.
     ///
     /// Every pending job goes through the same [`Slurm::easy_visit`]
     /// step; what differs is which jobs are offered to it. The indexed
@@ -1587,26 +1384,15 @@ impl Slurm {
         pass.started
     }
 
-    /// One EASY pass with the chosen body between the shared prologue
-    /// (reap, timelines brought to `now`) and epilogue (the pass's
-    /// journaled reservations unplanned).
+    /// One EASY pass with the chosen body behind the shared prologue
+    /// (reap, then the timelines the pass will query built at `now`).
     fn easy_pass(&mut self, now: SimTime, k: u32, indexed: bool) -> EasyPass {
         self.reap_dead_resizers(now);
-        if k >= 2 {
-            self.activate_timeline(now);
-        }
-        self.sync_timelines(now);
-        let mut pass = EasyPass::new(k);
+        let mut pass = EasyPass::new(k, self.build_timelines(now, k >= 2));
         if indexed {
             self.easy_indexed(now, &mut pass);
         } else {
             self.easy_walk(now, &mut pass);
-        }
-        self.timeline.get_mut().slots.rollback_plans();
-        if self.class_tl_live {
-            for tl in self.class_timelines.get_mut() {
-                tl.slots.rollback_plans();
-            }
         }
         pass
     }
@@ -1649,7 +1435,7 @@ impl Slurm {
                 }
             }
             pass.started.push(self.start_job(id, now));
-            self.sync_timelines(now);
+            self.plan_start(id, now, est_end, need, pass.built);
             return EasyVisit::Started;
         }
         pass.watermark = pass.watermark.min(need);
@@ -1667,14 +1453,9 @@ impl Slurm {
             let seen_later = (pass.reservations.len() as u32) + 1 < pass.k;
             if seen_later && shadow != SimTime(u64::MAX) {
                 let until = shadow + dur;
-                self.timeline
-                    .get_mut()
-                    .slots
-                    .plan_journaled(shadow, until, need);
+                self.timeline.get_mut().plan(shadow, until, need);
                 if let Some(c) = self.sole_eligible_class(constraint) {
-                    self.class_timelines.get_mut()[c]
-                        .slots
-                        .plan_journaled(shadow, until, need);
+                    self.class_timelines.get_mut()[c].plan(shadow, until, need);
                 }
             }
             pass.reservations.push((shadow, spare));
@@ -1778,8 +1559,8 @@ impl Slurm {
     /// Conservative backfill: walk the queue in priority order; a job
     /// whose whole expected runtime fits under the planned occupancy
     /// starts now, every other job gets the earliest hole planned into
-    /// the timeline — so no start can delay any blocked job's plan.
-    /// Pass-local plans are removed before returning.
+    /// the timeline — so no start can delay any blocked job's plan. The
+    /// timeline is built for the pass and dropped with its plans.
     ///
     /// The walk stops after [`SlurmConfig::bf_max_job_test`] blocked jobs
     /// (Slurm's own conservative-depth cap): a job deeper than the window
@@ -1787,18 +1568,7 @@ impl Slurm {
     /// the window would have no plans protecting them.
     fn backfill_pass_conservative(&mut self, now: SimTime) -> Vec<JobStart> {
         self.reap_dead_resizers(now);
-        self.activate_timeline(now);
-        self.sync_timelines(now);
-        // Temporary plans go in un-journaled: the pass plans up to
-        // `window` reservations, and a checkpoint reverts them all in
-        // one flat copy instead of one `unplan` each; mid-pass starts
-        // are replayed on top (see [`Timeline::save`]).
-        self.timeline.get_mut().save();
-        if self.class_tl_live {
-            for tl in self.class_timelines.get_mut() {
-                tl.save();
-            }
-        }
+        let built = self.build_timelines(now, true);
         let window = self.config.bf_max_job_test.max(1);
         let order = self.pass_order(now);
         let mut started = Vec::new();
@@ -1854,15 +1624,13 @@ impl Slurm {
             }
             let cap = i64::from(avail - need);
             let hole = match sole {
-                Some(c) => self.class_timelines.borrow()[c]
-                    .slots
-                    .earliest_hole(now, cap, dur),
-                None => self.timeline.borrow().slots.earliest_hole(now, cap, dur),
+                Some(c) => self.class_timelines.borrow()[c].earliest_hole(now, cap, dur),
+                None => self.timeline.borrow().earliest_hole(now, cap, dur),
             };
             match hole {
                 Some(s) if s == now && fits => {
                     started.push(self.start_job(id, now));
-                    self.sync_timelines(now);
+                    self.plan_start(id, now, now + dur, need, built);
                 }
                 Some(s) => {
                     // A fitting job whose hole is not at `now` is a
@@ -1875,9 +1643,9 @@ impl Slurm {
                         watermark = watermark.min(need);
                     }
                     let until = s + dur;
-                    self.timeline.get_mut().slots.plan(s, until, need);
+                    self.timeline.get_mut().plan(s, until, need);
                     if let Some(c) = sole {
-                        self.class_timelines.get_mut()[c].slots.plan(s, until, need);
+                        self.class_timelines.get_mut()[c].plan(s, until, need);
                     }
                     planned = true;
                 }
@@ -1888,12 +1656,6 @@ impl Slurm {
                         watermark = watermark.min(need);
                     }
                 }
-            }
-        }
-        self.timeline.get_mut().restore();
-        if self.class_tl_live {
-            for tl in self.class_timelines.get_mut() {
-                tl.restore();
             }
         }
         if started.is_empty() {
@@ -1971,13 +1733,7 @@ impl Slurm {
         };
         let (need, constraint, dur) = (j.requested_nodes, j.constraint, j.expected_runtime);
         let (shadow, spare) = if constraint != ClassConstraint::Any {
-            // Live since that job was submitted.
-            self.timeline.borrow_mut().sync(now);
-            if self.class_tl_live {
-                for tl in self.class_timelines.borrow_mut().iter_mut() {
-                    tl.sync(now);
-                }
-            }
+            self.build_timelines(now, false);
             self.constrained_hole(constraint, need, dur, now)
         } else {
             self.reservation_for(need, now)
@@ -2000,9 +1756,9 @@ impl Slurm {
         }
         let cap = i64::from(avail - need);
         let tl = self.timeline.borrow();
-        match tl.slots.earliest_hole(now, cap, dur) {
+        match tl.earliest_hole(now, cap, dur) {
             Some(s) => {
-                let peak = tl.slots.max_in(s, s + dur);
+                let peak = tl.max_in(s, s + dur);
                 (s, (cap - peak) as u32)
             }
             None => (SimTime(u64::MAX), 0),
@@ -2024,10 +1780,8 @@ impl Slurm {
             // fires first): keep the index consistent with the scan.
             self.pending_index.remove(&self.jobs[id]);
         }
-        if let Some((end, nodes)) = self.running_index.remove(id) {
-            self.tl_queue(end, nodes, false);
-            self.class_unplan(id, end);
-        }
+        self.running_index.remove(id);
+        self.drop_class_split(id);
         if let Some(Dependency::ExpandOf(parent)) = dep {
             self.resizer_index.resizer_terminal(parent, id);
         }
@@ -2077,10 +1831,8 @@ impl Slurm {
             self.pending_index.remove(&self.jobs[id]);
         }
         if was_running {
-            if let Some((end, nodes)) = self.running_index.remove(id) {
-                self.tl_queue(end, nodes, false);
-                self.class_unplan(id, end);
-            }
+            self.running_index.remove(id);
+            self.drop_class_split(id);
         }
         if let Some(Dependency::ExpandOf(parent)) = dep {
             self.resizer_index.resizer_terminal(parent, id);
@@ -2201,11 +1953,8 @@ impl Slurm {
             .expect("detached nodes are still owned by the resizer tag");
         debug_assert_eq!(moved.len() as u32, delta);
         let held = self.cluster.held_by(original.owner_tag());
-        if let Some((end, old_nodes)) = self.running_index.set_nodes(original, held) {
-            self.tl_queue(end, old_nodes, false);
-            self.tl_queue(end, held, true);
-            self.class_unplan(original, end);
-            self.class_plan(original, end);
+        if self.running_index.set_nodes(original, held) {
+            self.record_class_split(original);
         }
         if let Some(j) = self.jobs.get_mut(original) {
             j.requested_nodes = held;
@@ -2254,11 +2003,8 @@ impl Slurm {
             .release_tail(id.owner_tag(), current - to)
             .expect("running job owns its nodes");
         let _ = now;
-        if let Some((end, old_nodes)) = self.running_index.set_nodes(id, to) {
-            self.tl_queue(end, old_nodes, false);
-            self.tl_queue(end, to, true);
-            self.class_unplan(id, end);
-            self.class_plan(id, end);
+        if self.running_index.set_nodes(id, to) {
+            self.record_class_split(id);
         }
         if let Some(j) = self.jobs.get_mut(id) {
             j.requested_nodes = to;
@@ -2403,13 +2149,14 @@ impl Slurm {
                 self.running_index.total_held()
             ));
         }
-        // The slot-set timeline (deferred deltas flushed) must equal the
-        // running-jobs occupancy profile at every breakpoint of either
-        // step function: free-count conservation across plan / unplan /
-        // coalesce and resize re-planning.
-        self.timeline
-            .borrow_mut()
-            .check("timeline", self.tl_live, &scan)?;
+        // The timeline a pass would build from the running index must
+        // equal the job table's occupancy profile. Probed at the latest
+        // start among the running jobs: the clock has reached it, so the
+        // jobs whose estimate ended before it are overrunning and hold
+        // nothing, as in a pass.
+        let starts = running.iter().filter_map(|j| j.start_time);
+        let probe = starts.max().unwrap_or(SimTime::ZERO);
+        check_rebuilt("timeline", probe, self.running_index.iter(), &scan)?;
         if self.multi_class() {
             // Per-class bookkeeping: the side map must mirror the actual
             // per-class split of every running job's nodes, the held
@@ -2444,7 +2191,7 @@ impl Slurm {
                     self.class_held
                 ));
             }
-            for (c, tl) in self.class_timelines.borrow_mut().iter_mut().enumerate() {
+            for c in 0..nclasses {
                 let class_scan: Vec<(SimTime, u32)> = running
                     .iter()
                     .map(|j| {
@@ -2454,15 +2201,45 @@ impl Slurm {
                         )
                     })
                     .collect();
-                tl.check(
-                    &format!("class {c} timeline"),
-                    self.class_tl_live,
-                    &class_scan,
-                )?;
+                let what = format!("class {c} timeline");
+                check_rebuilt(&what, probe, self.class_commitments(c), &class_scan)?;
             }
         }
         Ok(())
     }
+}
+
+/// Invariant check of the timeline build: the timeline rebuilt at `probe`
+/// from `commitments` (running-index order) must equal the occupancy
+/// profile of `scan` — each running job's `(expected end, held nodes)`
+/// read from the job table — at every breakpoint of either step function.
+fn check_rebuilt(
+    what: &str,
+    probe: SimTime,
+    commitments: impl Iterator<Item = (SimTime, u32)>,
+    scan: &[(SimTime, u32)],
+) -> Result<(), String> {
+    let mut slots = SlotSet::new(probe);
+    slots.rebuild(probe, commitments);
+    slots.validate()?;
+    let expected_at = |t: SimTime| -> i64 {
+        scan.iter()
+            .filter(|&&(end, _)| end > t)
+            .map(|&(_, n)| i64::from(n))
+            .sum()
+    };
+    let mut probes: Vec<SimTime> = slots.slots().iter().map(|&(b, _)| b).collect();
+    probes.extend(scan.iter().map(|&(end, _)| end.max(probe)));
+    for p in probes {
+        let got = slots.occupied_at(p);
+        let want = expected_at(p);
+        if got != want {
+            return Err(format!(
+                "{what} occupancy {got} at {p:?} != running profile {want}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -3184,12 +2961,13 @@ mod tests {
     }
 
     #[test]
-    fn conservative_mid_pass_starts_survive_the_checkpoint_restore() {
+    fn conservative_plans_see_the_jobs_started_earlier_in_the_pass() {
         // Plans and starts alternate inside one pass: blocked1 planned,
-        // short1 started, blocked2 planned, short2 started. The restore
-        // drops both plans and replays both starts' recorded deltas on
-        // top of the checkpoint, so what remains is the running profile
-        // and nothing else.
+        // short1 started, blocked2 planned, short2 started. Each start
+        // goes into the pass's timeline the moment it happens, so
+        // blocked2's hole query ran over a profile holding short1, and
+        // what the pass leaves in its scratch is the hog, both starts
+        // and both plans.
         let mut s = slurm(12);
         s.config.backfill_family = BackfillFamily::Conservative;
         let runtime = |secs| Span::from_secs(secs);
@@ -3214,24 +2992,34 @@ mod tests {
         for blocked in [blocked1, blocked2] {
             assert_eq!(s.job(blocked).unwrap().state, JobState::Pending);
         }
-        let tl = s.timeline.get_mut();
-        assert!(!tl.recording && tl.recorded.is_empty() && tl.queued.is_empty());
-        assert_eq!(
-            tl.slots.slots(),
-            [(t(5), 12), (t(55), 10), (t(85), 8), (t(1000), 0)]
-        );
-        tl.check("timeline", true, &[(t(1000), 8), (t(55), 2), (t(85), 2)])
-            .unwrap();
+        let mut profile = vec![(t(5), 12), (t(55), 10), (t(85), 8)];
+        profile.extend([(t(1000), 6), (t(1100), 12), (t(1200), 0)]);
+        assert_eq!(s.timeline.borrow().slots(), profile);
         s.check_invariants().unwrap();
+        // The next pass builds the same profile from the running jobs
+        // alone and plans the two blocked jobs where they were.
+        assert!(s.backfill_pass(t(6)).is_empty());
+        profile[0].0 = t(6);
+        assert_eq!(s.timeline.borrow().slots(), profile);
     }
 
     #[test]
     fn timeline_survives_the_resize_protocol_under_deep_backfill() {
-        // Expand / shrink re-plan only the affected job's slots; the
-        // timeline must keep mirroring the running profile through the
-        // whole §III protocol with deep backfill families querying it.
-        for family in [BackfillFamily::easy(2), BackfillFamily::Conservative] {
-            let mut s = slurm(10);
+        // Expand / shrink re-key the running index and, on a machine of
+        // two classes (6 + 4 nodes: `a` and `b` both end up straddling
+        // them), re-record the job's class split; the timelines every
+        // pass builds from those must mirror the running profile through
+        // the whole §III protocol with deep backfill families querying
+        // them.
+        use dmr_cluster::{ClassTable, MachineClass};
+        let node = MachineClass::standard(16);
+        let machines = [
+            ClassTable::uniform(10, 16),
+            ClassTable::new(&[(node, 6), (node, 4)]),
+        ];
+        let families = [BackfillFamily::easy(2), BackfillFamily::Conservative];
+        for (machine, family) in machines.iter().flat_map(|m| families.map(|f| (m, f))) {
+            let mut s = Slurm::with_cluster(Cluster::with_classes(machine.clone()));
             s.config.backfill_family = family;
             let a = s.submit(
                 JobRequest::rigid("a", 4).with_expected_runtime(Span::from_secs(500)),
@@ -3272,8 +3060,8 @@ mod tests {
         // The default family takes its one reservation from the running
         // index: whatever the drive does — blocked heads, the resize
         // protocol, an estimate refresh, a cancel, a kill-and-requeue,
-        // the hole guard — the aggregate timeline stays dormant and
-        // empty (`check_invariants` holds it to that at every step).
+        // the hole guard — no pass ever builds the aggregate timeline:
+        // the scratch is as empty at the end as `Slurm::new` left it.
         let mut s = slurm(10);
         let a = s.submit(
             JobRequest::rigid("a", 4).with_expected_runtime(Span::from_secs(500)),
@@ -3317,87 +3105,8 @@ mod tests {
         s.complete(b2, t(50));
         assert_eq!(s.schedule(t(50))[0].id, head);
         s.check_invariants().unwrap();
-        assert!(!s.tl_live);
-        let tl = s.timeline.borrow();
-        assert!(tl.slots.is_empty() && tl.queued.is_empty());
-    }
-
-    /// A job mix with a hog, three blocked jobs of different depths and
-    /// two small ones, driven through starts, a completion, an estimate
-    /// refresh and the resize protocol without a single backfill pass.
-    fn drive_without_a_backfill_pass(s: &mut Slurm) {
-        let hog = s.submit(
-            JobRequest::rigid("hog", 6).with_expected_runtime(Span::from_secs(995)),
-            t(0),
-        );
-        let mid = s.submit(
-            JobRequest::rigid("mid", 3).with_expected_runtime(Span::from_secs(400)),
-            t(0),
-        );
-        let brief = s.submit(
-            JobRequest::rigid("brief", 2).with_expected_runtime(Span::from_secs(50)),
-            t(0),
-        );
-        assert_eq!(s.schedule(t(0)).len(), 3);
-        for (i, (need, secs)) in [(8, 100), (12, 100), (5, 300), (2, 5000), (2, 100)]
-            .into_iter()
-            .enumerate()
-        {
-            s.submit(
-                JobRequest::rigid(format!("q{i}"), need)
-                    .with_expected_runtime(Span::from_secs(secs)),
-                t(1 + i as u64),
-            );
-        }
-        s.complete(brief, t(60));
-        assert!(s.schedule(t(60)).is_empty(), "q0 still blocks the queue");
-        s.set_expected_runtime(mid, Span::from_secs(700));
-        s.expand_protocol(hog, 7, t(70)).unwrap();
-        s.shrink_protocol(hog, 5, t(80)).unwrap();
-    }
-
-    #[test]
-    fn timeline_built_mid_run_answers_like_one_kept_from_the_start() {
-        for family in [BackfillFamily::easy(2), BackfillFamily::Conservative] {
-            let mut late = slurm(12);
-            let mut early = slurm(12);
-            for s in [&mut late, &mut early] {
-                s.config.backfill_family = family;
-            }
-            // A pass on the empty queue makes the twin's timeline live at
-            // t = 0, so it is maintained delta by delta through the drive.
-            assert!(early.backfill_pass(t(0)).is_empty());
-            assert!(early.tl_live && !late.tl_live);
-            for s in [&mut late, &mut early] {
-                drive_without_a_backfill_pass(s);
-                s.check_invariants().unwrap();
-            }
-            assert!(!late.tl_live, "nothing asked for it yet");
-            let (a, b) = (late.backfill_pass(t(90)), early.backfill_pass(t(90)));
-            assert!(late.tl_live);
-            assert_eq!(a, b, "{family:?}");
-            assert!(!a.is_empty(), "{family:?}: a small job backfills");
-            // A second, fruitless pass, then the hole queries a pass
-            // makes, asked of both timelines directly.
-            let (a, b) = (late.backfill_pass(t(95)), early.backfill_pass(t(95)));
-            assert!(a.is_empty() && b.is_empty(), "{family:?}");
-            let mut later_holes = 0;
-            for need in 1..=12 {
-                for secs in [50, 100, 300, 5000] {
-                    let hole = late.hole_reservation(need, Span::from_secs(secs), t(95));
-                    assert_eq!(
-                        hole,
-                        early.hole_reservation(need, Span::from_secs(secs), t(95)),
-                        "{family:?}: {need} nodes for {secs} s"
-                    );
-                    later_holes += u32::from(hole.0 > t(95));
-                }
-            }
-            assert!(later_holes >= 2, "{family:?}: every hole is at `now`");
-            for s in [&late, &early] {
-                s.check_invariants().unwrap();
-            }
-        }
+        assert_eq!(s.running_count(), 1);
+        assert!(s.timeline.borrow().is_empty());
     }
 
     #[test]
@@ -3420,18 +3129,16 @@ mod tests {
                 t(1 + i as u64),
             );
         }
-        // The pass body alone, so the journal can be read before the
-        // rollback empties it.
-        let mut pass = EasyPass::new(3);
-        s.activate_timeline(t(5));
-        s.easy_walk(t(5), &mut pass);
+        let pass = s.easy_pass(t(5), 3, false);
         assert_eq!(pass.reservations.len(), 3);
-        assert_eq!(s.timeline.borrow().slots.journaled(), 2);
-        s.timeline.get_mut().slots.rollback_plans();
-        s.check_invariants().unwrap();
-        // The whole pass leaves nothing behind.
+        // The hog, then blocked0 and blocked1 back to back; blocked2's
+        // hole behind them, [1195, 1295), is nowhere.
+        assert_eq!(
+            s.timeline.borrow().slots(),
+            [(t(5), 8), (t(995), 6), (t(1095), 10), (t(1195), 0)]
+        );
+        assert_eq!(pass.reservations[2].0, t(1195));
         assert!(s.backfill_pass(t(5)).is_empty());
-        assert_eq!(s.timeline.borrow().slots.journaled(), 0);
         s.check_invariants().unwrap();
     }
 

@@ -178,7 +178,8 @@ proptest! {
                     if !live.is_empty() {
                         let id = live.remove((step() % live.len() as u64) as usize);
                         // Complete if running, cancel if still pending;
-                        // both paths must keep the timeline in sync.
+                        // both paths must re-key the running index the
+                        // passes build their timeline from.
                         match s.job(id).map(|j| j.state) {
                             Some(JobState::Running) => s.complete(id, now),
                             Some(JobState::Pending) => s.cancel(id, now),
