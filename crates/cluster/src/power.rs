@@ -3,11 +3,13 @@
 //! [`PowerMeter`] integrates watts over simulated time the same way the
 //! metrics layer's `StepSeries` integrates utilization: piecewise-constant
 //! between samples, advanced by a watermark. The driver samples after
-//! every handled event, and power only changes at events (allocation,
-//! release, power-down, wake), so the trapezoid-free rectangle sum is
-//! exact — and because it is carried in integer watt-microseconds
-//! (`u128`), it is bit-identical across scheduler index modes, telemetry
-//! paths and thread counts.
+//! every handled event that changed a node's operating point, and power
+//! only changes at events (allocation, release, power-down, wake), so
+//! the trapezoid-free rectangle sum is exact — and because it is carried
+//! in integer watt-microseconds (`u128`), it does not matter how many
+//! samples an interval of constant counts is cut into: the sum is
+//! bit-identical across scheduler index modes, telemetry paths and
+//! thread counts.
 
 use dmr_sim::SimTime;
 

@@ -130,18 +130,33 @@ impl Driver<'_, '_> {
         }
     }
 
-    /// Schedules the next compute segment: up to the next reconfiguring
-    /// point for flexible jobs (respecting the checking inhibitor by
-    /// coalescing inhibited iterations), or the whole remainder for rigid
-    /// jobs.
+    /// Schedules the next compute segment of `job` from `now`, or
+    /// completes the job if it has no step left.
     pub(crate) fn begin_segment(&mut self, job: JobId, now: SimTime) {
+        let Some((duration, steps)) = self.plan_segment(job, now) else {
+            self.complete_job(job, now);
+            return;
+        };
+        let ev = self
+            .engine
+            .schedule_at(now + duration, Ev::SegmentDone { job, steps });
+        self.running.get_mut(job).expect("running").inflight = Some(ev);
+    }
+
+    /// The compute segment `job` would begin at `at`, as `(duration,
+    /// steps)`: up to the next reconfiguring point for flexible jobs
+    /// (respecting the checking inhibitor by coalescing inhibited
+    /// iterations), or the whole remainder for rigid jobs. `None` when no
+    /// step is left. Reads only what the job's own events change (its
+    /// progress, size, node set and inhibitor gate), so a plan made for a
+    /// later instant of a pause the job is in holds at that instant.
+    pub(crate) fn plan_segment(&self, job: JobId, at: SimTime) -> Option<(Span, u32)> {
         let rs = &self.running[job];
         let idx = rs.spec_idx;
         let sim = &self.jobs[idx];
         let remaining = sim.spec.steps.saturating_sub(rs.steps_done);
         if remaining == 0 {
-            self.complete_job(job, now);
-            return;
+            return None;
         }
         // Guard against sub-microsecond steps degenerating into zero-time
         // event loops.
@@ -163,16 +178,12 @@ impl Driver<'_, '_> {
                 }
                 _ => remaining,
             }
+        } else if self.inhibitor_period(idx).is_some() && at < rs.next_check_at {
+            let gap = rs.next_check_at.since(at).as_secs_f64();
+            let per = step.as_secs_f64();
+            ((gap / per).ceil() as u32).clamp(1, remaining)
         } else {
-            match self.inhibitor_period(idx) {
-                Some(period) if now < rs.next_check_at => {
-                    let _ = period;
-                    let gap = rs.next_check_at.since(now).as_secs_f64();
-                    let per = step.as_secs_f64();
-                    ((gap / per).ceil() as u32).clamp(1, remaining)
-                }
-                _ => 1,
-            }
+            1
         };
         // Heterogeneous machines: the segment runs at the *slowest* class
         // the job's nodes span, scaled in exact integer microseconds. The
@@ -185,10 +196,7 @@ impl Driver<'_, '_> {
             let us = step.as_micros() as u128 * k as u128 * num as u128 / den as u128;
             Span(us.clamp(1, u64::MAX as u128) as u64)
         };
-        let ev = self
-            .engine
-            .schedule_at(now + duration, Ev::SegmentDone { job, steps: k });
-        self.running.get_mut(job).expect("running").inflight = Some(ev);
+        Some((duration, k))
     }
 
     pub(crate) fn on_segment_done(&mut self, job: JobId, steps: u32, now: SimTime) {

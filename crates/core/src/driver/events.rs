@@ -16,8 +16,12 @@ pub(crate) enum Ev {
     /// Workload job `index` reaches the system.
     Arrival(usize),
     /// A running job finished a compute segment of `steps` iterations.
+    /// After a check that changed nothing the segment is scheduled
+    /// *relayed* behind the check pause (see
+    /// [`Driver::pause_then_continue`]): the pause end has no event.
     SegmentDone { job: JobId, steps: u32 },
-    /// A reconfiguration (or a bare check pause) finished; resume compute.
+    /// An expansion's spawn + redistribution or a shrink's drain
+    /// finished; adopt the new size and resume compute.
     ReconfigDone { job: JobId },
     /// A queued resizer job waited too long (§V-B1): abort the expansion.
     RjTimeout { rj: JobId },

@@ -68,9 +68,10 @@ pub(crate) struct RunState {
     /// Outstanding queued resizer job and its timeout event.
     pub(crate) waiting_rj: Option<(JobId, EventId)>,
     /// The in-flight `SegmentDone` / `ReconfigDone` event for this job.
-    /// Exactly one is pending whenever the job is computing or
-    /// reconfiguring; a node failure cancels it so the dead incarnation
-    /// can never fire a stale completion.
+    /// Exactly one is pending whenever the job is computing, pausing at
+    /// a check (the relayed `SegmentDone` of the segment after the
+    /// pause) or reconfiguring; a node failure cancels it so the dead
+    /// incarnation can never fire a stale completion.
     pub(crate) inflight: Option<EventId>,
     /// When this incarnation started computing (scratch-restart baseline
     /// for lost-work accounting).
@@ -226,8 +227,8 @@ pub(crate) struct Driver<'a, 's> {
     pub(crate) running: JobMap<RunState>,
     pub(crate) spec_of: JobMap<usize>,
     pub(crate) rj_to_orig: JobMap<JobId>,
-    /// Where telemetry goes: one sample per handled event, one outcome
-    /// per completed job.
+    /// Where telemetry goes: one sample per change of a sampled
+    /// quantity, one outcome per completed job.
     pub(crate) sink: &'s mut dyn MetricsSink,
     pub(crate) completed: u32,
     /// An arrival event is in flight (the feed was not exhausted at the
@@ -239,13 +240,17 @@ pub(crate) struct Driver<'a, 's> {
     /// A scheduling pass was requested at the current instant but not run
     /// yet (same-instant batching — see [`Driver::request_schedule`]).
     pub(crate) pass_due: bool,
-    /// Integrates cluster watts over virtual time (one sample per event).
+    /// Integrates cluster watts over virtual time (sampled with the
+    /// sink, see [`Driver::sample`]).
     pub(crate) power: PowerMeter,
     /// Per-class busy/off counts in force since the previous sample — the
     /// meter charges each interval at the counts that *were* live during
     /// it, so the driver caches the post-event counts of the last sample.
     pub(crate) prev_busy: Vec<u32>,
     pub(crate) prev_off: Vec<u32>,
+    /// Allocated nodes, running jobs and completed jobs of the previous
+    /// sample; `None` until the first one.
+    pub(crate) prev_sample: Option<(u32, usize, u32)>,
     /// An [`Ev::NodeWake`] is already scheduled (wake requests coalesce).
     pub(crate) wake_pending: bool,
     /// Faultload event stream; [`FaultSource::None`] under the zero-fault
@@ -476,6 +481,7 @@ impl<'a, 's> Driver<'a, 's> {
             power,
             prev_busy: vec![0; classes],
             prev_off: vec![0; classes],
+            prev_sample: None,
             wake_pending: false,
             faults,
             fault_pending: false,

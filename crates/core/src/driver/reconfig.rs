@@ -10,6 +10,16 @@
 //! whichever [`dmr_slurm::ResizePolicy`] the experiment installed — the
 //! driver is policy-agnostic.
 //!
+//! Most synchronous checks change nothing: the job pays the check pause
+//! and computes on. That pause end is not an event of the driver's. The
+//! next segment is handed to the engine as a *relay*
+//! ([`dmr_sim::Engine::schedule_relayed`]) — "the pause ends at `now +
+//! pause`, `SegmentDone` fires one segment later" — and the engine steps
+//! over the pause end on its own, counting it as an event and ranking
+//! the `SegmentDone` exactly as if a pause-end handler had scheduled it.
+//! [`Ev::ReconfigDone`] is left for the pauses something happens after:
+//! an expansion's spawn + redistribution, a shrink's drain.
+//!
 //! Expansion failures flow through [`DmrError`]: the only variant that is
 //! protocol control-flow rather than a genuine error is the *deferral*
 //! signal ([`DmrError::queued_resizer`]) — synchronous mode aborts the
@@ -190,19 +200,27 @@ impl Driver<'_, '_> {
         }
     }
 
+    /// Resumes compute after the check pause. The pause end would be an
+    /// event whose handler does nothing but begin the next segment, so it
+    /// is left to the engine as a relay (see [`dmr_sim::Engine`]): the
+    /// segment is planned now, as of the pause end, and its
+    /// `SegmentDone` is ranked as if it had been scheduled from there.
     pub(crate) fn pause_then_continue(&mut self, job: JobId, now: SimTime, pause: Span) {
         if pause.is_zero() {
-            self.begin_segment(job, now);
-        } else {
-            let ev = self
-                .engine
-                .schedule_at(now + pause, Ev::ReconfigDone { job });
-            self.running.get_mut(job).expect("running").inflight = Some(ev);
+            return self.begin_segment(job, now);
         }
+        let resume = now + pause;
+        let (duration, steps) = self
+            .plan_segment(job, resume)
+            .expect("a job at a reconfiguring point has steps left");
+        let ev = self
+            .engine
+            .schedule_relayed(resume, duration, Ev::SegmentDone { job, steps });
+        self.running.get_mut(job).expect("running").inflight = Some(ev);
     }
 
-    /// A reconfiguration (or bare check pause) completed: adopt the new
-    /// process set and resume compute.
+    /// A reconfiguration completed: adopt the new process set and resume
+    /// compute.
     pub(crate) fn on_reconfig_done(&mut self, job: JobId, now: SimTime) {
         let Some(rs) = self.running.get_mut(job) else {
             return;
@@ -218,8 +236,7 @@ impl Driver<'_, '_> {
             self.update_estimate(job, now);
             self.begin_segment(job, now);
         } else {
-            // Bare check pause.
-            self.begin_segment(job, now);
+            debug_assert!(false, "ReconfigDone for {job:?} with no resize pending");
         }
     }
 
@@ -231,7 +248,7 @@ impl Driver<'_, '_> {
         match self.slurm.finish_expand(rj, now) {
             Ok((_, nodes)) => {
                 let cancel = if let Some(rs) = self.running.get_mut(orig) {
-                    rs.granted_expand = Some(nodes.len() as u32);
+                    rs.granted_expand = Some(nodes);
                     rs.waiting_rj.take().map(|(_, ev)| ev)
                 } else {
                     None

@@ -1,6 +1,16 @@
 //! The simulation engine: a clock plus an event queue, with a driver loop.
+//!
+//! Besides ordinary events the engine takes *relayed* ones
+//! ([`Engine::schedule_relayed`]): "a pause ends at `at`, and `event`
+//! fires `then` later". The pause end is never handed to the world — the
+//! engine advances its clock and its processed count over it on its own —
+//! yet every event pops in the order it would have popped in had the
+//! world handled the pause end and scheduled `event` from that handler
+//! (see [`crate::queue`]). A world whose pause handler does nothing but
+//! schedule the next event saves the dispatch and a heap round trip per
+//! pause, and its event count does not change.
 
-use crate::queue::{EventKey, EventQueue, CLASS_EARLY, CLASS_NORMAL};
+use crate::queue::{EventKey, EventQueue, Step, CLASS_EARLY, CLASS_NORMAL};
 use crate::time::{SimTime, Span};
 
 /// Handle for a scheduled event (re-exported key type).
@@ -79,6 +89,26 @@ impl<E> Engine<E> {
     }
 
     fn schedule_class(&mut self, at: SimTime, class: u8, event: E) -> EventId {
+        let at = self.not_in_the_past(at);
+        self.queue.push_with_class(at, class, event)
+    }
+
+    /// Schedules `event` to fire `then` after the instant `at`, ranked
+    /// among same-instant events as if an ordinary event had been
+    /// scheduled at `at` now and its handler had scheduled `event` with
+    /// [`Engine::schedule_in`]. Reaching `at` counts as a processed event
+    /// and advances the clock, but is never returned to the caller. The
+    /// returned handle cancels `event` before and after that instant.
+    /// `at` is subject to the past-scheduling rule of
+    /// [`Engine::schedule_at`].
+    pub fn schedule_relayed(&mut self, at: SimTime, then: Span, event: E) -> EventId {
+        let at = self.not_in_the_past(at);
+        self.queue.push_relayed(at, then, event)
+    }
+
+    /// `at`, clamped to `now` (and counted, and a debug panic) if it lies
+    /// in the past.
+    fn not_in_the_past(&mut self, at: SimTime) -> SimTime {
         if at < self.now {
             self.past_schedules += 1;
             debug_assert!(
@@ -87,8 +117,7 @@ impl<E> Engine<E> {
                 at, self.now
             );
         }
-        let at = at.max(self.now);
-        self.queue.push_with_class(at, class, event)
+        at.max(self.now)
     }
 
     /// Schedules an event `delay` after the current instant. Routed through
@@ -119,13 +148,26 @@ impl<E> Engine<E> {
         self.queue.peek_head()
     }
 
-    /// Pops the next event, advancing the clock to its timestamp.
+    /// Pops the next event, advancing the clock to its timestamp — over
+    /// the pause ends of relayed events on the way, each of which counts
+    /// as processed.
     pub fn next_event(&mut self) -> Option<(SimTime, E)> {
-        let (t, e) = self.queue.pop()?;
+        loop {
+            if let Step::Fired(t, e) = self.step()? {
+                return Some((t, e));
+            }
+        }
+    }
+
+    /// Advances the clock to the next queue entry and processes it: an
+    /// event to hand out, or a pause end relayed in place.
+    fn step(&mut self) -> Option<Step<E>> {
+        let step = self.queue.step()?;
+        let (Step::Fired(t, _) | Step::Relayed(t)) = step;
         debug_assert!(t >= self.now, "event queue went backwards");
         self.now = t;
         self.processed += 1;
-        Some((t, e))
+        Some(step)
     }
 
     /// Runs the event loop to exhaustion, dispatching each event to
@@ -145,10 +187,11 @@ impl<E> Engine<E> {
         mut handler: impl FnMut(&mut Engine<E>, SimTime, E),
     ) {
         while self.peek_time().is_some_and(|t| t <= deadline) {
-            let Some((t, e)) = self.next_event() else {
-                break;
-            };
-            handler(self, t, e);
+            // A relayed event's pause end can lie inside the deadline and
+            // its firing instant beyond it: re-test after every step.
+            if let Some(Step::Fired(t, e)) = self.step() {
+                handler(self, t, e);
+            }
         }
     }
 }
@@ -278,6 +321,57 @@ mod tests {
             seen.push(e);
         });
         assert_eq!(seen, vec![1, 3]);
+    }
+
+    #[test]
+    fn a_relayed_pause_is_processed_but_never_handed_out() {
+        // Chained by hand: the pause end is an event whose handler
+        // schedules the tick.
+        let mut chained: Engine<Ev> = Engine::new();
+        chained.schedule_at(SimTime::from_secs(2), Ev::Spawn);
+        chained.schedule_at(SimTime::from_secs(5), Ev::Tick(1));
+        let mut order = Vec::new();
+        chained.run(|eng, t, e| match e {
+            Ev::Spawn => {
+                eng.schedule_in(Span::from_secs(3), Ev::Tick(0));
+            }
+            Ev::Tick(i) => order.push((t, i)),
+        });
+        let mut relayed: Engine<Ev> = Engine::new();
+        relayed.schedule_relayed(SimTime::from_secs(2), Span::from_secs(3), Ev::Tick(0));
+        relayed.schedule_at(SimTime::from_secs(5), Ev::Tick(1));
+        assert_eq!(relayed.pending(), 2);
+        assert_eq!(relayed.peek_time(), Some(SimTime::from_secs(2)));
+        let mut seen = Vec::new();
+        relayed.run(|_, t, e| match e {
+            Ev::Tick(i) => seen.push((t, i)),
+            Ev::Spawn => unreachable!("the pause end is never dispatched"),
+        });
+        assert_eq!(seen, order);
+        assert_eq!(
+            seen,
+            vec![(SimTime::from_secs(5), 1), (SimTime::from_secs(5), 0)]
+        );
+        assert_eq!(relayed.processed(), chained.processed());
+        assert_eq!(relayed.processed(), 3);
+    }
+
+    #[test]
+    fn run_until_stops_between_a_pause_end_and_its_event() {
+        let mut eng: Engine<u32> = Engine::new();
+        let id = eng.schedule_relayed(SimTime::from_secs(2), Span::from_secs(10), 7);
+        let mut seen = Vec::new();
+        eng.run_until(SimTime::from_secs(5), |_, _, e| seen.push(e));
+        assert!(seen.is_empty());
+        assert_eq!(
+            eng.now(),
+            SimTime::from_secs(2),
+            "the clock reached the pause end"
+        );
+        assert_eq!(eng.processed(), 1);
+        assert_eq!(eng.peek_time(), Some(SimTime::from_secs(12)));
+        assert_eq!(eng.cancel(id), Some(7), "the handle survives the relay");
+        assert_eq!(eng.pending(), 0);
     }
 
     #[test]

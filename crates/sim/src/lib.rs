@@ -18,6 +18,10 @@
 //! * **Cancellation.** Schedulers routinely abandon timers (e.g. the resizer
 //!   job timeout in the expansion protocol). [`Engine::cancel`] removes an
 //!   event in O(1) amortised by tombstoning.
+//! * **Relays.** A pause whose end only schedules what follows it need
+//!   not be an event of the world's: [`Engine::schedule_relayed`] steps
+//!   over the pause end inside the engine and still pops every event in
+//!   the order the two-event chain would have (see [`queue`]).
 //! * **No floating-point clock.** `f64` seconds are accepted at the API edge
 //!   ([`SimTime::from_secs_f64`]) but the clock itself is integral, so event
 //!   ordering can never be perturbed by rounding.
@@ -27,5 +31,5 @@ pub mod queue;
 pub mod time;
 
 pub use engine::{Engine, EventId};
-pub use queue::{EventQueue, CLASS_EARLY, CLASS_NORMAL};
+pub use queue::{EventQueue, Step, CLASS_EARLY, CLASS_NORMAL};
 pub use time::{SimTime, Span};

@@ -10,23 +10,46 @@
 //! twice the live set no matter how many timers a long run abandons.
 //!
 //! The store is a `BinaryHeap` of `(time, class, seq, slot)` entries;
-//! payloads live in a slab — a `Vec` of `{seq, Option<E>}` slots plus a
-//! LIFO free list — addressed by the entry's `slot`, so push, pop and
-//! cancel reach the payload with one indexed load instead of hashing the
-//! sequence number. A slot is freed the moment its event pops or is
-//! cancelled and is then handed to the next push, which is why the slot
-//! alone cannot say whether a heap entry (or an [`EventKey`]) is still
-//! live: the tombstone of a cancelled event and the entry of the slot's
-//! next tenant name the same slot. The *sequence number* decides — it is
-//! unique per push and stored in the slot by its current tenant, so an
-//! entry or key is live iff `slots[slot].seq == seq` and the payload is
-//! present. The slab never grows past the high-water mark of
-//! simultaneously live events.
+//! payloads live in a slab — a `Vec` of slots plus a LIFO free list —
+//! addressed by the entry's `slot`, so push, pop and cancel reach the
+//! payload with one indexed load instead of hashing the sequence number.
+//! A slot is freed the moment its event pops or is cancelled and is then
+//! handed to the next push, which is why the slot alone cannot say
+//! whether a stored entry (or an [`EventKey`]) is still live: the
+//! tombstone of a cancelled event and the entry of the slot's next tenant
+//! name the same slot. Two numbers kept in the slot decide. Its tenant's
+//! *identity* — the sequence number drawn when the event was pushed,
+//! which is what an [`EventKey`] carries — says whether a key still names
+//! the tenant; the tenant's current *order* sequence number says whether
+//! a stored entry is the tenant's live one. The two differ only for an
+//! event that has been relayed. The slab never grows past the high-water
+//! mark of simultaneously live events.
+//!
+//! # Relays
+//!
+//! [`EventQueue::push_relayed`] stores one event where a caller would
+//! otherwise chain two: an event at a *first* instant whose only effect,
+//! when handled, is to push the real event `delay` later. The queue keeps
+//! the entry under the key the first event would have had — `(first,
+//! CLASS_NORMAL, seq)`, `seq` drawn at the push. When that key surfaces
+//! in [`EventQueue::step`] the entry is *relayed*: re-keyed to its firing
+//! instant with a fresh sequence number drawn at that moment, the moment
+//! the first event's handler would have pushed the second, and sunk back
+//! into the heap. Every sequence number is therefore drawn exactly when
+//! the two-event chain would have drawn it, and every event, relayed or
+//! not, pops in the order it would have popped in.
+//!
+//! Entries awaiting their relay sit in the *lane*, a `VecDeque` in key
+//! order that pop and peek merge with the heap head. A caller whose first
+//! instants never decrease — `now` plus a constant pause — gets O(1) push
+//! and O(1) relay-side pop; a push that would break the lane's order
+//! goes to the heap instead, marked for the same relay, so the order of
+//! pops never depends on the caller keeping its side of that bargain.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
-use crate::time::SimTime;
+use crate::time::{SimTime, Span};
 
 /// Tie-break class popping *before* [`CLASS_NORMAL`] at the same instant.
 ///
@@ -41,17 +64,18 @@ pub const CLASS_EARLY: u8 = 0;
 pub const CLASS_NORMAL: u8 = 1;
 
 /// Opaque handle identifying a scheduled event, used for cancellation.
-/// Carries the event's sequence number and its payload slot; a key whose
-/// slot has since been handed to another event misses on the sequence
-/// compare.
+/// Carries the sequence number the event was pushed under — its identity
+/// for as long as it is pending, relayed or not — and its payload slot; a
+/// key whose slot has since been handed to another event misses on the
+/// identity compare.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventKey {
-    seq: u64,
+    id: u64,
     slot: u32,
 }
 
-/// Heap entry. The derived order compares `(time, class, seq)`; `seq` is
-/// unique, so `slot` never decides.
+/// Stored entry. The derived order compares `(time, class, seq)`; `seq`
+/// is unique, so `slot` never decides.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct Entry {
     time: SimTime,
@@ -60,17 +84,32 @@ struct Entry {
     slot: u32,
 }
 
-/// One payload slot: the sequence number of its latest tenant and that
-/// tenant's payload until it pops or is cancelled.
+/// One payload slot: its latest tenant's identity, the sequence number of
+/// that tenant's live entry, the delay it still has to be relayed by, and
+/// its payload until it pops or is cancelled.
 struct Slot<E> {
+    id: u64,
     seq: u64,
+    relay: Option<Span>,
     event: Option<E>,
+}
+
+/// What one [`EventQueue::step`] did with the earliest live entry.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Step<E> {
+    /// The event was due: it left the queue with its payload.
+    Fired(SimTime, E),
+    /// A relayed event reached its first instant (the one reported) and
+    /// was re-keyed to its firing instant; it is still pending.
+    Relayed(SimTime),
 }
 
 /// A time-ordered queue of events of type `E` supporting O(log n) push/pop
 /// and O(1) cancellation (amortised: tombstones are drained lazily).
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry>>,
+    /// Entries awaiting their relay, ascending (see the module docs).
+    lane: VecDeque<Entry>,
     slots: Vec<Slot<E>>,
     /// Vacant slot indices, reused LIFO.
     free: Vec<u32>,
@@ -88,6 +127,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -113,10 +153,43 @@ impl<E> EventQueue<E> {
     /// Schedules `event` at `time` in an explicit tie-break `class`
     /// (lower classes pop first at equal instants; FIFO within a class).
     pub fn push_with_class(&mut self, time: SimTime, class: u8, event: E) -> EventKey {
+        let (entry, key) = self.admit(time, class, None, event);
+        self.heap.push(Reverse(entry));
+        key
+    }
+
+    /// Schedules `event` to fire at `first + delay`, ranked among the
+    /// events of that instant as if a [`CLASS_NORMAL`] event due at
+    /// `first` had been pushed now and had pushed `event` from its
+    /// handler (see the module docs). The key stays valid for
+    /// [`EventQueue::cancel`] on both sides of the relay.
+    pub fn push_relayed(&mut self, first: SimTime, delay: Span, event: E) -> EventKey {
+        let (entry, key) = self.admit(first, CLASS_NORMAL, Some(delay), event);
+        // Sequence numbers only grow, so within one class the new key
+        // sorts after the lane's last one iff its instant is no earlier.
+        if self.lane.back().is_none_or(|last| last.time <= first) {
+            self.lane.push_back(entry);
+        } else {
+            self.heap.push(Reverse(entry));
+        }
+        key
+    }
+
+    /// Draws a sequence number and a slot for a new tenant; the caller
+    /// stores the returned entry.
+    fn admit(
+        &mut self,
+        time: SimTime,
+        class: u8,
+        relay: Option<Span>,
+        event: E,
+    ) -> (Entry, EventKey) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let tenant = Slot {
+            id: seq,
             seq,
+            relay,
             event: Some(event),
         };
         let slot = match self.free.pop() {
@@ -134,22 +207,22 @@ impl<E> EventQueue<E> {
                 slot
             }
         };
-        self.heap.push(Reverse(Entry {
+        self.live += 1;
+        let entry = Entry {
             time,
             class,
             seq,
             slot,
-        }));
-        self.live += 1;
-        EventKey { seq, slot }
+        };
+        (entry, EventKey { id: seq, slot })
     }
 
-    /// Number of heap slots currently backing the queue — live entries
-    /// plus tombstones. Compaction keeps this at ≤ 2 × [`EventQueue::len`]
-    /// after every operation; exposed so tests (and capacity telemetry)
-    /// can observe the bound.
+    /// Number of entries currently backing the queue — live entries plus
+    /// tombstones, heap and lane together. Compaction keeps this at
+    /// ≤ 2 × [`EventQueue::len`] after every operation; exposed so tests
+    /// (and capacity telemetry) can observe the bound.
     pub fn heap_len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// Number of payload slots backing the queue (occupied + vacant):
@@ -159,14 +232,10 @@ impl<E> EventQueue<E> {
         self.slots.len()
     }
 
-    /// Takes the payload of event `seq` out of `slot` and frees the slot,
-    /// if that event is still its live tenant.
-    fn take(&mut self, seq: u64, slot: u32) -> Option<E> {
-        let entry = self.slots.get_mut(slot as usize)?;
-        if entry.seq != seq {
-            return None;
-        }
-        let event = entry.event.take()?;
+    /// Takes the payload out of `slot` and frees the slot. The caller
+    /// established that the tenant is the event it means and is pending.
+    fn vacate(&mut self, slot: u32) -> Option<E> {
+        let event = self.slots[slot as usize].event.take()?;
         self.free.push(slot);
         self.live -= 1;
         Some(event)
@@ -175,66 +244,116 @@ impl<E> EventQueue<E> {
     /// Cancels a previously scheduled event. Returns the payload if the
     /// event was still pending.
     pub fn cancel(&mut self, key: EventKey) -> Option<E> {
-        let payload = self.take(key.seq, key.slot);
-        if payload.is_some() {
-            self.maybe_compact();
+        if self.slots.get(key.slot as usize)?.id != key.id {
+            return None;
         }
-        payload
+        let payload = self.vacate(key.slot)?;
+        self.maybe_compact();
+        Some(payload)
     }
 
-    /// Time of the earliest live event, if any.
+    /// Time of the earliest live entry, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.peek_head().map(|(t, _)| t)
     }
 
-    /// `(time, class)` of the earliest live event, if any — lets callers
+    /// `(time, class)` of the earliest live entry, if any — lets callers
     /// distinguish same-instant [`CLASS_EARLY`] arrivals from ordinary
     /// events without consuming anything (the driver's batch window
-    /// test).
+    /// test). An event awaiting its relay reports its first instant: it
+    /// is what [`EventQueue::step`] acts on next.
     pub fn peek_head(&mut self) -> Option<(SimTime, u8)> {
         self.settle_head();
-        self.heap.peek().map(|Reverse(e)| (e.time, e.class))
+        let head = if self.lane_leads() {
+            self.lane.front()
+        } else {
+            self.heap.peek().map(|Reverse(e)| e)
+        };
+        head.map(|e| (e.time, e.class))
     }
 
-    /// Removes and returns the earliest live event.
+    /// Removes and returns the earliest live event, relaying on the way
+    /// every event whose first instant comes before it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        loop {
+            if let Step::Fired(time, event) = self.step()? {
+                return Some((time, event));
+            }
+        }
+    }
+
+    /// Acts on the earliest live entry: fires it, or relays it if it is
+    /// an event at its first instant. `None` when the queue is empty.
+    pub fn step(&mut self) -> Option<Step<E>> {
         self.settle_head();
-        let Reverse(entry) = self.heap.pop()?;
+        let entry = if self.lane_leads() {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop().map(|Reverse(e)| e)
+        }?;
+        let tenant = &mut self.slots[entry.slot as usize];
+        if let Some(delay) = tenant.relay.take() {
+            // The sequence number is drawn here, not at the push: this
+            // is the moment a handler at `entry.time` would have pushed.
+            tenant.seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Reverse(Entry {
+                time: entry.time + delay,
+                class: entry.class,
+                seq: tenant.seq,
+                slot: entry.slot,
+            }));
+            return Some(Step::Relayed(entry.time));
+        }
         let event = self
-            .take(entry.seq, entry.slot)
+            .vacate(entry.slot)
             .expect("settle_head guarantees the head entry is live");
         self.maybe_compact();
-        Some((entry.time, event))
+        Some(Step::Fired(entry.time, event))
     }
 
-    /// Whether the heap entry still names a pending event: its slot's
-    /// current tenant is that very event (a tombstone whose slot was
-    /// handed on fails the `seq` compare) and has not been taken.
+    /// Whether the stored entry still names a pending event: its slot's
+    /// current tenant is keyed under this very sequence number (a
+    /// tombstone whose slot was handed on fails the compare) and has not
+    /// been taken.
     fn is_live(&self, entry: &Entry) -> bool {
         let slot = &self.slots[entry.slot as usize];
         slot.seq == entry.seq && slot.event.is_some()
     }
 
-    /// Brings the earliest *live* entry to the head of the heap by
-    /// popping the tombstones in front of it.
+    /// Brings the earliest *live* entry of the heap to its head and of
+    /// the lane to its front by dropping the tombstones before them.
     fn settle_head(&mut self) {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.is_live(entry) {
-                return;
-            }
+        while self.heap.peek().is_some_and(|Reverse(e)| !self.is_live(e)) {
             self.heap.pop();
+        }
+        while self.lane.front().is_some_and(|e| !self.is_live(e)) {
+            self.lane.pop_front();
         }
     }
 
-    /// Rebuilds the heap from its live entries once tombstones outnumber
-    /// them. Amortised O(1) per cancellation: a compaction touching `h`
-    /// entries only happens after ≥ h/2 cancellations or pops, and the
-    /// rebuilt heap pops in exactly the same `(time, class, seq)` order.
+    /// Whether the next entry in order is the lane's front rather than
+    /// the heap's head (both settled).
+    fn lane_leads(&self) -> bool {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(lane), Some(Reverse(heap))) => lane < heap,
+            (lane, _) => lane.is_some(),
+        }
+    }
+
+    /// Rebuilds heap and lane from their live entries once tombstones
+    /// outnumber them. Amortised O(1) per cancellation: a compaction
+    /// touching `h` entries only happens after ≥ h/2 cancellations or
+    /// pops, the rebuilt heap pops in exactly the same `(time, class,
+    /// seq)` order and the lane keeps its own.
     fn maybe_compact(&mut self) {
-        if self.heap.len() > 2 * self.live {
+        if self.heap_len() > 2 * self.live {
             let mut entries = std::mem::take(&mut self.heap).into_vec();
             entries.retain(|Reverse(e)| self.is_live(e));
             self.heap = BinaryHeap::from(entries);
+            let mut lane = std::mem::take(&mut self.lane);
+            lane.retain(|e| self.is_live(e));
+            self.lane = lane;
         }
     }
 }
@@ -342,6 +461,66 @@ mod tests {
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (990..1000).collect::<Vec<_>>());
         assert_eq!(q.heap_len(), 0, "empty queue keeps no tombstones");
+    }
+
+    /// The two-event chain a relay replaces, done by hand: the event due
+    /// at `first` pops, and its "handler" pushes `event` `delay` later.
+    fn chain(q: &mut EventQueue<&'static str>, first: u64, delay: u64, event: &'static str) {
+        let (t, marker) = q.pop().expect("the chain's first event is pending");
+        assert_eq!((t, marker), (SimTime(first), "pause"));
+        q.push(SimTime(first + delay), event);
+    }
+
+    #[test]
+    fn relayed_event_ranks_as_if_pushed_at_its_first_instant() {
+        // `b` is pushed between a's pause start and pause end, for the
+        // instant a fires at. Chained, a is pushed at the pause end, after
+        // b, and pops second; a relay must do the same although it was
+        // pushed first.
+        let mut chained = EventQueue::new();
+        chained.push(SimTime(10), "pause");
+        chained.push(SimTime(30), "b");
+        chain(&mut chained, 10, 20, "a");
+        let mut relayed = EventQueue::new();
+        relayed.push_relayed(SimTime(10), Span(20), "a");
+        relayed.push(SimTime(30), "b");
+        assert_eq!(relayed.peek_head(), Some((SimTime(10), CLASS_NORMAL)));
+        assert_eq!(relayed.step(), Some(Step::Relayed(SimTime(10))));
+        assert_eq!(relayed.len(), 2, "a relay consumes nothing");
+        for q in [&mut chained, &mut relayed] {
+            assert_eq!(q.pop(), Some((SimTime(30), "b")));
+            assert_eq!(q.pop(), Some((SimTime(30), "a")));
+            assert_eq!(q.pop(), None);
+        }
+    }
+
+    #[test]
+    fn relayed_key_cancels_before_and_after_the_relay() {
+        let mut q = EventQueue::new();
+        let before = q.push_relayed(SimTime(5), Span(10), "before");
+        let after = q.push_relayed(SimTime(6), Span(10), "after");
+        assert_eq!(q.cancel(before), Some("before"));
+        assert_eq!(q.step(), Some(Step::Relayed(SimTime(6))));
+        assert_eq!(q.cancel(after), Some("after"));
+        assert_eq!(q.cancel(after), None);
+        assert!(q.is_empty());
+        assert_eq!(q.step(), None);
+        assert_eq!(q.heap_len(), 0);
+    }
+
+    #[test]
+    fn a_relay_that_breaks_the_lane_order_still_pops_in_key_order() {
+        let mut q = EventQueue::new();
+        q.push_relayed(SimTime(20), Span(5), "late");
+        // Earlier first instant than the lane's tail: stored in the heap.
+        q.push_relayed(SimTime(10), Span(50), "early");
+        q.push(SimTime(15), "plain");
+        assert_eq!(q.heap_len(), 3);
+        assert_eq!(q.step(), Some(Step::Relayed(SimTime(10))));
+        assert_eq!(q.step(), Some(Step::Fired(SimTime(15), "plain")));
+        assert_eq!(q.step(), Some(Step::Relayed(SimTime(20))));
+        assert_eq!(q.pop(), Some((SimTime(25), "late")));
+        assert_eq!(q.pop(), Some((SimTime(60), "early")));
     }
 
     #[test]

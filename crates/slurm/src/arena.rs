@@ -75,6 +75,27 @@ impl JobArena {
         id
     }
 
+    /// Draws the id the next [`JobArena::insert_with`] would hand out and
+    /// retires it unused: the slot stays next in line, under a bumped
+    /// generation — the state an insert followed by a
+    /// [`JobArena::remove`] leaves, for a job whose record nothing would
+    /// ever read.
+    pub fn retire_next_id(&mut self) -> JobId {
+        let slot = match self.free.last() {
+            Some(&slot) => slot,
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("job arena overflow");
+                self.slots.push(Slot::default());
+                self.free.push(slot);
+                slot
+            }
+        };
+        let entry = &mut self.slots[slot as usize];
+        let id = JobId::pack(entry.generation, slot);
+        entry.generation = entry.generation.wrapping_add(1);
+        id
+    }
+
     pub fn get(&self, id: JobId) -> Option<&Job> {
         self.slots
             .get(id.slot() as usize)
@@ -261,6 +282,29 @@ mod tests {
         assert!(a.remove(first).is_none());
         assert_eq!(a[second].seq, 1);
         assert_eq!(a.capacity(), 1, "table stays as dense as the live set");
+    }
+
+    #[test]
+    fn retiring_an_id_is_an_insert_and_a_remove() {
+        let mut literal = JobArena::new();
+        let mut retired = JobArena::new();
+        // Once on a fresh arena (the slot is created), once on a
+        // recycled slot, once with a live record in between.
+        for round in 0..3 {
+            let id = literal.insert_with(|id| record(id, round));
+            assert!(literal.remove(id).is_some());
+            assert_eq!(retired.retire_next_id(), id);
+            if round == 1 {
+                let a = literal.insert_with(|id| record(id, 9));
+                let b = retired.insert_with(|id| record(id, 9));
+                assert_eq!(a, b);
+            }
+            assert_eq!(literal.len(), retired.len());
+            assert_eq!(literal.capacity(), retired.capacity());
+        }
+        let a = literal.insert_with(|id| record(id, 10));
+        let b = retired.insert_with(|id| record(id, 10));
+        assert_eq!(a, b, "the id stream did not shift");
     }
 
     #[test]

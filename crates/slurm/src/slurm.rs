@@ -1869,16 +1869,16 @@ impl Slurm {
 
     /// Expands `id` to `to` nodes via the four-step resizer-job protocol.
     ///
-    /// On success returns the job's full (old + new) node list. If the
-    /// resizer cannot start immediately, it is left pending with maximum
-    /// priority and [`ExpandError::Queued`] is returned; the caller decides
-    /// whether to wait (async mode) or abort.
+    /// On success returns the job's new node count. If the resizer
+    /// cannot start immediately, it is left pending with maximum priority
+    /// and [`ExpandError::Queued`] is returned; the caller decides whether
+    /// to wait (async mode) or abort.
     pub fn expand_protocol(
         &mut self,
         id: JobId,
         to: u32,
         now: SimTime,
-    ) -> Result<Vec<NodeId>, ExpandError> {
+    ) -> Result<u32, ExpandError> {
         let job = self.jobs.get(id).ok_or(ExpandError::UnknownJob(id))?;
         if job.state != JobState::Running {
             return Err(ExpandError::NotRunning(id));
@@ -1888,14 +1888,18 @@ impl Slurm {
             return Err(ExpandError::InvalidTarget { current, to });
         }
         let delta = to - current;
+        // The resizer inherits A's class constraint: the new nodes join
+        // A's allocation, so they must satisfy the same placement rules.
         let constraint = job.constraint;
+        if self.cluster.can_allocate_in(delta, constraint) {
+            return Ok(self.expand_now(id, delta, constraint, now));
+        }
         // Step 1: submit the resizer job B with a dependency on A and
-        // maximum priority ("facilitating its execution", §V-B1). The
-        // resizer inherits A's class constraint: the new nodes join A's
-        // allocation, so they must satisfy the same placement rules.
+        // maximum priority ("facilitating its execution", §V-B1). Steps
+        // 2-4 follow once a pass starts it ([`Slurm::finish_expand`]).
         let rj = self.submit(
             JobRequest {
-                name: format!("resizer-of-{id}"),
+                name: resizer_name(id),
                 nodes: delta,
                 time_limit: None,
                 expected_runtime: Some(Span::ZERO),
@@ -1907,25 +1911,66 @@ impl Slurm {
             now,
         );
         self.boost(rj);
-        if !self.cluster.can_allocate_in(delta, constraint) {
-            return Err(ExpandError::Queued { resizer: rj });
+        Err(ExpandError::Queued { resizer: rj })
+    }
+
+    /// The four steps for a resizer that would start the moment it is
+    /// submitted — it outranks everything pending and its nodes are free
+    /// — collapsed to what they leave behind: `delta` more nodes on
+    /// `id`. Submitting B, boosting it, starting it on `delta` nodes,
+    /// cancelling it detached and transferring its nodes to A nets out to
+    /// granting the same lowest-first nodes to A directly
+    /// ([`Cluster::allocate_in`] accumulates grants in ascending order),
+    /// so B is never materialised. What B's passage does leave is
+    /// reproduced: one submission sequence number and one job id are
+    /// consumed (later submissions must draw the ids and tie-break ranks
+    /// they always drew), the cancelled record is written when records
+    /// are retained, and every memo the steps dropped is dropped.
+    /// Returns the new node count.
+    fn expand_now(
+        &mut self,
+        id: JobId,
+        delta: u32,
+        constraint: ClassConstraint,
+        now: SimTime,
+    ) -> u32 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.config.retain_completed {
+            self.jobs.insert_with(|rj| Job {
+                id: rj,
+                seq,
+                detached_nodes: 0,
+                name: resizer_name(id),
+                state: JobState::Cancelled,
+                requested_nodes: 0,
+                time_limit: None,
+                expected_runtime: Span::ZERO,
+                dependency: Some(Dependency::ExpandOf(id)),
+                base_priority: 0,
+                boosted: true,
+                resize: None,
+                constraint,
+                submit_time: now,
+                start_time: Some(now),
+                end_time: Some(now),
+                reconfigurations: 0,
+            });
+        } else {
+            self.jobs.retire_next_id();
         }
-        // The resizer starts right away (it outranks everything pending).
-        let _ = self.start_job(rj, now);
-        let (_, nodes) = self
-            .finish_expand(rj, now)
-            .expect("resizer started; protocol steps 2-4 cannot fail");
-        Ok(nodes)
+        self.cluster
+            .allocate_in(delta, id.owner_tag(), constraint)
+            .expect("caller verified free nodes");
+        self.invalidate_queue_cache();
+        self.incr.reaped_at = None;
+        self.grown(id)
     }
 
     /// Completes protocol steps 2–4 for a resizer job that has started:
     /// detach its nodes, cancel it, reattach the nodes to the original job.
-    /// Returns the original job id and its full node list.
-    pub fn finish_expand(
-        &mut self,
-        rj: JobId,
-        now: SimTime,
-    ) -> Result<(JobId, Vec<NodeId>), ExpandError> {
+    /// Returns the original job id and its new node count.
+    pub fn finish_expand(&mut self, rj: JobId, now: SimTime) -> Result<(JobId, u32), ExpandError> {
         let rjob = self.jobs.get(rj).ok_or(ExpandError::UnknownJob(rj))?;
         if rjob.state != JobState::Running {
             return Err(ExpandError::NotRunning(rj));
@@ -1952,22 +1997,26 @@ impl Slurm {
             .transfer_all(rj.owner_tag(), original.owner_tag())
             .expect("detached nodes are still owned by the resizer tag");
         debug_assert_eq!(moved.len() as u32, delta);
-        let held = self.cluster.held_by(original.owner_tag());
-        if self.running_index.set_nodes(original, held) {
-            self.record_class_split(original);
+        Ok((original, self.grown(original)))
+    }
+
+    /// The cluster just attached more nodes to running job `id`: re-keys
+    /// it under its new size and counts the reconfiguration. Returns the
+    /// new node count.
+    fn grown(&mut self, id: JobId) -> u32 {
+        let held = self.cluster.held_by(id.owner_tag());
+        if self.running_index.set_nodes(id, held) {
+            self.record_class_split(id);
         }
-        if let Some(j) = self.jobs.get_mut(original) {
+        if let Some(j) = self.jobs.get_mut(id) {
             j.requested_nodes = held;
             j.reconfigurations += 1;
         }
         // The re-keyed running set changes `avail` (held grows by the
-        // transferred nodes): rather than prove the finer rule, drop the
+        // attached nodes): rather than prove the finer rule, drop the
         // pass memos — expansions are rare next to passes.
         self.incr_clear();
-        Ok((
-            original,
-            self.cluster.nodes_of(original.owner_tag()).to_vec(),
-        ))
+        held
     }
 
     /// Aborts a queued expansion: cancels the pending resizer job (the
@@ -2209,6 +2258,11 @@ impl Slurm {
     }
 }
 
+/// The name of the resizer job that expands `original`.
+fn resizer_name(original: JobId) -> String {
+    format!("resizer-of-{original}")
+}
+
 /// Invariant check of the timeline build: the timeline rebuilt at `probe`
 /// from `commitments` (running-index order) must equal the occupancy
 /// profile of `scan` — each running job's `(expected end, held nodes)`
@@ -2373,8 +2427,7 @@ mod tests {
         let mut s = slurm(10);
         let a = s.submit(JobRequest::rigid("a", 4), t(0));
         s.schedule(t(0));
-        let nodes = s.expand_protocol(a, 8, t(50)).unwrap();
-        assert_eq!(nodes.len(), 8);
+        assert_eq!(s.expand_protocol(a, 8, t(50)), Ok(8));
         assert_eq!(s.nodes_of(a), 8);
         assert_eq!(s.job(a).unwrap().requested_nodes, 8);
         assert_eq!(s.job(a).unwrap().reconfigurations, 1);
@@ -2404,9 +2457,7 @@ mod tests {
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].id, resizer);
         assert_eq!(started[0].resizer_for, Some(a));
-        let (orig, nodes) = s.finish_expand(resizer, t(20)).unwrap();
-        assert_eq!(orig, a);
-        assert_eq!(nodes.len(), 8);
+        assert_eq!(s.finish_expand(resizer, t(20)), Ok((a, 8)));
         assert_eq!(s.nodes_of(a), 8);
         s.cluster().check_invariants().unwrap();
     }

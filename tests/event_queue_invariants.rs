@@ -3,12 +3,13 @@
 //! leaks entries — the invariants the whole discrete-event driver (and
 //! therefore sweep determinism) rests on. A model property drives one
 //! random op sequence — pushes in both event classes, tombstone
-//! cancellations, interleaved pops that trigger compaction — through the
-//! queue and a sorted `Vec<(time, class, seq)>` reference and requires
-//! every pop, peek and live count to agree.
+//! cancellations, relayed pushes, interleaved pops that trigger
+//! compaction — through the queue and a sorted `Vec<(time, class, seq)>`
+//! reference, which plays every relay out as the two events it stands
+//! for, and requires every pop, peek and live count to agree.
 
 use dmr::sim::queue::{EventQueue, CLASS_EARLY, CLASS_NORMAL};
-use dmr::sim::SimTime;
+use dmr::sim::{SimTime, Span};
 use proptest::prelude::*;
 
 /// Replays a random schedule: `ops` is a list of (time, cancel_hint)
@@ -143,13 +144,25 @@ proptest! {
     }
 
     /// The queue against the simplest thing that could be right: a `Vec`
-    /// of live `(time, class, seq)` triples kept sorted, whose front is
+    /// of live `(time, class, seq)` entries kept sorted, whose front is
     /// the next pop. One random op sequence — both event classes, times
     /// from the same instant to far in the future (and, after pops,
     /// before the last popped instant), cancellations of live, cancelled
     /// and already-popped keys, interleaved pops that trigger compaction
     /// — must produce the same pops, head peeks, cancel results and live
     /// counts, with the stored-entry bound holding after every step.
+    ///
+    /// A third of the pushes are relayed. The model has no relay: it
+    /// does what a relay stands for, literally. A relayed push inserts a
+    /// marker at the first instant under the sequence number of the
+    /// push; when a pop reaches the marker the model removes it and
+    /// inserts the event at the firing instant under a sequence number
+    /// drawn *then*, and goes on popping. First instants near the front
+    /// of the queue and firing instants far behind it make both sides of
+    /// a relay long-lived, so cancellations hit relayed keys before and
+    /// after their relay; first instants that sometimes fall below the
+    /// previous relayed push's take the queue's out-of-order path beside
+    /// its FIFO lane.
     ///
     /// Every op pushes before it acts and frees at most one payload
     /// slot, so a slot freed by one op is re-tenanted by the next op's
@@ -160,40 +173,73 @@ proptest! {
     #[test]
     fn queue_matches_a_sorted_vec_model(
         ops in proptest::collection::vec(
-            (0u64..1 << 40, proptest::bool::ANY, proptest::bool::ANY, 0u64..100, 0u8..5),
+            (0u64..1 << 40, proptest::bool::ANY, proptest::bool::ANY, 0u64..100, 0u8..5, 0u8..3),
             1..150,
         ),
     ) {
+        /// A model entry: its order key, the event it carries, and for a
+        /// marker the delay to the event's firing instant.
+        type Entry = ((SimTime, u8, u64), usize, Option<Span>);
+        fn insert(model: &mut Vec<Entry>, entry: Entry) {
+            let at = model.partition_point(|e| e.0 < entry.0);
+            model.insert(at, entry);
+        }
+        /// The model's pop: markers in front of the first event are
+        /// replaced by their events on the way.
+        fn pop(model: &mut Vec<Entry>, next_seq: &mut u64) -> Option<(SimTime, usize)> {
+            loop {
+                if model.is_empty() {
+                    return None;
+                }
+                let ((time, class, _), event, relay) = model.remove(0);
+                let Some(delay) = relay else {
+                    return Some((time, event));
+                };
+                insert(model, ((time + delay, class, *next_seq), event, None));
+                *next_seq += 1;
+            }
+        }
+
         let mut q: EventQueue<usize> = EventQueue::new();
-        let mut model: Vec<(SimTime, u8, usize)> = Vec::new();
+        let mut model: Vec<Entry> = Vec::new();
+        let mut next_seq = 0;
         let mut keys = Vec::new();
         let mut dead = Vec::new();
         let mut high_water = 0;
-        for (seq, &(time, near, early, hint, action)) in ops.iter().enumerate() {
+        for (event, &(time, near, early, hint, action, kind)) in ops.iter().enumerate() {
             // Half the pushes share a handful of instants, so ties
             // (where class and insertion order decide) are common.
-            let time = if near { time % 8 } else { time };
-            let class = if early { CLASS_EARLY } else { CLASS_NORMAL };
-            keys.push(q.push_with_class(SimTime(time), class, seq));
-            let at = model.partition_point(|&e| e < (SimTime(time), class, seq));
-            model.insert(at, (SimTime(time), class, seq));
+            let near_time = SimTime(time % 8);
+            let time = if near { near_time } else { SimTime(time) };
+            if kind == 0 {
+                // Relayed: often due soon and firing far out, or tying
+                // with the plain pushes at both ends.
+                let first = if hint % 4 == 0 { time } else { near_time };
+                let delay = Span(if hint % 3 == 0 { time.0 % 8 } else { time.0 });
+                keys.push(q.push_relayed(first, delay, event));
+                insert(&mut model, ((first, CLASS_NORMAL, next_seq), event, Some(delay)));
+            } else {
+                let class = if early { CLASS_EARLY } else { CLASS_NORMAL };
+                keys.push(q.push_with_class(time, class, event));
+                insert(&mut model, ((time, class, next_seq), event, None));
+            }
+            next_seq += 1;
             high_water = high_water.max(model.len());
             match action {
                 0 => {
                     let victim = (hint as usize) % keys.len();
-                    let at = model.iter().position(|&(_, _, s)| s == victim);
-                    prop_assert_eq!(q.cancel(keys[victim]), at.map(|i| model.remove(i).2));
+                    let at = model.iter().position(|&(_, e, _)| e == victim);
+                    prop_assert_eq!(q.cancel(keys[victim]), at.map(|i| model.remove(i).1));
                     prop_assert_eq!(q.cancel(keys[victim]), None, "double cancel");
                     if at.is_some() {
                         dead.push(keys[victim]);
                     }
                 }
                 1 => {
-                    let want = (!model.is_empty()).then(|| model.remove(0));
-                    prop_assert_eq!(q.pop(), want.map(|(t, _, s)| (t, s)));
-                    dead.extend(want.map(|(_, _, s)| keys[s]));
+                    let want = pop(&mut model, &mut next_seq);
+                    prop_assert_eq!(q.pop(), want);
+                    dead.extend(want.map(|(_, e)| keys[e]));
                 }
-                2 => prop_assert_eq!(q.peek_head(), model.first().map(|&(t, c, _)| (t, c))),
                 3 if !dead.is_empty() => {
                     // A stale key whose slot has a new tenant: the model
                     // is untouched, so the checks below (and the final
@@ -203,24 +249,28 @@ proptest! {
                 }
                 _ => {}
             }
-            prop_assert_eq!(q.len(), model.len(), "live counts diverged at op {}", seq);
+            // A marker at the front shows as what it is: an entry due at
+            // its first instant.
+            let head = model.first().map(|&((t, c, _), _, _)| (t, c));
+            prop_assert_eq!(q.peek_head(), head, "heads diverged at op {}", event);
+            prop_assert_eq!(q.len(), model.len(), "live counts diverged at op {}", event);
             prop_assert!(
                 q.slab_len() <= high_water,
                 "slab {} outgrew the live high-water mark {} after op {}",
                 q.slab_len(),
                 high_water,
-                seq
+                event
             );
             prop_assert!(
                 q.heap_len() <= 2 * q.len(),
                 "stored {} exceeds 2x live {} after op {}",
                 q.heap_len(),
                 q.len(),
-                seq
+                event
             );
         }
-        for (t, _, s) in model {
-            prop_assert_eq!(q.pop(), Some((t, s)));
+        while let Some(want) = pop(&mut model, &mut next_seq) {
+            prop_assert_eq!(q.pop(), Some(want));
             prop_assert!(q.heap_len() <= 2 * q.len());
         }
         prop_assert_eq!(q.pop(), None);

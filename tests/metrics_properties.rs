@@ -5,7 +5,10 @@
 
 use proptest::prelude::*;
 
-use dmr::metrics::{JobOutcome, LogHistogram, OnlineSeries, StepSeries, WorkloadSummary};
+use dmr::metrics::{
+    JobOutcome, LogHistogram, MetricsSink, OnlineAccumulator, OnlineSeries, SeriesRecorder,
+    StepSeries, WorkloadSummary,
+};
 use dmr::sim::{SimTime, Span};
 
 proptest! {
@@ -101,6 +104,61 @@ proptest! {
             "max {} vs {}", buffered.max_value(), online.max_value()
         );
         prop_assert_eq!(buffered.len(), online.changes(), "change counts");
+    }
+
+    /// The driver samples a sink only when a sampled quantity moved. A
+    /// feed with every sample that repeats the one delivered before it
+    /// left out must leave both shipped sinks exactly where the
+    /// sample-per-event feed leaves them: same change points, same
+    /// integral, mean and maximum bits — same-instant overwrites and
+    /// reverts included, which is where a dropped sample could matter.
+    #[test]
+    fn state_change_feed_matches_the_per_event_feed_bit_for_bit(
+        steps in proptest::collection::vec((0u64..3, 0u32..3, 0u32..3, 0u32..2), 1..120),
+        tail in 0u64..50,
+    ) {
+        // Few distinct values and many zero time steps: repeats, ties
+        // and reverts are the common case.
+        let mut now = 0;
+        let mut completed = 0;
+        let feed: Vec<(SimTime, [f64; 3])> = steps
+            .iter()
+            .map(|&(dt, allocated, running, done)| {
+                now += dt;
+                completed += done;
+                (SimTime::from_secs(now), [allocated, running, completed].map(f64::from))
+            })
+            .collect();
+        let mut every = (SeriesRecorder::new(), OnlineAccumulator::new());
+        let mut changes = (SeriesRecorder::new(), OnlineAccumulator::new());
+        let mut delivered = None;
+        for &(t, [a, r, c]) in &feed {
+            every.0.on_sample(t, a, r, c);
+            every.1.on_sample(t, a, r, c);
+            if delivered != Some([a, r, c]) {
+                delivered = Some([a, r, c]);
+                changes.0.on_sample(t, a, r, c);
+                changes.1.on_sample(t, a, r, c);
+            }
+        }
+        let end = SimTime::from_secs(now + tail);
+        let (every_rec, every_acc) = every;
+        let (changes_rec, changes_acc) = changes;
+        let online = |acc: &OnlineAccumulator| {
+            [acc.allocation(), acc.running(), acc.completed()].map(|s| {
+                (s.integral_to(end).to_bits(), s.max_value().to_bits(), s.changes(), s.value().to_bits())
+            })
+        };
+        prop_assert_eq!(online(&every_acc), online(&changes_acc));
+        let buffered = |rec: SeriesRecorder| {
+            let (allocation, running, completed, _) = rec.into_parts();
+            [allocation, running, completed].map(|s| {
+                let points: Vec<(u64, u64)> =
+                    s.points_secs().map(|(t, v)| (t.to_bits(), v.to_bits())).collect();
+                (points, s.integral(SimTime::ZERO, end).to_bits())
+            })
+        };
+        prop_assert_eq!(buffered(every_rec), buffered(changes_rec));
     }
 
     /// Histogram percentiles bound the exact sorted-vector order

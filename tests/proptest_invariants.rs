@@ -141,3 +141,197 @@ proptest! {
         prop_assert!(r.allocation.max_value() <= 20.0);
     }
 }
+
+/// `Slurm::expand_protocol` grants an expansion the machine has room for
+/// in one allocation, without materialising the resizer job of the
+/// paper's §III protocol. This module holds it against the protocol made
+/// literal through the public API — submit the resizer with its
+/// dependency, boost it, let a scheduling pass start it, `finish_expand`
+/// — on twin schedulers driven through the same random history.
+mod immediate_expansion {
+    use super::*;
+    use dmr::cluster::{ClassConstraint, ClassTable, MachineClass};
+    use dmr::core::MachineMix;
+    use dmr::sim::Span;
+    use dmr::slurm::{
+        Dependency, ExpandError, JobId, JobRequest, JobState, ResizeEnvelope, Slurm, SlurmConfig,
+    };
+
+    /// The four steps, one public call each. Only meaningful right after
+    /// a scheduling pass at `now` with no boosted job left pending (the
+    /// caller sees to both): the pass here then starts the boosted
+    /// resizer, first in line, and nothing else.
+    fn literal_expand(s: &mut Slurm, id: JobId, to: u32, now: SimTime) -> Result<u32, ExpandError> {
+        let job = s.job(id).ok_or(ExpandError::UnknownJob(id))?;
+        if job.state != JobState::Running {
+            return Err(ExpandError::NotRunning(id));
+        }
+        let current = s.nodes_of(id);
+        if to <= current {
+            return Err(ExpandError::InvalidTarget { current, to });
+        }
+        let (delta, constraint) = (to - current, job.constraint);
+        let resizer = s.submit(
+            JobRequest {
+                name: format!("resizer-of-{id}"),
+                nodes: delta,
+                time_limit: None,
+                expected_runtime: Some(Span::ZERO),
+                dependency: Some(Dependency::ExpandOf(id)),
+                base_priority: 0,
+                resize: None,
+                constraint,
+            },
+            now,
+        );
+        s.boost(resizer);
+        if !s.cluster().can_allocate_in(delta, constraint) {
+            return Err(ExpandError::Queued { resizer });
+        }
+        let started = s.schedule(now);
+        assert_eq!(started.len(), 1, "the pass did not start the resizer alone");
+        assert_eq!((started[0].id, started[0].resizer_for), (resizer, Some(id)));
+        s.finish_expand(resizer, now).map(|(_, held)| held)
+    }
+
+    /// Ids of the jobs in `state`, resizers or not, in submission order.
+    fn ids_where(s: &Slurm, state: JobState, resizers: bool) -> Vec<JobId> {
+        let mut jobs: Vec<_> = s
+            .jobs()
+            .filter(|j| j.state == state && j.is_resizer() == resizers)
+            .map(|j| (j.seq, j.id))
+            .collect();
+        jobs.sort();
+        jobs.into_iter().map(|(_, id)| id).collect()
+    }
+
+    fn nth(ids: &[JobId], pick: u32) -> Option<JobId> {
+        (!ids.is_empty()).then(|| ids[pick as usize % ids.len()])
+    }
+
+    /// A pass on both twins, with the queued expansions whose resizers
+    /// it started completed on both: same starts, same growth.
+    fn pass(pair: &mut [Slurm; 2], now: SimTime, backfill: bool) -> Result<(), String> {
+        let outcomes = pair.each_mut().map(|s| {
+            let started = if backfill {
+                s.backfill_pass(now)
+            } else {
+                s.schedule(now)
+            };
+            let resizers = started.iter().filter(|start| start.resizer_for.is_some());
+            let grown: Vec<_> = resizers.map(|r| s.finish_expand(r.id, now)).collect();
+            (started, grown)
+        });
+        prop_assert_eq!(&outcomes[0], &outcomes[1]);
+        Ok(())
+    }
+
+    /// Everything a caller can see of the two schedulers is the same.
+    fn same_state(pair: &[Slurm; 2], now: SimTime) -> Result<(), String> {
+        let [a, b] = pair;
+        let records = |s: &Slurm| s.jobs().map(|j| format!("{j:?}")).collect::<Vec<_>>();
+        prop_assert_eq!(records(a), records(b));
+        prop_assert_eq!(a.cluster().free_nodes(), b.cluster().free_nodes());
+        prop_assert_eq!(a.allocated_nodes(), b.allocated_nodes());
+        for id in ids_where(a, JobState::Running, false) {
+            prop_assert_eq!(a.nodes_of(id), b.nodes_of(id));
+            let held = |s: &Slurm| s.cluster().nodes_of(id.owner_tag()).to_vec();
+            prop_assert_eq!(held(a), held(b), "node list of {:?}", id);
+        }
+        prop_assert_eq!(a.pending_queue(now), b.pending_queue(now));
+        prop_assert_eq!(a.queued_count(), b.queued_count());
+        for s in pair {
+            let sound = s.check_invariants();
+            prop_assert!(sound.is_ok(), "{:?}", sound);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn immediate_expansion_matches_the_four_step_protocol(
+            retain_completed in proptest::bool::ANY,
+            hetero in proptest::bool::ANY,
+            ops in proptest::collection::vec((0u8..10, 0u32..1000, 1u32..7), 1..80),
+        ) {
+            let table = if hetero {
+                ClassTable::new(&[
+                    (MachineClass::standard(16), 10),
+                    (MachineMix::gpu_class(16), 6),
+                ])
+            } else {
+                ClassTable::uniform(16, 16)
+            };
+            let mut pair = [(), ()].map(|()| {
+                let mut cfg = SlurmConfig::for_cluster(16);
+                cfg.retain_completed = retain_completed;
+                Slurm::new(Cluster::with_classes(table.clone()), cfg)
+            });
+            let mut now = SimTime::ZERO;
+            for &(op, pick, size) in &ops {
+                let running = ids_where(&pair[0], JobState::Running, false);
+                match op {
+                    0..=2 => {
+                        // A fifth of the jobs on the two-class machine
+                        // may only run on its six GPU nodes.
+                        let constraint = if hetero && pick % 5 == 0 {
+                            ClassConstraint::GpuRequired
+                        } else {
+                            ClassConstraint::Any
+                        };
+                        let envelope = ResizeEnvelope { min: 1, max: 16, preferred: None, factor: 2 };
+                        let req = JobRequest::flexible(format!("j{pick}"), size, envelope)
+                            .with_expected_runtime(Span::from_secs(60 + u64::from(pick)))
+                            .with_constraint(constraint);
+                        let ids = pair.each_mut().map(|s| s.submit(req.clone(), now));
+                        prop_assert_eq!(ids[0], ids[1], "the id stream shifted");
+                    }
+                    3 => pass(&mut pair, now, true)?,
+                    4 | 5 => {
+                        // `expand_protocol` starts a resizer that fits at
+                        // once, even past an older boosted job that does
+                        // not; a pass would stop at that job. Only
+                        // resizers are boosted here, so one negotiation
+                        // at a time keeps the two comparable.
+                        let negotiating = ids_where(&pair[0], JobState::Pending, true);
+                        if let Some(id) = nth(&running, pick).filter(|_| negotiating.is_empty()) {
+                            pass(&mut pair, now, false)?;
+                            let to = pair[0].nodes_of(id) + size;
+                            let [a, b] = &mut pair;
+                            let grown = [a.expand_protocol(id, to, now), literal_expand(b, id, to, now)];
+                            prop_assert_eq!(grown[0], grown[1]);
+                        }
+                    }
+                    6 => {
+                        if let Some(id) = nth(&running, pick) {
+                            let to = (pair[0].nodes_of(id) / 2).max(1);
+                            let shrunk = pair.each_mut().map(|s| s.shrink_protocol(id, to, now));
+                            prop_assert_eq!(&shrunk[0], &shrunk[1]);
+                        }
+                    }
+                    7 => {
+                        if let Some(id) = nth(&running, pick) {
+                            pair.iter_mut().for_each(|s| s.complete(id, now));
+                        }
+                    }
+                    8 => {
+                        let waiting = ids_where(&pair[0], JobState::Pending, true);
+                        if let Some(resizer) = nth(&waiting, pick) {
+                            pair.iter_mut().for_each(|s| s.abort_expand(resizer, now));
+                        }
+                    }
+                    _ => now += Span::from_secs(u64::from(pick % 40)),
+                }
+                if op != 3 {
+                    pass(&mut pair, now, false)?;
+                }
+                same_state(&pair, now)?;
+            }
+            // The next id either scheduler hands out is the same one.
+            let probe = pair.each_mut().map(|s| s.submit(JobRequest::rigid("probe", 1), now));
+            prop_assert_eq!(probe[0], probe[1]);
+        }
+    }
+}

@@ -6,6 +6,7 @@
 
 use dmr::core::{run_experiment_streaming, ExperimentConfig, PolicyKind, WorkloadKind};
 use dmr::metrics::{MetricsSink, OnlineAccumulator};
+use dmr::sim::SimTime;
 use dmr::workload::{SwfMapping, SwfTrace};
 
 fn assert_summaries_identical(
@@ -129,57 +130,109 @@ fn large_streaming_run_records_percentiles_with_no_job_buffers() {
 #[test]
 fn custom_sink_sees_every_sample_and_job() {
     // The README "adding a sink" contract: samples arrive in
-    // non-decreasing time order — one per handled event, plus (under the
-    // batching arena path) one per deferred scheduling-pass flush so the
-    // end-of-instant state is always the last word at its instant — and
-    // one outcome arrives per job with its submission sequence number.
+    // non-decreasing time order, one after every handled event (or
+    // deferred scheduling-pass flush) that changed a sampled quantity —
+    // so no two consecutive samples are equal, yet no change is ever
+    // missed: the first event and the final state are sampled, and the
+    // end-of-instant state is the last word at its instant. One outcome
+    // arrives per job with its submission sequence number. The outcomes
+    // are the ground truth the samples are held against: a job runs from
+    // its start to its end, so they say what the running and completed
+    // counts were after every instant.
     #[derive(Default)]
-    struct CountingSink {
-        samples: u64,
-        jobs: Vec<u64>,
-        last_t: dmr::sim::SimTime,
-        monotone: bool,
+    struct CheckingSink {
+        samples: Vec<(SimTime, [f64; 3])>,
+        jobs: Vec<(u64, dmr::metrics::JobOutcome)>,
     }
-    impl CountingSink {
-        fn new() -> Self {
-            CountingSink {
-                monotone: true,
-                ..CountingSink::default()
-            }
+    impl MetricsSink for CheckingSink {
+        fn on_sample(&mut self, now: SimTime, a: f64, r: f64, c: f64) {
+            // A completion is reported before the sample that shows it.
+            assert_eq!(c, self.jobs.len() as f64, "completed count is current");
+            self.samples.push((now, [a, r, c]));
         }
-    }
-    impl MetricsSink for CountingSink {
-        fn on_sample(&mut self, now: dmr::sim::SimTime, _a: f64, _r: f64, _c: f64) {
-            self.monotone &= now >= self.last_t;
-            self.last_t = now;
-            self.samples += 1;
-        }
-        fn on_job(&mut self, seq: u64, _outcome: dmr::metrics::JobOutcome) {
-            self.jobs.push(seq);
+        fn on_job(&mut self, seq: u64, outcome: dmr::metrics::JobOutcome) {
+            self.jobs.push((seq, outcome));
         }
     }
     let run = |cfg: &ExperimentConfig| {
         let mut source = WorkloadKind::burst().build(25, 5);
-        let mut sink = CountingSink::new();
+        let mut sink = CheckingSink::default();
         let stats = dmr::core::run_experiment_with_sink(cfg, source.as_mut(), &mut sink);
-        assert!(sink.monotone, "samples arrive in time order");
         assert_eq!(sink.jobs.len(), 25, "one outcome per job");
-        let mut seqs = sink.jobs.clone();
+        let mut seqs: Vec<u64> = sink.jobs.iter().map(|&(seq, _)| seq).collect();
         seqs.sort_unstable();
         seqs.dedup();
         assert_eq!(seqs.len(), 25, "sequence numbers are unique");
         assert_eq!(*seqs.last().unwrap(), 24, "seqs are the arrival indices");
-        (sink.samples, stats.events)
+
+        let samples = &sink.samples;
+        for pair in samples.windows(2) {
+            assert!(pair[0].0 <= pair[1].0, "samples arrive in time order");
+            assert_ne!(pair[0].1, pair[1].1, "a sample that says nothing new");
+        }
+        // The first event is the first arrival: sampled even where the
+        // pass that starts the job is deferred and every quantity is
+        // still zero.
+        let first_submit = sink
+            .jobs
+            .iter()
+            .map(|(_, o)| o.submit)
+            .fold(f64::MAX, f64::min);
+        assert_eq!(samples[0].0, SimTime::from_secs_f64(first_submit));
+        assert_eq!(samples.last().unwrap().1, [0.0, 0.0, 25.0], "final state");
+        // Every change is delivered: each start and each end is an
+        // instant with a sample, and the last sample of every instant
+        // shows the counts the outcomes imply for it.
+        let last_at = |t: f64| {
+            let upto = samples.partition_point(|&(at, _)| at.as_secs_f64() <= t);
+            samples[..upto]
+                .last()
+                .filter(|&&(at, _)| at.as_secs_f64() == t)
+        };
+        for (seq, o) in &sink.jobs {
+            assert!(last_at(o.start).is_some(), "start of job {seq} not sampled");
+            assert!(last_at(o.end).is_some(), "end of job {seq} not sampled");
+        }
+        for (i, &(at, [_, running, completed])) in samples.iter().enumerate() {
+            if samples.get(i + 1).is_some_and(|next| next.0 == at) {
+                continue;
+            }
+            let t = at.as_secs_f64();
+            let jobs = sink.jobs.iter().map(|(_, o)| o);
+            let want_running = jobs.clone().filter(|o| o.start <= t && t < o.end).count();
+            let want_completed = jobs.filter(|o| o.end <= t).count();
+            assert_eq!(running, want_running as f64, "running jobs after t = {t}");
+            assert_eq!(
+                completed, want_completed as f64,
+                "completed jobs after t = {t}"
+            );
+        }
+        assert!(
+            (samples.len() as u64) < stats.events,
+            "most events of a malleable run change nothing: {} samples, {} events",
+            samples.len(),
+            stats.events
+        );
+        // One value per instant: what the batching of passes cannot move.
+        let mut settled = samples.clone();
+        settled.dedup_by(|next, kept| {
+            let same_instant = next.0 == kept.0;
+            if same_instant {
+                *kept = *next;
+            }
+            same_instant
+        });
+        (settled, stats.events)
     };
-    // The unbatched reference path samples exactly once per event; the
-    // arena path adds one sample per deferred-pass flush on top.
+    // The unbatched reference path and the batching production path
+    // differ in how many passes (and so samples) one instant sees, never
+    // in where an instant ends up.
     let cfg = ExperimentConfig::preliminary();
-    let (scan_samples, scan_events) = run(&cfg.scan_reference());
-    assert_eq!(scan_samples, scan_events, "one sample per handled event");
-    let (arena_samples, arena_events) = run(&cfg);
+    let (scan_settled, scan_events) = run(&cfg.scan_reference());
+    let (arena_settled, arena_events) = run(&cfg);
     assert_eq!(arena_events, scan_events, "same schedule, same events");
-    assert!(
-        arena_samples >= arena_events,
-        "batching must not drop samples: {arena_samples} < {arena_events}"
+    assert_eq!(
+        arena_settled, scan_settled,
+        "same state after every instant"
     );
 }
