@@ -94,6 +94,12 @@ impl PowerMeter {
         self.last = Some(now);
     }
 
+    /// Whether a first [`PowerMeter::sample`] has opened the metered
+    /// window.
+    pub fn started(&self) -> bool {
+        self.start.is_some()
+    }
+
     /// Total energy charged so far, joules (1 W·µs = 1e-6 J).
     pub fn energy_j(&self) -> f64 {
         self.energy_wus as f64 / 1e6

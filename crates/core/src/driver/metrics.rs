@@ -1,14 +1,14 @@
-//! Metric hooks: state-change sampling and per-completion accounting.
+//! Metric hooks: per-event sampling and per-completion accounting.
 //!
-//! After every handled event that moved one of them, the driver samples
-//! the three evolution quantities behind the paper's timeline figures
-//! (allocated nodes, running jobs, completed jobs — Figures 4, 5, 6, 12)
-//! into the installed [`dmr_metrics::MetricsSink`]; as each job
-//! completes, its accounting is copied out of the scheduler record and
-//! folded into the sink *before* the record is pruned. The driver itself
-//! therefore retains no per-job or per-event telemetry — what a run keeps
-//! is entirely the sink's choice (buffered series vs. streaming
-//! histograms).
+//! After every processed event — a relayed check-pause end included —
+//! the driver samples the three evolution quantities behind the paper's
+//! timeline figures (allocated nodes, running jobs, completed jobs —
+//! Figures 4, 5, 6, 12) into the installed [`dmr_metrics::MetricsSink`];
+//! as each job completes, its accounting is copied out of the scheduler
+//! record and folded into the sink *before* the record is pruned. The
+//! driver itself therefore retains no per-job or per-event telemetry —
+//! what a run keeps is entirely the sink's choice (buffered series vs.
+//! streaming histograms).
 
 use dmr_metrics::JobOutcome;
 use dmr_sim::SimTime;
@@ -21,31 +21,31 @@ impl Driver<'_, '_> {
     /// Records one sample of every evolution series at `now`, and charges
     /// the power meter for the interval just ended — at the per-class
     /// counts that were in force *during* it (cached at the previous
-    /// sample; this runs after the event's state change, so the current
+    /// charge; this runs after the event's state change, so the current
     /// cluster counts describe the next interval, not this one).
     ///
-    /// Called after every handled event, but a no-op unless the event
-    /// moved a sampled quantity. Most events of a malleable run move none
-    /// (a step boundary whose check says "no action"), and skipping them
-    /// changes no result: the series discard a repeated value themselves,
-    /// and the meter integrates exact integer watt-µs, so the interval it
-    /// is next charged for is the sum of the ones it was not.
+    /// The sink is sampled after every processed event. The meter is
+    /// charged only when the counts it is charged at are about to change:
+    /// most events of a malleable run move none (a step boundary whose
+    /// check says "no action", a relayed pause end), and it integrates
+    /// exact integer watt-µs, so the interval it is next charged for is
+    /// the sum of the ones it was not. The first event opens its window.
     pub(crate) fn sample(&mut self, now: SimTime) {
         let cluster = self.slurm.cluster();
-        let (allocated, running) = (cluster.allocated_nodes(), self.running.len());
-        let sample = Some((allocated, running, self.completed));
-        if sample == self.prev_sample
-            && cluster.busy_by_class() == self.prev_busy
-            && cluster.off_by_class() == self.prev_off
+        if !self.power.started()
+            || cluster.busy_by_class() != self.prev_busy
+            || cluster.off_by_class() != self.prev_off
         {
-            return;
+            self.power.sample(now, &self.prev_busy, &self.prev_off);
+            self.prev_busy.copy_from_slice(cluster.busy_by_class());
+            self.prev_off.copy_from_slice(cluster.off_by_class());
         }
-        self.prev_sample = sample;
-        self.power.sample(now, &self.prev_busy, &self.prev_off);
-        self.prev_busy.copy_from_slice(cluster.busy_by_class());
-        self.prev_off.copy_from_slice(cluster.off_by_class());
-        self.sink
-            .on_sample(now, allocated as f64, running as f64, self.completed as f64);
+        self.sink.on_sample(
+            now,
+            cluster.allocated_nodes() as f64,
+            self.running.len() as f64,
+            self.completed as f64,
+        );
     }
 
     /// Copies the completing job's accounting into the sink and releases

@@ -33,7 +33,7 @@ pub(crate) mod shrink;
 
 use dmr_cluster::{Cluster, FaultSource, FaultTrace, PowerMeter};
 use dmr_metrics::{MetricsSink, OnlineAccumulator, SeriesRecorder, StepSeries, WorkloadSummary};
-use dmr_sim::{Engine, EventId, SimTime, Span, CLASS_EARLY};
+use dmr_sim::{Engine, EventId, SimTime, Span, Step, CLASS_EARLY};
 use dmr_slurm::{JobId, JobMap, ResizeAction, Slurm, SlurmConfig};
 use dmr_workload::WorkloadSource;
 use rand::{rngs::StdRng, SeedableRng};
@@ -227,8 +227,8 @@ pub(crate) struct Driver<'a, 's> {
     pub(crate) running: JobMap<RunState>,
     pub(crate) spec_of: JobMap<usize>,
     pub(crate) rj_to_orig: JobMap<JobId>,
-    /// Where telemetry goes: one sample per change of a sampled
-    /// quantity, one outcome per completed job.
+    /// Where telemetry goes: one sample per processed event, one outcome
+    /// per completed job.
     pub(crate) sink: &'s mut dyn MetricsSink,
     pub(crate) completed: u32,
     /// An arrival event is in flight (the feed was not exhausted at the
@@ -240,17 +240,14 @@ pub(crate) struct Driver<'a, 's> {
     /// A scheduling pass was requested at the current instant but not run
     /// yet (same-instant batching — see [`Driver::request_schedule`]).
     pub(crate) pass_due: bool,
-    /// Integrates cluster watts over virtual time (sampled with the
-    /// sink, see [`Driver::sample`]).
+    /// Integrates cluster watts over virtual time (charged whenever the
+    /// per-class counts are about to change, see [`Driver::sample`]).
     pub(crate) power: PowerMeter,
-    /// Per-class busy/off counts in force since the previous sample — the
+    /// Per-class busy/off counts in force since the previous charge — the
     /// meter charges each interval at the counts that *were* live during
-    /// it, so the driver caches the post-event counts of the last sample.
+    /// it, so the driver caches the post-event counts of the last charge.
     pub(crate) prev_busy: Vec<u32>,
     pub(crate) prev_off: Vec<u32>,
-    /// Allocated nodes, running jobs and completed jobs of the previous
-    /// sample; `None` until the first one.
-    pub(crate) prev_sample: Option<(u32, usize, u32)>,
     /// An [`Ev::NodeWake`] is already scheduled (wake requests coalesce).
     pub(crate) wake_pending: bool,
     /// Faultload event stream; [`FaultSource::None`] under the zero-fault
@@ -481,7 +478,6 @@ impl<'a, 's> Driver<'a, 's> {
             power,
             prev_busy: vec![0; classes],
             prev_off: vec![0; classes],
-            prev_sample: None,
             wake_pending: false,
             faults,
             fault_pending: false,
@@ -539,11 +535,18 @@ impl<'a, 's> Driver<'a, 's> {
                 // does; the deferred samples above it are zero-width.
                 self.sample(last_now);
             }
-            let Some((now, ev)) = self.engine.next_event() else {
-                break;
+            // A relayed pause end is an event with nothing to handle,
+            // but it is sampled like any other: the sink sees the clock
+            // reach every processed instant.
+            let now = match self.engine.step() {
+                Some(Step::Fired(now, ev)) => {
+                    self.handle(now, ev);
+                    now
+                }
+                Some(Step::Relayed(now)) => now,
+                None => break,
             };
             last_now = now;
-            self.handle(now, ev);
             self.sample(now);
         }
         self.finish()

@@ -11,12 +11,13 @@
 //! driver is policy-agnostic.
 //!
 //! Most synchronous checks change nothing: the job pays the check pause
-//! and computes on. That pause end is not an event of the driver's. The
+//! and computes on. That pause end has no handler in the driver. The
 //! next segment is handed to the engine as a *relay*
 //! ([`dmr_sim::Engine::schedule_relayed`]) — "the pause ends at `now +
 //! pause`, `SegmentDone` fires one segment later" — and the engine steps
-//! over the pause end on its own, counting it as an event and ranking
-//! the `SegmentDone` exactly as if a pause-end handler had scheduled it.
+//! over the pause end on its own, counting it as an event (the run loop
+//! samples the sink there, nothing else) and ranking the `SegmentDone`
+//! exactly as if a pause-end handler had scheduled it.
 //! [`Ev::ReconfigDone`] is left for the pauses something happens after:
 //! an expansion's spawn + redistribution, a shrink's drain.
 //!

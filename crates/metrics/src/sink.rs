@@ -2,9 +2,8 @@
 //!
 //! The `dmr-core` driver publishes two event families while a workload
 //! runs — one *sample* of the evolution quantities after every simulation
-//! event that changed one of them (a *state-change sample*), and one
-//! *job outcome* as each job completes. A [`MetricsSink`] consumes both.
-//! Two implementations ship:
+//! event, and one *job outcome* as each job completes. A [`MetricsSink`]
+//! consumes both. Two implementations ship:
 //!
 //! * [`SeriesRecorder`] — the buffered recorder: full [`StepSeries`] for
 //!   the paper's timeline figures plus the complete `Vec<JobOutcome>`.
@@ -26,16 +25,8 @@ use crate::summary::{JobOutcome, SummaryInputs, WorkloadSummary};
 
 /// Consumer of per-event telemetry from a workload run.
 pub trait MetricsSink {
-    /// One sample of the evolution quantities at instant `now`, taken
-    /// after every handled simulation event that changed a sampled
-    /// quantity — these three, or how the allocated nodes split over the
-    /// machine classes. Events that change none (most events of a
-    /// malleable run: a step boundary whose check says "no action") are
-    /// not reported, so the values hold from one sample to the next and
-    /// no sample repeats its predecessor on a single-class machine. The
-    /// first event of a run is always sampled, samples arrive in
-    /// non-decreasing time order, and several may share an instant: the
-    /// last one stands for it.
+    /// One sample of the evolution quantities, taken after every handled
+    /// simulation event at instant `now`.
     fn on_sample(&mut self, now: SimTime, allocated: f64, running: f64, completed: f64);
 
     /// One finished job's accounting, delivered at its completion

@@ -2,13 +2,15 @@
 //!
 //! Besides ordinary events the engine takes *relayed* ones
 //! ([`Engine::schedule_relayed`]): "a pause ends at `at`, and `event`
-//! fires `then` later". The pause end is never handed to the world — the
-//! engine advances its clock and its processed count over it on its own —
-//! yet every event pops in the order it would have popped in had the
-//! world handled the pause end and scheduled `event` from that handler
-//! (see [`crate::queue`]). A world whose pause handler does nothing but
-//! schedule the next event saves the dispatch and a heap round trip per
-//! pause, and its event count does not change.
+//! fires `then` later". The pause end has no payload and needs no
+//! handler — the engine advances its clock and its processed count over
+//! it on its own ([`Engine::step`] reports the instant,
+//! [`Engine::next_event`] passes over it) — yet every event pops in the
+//! order it would have popped in had the world handled the pause end and
+//! scheduled `event` from that handler (see [`crate::queue`]). A world
+//! whose pause handler does nothing but schedule the next event saves the
+//! dispatch and a heap round trip per pause, and its event count does not
+//! change.
 
 use crate::queue::{EventKey, EventQueue, Step, CLASS_EARLY, CLASS_NORMAL};
 use crate::time::{SimTime, Span};
@@ -160,8 +162,11 @@ impl<E> Engine<E> {
     }
 
     /// Advances the clock to the next queue entry and processes it: an
-    /// event to hand out, or a pause end relayed in place.
-    fn step(&mut self) -> Option<Step<E>> {
+    /// event to hand out, or a pause end relayed in place. The loop of
+    /// a world that wants to see the clock reach every processed instant
+    /// (the driver samples its metrics sink after each one);
+    /// [`Engine::next_event`] is this minus the relays.
+    pub fn step(&mut self) -> Option<Step<E>> {
         let step = self.queue.step()?;
         let (Step::Fired(t, _) | Step::Relayed(t)) = step;
         debug_assert!(t >= self.now, "event queue went backwards");

@@ -32,22 +32,16 @@
 //! when handled, is to push the real event `delay` later. The queue keeps
 //! the entry under the key the first event would have had — `(first,
 //! CLASS_NORMAL, seq)`, `seq` drawn at the push. When that key surfaces
-//! in [`EventQueue::step`] the entry is *relayed*: re-keyed to its firing
+//! in [`EventQueue::pop`] the entry is *relayed*: re-keyed to its firing
 //! instant with a fresh sequence number drawn at that moment, the moment
-//! the first event's handler would have pushed the second, and sunk back
-//! into the heap. Every sequence number is therefore drawn exactly when
-//! the two-event chain would have drawn it, and every event, relayed or
-//! not, pops in the order it would have popped in.
-//!
-//! Entries awaiting their relay sit in the *lane*, a `VecDeque` in key
-//! order that pop and peek merge with the heap head. A caller whose first
-//! instants never decrease — `now` plus a constant pause — gets O(1) push
-//! and O(1) relay-side pop; a push that would break the lane's order
-//! goes to the heap instead, marked for the same relay, so the order of
-//! pops never depends on the caller keeping its side of that bargain.
+//! the first event's handler would have pushed the second, and sunk to
+//! its new rank — in place: one sift instead of a pop and a push. Every
+//! sequence number is therefore drawn exactly when the two-event chain
+//! would have drawn it, and every event, relayed or not, pops in the
+//! order it would have popped in.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::time::{SimTime, Span};
 
@@ -94,7 +88,8 @@ struct Slot<E> {
     event: Option<E>,
 }
 
-/// What one [`EventQueue::step`] did with the earliest live entry.
+/// What one step of the queue ([`crate::Engine::step`]) did with the
+/// earliest live entry.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Step<E> {
     /// The event was due: it left the queue with its payload.
@@ -108,8 +103,6 @@ pub enum Step<E> {
 /// and O(1) cancellation (amortised: tombstones are drained lazily).
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry>>,
-    /// Entries awaiting their relay, ascending (see the module docs).
-    lane: VecDeque<Entry>,
     slots: Vec<Slot<E>>,
     /// Vacant slot indices, reused LIFO.
     free: Vec<u32>,
@@ -127,7 +120,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            lane: VecDeque::new(),
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -165,13 +157,7 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::cancel`] on both sides of the relay.
     pub fn push_relayed(&mut self, first: SimTime, delay: Span, event: E) -> EventKey {
         let (entry, key) = self.admit(first, CLASS_NORMAL, Some(delay), event);
-        // Sequence numbers only grow, so within one class the new key
-        // sorts after the lane's last one iff its instant is no earlier.
-        if self.lane.back().is_none_or(|last| last.time <= first) {
-            self.lane.push_back(entry);
-        } else {
-            self.heap.push(Reverse(entry));
-        }
+        self.heap.push(Reverse(entry));
         key
     }
 
@@ -217,12 +203,12 @@ impl<E> EventQueue<E> {
         (entry, EventKey { id: seq, slot })
     }
 
-    /// Number of entries currently backing the queue — live entries plus
-    /// tombstones, heap and lane together. Compaction keeps this at
-    /// ≤ 2 × [`EventQueue::len`] after every operation; exposed so tests
-    /// (and capacity telemetry) can observe the bound.
+    /// Number of heap slots currently backing the queue — live entries
+    /// plus tombstones. Compaction keeps this at ≤ 2 × [`EventQueue::len`]
+    /// after every operation; exposed so tests (and capacity telemetry)
+    /// can observe the bound.
     pub fn heap_len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.heap.len()
     }
 
     /// Number of payload slots backing the queue (occupied + vacant):
@@ -261,15 +247,10 @@ impl<E> EventQueue<E> {
     /// distinguish same-instant [`CLASS_EARLY`] arrivals from ordinary
     /// events without consuming anything (the driver's batch window
     /// test). An event awaiting its relay reports its first instant: it
-    /// is what [`EventQueue::step`] acts on next.
+    /// is what [`EventQueue::pop`] acts on next.
     pub fn peek_head(&mut self) -> Option<(SimTime, u8)> {
         self.settle_head();
-        let head = if self.lane_leads() {
-            self.lane.front()
-        } else {
-            self.heap.peek().map(|Reverse(e)| e)
-        };
-        head.map(|e| (e.time, e.class))
+        self.heap.peek().map(|Reverse(e)| (e.time, e.class))
     }
 
     /// Removes and returns the earliest live event, relaying on the way
@@ -284,27 +265,23 @@ impl<E> EventQueue<E> {
 
     /// Acts on the earliest live entry: fires it, or relays it if it is
     /// an event at its first instant. `None` when the queue is empty.
-    pub fn step(&mut self) -> Option<Step<E>> {
+    pub(crate) fn step(&mut self) -> Option<Step<E>> {
         self.settle_head();
-        let entry = if self.lane_leads() {
-            self.lane.pop_front()
-        } else {
-            self.heap.pop().map(|Reverse(e)| e)
-        }?;
-        let tenant = &mut self.slots[entry.slot as usize];
+        let mut head = self.heap.peek_mut()?;
+        let tenant = &mut self.slots[head.0.slot as usize];
         if let Some(delay) = tenant.relay.take() {
             // The sequence number is drawn here, not at the push: this
-            // is the moment a handler at `entry.time` would have pushed.
+            // is the moment a handler at the first instant would have
+            // pushed. Re-keyed in place, the entry sinks to its new rank
+            // when the borrow of the head ends.
+            let first = head.0.time;
             tenant.seq = self.next_seq;
             self.next_seq += 1;
-            self.heap.push(Reverse(Entry {
-                time: entry.time + delay,
-                class: entry.class,
-                seq: tenant.seq,
-                slot: entry.slot,
-            }));
-            return Some(Step::Relayed(entry.time));
+            head.0.time = first + delay;
+            head.0.seq = tenant.seq;
+            return Some(Step::Relayed(first));
         }
+        let Reverse(entry) = PeekMut::pop(head);
         let event = self
             .vacate(entry.slot)
             .expect("settle_head guarantees the head entry is live");
@@ -321,39 +298,23 @@ impl<E> EventQueue<E> {
         slot.seq == entry.seq && slot.event.is_some()
     }
 
-    /// Brings the earliest *live* entry of the heap to its head and of
-    /// the lane to its front by dropping the tombstones before them.
+    /// Brings the earliest *live* entry to the head of the heap by
+    /// dropping the tombstones before it.
     fn settle_head(&mut self) {
         while self.heap.peek().is_some_and(|Reverse(e)| !self.is_live(e)) {
             self.heap.pop();
         }
-        while self.lane.front().is_some_and(|e| !self.is_live(e)) {
-            self.lane.pop_front();
-        }
     }
 
-    /// Whether the next entry in order is the lane's front rather than
-    /// the heap's head (both settled).
-    fn lane_leads(&self) -> bool {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(lane), Some(Reverse(heap))) => lane < heap,
-            (lane, _) => lane.is_some(),
-        }
-    }
-
-    /// Rebuilds heap and lane from their live entries once tombstones
-    /// outnumber them. Amortised O(1) per cancellation: a compaction
-    /// touching `h` entries only happens after ≥ h/2 cancellations or
-    /// pops, the rebuilt heap pops in exactly the same `(time, class,
-    /// seq)` order and the lane keeps its own.
+    /// Rebuilds the heap from its live entries once tombstones outnumber
+    /// them. Amortised O(1) per cancellation: a compaction touching `h`
+    /// entries only happens after ≥ h/2 cancellations or pops, and the
+    /// rebuilt heap pops in exactly the same `(time, class, seq)` order.
     fn maybe_compact(&mut self) {
-        if self.heap_len() > 2 * self.live {
+        if self.heap.len() > 2 * self.live {
             let mut entries = std::mem::take(&mut self.heap).into_vec();
             entries.retain(|Reverse(e)| self.is_live(e));
             self.heap = BinaryHeap::from(entries);
-            let mut lane = std::mem::take(&mut self.lane);
-            lane.retain(|e| self.is_live(e));
-            self.lane = lane;
         }
     }
 }
@@ -509,10 +470,9 @@ mod tests {
     }
 
     #[test]
-    fn a_relay_that_breaks_the_lane_order_still_pops_in_key_order() {
+    fn relays_pushed_out_of_order_pop_in_key_order() {
         let mut q = EventQueue::new();
         q.push_relayed(SimTime(20), Span(5), "late");
-        // Earlier first instant than the lane's tail: stored in the heap.
         q.push_relayed(SimTime(10), Span(50), "early");
         q.push(SimTime(15), "plain");
         assert_eq!(q.heap_len(), 3);

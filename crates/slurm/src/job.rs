@@ -243,6 +243,37 @@ pub struct Job {
 }
 
 impl Job {
+    /// The record a submission of `req` at `now` opens: pending, not
+    /// boosted, never started. `default_runtime` stands in for a missing
+    /// runtime estimate.
+    pub fn submitted(
+        id: JobId,
+        seq: u64,
+        req: JobRequest,
+        default_runtime: Span,
+        now: SimTime,
+    ) -> Self {
+        Job {
+            id,
+            seq,
+            detached_nodes: 0,
+            name: req.name,
+            state: JobState::Pending,
+            requested_nodes: req.nodes,
+            time_limit: req.time_limit,
+            expected_runtime: req.expected_runtime.unwrap_or(default_runtime),
+            dependency: req.dependency,
+            base_priority: req.base_priority,
+            boosted: false,
+            resize: req.resize,
+            constraint: req.constraint,
+            submit_time: now,
+            start_time: None,
+            end_time: None,
+            reconfigurations: 0,
+        }
+    }
+
     pub fn is_resizer(&self) -> bool {
         matches!(self.dependency, Some(Dependency::ExpandOf(_)))
     }

@@ -635,25 +635,9 @@ impl Slurm {
             None => false,
         };
         let dependency = req.dependency;
-        let id = self.jobs.insert_with(|id| Job {
-            id,
-            seq,
-            detached_nodes: 0,
-            name: req.name,
-            state: JobState::Pending,
-            requested_nodes: req.nodes,
-            time_limit: req.time_limit,
-            expected_runtime: req.expected_runtime.unwrap_or(default_runtime),
-            dependency: req.dependency,
-            base_priority: req.base_priority,
-            boosted: false,
-            resize: req.resize,
-            constraint: req.constraint,
-            submit_time: now,
-            start_time: None,
-            end_time: None,
-            reconfigurations: 0,
-        });
+        let id = self
+            .jobs
+            .insert_with(|id| Job::submitted(id, seq, req, default_runtime, now));
         self.pending_index.insert(&self.jobs[id]);
         if let Some(Dependency::ExpandOf(parent)) = dependency {
             self.resizer_index.register(parent, id, parent_running);
@@ -1897,19 +1881,7 @@ impl Slurm {
         // Step 1: submit the resizer job B with a dependency on A and
         // maximum priority ("facilitating its execution", §V-B1). Steps
         // 2-4 follow once a pass starts it ([`Slurm::finish_expand`]).
-        let rj = self.submit(
-            JobRequest {
-                name: resizer_name(id),
-                nodes: delta,
-                time_limit: None,
-                expected_runtime: Some(Span::ZERO),
-                dependency: Some(Dependency::ExpandOf(id)),
-                base_priority: 0,
-                resize: None,
-                constraint,
-            },
-            now,
-        );
+        let rj = self.submit(resizer_request(id, delta, constraint), now);
         self.boost(rj);
         Err(ExpandError::Queued { resizer: rj })
     }
@@ -1937,24 +1909,17 @@ impl Slurm {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.config.retain_completed {
+            // The record `submit` would have opened, as boost, the
+            // start, the update to zero nodes and the cancel left it.
+            let default_runtime = self.config.default_expected_runtime;
+            let req = resizer_request(id, delta, constraint);
             self.jobs.insert_with(|rj| Job {
-                id: rj,
-                seq,
-                detached_nodes: 0,
-                name: resizer_name(id),
                 state: JobState::Cancelled,
                 requested_nodes: 0,
-                time_limit: None,
-                expected_runtime: Span::ZERO,
-                dependency: Some(Dependency::ExpandOf(id)),
-                base_priority: 0,
                 boosted: true,
-                resize: None,
-                constraint,
-                submit_time: now,
                 start_time: Some(now),
                 end_time: Some(now),
-                reconfigurations: 0,
+                ..Job::submitted(rj, seq, req, default_runtime, now)
             });
         } else {
             self.jobs.retire_next_id();
@@ -2258,9 +2223,20 @@ impl Slurm {
     }
 }
 
-/// The name of the resizer job that expands `original`.
-fn resizer_name(original: JobId) -> String {
-    format!("resizer-of-{original}")
+/// The submission of the resizer job that expands `original` by `delta`
+/// nodes (protocol step 1). Built only where a record is kept: an
+/// expansion granted on the spot without retention never names it.
+fn resizer_request(original: JobId, delta: u32, constraint: ClassConstraint) -> JobRequest {
+    JobRequest {
+        name: format!("resizer-of-{original}"),
+        nodes: delta,
+        time_limit: None,
+        expected_runtime: Some(Span::ZERO),
+        dependency: Some(Dependency::ExpandOf(original)),
+        base_priority: 0,
+        resize: None,
+        constraint,
+    }
 }
 
 /// Invariant check of the timeline build: the timeline rebuilt at `probe`

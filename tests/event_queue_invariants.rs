@@ -160,9 +160,8 @@ proptest! {
     /// drawn *then*, and goes on popping. First instants near the front
     /// of the queue and firing instants far behind it make both sides of
     /// a relay long-lived, so cancellations hit relayed keys before and
-    /// after their relay; first instants that sometimes fall below the
-    /// previous relayed push's take the queue's out-of-order path beside
-    /// its FIFO lane.
+    /// after their relay; first instants sometimes fall below the
+    /// previous relayed push's.
     ///
     /// Every op pushes before it acts and frees at most one payload
     /// slot, so a slot freed by one op is re-tenanted by the next op's

@@ -106,12 +106,14 @@ proptest! {
         prop_assert_eq!(buffered.len(), online.changes(), "change counts");
     }
 
-    /// The driver samples a sink only when a sampled quantity moved. A
-    /// feed with every sample that repeats the one delivered before it
-    /// left out must leave both shipped sinks exactly where the
-    /// sample-per-event feed leaves them: same change points, same
-    /// integral, mean and maximum bits — same-instant overwrites and
-    /// reverts included, which is where a dropped sample could matter.
+    /// A sample that repeats the one before it tells the shipped sinks
+    /// nothing (most of the driver's per-event samples do: a step
+    /// boundary whose check says "no action" moves no quantity). A feed
+    /// with every such sample left out must leave both sinks exactly
+    /// where the sample-per-event feed leaves them: same change points,
+    /// same integral, mean and maximum bits — same-instant overwrites
+    /// and reverts included, which is where a dropped sample could
+    /// matter.
     #[test]
     fn state_change_feed_matches_the_per_event_feed_bit_for_bit(
         steps in proptest::collection::vec((0u64..3, 0u32..3, 0u32..3, 0u32..2), 1..120),
