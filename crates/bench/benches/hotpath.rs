@@ -1,14 +1,17 @@
 //! Hot-path micro-benchmarks: the production path head-to-head with the
 //! scan reference — node allocation, pending-order consultation, the
-//! EASY backfill pass (reservation + reap), one full churn round — and
-//! the slab job table against the `BTreeMap` it replaced. `repro --bench-json` measures the same contrast
-//! end-to-end and appends to the `BENCH_sched.json` trajectory.
+//! EASY backfill pass (reservation + reap), the churn driver of
+//! `dmr_bench::hotpath` — and the slab job table against the `BTreeMap`
+//! it replaced. The `churn` group is where the large-machine cells
+//! (65 536 nodes × 100 000 pending: base, hetero3, faulty, EASY-8,
+//! EASY-64, conservative) run; whole-experiment throughput is
+//! `benchmark/`'s to measure.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
-use dmr_bench::hotpath;
+use dmr_bench::hotpath::{self, Cell};
 use dmr_cluster::{ClassConstraint, Cluster};
 use dmr_sim::{SimTime, Span};
 use dmr_slurm::{Job, JobArena, JobId, JobRequest, JobState, SchedIndex, Slurm, SlurmConfig};
@@ -97,17 +100,47 @@ fn bench_backfill(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_churn_round(c: &mut Criterion) {
+/// What tells a headline cell from the base cell of its group.
+fn axis(cell: &Cell) -> &'static str {
+    if cell.hetero {
+        "hetero3"
+    } else if cell.faulty {
+        "faulty"
+    } else {
+        cell.family.label()
+    }
+}
+
+/// The arena/scan pair at 1024 × 4 000, then the headline group of the
+/// cell table. Criterion's line times a whole `run_cell`, filling the
+/// machine and the queue included; the `churn:` line after it is the
+/// fastest sample's churn loop alone — the figure every `events_per_sec`
+/// in git history reports. It is printed and forgotten: the timed
+/// section of a headline cell is 5–10 ms.
+fn bench_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("churn");
-    g.sample_size(3);
-    for (label, mode) in modes() {
-        g.bench_function(format!("n1024_q4000_{label}"), |b| {
-            let cell = hotpath::Cell {
-                reference: mode == SchedIndex::ScanReference,
-                ..hotpath::Cell::base(1024, 4_000)
-            };
-            b.iter(|| black_box(hotpath::run_cell(&cell, 50).events))
+    g.sample_size(5);
+    let pair = modes().map(|(label, mode)| {
+        let reference = mode == SchedIndex::ScanReference;
+        let base = Cell::base(1024, 4_000);
+        (label, Cell { reference, ..base }, 50)
+    });
+    let headline = hotpath::cell_table(true)
+        .pop()
+        .expect("the table ends with the headline group")
+        .into_iter()
+        .map(|cell| (axis(&cell), cell, hotpath::rounds(false)));
+    for (label, cell, rounds) in pair.into_iter().chain(headline) {
+        let name = format!("n{}_q{}_{label}", cell.nodes, cell.depth);
+        let mut fastest = 0.0_f64;
+        g.bench_function(name.as_str(), |b| {
+            b.iter(|| {
+                let run = hotpath::run_cell(&cell, rounds);
+                fastest = fastest.max(run.events_per_sec());
+                run.events
+            })
         });
+        println!("churn: {name:<48} {fastest:>12.0} events/s");
     }
     g.finish();
 }
@@ -202,7 +235,7 @@ criterion_group!(
     bench_allocate,
     bench_pending_order,
     bench_backfill,
-    bench_churn_round,
+    bench_churn,
     bench_job_table
 );
 criterion_main!(benches);

@@ -2,9 +2,10 @@
 //! 1 000 and 16 000 plans, the rebuild a pass opens with from as many
 //! running commitments (and a plan into the result), and the backfill
 //! pass itself at queue depths 1k–100k under EASY-1 (which never builds
-//! the timeline), EASY-8 and conservative. The `repro --bench-json` grid
-//! measures the same families end-to-end; this bench isolates the
-//! per-operation costs of the flat boundary array. A scheduler's
+//! the timeline), EASY-8 and conservative. The `churn` group of the
+//! `hotpath` bench runs the same families through whole churn rounds;
+//! this bench isolates the per-operation costs of the flat boundary
+//! array. A scheduler's
 //! timeline holds tens of boundaries at the start of a pass and about a
 //! thousand inside the widest conservative window, so the first two
 //! sizes are the measured range and the third is one step beyond it —

@@ -7,8 +7,7 @@
 //! repro --trace path.swf [--nodes N] [--check-prefix N]
 //!       [--faults none|rare|harsh|trace:PATH] [--ckpt-interval S]
 //! repro --hist [--jobs N] [--seed S]
-//! repro --gen-swf N [--seed S]
-//! repro --bench-json [--smoke] [--bench-out PATH] [--bench-label L]
+//! repro --gen-swf N [--seed S] [--spacing S]
 //! targets: fig1 table1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
 //!          fig12 table2 all quick
 //! ```
@@ -24,42 +23,44 @@
 //! injects a node-failure load into the replay (a preset, or a scripted
 //! `trace:PATH` incident file of `<t_s> fail|repair <node>` lines) and
 //! `--ckpt-interval S` gives killed jobs periodic images to restart
-//! from instead of requeueing from scratch.
-//! `--hist` prints ASCII histograms of the waiting / execution /
-//! completion distributions. `--gen-swf` writes a synthetic SWF trace to
-//! stdout for long-replay smoke tests. `--bench-json` runs the scheduler
-//! hot-path throughput grid (the production path per backfill family,
-//! machine and fault axis, and the scan reference) and
-//! appends one run to the `BENCH_sched.json` perf-trajectory document,
-//! keeping every prior run byte-identical (default path: repo root /
-//! current directory; `--smoke` shrinks the grid for CI; `--bench-label`
-//! names the run).
+//! from instead of requeueing from scratch. `--hist` prints ASCII
+//! histograms of the waiting / execution / completion distributions.
+//! `--gen-swf` writes a synthetic SWF trace to stdout for long-replay
+//! smoke tests. A `--flag` the selected mode does not read is an error,
+//! like a malformed value: one line on stderr, nothing on stdout, exit 2.
 
 use dmr_bench::figures as f;
-use dmr_bench::{hotpath, scenario, sweep, PRELIM_JOB_COUNTS, PRODUCTION_JOB_COUNTS, SEED};
+use dmr_bench::{scenario, sweep, PRELIM_JOB_COUNTS, PRODUCTION_JOB_COUNTS, SEED};
+
+/// One usage line per mode. The `--words` of a mode's line are the flags
+/// it reads ([`reject_unknown_flags`]); a target reads none.
+const SWEEP_USAGE: &str = "--sweep [--smoke] [--threads N] [--seeds a,b,c]";
+const TRACE_USAGE: &str = "--trace path.swf [--nodes N] [--check-prefix N] \
+                           [--faults none|rare|harsh|trace:PATH] [--ckpt-interval S]";
+const HIST_USAGE: &str = "--hist [--jobs N] [--seed S]";
+const GEN_SWF_USAGE: &str = "--gen-swf N [--seed S] [--spacing S]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--bench-json") {
-        run_bench_json(&args);
-        return;
-    }
     if args.iter().any(|a| a == "--sweep") {
+        reject_unknown_flags(&args, SWEEP_USAGE);
         run_sweep(&args);
         return;
     }
     if let Some(path) = flag_value(&args, "--trace") {
-        let path = path.to_string();
-        run_trace(&path, &args);
+        reject_unknown_flags(&args, TRACE_USAGE);
+        run_trace(path, &args);
         return;
     }
     if args.iter().any(|a| a == "--hist") {
+        reject_unknown_flags(&args, HIST_USAGE);
         let jobs = parsed_flag(&args, "--jobs").unwrap_or(50);
         let seed = parsed_flag(&args, "--seed").unwrap_or(SEED);
         println!("{}", f::hist_report(jobs, seed));
         return;
     }
     if let Some(n) = flag_value(&args, "--gen-swf") {
+        reject_unknown_flags(&args, GEN_SWF_USAGE);
         let jobs: u32 = match n.parse() {
             Ok(n) if n > 0 => n,
             _ => {
@@ -71,6 +72,7 @@ fn main() {
         gen_swf(jobs, seed, positive_seconds(&args, "--spacing"));
         return;
     }
+    reject_unknown_flags(&args, "<target> [seed]");
     let target = args.first().map(String::as_str).unwrap_or("quick");
     let seed: u64 = match args.get(1) {
         None => SEED,
@@ -80,6 +82,19 @@ fn main() {
         }),
     };
     run(target, seed);
+}
+
+/// Exits 2 on the first `--flag` (or `--flag=value`) the selected mode's
+/// usage line does not name: each mode looks up the flags it knows, so a
+/// misspelt one would otherwise run with that setting silently absent.
+fn reject_unknown_flags(args: &[String], usage: &str) {
+    for arg in args {
+        let name = arg.split_once('=').map_or(arg.as_str(), |(name, _)| name);
+        if name.starts_with("--") && !usage.split([' ', '[', ']']).any(|word| word == name) {
+            eprintln!("unknown flag `{name}`; usage: repro {usage}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Parses `--flag v` into any `FromStr` type, exiting on malformed input.
@@ -158,215 +173,6 @@ fn fault_flags(args: &[String], nodes: u32) -> (dmr_core::FaultLoad, Option<dmr_
                 }
             }
         }
-    }
-}
-
-/// Runs the scheduler hot-path grid and **appends** a run to the
-/// `BENCH_sched.json` trajectory (prior runs stay byte-identical; a
-/// legacy v1 snapshot is migrated verbatim as run 0). Exits non-zero if
-/// the spliced document fails its schema gate or any acceptance bar
-/// regresses: conservative backfill against its own last committed full
-/// run, the headline cell against the `pr7-slotset-backfill` run, or the
-/// within-run hetero3/uniform and faulty/calm ratios.
-fn run_bench_json(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let path = flag_value(args, "--bench-out").unwrap_or("BENCH_sched.json");
-    let existing = std::fs::read_to_string(path).ok();
-    let label = match flag_value(args, "--bench-label") {
-        Some(l) => l.to_string(),
-        None => {
-            let prior = existing.as_deref().map_or(0, hotpath::run_count);
-            format!("run{}-{}", prior, if smoke { "smoke" } else { "full" })
-        }
-    };
-    let mut run = hotpath::bench_run(smoke, &label, |cell| {
-        eprintln!(
-            "bench: n{:<5} q{:<6} {:<16} {:>12.0} events/s  ({:.0} jobs/s, peak queue {}, \
-             passes {} run / {} elided)",
-            cell.cell.nodes,
-            cell.cell.depth,
-            format!(
-                "{}/{}{}{}",
-                cell.cell.mode(),
-                cell.cell.family.label(),
-                if cell.cell.hetero { "/hetero3" } else { "" },
-                if cell.cell.faulty { "/faulty" } else { "" }
-            ),
-            cell.events_per_sec(),
-            cell.jobs_per_sec(),
-            cell.peak_queue_depth,
-            cell.passes_run,
-            cell.passes_elided,
-        );
-    });
-    run = append_pareto_row(run, smoke);
-    let doc = match hotpath::append_run(existing.as_deref(), &run) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("cannot append to the {path} trajectory: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = hotpath::validate_bench_json(&doc) {
-        eprintln!("BENCH_sched.json failed its schema gate: {e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(path, &doc) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "appended run \"{label}\" to {path} ({} runs)",
-        hotpath::run_count(&doc)
-    );
-    // There is no within-run gate on the headline cell: it used to be
-    // held >= 1.1x above a second index-served path kept only as that
-    // denominator, which nobody tuned (it lost 25 % on this cell in one
-    // PR) and which is gone. The pr7 cross-run gate below guards the
-    // same cell.
-    // Deep-backfill gate. Conservative used to be gated against EASY-1
-    // of the same run (>= 0.85x); the indexed EASY pass moved that
-    // denominator fivefold without touching conservative, so the family
-    // is now held against its own events/s on the headline cell in the
-    // last committed full run. Like the pr7 gate below, the two sides
-    // were measured in different sessions: full runs enforce, smoke runs
-    // report.
-    let (nodes, depth) = (65_536, 100_000);
-    let ratio = hotpath::backfill_ratio(&doc).unwrap_or(0.0);
-    eprintln!("backfill axis: conservative runs at {ratio:.2}x the easy1 events/s");
-    let conservative = |doc: &str, label: &str| {
-        hotpath::run_cell_lookup(doc, label, nodes, depth, "arena", "conservative")
-    };
-    let prior = existing.as_deref().and_then(|old| {
-        let label = hotpath::last_full_run(old)?;
-        Some((label, conservative(old, label)?))
-    });
-    match (prior, conservative(&doc, &label)) {
-        (Some((prior_label, base)), Some(fresh)) if base.events_per_sec > 0.0 => {
-            let kept = fresh.events_per_sec / base.events_per_sec;
-            eprintln!(
-                "conservative gate: {:.0} events/s vs {:.0} in {prior_label} ({kept:.2}x)",
-                fresh.events_per_sec, base.events_per_sec
-            );
-            if kept < 0.75 && !smoke {
-                eprintln!("conservative fell to {kept:.2}x of {prior_label}, below the 0.75x bar");
-                std::process::exit(1);
-            }
-        }
-        _ => eprintln!(
-            "conservative gate: no prior full run with a conservative headline cell in {path}; \
-             cross-run comparison skipped"
-        ),
-    }
-    if let Some(rate) = hotpath::elision_rate(&doc) {
-        eprintln!("headline cell: {:.1}% of passes elided", rate * 100.0);
-    }
-    // Cross-run gate: the incremental scheduler must beat the
-    // pre-incremental trajectory run on the headline cell by ≥ 1.3x.
-    // Skipped (with a note) when the trajectory lacks that run — e.g. a
-    // fresh --bench-out document. Unlike the within-run ratios above,
-    // the two sides of this gate were measured in different sessions —
-    // interleaved repeats cannot spread interference across them — so
-    // only full runs (300-round cells) enforce it; smoke runs report the
-    // comparison without failing.
-    let easy1 = |label: &str| hotpath::run_cell_lookup(&doc, label, nodes, depth, "arena", "easy1");
-    let (baseline, fresh) = (easy1("pr7-slotset-backfill"), easy1(&label));
-    match (baseline, fresh) {
-        (Some(base), Some(fresh)) if base.events_per_sec > 0.0 => {
-            let gain = fresh.events_per_sec / base.events_per_sec;
-            eprintln!(
-                "incremental gate: easy1 arena {:.0} events/s vs pr7-slotset-backfill {:.0} \
-                 ({gain:.2}x)",
-                fresh.events_per_sec, base.events_per_sec
-            );
-            if gain < 1.3 && !smoke {
-                eprintln!("easy1 arena gain {gain:.2}x vs pr7-slotset-backfill is below 1.3x");
-                std::process::exit(1);
-            }
-        }
-        _ => eprintln!(
-            "incremental gate: no pr7-slotset-backfill headline cell in {path}; cross-run \
-             comparison skipped"
-        ),
-    }
-    // Machine-axis gate: per-class free sets and timelines must keep the
-    // heterogeneous arena cell within 0.8x of its uniform twin. The bar
-    // was 0.9x while an EASY-1 round cost ~20 us; the indexed pass cut
-    // the uniform round to ~6 us and left the per-class bookkeeping of a
-    // start and a completion (~1.2 us a job) where it was, so the same
-    // absolute cost now reads 0.89-0.92. The two sides run in the same
-    // interleaved best-of-N session, but smoke runs only report — the
-    // 150-round smoke cells are short enough for a single interference
-    // burst to swing the bar.
-    if let Some(hetero) = hotpath::hetero_ratio(&doc) {
-        eprintln!("machine axis: hetero3 arena runs at {hetero:.2}x the uniform events/s");
-        if hetero < 0.8 && !smoke {
-            eprintln!("hetero3/uniform ratio {hetero:.2} is below the 0.8x bar");
-            std::process::exit(1);
-        }
-    }
-    // Fault-axis gate: periodic kill-and-requeue plus repair churn must
-    // keep the faulty arena cell within 0.7x of its calm twin. Same
-    // smoke caveat as the machine axis: short smoke cells only report.
-    if let Some(fault) = hotpath::fault_ratio(&doc) {
-        eprintln!("fault axis: faulty arena runs at {fault:.2}x the calm events/s");
-        if fault < 0.7 && !smoke {
-            eprintln!("faulty/calm ratio {fault:.2} is below the 0.7x bar");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Runs the heterogeneous grid cells (Algorithm 1 vs the energy-aware
-/// policy on the three-class machine, same workload and seed) and
-/// splices an energy-vs-makespan `pareto` row into the rendered run.
-/// The simulated comparison is deterministic, so the dominance gate —
-/// the energy-aware policy must spend strictly less energy than
-/// Algorithm 1 on at least one heterogeneous scenario — holds in smoke
-/// runs too, and failing it exits non-zero before anything is written.
-fn append_pareto_row(run: String, smoke: bool) -> String {
-    let cells = sweep::run_sweep(
-        &scenario::hetero_axis(if smoke { 10 } else { 50 }),
-        &[SEED],
-        2,
-    );
-    let find = |policy: &str| {
-        cells
-            .iter()
-            .find(|c| c.policy.starts_with(policy))
-            .unwrap_or_else(|| panic!("hetero axis lacks the {policy} cell"))
-    };
-    let a1 = find("algorithm1");
-    let ea = find("energy-aware");
-    eprintln!(
-        "pareto: algorithm1 {:.0} J / {:.1} s vs energy-aware {:.0} J / {:.1} s ({})",
-        a1.summary.energy_to_solution_j,
-        a1.summary.makespan_s,
-        ea.summary.energy_to_solution_j,
-        ea.summary.makespan_s,
-        a1.scenario,
-    );
-    if ea.summary.energy_to_solution_j >= a1.summary.energy_to_solution_j {
-        eprintln!(
-            "energy-aware spent {:.0} J, not strictly below algorithm1's {:.0} J",
-            ea.summary.energy_to_solution_j, a1.summary.energy_to_solution_j
-        );
-        std::process::exit(1);
-    }
-    let row = format!(
-        ",\n  \"pareto\": {{\"scenario\": \"{}\", \
-         \"algorithm1_energy_j\": {:.3}, \"algorithm1_makespan_s\": {:.3}, \
-         \"energy_aware_energy_j\": {:.3}, \"energy_aware_makespan_s\": {:.3}, \
-         \"energy_aware_dominates_energy\": true}}",
-        a1.scenario,
-        a1.summary.energy_to_solution_j,
-        a1.summary.makespan_s,
-        ea.summary.energy_to_solution_j,
-        ea.summary.makespan_s,
-    );
-    match run.strip_suffix("\n}") {
-        Some(body) => format!("{body}{row}\n}}"),
-        None => run,
     }
 }
 
@@ -653,14 +459,11 @@ fn run(target: &str, seed: u64) {
             eprintln!("unknown target `{other}`");
             eprintln!(
                 "targets: fig1 table1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 \
-                 fig10 fig11 fig12 table2 all quick\n\
-                 or: --sweep [--smoke] [--threads N] [--seeds a,b,c]\n\
-                 or: --trace path.swf [--nodes N] [--check-prefix N]\n\
-                 \x20            [--faults none|rare|harsh|trace:PATH] [--ckpt-interval S]\n\
-                 or: --hist [--jobs N] [--seed S]\n\
-                 or: --gen-swf N [--seed S]\n\
-                 or: --bench-json [--smoke] [--bench-out PATH] [--bench-label L]"
+                 fig10 fig11 fig12 table2 all quick"
             );
+            for usage in [SWEEP_USAGE, TRACE_USAGE, HIST_USAGE, GEN_SWF_USAGE] {
+                eprintln!("or: {usage}");
+            }
             std::process::exit(2);
         }
     }

@@ -4,13 +4,13 @@
 //! plus the scenario layer: a declarative [`scenario`] registry (workload
 //! mix × cluster size × policy × sync/async mode) and the parallel
 //! [`sweep`] runner that fans `run_experiment` over the (scenario × seed)
-//! grid with deterministic, thread-count-independent CSV output, and the
-//! [`hotpath`] throughput benchmark that pits the indexed scheduler
-//! against the pre-index scan oracle and writes the `BENCH_sched.json`
-//! perf trajectory. The `repro` binary dispatches to all three; the
-//! criterion benches reuse the figure functions at reduced scale. Every figure function both
-//! *returns* structured rows (for tests and EXPERIMENTS.md generation)
-//! and *prints* a paper-style table.
+//! grid with deterministic, thread-count-independent CSV output. The
+//! `repro` binary dispatches to both; the criterion benches reuse the
+//! figure functions at reduced scale, and the [`hotpath`] churn driver
+//! (the scheduler alone, on a machine and a queue no experiment
+//! reaches) is the workload of `benches/hotpath.rs`. Every figure
+//! function both *returns* structured rows (for tests and
+//! EXPERIMENTS.md generation) and *prints* a paper-style table.
 
 pub mod figures;
 pub mod hotpath;

@@ -28,7 +28,7 @@ pub struct SweepCell {
     /// conservative).
     pub backfill: &'static str,
     /// Machine-class composition the cluster was built from (uniform /
-    /// single-class / hetero3).
+    /// hetero3).
     pub machine_mix: &'static str,
     /// Fault load the cell ran under (none / rare / harsh).
     pub faults: &'static str,
@@ -245,10 +245,10 @@ mod tests {
 
     #[test]
     fn energy_aware_dominates_algorithm1_on_energy() {
-        // The Pareto gate `repro --bench-json` enforces: on the
-        // heterogeneous cells the energy-aware policy (idle power-down +
-        // shrink-for-blocked) must spend strictly less energy than
-        // Algorithm 1 on the same workload and seed.
+        // The Pareto gate: on the heterogeneous cells the energy-aware
+        // policy (idle power-down + shrink-for-blocked) must spend
+        // strictly less energy than Algorithm 1 on the same workload and
+        // seed.
         let cells = run_sweep(&crate::scenario::hetero_axis(10), &[crate::SEED], 2);
         let energy = |policy: &str| {
             cells

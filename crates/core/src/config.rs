@@ -12,11 +12,6 @@ pub enum MachineMix {
     /// [`ClassTable::uniform`] path. The compatibility default.
     #[default]
     Uniform,
-    /// One explicit standard class built through the general
-    /// [`ClassTable::new`] path — semantically identical to
-    /// [`MachineMix::Uniform`], kept as the bit-equivalence oracle twin
-    /// proving the heterogeneous plumbing is inert on one class.
-    SingleClass,
     /// Three classes in efficient-first node order: standard (the bulk,
     /// lowest ids — lowest-id-first allocation packs work onto the
     /// cheapest watts), big-memory (one quarter, 5/4 slower, higher base
@@ -30,7 +25,6 @@ impl MachineMix {
     pub fn name(self) -> &'static str {
         match self {
             MachineMix::Uniform => "uniform",
-            MachineMix::SingleClass => "single-class",
             MachineMix::Hetero3 => "hetero3",
         }
     }
@@ -71,7 +65,6 @@ impl MachineMix {
     pub fn table(self, nodes: u32, cores: u32) -> ClassTable {
         match self {
             MachineMix::Uniform => ClassTable::uniform(nodes, cores),
-            MachineMix::SingleClass => ClassTable::new(&[(MachineClass::standard(cores), nodes)]),
             MachineMix::Hetero3 => {
                 let gpu = (nodes / 8).max(1);
                 let big = (nodes / 4).max(1);
@@ -185,12 +178,6 @@ pub struct ExperimentConfig {
     /// bit-for-bit; [`MachineMix::Hetero3`] adds big-memory and GPU
     /// classes with distinct speed factors and power ladders.
     pub machine_mix: MachineMix,
-    /// Whether resize policies consult the first blocked job's backfill
-    /// reservation before expanding a job, refusing grows that would
-    /// steal its hole (default on; `false` restores the
-    /// reservation-blind behaviour and is equivalence-tested).
-    /// [`PolicyKind::Algorithm1`] never consults the guard either way.
-    pub hole_guard: bool,
     /// Wake-up latency of a powered-down (S5) node, seconds: demand that
     /// arrives while nodes are suspended waits this long before the
     /// capacity returns. Only consulted when the policy powers nodes
@@ -234,7 +221,6 @@ impl ExperimentConfig {
             policy: PolicyKind::Algorithm1,
             telemetry: Telemetry::Full,
             machine_mix: MachineMix::Uniform,
-            hole_guard: true,
             wake_latency_s: 30.0,
             sched_index: SchedIndex::Arena,
             faults: FaultLoad::None,
@@ -312,15 +298,6 @@ impl ExperimentConfig {
     /// classes and their power ladders.
     pub fn with_machine_mix(mut self, mix: MachineMix) -> Self {
         self.machine_mix = mix;
-        self
-    }
-
-    /// Disables the backfill-hole expansion guard: resize policies stop
-    /// consulting the timeline before growing, restoring the
-    /// timeline-blind behaviour (equivalence knob; Algorithm 1 is
-    /// unaffected either way).
-    pub fn hole_guard_off(mut self) -> Self {
-        self.hole_guard = false;
         self
     }
 
@@ -420,9 +397,6 @@ mod tests {
         );
         let c = ExperimentConfig::preliminary().with_machine_mix(MachineMix::Hetero3);
         assert_eq!(c.machine_mix, MachineMix::Hetero3);
-        assert!(ExperimentConfig::preliminary().hole_guard);
-        let c = ExperimentConfig::preliminary().hole_guard_off();
-        assert!(!c.hole_guard);
         let c = ExperimentConfig::preliminary().with_wake_latency(5.0);
         assert_eq!(c.wake_latency_s, 5.0);
         assert_eq!(
@@ -441,17 +415,12 @@ mod tests {
 
     #[test]
     fn machine_mix_tables_cover_the_node_count() {
-        for mix in [
-            MachineMix::Uniform,
-            MachineMix::SingleClass,
-            MachineMix::Hetero3,
-        ] {
+        for mix in [MachineMix::Uniform, MachineMix::Hetero3] {
             let t = mix.table(64, 16);
             assert_eq!(t.total_nodes(), 64, "{mix:?}");
             t.check().unwrap();
         }
         assert!(MachineMix::Uniform.table(64, 16).is_uniform());
-        assert!(MachineMix::SingleClass.table(64, 16).is_uniform());
         let h = MachineMix::Hetero3.table(64, 16);
         assert_eq!(h.num_classes(), 3);
         assert!(h.has_gpu_class());

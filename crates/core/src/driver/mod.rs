@@ -447,7 +447,6 @@ impl<'a, 's> Driver<'a, 's> {
         scfg.shrink_boost = cfg.shrink_boost;
         scfg.policy = cfg.policy;
         scfg.sched_index = cfg.sched_index;
-        scfg.hole_guard = cfg.hole_guard;
         // The driver copies each job's accounting into the sink at
         // completion, so the scheduler never needs to keep terminal
         // records — the active set is all that stays resident.

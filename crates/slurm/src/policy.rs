@@ -320,8 +320,8 @@ impl ResizePolicy for UtilizationTarget {
         let util = slurm.allocated_nodes() as f64 / total as f64;
 
         if util < self.low {
-            // [`SlurmConfig::hole_guard`]: a grow must not consume the
-            // planned backfill hole of the first blocked queued job.
+            // A grow must not consume the planned backfill hole of the
+            // first blocked queued job.
             return match env.max_procs_to(current, env.max, free) {
                 Some(t) if !slurm.grow_steals_backfill_hole(job, t, now) => {
                     ResizeAction::Expand { to: t }

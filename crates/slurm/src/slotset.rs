@@ -36,9 +36,10 @@
 //! horizon, so `s ≤ running + 2 bf_max_job_test + 1`. Measured at the
 //! start of a conservative pass the aggregate timeline holds 44
 //! boundaries on average on the benchmark's `trace_mixed`; on the
-//! largest cell of `repro --bench-json` (65 536 nodes × 100 k pending)
-//! 32, growing to 531 over the 512-plan window (bound ≈ 1 050; a hole
-//! starts on an existing boundary, so a plan adds one). There a
+//! largest churn cell of `dmr-bench`'s `benches/hotpath.rs` (65 536
+//! nodes × 100 k pending) 32, growing to 531 over the 512-plan window
+//! (bound ≈ 1 050; a hole starts on an existing boundary, so a plan
+//! adds one). There a
 //! contiguous scan beats the treap (lazy range-add, min / max
 //! aggregates) this module used to keep: `benches/slotset.rs` reads a
 //! `plan` into a 1 000-plan timeline at 0.08 µs, where the treap took

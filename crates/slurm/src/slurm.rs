@@ -80,15 +80,6 @@ pub struct SlurmConfig {
     pub retain_completed: bool,
     /// Production path or scan reference (see [`SchedIndex`]).
     pub sched_index: SchedIndex,
-    /// Let grow-happy policies ([`PolicyKind::UtilizationTarget`],
-    /// [`PolicyKind::EnergyAware`]) consult the first blocked job's
-    /// backfill reservation before expanding
-    /// ([`Slurm::grow_steals_backfill_hole`]) and refuse grows that
-    /// would steal its hole.
-    /// Default on; `false` restores the reservation-blind behaviour
-    /// (equivalence-tested — `Algorithm1` never consults the guard
-    /// either way).
-    pub hole_guard: bool,
 }
 
 impl SlurmConfig {
@@ -104,7 +95,6 @@ impl SlurmConfig {
             policy: PolicyKind::Algorithm1,
             retain_completed: true,
             sched_index: SchedIndex::Arena,
-            hole_guard: true,
         }
     }
 }
@@ -1678,9 +1668,10 @@ impl Slurm {
 
     /// Whether growing running job `id` to `to` nodes would steal the
     /// backfill hole of the first blocked pending job. Grow-happy
-    /// policies consult this before returning an expand verdict when
-    /// [`SlurmConfig::hole_guard`] is on (default); off restores the
-    /// reservation-blind behaviour.
+    /// policies ([`PolicyKind::UtilizationTarget`],
+    /// [`PolicyKind::EnergyAware`]) consult this before returning an
+    /// expand verdict; with [`SlurmConfig::backfill`] off there is no
+    /// hole to steal.
     ///
     /// The check recomputes the blocked head's reservation — a pass
     /// keeps none behind — so the verdict is the same on the production
@@ -1689,7 +1680,7 @@ impl Slurm {
     /// reservation's spare count while the grown job is still expected
     /// to run at the shadow time.
     pub fn grow_steals_backfill_hole(&self, id: JobId, to: u32, now: SimTime) -> bool {
-        if !self.config.hole_guard || !self.config.backfill {
+        if !self.config.backfill {
             return false;
         }
         let current = self.nodes_of(id);

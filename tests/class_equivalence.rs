@@ -1,98 +1,19 @@
-//! Heterogeneous-machine equivalence suite.
+//! Machine-class and power-state suite for the cluster layer.
 //!
-//! PR "machine classes + energy model" refactored the uniform-node
-//! assumption out of every layer: the cluster grew a [`ClassTable`] with
-//! per-class free sets and a power meter, the scheduler grew per-class
-//! slot-set timelines and class-constrained passes, and the driver grew
-//! class-aware placement, speed scaling and power management. The
-//! uniform single-class configuration is the equivalence oracle: a
-//! cluster built through [`MachineMix::SingleClass`] (the general
-//! multi-class construction path with exactly one standard class) must
-//! reproduce the legacy [`MachineMix::Uniform`] results **bit-for-bit**
-//! — raw f64 bits of every summary field, per-job outcomes, and the
-//! exact bytes of the sweep CSV row — across the whole workload × policy
-//! × mode × backfill matrix.
-//!
-//! The suite also pins the two behavior knobs the PR added:
-//! [`ExperimentConfig::hole_guard`] must be invisible to Algorithm 1
-//! (which never consults the timeline before growing), and the per-class
-//! free-set allocator must agree with a brute-force model under
-//! randomized allocate/release/power sequences that cross class
-//! boundaries.
+//! The cluster keeps a [`ClassTable`] with one free set per machine
+//! class and the per-class busy / powered-off tallies the power meter
+//! integrates. This suite holds that bookkeeping against ground truth:
+//! the per-class free-set allocator must agree with a brute-force model
+//! (exact node ids, every per-class free count) under randomized
+//! allocate / release / power sequences that cross class boundaries;
+//! [`ClassConstraint::Any`] on a uniform cluster must pick exactly the
+//! nodes the unconstrained entry point picks; powered-down nodes are
+//! never free and never owned, and come back when woken; and the
+//! busy / off tallies follow every state change, administrative
+//! overrides included.
 
-mod common;
-
-use common::{assert_bit_identical, csv_row};
 use dmr::cluster::{ClassConstraint, ClassTable, Cluster, MachineClass, NodeState};
-use dmr::core::{run_experiment_streaming, ExperimentResult, MachineMix, PolicyKind};
-use dmr_bench::scenario::smoke_registry;
 use proptest::prelude::*;
-
-/// [`assert_bit_identical`] as a hard failure naming the scenario.
-fn must_match(a: &ExperimentResult, b: &ExperimentResult, scenario: &str) {
-    assert_bit_identical(a, b).unwrap_or_else(|e| panic!("{scenario}: {e}"));
-}
-
-/// Every uniform cell of the CI grid — all workload families × all four
-/// policies × both modes × every backfill selection — is bit-identical
-/// when the cluster is built through the general multi-class path with
-/// one class.
-#[test]
-fn single_class_matches_uniform_bit_for_bit_across_the_grid() {
-    for sc in smoke_registry() {
-        if sc.mix != MachineMix::Uniform {
-            continue;
-        }
-        let cfg_uniform = sc.config();
-        let cfg_single = cfg_uniform.with_machine_mix(MachineMix::SingleClass);
-        let uniform = run_experiment_streaming(&cfg_uniform, sc.source(dmr_bench::SEED).as_mut());
-        let single = run_experiment_streaming(&cfg_single, sc.source(dmr_bench::SEED).as_mut());
-        must_match(&uniform, &single, &sc.name());
-        // One set of labels for both rows: only the numbers may differ.
-        let row = |r| csv_row(sc.workload.name(), &cfg_uniform, dmr_bench::SEED, r);
-        assert_eq!(
-            row(&uniform),
-            row(&single),
-            "{}: CSV bytes diverged",
-            sc.name()
-        );
-    }
-}
-
-/// Full (buffered) telemetry pins the complete per-job outcome lists on
-/// a representative slice of the matrix.
-#[test]
-fn single_class_matches_uniform_outcomes_under_full_telemetry() {
-    for sc in smoke_registry().iter().step_by(17) {
-        if sc.mix != MachineMix::Uniform {
-            continue;
-        }
-        let mut cfg_uniform = sc.config();
-        cfg_uniform.telemetry = dmr::core::Telemetry::Full;
-        let cfg_single = cfg_uniform.with_machine_mix(MachineMix::SingleClass);
-        let uniform = run_experiment_streaming(&cfg_uniform, sc.source(dmr_bench::SEED).as_mut());
-        let single = run_experiment_streaming(&cfg_single, sc.source(dmr_bench::SEED).as_mut());
-        assert!(!uniform.outcomes.is_empty(), "{}", sc.name());
-        must_match(&uniform, &single, &sc.name());
-    }
-}
-
-/// Algorithm 1 never consults the backfill timeline before growing, so
-/// the hole guard must be invisible to it — on every machine mix.
-#[test]
-fn hole_guard_flag_is_invisible_to_algorithm1() {
-    for sc in smoke_registry() {
-        if sc.policy != PolicyKind::Algorithm1 {
-            continue;
-        }
-        let cfg_on = sc.config();
-        let cfg_off = cfg_on.hole_guard_off();
-        assert!(cfg_on.hole_guard && !cfg_off.hole_guard);
-        let on = run_experiment_streaming(&cfg_on, sc.source(dmr_bench::SEED).as_mut());
-        let off = run_experiment_streaming(&cfg_off, sc.source(dmr_bench::SEED).as_mut());
-        must_match(&on, &off, &sc.name());
-    }
-}
 
 /// A brute-force model of the per-class allocator: each node carries its
 /// class, owner and power state; every query is answered by a full scan.
