@@ -151,7 +151,7 @@ fn record(id: JobId, seq: u64) -> Job {
         id,
         seq,
         detached_nodes: 0,
-        name: String::new(),
+        name: "".into(),
         state: JobState::Pending,
         requested_nodes: 1 + (seq as u32 % 32),
         time_limit: None,

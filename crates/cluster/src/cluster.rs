@@ -11,11 +11,21 @@
 //! the ranges are contiguous and ascending, taking the lowest ids class by
 //! class *is* the global lowest-id-first selection — the single-class layout
 //! is bit-identical to the historical uniform cluster.
+//!
+//! **Who owns a node list.** The cluster does, one per owner, in its owner
+//! table (see the `owners` module), and it is the only copy: a grant is
+//! written straight into it, a shrink truncates it, a transfer hands it
+//! over, a release drops it. The calls that move nodes — [`Cluster::allocate_in`],
+//! [`Cluster::release_all`], [`Cluster::release_tail`],
+//! [`Cluster::transfer_all`] — answer with *how many* moved, which is all
+//! a scheduler needs on every start, resize and completion;
+//! [`Cluster::nodes_of`] is the one way to see the ids, borrowed. So the
+//! steady state allocates one list per job and nothing per call.
 
 use crate::classes::{ClassConstraint, ClassId, ClassTable};
 use crate::freeset::FreeSet;
 use crate::node::{NodeId, NodeState};
-use crate::owners::OwnerTable;
+use crate::owners::{merge_appended, OwnerTable};
 
 /// Errors from allocation requests.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -76,6 +86,10 @@ pub struct Cluster {
     /// Owner -> sorted list of held nodes, found by the tag's low 32 bits
     /// (see [`OwnerTable`]).
     held: OwnerTable,
+    /// Where [`Cluster::release_tail`] sets the released ids down between
+    /// truncating the owner's list and returning them to the pools; kept
+    /// for its buffer only.
+    released: Vec<NodeId>,
     /// Every class runs at the neutral `1/1` speed factor (fixed by the
     /// class table): [`Cluster::worst_slowdown`] needs no owner lookup.
     neutral_speed: bool,
@@ -126,6 +140,7 @@ impl Cluster {
             states: vec![NodeState::Up; nodes as usize],
             owner: vec![None; nodes as usize],
             held: OwnerTable::default(),
+            released: Vec::new(),
             neutral_speed,
             free,
             free_count: nodes,
@@ -232,23 +247,23 @@ impl Cluster {
         self.nodes_of(owner).len() as u32
     }
 
-    /// Per-class counts of the nodes held by `owner` (all zeros when the
-    /// owner holds nothing). O(classes × log held): class ranges are
+    /// Writes into `counts` (cleared first, one entry per class) how the
+    /// nodes held by `owner` split over the classes — all zeros when the
+    /// owner holds nothing. O(classes × log held): class ranges are
     /// contiguous and held lists sorted ascending, so each class's share
     /// is a partition-point probe, not a per-node walk — this runs on
-    /// every start and resize of every job on a heterogeneous cluster.
-    pub fn held_class_counts(&self, owner: u64) -> Vec<u32> {
-        let mut counts = vec![0u32; self.table.num_classes()];
-        if let Some(held) = self.held.get(owner) {
-            let mut lo = 0;
-            for (c, count) in counts.iter_mut().enumerate() {
-                let (_, end) = self.table.range(c);
-                let hi = lo + held[lo..].partition_point(|n| n.0 < end);
-                *count = (hi - lo) as u32;
-                lo = hi;
-            }
+    /// every start and resize of every job on a heterogeneous cluster,
+    /// which is why the caller brings the buffer it keeps anyway.
+    pub fn held_class_counts(&self, owner: u64, counts: &mut Vec<u32>) {
+        counts.clear();
+        let held = self.nodes_of(owner);
+        let mut lo = 0;
+        for c in 0..self.table.num_classes() {
+            let (_, end) = self.table.range(c);
+            let hi = lo + held[lo..].partition_point(|n| n.0 < end);
+            counts.push((hi - lo) as u32);
+            lo = hi;
         }
-        counts
     }
 
     /// Whether `n` nodes could be allocated right now (any class).
@@ -268,21 +283,26 @@ impl Cluster {
     }
 
     /// Allocates `n` nodes to `owner` using lowest-id-first (linear)
-    /// selection. An owner may hold several grants; they accumulate.
-    pub fn allocate(&mut self, n: u32, owner: u64) -> Result<Vec<NodeId>, AllocError> {
+    /// selection and returns how many were granted (`n`). An owner may
+    /// hold several grants; they accumulate.
+    pub fn allocate(&mut self, n: u32, owner: u64) -> Result<u32, AllocError> {
         self.allocate_in(n, owner, ClassConstraint::Any)
     }
 
     /// Allocates `n` nodes to `owner` from the classes eligible under
-    /// `constraint`, lowest-id-first within the eligible ranges. With
-    /// [`ClassConstraint::Any`] on a single-class table this is exactly
-    /// the historical uniform allocation.
+    /// `constraint`, lowest-id-first within the eligible ranges, and
+    /// returns how many were granted (`n`; the ids are
+    /// [`Cluster::nodes_of`]). With [`ClassConstraint::Any`] on a
+    /// single-class table this is exactly the historical uniform
+    /// allocation. The grant is written straight into the owner's held
+    /// list: a first grant allocates that list, a later one only when it
+    /// outgrows it.
     pub fn allocate_in(
         &mut self,
         n: u32,
         owner: u64,
         constraint: ClassConstraint,
-    ) -> Result<Vec<NodeId>, AllocError> {
+    ) -> Result<u32, AllocError> {
         let eligible_free = self.free_nodes_in(constraint);
         if n > eligible_free {
             return Err(AllocError::Insufficient {
@@ -290,54 +310,54 @@ impl Cluster {
                 free: eligible_free,
             });
         }
-        let granted = if self.scan_selection {
-            // Reference path: the pre-index linear scan, restricted to
-            // the eligible class ranges (which are ascending, so under
-            // `Any` this is the historical whole-inventory scan).
-            let mut granted = Vec::with_capacity(n as usize);
-            let ranges: Vec<(u32, u32)> = self
-                .eligible_classes(constraint)
-                .map(|c| self.table.range(c))
-                .collect();
-            'scan: for (start, end) in ranges {
-                for i in start..end {
-                    if granted.len() == n as usize {
-                        break 'scan;
-                    }
-                    if self.owner[i as usize].is_none()
-                        && self.states[i as usize].accepts_new_work()
-                    {
-                        granted.push(NodeId(i));
-                    }
-                }
-            }
-            for &node in &granted {
-                self.free[self.table.class_of(node.0)].remove(node.0);
-            }
-            granted
-        } else {
-            // Each class's run set holds exactly its placeable ids,
-            // ascending; draining eligible classes in range order is the
-            // same linear selection.
-            let mut granted = Vec::with_capacity(n as usize);
-            let classes: Vec<ClassId> = self.eligible_classes(constraint).collect();
-            for c in classes {
-                let want = n - granted.len() as u32;
-                if want == 0 {
-                    break;
-                }
-                granted.extend(self.free[c].take_lowest(want));
-            }
-            granted
-        };
-        debug_assert_eq!(granted.len(), n as usize);
-        for &node in &granted {
-            self.owner[node.index()] = Some(owner);
-            self.busy_by_class[self.table.class_of(node.0)] += 1;
+        if n == 0 {
+            return Ok(0);
         }
+        let held = self.held.entry(owner);
+        let base = held.len();
+        held.reserve(n as usize);
+        let mut want = n;
+        for c in 0..self.table.num_classes() {
+            if want == 0 {
+                break;
+            }
+            if !constraint.allows(c, self.table.class(c)) {
+                continue;
+            }
+            let took = if self.scan_selection {
+                // Reference path: the pre-index linear scan of the class
+                // range (ranges ascend, so under `Any` this is the
+                // historical whole-inventory scan).
+                let from = held.len();
+                let (start, end) = self.table.range(c);
+                for i in (start..end).map(|i| i as usize) {
+                    if (held.len() - from) as u32 == want {
+                        break;
+                    }
+                    if self.owner[i].is_none() && self.states[i].accepts_new_work() {
+                        held.push(NodeId(i as u32));
+                    }
+                }
+                for node in &held[from..] {
+                    self.free[c].remove(node.0);
+                }
+                (held.len() - from) as u32
+            } else {
+                // Each class's run set holds exactly its placeable ids,
+                // ascending; draining eligible classes in range order is
+                // the same linear selection.
+                self.free[c].take_lowest(want, held)
+            };
+            self.busy_by_class[c] += took;
+            want -= took;
+        }
+        debug_assert_eq!(want, 0);
+        for node in &held[base..] {
+            self.owner[node.index()] = Some(owner);
+        }
+        merge_appended(held, base);
         self.free_count -= n;
-        self.held.append(owner, &granted);
-        Ok(granted)
+        Ok(n)
     }
 
     /// Allocates the exact node set `nodes` to `owner`. Used when the
@@ -357,7 +377,13 @@ impl Cluster {
             self.busy_by_class[c] += 1;
         }
         self.free_count -= nodes.len() as u32;
-        self.held.append(owner, nodes);
+        if !nodes.is_empty() {
+            let held = self.held.entry(owner);
+            let base = held.len();
+            held.extend_from_slice(nodes);
+            held[base..].sort_unstable();
+            merge_appended(held, base);
+        }
         Ok(())
     }
 
@@ -400,8 +426,9 @@ impl Cluster {
         }
     }
 
-    /// Releases every node held by `owner`, returning them.
-    pub fn release_all(&mut self, owner: u64) -> Result<Vec<NodeId>, AllocError> {
+    /// Releases every node held by `owner` and returns how many that
+    /// was.
+    pub fn release_all(&mut self, owner: u64) -> Result<u32, AllocError> {
         let nodes = self
             .held
             .remove(owner)
@@ -410,15 +437,16 @@ impl Cluster {
             self.owner[node.index()] = None;
         }
         self.return_nodes(&nodes);
-        Ok(nodes)
+        Ok(nodes.len() as u32)
     }
 
-    /// Releases the `n` highest-numbered nodes held by `owner` (a shrink).
-    /// Slurm releases from the tail of the job's node list; keeping the
-    /// lowest nodes means rank 0's node survives every shrink — and with
-    /// classes ordered efficient-first, shrinks shed the least-efficient
-    /// classes first.
-    pub fn release_tail(&mut self, owner: u64, n: u32) -> Result<Vec<NodeId>, AllocError> {
+    /// Releases the `n` highest-numbered nodes held by `owner` (a shrink)
+    /// and returns how many that was (`n`). Slurm releases from the tail
+    /// of the job's node list; keeping the lowest nodes means rank 0's
+    /// node survives every shrink — and with classes ordered
+    /// efficient-first, shrinks shed the least-efficient classes first.
+    /// The owner's list is truncated where it lies.
+    pub fn release_tail(&mut self, owner: u64, n: u32) -> Result<u32, AllocError> {
         let held = self
             .held
             .get_mut(owner)
@@ -429,21 +457,27 @@ impl Cluster {
                 release: n,
             });
         }
-        let released: Vec<NodeId> = held.split_off(held.len() - n as usize);
-        if held.is_empty() {
+        let keep = held.len() - n as usize;
+        let mut released = std::mem::take(&mut self.released);
+        released.clear();
+        released.extend_from_slice(&held[keep..]);
+        held.truncate(keep);
+        if keep == 0 {
             self.held.remove(owner);
         }
         for &node in &released {
             self.owner[node.index()] = None;
         }
         self.return_nodes(&released);
-        Ok(released)
+        self.released = released;
+        Ok(n)
     }
 
     /// Transfers every node held by `from` to `to` (step 4 of the expansion
     /// protocol: the resizer job's nodes are reattached to the original
-    /// job).
-    pub fn transfer_all(&mut self, from: u64, to: u64) -> Result<Vec<NodeId>, AllocError> {
+    /// job) and returns how many moved. A recipient that held nothing
+    /// takes the donor's list as it is.
+    pub fn transfer_all(&mut self, from: u64, to: u64) -> Result<u32, AllocError> {
         let nodes = self
             .held
             .remove(from)
@@ -451,8 +485,16 @@ impl Cluster {
         for &node in &nodes {
             self.owner[node.index()] = Some(to);
         }
-        self.held.append(to, &nodes);
-        Ok(nodes)
+        let moved = nodes.len() as u32;
+        let held = self.held.entry(to);
+        if held.is_empty() {
+            *held = nodes;
+        } else {
+            let base = held.len();
+            held.extend_from_slice(&nodes);
+            merge_appended(held, base);
+        }
+        Ok(moved)
     }
 
     /// The worst (largest) execution-time multiplier among the classes
@@ -489,26 +531,27 @@ impl Cluster {
     /// *highest* free ids — with classes laid out efficient-first, those
     /// are the least useful nodes to keep warm. Returns the nodes
     /// actually powered down (ascending). They stop being placeable until
-    /// [`Cluster::wake_all`].
+    /// [`Cluster::wake_all`]. Each class's share moves into its off set
+    /// as maximal consecutive-id runs, not node by node.
     pub fn power_down(&mut self, n: u32) -> Vec<NodeId> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(n.min(self.free_count) as usize);
         let mut want = n;
         for c in (0..self.table.num_classes()).rev() {
             if want == 0 {
                 break;
             }
-            let taken = self.free[c].take_highest(want);
-            want -= taken.len() as u32;
-            for &node in &taken {
-                self.states[node.index()] = NodeState::Off;
-                self.off_sets[c].insert(node.0);
+            let base = out.len();
+            let k = self.free[c].take_highest(want, &mut out);
+            want -= k;
+            for run in out[base..].chunk_by(|a, b| a.0 + 1 == b.0) {
+                let (start, end) = (run[0].0, run[0].0 + run.len() as u32);
+                self.states[start as usize..end as usize].fill(NodeState::Off);
+                self.off_sets[c].insert_run(start, end);
             }
-            let k = taken.len() as u32;
             self.free_count -= k;
             self.unavailable_count += k;
             self.unavailable_by_class[c] += k;
             self.off_by_class[c] += k;
-            out.extend(taken);
         }
         out.sort_unstable();
         out
@@ -516,7 +559,9 @@ impl Cluster {
 
     /// Wakes every powered-down node back to `Up` and placeable,
     /// returning how many woke. The caller models the wake-up latency by
-    /// delaying this call.
+    /// delaying this call. Each off set moves into its class's free set
+    /// run by run: a wake of hundreds of suspended nodes is a handful of
+    /// splices, not a tree descent per node.
     pub fn wake_all(&mut self) -> u32 {
         let mut woke = 0;
         for c in 0..self.table.num_classes() {
@@ -524,10 +569,9 @@ impl Cluster {
             if k == 0 {
                 continue;
             }
-            let nodes = self.off_sets[c].take_lowest(k);
-            for &node in &nodes {
-                self.states[node.index()] = NodeState::Up;
-                self.free[c].insert(node.0);
+            for (start, end) in self.off_sets[c].take_runs() {
+                self.states[start as usize..end as usize].fill(NodeState::Up);
+                self.free[c].insert_run(start, end);
             }
             self.free_count += k;
             self.unavailable_count -= k;
@@ -753,13 +797,24 @@ mod tests {
     use super::*;
     use crate::classes::MachineClass;
 
+    /// Grants `n` nodes to `owner` and reads back the ids it now holds —
+    /// the grant itself for an owner that held nothing.
+    fn grant(c: &mut Cluster, n: u32, owner: u64, constraint: ClassConstraint) -> Vec<NodeId> {
+        assert_eq!(c.allocate_in(n, owner, constraint), Ok(n));
+        c.nodes_of(owner).to_vec()
+    }
+
+    fn ids(range: std::ops::Range<u32>) -> Vec<NodeId> {
+        range.map(NodeId).collect()
+    }
+
     #[test]
     fn linear_allocation_takes_lowest_ids() {
         let mut c = Cluster::new(8, 16);
-        let got = c.allocate(3, 1).unwrap();
-        assert_eq!(got, vec![NodeId(0), NodeId(1), NodeId(2)]);
-        let got = c.allocate(2, 2).unwrap();
-        assert_eq!(got, vec![NodeId(3), NodeId(4)]);
+        assert_eq!(c.allocate(3, 1), Ok(3));
+        assert_eq!(c.nodes_of(1), ids(0..3));
+        assert_eq!(c.allocate(2, 2), Ok(2));
+        assert_eq!(c.nodes_of(2), ids(3..5));
         assert_eq!(c.free_nodes(), 3);
         c.check_invariants().unwrap();
     }
@@ -784,8 +839,8 @@ mod tests {
     fn release_all_returns_everything() {
         let mut c = Cluster::new(6, 16);
         c.allocate(4, 7).unwrap();
-        let freed = c.release_all(7).unwrap();
-        assert_eq!(freed.len(), 4);
+        assert_eq!(c.release_all(7), Ok(4));
+        assert!(c.nodes_of(7).is_empty());
         assert_eq!(c.free_nodes(), 6);
         assert_eq!(c.release_all(7), Err(AllocError::UnknownOwner(7)));
         c.check_invariants().unwrap();
@@ -795,9 +850,18 @@ mod tests {
     fn release_tail_keeps_lowest_nodes() {
         let mut c = Cluster::new(8, 16);
         c.allocate(6, 3).unwrap();
-        let released = c.release_tail(3, 4).unwrap();
-        assert_eq!(released, vec![NodeId(2), NodeId(3), NodeId(4), NodeId(5)]);
+        assert_eq!(c.release_tail(3, 4), Ok(4));
         assert_eq!(c.nodes_of(3), &[NodeId(0), NodeId(1)]);
+        // The four it let go are n2..n5: the next grant is exactly them.
+        assert_eq!(grant(&mut c, 4, 4, ClassConstraint::Any), ids(2..6));
+        c.check_invariants().unwrap();
+        // A second shrink reuses the release buffer; one to nothing
+        // forgets the owner.
+        assert_eq!(c.release_tail(4, 1), Ok(1));
+        assert_eq!(c.nodes_of(4), ids(2..5));
+        assert_eq!(c.release_tail(3, 2), Ok(2));
+        assert_eq!(c.release_tail(3, 1), Err(AllocError::UnknownOwner(3)));
+        assert_eq!(c.free_nodes(), 5);
         c.check_invariants().unwrap();
     }
 
@@ -819,8 +883,8 @@ mod tests {
         let mut c = Cluster::new(10, 16);
         c.allocate(4, 100).unwrap(); // original job
         c.allocate(2, 200).unwrap(); // resizer job
-        let moved = c.transfer_all(200, 100).unwrap();
-        assert_eq!(moved.len(), 2);
+        assert_eq!(c.transfer_all(200, 100), Ok(2));
+        assert_eq!(c.nodes_of(100), ids(0..6));
         assert_eq!(c.held_by(100), 6);
         assert_eq!(c.held_by(200), 0);
         assert_eq!(c.owner_of(NodeId(4)), Some(100));
@@ -832,8 +896,7 @@ mod tests {
         let mut c = Cluster::new(3, 16);
         c.set_state(NodeId(0), NodeState::Drained);
         assert_eq!(c.free_nodes(), 2);
-        let got = c.allocate(2, 1).unwrap();
-        assert_eq!(got, vec![NodeId(1), NodeId(2)]);
+        assert_eq!(grant(&mut c, 2, 1, ClassConstraint::Any), ids(1..3));
         c.set_state(NodeId(0), NodeState::Up);
         assert_eq!(c.free_nodes(), 1);
         c.check_invariants().unwrap();
@@ -866,8 +929,7 @@ mod tests {
         c.release_all(1).unwrap();
         assert_eq!(c.free_nodes(), 3);
         assert_eq!(c.allocated_nodes(), 0);
-        let got = c.allocate(3, 2).unwrap();
-        assert_eq!(got, vec![NodeId(1), NodeId(2), NodeId(3)]);
+        assert_eq!(grant(&mut c, 3, 2, ClassConstraint::Any), ids(1..4));
         c.check_invariants().unwrap();
         // Re-enabling the drained node makes it placeable again.
         c.set_state(NodeId(0), NodeState::Up);
@@ -882,17 +944,22 @@ mod tests {
         let run = |scan: bool| {
             let mut c = Cluster::new(32, 16);
             c.use_scan_selection(scan);
+            let any = ClassConstraint::Any;
             let mut grants = Vec::new();
             for owner in 0..6u64 {
-                grants.push(c.allocate(3 + (owner as u32 % 3), owner).unwrap());
+                grants.push(grant(&mut c, 3 + (owner as u32 % 3), owner, any));
             }
             c.release_all(1).unwrap();
             c.release_all(4).unwrap();
             c.set_state(NodeId(2), NodeState::Drained);
-            grants.push(c.allocate(5, 10).unwrap());
-            grants.push(c.allocate(4, 11).unwrap());
+            grants.push(grant(&mut c, 5, 10, any));
+            grants.push(grant(&mut c, 4, 11, any));
             c.release_tail(10, 2).unwrap();
-            grants.push(c.allocate(3, 12).unwrap());
+            grants.push(c.nodes_of(10).to_vec());
+            grants.push(grant(&mut c, 3, 12, any));
+            // A second grant to an owner whose list sits above the free
+            // ids: both paths must merge it into the same sorted list.
+            grants.push(grant(&mut c, 2, 11, any));
             c.check_invariants().unwrap();
             (grants, c.free_nodes(), c.allocated_nodes())
         };
@@ -927,11 +994,8 @@ mod tests {
         // in the overflow until it lets go of everything.
         let (a, b) = (3u64, (7u64 << 32) | 3);
         let mut c = Cluster::new(12, 16);
-        assert_eq!(c.allocate(2, a).unwrap(), vec![NodeId(0), NodeId(1)]);
-        assert_eq!(
-            c.allocate(3, b).unwrap(),
-            vec![NodeId(2), NodeId(3), NodeId(4)]
-        );
+        assert_eq!(grant(&mut c, 2, a, ClassConstraint::Any), ids(0..2));
+        assert_eq!(grant(&mut c, 3, b, ClassConstraint::Any), ids(2..5));
         assert_eq!((c.held_by(a), c.held_by(b)), (2, 3));
         assert_eq!(c.owner_of(NodeId(2)), Some(b));
         c.check_invariants().unwrap();
@@ -943,25 +1007,33 @@ mod tests {
         c.check_invariants().unwrap();
         // A resizer's nodes reattach across the collision, both ways.
         c.allocate(2, 100).unwrap();
-        assert_eq!(c.transfer_all(100, b).unwrap(), vec![NodeId(7), NodeId(8)]);
+        assert_eq!(c.nodes_of(100), ids(7..9));
+        assert_eq!(c.transfer_all(100, b), Ok(2));
+        assert_eq!(
+            c.nodes_of(b),
+            ids(2..6).into_iter().chain(ids(7..9)).collect::<Vec<_>>()
+        );
         assert_eq!(c.held_by(b), 6);
-        assert_eq!(c.transfer_all(b, a).unwrap().len(), 6);
+        assert_eq!(c.transfer_all(b, a), Ok(6));
+        assert_eq!(c.nodes_of(a), ids(0..9));
         assert_eq!((c.held_by(a), c.held_by(b)), (9, 0));
         assert_eq!(c.transfer_all(b, a), Err(AllocError::UnknownOwner(b)));
         c.check_invariants().unwrap();
         // The direct occupant shrinks to nothing: the slot is vacant, and
         // the next owner addressed to it — either tag — takes it.
         c.allocate(2, b).unwrap();
-        assert_eq!(c.release_tail(a, 9).unwrap().len(), 9);
+        assert_eq!(c.release_tail(a, 9), Ok(9));
         assert_eq!(c.release_tail(a, 1), Err(AllocError::UnknownOwner(a)));
         assert_eq!((c.held_by(a), c.held_by(b)), (0, 2));
         c.check_invariants().unwrap();
         c.allocate(1, a).unwrap();
         assert_eq!((c.held_by(a), c.held_by(b)), (1, 2));
         c.check_invariants().unwrap();
-        assert_eq!(c.release_all(b).unwrap(), vec![NodeId(9), NodeId(10)]);
+        assert_eq!(c.nodes_of(b), ids(9..11));
+        assert_eq!(c.release_all(b), Ok(2));
         assert_eq!(c.release_all(b), Err(AllocError::UnknownOwner(b)));
-        assert_eq!(c.release_all(a).unwrap(), vec![NodeId(0)]);
+        assert_eq!(c.nodes_of(a), ids(0..1));
+        assert_eq!(c.release_all(a), Ok(1));
         assert_eq!(c.free_nodes(), 12);
         c.check_invariants().unwrap();
     }
@@ -990,13 +1062,10 @@ mod tests {
     #[test]
     fn constrained_allocation_respects_class_ranges() {
         let mut c = hetero();
-        let got = c.allocate_in(1, 1, ClassConstraint::GpuRequired).unwrap();
-        assert_eq!(got, vec![NodeId(6)]);
-        let got = c.allocate_in(2, 2, ClassConstraint::Class(1)).unwrap();
-        assert_eq!(got, vec![NodeId(4), NodeId(5)]);
+        assert_eq!(grant(&mut c, 1, 1, ClassConstraint::GpuRequired), ids(6..7));
+        assert_eq!(grant(&mut c, 2, 2, ClassConstraint::Class(1)), ids(4..6));
         // Any still takes the globally lowest ids.
-        let got = c.allocate_in(3, 3, ClassConstraint::Any).unwrap();
-        assert_eq!(got, vec![NodeId(0), NodeId(1), NodeId(2)]);
+        assert_eq!(grant(&mut c, 3, 3, ClassConstraint::Any), ids(0..3));
         // Class 1 is exhausted.
         assert_eq!(
             c.allocate_in(1, 4, ClassConstraint::Class(1)),
@@ -1016,11 +1085,11 @@ mod tests {
             let mut c = hetero();
             c.use_scan_selection(scan);
             let mut grants = Vec::new();
-            grants.push(c.allocate_in(1, 1, ClassConstraint::GpuRequired).unwrap());
-            grants.push(c.allocate_in(3, 2, ClassConstraint::Any).unwrap());
+            grants.push(grant(&mut c, 1, 1, ClassConstraint::GpuRequired));
+            grants.push(grant(&mut c, 3, 2, ClassConstraint::Any));
             c.release_all(2).unwrap();
-            grants.push(c.allocate_in(2, 3, ClassConstraint::Class(1)).unwrap());
-            grants.push(c.allocate_in(4, 4, ClassConstraint::Any).unwrap());
+            grants.push(grant(&mut c, 2, 3, ClassConstraint::Class(1)));
+            grants.push(grant(&mut c, 4, 4, ClassConstraint::Any));
             c.check_invariants().unwrap();
             (grants, c.free_nodes())
         };
@@ -1030,10 +1099,9 @@ mod tests {
     #[test]
     fn any_spans_class_boundaries_lowest_first() {
         let mut c = hetero();
-        let got = c.allocate_in(6, 1, ClassConstraint::Any).unwrap();
         assert_eq!(
-            got,
-            (0..6).map(NodeId).collect::<Vec<_>>(),
+            grant(&mut c, 6, 1, ClassConstraint::Any),
+            ids(0..6),
             "Any selection crosses the class boundary in global id order"
         );
         c.check_invariants().unwrap();
@@ -1074,8 +1142,36 @@ mod tests {
         assert_eq!(c.wake_all(), 3);
         assert_eq!(c.free_nodes(), 6);
         assert_eq!(c.off_nodes(), 0);
-        let got = c.allocate_in(1, 2, ClassConstraint::GpuRequired).unwrap();
-        assert_eq!(got, vec![NodeId(6)]);
+        assert_eq!(grant(&mut c, 1, 2, ClassConstraint::GpuRequired), ids(6..7));
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn power_cycle_of_a_fragmented_pool_moves_the_same_nodes() {
+        // One node per owner, then holes: free are n1 | n3 (standard),
+        // n4 n5 (bigmem), n7 (gpu) — the id run n3..n5 spans two classes
+        // and must land in two off sets.
+        let mut c = hetero();
+        for owner in 0..8 {
+            c.allocate(1, owner).unwrap();
+        }
+        for owner in [1, 3, 4, 5, 7] {
+            c.release_all(owner).unwrap();
+        }
+        let off = c.power_down(4);
+        assert_eq!(off, vec![NodeId(3), NodeId(4), NodeId(5), NodeId(7)]);
+        assert!(off.iter().all(|&n| c.node_state(n) == NodeState::Off));
+        assert_eq!(c.off_by_class(), &[1, 2, 1]);
+        assert_eq!((c.free_nodes(), c.off_nodes()), (1, 4));
+        c.check_invariants().unwrap();
+        assert_eq!(c.wake_all(), 4);
+        assert!(off.iter().all(|&n| c.node_state(n) == NodeState::Up));
+        assert_eq!(c.off_by_class(), &[0, 0, 0]);
+        c.check_invariants().unwrap();
+        assert_eq!(
+            grant(&mut c, 5, 9, ClassConstraint::Any),
+            vec![NodeId(1), NodeId(3), NodeId(4), NodeId(5), NodeId(7)]
+        );
         c.check_invariants().unwrap();
     }
 
@@ -1139,8 +1235,10 @@ mod tests {
         c.release_all(9).unwrap();
         assert_eq!(c.free_nodes(), 3);
         assert_eq!(c.allocated_nodes(), 0);
-        let got = c.allocate(3, 10).unwrap();
-        assert_eq!(got, vec![NodeId(0), NodeId(2), NodeId(3)]);
+        assert_eq!(
+            grant(&mut c, 3, 10, ClassConstraint::Any),
+            vec![NodeId(0), NodeId(2), NodeId(3)]
+        );
         c.check_invariants().unwrap();
         assert!(c.repair_node(NodeId(1)));
         assert_eq!(c.free_nodes(), 1);

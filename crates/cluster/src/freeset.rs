@@ -134,49 +134,61 @@ impl FreeSet {
         true
     }
 
-    /// Removes and returns the `n` lowest ids (fewer if the set runs out),
-    /// ascending. This is the linear-selection hot path: whole runs are
-    /// consumed per step, so the cost is O(runs touched + log r), not
-    /// O(total nodes).
-    pub fn take_lowest(&mut self, n: u32) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(n as usize);
-        while (out.len() as u32) < n {
+    /// Removes the `n` lowest ids (fewer if the set runs out), appending
+    /// them ascending to `out`, and returns how many. This is the
+    /// linear-selection hot path: whole runs are consumed per step, so
+    /// the cost is O(runs touched + log r), not O(total nodes), and the
+    /// ids land in the caller's list — a grant allocates nothing here.
+    pub fn take_lowest(&mut self, n: u32, out: &mut Vec<NodeId>) -> u32 {
+        let mut taken = 0;
+        while taken < n {
             let Some((&start, &end)) = self.runs.iter().next() else {
                 break;
             };
-            let take = (n - out.len() as u32).min(end - start);
+            let take = (n - taken).min(end - start);
             out.extend((start..start + take).map(NodeId));
             self.runs.remove(&start);
             if start + take < end {
                 self.runs.insert(start + take, end);
             }
-            self.len -= take;
+            taken += take;
         }
-        out
+        self.len -= taken;
+        taken
     }
 
-    /// Removes and returns the `n` highest ids (fewer if the set runs
-    /// out), ascending. The mirror of [`FreeSet::take_lowest`], used by
-    /// power-down: with classes ordered efficient-first in ascending id
-    /// ranges, the highest free ids are the least useful nodes to keep
-    /// warm.
-    pub fn take_highest(&mut self, n: u32) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(n as usize);
-        while (out.len() as u32) < n {
+    /// Removes the `n` highest ids (fewer if the set runs out), appending
+    /// them ascending to `out`, and returns how many. The mirror of
+    /// [`FreeSet::take_lowest`], used by power-down: with classes ordered
+    /// efficient-first in ascending id ranges, the highest free ids are
+    /// the least useful nodes to keep warm.
+    pub fn take_highest(&mut self, n: u32, out: &mut Vec<NodeId>) -> u32 {
+        let base = out.len();
+        let mut taken = 0;
+        while taken < n {
             let Some((&start, &end)) = self.runs.iter().next_back() else {
                 break;
             };
-            let take = (n - out.len() as u32).min(end - start);
+            let take = (n - taken).min(end - start);
             out.extend((end - take..end).map(NodeId));
             if end - take > start {
                 *self.runs.get_mut(&start).expect("run exists") = end - take;
             } else {
                 self.runs.remove(&start);
             }
-            self.len -= take;
+            taken += take;
         }
-        out.sort_unstable();
-        out
+        self.len -= taken;
+        out[base..].sort_unstable();
+        taken
+    }
+
+    /// Empties the set, yielding its maximal `[start, end)` runs
+    /// ascending — what [`FreeSet::insert_run`] takes, so a whole set
+    /// moves into another run by run instead of id by id.
+    pub fn take_runs(&mut self) -> impl Iterator<Item = (u32, u32)> {
+        self.len = 0;
+        std::mem::take(&mut self.runs).into_iter()
     }
 
     /// All ids, ascending (invariant checks and tests).
@@ -191,6 +203,24 @@ mod tests {
 
     fn ids(s: &FreeSet) -> Vec<u32> {
         s.iter().map(|n| n.0).collect()
+    }
+
+    /// What `take` appends behind an id already in the caller's list
+    /// (which it must leave alone), checked against the count returned.
+    fn appended(take: impl FnOnce(&mut Vec<NodeId>) -> u32) -> Vec<u32> {
+        let mut out = vec![NodeId(u32::MAX)];
+        let taken = take(&mut out);
+        assert_eq!(out[0], NodeId(u32::MAX), "the caller's ids moved");
+        assert_eq!(taken as usize, out.len() - 1);
+        out[1..].iter().map(|n| n.0).collect()
+    }
+
+    fn lowest(s: &mut FreeSet, n: u32) -> Vec<u32> {
+        appended(|out| s.take_lowest(n, out))
+    }
+
+    fn highest(s: &mut FreeSet, n: u32) -> Vec<u32> {
+        appended(|out| s.take_highest(n, out))
     }
 
     #[test]
@@ -283,20 +313,17 @@ mod tests {
             s.remove(id);
         }
         // Free: 1 2 | 5 6 7 | 9
-        let got: Vec<u32> = s.take_lowest(4).into_iter().map(|n| n.0).collect();
-        assert_eq!(got, vec![1, 2, 5, 6]);
+        assert_eq!(lowest(&mut s, 4), vec![1, 2, 5, 6]);
         assert_eq!(ids(&s), vec![7, 9]);
         // Taking more than remains returns what exists.
-        let got: Vec<u32> = s.take_lowest(5).into_iter().map(|n| n.0).collect();
-        assert_eq!(got, vec![7, 9]);
+        assert_eq!(lowest(&mut s, 5), vec![7, 9]);
         assert!(s.is_empty());
     }
 
     #[test]
     fn take_lowest_partial_run_keeps_tail() {
         let mut s = FreeSet::full(8);
-        let got: Vec<u32> = s.take_lowest(3).into_iter().map(|n| n.0).collect();
-        assert_eq!(got, vec![0, 1, 2]);
+        assert_eq!(lowest(&mut s, 3), vec![0, 1, 2]);
         assert_eq!(s.run_count(), 1);
         assert_eq!(ids(&s), vec![3, 4, 5, 6, 7]);
     }
@@ -308,22 +335,38 @@ mod tests {
             s.remove(id);
         }
         // Free: 1 2 | 5 6 7 | 9
-        let got: Vec<u32> = s.take_highest(3).into_iter().map(|n| n.0).collect();
-        assert_eq!(got, vec![6, 7, 9]);
+        assert_eq!(highest(&mut s, 3), vec![6, 7, 9]);
         assert_eq!(ids(&s), vec![1, 2, 5]);
         // Taking more than remains returns what exists.
-        let got: Vec<u32> = s.take_highest(5).into_iter().map(|n| n.0).collect();
-        assert_eq!(got, vec![1, 2, 5]);
+        assert_eq!(highest(&mut s, 5), vec![1, 2, 5]);
         assert!(s.is_empty());
     }
 
     #[test]
     fn take_highest_partial_run_keeps_head() {
         let mut s = FreeSet::full(8);
-        let got: Vec<u32> = s.take_highest(3).into_iter().map(|n| n.0).collect();
-        assert_eq!(got, vec![5, 6, 7]);
+        assert_eq!(highest(&mut s, 3), vec![5, 6, 7]);
         assert_eq!(s.run_count(), 1);
         assert_eq!(ids(&s), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn take_runs_empties_the_set_run_by_run() {
+        let mut s = FreeSet::full(10);
+        for id in [0, 3, 4, 8] {
+            s.remove(id);
+        }
+        let mut other = FreeSet::new();
+        other.insert(0);
+        let runs: Vec<(u32, u32)> = s.take_runs().collect();
+        assert_eq!(runs, vec![(1, 3), (5, 8), (9, 10)]);
+        assert!(s.is_empty());
+        assert_eq!(s.run_count(), 0);
+        for (start, end) in runs {
+            other.insert_run(start, end);
+        }
+        assert_eq!(ids(&other), vec![0, 1, 2, 5, 6, 7, 9]);
+        assert_eq!(other.run_count(), 3, "0 merged with the run 1..3");
     }
 
     #[test]
@@ -333,7 +376,8 @@ mod tests {
         let mut s = FreeSet::full(65_536);
         assert_eq!(s.len(), 65_536);
         assert_eq!(s.run_count(), 1);
-        let got = s.take_lowest(65_536);
+        let mut got = Vec::new();
+        assert_eq!(s.take_lowest(65_536, &mut got), 65_536);
         assert_eq!(got.len(), 65_536);
         assert!(s.is_empty());
         for id in 0..65_536 {

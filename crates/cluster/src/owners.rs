@@ -10,6 +10,12 @@
 //! there until it releases everything. Each tag lives in exactly one of
 //! the two, and only non-empty lists are stored.
 //!
+//! The table owns every held list, and a list is allocated once: a grant
+//! is written into the list [`OwnerTable::entry`] hands out, a shrink
+//! truncates it where it lies, a transfer moves the donor's list to a
+//! recipient that had none, and a release drops it. Nothing is copied
+//! out; readers borrow ([`OwnerTable::get`]).
+//!
 //! The direct table is as long as the largest low-32-bit value among the
 //! tags it has held, so callers that mint their own tags should keep them
 //! small.
@@ -29,19 +35,14 @@ fn slot_of(tag: u64) -> usize {
     tag as u32 as usize
 }
 
-/// Appends `granted` to the sorted `held` list, skipping the re-sort in
-/// the common case where the appended run is itself ascending and starts
-/// above the current tail (lowest-id-first selection grants ascending
-/// runs, and a job's later grants usually sit above its first ones). The
-/// check is O(grant) against the O(held log held) sort it avoids.
-fn append_sorted(held: &mut Vec<NodeId>, granted: &[NodeId]) {
-    let in_order = granted.windows(2).all(|w| w[0] <= w[1])
-        && match (held.last(), granted.first()) {
-            (Some(&last), Some(&first)) => last < first,
-            _ => true,
-        };
-    held.extend_from_slice(granted);
-    if !in_order {
+/// Restores the order of `held` after ids were appended at `base`: the
+/// part before and the part from `base` are each ascending, and in the
+/// common case the appended part also starts above the old tail
+/// (lowest-id-first selection grants ascending runs, and a job's later
+/// grants usually sit above its first ones), which one compare shows —
+/// against the O(held log held) sort it avoids.
+pub(crate) fn merge_appended(held: &mut [NodeId], base: usize) {
+    if base > 0 && base < held.len() && held[base - 1] > held[base] {
         held.sort_unstable();
     }
 }
@@ -69,24 +70,22 @@ impl OwnerTable {
         }
     }
 
-    /// Adds `granted` to the nodes held by `tag`, keeping the list sorted.
-    pub(crate) fn append(&mut self, tag: u64, granted: &[NodeId]) {
-        if granted.is_empty() {
-            return;
-        }
-        if let Some(held) = self.get_mut(tag) {
-            return append_sorted(held, granted);
-        }
-        // A new owner: its direct slot if vacant, the overflow otherwise.
+    /// The stored list of `tag`, opened empty — in its direct slot if
+    /// vacant, in the overflow otherwise — when it holds none. A caller
+    /// that leaves it empty must [`OwnerTable::remove`] the tag.
+    pub(crate) fn entry(&mut self, tag: u64) -> &mut Vec<NodeId> {
         let idx = slot_of(tag);
         if idx >= self.direct.len() {
             self.direct.resize_with(idx + 1, || None);
         }
+        // An owner already in the overflow stays there until it lets go
+        // of everything, even once its direct slot falls vacant.
+        if self.direct[idx].is_none() && !self.overflow.contains_key(&tag) {
+            self.direct[idx] = Some((tag, Vec::new()));
+        }
         match &mut self.direct[idx] {
-            vacant @ None => *vacant = Some((tag, granted.to_vec())),
-            Some(_) => {
-                self.overflow.insert(tag, granted.to_vec());
-            }
+            Some((t, nodes)) if *t == tag => nodes,
+            _ => self.overflow.entry(tag).or_default(),
         }
     }
 

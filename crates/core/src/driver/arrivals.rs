@@ -6,7 +6,7 @@
 
 use dmr_cluster::ClassConstraint;
 use dmr_sim::{SimTime, Span};
-use dmr_slurm::{JobId, JobRequest, ResizeEnvelope};
+use dmr_slurm::{JobId, JobName, JobRequest, ResizeEnvelope};
 
 use super::events::Ev;
 use super::{Driver, RunState};
@@ -66,7 +66,7 @@ impl Driver<'_, '_> {
                 .remaining_time(submit_procs, 0)
                 .mul_f64(self.cfg.estimate_padding),
         };
-        let name = format!("{}-{}", spec.app.name(), spec.index);
+        let name = JobName::Indexed(spec.app.name(), spec.index.into());
         let req = if self.is_flexible(idx) {
             JobRequest::flexible(
                 name,
@@ -113,8 +113,7 @@ impl Driver<'_, '_> {
                 Some(orig) => self.on_rj_started(st.id, orig, now),
                 None => {
                     let idx = self.spec_of[st.id];
-                    let procs = st.nodes.len() as u32;
-                    let mut rs = RunState::new(idx, &self.jobs[idx], procs, now);
+                    let mut rs = RunState::new(idx, &self.jobs[idx], st.held, now);
                     // A requeued incarnation resumes from its checkpoint
                     // image (zero steps when restarting from scratch) and
                     // closes the failure-to-restart latency window.

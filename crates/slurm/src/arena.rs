@@ -239,7 +239,7 @@ mod tests {
             id,
             seq,
             detached_nodes: 0,
-            name: format!("j{seq}"),
+            name: format!("j{seq}").into(),
             state: JobState::Pending,
             requested_nodes: 1,
             time_limit: None,

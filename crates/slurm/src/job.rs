@@ -146,10 +146,51 @@ impl ResizeEnvelope {
     }
 }
 
+/// A job's name: text a caller already has, or a stem and a number that
+/// [`fmt::Display`] joins as `stem-number` (`fs-17`, `resizer-of-3`).
+/// The scheduler stores names and never reads them, so the simulation
+/// driver, which submits a job per arrival, names each without formatting
+/// a string it would only throw away; whoever wants the text renders it.
+/// A name *is* its text: `Debug` prints that, quoted, whichever way the
+/// name was given.
+#[derive(Clone)]
+pub enum JobName {
+    Text(Box<str>),
+    /// Rendered as `{stem}-{index}`.
+    Indexed(&'static str, u64),
+}
+
+impl From<String> for JobName {
+    fn from(text: String) -> Self {
+        JobName::Text(text.into_boxed_str())
+    }
+}
+
+impl From<&str> for JobName {
+    fn from(text: &str) -> Self {
+        JobName::Text(text.into())
+    }
+}
+
+impl fmt::Debug for JobName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "\"{self}\"")
+    }
+}
+
+impl fmt::Display for JobName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JobName::Text(text) => f.write_str(text),
+            JobName::Indexed(stem, index) => write!(f, "{stem}-{index}"),
+        }
+    }
+}
+
 /// Everything a submission provides (a condensed `sbatch`).
 #[derive(Clone, Debug)]
 pub struct JobRequest {
-    pub name: String,
+    pub name: JobName,
     /// Nodes requested at submission.
     pub nodes: u32,
     /// Hard wall-clock limit; `None` disables enforcement (the paper's
@@ -172,7 +213,7 @@ pub struct JobRequest {
 
 impl JobRequest {
     /// A rigid job with defaults — the common case in mixed workloads.
-    pub fn rigid(name: impl Into<String>, nodes: u32) -> Self {
+    pub fn rigid(name: impl Into<JobName>, nodes: u32) -> Self {
         JobRequest {
             name: name.into(),
             nodes,
@@ -186,7 +227,7 @@ impl JobRequest {
     }
 
     /// A malleable job with the given envelope.
-    pub fn flexible(name: impl Into<String>, nodes: u32, resize: ResizeEnvelope) -> Self {
+    pub fn flexible(name: impl Into<JobName>, nodes: u32, resize: ResizeEnvelope) -> Self {
         JobRequest {
             resize: Some(resize),
             ..JobRequest::rigid(name, nodes)
@@ -219,7 +260,7 @@ pub struct Job {
     /// Cancelling a detached resizer must *not* free its nodes — that is
     /// protocol step 3.
     pub detached_nodes: u32,
-    pub name: String,
+    pub name: JobName,
     pub state: JobState,
     /// Current node request (updated by shrink/expand protocol steps).
     pub requested_nodes: u32,
@@ -364,6 +405,22 @@ mod tests {
         };
         assert_eq!(e.max_procs_to(4, 32, 100), None);
         assert!(e.shrink_chain(8).is_empty());
+    }
+
+    #[test]
+    fn names_render_the_same_from_text_and_from_parts() {
+        let parts = JobRequest::rigid(JobName::Indexed("fs", 17), 4);
+        assert_eq!(parts.name.to_string(), "fs-17");
+        assert_eq!(JobRequest::rigid("fs-17", 4).name.to_string(), "fs-17");
+        let owned = JobRequest::rigid(format!("{}-{}", "fs", 17), 4);
+        assert_eq!(owned.name.to_string(), "fs-17");
+        assert_eq!(format!("{:?}", parts.name), format!("{:?}", owned.name));
+        // A resizer is named after the raw id of the job it expands.
+        let original = JobId::pack(3, 9);
+        assert_eq!(
+            JobName::Indexed("resizer-of", original.0).to_string(),
+            format!("resizer-of-{original}")
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod slotset;
 pub mod slurm;
 
 pub use arena::{JobArena, JobMap};
-pub use job::{Dependency, Job, JobId, JobRequest, JobState, ResizeEnvelope};
+pub use job::{Dependency, Job, JobId, JobName, JobRequest, JobState, ResizeEnvelope};
 pub use policy::{
     Algorithm1, EnergyAware, FairShare, PolicyKind, ResizeAction, ResizePolicy, UtilizationTarget,
 };

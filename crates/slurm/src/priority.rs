@@ -78,7 +78,7 @@ mod tests {
             id: JobId(id),
             seq: id,
             detached_nodes: 0,
-            name: format!("j{id}"),
+            name: format!("j{id}").into(),
             state: JobState::Pending,
             requested_nodes: nodes,
             time_limit: None,

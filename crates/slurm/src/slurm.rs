@@ -11,7 +11,7 @@ use dmr_sim::{SimTime, Span};
 
 use crate::arena::{JobArena, JobMap};
 use crate::index::{NeedBucket, PendingIndex, PendingKey, ResizerIndex, RunningIndex};
-use crate::job::{Dependency, Job, JobId, JobRequest, JobState};
+use crate::job::{Dependency, Job, JobId, JobName, JobRequest, JobState};
 use crate::policy::{PolicyKind, ResizePolicy};
 use crate::priority::MultifactorConfig;
 use crate::slotset::{BackfillFamily, SlotSet};
@@ -100,10 +100,12 @@ impl SlurmConfig {
 }
 
 /// A job the scheduler just started.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobStart {
     pub id: JobId,
-    pub nodes: Vec<NodeId>,
+    /// How many nodes it started on (the ids are
+    /// [`Cluster::nodes_of`] its owner tag).
+    pub held: u32,
     /// `Some(original)` when the started job is a resizer for `original`;
     /// the driver must then complete the expansion with
     /// [`Slurm::finish_expand`].
@@ -201,13 +203,16 @@ pub struct Slurm {
     /// Per-class totals of held nodes across running jobs (multi-class
     /// only) — the per-class analogue of `RunningIndex::total_held`.
     class_held: Vec<u32>,
+    /// The EASY pass state, kept between passes for its buffers (see
+    /// [`EasyPass`]); taken out for the pass in flight.
+    easy: EasyPass,
     /// Cross-pass incremental state (production path only).
     incr: IncrState,
 }
 
 /// Which timelines the pass in flight built (see
 /// [`Slurm::build_timelines`]) and so must show the jobs it starts.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct PassTimelines {
     aggregate: bool,
     per_class: bool,
@@ -239,7 +244,11 @@ struct QueueCache {
     no_resizers: Option<Arc<[JobId]>>,
 }
 
-/// Running state of one EASY backfill pass.
+/// Running state of one EASY backfill pass. [`Slurm`] keeps it between
+/// passes so that `reservations`, `stairs` and `candidates` are filled
+/// into the buffers the last pass left: a pass allocates nothing but the
+/// starts it returns (`started` leaves with the caller).
+#[derive(Default)]
 struct EasyPass {
     /// Reservations the family grants (`k >= 1`).
     k: u32,
@@ -247,21 +256,27 @@ struct EasyPass {
     started: Vec<JobStart>,
     /// `(shadow, spare)` of the blocked jobs holding a reservation.
     reservations: Vec<(SimTime, u32)>,
+    /// The harmless check of the indexed pass, solved for the estimate.
+    stairs: ShadowStairs,
+    /// What the indexed pass still has to look at: `(key, need, whether
+    /// the job stands for the rest of its need bucket)`, smallest key
+    /// first (see [`ShadowStairs::candidates`]).
+    candidates: BinaryHeap<Reverse<(PendingKey, u32, bool)>>,
     /// Refusal records for the elision memo (see [`BfMemo`]).
     watermark: u32,
     fitting_refused: bool,
 }
 
 impl EasyPass {
-    fn new(k: u32, built: PassTimelines) -> Self {
-        EasyPass {
-            k,
-            built,
-            started: Vec::new(),
-            reservations: Vec::new(),
-            watermark: u32::MAX,
-            fitting_refused: false,
-        }
+    /// Readies the state for a pass granting `k` reservations.
+    fn begin(&mut self, k: u32, built: PassTimelines) {
+        debug_assert!(self.started.is_empty(), "the last pass kept its starts");
+        self.k = k;
+        self.built = built;
+        self.reservations.clear();
+        self.candidates.clear();
+        self.watermark = u32::MAX;
+        self.fitting_refused = false;
     }
 }
 
@@ -279,6 +294,7 @@ enum EasyVisit {
 /// the earliest shadow time among the reservations it does not fit
 /// beside, `min { shadow_r : spare_r < n }`. Sorted by spare with a
 /// running minimum of the shadows, that is one binary search per `n`.
+#[derive(Default)]
 struct ShadowStairs {
     /// `(spare, earliest shadow among reservations with at most that
     /// spare)`, ascending by spare.
@@ -287,18 +303,18 @@ struct ShadowStairs {
 }
 
 impl ShadowStairs {
-    fn new(reservations: &[(SimTime, u32)], now: SimTime) -> Self {
-        let mut steps: Vec<(u32, SimTime)> = reservations
-            .iter()
-            .map(|&(shadow, spare)| (spare, shadow))
-            .collect();
-        steps.sort_unstable();
+    /// Solves the check for `reservations` as they stand at `now`.
+    fn rebuild(&mut self, reservations: &[(SimTime, u32)], now: SimTime) {
+        self.now = now;
+        self.steps.clear();
+        let by_spare = reservations.iter().map(|&(shadow, spare)| (spare, shadow));
+        self.steps.extend(by_spare);
+        self.steps.sort_unstable();
         let mut earliest = SimTime(u64::MAX);
-        for step in &mut steps {
+        for step in &mut self.steps {
             earliest = earliest.min(step.1);
             step.1 = earliest;
         }
-        ShadowStairs { steps, now }
     }
 
     /// The longest runtime estimate a job requesting `need` nodes can
@@ -335,9 +351,10 @@ impl ShadowStairs {
 /// elided in O(1). [`SchedIndex::ScanReference`] never records one.
 #[derive(Debug)]
 struct BfMemo {
-    /// Instant of the memoized pass. Refusals are monotone in time (the
-    /// running-jobs occupancy profile only falls as `now` advances), so
-    /// the memo holds at every `now >= at` until a mutation clears it.
+    /// Instant of the memoized pass. Capacity refusals are monotone in
+    /// time (a start needs `free >= requested`, and the free count moves
+    /// only at a mutation), so a memo holding nothing else is good at
+    /// every `now >= at` until a mutation clears it.
     at: SimTime,
     /// Smallest `requested_nodes` among the jobs the pass refused for
     /// lack of free nodes (`u32::MAX` when nothing was). A
@@ -350,9 +367,24 @@ struct BfMemo {
     /// monotone in time — planned occupancy decays as running jobs
     /// overrun their estimates, so a hole can open with no mutation at
     /// all — and they depend on the running set. A memo carrying one is
-    /// only reused at the exact memoized instant and dies at any
-    /// capacity-increasing event.
+    /// only reused at the exact memoized instant (unless `easy1` below)
+    /// and dies at any capacity-increasing event.
     fitting_refused: bool,
+    /// The pass was an indexed EASY-1 pass, whose fitting refusals *are*
+    /// monotone in time. Its one reservation never comes from a timeline:
+    /// it is [`Slurm::reservation_for`]'s `(max(E, now), spare)`, with
+    /// `E` and `spare` functions of the running index and the free count
+    /// alone — no mutation, no change. Every fitting job it refused has
+    /// `need > spare` (else it had started), which stays true, and an
+    /// estimate `d` with `now + d > max(E, now)`; since `max(E, now') −
+    /// now' <= max(E, now) − now` for `now' >= now`, `now' + d >
+    /// max(E, now')` too. So each refusal repeats at every later instant
+    /// until a mutation the invalidation wiring catches — a capacity
+    /// event still drops the memo, as for any fitting refusal — and the
+    /// memo is good at every `now >= at`. Not so for EASY-k >= 2, the
+    /// conservative pass or a class-constrained reservation, which ask a
+    /// timeline for holes.
+    easy1: bool,
     /// Config snapshot: the memo holds only while the pass would run the
     /// same algorithm with the same knobs.
     family: BackfillFamily,
@@ -425,6 +457,7 @@ impl Slurm {
             class_timelines: RefCell::new(vec![SlotSet::new(SimTime::ZERO); per_class]),
             class_counts: JobMap::default(),
             class_held: vec![0; per_class],
+            easy: EasyPass::default(),
             incr: IncrState::default(),
         }
     }
@@ -713,12 +746,18 @@ impl Slurm {
         if !self.multi_class() {
             return;
         }
-        self.drop_class_split(id);
-        let counts = self.cluster.held_class_counts(id.owner_tag());
-        for (held, &n) in self.class_held.iter_mut().zip(&counts) {
+        if self.class_counts.get(id).is_none() {
+            self.class_counts.insert(id, Vec::new());
+        }
+        // Recounted into the job's own slot: a resize allocates nothing.
+        let counts = self.class_counts.get_mut(id).expect("mapped above");
+        for (held, &n) in self.class_held.iter_mut().zip(counts.iter()) {
+            *held -= n;
+        }
+        self.cluster.held_class_counts(id.owner_tag(), counts);
+        for (held, &n) in self.class_held.iter_mut().zip(counts.iter()) {
             *held += n;
         }
-        self.class_counts.insert(id, counts);
     }
 
     /// Forgets the class split of a job that stopped running (tolerates
@@ -1108,7 +1147,7 @@ impl Slurm {
     fn start_job(&mut self, id: JobId, now: SimTime) -> JobStart {
         let need = self.jobs[id].requested_nodes;
         let constraint = self.jobs[id].constraint;
-        let nodes = self
+        let held = self
             .cluster
             .allocate_in(need, id.owner_tag(), constraint)
             .expect("caller verified free nodes");
@@ -1118,7 +1157,6 @@ impl Slurm {
         job.start_time = Some(now);
         let end = now + job.expected_runtime;
         let resizer_for = job.dependency.map(|Dependency::ExpandOf(parent)| parent);
-        let held = nodes.len() as u32;
         self.running_index.insert(id, end, held);
         self.record_class_split(id);
         // A start changes the free count, the running set and (for
@@ -1129,7 +1167,7 @@ impl Slurm {
         self.incr.reaped_at = None;
         JobStart {
             id,
-            nodes,
+            held,
             resizer_for,
         }
     }
@@ -1296,15 +1334,17 @@ impl Slurm {
     ///   expected runtime fits under every plan.
     ///
     /// On the production path a pass whose memo is still valid — same
-    /// family and knobs, a later-or-equal instant (refusals are monotone
-    /// in time), no invalidating mutation since, and a provably no-op
+    /// family and knobs, a later-or-equal instant (the *same* instant if
+    /// the pass refused a fitting job on a timeline's say-so; an indexed
+    /// EASY-1 pass asks no timeline, so its refusals repeat at any later
+    /// one), no invalidating mutation since, and a provably no-op
     /// reap — is elided in O(1): it would start nothing and leave no
     /// observable state, bit-for-bit like running it.
     pub fn backfill_pass(&mut self, now: SimTime) -> Vec<JobStart> {
         if self.index_is_exact()
             && !self.resizer_index.has_dead_candidates()
             && self.incr.bf_memo.as_ref().is_some_and(|m| {
-                (if m.fitting_refused {
+                (if m.fitting_refused && !m.easy1 {
                     m.at == now
                 } else {
                     m.at <= now
@@ -1351,18 +1391,23 @@ impl Slurm {
         let indexed = self.index_is_exact()
             && self.pending_index.pending_resizers() == 0
             && self.pending_index.constrained() == 0;
-        let pass = self.easy_pass(now, k, indexed);
+        let mut pass = self.easy_pass(now, k, indexed);
         if pass.started.is_empty() {
-            self.bf_memoize(now, pass.watermark, pass.fitting_refused);
+            let easy1 = indexed && k == 1;
+            self.bf_memoize(now, pass.watermark, pass.fitting_refused, easy1);
         }
-        pass.started
+        let started = std::mem::take(&mut pass.started);
+        self.easy = pass;
+        started
     }
 
     /// One EASY pass with the chosen body behind the shared prologue
-    /// (reap, then the timelines the pass will query built at `now`).
+    /// (reap, then the timelines the pass will query built at `now`),
+    /// run in the state [`Slurm`] keeps — the caller puts it back.
     fn easy_pass(&mut self, now: SimTime, k: u32, indexed: bool) -> EasyPass {
         self.reap_dead_resizers(now);
-        let mut pass = EasyPass::new(k, self.build_timelines(now, k >= 2));
+        let mut pass = std::mem::take(&mut self.easy);
+        pass.begin(k, self.build_timelines(now, k >= 2));
         if indexed {
             self.easy_indexed(now, &mut pass);
         } else {
@@ -1487,10 +1532,10 @@ impl Slurm {
             return;
         };
         let free = self.cluster.free_nodes();
-        let mut candidates = BinaryHeap::new();
-        let mut stairs = ShadowStairs::new(&pass.reservations, now);
+        pass.stairs.rebuild(&pass.reservations, now);
         for (need, bucket) in self.pending_index.needs_upto(free) {
-            candidates.extend(stairs.candidates(need, bucket, cursor, &self.jobs));
+            let found = pass.stairs.candidates(need, bucket, cursor, &self.jobs);
+            pass.candidates.extend(found);
         }
         // Nothing queued requests fewer nodes than this for the rest of
         // the pass (nothing is submitted during one).
@@ -1499,7 +1544,7 @@ impl Slurm {
             .needs_upto(free)
             .next()
             .map(|(need, _)| need);
-        while let Some(Reverse((key, need, bucket_head))) = candidates.pop() {
+        while let Some(Reverse((key, need, bucket_head))) = pass.candidates.pop() {
             // A start took the nodes this candidate needed: the walk
             // would record a capacity refusal, which only a fruitless
             // pass keeps — and in a fruitless pass nothing took any.
@@ -1512,7 +1557,7 @@ impl Slurm {
                 if smallest.is_some_and(|need| need > free) {
                     break;
                 }
-                stairs = ShadowStairs::new(&pass.reservations, now);
+                pass.stairs.rebuild(&pass.reservations, now);
             }
             // The bucket's first job is dealt with: the next one takes
             // its place — or, if a start has meanwhile consumed the spare
@@ -1520,7 +1565,8 @@ impl Slurm {
             // jobs behind it do.
             if bucket_head && need <= free {
                 if let Some(bucket) = self.pending_index.need_bucket(need) {
-                    candidates.extend(stairs.candidates(need, bucket, key, &self.jobs));
+                    let found = pass.stairs.candidates(need, bucket, key, &self.jobs);
+                    pass.candidates.extend(found);
                 }
             }
         }
@@ -1633,7 +1679,7 @@ impl Slurm {
             }
         }
         if started.is_empty() {
-            self.bf_memoize(now, watermark, fitting_refused);
+            self.bf_memoize(now, watermark, fitting_refused, false);
         }
         started
     }
@@ -1641,12 +1687,13 @@ impl Slurm {
     /// Records the memo of a fruitless backfill pass (see [`BfMemo`]).
     /// Not called after a pass that started jobs: `start_job` already
     /// cleared any previous memo.
-    fn bf_memoize(&mut self, now: SimTime, watermark: u32, fitting_refused: bool) {
+    fn bf_memoize(&mut self, now: SimTime, watermark: u32, fitting_refused: bool, easy1: bool) {
         if self.index_is_exact() {
             self.incr.bf_memo = Some(BfMemo {
                 at: now,
                 watermark,
                 fitting_refused,
+                easy1,
                 family: self.config.backfill_family,
                 backfill_on: self.config.backfill,
                 window: self.config.bf_max_job_test,
@@ -1952,7 +1999,7 @@ impl Slurm {
             .cluster
             .transfer_all(rj.owner_tag(), original.owner_tag())
             .expect("detached nodes are still owned by the resizer tag");
-        debug_assert_eq!(moved.len() as u32, delta);
+        debug_assert_eq!(moved, delta);
         Ok((original, self.grown(original)))
     }
 
@@ -1986,7 +2033,7 @@ impl Slurm {
     }
 
     /// Shrinks `id` to `to` nodes (a single "update job" call in Slurm,
-    /// §III). Returns the released nodes. The ACK workflow that lets
+    /// §III). Returns how many nodes it released. The ACK workflow that lets
     /// processes drain before the nodes die lives in the runtime layer;
     /// by the time this is called the nodes are clean.
     pub fn shrink_protocol(
@@ -1994,7 +2041,7 @@ impl Slurm {
         id: JobId,
         to: u32,
         now: SimTime,
-    ) -> Result<Vec<NodeId>, ExpandError> {
+    ) -> Result<u32, ExpandError> {
         let job = self.jobs.get(id).ok_or(ExpandError::UnknownJob(id))?;
         if job.state != JobState::Running {
             return Err(ExpandError::NotRunning(id));
@@ -2170,8 +2217,10 @@ impl Slurm {
             let nclasses = self.cluster.table().num_classes();
             let mut want_held = vec![0u32; nclasses];
             let zeros = vec![0; nclasses];
+            let mut counts = Vec::new();
             for j in running.iter() {
-                let counts = self.cluster.held_class_counts(j.id.owner_tag());
+                self.cluster
+                    .held_class_counts(j.id.owner_tag(), &mut counts);
                 let recorded = self.class_counts.get(j.id).unwrap_or(&zeros);
                 if counts != *recorded {
                     return Err(format!(
@@ -2219,7 +2268,7 @@ impl Slurm {
 /// expansion granted on the spot without retention never names it.
 fn resizer_request(original: JobId, delta: u32, constraint: ClassConstraint) -> JobRequest {
     JobRequest {
-        name: format!("resizer-of-{original}"),
+        name: JobName::Indexed("resizer-of", original.0),
         nodes: delta,
         time_limit: None,
         expected_runtime: Some(Span::ZERO),
@@ -2463,8 +2512,10 @@ mod tests {
         let mut s = slurm(10);
         let a = s.submit(JobRequest::rigid("a", 8), t(0));
         s.schedule(t(0));
-        let released = s.shrink_protocol(a, 2, t(30)).unwrap();
-        assert_eq!(released.len(), 6);
+        assert_eq!(s.shrink_protocol(a, 2, t(30)), Ok(6));
+        // The tail went: the two lowest-numbered nodes stay.
+        let kept = s.cluster().nodes_of(a.owner_tag());
+        assert_eq!(kept, &[NodeId(0), NodeId(1)]);
         assert_eq!(s.nodes_of(a), 2);
         assert_eq!(s.job(a).unwrap().requested_nodes, 2);
         assert_eq!(s.cluster().free_nodes(), 8);
@@ -2757,6 +2808,105 @@ mod tests {
             // capacity refusal, the smallest is the watermark.
             let memo = s.incr.bf_memo.as_ref().expect("fruitless pass memoised");
             assert_eq!((memo.watermark, memo.fitting_refused), (1, false));
+        }
+    }
+
+    /// A script whose backfill passes all refuse a *fitting* job: `a`
+    /// holds 6 of 8 nodes until t = 1000 on its estimate (and overruns
+    /// it), the head wants all 8, and the 2-node job behind it would
+    /// run 2000 s — past any reservation the head can get. Passes at
+    /// t = 10, 40 and 1500, then `a` completes and a pass at t = 1600.
+    /// Returns what each pass started and the pass counters after each.
+    fn refused_fitting_job_script(s: &mut Slurm) -> Vec<(Vec<JobStart>, u64, u64)> {
+        let est = |secs| Span::from_secs(secs);
+        let a = s.submit(
+            JobRequest::rigid("a", 6).with_expected_runtime(est(1000)),
+            t(0),
+        );
+        assert_eq!(s.schedule(t(0)).len(), 1);
+        s.submit(
+            JobRequest::rigid("head", 8).with_expected_runtime(est(500)),
+            t(1),
+        );
+        s.submit(
+            JobRequest::rigid("long", 2).with_expected_runtime(est(2000)),
+            t(1),
+        );
+        assert!(s.schedule(t(1)).is_empty(), "the head blocks the queue");
+        let mut passes = Vec::new();
+        let mut pass = |s: &mut Slurm, at: u64| {
+            let started = s.backfill_pass(t(at));
+            let stats = s.incremental_stats();
+            passes.push((
+                started,
+                stats.backfill_passes_run,
+                stats.backfill_passes_elided,
+            ));
+            s.check_invariants().unwrap();
+        };
+        pass(s, 10);
+        pass(s, 40);
+        pass(s, 1500);
+        s.complete(a, t(1600));
+        pass(s, 1600);
+        passes
+    }
+
+    #[test]
+    fn an_easy1_memo_with_a_refused_fitting_job_survives_the_clock() {
+        let mut s = slurm(8);
+        let passes = refused_fitting_job_script(&mut s);
+        let counters: Vec<(u64, u64)> = passes.iter().map(|p| (p.1, p.2)).collect();
+        // One pass runs; the two later ones — the second past the
+        // estimate the reservation rests on — are elided; the completion
+        // drops the memo and the last pass runs, starting the head.
+        assert_eq!(counters, vec![(1, 0), (1, 1), (1, 2), (2, 2)]);
+        assert!(passes[..3].iter().all(|p| p.0.is_empty()));
+        assert_eq!(passes[3].0.len(), 1);
+        assert_eq!(passes[3].0[0].held, 8);
+        // The reference runs every pass and starts the same jobs at the
+        // same instants.
+        let mut scan = scan_twin(8);
+        let reference = refused_fitting_job_script(&mut scan);
+        let starts = |passes: &[(Vec<JobStart>, u64, u64)]| -> Vec<Vec<JobStart>> {
+            passes.iter().map(|p| p.0.clone()).collect()
+        };
+        assert_eq!(starts(&passes), starts(&reference));
+        assert_eq!(reference[3].1, 4, "the reference elides nothing");
+    }
+
+    #[test]
+    fn a_timeline_memo_with_a_refused_fitting_job_dies_with_its_instant() {
+        for family in [BackfillFamily::easy(2), BackfillFamily::Conservative] {
+            let mut s = slurm(8);
+            s.config.backfill_family = family;
+            let est = |secs| Span::from_secs(secs);
+            s.submit(
+                JobRequest::rigid("a", 6).with_expected_runtime(est(1000)),
+                t(0),
+            );
+            s.schedule(t(0));
+            s.submit(
+                JobRequest::rigid("head", 8).with_expected_runtime(est(500)),
+                t(1),
+            );
+            s.submit(
+                JobRequest::rigid("long", 2).with_expected_runtime(est(2000)),
+                t(1),
+            );
+            assert!(s.backfill_pass(t(10)).is_empty());
+            let memo = s.incr.bf_memo.as_ref().expect("fruitless pass memoised");
+            assert!(memo.fitting_refused && !memo.easy1, "{family:?}");
+            // Same instant: the memo answers. Later: a hole may have
+            // opened on the timeline, so the pass runs.
+            assert!(s.backfill_pass(t(10)).is_empty());
+            assert!(s.backfill_pass(t(40)).is_empty());
+            let stats = s.incremental_stats();
+            assert_eq!(
+                (stats.backfill_passes_run, stats.backfill_passes_elided),
+                (2, 1),
+                "{family:?}"
+            );
         }
     }
 
@@ -3238,11 +3388,11 @@ mod tests {
         );
         let on_jobs: Vec<_> = on
             .jobs()
-            .map(|j| (j.name.clone(), j.state, j.start_time, j.end_time))
+            .map(|j| (j.name.to_string(), j.state, j.start_time, j.end_time))
             .collect();
         let off_jobs: Vec<_> = off
             .jobs()
-            .map(|j| (j.name.clone(), j.state, j.start_time, j.end_time))
+            .map(|j| (j.name.to_string(), j.state, j.start_time, j.end_time))
             .collect();
         assert_eq!(on_jobs, off_jobs);
     }

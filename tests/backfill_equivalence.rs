@@ -268,15 +268,26 @@ impl Twins {
     }
 }
 
-/// What a pass started, in order: job, resizer parent, and the node
-/// allocation as `(first node, count)` — node selection is lowest-first
-/// on identical free sets, and a failure message stays readable.
+/// What a pass of `s` just started, in order: job, resizer parent, and
+/// the node allocation as `(first node, count)`, the ids read from the
+/// cluster — node selection is lowest-first on identical free sets, and
+/// a failure message stays readable.
 fn starts(
+    s: &Slurm,
     started: Vec<dmr::slurm::JobStart>,
 ) -> Vec<(JobId, Option<JobId>, Option<dmr_cluster::NodeId>, usize)> {
     started
         .into_iter()
-        .map(|j| (j.id, j.resizer_for, j.nodes.first().copied(), j.nodes.len()))
+        .map(|j| {
+            let nodes = s.cluster().nodes_of(j.id.owner_tag());
+            assert_eq!(
+                nodes.len(),
+                j.held as usize,
+                "{:?} holds what it started on",
+                j.id
+            );
+            (j.id, j.resizer_for, nodes.first().copied(), nodes.len())
+        })
         .collect()
 }
 
@@ -313,9 +324,12 @@ fn drive_twins(nodes: u32, k: u32, depth: u32, rounds: u32, seed: u64) {
         t.all("fill", |s| s.submit(req.clone(), SimTime::ZERO));
     }
     running.extend(
-        t.all("fill", |s| starts(s.schedule(SimTime::ZERO)))
-            .iter()
-            .map(|j| j.0),
+        t.all("fill", |s| {
+            let started = s.schedule(SimTime::ZERO);
+            starts(s, started)
+        })
+        .iter()
+        .map(|j| j.0),
     );
     for i in 0..u64::from(depth) {
         let req = request(&mut next, i);
@@ -414,9 +428,15 @@ fn drive_twins(nodes: u32, k: u32, depth: u32, rounds: u32, seed: u64) {
             }
             _ => {}
         }
-        let mut started = t.all(&what, |s| starts(s.schedule(now)));
+        let mut started = t.all(&what, |s| {
+            let started = s.schedule(now);
+            starts(s, started)
+        });
         if round % 3 == 2 || next() % 5 == 0 {
-            started.extend(t.all(&what, |s| starts(s.backfill_pass(now))));
+            started.extend(t.all(&what, |s| {
+                let started = s.backfill_pass(now);
+                starts(s, started)
+            }));
         }
         for (id, resizer_for, ..) in started {
             if resizer_for.is_some() {

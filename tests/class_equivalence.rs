@@ -81,27 +81,39 @@ impl ModelCluster {
         }
     }
 
+    /// The ids `owner` holds, ascending.
+    fn held(&self, owner: u64) -> Vec<u32> {
+        (0..self.owner.len() as u32)
+            .filter(|&i| self.owner[i as usize] == Some(owner))
+            .collect()
+    }
+
     fn release_tail(&mut self, owner: u64, n: u32) {
-        let held: Vec<usize> = (0..self.owner.len())
-            .filter(|&i| self.owner[i] == Some(owner))
-            .collect();
-        for &i in held.iter().rev().take(n as usize) {
-            self.owner[i] = None;
+        for &i in self.held(owner).iter().rev().take(n as usize) {
+            self.owner[i as usize] = None;
         }
     }
 
     /// Highest-id-first suspension of free nodes — the production
-    /// power-down order.
-    fn power_down(&mut self, n: u32) -> u32 {
-        let free: Vec<usize> = (0..self.owner.len())
-            .filter(|&i| self.owner[i].is_none() && !self.off[i])
+    /// power-down order. Returns the suspended ids, ascending.
+    fn power_down(&mut self, n: u32) -> Vec<u32> {
+        let free: Vec<u32> = (0..self.owner.len() as u32)
+            .filter(|&i| self.owner[i as usize].is_none() && !self.off[i as usize])
             .collect();
-        let mut downed = 0;
-        for &i in free.iter().rev().take(n as usize) {
-            self.off[i] = true;
-            downed += 1;
+        let downed = free[free.len().saturating_sub(n as usize)..].to_vec();
+        for &i in &downed {
+            self.off[i as usize] = true;
         }
         downed
+    }
+
+    /// Suspended nodes per class.
+    fn off_by_class(&self, table: &ClassTable) -> Vec<u32> {
+        let mut off = vec![0; table.num_classes()];
+        for (n, _) in self.off.iter().enumerate().filter(|(_, &o)| o) {
+            off[self.class_of[n]] += 1;
+        }
+        off
     }
 
     fn wake_all(&mut self) -> u32 {
@@ -133,8 +145,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// Randomized allocate/release/power sequences over a three-class
     /// machine: the per-class free-set cluster must agree with the
-    /// brute-force model on every allocation (the exact node ids, not
-    /// just the count), on every per-class free count, and keep its
+    /// brute-force model on every allocation, tail release and
+    /// power-down (the exact node ids, read through `nodes_of`, not just
+    /// the count), on every per-class free and off count, and keep its
     /// internal invariants after every operation.
     #[test]
     fn per_class_free_sets_match_the_brute_force_model(
@@ -153,10 +166,11 @@ proptest! {
             match op {
                 0 => {
                     let constraint = constraint_for(sel);
-                    let got = cluster
-                        .allocate_in(n, next_owner, constraint)
-                        .ok()
-                        .map(|v| v.into_iter().map(|node| node.0).collect::<Vec<u32>>());
+                    let got = cluster.allocate_in(n, next_owner, constraint).ok().map(|count| {
+                        let held = cluster.nodes_of(next_owner);
+                        assert_eq!(count as usize, held.len());
+                        held.iter().map(|node| node.0).collect::<Vec<u32>>()
+                    });
                     let want = model.allocate_in(&table, n, next_owner, constraint);
                     let granted = got.is_some();
                     prop_assert_eq!(got, want, "allocate_in({}, {:?}) diverged", n, constraint);
@@ -178,19 +192,24 @@ proptest! {
                         // Tail releases must leave at least one node.
                         let k = n.min(held.saturating_sub(1));
                         if k > 0 {
-                            let _ = cluster.release_tail(owner, k);
+                            prop_assert_eq!(cluster.release_tail(owner, k), Ok(k));
                             model.release_tail(owner, k);
+                            let kept: Vec<u32> =
+                                cluster.nodes_of(owner).iter().map(|node| node.0).collect();
+                            prop_assert_eq!(kept, model.held(owner), "release_tail diverged");
                         }
                     }
                 }
                 3 => {
-                    let downed = cluster.power_down(n).len() as u32;
+                    let downed: Vec<u32> =
+                        cluster.power_down(n).iter().map(|node| node.0).collect();
                     prop_assert_eq!(downed, model.power_down(n), "power_down diverged");
                 }
                 _ => {
                     prop_assert_eq!(cluster.wake_all(), model.wake_all(), "wake_all diverged");
                 }
             }
+            prop_assert_eq!(cluster.off_by_class(), model.off_by_class(&table));
             for constraint in [
                 ClassConstraint::Any,
                 ClassConstraint::Class(0),
@@ -224,6 +243,7 @@ proptest! {
             .allocate_in(n.min(nodes), 7, ClassConstraint::Any)
             .expect("fits");
         prop_assert_eq!(a, b);
+        prop_assert_eq!(legacy.nodes_of(7), constrained.nodes_of(7));
     }
 
     /// Power state transitions keep the node-state invariant the class

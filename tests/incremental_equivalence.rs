@@ -100,7 +100,7 @@ fn job_table(s: &Slurm) -> Vec<JobRow> {
     s.jobs()
         .map(|j| {
             (
-                j.name.clone(),
+                j.name.to_string(),
                 j.state,
                 j.start_time,
                 j.end_time,
@@ -118,7 +118,7 @@ fn job_table(s: &Slurm) -> Vec<JobRow> {
 // stands in for; the elision counters prove the production twin
 // actually took the O(1) path while the reference walked the queue.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
     #[test]
     fn elided_passes_equal_the_passes_they_elide(
         seed in 0u64..100_000,
@@ -142,9 +142,18 @@ proptest! {
             rng
         };
         let mut live: Vec<dmr::slurm::JobId> = Vec::new();
+        let mut now = SimTime::ZERO;
         for round in 0..60u64 {
-            let now = SimTime::from_secs(round * 7);
-            match step() % 8 {
+            // The clock moves between any two passes: a few seconds and
+            // (three times in four) a mutation, or a quiet stretch long
+            // enough to carry running jobs past their estimates — where a
+            // pass memo is asked about a later instant with nothing but
+            // time between, and a memo that rests on a timeline must not
+            // answer.
+            let quiet = step() % 4 == 0;
+            let gap = if quiet { 200 + step() % 800 } else { 1 + step() % 12 };
+            now += Span::from_secs(gap);
+            match if quiet { 7 } else { step() % 8 } {
                 0..=2 => {
                     let need = 1 + (step() % u64::from(nodes)) as u32;
                     let dur = 30 + step() % 900;

@@ -71,7 +71,8 @@ proptest! {
     }
 
     /// Cluster allocation bookkeeping never corrupts under arbitrary
-    /// allocate / release-all / release-tail sequences.
+    /// allocate / release-all / release-tail sequences, and the count
+    /// each call answers with is the change `nodes_of` shows.
     #[test]
     fn cluster_invariants_hold(
         nodes in 1u32..64,
@@ -80,9 +81,29 @@ proptest! {
         let mut c = Cluster::new(nodes, 16);
         for &(op, count, owner) in &ops {
             match op {
-                0 => { let _ = c.allocate(count.min(nodes), owner); }
-                1 => { let _ = c.release_all(owner); }
-                _ => { let _ = c.release_tail(owner, count); }
+                0 => {
+                    let before = c.nodes_of(owner).to_vec();
+                    if let Ok(granted) = c.allocate(count.min(nodes), owner) {
+                        let held = c.nodes_of(owner);
+                        prop_assert_eq!(held.len(), before.len() + granted as usize);
+                        prop_assert!(before.iter().all(|n| held.contains(n)));
+                    }
+                }
+                1 => {
+                    let held = c.held_by(owner);
+                    if let Ok(freed) = c.release_all(owner) {
+                        prop_assert_eq!(freed, held);
+                        prop_assert!(c.nodes_of(owner).is_empty());
+                    }
+                }
+                _ => {
+                    let before = c.nodes_of(owner).to_vec();
+                    if let Ok(freed) = c.release_tail(owner, count) {
+                        prop_assert_eq!(freed, count);
+                        let kept = before.len() - count as usize;
+                        prop_assert_eq!(c.nodes_of(owner), &before[..kept]);
+                    }
+                }
             }
             prop_assert!(c.check_invariants().is_ok(), "{:?}", c.check_invariants());
             prop_assert!(c.free_nodes() <= nodes);
@@ -173,7 +194,7 @@ mod immediate_expansion {
         let (delta, constraint) = (to - current, job.constraint);
         let resizer = s.submit(
             JobRequest {
-                name: format!("resizer-of-{id}"),
+                name: format!("resizer-of-{id}").into(),
                 nodes: delta,
                 time_limit: None,
                 expected_runtime: Some(Span::ZERO),
