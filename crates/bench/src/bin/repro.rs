@@ -258,7 +258,13 @@ fn run_trace(path: &str, args: &[String]) {
             }
         };
         let result = match fault_trace.clone() {
-            Some(script) => run_experiment_streaming_with_faults(&cfg, &mut trace, script),
+            Some(script) => match run_experiment_streaming_with_faults(&cfg, &mut trace, script) {
+                Ok(result) => result,
+                Err(e) => {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                }
+            },
             None => run_experiment_streaming(&cfg, &mut trace),
         };
         if result.summary.jobs == 0 {

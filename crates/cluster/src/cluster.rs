@@ -90,9 +90,6 @@ pub struct Cluster {
     /// truncating the owner's list and returning them to the pools; kept
     /// for its buffer only.
     released: Vec<NodeId>,
-    /// Every class runs at the neutral `1/1` speed factor (fixed by the
-    /// class table): [`Cluster::worst_slowdown`] needs no owner lookup.
-    neutral_speed: bool,
     /// The placeable (unowned, accepting-work) ids, one sorted run set per
     /// class; allocation takes the lowest run of each eligible class.
     free: Vec<FreeSet>,
@@ -108,6 +105,9 @@ pub struct Cluster {
     /// also count into `unavailable_count` (they accept no work).
     off_sets: Vec<FreeSet>,
     off_by_class: Vec<u32>,
+    /// Calls that changed `busy_by_class` or `off_by_class` (see
+    /// [`Cluster::tally_changes`]).
+    tally_changes: u64,
     cores_per_node: u32,
     /// Equivalence-oracle knob: select granted nodes with the pre-index
     /// full scan instead of the run set (results are identical; only the
@@ -134,14 +134,12 @@ impl Cluster {
             })
             .collect();
         let cores_per_node = table.class(0).cores;
-        let neutral_speed = table.classes().iter().all(|c| c.is_neutral_speed());
         Cluster {
             table,
             states: vec![NodeState::Up; nodes as usize],
             owner: vec![None; nodes as usize],
             held: OwnerTable::default(),
             released: Vec::new(),
-            neutral_speed,
             free,
             free_count: nodes,
             unavailable_count: 0,
@@ -149,6 +147,7 @@ impl Cluster {
             busy_by_class: vec![0; k],
             off_sets: vec![FreeSet::new(); k],
             off_by_class: vec![0; k],
+            tally_changes: 0,
             cores_per_node,
             scan_selection: false,
         }
@@ -220,6 +219,14 @@ impl Cluster {
     /// Per-class powered-down node counts (power sampling; O(1) access).
     pub fn off_by_class(&self) -> &[u32] {
         &self.off_by_class
+    }
+
+    /// How many calls so far changed [`Cluster::busy_by_class`] or
+    /// [`Cluster::off_by_class`]: while it stands still, so do both.
+    /// (It also moves when a call's changes cancel out.) A power meter
+    /// compares it instead of the two slices.
+    pub fn tally_changes(&self) -> u64 {
+        self.tally_changes
     }
 
     /// Total powered-down nodes.
@@ -313,6 +320,7 @@ impl Cluster {
         if n == 0 {
             return Ok(0);
         }
+        self.tally_changes += 1;
         let held = self.held.entry(owner);
         let base = held.len();
         held.reserve(n as usize);
@@ -378,6 +386,7 @@ impl Cluster {
         }
         self.free_count -= nodes.len() as u32;
         if !nodes.is_empty() {
+            self.tally_changes += 1;
             let held = self.held.entry(owner);
             let base = held.len();
             held.extend_from_slice(nodes);
@@ -398,6 +407,9 @@ impl Cluster {
     /// allocation costs O(log runs), not O(nodes) — the dominant cost of
     /// every completion at 65k-node scale before this batching.
     fn return_nodes(&mut self, nodes: &[NodeId]) {
+        if !nodes.is_empty() {
+            self.tally_changes += 1;
+        }
         let mut i = 0;
         while i < nodes.len() {
             let c = self.table.class_of(nodes[i].0);
@@ -500,14 +512,11 @@ impl Cluster {
     /// The worst (largest) execution-time multiplier among the classes
     /// `owner` holds nodes on, as a `(num, den)` fraction — jobs run at
     /// the speed of their slowest node. Neutral `(1, 1)` when the owner
-    /// holds nothing — and, without looking the owner up, whenever every
-    /// class of the machine runs at the neutral factor (any uniform
-    /// cluster). Otherwise O(classes × log held): the sorted held list
-    /// is probed once per class range.
+    /// holds nothing. O(classes × log held): the sorted held list is
+    /// probed once per class range. The reference a scheduler that keeps
+    /// each job's factor beside its class split is checked against
+    /// (`Slurm::check_invariants`), not a per-segment query.
     pub fn worst_slowdown(&self, owner: u64) -> (u32, u32) {
-        if self.neutral_speed {
-            return (1, 1);
-        }
         let held = self.nodes_of(owner);
         let mut worst: Option<(u32, u32)> = None;
         for c in 0..self.table.num_classes() {
@@ -553,6 +562,9 @@ impl Cluster {
             self.unavailable_by_class[c] += k;
             self.off_by_class[c] += k;
         }
+        if !out.is_empty() {
+            self.tally_changes += 1;
+        }
         out.sort_unstable();
         out
     }
@@ -579,6 +591,9 @@ impl Cluster {
             self.off_by_class[c] -= k;
             woke += k;
         }
+        if woke > 0 {
+            self.tally_changes += 1;
+        }
         woke
     }
 
@@ -597,6 +612,7 @@ impl Cluster {
             // the off pool for whatever state was requested.
             self.off_sets[c].remove(node.0);
             self.off_by_class[c] -= 1;
+            self.tally_changes += 1;
             if state.accepts_new_work() {
                 self.free[c].insert(node.0);
                 self.free_count += 1;

@@ -185,10 +185,11 @@ impl Driver<'_, '_> {
             1
         };
         // Heterogeneous machines: the segment runs at the *slowest* class
-        // the job's nodes span, scaled in exact integer microseconds. The
-        // neutral 1/1 factor takes the historical expression verbatim, so
-        // uniform (and single-class) runs stay bit-identical.
-        let (num, den) = self.slurm.cluster().worst_slowdown(job.owner_tag());
+        // the job's nodes span (stored when its allocation last changed),
+        // scaled in exact integer microseconds. The neutral 1/1 factor
+        // takes the historical expression verbatim, so uniform (and
+        // single-class) runs stay bit-identical.
+        let (num, den) = self.slurm.slowdown(job);
         let duration = if num == den {
             Span(step.as_micros().saturating_mul(k as u64))
         } else {

@@ -25,20 +25,22 @@ impl Driver<'_, '_> {
     /// cluster counts describe the next interval, not this one).
     ///
     /// The sink is sampled after every processed event. The meter is
-    /// charged only when the counts it is charged at are about to change:
-    /// most events of a malleable run move none (a step boundary whose
-    /// check says "no action", a relayed pause end), and it integrates
-    /// exact integer watt-µs, so the interval it is next charged for is
-    /// the sum of the ones it was not. The first event opens its window.
+    /// charged only when the counts it is charged at may be about to
+    /// change — when the cluster's [`dmr_cluster::Cluster::tally_changes`]
+    /// counter has moved since the last charge: most events of a
+    /// malleable run move neither (a step boundary whose check says "no
+    /// action", a relayed pause end). The counter can move while the
+    /// counts come back to what they were; that charge is one more cut of
+    /// an interval at constant counts, and the meter integrates exact
+    /// integer watt-µs, so however an interval is cut its charge is the
+    /// same. The first event opens the window.
     pub(crate) fn sample(&mut self, now: SimTime) {
         let cluster = self.slurm.cluster();
-        if !self.power.started()
-            || cluster.busy_by_class() != self.prev_busy
-            || cluster.off_by_class() != self.prev_off
-        {
+        if !self.power.started() || cluster.tally_changes() != self.metered_changes {
             self.power.sample(now, &self.prev_busy, &self.prev_off);
             self.prev_busy.copy_from_slice(cluster.busy_by_class());
             self.prev_off.copy_from_slice(cluster.off_by_class());
+            self.metered_changes = cluster.tally_changes();
         }
         self.sink.on_sample(
             now,

@@ -39,6 +39,7 @@ use dmr_workload::WorkloadSource;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::{ExperimentConfig, Telemetry};
+use crate::error::DmrError;
 use crate::model::SimJob;
 use crate::result::{ExperimentResult, RunStats};
 use events::Ev;
@@ -241,13 +242,15 @@ pub(crate) struct Driver<'a, 's> {
     /// yet (same-instant batching — see [`Driver::request_schedule`]).
     pub(crate) pass_due: bool,
     /// Integrates cluster watts over virtual time (charged whenever the
-    /// per-class counts are about to change, see [`Driver::sample`]).
+    /// per-class counts may be about to change, see [`Driver::sample`]).
     pub(crate) power: PowerMeter,
     /// Per-class busy/off counts in force since the previous charge — the
     /// meter charges each interval at the counts that *were* live during
     /// it, so the driver caches the post-event counts of the last charge.
     pub(crate) prev_busy: Vec<u32>,
     pub(crate) prev_off: Vec<u32>,
+    /// The cluster's change counter as of the previous charge.
+    pub(crate) metered_changes: u64,
     /// An [`Ev::NodeWake`] is already scheduled (wake requests coalesce).
     pub(crate) wake_pending: bool,
     /// Faultload event stream; [`FaultSource::None`] under the zero-fault
@@ -288,17 +291,17 @@ pub fn run_experiment(cfg: &ExperimentConfig, jobs: &[SimJob]) -> ExperimentResu
 /// whatever [`ExperimentConfig::faults`] preset the configuration names
 /// (the injected resize-failure probability still follows the preset).
 /// Deterministic by construction — the trace is replayed verbatim — so
-/// regression tests can pin an exact incident.
+/// regression tests can pin an exact incident. A trace naming a node the
+/// machine does not have is refused with [`DmrError::FaultScript`]
+/// before anything runs.
 pub fn run_experiment_with_faults(
     cfg: &ExperimentConfig,
     jobs: &[SimJob],
     trace: FaultTrace,
-) -> ExperimentResult {
-    run_feed(
-        cfg,
-        JobFeed::Materialized(jobs.iter().cloned()),
-        Some(trace),
-    )
+) -> Result<ExperimentResult, DmrError> {
+    check_fault_script(cfg, &trace)?;
+    let feed = JobFeed::Materialized(jobs.iter().cloned());
+    Ok(run_feed(cfg, feed, Some(trace)))
 }
 
 /// Runs one streamed workload under one configuration.
@@ -327,13 +330,21 @@ pub fn run_experiment_streaming(
 /// [`run_experiment_streaming`] with a *scripted* faultload — the
 /// streaming counterpart of [`run_experiment_with_faults`], so `repro
 /// --trace --faults trace:incident.txt` can replay an exact recorded
-/// incident over an SWF trace in O(1) arrival memory.
+/// incident over an SWF trace in O(1) arrival memory. Refuses a trace
+/// naming a node the machine does not have, as that function does.
 pub fn run_experiment_streaming_with_faults(
     cfg: &ExperimentConfig,
     source: &mut dyn WorkloadSource,
     trace: FaultTrace,
-) -> ExperimentResult {
-    run_feed(cfg, JobFeed::Streaming(source), Some(trace))
+) -> Result<ExperimentResult, DmrError> {
+    check_fault_script(cfg, &trace)?;
+    Ok(run_feed(cfg, JobFeed::Streaming(source), Some(trace)))
+}
+
+/// Whether every event of `trace` names a node of the `cfg.nodes`-node
+/// machine (every machine mix lays out exactly that many).
+fn check_fault_script(cfg: &ExperimentConfig, trace: &FaultTrace) -> Result<(), DmrError> {
+    trace.check_nodes(cfg.nodes).map_err(DmrError::FaultScript)
 }
 
 /// Runs one streamed workload, feeding telemetry to a caller-supplied
@@ -477,6 +488,7 @@ impl<'a, 's> Driver<'a, 's> {
             power,
             prev_busy: vec![0; classes],
             prev_off: vec![0; classes],
+            metered_changes: 0,
             wake_pending: false,
             faults,
             fault_pending: false,
@@ -493,12 +505,9 @@ impl<'a, 's> Driver<'a, 's> {
     }
 
     /// Replaces the configured faultload with a scripted trace (the
-    /// regression-test / incident-replay path). Panics, before anything
-    /// ran, on a trace that names a node the machine does not have.
+    /// regression-test / incident-replay path) whose nodes the caller
+    /// checked ([`check_fault_script`]).
     fn with_fault_trace(mut self, trace: FaultTrace) -> Self {
-        if let Err(e) = trace.check_nodes(self.slurm.cluster().total_nodes()) {
-            panic!("{e}");
-        }
         self.faults = FaultSource::from_trace(trace);
         self
     }
@@ -885,7 +894,7 @@ mod tests {
         job.spec.flexible = false;
         let trace = FaultTrace::parse("25 fail 0\n200 repair 0\n").unwrap();
         let clean = run_experiment(&cfg().as_fixed(), &[job.clone()]);
-        let faulty = run_experiment_with_faults(&cfg().as_fixed(), &[job], trace);
+        let faulty = run_experiment_with_faults(&cfg().as_fixed(), &[job], trace).unwrap();
         assert_eq!(faulty.summary.jobs, 1, "the requeued job completes");
         assert_eq!(faulty.summary.failures, 1);
         assert_eq!(faulty.summary.requeues, 1);
@@ -907,14 +916,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "names a node the 20-node machine does not have")]
     fn a_scripted_fault_on_a_node_the_machine_lacks_stops_the_run_before_it_starts() {
         use dmr_cluster::FaultTrace;
+        use dmr_workload::{Feitelson, WorkloadConfig};
         // Scheduled at t = 1e9 s, long after the job is done: the check
         // is made up front, not when (or whether) the event fires.
-        let trace = FaultTrace::parse("1000000000 fail 20\n").unwrap();
+        let script = |node| FaultTrace::parse(&format!("1000000000 fail {node}\n")).unwrap();
         assert_eq!(cfg().nodes, 20);
-        run_experiment_with_faults(&cfg(), &[fs_job(0, 0.0, 4, 2, 30.0)], trace);
+        let jobs = [fs_job(0, 0.0, 4, 2, 30.0)];
+        let err = run_experiment_with_faults(&cfg(), &jobs, script(20)).unwrap_err();
+        assert!(matches!(err, DmrError::FaultScript(_)), "{err:?}");
+        let said = err.to_string();
+        assert!(
+            said.contains("names a node the 20-node machine does not have"),
+            "{said}"
+        );
+        let mut source = Feitelson::new(WorkloadConfig::fs_preliminary(4), 1);
+        let streamed = run_experiment_streaming_with_faults(&cfg(), &mut source, script(20));
+        assert_eq!(streamed.unwrap_err(), err);
+        // Node 19 is the machine's last: the same script on it runs.
+        assert!(run_experiment_with_faults(&cfg(), &jobs, script(19)).is_ok());
     }
 
     #[test]
@@ -927,8 +948,9 @@ mod tests {
         job.spec.flexible = false;
         let trace = || FaultTrace::parse("115 fail 1\n400 repair 1\n").unwrap();
         let base = cfg().as_fixed();
-        let scratch = run_experiment_with_faults(&base, &[job.clone()], trace());
-        let ckpt = run_experiment_with_faults(&base.with_ckpt_interval(30.0), &[job], trace());
+        let scratch = run_experiment_with_faults(&base, &[job.clone()], trace()).unwrap();
+        let ckpt_cfg = base.with_ckpt_interval(30.0);
+        let ckpt = run_experiment_with_faults(&ckpt_cfg, &[job], trace()).unwrap();
         assert!((scratch.summary.lost_work_s - 115.0).abs() < 1e-6);
         assert!(
             ckpt.summary.lost_work_s < 50.0,

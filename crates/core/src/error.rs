@@ -29,6 +29,10 @@ pub enum DmrError {
     /// failures are always worth retrying (with backoff); structural
     /// ones only when [`DmrError::is_transient`] says so.
     Injected(InjectedFault),
+    /// A scripted faultload names a node the machine does not have (the
+    /// message says which event and which machine); the run was refused
+    /// before anything ran.
+    FaultScript(String),
 }
 
 /// What the fault-injection layer killed (see [`DmrError::Injected`]).
@@ -96,6 +100,7 @@ impl std::fmt::Display for DmrError {
             DmrError::Injected(InjectedFault::Node) => {
                 write!(f, "injected fault: node down")
             }
+            DmrError::FaultScript(e) => write!(f, "fault script: {e}"),
         }
     }
 }
@@ -106,7 +111,7 @@ impl std::error::Error for DmrError {
             DmrError::Alloc(e) => Some(e),
             DmrError::Mpi(e) => Some(e),
             DmrError::Expand(e) => Some(e),
-            DmrError::Injected(_) => None,
+            DmrError::Injected(_) | DmrError::FaultScript(_) => None,
         }
     }
 }

@@ -6,7 +6,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use dmr_cluster::{ClassConstraint, Cluster, FailOutcome, NodeId};
+use dmr_cluster::{ClassConstraint, ClassTable, Cluster, FailOutcome, NodeId};
 use dmr_sim::{SimTime, Span};
 
 use crate::arena::{JobArena, JobMap};
@@ -189,20 +189,24 @@ pub struct Slurm {
     /// pass returns, so between passes it is kept only for its buffers.
     /// `RefCell`: the hole guard builds it behind `&self`.
     timeline: RefCell<SlotSet>,
-    /// One scratch timeline per machine class when the cluster spans
-    /// more than one (none on uniform inventories). A job confined to
-    /// one class finds its backfill hole here instead of in the
-    /// over-optimistic aggregate; built only by a pass that runs while
-    /// such a job is pending.
-    class_timelines: RefCell<Vec<SlotSet>>,
-    /// How each running job's nodes split over the machine classes
-    /// (multi-class only), recorded wherever its allocation changes
-    /// ([`Slurm::record_class_split`]): what a per-class timeline is
-    /// built from.
-    class_counts: JobMap<Vec<u32>>,
+    /// The per-class scratch timelines (none on uniform inventories). A
+    /// job confined to one class finds its backfill hole there instead
+    /// of in the over-optimistic aggregate; each is built only when a
+    /// pass first asks it ([`Slurm::class_timeline`]).
+    class_timelines: RefCell<ClassTimelines>,
+    /// How each running job's nodes split over the machine classes and
+    /// the slowest-class factor that implies, recorded wherever its
+    /// allocation changes ([`Slurm::record_class_split`]) — on a
+    /// machine of several classes, or of one that does not run at
+    /// neutral speed: what a per-class timeline is built from and what
+    /// [`Slurm::slowdown`] answers.
+    class_splits: JobMap<ClassSplit>,
     /// Per-class totals of held nodes across running jobs (multi-class
     /// only) — the per-class analogue of `RunningIndex::total_held`.
     class_held: Vec<u32>,
+    /// Every class of the machine runs at the neutral `1/1` factor:
+    /// [`Slurm::slowdown`] answers without a lookup.
+    neutral_speed: bool,
     /// The EASY pass state, kept between passes for its buffers (see
     /// [`EasyPass`]); taken out for the pass in flight.
     easy: EasyPass,
@@ -210,12 +214,24 @@ pub struct Slurm {
     incr: IncrState,
 }
 
-/// Which timelines the pass in flight built (see
-/// [`Slurm::build_timelines`]) and so must show the jobs it starts.
-#[derive(Clone, Copy, Default)]
-struct PassTimelines {
-    aggregate: bool,
-    per_class: bool,
+/// The per-class timelines of the pass in flight.
+struct ClassTimelines {
+    /// One per machine class on a multi-class machine.
+    sets: Vec<SlotSet>,
+    /// Bit `c` is set once `sets[c]` is built for the pass in flight
+    /// (see [`Slurm::class_timeline`]); cleared by every pass prologue
+    /// ([`Slurm::build_timelines`]).
+    built: u32,
+}
+
+/// How a running job's nodes split over the machine classes.
+#[derive(Default)]
+struct ClassSplit {
+    /// Nodes held in each class, one entry per class.
+    counts: Vec<u32>,
+    /// The largest execution-time multiplier `(num, den)` among the
+    /// classes the job holds nodes in (see [`slowest_class`]).
+    slowdown: (u32, u32),
 }
 
 /// One memoized pending order (see [`Slurm::pending_queue`]).
@@ -252,7 +268,8 @@ struct QueueCache {
 struct EasyPass {
     /// Reservations the family grants (`k >= 1`).
     k: u32,
-    built: PassTimelines,
+    /// The pass built the aggregate timeline ([`Slurm::build_timelines`]).
+    aggregate: bool,
     started: Vec<JobStart>,
     /// `(shadow, spare)` of the blocked jobs holding a reservation.
     reservations: Vec<(SimTime, u32)>,
@@ -269,10 +286,10 @@ struct EasyPass {
 
 impl EasyPass {
     /// Readies the state for a pass granting `k` reservations.
-    fn begin(&mut self, k: u32, built: PassTimelines) {
+    fn begin(&mut self, k: u32, aggregate: bool) {
         debug_assert!(self.started.is_empty(), "the last pass kept its starts");
         self.k = k;
-        self.built = built;
+        self.aggregate = aggregate;
         self.reservations.clear();
         self.candidates.clear();
         self.watermark = u32::MAX;
@@ -441,8 +458,10 @@ pub struct IncrementalStats {
 impl Slurm {
     pub fn new(mut cluster: Cluster, config: SlurmConfig) -> Self {
         cluster.use_scan_selection(config.sched_index == SchedIndex::ScanReference);
-        let nclasses = cluster.table().num_classes();
+        let table = cluster.table();
+        let nclasses = table.num_classes();
         let per_class = if nclasses > 1 { nclasses } else { 0 };
+        let neutral_speed = table.classes().iter().all(|c| c.is_neutral_speed());
         Slurm {
             cluster,
             jobs: JobArena::new(),
@@ -454,9 +473,13 @@ impl Slurm {
             running_index: RunningIndex::default(),
             resizer_index: ResizerIndex::default(),
             timeline: RefCell::new(SlotSet::new(SimTime::ZERO)),
-            class_timelines: RefCell::new(vec![SlotSet::new(SimTime::ZERO); per_class]),
-            class_counts: JobMap::default(),
+            class_timelines: RefCell::new(ClassTimelines {
+                sets: vec![SlotSet::new(SimTime::ZERO); per_class],
+                built: 0,
+            }),
+            class_splits: JobMap::default(),
             class_held: vec![0; per_class],
+            neutral_speed,
             easy: EasyPass::default(),
             incr: IncrState::default(),
         }
@@ -731,98 +754,127 @@ impl Slurm {
     }
 
     /// Whether the inventory spans more than one machine class (and the
-    /// per-class split of every running job is therefore recorded).
+    /// per-class timelines and held totals are therefore kept).
     fn multi_class(&self) -> bool {
         !self.class_held.is_empty()
     }
 
     /// Records how running job `id`'s nodes split over the machine
-    /// classes, in place of any earlier record: called wherever an
-    /// allocation changes (start, expand, shrink). It describes the
-    /// allocation, not a timeline — the per-class timelines are built
-    /// from it — and asking the cluster for it per running job per pass
-    /// instead was measured and lost. No-op on uniform inventories.
+    /// classes, and the slowest-class factor that implies, in place of
+    /// any earlier record: called wherever an allocation changes (start,
+    /// expand, shrink). It describes the allocation, not a timeline — the
+    /// per-class timelines are built from it — and asking the cluster for
+    /// it per running job per pass, or for the factor per compute
+    /// segment, instead was measured and lost. No-op on a uniform
+    /// machine of neutral speed.
     fn record_class_split(&mut self, id: JobId) {
-        if !self.multi_class() {
+        if !self.multi_class() && self.neutral_speed {
             return;
         }
-        if self.class_counts.get(id).is_none() {
-            self.class_counts.insert(id, Vec::new());
+        if self.class_splits.get(id).is_none() {
+            self.class_splits.insert(id, ClassSplit::default());
         }
         // Recounted into the job's own slot: a resize allocates nothing.
-        let counts = self.class_counts.get_mut(id).expect("mapped above");
-        for (held, &n) in self.class_held.iter_mut().zip(counts.iter()) {
+        let split = self.class_splits.get_mut(id).expect("mapped above");
+        for (held, &n) in self.class_held.iter_mut().zip(&split.counts) {
             *held -= n;
         }
-        self.cluster.held_class_counts(id.owner_tag(), counts);
-        for (held, &n) in self.class_held.iter_mut().zip(counts.iter()) {
+        self.cluster
+            .held_class_counts(id.owner_tag(), &mut split.counts);
+        for (held, &n) in self.class_held.iter_mut().zip(&split.counts) {
             *held += n;
         }
+        split.slowdown = slowest_class(self.cluster.table(), &split.counts);
     }
 
     /// Forgets the class split of a job that stopped running (tolerates
     /// a job that has none, mirroring the scheduler's release-mode
     /// leniency).
     fn drop_class_split(&mut self, id: JobId) {
-        if let Some(counts) = self.class_counts.remove(id) {
-            for (held, &n) in self.class_held.iter_mut().zip(&counts) {
+        if let Some(split) = self.class_splits.remove(id) {
+            for (held, &n) in self.class_held.iter_mut().zip(&split.counts) {
                 *held -= n;
             }
         }
+    }
+
+    /// The execution-time multiplier of running job `id` as a `(num,
+    /// den)` fraction: that of the slowest machine class its nodes span,
+    /// since a job runs at the speed of its slowest node. Stored with the
+    /// job's class split when its allocation last changed, so this is a
+    /// lookup — `(1, 1)` without one on a machine whose classes all run
+    /// at neutral speed, and for a job that holds nothing. Equal to
+    /// [`Cluster::worst_slowdown`] of the job's owner tag (checked by
+    /// [`Slurm::check_invariants`]).
+    pub fn slowdown(&self, id: JobId) -> (u32, u32) {
+        if self.neutral_speed {
+            return (1, 1);
+        }
+        self.class_splits
+            .get(id)
+            .map_or((1, 1), |split| split.slowdown)
     }
 
     /// Every running job's `(expected end, nodes held in class c)`, in
     /// running-index order.
     fn class_commitments(&self, c: usize) -> impl Iterator<Item = (SimTime, u32)> + '_ {
         let ends = self.running_index.jobs();
-        ends.filter_map(move |(end, id)| Some((end, self.class_counts.get(id)?[c])))
+        ends.filter_map(move |(end, id)| Some((end, self.class_splits.get(id)?.counts[c])))
     }
 
-    /// Rebuilds from the running index, at `now`, the timelines a pass
-    /// (or a hole-guard call) is about to query, and reports which. The
-    /// aggregate is needed by a `deep` pass — conservative, or EASY
-    /// granting two or more reservations: the first comes from the
-    /// running index itself — and by any pass while a class-constrained
-    /// job is pending, whose reservation [`Slurm::constrained_hole`]
-    /// takes from its class's timeline or, when several classes are
-    /// eligible, from the aggregate; the per-class ones only then.
-    /// Nothing is submitted during a pass, so the test made here holds
-    /// to its end.
-    fn build_timelines(&self, now: SimTime, deep: bool) -> PassTimelines {
-        let constrained = self.pending_index.constrained() > 0;
-        let built = PassTimelines {
-            aggregate: deep || constrained,
-            per_class: constrained && self.multi_class(),
-        };
-        if built.aggregate {
+    /// The prologue of a pass (or a hole-guard call): rebuilds the
+    /// aggregate timeline from the running index at `now` when the pass
+    /// may query it, and reports whether it did, and marks every class
+    /// timeline unbuilt ([`Slurm::class_timeline`] builds one when it is
+    /// first asked). The aggregate is needed by a `deep` pass —
+    /// conservative, or EASY granting two or more reservations: the
+    /// first comes from the running index itself — and by any pass while
+    /// a class-constrained job is pending, whose reservation
+    /// [`Slurm::constrained_hole`] takes from its class's timeline or,
+    /// when several classes are eligible, from the aggregate. Nothing is
+    /// submitted during a pass, so the test made here holds to its end.
+    fn build_timelines(&self, now: SimTime, deep: bool) -> bool {
+        let aggregate = deep || self.pending_index.constrained() > 0;
+        if aggregate {
             let mut tl = self.timeline.borrow_mut();
             tl.rebuild(now, self.running_index.iter());
         }
-        if built.per_class {
-            for (c, tl) in self.class_timelines.borrow_mut().iter_mut().enumerate() {
-                tl.rebuild(now, self.class_commitments(c));
-            }
+        self.class_timelines.borrow_mut().built = 0;
+        aggregate
+    }
+
+    /// Class `c`'s timeline for the pass in flight at `now`, rebuilt from
+    /// the running index the first time the pass asks for it. That is
+    /// exact: until then the pass has handed it nothing but its own
+    /// starts ([`Slurm::plan_start`] skips a class not yet built), and
+    /// the running index already holds each of those with the same end,
+    /// `now` plus its estimate, and the split recorded at the start. A
+    /// plan the pass makes follows the query that placed it, so it lands
+    /// in a built timeline. On the three-class machine a queue of
+    /// GPU-only jobs therefore builds one timeline per pass, not three.
+    fn class_timeline(&self, c: usize, now: SimTime) -> RefMut<'_, SlotSet> {
+        let mut tls = self.class_timelines.borrow_mut();
+        if tls.built & (1 << c) == 0 {
+            tls.built |= 1 << c;
+            tls.sets[c].rebuild(now, self.class_commitments(c));
         }
-        built
+        RefMut::map(tls, |tls| &mut tls.sets[c])
     }
 
     /// A pass just started `id` on `nodes` nodes until `end`: the
-    /// timelines it built must show that to the plans that follow.
-    fn plan_start(
-        &mut self,
-        id: JobId,
-        now: SimTime,
-        end: SimTime,
-        nodes: u32,
-        built: PassTimelines,
-    ) {
-        if built.aggregate {
+    /// timelines it built must show that to the plans that follow (the
+    /// aggregate if `aggregate`, and each class timeline built so far).
+    fn plan_start(&mut self, id: JobId, now: SimTime, end: SimTime, nodes: u32, aggregate: bool) {
+        if aggregate {
             self.timeline.get_mut().plan(now, end, nodes);
         }
-        if built.per_class {
-            let split = self.class_counts.get(id).into_iter().flatten();
-            for (tl, &n) in self.class_timelines.get_mut().iter_mut().zip(split) {
-                tl.plan(now, end, n);
+        let tls = self.class_timelines.get_mut();
+        if tls.built != 0 {
+            let split = self.class_splits.get(id).map_or(&[][..], |s| &s.counts);
+            for (c, &n) in split.iter().enumerate() {
+                if tls.built & (1 << c) != 0 {
+                    tls.sets[c].plan(now, end, n);
+                }
             }
         }
     }
@@ -867,10 +919,10 @@ impl Slurm {
             return (SimTime(u64::MAX), 0);
         }
         let cap = i64::from(avail - need);
-        let tls = self.class_timelines.borrow();
-        match tls[c].earliest_hole(now, cap, dur) {
+        let tl = self.class_timeline(c, now);
+        match tl.earliest_hole(now, cap, dur) {
             Some(s) => {
-                let peak = tls[c].max_in(s, s + dur);
+                let peak = tl.max_in(s, s + dur);
                 (s, (cap - peak) as u32)
             }
             None => (SimTime(u64::MAX), 0),
@@ -1454,7 +1506,7 @@ impl Slurm {
                 }
             }
             pass.started.push(self.start_job(id, now));
-            self.plan_start(id, now, est_end, need, pass.built);
+            self.plan_start(id, now, est_end, need, pass.aggregate);
             return EasyVisit::Started;
         }
         pass.watermark = pass.watermark.min(need);
@@ -1474,7 +1526,7 @@ impl Slurm {
                 let until = shadow + dur;
                 self.timeline.get_mut().plan(shadow, until, need);
                 if let Some(c) = self.sole_eligible_class(constraint) {
-                    self.class_timelines.get_mut()[c].plan(shadow, until, need);
+                    self.class_timelines.get_mut().sets[c].plan(shadow, until, need);
                 }
             }
             pass.reservations.push((shadow, spare));
@@ -1588,7 +1640,7 @@ impl Slurm {
     /// the window would have no plans protecting them.
     fn backfill_pass_conservative(&mut self, now: SimTime) -> Vec<JobStart> {
         self.reap_dead_resizers(now);
-        let built = self.build_timelines(now, true);
+        let aggregate = self.build_timelines(now, true);
         let window = self.config.bf_max_job_test.max(1);
         let order = self.pass_order(now);
         let mut started = Vec::new();
@@ -1644,13 +1696,13 @@ impl Slurm {
             }
             let cap = i64::from(avail - need);
             let hole = match sole {
-                Some(c) => self.class_timelines.borrow()[c].earliest_hole(now, cap, dur),
+                Some(c) => self.class_timeline(c, now).earliest_hole(now, cap, dur),
                 None => self.timeline.borrow().earliest_hole(now, cap, dur),
             };
             match hole {
                 Some(s) if s == now && fits => {
                     started.push(self.start_job(id, now));
-                    self.plan_start(id, now, now + dur, need, built);
+                    self.plan_start(id, now, now + dur, need, aggregate);
                 }
                 Some(s) => {
                     // A fitting job whose hole is not at `now` is a
@@ -1665,7 +1717,7 @@ impl Slurm {
                     let until = s + dur;
                     self.timeline.get_mut().plan(s, until, need);
                     if let Some(c) = sole {
-                        self.class_timelines.get_mut()[c].plan(s, until, need);
+                        self.class_timelines.get_mut().sets[c].plan(s, until, need);
                     }
                     planned = true;
                 }
@@ -2179,6 +2231,18 @@ impl Slurm {
                     j.id
                 ));
             }
+            // The factor a compute segment is scaled by, against the
+            // cluster's probe of the job's held list.
+            let (stored, probed) = (
+                self.slowdown(j.id),
+                self.cluster.worst_slowdown(j.id.owner_tag()),
+            );
+            if stored != probed {
+                return Err(format!(
+                    "slowdown of {:?}: stored {stored:?} != held classes' {probed:?}",
+                    j.id
+                ));
+            }
         }
         let mut scan: Vec<(SimTime, u32)> = running
             .iter()
@@ -2221,7 +2285,7 @@ impl Slurm {
             for j in running.iter() {
                 self.cluster
                     .held_class_counts(j.id.owner_tag(), &mut counts);
-                let recorded = self.class_counts.get(j.id).unwrap_or(&zeros);
+                let recorded = self.class_splits.get(j.id).map_or(&zeros, |s| &s.counts);
                 if counts != *recorded {
                     return Err(format!(
                         "class counts of {:?}: recorded {recorded:?} != held {counts:?}",
@@ -2232,10 +2296,10 @@ impl Slurm {
                     want_held[c] += n;
                 }
             }
-            if self.class_counts.len() != running.len() {
+            if self.class_splits.len() != running.len() {
                 return Err(format!(
-                    "class-count map holds {} jobs != {} running",
-                    self.class_counts.len(),
+                    "class-split map holds {} jobs != {} running",
+                    self.class_splits.len(),
                     running.len()
                 ));
             }
@@ -2251,7 +2315,7 @@ impl Slurm {
                     .map(|j| {
                         (
                             j.expected_end().expect("running job has a start time"),
-                            self.class_counts.get(j.id).map_or(0, |v| v[c]),
+                            self.class_splits.get(j.id).map_or(0, |s| s.counts[c]),
                         )
                     })
                     .collect();
@@ -2277,6 +2341,23 @@ fn resizer_request(original: JobId, delta: u32, constraint: ClassConstraint) -> 
         resize: None,
         constraint,
     }
+}
+
+/// The largest execution-time multiplier `(num, den)` among the classes
+/// of `table` in which `counts` (one entry per class) holds nodes — a job
+/// runs at the speed of its slowest node — or `(1, 1)` for none. Of two
+/// equal factors the lower class's stands, as in
+/// [`Cluster::worst_slowdown`].
+fn slowest_class(table: &ClassTable, counts: &[u32]) -> (u32, u32) {
+    let held = (0..counts.len()).filter(|&c| counts[c] > 0);
+    let factors = held.map(|c| (table.class(c).slow_num, table.class(c).slow_den));
+    // a/b > w/v  ⇔  a·v > w·b (all positive).
+    let slower = |(a, b): (u32, u32), (w, v): (u32, u32)| {
+        u64::from(a) * u64::from(v) > u64::from(w) * u64::from(b)
+    };
+    factors
+        .reduce(|worst, f| if slower(f, worst) { f } else { worst })
+        .unwrap_or((1, 1))
 }
 
 /// Invariant check of the timeline build: the timeline rebuilt at `probe`
@@ -3307,6 +3388,94 @@ mod tests {
         );
         assert_eq!(pass.reservations[2].0, t(1195));
         assert!(s.backfill_pass(t(5)).is_empty());
+        s.check_invariants().unwrap();
+    }
+
+    /// Conservative backfill on a machine of three classes at neutral
+    /// speed: 2 standard nodes (n0–n1), 4 big-memory (n2–n5) and 2 GPU
+    /// (n6–n7).
+    fn three_class_conservative() -> Slurm {
+        use dmr_cluster::{ClassTable, MachineClass};
+        let standard = MachineClass::standard(16);
+        let bigmem = MachineClass {
+            name: "bigmem",
+            memory_gb: 128,
+            ..standard
+        };
+        let gpu = MachineClass {
+            name: "gpu",
+            gpu: true,
+            ..standard
+        };
+        let table = ClassTable::new(&[(standard, 2), (bigmem, 4), (gpu, 2)]);
+        let mut s = Slurm::with_cluster(Cluster::with_classes(table));
+        s.config.backfill_family = BackfillFamily::Conservative;
+        s
+    }
+
+    fn class_built(s: &Slurm) -> u32 {
+        s.class_timelines.borrow().built
+    }
+
+    #[test]
+    fn a_pass_over_gpu_only_jobs_builds_the_gpu_timeline_alone() {
+        // Both GPU nodes are busy until t=1000 and two more GPU-only jobs
+        // wait: the pass plans them on the GPU timeline, back to back,
+        // and never asks the standard or big-memory one anything.
+        let mut s = three_class_conservative();
+        let gpu_job = |name, nodes, secs| {
+            JobRequest::rigid(name, nodes)
+                .with_expected_runtime(Span::from_secs(secs))
+                .with_constraint(ClassConstraint::GpuRequired)
+        };
+        s.submit(gpu_job("hog", 2, 1000), t(0));
+        assert_eq!(s.schedule(t(0)).len(), 1);
+        s.submit(gpu_job("g1", 2, 100), t(1));
+        s.submit(gpu_job("g2", 1, 50), t(2));
+        assert!(s.backfill_pass(t(5)).is_empty());
+        assert_eq!(class_built(&s), 1 << 2);
+        let tls = s.class_timelines.borrow();
+        let plans = [(t(5), 2), (t(1000), 2), (t(1100), 1), (t(1150), 0)];
+        assert_eq!(tls.sets[2].slots(), plans);
+        for untouched in &tls.sets[..2] {
+            assert_eq!(untouched.slots(), [(SimTime::ZERO, 0)]);
+        }
+        drop(tls);
+        s.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_class_first_queried_mid_pass_shows_the_starts_before_it() {
+        // `r` holds one big-memory node until t=1000. The pass starts `a`
+        // (n0 n1 n3) and `b` (n4 n5) before its first big-memory-only
+        // job, so the big-memory timeline is built after both starts; it
+        // must hold them as the running index does — `a` until 105, `b`
+        // until 205 — for `c`'s hole to open at 205 and `d`'s, planned
+        // over `c`'s plan, at 105.
+        let mut s = three_class_conservative();
+        let job = |name, nodes, secs, constraint| {
+            JobRequest::rigid(name, nodes)
+                .with_expected_runtime(Span::from_secs(secs))
+                .with_constraint(constraint)
+        };
+        let bigmem = ClassConstraint::Class(1);
+        s.submit(job("r", 1, 1000, bigmem), t(0));
+        assert_eq!(s.schedule(t(0)).len(), 1);
+        let a = s.submit(job("a", 3, 100, ClassConstraint::Any), t(1));
+        let b = s.submit(job("b", 2, 200, ClassConstraint::Any), t(1));
+        let c = s.submit(job("c", 2, 50, bigmem), t(1));
+        let d = s.submit(job("d", 1, 30, bigmem), t(1));
+        let started: Vec<JobId> = s.backfill_pass(t(5)).iter().map(|j| j.id).collect();
+        assert_eq!(started, [a, b]);
+        for waiting in [c, d] {
+            assert_eq!(s.job(waiting).unwrap().state, JobState::Pending);
+        }
+        assert_eq!(class_built(&s), 1 << 1);
+        // r + a + b = 4 until 105, r + b = 3 until 205, then r alone;
+        // d's plan lifts [105, 135) to 4 and c's [205, 255) to 3.
+        let mut profile = vec![(t(5), 4), (t(105), 4), (t(135), 3)];
+        profile.extend([(t(205), 3), (t(255), 1), (t(1000), 0)]);
+        assert_eq!(s.class_timelines.borrow().sets[1].slots(), profile);
         s.check_invariants().unwrap();
     }
 

@@ -29,13 +29,15 @@ pub trait WorkloadSource {
 ///
 /// This wraps [`WorkloadGenerator`] and is pinned *bit-for-bit* to its
 /// output: the model draws every job body first and only then draws the
-/// arrival process from the same RNG stream, so the sequence cannot be
-/// produced one job at a time without changing the stream. The generator
-/// therefore materializes internally and streams from its buffer — the
-/// price of seed-stable history. The adversarial synthetics
+/// arrival process from the same RNG stream. It materializes the
+/// generator's output and streams from that buffer, although that draw
+/// order does not force it: the sequence can be produced one job at a
+/// time, bit for bit, with two cursors on the stream — bodies drawn on
+/// demand from one, arrivals from a clone advanced past every body draw
+/// when the source is built; the generation would then run inside the
+/// consumer's run instead of ahead of it. The adversarial synthetics
 /// ([`crate::burst::Burst`], [`crate::diurnal::Diurnal`]) and trace replay
-/// ([`crate::swf::SwfTrace`]) have no such legacy and generate in O(1)
-/// memory.
+/// ([`crate::swf::SwfTrace`]) already generate in O(1) memory.
 pub struct Feitelson {
     jobs: std::vec::IntoIter<JobSpec>,
     name: &'static str,

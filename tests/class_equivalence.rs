@@ -163,6 +163,9 @@ proptest! {
         let mut live: Vec<u64> = Vec::new();
 
         for (op, sel, n) in ops {
+            let busy = cluster.busy_by_class().to_vec();
+            let off = cluster.off_by_class().to_vec();
+            let changes = cluster.tally_changes();
             match op {
                 0 => {
                     let constraint = constraint_for(sel);
@@ -210,6 +213,12 @@ proptest! {
                 }
             }
             prop_assert_eq!(cluster.off_by_class(), model.off_by_class(&table));
+            // The power meter is charged only when this counter moves.
+            let moved = cluster.busy_by_class() != busy || cluster.off_by_class() != off;
+            prop_assert!(
+                !moved || cluster.tally_changes() != changes,
+                "op {} moved the tallies but not the change counter", op
+            );
             for constraint in [
                 ClassConstraint::Any,
                 ClassConstraint::Class(0),
@@ -294,8 +303,14 @@ fn busy_and_off_tallies_follow_state_changes() {
     // without touching the off tallies.
     let off_node = dmr::cluster::NodeId(7);
     assert_eq!(cluster.table().class_of_node(off_node), 2);
+    let changes = cluster.tally_changes();
     cluster.set_state(off_node, NodeState::Up);
     assert_eq!(cluster.off_by_class()[2], 0, "override leaves the off pool");
+    assert_ne!(
+        cluster.tally_changes(),
+        changes,
+        "the power meter must see it"
+    );
     cluster.check_invariants().unwrap();
     cluster.wake_all();
     let _ = cluster.release_all(2);

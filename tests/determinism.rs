@@ -175,3 +175,61 @@ fn node_failures_cancel_relayed_segments_on_both_sides_of_the_relay() {
     assert_eq!((r.summary.jobs, r.summary.requeues), (8, 3));
     assert_eq!(pin(&r), LOCKSTEP_HARSH);
 }
+
+/// The benchmark's `trace_mixed` configuration on a 32-node machine:
+/// three machine classes (standard, 5/4-slower big-memory, 3/4-faster
+/// GPU), one job in four confined to the GPU class, conservative
+/// backfill, the energy-aware policy, the harsh faultload and 600 s
+/// checkpoints — every path where the classes cost something: per-class
+/// timelines, each job's slowest-class factor through start / expand /
+/// shrink / kill-and-requeue, and the power meter.
+fn trace_mixed_config() -> ExperimentConfig {
+    use dmr::core::{FaultLoad, MachineMix, PolicyKind};
+    ExperimentConfig::preliminary()
+        .with_nodes(32)
+        .with_machine_mix(MachineMix::Hetero3)
+        .with_faults(FaultLoad::Harsh)
+        .with_fault_seed(20170814)
+        .with_ckpt_interval(600.0)
+        .conservative_backfill()
+        .with_policy(PolicyKind::energy_aware())
+}
+
+/// What the three-class run is pinned by: events, reconfigurations,
+/// failures, requeues, makespan and energy bits, and the FNV-1a fold of
+/// every job's start and end bits.
+type MixedPin = (u64, u32, u64, u64, u64, u64, u64);
+
+/// Recorded from the build before a running job's slowest-class factor
+/// was stored, class timelines were built on first query and the power
+/// meter was charged on a change counter. Re-record as for the lockstep
+/// pins above.
+const TRACE_MIXED_300: MixedPin = (
+    17766,
+    175,
+    15,
+    4,
+    4680348093108751708,
+    4738881594021293022,
+    8488999103349633714,
+);
+
+#[test]
+fn three_class_conservative_faulty_run_is_pinned() {
+    use dmr::core::run_experiment_streaming;
+    use dmr::workload::{Feitelson, GpuShare};
+    let feitelson = Feitelson::new(WorkloadConfig::fs_preliminary(300), 20170814);
+    let r = run_experiment_streaming(&trace_mixed_config(), &mut GpuShare::new(feitelson, 250));
+    assert_eq!(r.summary.jobs, 300);
+    let (events, reconfigurations, _, _, digest) = pin(&r);
+    let got = (
+        events,
+        reconfigurations,
+        r.summary.failures,
+        r.summary.requeues,
+        r.summary.makespan_s.to_bits(),
+        r.summary.energy_to_solution_j.to_bits(),
+        digest,
+    );
+    assert_eq!(got, TRACE_MIXED_300);
+}

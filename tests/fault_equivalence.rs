@@ -103,13 +103,15 @@ proptest! {
             let verb = if repair { "repair" } else { "fail" };
             script.push_str(&format!("{t} {verb} {node}\n"));
         }
-        let trace = || FaultTrace::parse(&script).expect("generated script parses");
-        let a = run_experiment_streaming_with_faults(&cfg, kind.build(jobs, seed).as_mut(), trace());
-        let b = run_experiment_streaming_with_faults(&cfg, kind.build(jobs, seed).as_mut(), trace());
+        let run = |cfg: &ExperimentConfig| {
+            let trace = FaultTrace::parse(&script).expect("generated script parses");
+            run_experiment_streaming_with_faults(cfg, kind.build(jobs, seed).as_mut(), trace)
+                .expect("the script names the machine's nodes only")
+        };
+        let (a, b) = (run(&cfg), run(&cfg));
         assert_bit_identical(&a, &b)?;
         let scan = cfg.scan_reference();
-        let c = run_experiment_streaming_with_faults(&scan, kind.build(jobs, seed).as_mut(), trace());
-        let d = run_experiment_streaming_with_faults(&scan, kind.build(jobs, seed).as_mut(), trace());
+        let (c, d) = (run(&scan), run(&scan));
         assert_bit_identical(&c, &d)?;
         assert_bit_identical(&a, &c)?;
     }

@@ -168,7 +168,11 @@ proptest! {
 /// paper's §III protocol. This module holds it against the protocol made
 /// literal through the public API — submit the resizer with its
 /// dependency, boost it, let a scheduling pass start it, `finish_expand`
-/// — on twin schedulers driven through the same random history.
+/// — on twin schedulers driven through the same random history. On the
+/// three-class machine it also holds each running job's stored
+/// slowest-class factor (`Slurm::slowdown`, what a compute segment is
+/// scaled by) against the cluster's probe of the job's node list after
+/// every start, expansion, shrink, completion and kill-and-requeue.
 mod immediate_expansion {
     use super::*;
     use dmr::cluster::{ClassConstraint, ClassTable, MachineClass};
@@ -247,6 +251,20 @@ mod immediate_expansion {
         Ok(())
     }
 
+    /// Each running job's stored factor is the slowest of the classes its
+    /// nodes are on, on both twins — resizers included.
+    fn factors_follow_allocations(pair: &[Slurm; 2]) -> Result<(), String> {
+        for s in pair {
+            for resizers in [false, true] {
+                for id in ids_where(s, JobState::Running, resizers) {
+                    let probed = s.cluster().worst_slowdown(id.owner_tag());
+                    prop_assert_eq!(s.slowdown(id), probed, "factor of {:?}", id);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Everything a caller can see of the two schedulers is the same.
     fn same_state(pair: &[Slurm; 2], now: SimTime) -> Result<(), String> {
         let [a, b] = pair;
@@ -275,11 +293,15 @@ mod immediate_expansion {
         fn immediate_expansion_matches_the_four_step_protocol(
             retain_completed in proptest::bool::ANY,
             hetero in proptest::bool::ANY,
-            ops in proptest::collection::vec((0u8..10, 0u32..1000, 1u32..7), 1..80),
+            ops in proptest::collection::vec((0u8..11, 0u32..1000, 1u32..7), 1..80),
         ) {
+            // Jobs that may run anywhere fill the standard nodes first,
+            // then the 5/4-slower big-memory ones: growing onto those and
+            // shrinking off them moves a job's factor.
             let table = if hetero {
                 ClassTable::new(&[
-                    (MachineClass::standard(16), 10),
+                    (MachineClass::standard(16), 6),
+                    (MachineMix::bigmem_class(16), 4),
                     (MachineMix::gpu_class(16), 6),
                 ])
             } else {
@@ -295,7 +317,7 @@ mod immediate_expansion {
                 let running = ids_where(&pair[0], JobState::Running, false);
                 match op {
                     0..=2 => {
-                        // A fifth of the jobs on the two-class machine
+                        // A fifth of the jobs on the three-class machine
                         // may only run on its six GPU nodes.
                         let constraint = if hetero && pick % 5 == 0 {
                             ClassConstraint::GpuRequired
@@ -313,11 +335,11 @@ mod immediate_expansion {
                     4 | 5 => {
                         // `expand_protocol` starts a resizer that fits at
                         // once, even past an older boosted job that does
-                        // not; a pass would stop at that job. Only
-                        // resizers are boosted here, so one negotiation
-                        // at a time keeps the two comparable.
-                        let negotiating = ids_where(&pair[0], JobState::Pending, true);
-                        if let Some(id) = nth(&running, pick).filter(|_| negotiating.is_empty()) {
+                        // not; a pass would stop at that job. Resizers
+                        // and requeued jobs are boosted, so expansions
+                        // wait until neither is pending.
+                        let boosted = pair[0].jobs().any(|j| j.state == JobState::Pending && j.boosted);
+                        if let Some(id) = nth(&running, pick).filter(|_| !boosted) {
                             pass(&mut pair, now, false)?;
                             let to = pair[0].nodes_of(id) + size;
                             let [a, b] = &mut pair;
@@ -343,11 +365,27 @@ mod immediate_expansion {
                             pair.iter_mut().for_each(|s| s.abort_expand(resizer, now));
                         }
                     }
+                    9 => {
+                        // A node of a running job fails: the job is killed
+                        // and resubmitted, boosted, at its current size.
+                        if let Some(id) = nth(&running, pick) {
+                            let nodes = pair[0].cluster().nodes_of(id.owner_tag());
+                            let node = nodes[size as usize % nodes.len()];
+                            let again = pair.each_mut().map(|s| {
+                                s.fail_node(node);
+                                let again = s.requeue_failed(id, now);
+                                s.repair_node(node);
+                                again
+                            });
+                            prop_assert_eq!(again[0], again[1], "the requeue ids differ");
+                        }
+                    }
                     _ => now += Span::from_secs(u64::from(pick % 40)),
                 }
                 if op != 3 {
                     pass(&mut pair, now, false)?;
                 }
+                factors_follow_allocations(&pair)?;
                 same_state(&pair, now)?;
             }
             // The next id either scheduler hands out is the same one.
