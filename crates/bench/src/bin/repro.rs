@@ -18,8 +18,9 @@
 //! CI-sized registry. `--trace` replays a Standard Workload Format file
 //! through the streaming bounded-memory driver, rigid vs malleable, and
 //! prints the summary comparison (including P50/P95/P99 columns) as CSV;
-//! `--check-prefix N` additionally replays the first `N` jobs through
-//! both telemetry paths and fails unless the summaries agree; `--faults`
+//! `--check-prefix N` additionally replays the first `N` jobs with a
+//! recorder attached and fails unless the run's streamed summary agrees
+//! with the one computed from the recorded buffers; `--faults`
 //! injects a node-failure load into the replay (a preset, or a scripted
 //! `trace:PATH` incident file of `<t_s> fail|repair <node>` lines) and
 //! `--ckpt-interval S` gives killed jobs periodic images to restart
@@ -216,12 +217,11 @@ fn run_sweep(args: &[String]) {
 
 /// Replays `path` (SWF) twice — rigid and malleable — through the
 /// streaming bounded-memory driver and prints a two-row summary CSV.
-/// With `--check-prefix N`, additionally replays the first `N` jobs under
-/// both telemetry modes and exits non-zero unless the summaries are
-/// bit-identical.
+/// With `--check-prefix N`, additionally replays the first `N` jobs with
+/// a recorder attached and exits non-zero unless the streamed and the
+/// buffered summaries are bit-identical.
 fn run_trace(path: &str, args: &[String]) {
-    use dmr_core::ExperimentConfig;
-    use dmr_core::{run_experiment_streaming, run_experiment_streaming_with_faults};
+    use dmr_core::{ExperimentConfig, Simulation};
     use dmr_metrics::csv::write_summaries;
     use dmr_workload::SwfTrace;
 
@@ -236,13 +236,12 @@ fn run_trace(path: &str, args: &[String]) {
         None => 20,
     };
     let (load, fault_trace) = fault_flags(args, nodes);
-    // Long traces replay through the O(1)-memory online telemetry path;
-    // the summary (including the percentile columns) is bit-identical to
-    // the buffered path, which `--check-prefix` verifies on demand.
+    // A run folds its summary in O(1) memory; the summary (including the
+    // percentile columns) is bit-identical to one computed from buffered
+    // outcomes, which `--check-prefix` verifies on demand.
     let mut cfg = ExperimentConfig::preliminary()
         .with_nodes(nodes)
-        .with_faults(load)
-        .online();
+        .with_faults(load);
     if let Some(s) = positive_seconds(args, "--ckpt-interval") {
         cfg = cfg.with_ckpt_interval(s);
     }
@@ -257,15 +256,16 @@ fn run_trace(path: &str, args: &[String]) {
                 std::process::exit(2);
             }
         };
-        let result = match fault_trace.clone() {
-            Some(script) => match run_experiment_streaming_with_faults(&cfg, &mut trace, script) {
-                Ok(result) => result,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            },
-            None => run_experiment_streaming(&cfg, &mut trace),
+        let mut sim = Simulation::new(&cfg).source(&mut trace);
+        if let Some(script) = fault_trace.clone() {
+            sim = sim.faults(script);
+        }
+        let result = match sim.run() {
+            Ok(result) => result,
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(2);
+            }
         };
         if result.summary.jobs == 0 {
             eprintln!("trace `{path}` contains no replayable jobs");
@@ -303,14 +303,17 @@ fn run_trace(path: &str, args: &[String]) {
     }
 }
 
-/// Replays the first `prefix` jobs of `path` through the streaming
-/// (online) and buffered (full) telemetry paths and asserts the
-/// summaries agree **bit-for-bit** — every f64 compared by raw bits, not
-/// through rounded CSV formatting, so even sub-rounding divergence fails
-/// the gate.
+/// Replays the first `prefix` jobs of `path` with a recorder attached and
+/// asserts that the run's streamed summary and the one
+/// [`WorkloadSummary::compute`] derives from the recorded outcomes and
+/// allocation series agree **bit-for-bit** — every f64 compared by raw
+/// bits, not through rounded CSV formatting, so even sub-rounding
+/// divergence fails the gate.
+///
+/// [`WorkloadSummary::compute`]: dmr_metrics::WorkloadSummary::compute
 fn check_prefix(path: &str, nodes: u32, prefix: u32) {
-    use dmr_core::{run_experiment_streaming, ExperimentConfig};
-    use dmr_metrics::WorkloadSummary;
+    use dmr_core::{ExperimentConfig, Simulation};
+    use dmr_metrics::{SeriesRecorder, WorkloadSummary};
     use dmr_workload::{Capped, SwfTrace};
 
     // Every f64 of the summary as raw bits (quantiles included), plus
@@ -339,27 +342,30 @@ fn check_prefix(path: &str, nodes: u32, prefix: u32) {
         )
     }
 
-    let base = ExperimentConfig::preliminary().with_nodes(nodes);
-    let mut prints = Vec::new();
-    for cfg in [base.online(), base] {
-        let trace = match SwfTrace::open(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot reopen trace `{path}`: {e}");
-                std::process::exit(2);
-            }
-        };
-        let mut capped = Capped::new(trace, prefix);
-        let result = run_experiment_streaming(&cfg, &mut capped);
-        prints.push(fingerprint(&result.summary));
-    }
+    let cfg = ExperimentConfig::preliminary().with_nodes(nodes);
+    let trace = match SwfTrace::open(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("cannot reopen trace `{path}`: {e}");
+            std::process::exit(2);
+        }
+    };
+    let mut rec = SeriesRecorder::new();
+    let result = Simulation::new(&cfg)
+        .source(&mut Capped::new(trace, prefix))
+        .sink(&mut rec)
+        .run()
+        .expect("the replay's configuration ran above");
+    let (allocation, _, _, outcomes) = rec.into_parts();
+    let buffered = WorkloadSummary::compute(&outcomes, &allocation, nodes);
+    let prints = [fingerprint(&result.summary), fingerprint(&buffered)];
     if prints[0] == prints[1] {
         eprintln!(
             "prefix check ({prefix} jobs): streaming summary matches buffered path bit-for-bit"
         );
     } else {
         eprintln!(
-            "prefix check FAILED ({prefix} jobs):\n  online:   {}\n  buffered: {}",
+            "prefix check FAILED ({prefix} jobs):\n  streamed: {}\n  buffered: {}",
             prints[0], prints[1]
         );
         std::process::exit(1);

@@ -2,11 +2,9 @@
 
 use dmr_cluster::{DiskModel, NetworkModel};
 use dmr_core::config::EstimateMode;
-use dmr_core::{
-    compare_fixed_flexible, run_experiment, ExperimentConfig, ExperimentResult, SimJob,
-};
-use dmr_metrics::{csv::sparkline, gain_pct, WorkloadSummary};
-use dmr_workload::{WorkloadConfig, WorkloadGenerator};
+use dmr_core::{compare_fixed_flexible, ExperimentConfig, ExperimentResult, Simulation};
+use dmr_metrics::{csv::sparkline, gain_pct, SeriesRecorder, StepSeries, WorkloadSummary};
+use dmr_workload::{JobSpec, WorkloadConfig, WorkloadGenerator};
 
 use crate::report::{pct, secs, table};
 
@@ -30,28 +28,46 @@ pub struct SummaryPair {
 /// Fixed + flexible evolution traces (Figures 4, 5, 6, 12).
 pub struct Evolution {
     pub label: String,
-    pub fixed: ExperimentResult,
-    pub flexible: ExperimentResult,
+    /// Fixed, then flexible: each run's result and its allocated-node,
+    /// running-job and completed-job series.
+    pub runs: [(ExperimentResult, [StepSeries; 3]); 2],
 }
 
-fn fs_workload(jobs: u32, seed: u64) -> Vec<SimJob> {
-    SimJob::from_specs(
-        WorkloadGenerator::new(WorkloadConfig::fs_preliminary(jobs), seed).generate(),
-    )
+/// Every figure runs a fixed, valid configuration.
+const VALID: &str = "figure configurations are valid";
+
+fn fs_workload(jobs: u32, seed: u64) -> Vec<JobSpec> {
+    WorkloadGenerator::new(WorkloadConfig::fs_preliminary(jobs), seed).generate()
 }
 
-fn fs_micro_workload(jobs: u32, seed: u64) -> Vec<SimJob> {
-    SimJob::from_specs(
-        WorkloadGenerator::new(WorkloadConfig::fs_micro_steps(jobs), seed).generate(),
-    )
+fn fs_micro_workload(jobs: u32, seed: u64) -> Vec<JobSpec> {
+    WorkloadGenerator::new(WorkloadConfig::fs_micro_steps(jobs), seed).generate()
 }
 
-fn real_workload(jobs: u32, seed: u64) -> Vec<SimJob> {
-    SimJob::from_specs(WorkloadGenerator::new(WorkloadConfig::real_mix(jobs), seed).generate())
+fn real_workload(jobs: u32, seed: u64) -> Vec<JobSpec> {
+    WorkloadGenerator::new(WorkloadConfig::real_mix(jobs), seed).generate()
 }
 
-fn compare(cfg: &ExperimentConfig, jobs: &[SimJob], n: u32) -> ComparisonRow {
-    let (fixed, flexible) = compare_fixed_flexible(cfg, jobs);
+fn run(cfg: &ExperimentConfig, jobs: &[JobSpec]) -> ExperimentResult {
+    Simulation::new(cfg)
+        .source(&mut jobs.iter())
+        .run()
+        .expect(VALID)
+}
+
+/// [`run`] with a [`SeriesRecorder`] attached.
+fn recorded(cfg: &ExperimentConfig, jobs: &[JobSpec]) -> (ExperimentResult, SeriesRecorder) {
+    let mut rec = SeriesRecorder::new();
+    let result = Simulation::new(cfg)
+        .source(&mut jobs.iter())
+        .sink(&mut rec)
+        .run()
+        .expect(VALID);
+    (result, rec)
+}
+
+fn compare(cfg: &ExperimentConfig, jobs: &[JobSpec], n: u32) -> ComparisonRow {
+    let (fixed, flexible) = compare_fixed_flexible(cfg, jobs).expect(VALID);
     ComparisonRow {
         jobs: n,
         fixed_s: fixed.summary.makespan_s,
@@ -221,12 +237,15 @@ pub fn fig7_report(job_counts: &[u32], seed: u64) -> String {
 // Figures 4/5/6/12 — evolution traces
 // ---------------------------------------------------------------------
 
-fn evolution(label: &str, cfg: &ExperimentConfig, jobs: &[SimJob]) -> Evolution {
-    let (fixed, flexible) = compare_fixed_flexible(cfg, jobs);
+fn evolution(label: &str, cfg: &ExperimentConfig, jobs: &[JobSpec]) -> Evolution {
+    let traced = |cfg: &ExperimentConfig| {
+        let (result, rec) = recorded(cfg, jobs);
+        let (allocation, running, completed, _) = rec.into_parts();
+        (result, [allocation, running, completed])
+    };
     Evolution {
         label: label.to_string(),
-        fixed,
-        flexible,
+        runs: [traced(&cfg.as_fixed()), traced(cfg)],
     }
 }
 
@@ -272,24 +291,16 @@ impl Evolution {
     /// both runs, over each run's own makespan.
     pub fn render(&self, width: usize) -> String {
         let mut out = format!("{}\n", self.label);
-        for (name, r) in [("fixed", &self.fixed), ("flexible", &self.flexible)] {
+        for (name, (r, series)) in ["fixed", "flexible"].iter().zip(&self.runs) {
             out.push_str(&format!(
                 "  {name:8} makespan {:>9.1}s  util {:>5.1}%\n",
                 r.summary.makespan_s,
                 r.summary.utilization * 100.0
             ));
-            out.push_str(&format!(
-                "    alloc nodes |{}|\n",
-                sparkline(&r.allocation, r.end_time, width)
-            ));
-            out.push_str(&format!(
-                "    running     |{}|\n",
-                sparkline(&r.running, r.end_time, width)
-            ));
-            out.push_str(&format!(
-                "    completed   |{}|\n",
-                sparkline(&r.completed, r.end_time, width)
-            ));
+            for (row, s) in ["alloc nodes", "running", "completed"].iter().zip(series) {
+                let line = sparkline(s, r.end_time, width);
+                out.push_str(&format!("    {row:11} |{line}|\n"));
+            }
         }
         out
     }
@@ -313,8 +324,7 @@ pub fn fig8(jobs: u32, seed: u64) -> Vec<Fig8Row> {
         .map(|&ratio| {
             let mut wcfg = WorkloadConfig::fs_preliminary(jobs);
             wcfg.flexible_ratio = ratio as f64 / 100.0;
-            let jobs_v = SimJob::from_specs(WorkloadGenerator::new(wcfg, seed).generate());
-            let r = run_experiment(&cfg, &jobs_v);
+            let r = run(&cfg, &WorkloadGenerator::new(wcfg, seed).generate());
             Fig8Row {
                 flexible_ratio_pct: ratio,
                 makespan_s: r.summary.makespan_s,
@@ -360,11 +370,11 @@ pub fn fig9(job_counts: &[u32], seed: u64) -> Vec<Fig9Row> {
     let periods: [Option<f64>; 5] = [None, Some(2.0), Some(5.0), Some(10.0), Some(20.0)];
     // Fixed baselines per size.
     let fixed_cfg = ExperimentConfig::preliminary().as_fixed();
-    let baselines: Vec<(u32, f64, Vec<SimJob>)> = job_counts
+    let baselines: Vec<(u32, f64, Vec<JobSpec>)> = job_counts
         .iter()
         .map(|&n| {
             let jobs = fs_micro_workload(n, seed);
-            let fixed = run_experiment(&fixed_cfg, &jobs);
+            let fixed = run(&fixed_cfg, &jobs);
             (n, fixed.summary.makespan_s, jobs)
         })
         .collect();
@@ -375,7 +385,7 @@ pub fn fig9(job_counts: &[u32], seed: u64) -> Vec<Fig9Row> {
             let cells = baselines
                 .iter()
                 .map(|(n, fixed_s, jobs)| {
-                    let r = run_experiment(&cfg, jobs);
+                    let r = run(&cfg, jobs);
                     (
                         *n,
                         r.summary.makespan_s,
@@ -428,7 +438,7 @@ pub fn production_summaries(job_counts: &[u32], seed: u64) -> Vec<SummaryPair> {
         .iter()
         .map(|&n| {
             let jobs = real_workload(n, seed);
-            let (fixed, flexible) = compare_fixed_flexible(&cfg, &jobs);
+            let (fixed, flexible) = compare_fixed_flexible(&cfg, &jobs).expect(VALID);
             SummaryPair {
                 jobs: n,
                 fixed: fixed.summary,
@@ -512,16 +522,16 @@ pub fn table2_report(pairs: &[SummaryPair]) -> String {
 
 /// ASCII histograms of the waiting / execution / completion distributions
 /// for a fixed-vs-flexible pair of runs on the preliminary FS workload —
-/// the `repro --hist` view. The histograms are rebuilt from the buffered
-/// outcomes with the same [`dmr_metrics::LogHistogram`] bins the
-/// streaming path uses, so what this prints is exactly what the P50/P95/
-/// P99 columns are read from.
+/// the `repro --hist` view. The histograms are rebuilt from the outcomes
+/// a [`SeriesRecorder`] kept, with the same [`dmr_metrics::LogHistogram`]
+/// bins the run's own accumulator uses, so what this prints is exactly
+/// what the P50/P95/P99 columns are read from.
 pub fn hist_report(jobs: u32, seed: u64) -> String {
     use crate::report::ascii_histogram;
     use dmr_metrics::LogHistogram;
 
     let workload = fs_workload(jobs, seed);
-    let (fixed, flexible) = compare_fixed_flexible(&ExperimentConfig::preliminary(), &workload);
+    let cfg = ExperimentConfig::preliminary();
     type Dim = (&'static str, fn(&dmr_metrics::JobOutcome) -> f64);
     let dims: [Dim; 3] = [
         ("waiting", |o| o.waiting_s()),
@@ -529,11 +539,13 @@ pub fn hist_report(jobs: u32, seed: u64) -> String {
         ("completion", |o| o.completion_s()),
     ];
     let mut out = format!("Job-time distributions ({jobs}-job FS workload, seed {seed})\n");
-    for (name, r) in [("fixed", &fixed), ("flexible", &flexible)] {
+    for (name, cfg) in [("fixed", cfg.as_fixed()), ("flexible", cfg)] {
+        let (_, rec) = recorded(&cfg, &workload);
+        let outcomes = rec.into_parts().3;
         out.push_str(&format!("\n{name}:\n"));
         for (dim, value) in dims {
             let mut h = LogHistogram::new();
-            for o in &r.outcomes {
+            for o in &outcomes {
                 h.record_secs(value(o));
             }
             out.push_str(&format!(" {dim} time (s):\n"));
@@ -631,7 +643,7 @@ pub fn ablations(jobs: u32, seed: u64) -> Vec<AblationRow> {
     variants
         .into_iter()
         .map(|(name, cfg)| {
-            let r = run_experiment(&cfg, &workload);
+            let r = run(&cfg, &workload);
             AblationRow {
                 name,
                 makespan_s: r.summary.makespan_s,

@@ -16,9 +16,9 @@
 //!
 //! Nothing here records a number. The repository's performance
 //! trajectory is `benchmark/` (declared in `BENCHMARK.json`), which
-//! times whole `run_experiment_streaming` runs; this driver keeps the
-//! one regime no `WorkloadSource` of that benchmark reaches — 65 536
-//! nodes with 100 000 jobs pending — runnable, and the bench prints each
+//! times whole simulation runs; this driver keeps the one regime no
+//! `WorkloadSource` of that benchmark reaches — 65 536 nodes with
+//! 100 000 jobs pending — runnable, and the bench prints each
 //! cell's churn-only [`CellResult::events_per_sec`] for the reader of
 //! that session. A headline cell's timed section is 5–10 ms: two
 //! readings from different sessions do not compare.

@@ -3,7 +3,7 @@
 //! One function per table/figure of the paper's evaluation ([`figures`]),
 //! plus the scenario layer: a declarative [`scenario`] registry (workload
 //! mix × cluster size × policy × sync/async mode) and the parallel
-//! [`sweep`] runner that fans `run_experiment` over the (scenario × seed)
+//! [`sweep`] runner that fans simulation runs over the (scenario × seed)
 //! grid with deterministic, thread-count-independent CSV output. The
 //! `repro` binary dispatches to both; the criterion benches reuse the
 //! figure functions at reduced scale, and the [`hotpath`] churn driver

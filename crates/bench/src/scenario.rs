@@ -167,15 +167,9 @@ impl Scenario {
         name
     }
 
-    /// The experiment configuration this scenario runs under. Sweeps run
-    /// with streaming [`dmr_core::Telemetry::Online`] telemetry: grid
-    /// cells only need summaries, and the bounded-memory path produces
-    /// bit-identical ones, so even million-job scenarios stay O(1) per
-    /// worker.
+    /// The experiment configuration this scenario runs under.
     pub fn config(&self) -> ExperimentConfig {
-        let mut cfg = ExperimentConfig::preliminary()
-            .with_policy(self.policy)
-            .online();
+        let mut cfg = ExperimentConfig::preliminary().with_policy(self.policy);
         cfg.nodes = self.nodes;
         cfg.mode = self.mode;
         cfg.machine_mix = self.mix;

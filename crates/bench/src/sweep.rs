@@ -1,6 +1,6 @@
 //! Parallel scenario-sweep runner.
 //!
-//! Fans `run_experiment` over the (scenario × seed) grid across OS
+//! Fans [`Simulation`] runs over the (scenario × seed) grid across OS
 //! threads. Work items are claimed from an atomic cursor and results are
 //! written into pre-indexed slots, so the output order — and therefore the
 //! CSV byte stream — is a pure function of the grid, never of thread
@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use dmr_core::run_experiment_streaming;
+use dmr_core::Simulation;
 use dmr_metrics::csv::escape_field;
 use dmr_metrics::WorkloadSummary;
 
@@ -136,7 +136,10 @@ pub fn run_sweep(scenarios: &[Scenario], seeds: &[u64], threads: usize) -> Vec<S
 
 fn run_cell(sc: &Scenario, seed: u64) -> SweepCell {
     let mut source = sc.source(seed);
-    let result = run_experiment_streaming(&sc.config(), source.as_mut());
+    let result = Simulation::new(&sc.config())
+        .source(source.as_mut())
+        .run()
+        .unwrap_or_else(|e| panic!("scenario {}: {e}", sc.name()));
     SweepCell {
         scenario: sc.name(),
         workload: sc.workload.name(),

@@ -56,22 +56,32 @@ impl MachineMix {
         }
     }
 
+    /// The smallest machine that gives every class of the mix at least
+    /// one node.
+    pub fn min_nodes(self) -> u32 {
+        match self {
+            MachineMix::Uniform => 1,
+            MachineMix::Hetero3 => 3,
+        }
+    }
+
     /// Expands the mix into the class table of a `nodes`-node machine
     /// with `cores` cores per (standard) node.
     ///
     /// # Panics
-    /// If `nodes` is too small to give every class of the mix at least
-    /// one node (Hetero3 needs ≥ 3).
+    /// If `nodes` is below [`MachineMix::min_nodes`].
     pub fn table(self, nodes: u32, cores: u32) -> ClassTable {
+        assert!(
+            nodes >= self.min_nodes(),
+            "{} needs at least {} nodes, got {nodes}",
+            self.name(),
+            self.min_nodes()
+        );
         match self {
             MachineMix::Uniform => ClassTable::uniform(nodes, cores),
             MachineMix::Hetero3 => {
                 let gpu = (nodes / 8).max(1);
                 let big = (nodes / 4).max(1);
-                assert!(
-                    nodes > gpu + big,
-                    "Hetero3 needs at least 3 nodes, got {nodes}"
-                );
                 ClassTable::new(&[
                     (MachineClass::standard(cores), nodes - big - gpu),
                     (MachineMix::bigmem_class(cores), big),
@@ -93,21 +103,6 @@ pub enum ScheduleMode {
     /// step *k+1*, hiding the communication cost behind computation — at
     /// the risk of enforcing outdated actions (§VIII-C).
     Asynchronous,
-}
-
-/// How much telemetry a run records.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Telemetry {
-    /// Buffered recording: full evolution [`dmr_metrics::StepSeries`] and
-    /// the complete per-job outcome list. Memory grows with the workload;
-    /// required by the figure pipeline and per-job assertions.
-    Full,
-    /// Streaming recording through a [`dmr_metrics::OnlineAccumulator`]:
-    /// O(1) memory in both event and job count, summaries (including the
-    /// P50/P95/P99 columns) bit-identical to `Full`. The evolution series
-    /// and outcome list of the result come back empty. The default for
-    /// sweeps and long-trace replays.
-    Online,
 }
 
 /// What the backfill scheduler believes about job runtimes.
@@ -166,9 +161,6 @@ pub struct ExperimentConfig {
     /// Which reconfiguration decision procedure the scheduler installs
     /// (the §IV plug-in: Algorithm 1 or an alternative).
     pub policy: PolicyKind,
-    /// Buffered ([`Telemetry::Full`]) or streaming bounded-memory
-    /// ([`Telemetry::Online`]) metric recording.
-    pub telemetry: Telemetry,
     /// Scheduler implementation: the production path (the default) or
     /// the from-scratch scan reference the equivalence suites compare it
     /// with (see [`SchedIndex`]).
@@ -186,8 +178,8 @@ pub struct ExperimentConfig {
     /// Injected faultload preset ([`FaultLoad::None`] — the default — is
     /// the zero-fault oracle, bit-identical to pre-fault-injection
     /// behaviour; `Rare`/`Harsh` run seeded per-class MTBF/MTTR
-    /// processes). Scripted [`dmr_cluster::FaultTrace`]s are injected
-    /// through `run_experiment_with_faults`, not the config (the config
+    /// processes). A scripted [`dmr_cluster::FaultTrace`] is injected
+    /// through [`crate::Simulation::faults`], not the config (the config
     /// stays `Copy`).
     pub faults: FaultLoad,
     /// Seed of the fault process (independent of workload seeds so the
@@ -219,7 +211,6 @@ impl ExperimentConfig {
             shrink_boost: true,
             resizer_timeout_s: 30.0,
             policy: PolicyKind::Algorithm1,
-            telemetry: Telemetry::Full,
             machine_mix: MachineMix::Uniform,
             wake_latency_s: 30.0,
             sched_index: SchedIndex::Arena,
@@ -267,15 +258,6 @@ impl ExperimentConfig {
     /// Selects the reconfiguration policy the scheduler installs.
     pub fn with_policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Switches to streaming bounded-memory telemetry
-    /// ([`Telemetry::Online`]): summaries stay bit-identical, the
-    /// evolution series and per-job outcome list come back empty, and
-    /// memory stays O(1) in job count.
-    pub fn online(mut self) -> Self {
-        self.telemetry = Telemetry::Online;
         self
     }
 
@@ -368,13 +350,6 @@ mod tests {
         assert_eq!(c.inhibitor_override, Some(None));
         let c = ExperimentConfig::preliminary().with_policy(PolicyKind::fair_share());
         assert_eq!(c.policy, PolicyKind::fair_share());
-        assert_eq!(
-            ExperimentConfig::preliminary().telemetry,
-            Telemetry::Full,
-            "buffered telemetry is the compatibility default"
-        );
-        let c = ExperimentConfig::preliminary().online();
-        assert_eq!(c.telemetry, Telemetry::Online);
         assert_eq!(
             ExperimentConfig::preliminary().backfill_family,
             BackfillFamily::easy(1),

@@ -11,18 +11,20 @@ use dmr_slurm::{JobId, JobName, JobRequest, ResizeEnvelope};
 use super::events::Ev;
 use super::{Driver, RunState};
 use crate::config::EstimateMode;
+use crate::model::SimJob;
 
 impl Driver<'_, '_> {
-    /// Pulls the next job from the feed (if any) and schedules its
-    /// arrival. Exactly one arrival event is in flight at any time, so
-    /// arbitrarily long workloads occupy O(1) event-queue space.
+    /// Pulls the next job from the source (if any), binds it to its
+    /// application's speedup curve and schedules its arrival. Exactly one
+    /// arrival event is in flight at any time, so arbitrarily long
+    /// workloads occupy O(1) event-queue space.
     ///
     /// Arrivals are scheduled in the engine's *early* tie-break class:
     /// historically every arrival was scheduled before the run began and
     /// therefore always popped before same-instant run events; streaming
     /// must preserve that order bit-for-bit.
     pub(crate) fn schedule_next_arrival(&mut self) {
-        let Some(job) = self.feed.next_job() else {
+        let Some(job) = self.source.next_job().map(SimJob::from_spec) else {
             self.arrivals_pending = false;
             return;
         };
@@ -94,7 +96,7 @@ impl Driver<'_, '_> {
                 Ev::NodeWake,
             );
         }
-        // The job is in the system: pull its successor from the feed.
+        // The job is in the system: pull its successor from the source.
         self.schedule_next_arrival();
         self.request_schedule(now);
     }

@@ -7,8 +7,8 @@
 //! as each job completes, its accounting is copied out of the scheduler
 //! record and folded into the sink *before* the record is pruned. The
 //! driver itself therefore retains no per-job or per-event telemetry —
-//! what a run keeps is entirely the sink's choice (buffered series vs.
-//! streaming histograms).
+//! what a run keeps is the sink's: the run's own streaming accumulator,
+//! plus whatever an attached observer buffers.
 
 use dmr_metrics::JobOutcome;
 use dmr_sim::SimTime;

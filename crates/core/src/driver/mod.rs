@@ -23,6 +23,8 @@
 //! * `failure` — injected node failures, kill-and-requeue recovery, and
 //!   the resize-retry backoff schedule;
 //! * `metrics` — evolution-series sampling and final summary assembly.
+//!
+//! A run is set up and started through [`Simulation`].
 
 pub(crate) mod arrivals;
 pub(crate) mod events;
@@ -32,13 +34,13 @@ pub(crate) mod reconfig;
 pub(crate) mod shrink;
 
 use dmr_cluster::{Cluster, FaultSource, FaultTrace, PowerMeter};
-use dmr_metrics::{MetricsSink, OnlineAccumulator, SeriesRecorder, StepSeries, WorkloadSummary};
+use dmr_metrics::{JobOutcome, MetricsSink, OnlineAccumulator};
 use dmr_sim::{Engine, EventId, SimTime, Span, Step, CLASS_EARLY};
 use dmr_slurm::{JobId, JobMap, ResizeAction, Slurm, SlurmConfig};
-use dmr_workload::WorkloadSource;
+use dmr_workload::{JobSpec, WorkloadSource};
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::config::{ExperimentConfig, Telemetry};
+use crate::config::ExperimentConfig;
 use crate::error::DmrError;
 use crate::model::SimJob;
 use crate::result::{ExperimentResult, RunStats};
@@ -192,37 +194,21 @@ impl std::ops::Index<usize> for SpecSlab {
     }
 }
 
-/// Where the driver pulls its jobs from: a pre-materialized list (the
-/// historical [`run_experiment`] API) or a streaming
-/// [`dmr_workload::WorkloadSource`]. Either way the driver consumes
-/// demand one job at a time — only the next arrival is ever scheduled.
-pub(crate) enum JobFeed<'a> {
-    Materialized(std::iter::Cloned<std::slice::Iter<'a, SimJob>>),
-    Streaming(&'a mut dyn WorkloadSource),
-}
-
-impl JobFeed<'_> {
-    fn next_job(&mut self) -> Option<SimJob> {
-        match self {
-            JobFeed::Materialized(it) => it.next(),
-            JobFeed::Streaming(src) => src.next_job().map(SimJob::from_spec),
-        }
-    }
-}
-
 /// The simulation state shared by every driver submodule.
 pub(crate) struct Driver<'a, 's> {
     pub(crate) cfg: ExperimentConfig,
     /// Specs of the jobs currently *in* the simulation, keyed by slab
     /// slot (the `Ev::Arrival` payload). An entry is inserted when the
-    /// feed yields the job and removed when the job completes, so the
+    /// source yields the job and removed when the job completes, so the
     /// slab holds only the active set — O(active jobs), not O(trace
     /// length).
     pub(crate) jobs: SpecSlab,
-    /// Jobs pulled from the feed so far (the next arrival sequence
+    /// Jobs pulled from the source so far (the next arrival sequence
     /// number, and the telemetry id of the next arrival).
     pub(crate) arrived: usize,
-    pub(crate) feed: JobFeed<'a>,
+    /// Where jobs come from, one at a time: only the next arrival is
+    /// ever scheduled.
+    pub(crate) source: &'a mut dyn WorkloadSource,
     pub(crate) slurm: Slurm,
     pub(crate) engine: Engine<Ev>,
     pub(crate) running: JobMap<RunState>,
@@ -232,7 +218,7 @@ pub(crate) struct Driver<'a, 's> {
     /// per completed job.
     pub(crate) sink: &'s mut dyn MetricsSink,
     pub(crate) completed: u32,
-    /// An arrival event is in flight (the feed was not exhausted at the
+    /// An arrival event is in flight (the source was not exhausted at the
     /// last pull).
     pub(crate) arrivals_pending: bool,
     /// Arrival instant of the last scheduled arrival; sources must be
@@ -282,172 +268,184 @@ pub(crate) struct Driver<'a, 's> {
     pub(crate) restart_lat: Vec<u64>,
 }
 
-/// Runs one workload under one configuration.
-pub fn run_experiment(cfg: &ExperimentConfig, jobs: &[SimJob]) -> ExperimentResult {
-    run_feed(cfg, JobFeed::Materialized(jobs.iter().cloned()), None)
-}
-
-/// Runs one workload with a *scripted* faultload: `trace` replaces
-/// whatever [`ExperimentConfig::faults`] preset the configuration names
-/// (the injected resize-failure probability still follows the preset).
-/// Deterministic by construction — the trace is replayed verbatim — so
-/// regression tests can pin an exact incident. A trace naming a node the
-/// machine does not have is refused with [`DmrError::FaultScript`]
-/// before anything runs.
-pub fn run_experiment_with_faults(
-    cfg: &ExperimentConfig,
-    jobs: &[SimJob],
-    trace: FaultTrace,
-) -> Result<ExperimentResult, DmrError> {
-    check_fault_script(cfg, &trace)?;
-    let feed = JobFeed::Materialized(jobs.iter().cloned());
-    Ok(run_feed(cfg, feed, Some(trace)))
-}
-
-/// Runs one streamed workload under one configuration.
+/// One simulation run, assembled step by step: a configuration, the
+/// workload source, optionally a scripted faultload and an observing
+/// sink.
 ///
-/// Unlike [`run_experiment`], the job list is never materialized: the
-/// driver pulls one job at a time from `source` and keeps a single
-/// arrival event in flight, so a million-job trace replays in O(1)
-/// arrival memory. Per-job accounting is copied into the metrics sink at
-/// each completion, after which the driver prunes the job from the
-/// scheduler and its own spec table (in every telemetry mode — the sink
-/// owns all accounting). With [`Telemetry::Online`] the run is therefore
-/// O(1) in job count end to end: the sink folds outcomes into streaming
-/// histograms and no `Vec<JobOutcome>` is ever built.
-/// Streaming the [`dmr_workload::Feitelson`] source is result-identical
-/// to running [`run_experiment`] on the materialized generator output
-/// (pinned by `tests/source_equivalence.rs`), and `Online` summaries are
-/// bit-identical to `Full` ones (pinned by
-/// `tests/streaming_equivalence.rs`).
-pub fn run_experiment_streaming(
-    cfg: &ExperimentConfig,
-    source: &mut dyn WorkloadSource,
-) -> ExperimentResult {
-    run_feed(cfg, JobFeed::Streaming(source), None)
+/// ```
+/// use dmr_core::{ExperimentConfig, Simulation, WorkloadKind};
+/// let cfg = ExperimentConfig::preliminary();
+/// let mut source = WorkloadKind::FsPreliminary.build(10, 7);
+/// let result = Simulation::new(&cfg).source(source.as_mut()).run()?;
+/// assert_eq!(result.summary.jobs, 10);
+/// # Ok::<(), dmr_core::DmrError>(())
+/// ```
+///
+/// The driver pulls one job at a time from the source and keeps a single
+/// arrival event in flight. Each completing job is folded into the run's
+/// own [`OnlineAccumulator`] and then pruned from the scheduler and the
+/// driver, so a million-job trace replays in memory proportional to the
+/// jobs active at once.
+pub struct Simulation<'a> {
+    cfg: ExperimentConfig,
+    source: Option<&'a mut dyn WorkloadSource>,
+    faults: Option<FaultTrace>,
+    sink: Option<&'a mut dyn MetricsSink>,
 }
 
-/// [`run_experiment_streaming`] with a *scripted* faultload — the
-/// streaming counterpart of [`run_experiment_with_faults`], so `repro
-/// --trace --faults trace:incident.txt` can replay an exact recorded
-/// incident over an SWF trace in O(1) arrival memory. Refuses a trace
-/// naming a node the machine does not have, as that function does.
-pub fn run_experiment_streaming_with_faults(
-    cfg: &ExperimentConfig,
-    source: &mut dyn WorkloadSource,
-    trace: FaultTrace,
-) -> Result<ExperimentResult, DmrError> {
-    check_fault_script(cfg, &trace)?;
-    Ok(run_feed(cfg, JobFeed::Streaming(source), Some(trace)))
+impl<'a> Simulation<'a> {
+    /// A run of `cfg` with nothing attached yet.
+    pub fn new(cfg: &ExperimentConfig) -> Self {
+        Simulation {
+            cfg: *cfg,
+            source: None,
+            faults: None,
+            sink: None,
+        }
+    }
+
+    /// Where the jobs come from, in arrival order. A materialized list
+    /// streams as `&mut specs.iter()`.
+    pub fn source(mut self, source: &'a mut dyn WorkloadSource) -> Self {
+        self.source = Some(source);
+        self
+    }
+
+    /// A *scripted* faultload: `trace` replaces whatever
+    /// [`ExperimentConfig::faults`] preset the configuration names (the
+    /// injected resize-failure probability still follows the preset).
+    /// Deterministic by construction — the trace is replayed verbatim — so
+    /// regression tests can pin an exact incident.
+    pub fn faults(mut self, trace: FaultTrace) -> Self {
+        self.faults = Some(trace);
+        self
+    }
+
+    /// An observer fed every sample and every job outcome the run folds
+    /// into its summary, in the same order: a
+    /// [`dmr_metrics::SeriesRecorder`] for the evolution series and the
+    /// per-job outcomes, or a custom sink (live dashboards, exporters).
+    pub fn sink(mut self, sink: &'a mut dyn MetricsSink) -> Self {
+        self.sink = Some(sink);
+        self
+    }
+
+    /// Runs the simulation to the end.
+    ///
+    /// # Errors
+    /// [`DmrError::Config`] when no source is attached or the
+    /// configuration cannot run, and [`DmrError::FaultScript`] when the
+    /// scripted faultload names a node the machine does not have — both
+    /// before anything runs.
+    pub fn run(self) -> Result<ExperimentResult, DmrError> {
+        check_config(&self.cfg)?;
+        if let Some(trace) = &self.faults {
+            trace
+                .check_nodes(self.cfg.nodes)
+                .map_err(DmrError::FaultScript)?;
+        }
+        let source = self
+            .source
+            .ok_or_else(|| DmrError::Config("no workload source attached".into()))?;
+        let mut acc = OnlineAccumulator::new();
+        let stats = match self.sink {
+            None => Driver::new(self.cfg, source, &mut acc, self.faults).run(),
+            Some(observer) => {
+                let mut both = Observed {
+                    acc: &mut acc,
+                    observer,
+                };
+                Driver::new(self.cfg, source, &mut both, self.faults).run()
+            }
+        };
+        let mut summary = acc.summary(self.cfg.nodes);
+        stats.fold_into(&mut summary);
+        Ok(ExperimentResult {
+            summary,
+            end_time: stats.end_time,
+            events: stats.events,
+            past_schedules: stats.past_schedules,
+            sched: stats.sched,
+        })
+    }
 }
 
-/// Whether every event of `trace` names a node of the `cfg.nodes`-node
-/// machine (every machine mix lays out exactly that many).
-fn check_fault_script(cfg: &ExperimentConfig, trace: &FaultTrace) -> Result<(), DmrError> {
-    trace.check_nodes(cfg.nodes).map_err(DmrError::FaultScript)
+/// Refuses a configuration the driver would panic or spin on.
+fn check_config(cfg: &ExperimentConfig) -> Result<(), DmrError> {
+    let mix = cfg.machine_mix;
+    if cfg.nodes < mix.min_nodes() {
+        return Err(DmrError::Config(format!(
+            "a {} machine needs at least {} nodes, got {}",
+            mix.name(),
+            mix.min_nodes(),
+            cfg.nodes
+        )));
+    }
+    // The periodic pass re-arms itself one interval on: an interval that
+    // rounds to 0 µs (zero, NaN, negative) would tick at one instant
+    // forever.
+    if cfg.backfill && Span::from_secs_f64(cfg.backfill_interval_s).is_zero() {
+        return Err(DmrError::Config(format!(
+            "backfill_interval_s must be at least 1 µs, got {}",
+            cfg.backfill_interval_s
+        )));
+    }
+    Ok(())
 }
 
-/// Runs one streamed workload, feeding telemetry to a caller-supplied
-/// [`MetricsSink`] — the extension point for custom recorders (live
-/// dashboards, exporters). The driver itself retains nothing; everything
-/// except the [`RunStats`] scalars flows through `sink`.
+/// The sink of a run with an observer attached: the run's accumulator
+/// and the observer, fed the same calls.
+struct Observed<'a, 'b> {
+    acc: &'a mut OnlineAccumulator,
+    observer: &'b mut dyn MetricsSink,
+}
+
+impl MetricsSink for Observed<'_, '_> {
+    fn on_sample(&mut self, now: SimTime, allocated: f64, running: f64, completed: f64) {
+        self.acc.on_sample(now, allocated, running, completed);
+        self.observer.on_sample(now, allocated, running, completed);
+    }
+
+    fn on_job(&mut self, seq: u64, outcome: JobOutcome) {
+        self.acc.on_job(seq, outcome);
+        self.observer.on_job(seq, outcome);
+    }
+}
+
+/// Runs `source` under `cfg` with `sink` as the only telemetry: no
+/// accumulator, no configuration check, and the driver's scalars returned
+/// unfolded. The benchmark package (`benchmark/`) calls it; everything
+/// else runs through [`Simulation`].
 pub fn run_experiment_with_sink(
     cfg: &ExperimentConfig,
     source: &mut dyn WorkloadSource,
     sink: &mut dyn MetricsSink,
 ) -> RunStats {
-    Driver::new(*cfg, JobFeed::Streaming(source), sink).run()
+    Driver::new(*cfg, source, sink, None).run()
 }
 
-/// Drives `feed` under the telemetry mode `cfg` selects and assembles
-/// the [`ExperimentResult`].
-fn run_feed(
-    cfg: &ExperimentConfig,
-    feed: JobFeed<'_>,
-    trace: Option<FaultTrace>,
-) -> ExperimentResult {
-    // Both telemetry branches patch the driver-side scalars into the
-    // summary identically, so `Online` stays bit-identical to `Full`.
-    let patch = |summary: &mut WorkloadSummary, stats: &RunStats| {
-        summary.energy_to_solution_j = stats.power.energy_j;
-        summary.avg_watts = stats.power.avg_watts;
-        summary.class_utilization = stats.power.class_utilization().to_vec();
-        summary.failures = stats.faults.failures;
-        summary.requeues = stats.faults.requeues;
-        summary.lost_work_s = stats.faults.lost_work_s;
-        summary.restart_p95_s = stats.faults.restart_p95_s;
-        // Useful compute over total compute destroyed-or-delivered; an
-        // exact 1.0 whenever nothing was lost.
-        let exec = summary.avg_execution_s * summary.jobs as f64;
-        summary.goodput_ratio = if exec > 0.0 {
-            exec / (exec + stats.faults.lost_work_s)
-        } else {
-            1.0
-        };
-    };
-    match cfg.telemetry {
-        Telemetry::Full => {
-            let mut recorder = SeriesRecorder::new();
-            let mut driver = Driver::new(*cfg, feed, &mut recorder);
-            if let Some(t) = trace {
-                driver = driver.with_fault_trace(t);
-            }
-            let stats = driver.run();
-            let (allocation, running, completed, outcomes) = recorder.into_parts();
-            let mut summary = WorkloadSummary::compute(&outcomes, &allocation, cfg.nodes);
-            patch(&mut summary, &stats);
-            ExperimentResult {
-                summary,
-                allocation,
-                running,
-                completed,
-                outcomes,
-                end_time: stats.end_time,
-                events: stats.events,
-                past_schedules: stats.past_schedules,
-                sched: stats.sched,
-            }
-        }
-        Telemetry::Online => {
-            let mut acc = OnlineAccumulator::new();
-            let mut driver = Driver::new(*cfg, feed, &mut acc);
-            if let Some(t) = trace {
-                driver = driver.with_fault_trace(t);
-            }
-            let stats = driver.run();
-            let mut summary = acc.summary(cfg.nodes);
-            patch(&mut summary, &stats);
-            ExperimentResult {
-                summary,
-                allocation: StepSeries::new(),
-                running: StepSeries::new(),
-                completed: StepSeries::new(),
-                outcomes: Vec::new(),
-                end_time: stats.end_time,
-                events: stats.events,
-                past_schedules: stats.past_schedules,
-                sched: stats.sched,
-            }
-        }
-    }
-}
-
-/// Runs the workload twice — rigid ("fixed") and malleable ("flexible") —
-/// and returns `(fixed, flexible)`, the comparison every §VIII/§IX chart
-/// is built from.
+/// Runs `jobs` twice — rigid ("fixed") and malleable ("flexible") — and
+/// returns `(fixed, flexible)`, the comparison every §VIII/§IX chart is
+/// built from.
 pub fn compare_fixed_flexible(
     cfg: &ExperimentConfig,
-    jobs: &[SimJob],
-) -> (ExperimentResult, ExperimentResult) {
-    let fixed = run_experiment(&cfg.as_fixed(), jobs);
+    jobs: &[JobSpec],
+) -> Result<(ExperimentResult, ExperimentResult), DmrError> {
+    let run = |cfg: &ExperimentConfig| Simulation::new(cfg).source(&mut jobs.iter()).run();
     let mut flex_cfg = *cfg;
     flex_cfg.malleability = true;
-    let flexible = run_experiment(&flex_cfg, jobs);
-    (fixed, flexible)
+    Ok((run(&cfg.as_fixed())?, run(&flex_cfg)?))
 }
 
 impl<'a, 's> Driver<'a, 's> {
-    fn new(cfg: ExperimentConfig, feed: JobFeed<'a>, sink: &'s mut dyn MetricsSink) -> Self {
+    /// `trace`, when given, replaces the configured faultload (its nodes
+    /// were checked by the caller).
+    fn new(
+        cfg: ExperimentConfig,
+        source: &'a mut dyn WorkloadSource,
+        sink: &'s mut dyn MetricsSink,
+        trace: Option<FaultTrace>,
+    ) -> Self {
         let cluster = Cluster::with_classes(cfg.machine_mix.table(cfg.nodes, cfg.cores_per_node));
         let power = PowerMeter::new(cluster.table());
         let classes = cluster.table().num_classes();
@@ -465,8 +463,12 @@ impl<'a, 's> Driver<'a, 's> {
         // Faultload plumbing: under `FaultLoad::None` the source is inert
         // and the protocol RNG is never even constructed — the zero-fault
         // path performs zero RNG work, keeping it bit-identical to a
-        // build without fault injection.
-        let faults = FaultSource::from_load(cfg.faults, cluster.table(), cfg.fault_seed);
+        // build without fault injection. A scripted trace replaces the
+        // preset's fault process, not its resize-failure probability.
+        let faults = match trace {
+            Some(trace) => FaultSource::from_trace(trace),
+            None => FaultSource::from_load(cfg.faults, cluster.table(), cfg.fault_seed),
+        };
         let proto_rng =
             (!cfg.faults.is_none()).then(|| StdRng::seed_from_u64(cfg.fault_seed ^ 0x5EED_F417));
         let resize_fail_p = cfg.faults.resize_fail_p();
@@ -474,7 +476,7 @@ impl<'a, 's> Driver<'a, 's> {
             cfg,
             jobs: SpecSlab::default(),
             arrived: 0,
-            feed,
+            source,
             slurm: Slurm::new(cluster, scfg),
             engine: Engine::new(),
             running: JobMap::default(),
@@ -502,14 +504,6 @@ impl<'a, 's> Driver<'a, 's> {
             lost_work: Span::ZERO,
             restart_lat: Vec::new(),
         }
-    }
-
-    /// Replaces the configured faultload with a scripted trace (the
-    /// regression-test / incident-replay path) whose nodes the caller
-    /// checked ([`check_fault_script`]).
-    fn with_fault_trace(mut self, trace: FaultTrace) -> Self {
-        self.faults = FaultSource::from_trace(trace);
-        self
     }
 
     fn run(mut self) -> RunStats {
@@ -594,31 +588,28 @@ impl<'a, 's> Driver<'a, 's> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SpeedupCurve;
-    use dmr_workload::{AppClass, JobSpec, MalleabilitySpec};
+    use dmr_metrics::SeriesRecorder;
+    use dmr_workload::{AppClass, MalleabilitySpec};
 
-    fn fs_job(index: u32, arrival: f64, procs: u32, steps: u32, step_s: f64) -> SimJob {
-        SimJob {
-            spec: JobSpec {
-                index,
-                arrival_s: arrival,
-                submit_procs: procs,
-                steps,
-                step_s,
-                walltime_s: steps as f64 * step_s * 2.5,
-                data_bytes: 1 << 28,
-                app: AppClass::Fs,
-                flexible: true,
-                gpu: false,
-                malleability: MalleabilitySpec {
-                    min_procs: 1,
-                    max_procs: 20,
-                    preferred: None,
-                    factor: 2,
-                    sched_period_s: None,
-                },
+    fn fs_job(index: u32, arrival: f64, procs: u32, steps: u32, step_s: f64) -> JobSpec {
+        JobSpec {
+            index,
+            arrival_s: arrival,
+            submit_procs: procs,
+            steps,
+            step_s,
+            walltime_s: steps as f64 * step_s * 2.5,
+            data_bytes: 1 << 28,
+            app: AppClass::Fs,
+            flexible: true,
+            gpu: false,
+            malleability: MalleabilitySpec {
+                min_procs: 1,
+                max_procs: 20,
+                preferred: None,
+                factor: 2,
+                sched_period_s: None,
             },
-            curve: SpeedupCurve::Linear,
         }
     }
 
@@ -626,12 +617,31 @@ mod tests {
         ExperimentConfig::preliminary()
     }
 
+    fn run(cfg: &ExperimentConfig, jobs: &[JobSpec]) -> ExperimentResult {
+        Simulation::new(cfg).source(&mut jobs.iter()).run().unwrap()
+    }
+
+    /// [`run`] with a recorder attached: the result and the per-job
+    /// outcomes in submission order.
+    fn run_recorded(
+        cfg: &ExperimentConfig,
+        jobs: &[JobSpec],
+    ) -> (ExperimentResult, Vec<JobOutcome>) {
+        let mut rec = SeriesRecorder::new();
+        let r = Simulation::new(cfg)
+            .source(&mut jobs.iter())
+            .sink(&mut rec)
+            .run()
+            .unwrap();
+        (r, rec.into_parts().3)
+    }
+
     #[test]
     fn rigid_run_completes_all_jobs() {
-        let jobs: Vec<SimJob> = (0..5)
+        let jobs: Vec<JobSpec> = (0..5)
             .map(|i| fs_job(i, i as f64 * 5.0, 4, 2, 30.0))
             .collect();
-        let r = run_experiment(&cfg().as_fixed(), &jobs);
+        let r = run(&cfg().as_fixed(), &jobs);
         assert_eq!(r.summary.jobs, 5);
         assert_eq!(r.summary.reconfigurations, 0);
         assert!(r.summary.makespan_s > 0.0);
@@ -640,8 +650,7 @@ mod tests {
     #[test]
     fn lone_flexible_job_expands_and_finishes_faster() {
         let jobs = vec![fs_job(0, 0.0, 2, 8, 30.0)];
-        let fixed = run_experiment(&cfg().as_fixed(), &jobs);
-        let flex = run_experiment(&cfg(), &jobs);
+        let (fixed, flex) = compare_fixed_flexible(&cfg(), &jobs).unwrap();
         // Fixed: 8 steps * 30 s = 240 s. Flexible expands (2→4→8→16) and
         // must finish substantially sooner despite reconfiguration costs.
         assert!((fixed.summary.makespan_s - 240.0).abs() < 1.0);
@@ -659,14 +668,14 @@ mod tests {
         // One flexible 16-node job hogging a 20-node cluster, then a rigid
         // 8-node job arrives: the policy must shrink the first so the
         // second starts before the first finishes.
-        let mut hog = fs_job(0, 0.0, 16, 40, 10.0);
-        hog.spec.flexible = true;
+        let hog = fs_job(0, 0.0, 16, 40, 10.0);
         let mut rigid = fs_job(1, 5.0, 8, 2, 10.0);
-        rigid.spec.flexible = false;
+        rigid.flexible = false;
         let jobs = vec![hog, rigid];
-        let (fixed, flex) = compare_fixed_flexible(&cfg(), &jobs);
-        let wait_fixed = fixed.outcomes[1].waiting_s();
-        let wait_flex = flex.outcomes[1].waiting_s();
+        let (_, fixed) = run_recorded(&cfg().as_fixed(), &jobs);
+        let (flex, flex_outcomes) = run_recorded(&cfg(), &jobs);
+        let wait_fixed = fixed[1].waiting_s();
+        let wait_flex = flex_outcomes[1].waiting_s();
         assert!(
             wait_flex < wait_fixed * 0.5,
             "queued job should start much earlier: {wait_flex} vs {wait_fixed}"
@@ -676,11 +685,11 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let jobs: Vec<SimJob> = (0..12)
+        let jobs: Vec<JobSpec> = (0..12)
             .map(|i| fs_job(i, i as f64 * 7.0, 1 + i % 6, 3, 20.0))
             .collect();
-        let a = run_experiment(&cfg(), &jobs);
-        let b = run_experiment(&cfg(), &jobs);
+        let a = run(&cfg(), &jobs);
+        let b = run(&cfg(), &jobs);
         assert_eq!(a.summary.makespan_s, b.summary.makespan_s);
         assert_eq!(a.summary.reconfigurations, b.summary.reconfigurations);
         assert_eq!(a.events, b.events);
@@ -689,20 +698,26 @@ mod tests {
 
     #[test]
     fn allocation_never_exceeds_cluster() {
-        let jobs: Vec<SimJob> = (0..10)
+        let jobs: Vec<JobSpec> = (0..10)
             .map(|i| fs_job(i, i as f64 * 3.0, 2 + i % 8, 4, 15.0))
             .collect();
-        let r = run_experiment(&cfg(), &jobs);
-        assert!(r.allocation.max_value() <= 20.0);
-        assert_eq!(r.completed.max_value(), 10.0);
+        let mut rec = SeriesRecorder::new();
+        Simulation::new(&cfg())
+            .source(&mut jobs.iter())
+            .sink(&mut rec)
+            .run()
+            .unwrap();
+        let (allocation, _, completed, _) = rec.into_parts();
+        assert!(allocation.max_value() <= 20.0);
+        assert_eq!(completed.max_value(), 10.0);
     }
 
     #[test]
     fn async_mode_runs_to_completion() {
-        let jobs: Vec<SimJob> = (0..8)
+        let jobs: Vec<JobSpec> = (0..8)
             .map(|i| fs_job(i, i as f64 * 4.0, 2 + i % 5, 5, 12.0))
             .collect();
-        let r = run_experiment(&cfg().asynchronous(), &jobs);
+        let r = run(&cfg().asynchronous(), &jobs);
         assert_eq!(r.summary.jobs, 8);
     }
 
@@ -712,9 +727,9 @@ mod tests {
         // inhibitor ~12 s of pure overhead; with a 5 s period only ~1/5 of
         // the boundaries pay it.
         let mk = |i| fs_job(i, 0.0, 4, 40, 1.0);
-        let jobs: Vec<SimJob> = (0..4).map(mk).collect();
-        let no_inh = run_experiment(&cfg().with_inhibitor(None), &jobs);
-        let inh5 = run_experiment(&cfg().with_inhibitor(Some(5.0)), &jobs);
+        let jobs: Vec<JobSpec> = (0..4).map(mk).collect();
+        let no_inh = run(&cfg().with_inhibitor(None), &jobs);
+        let inh5 = run(&cfg().with_inhibitor(Some(5.0)), &jobs);
         assert!(
             inh5.summary.makespan_s < no_inh.summary.makespan_s,
             "inhibitor must reduce makespan: {} vs {}",
@@ -728,31 +743,31 @@ mod tests {
         // A CG-style job submitted at 16 with preference 4 on a busy
         // cluster (a rigid companion keeps it from being "alone").
         let mut j = fs_job(0, 0.0, 16, 30, 5.0);
-        j.spec.malleability.preferred = Some(4);
-        j.spec.malleability.min_procs = 2;
+        j.malleability.preferred = Some(4);
+        j.malleability.min_procs = 2;
         // Long-lived rigid companion so the flexible job is never "alone
         // in the system" (which would trigger the Algorithm-1 line-2
         // expand-to-max rule).
         let mut rigid = fs_job(1, 0.0, 2, 200, 5.0);
-        rigid.spec.flexible = false;
-        let r = run_experiment(&cfg(), &[j, rigid]);
+        rigid.flexible = false;
+        let (r, outcomes) = run_recorded(&cfg(), &[j, rigid]);
         assert!(r.summary.reconfigurations >= 1);
         // After shrinking 16→4 the job runs 4× slower (linear curve): one
         // 5 s step at 16 plus 29 steps of 20 s — far above the fixed 150 s.
         assert!(
-            r.outcomes[0].execution_s() > 450.0,
+            outcomes[0].execution_s() > 450.0,
             "exec = {}",
-            r.outcomes[0].execution_s()
+            outcomes[0].execution_s()
         );
     }
 
     #[test]
     fn driver_never_schedules_in_the_past() {
         for cfg in [cfg(), cfg().asynchronous(), cfg().as_fixed()] {
-            let jobs: Vec<SimJob> = (0..15)
+            let jobs: Vec<JobSpec> = (0..15)
                 .map(|i| fs_job(i, i as f64 * 4.0, 1 + i % 8, 4, 18.0))
                 .collect();
-            let r = run_experiment(&cfg, &jobs);
+            let r = run(&cfg, &jobs);
             assert_eq!(r.past_schedules, 0, "past-scheduled events in {cfg:?}");
         }
     }
@@ -760,12 +775,12 @@ mod tests {
     #[test]
     fn policy_selection_reaches_the_scheduler() {
         use dmr_slurm::PolicyKind;
-        let jobs: Vec<SimJob> = (0..10)
+        let jobs: Vec<JobSpec> = (0..10)
             .map(|i| fs_job(i, i as f64 * 6.0, 2 + i % 6, 6, 20.0))
             .collect();
-        let alg1 = run_experiment(&cfg(), &jobs);
-        let fair = run_experiment(&cfg().with_policy(PolicyKind::fair_share()), &jobs);
-        let util = run_experiment(
+        let alg1 = run(&cfg(), &jobs);
+        let fair = run(&cfg().with_policy(PolicyKind::fair_share()), &jobs);
+        let util = run(
             &cfg().with_policy(PolicyKind::UtilizationTarget {
                 low: 0.05,
                 high: 0.95,
@@ -796,8 +811,8 @@ mod tests {
         let mut cfg = cfg().as_fixed();
         cfg.backfill = false; // no trailing backfill tick after the last completion
         let mut job = fs_job(0, 1000.25, 4, 3, 0.472913);
-        job.spec.flexible = false;
-        let r = run_experiment(&cfg, &[job]);
+        job.flexible = false;
+        let r = run(&cfg, &[job]);
         let expected = SimTime::from_secs_f64(1000.25) + Span(3 * 472_913);
         assert_eq!(r.end_time, expected, "end_time must be the engine clock");
         assert!((r.summary.makespan_s - 1.418739).abs() < 1e-9);
@@ -808,14 +823,14 @@ mod tests {
         // The same workload shifted to start at t = 2000 s must report
         // identical makespan and utilization ("first submission to last
         // completion"), not quantities diluted by the idle prefix.
-        let base: Vec<SimJob> = (0..6)
+        let base: Vec<JobSpec> = (0..6)
             .map(|i| fs_job(i, i as f64 * 5.0, 4, 2, 30.0))
             .collect();
-        let shifted: Vec<SimJob> = (0..6)
+        let shifted: Vec<JobSpec> = (0..6)
             .map(|i| fs_job(i, 2000.0 + i as f64 * 5.0, 4, 2, 30.0))
             .collect();
-        let a = run_experiment(&cfg(), &base);
-        let b = run_experiment(&cfg(), &shifted);
+        let a = run(&cfg(), &base);
+        let b = run(&cfg(), &shifted);
         // Equal up to f64 cancellation in `last_end - first_submit` (the
         // offset run subtracts two ~2000 s instants).
         assert!(
@@ -829,47 +844,29 @@ mod tests {
     }
 
     #[test]
-    fn online_telemetry_is_bit_identical_and_buffer_free() {
+    fn an_attached_recorder_leaves_the_result_bit_identical() {
         use dmr_workload::WorkloadKind;
         for base in [cfg(), cfg().asynchronous()] {
             let mut src = WorkloadKind::burst().build(40, 11);
-            let full = run_experiment_streaming(&base, src.as_mut());
+            let alone = Simulation::new(&base).source(src.as_mut()).run().unwrap();
             let mut src = WorkloadKind::burst().build(40, 11);
-            let online = run_experiment_streaming(&base.online(), src.as_mut());
-            assert_eq!(full.summary.makespan_s, online.summary.makespan_s);
-            assert_eq!(full.summary.utilization, online.summary.utilization);
-            assert_eq!(full.summary.avg_waiting_s, online.summary.avg_waiting_s);
-            assert_eq!(full.summary.completion_q, online.summary.completion_q);
-            assert_eq!(full.events, online.events);
-            assert_eq!(full.end_time, online.end_time);
-            // The streaming path buffers nothing.
-            assert!(online.outcomes.is_empty());
-            assert!(online.allocation.is_empty());
-        }
-    }
-
-    #[test]
-    fn streaming_source_is_result_identical_to_materialized_path() {
-        use dmr_workload::{Feitelson, WorkloadConfig, WorkloadGenerator};
-        let wcfg = WorkloadConfig::fs_preliminary(30);
-        let specs = WorkloadGenerator::new(wcfg.clone(), 9).generate();
-        let materialized = run_experiment(&cfg(), &SimJob::from_specs(specs));
-        let mut src = Feitelson::new(wcfg, 9);
-        let streamed = run_experiment_streaming(&cfg(), &mut src);
-        assert_eq!(materialized.summary.makespan_s, streamed.summary.makespan_s);
-        assert_eq!(
-            materialized.summary.avg_waiting_s,
-            streamed.summary.avg_waiting_s
-        );
-        assert_eq!(
-            materialized.summary.reconfigurations,
-            streamed.summary.reconfigurations
-        );
-        assert_eq!(materialized.events, streamed.events);
-        assert_eq!(materialized.outcomes.len(), streamed.outcomes.len());
-        for (a, b) in materialized.outcomes.iter().zip(&streamed.outcomes) {
-            assert_eq!(a.start, b.start);
-            assert_eq!(a.end, b.end);
+            let mut rec = SeriesRecorder::new();
+            let observed = Simulation::new(&base)
+                .source(src.as_mut())
+                .sink(&mut rec)
+                .run()
+                .unwrap();
+            // `{:?}` prints every f64 in its shortest round-trip form, so
+            // equal renderings are equal bits.
+            assert_eq!(
+                format!("{:?}", alone.summary),
+                format!("{:?}", observed.summary)
+            );
+            assert_eq!(alone.events, observed.events);
+            assert_eq!(alone.end_time, observed.end_time);
+            let (allocation, _, _, outcomes) = rec.into_parts();
+            assert_eq!(outcomes.len(), 40, "the observer saw every job");
+            assert!(!allocation.is_empty(), "and every sample");
         }
     }
 
@@ -878,7 +875,7 @@ mod tests {
         use dmr_workload::WorkloadKind;
         for kind in [WorkloadKind::burst(), WorkloadKind::diurnal()] {
             let mut src = kind.build(20, 5);
-            let r = run_experiment_streaming(&cfg(), src.as_mut());
+            let r = Simulation::new(&cfg()).source(src.as_mut()).run().unwrap();
             assert_eq!(r.summary.jobs, 20, "{kind:?}");
             assert_eq!(r.past_schedules, 0, "{kind:?}");
         }
@@ -886,15 +883,21 @@ mod tests {
 
     #[test]
     fn scripted_node_failure_requeues_and_completes() {
-        use dmr_cluster::FaultTrace;
         // One rigid 4-node job, 2 steps of 30 s. Failing one of its nodes
         // at t = 25 s kills the incarnation; the requeued job restarts
         // from scratch and still completes.
         let mut job = fs_job(0, 0.0, 4, 2, 30.0);
-        job.spec.flexible = false;
+        job.flexible = false;
+        let jobs = [job];
         let trace = FaultTrace::parse("25 fail 0\n200 repair 0\n").unwrap();
-        let clean = run_experiment(&cfg().as_fixed(), &[job.clone()]);
-        let faulty = run_experiment_with_faults(&cfg().as_fixed(), &[job], trace).unwrap();
+        let clean = run(&cfg().as_fixed(), &jobs);
+        let mut rec = SeriesRecorder::new();
+        let faulty = Simulation::new(&cfg().as_fixed())
+            .source(&mut jobs.iter())
+            .faults(trace)
+            .sink(&mut rec)
+            .run()
+            .unwrap();
         assert_eq!(faulty.summary.jobs, 1, "the requeued job completes");
         assert_eq!(faulty.summary.failures, 1);
         assert_eq!(faulty.summary.requeues, 1);
@@ -912,45 +915,52 @@ mod tests {
         );
         // Outcome accounting spans incarnations: waiting is measured from
         // the original submission.
-        assert!(faulty.outcomes[0].waiting_s() >= 25.0);
+        assert!(rec.into_parts().3[0].waiting_s() >= 25.0);
     }
 
     #[test]
     fn a_scripted_fault_on_a_node_the_machine_lacks_stops_the_run_before_it_starts() {
-        use dmr_cluster::FaultTrace;
-        use dmr_workload::{Feitelson, WorkloadConfig};
         // Scheduled at t = 1e9 s, long after the job is done: the check
         // is made up front, not when (or whether) the event fires.
         let script = |node| FaultTrace::parse(&format!("1000000000 fail {node}\n")).unwrap();
         assert_eq!(cfg().nodes, 20);
         let jobs = [fs_job(0, 0.0, 4, 2, 30.0)];
-        let err = run_experiment_with_faults(&cfg(), &jobs, script(20)).unwrap_err();
+        let with_fault_on = |node| {
+            Simulation::new(&cfg())
+                .source(&mut jobs.iter())
+                .faults(script(node))
+                .run()
+        };
+        let err = with_fault_on(20).unwrap_err();
         assert!(matches!(err, DmrError::FaultScript(_)), "{err:?}");
         let said = err.to_string();
         assert!(
             said.contains("names a node the 20-node machine does not have"),
             "{said}"
         );
-        let mut source = Feitelson::new(WorkloadConfig::fs_preliminary(4), 1);
-        let streamed = run_experiment_streaming_with_faults(&cfg(), &mut source, script(20));
-        assert_eq!(streamed.unwrap_err(), err);
         // Node 19 is the machine's last: the same script on it runs.
-        assert!(run_experiment_with_faults(&cfg(), &jobs, script(19)).is_ok());
+        assert!(with_fault_on(19).is_ok());
     }
 
     #[test]
     fn checkpoint_interval_bounds_lost_work() {
-        use dmr_cluster::FaultTrace;
         // 12 steps of 10 s; the failure lands at t = 115 s. From scratch
         // the whole 115 s is lost; with a 30 s checkpoint interval the
         // last image is at most ~40 s old.
         let mut job = fs_job(0, 0.0, 4, 12, 10.0);
-        job.spec.flexible = false;
-        let trace = || FaultTrace::parse("115 fail 1\n400 repair 1\n").unwrap();
+        job.flexible = false;
+        let jobs = [job];
+        let run_faulty = |cfg: &ExperimentConfig| {
+            let trace = FaultTrace::parse("115 fail 1\n400 repair 1\n").unwrap();
+            Simulation::new(cfg)
+                .source(&mut jobs.iter())
+                .faults(trace)
+                .run()
+                .unwrap()
+        };
         let base = cfg().as_fixed();
-        let scratch = run_experiment_with_faults(&base, &[job.clone()], trace()).unwrap();
-        let ckpt_cfg = base.with_ckpt_interval(30.0);
-        let ckpt = run_experiment_with_faults(&ckpt_cfg, &[job], trace()).unwrap();
+        let scratch = run_faulty(&base);
+        let ckpt = run_faulty(&base.with_ckpt_interval(30.0));
         assert!((scratch.summary.lost_work_s - 115.0).abs() < 1e-6);
         assert!(
             ckpt.summary.lost_work_s < 50.0,
@@ -968,20 +978,19 @@ mod tests {
 
     #[test]
     fn zero_fault_knobs_are_inert() {
-        use dmr_cluster::FaultLoad;
         // Under FaultLoad::None the seed and checkpoint interval must not
         // perturb a run in any way — the fault machinery does zero work.
-        let jobs: Vec<SimJob> = (0..10)
+        let jobs: Vec<JobSpec> = (0..10)
             .map(|i| fs_job(i, i as f64 * 5.0, 2 + i % 5, 4, 15.0))
             .collect();
-        let a = run_experiment(&cfg(), &jobs);
-        let b = run_experiment(&cfg().with_fault_seed(0xDEAD_BEEF), &jobs);
-        let c = run_experiment(&cfg().with_ckpt_interval(60.0), &jobs);
+        let a = run(&cfg(), &jobs);
+        let b = run(&cfg().with_fault_seed(0xDEAD_BEEF), &jobs);
+        let c = run(&cfg().with_ckpt_interval(60.0), &jobs);
         // The rigid path is the one the interval knob could perturb (it
         // cuts monolithic segments at image boundaries when armed): the
         // cut must not happen — `events` included — with no fault source.
-        let fa = run_experiment(&cfg().as_fixed(), &jobs);
-        let fc = run_experiment(&cfg().as_fixed().with_ckpt_interval(60.0), &jobs);
+        let fa = run(&cfg().as_fixed(), &jobs);
+        let fc = run(&cfg().as_fixed().with_ckpt_interval(60.0), &jobs);
         assert_eq!(fa.events, fc.events);
         assert_eq!(fa.end_time, fc.end_time);
         assert_eq!(fa.summary.makespan_s, fc.summary.makespan_s);
@@ -996,18 +1005,17 @@ mod tests {
         assert_eq!(a.summary.requeues, 0);
         assert_eq!(a.summary.goodput_ratio, 1.0);
         assert_eq!(a.summary.lost_work_s, 0.0);
-        let _ = FaultLoad::None;
     }
 
     #[test]
     fn harsh_faultload_is_deterministic_and_completes() {
         use dmr_cluster::FaultLoad;
-        let jobs: Vec<SimJob> = (0..20)
+        let jobs: Vec<JobSpec> = (0..20)
             .map(|i| fs_job(i, i as f64 * 40.0, 2 + i % 6, 20, 30.0))
             .collect();
         let fcfg = cfg().with_faults(FaultLoad::Harsh);
-        let a = run_experiment(&fcfg, &jobs);
-        let b = run_experiment(&fcfg, &jobs);
+        let a = run(&fcfg, &jobs);
+        let b = run(&fcfg, &jobs);
         assert_eq!(a.summary.jobs, 20, "every job survives recovery");
         assert_eq!(a.summary.makespan_s, b.summary.makespan_s);
         assert_eq!(a.summary.failures, b.summary.failures);
@@ -1016,7 +1024,7 @@ mod tests {
         assert_eq!(a.events, b.events);
         assert!(a.summary.failures > 0, "harsh load injects failures");
         // A different seed moves the failures.
-        let c = run_experiment(&fcfg.with_fault_seed(99), &jobs);
+        let c = run(&fcfg.with_fault_seed(99), &jobs);
         assert_eq!(c.summary.jobs, 20);
     }
 
@@ -1024,12 +1032,12 @@ mod tests {
     fn estimates_do_not_break_backfill() {
         // Mixed sizes under heavy load: just assert global sanity — all
         // complete, waits non-negative, makespan finite.
-        let jobs: Vec<SimJob> = (0..30)
+        let jobs: Vec<JobSpec> = (0..30)
             .map(|i| fs_job(i, i as f64 * 2.0, 1 + (i * 7) % 16, 3, 25.0))
             .collect();
-        let r = run_experiment(&cfg(), &jobs);
+        let (r, outcomes) = run_recorded(&cfg(), &jobs);
         assert_eq!(r.summary.jobs, 30);
-        assert!(r.outcomes.iter().all(|o| o.waiting_s() >= 0.0));
+        assert!(outcomes.iter().all(|o| o.waiting_s() >= 0.0));
         assert!(r.summary.utilization > 0.0 && r.summary.utilization <= 1.0);
     }
 }

@@ -33,6 +33,10 @@ pub enum DmrError {
     /// message says which event and which machine); the run was refused
     /// before anything ran.
     FaultScript(String),
+    /// The experiment configuration cannot be run (a machine too small
+    /// for its class mix, a backfill interval that rounds to zero, no
+    /// workload source); the run was refused before anything ran.
+    Config(String),
 }
 
 /// What the fault-injection layer killed (see [`DmrError::Injected`]).
@@ -101,6 +105,7 @@ impl std::fmt::Display for DmrError {
                 write!(f, "injected fault: node down")
             }
             DmrError::FaultScript(e) => write!(f, "fault script: {e}"),
+            DmrError::Config(e) => write!(f, "configuration: {e}"),
         }
     }
 }
@@ -111,7 +116,7 @@ impl std::error::Error for DmrError {
             DmrError::Alloc(e) => Some(e),
             DmrError::Mpi(e) => Some(e),
             DmrError::Expand(e) => Some(e),
-            DmrError::Injected(_) | DmrError::FaultScript(_) => None,
+            DmrError::Injected(_) | DmrError::FaultScript(_) | DmrError::Config(_) => None,
         }
     }
 }

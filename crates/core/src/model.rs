@@ -74,16 +74,12 @@ pub fn curve_for(app: AppClass) -> SpeedupCurve {
     }
 }
 
-/// A generated job together with its scalability model — the unit the
-/// simulation driver consumes.
-///
-/// Jobs reach the driver either pre-materialized (`&[SimJob]`, the
-/// convenience path) or streamed one at a time from a
-/// [`dmr_workload::source::WorkloadSource`]; in the streaming case the
-/// driver binds each pulled [`JobSpec`] to its class curve via
-/// [`SimJob::from_spec`] on arrival.
+/// A job together with its scalability model — what the simulation
+/// driver keeps per active job. Jobs are streamed one at a time from a
+/// [`dmr_workload::WorkloadSource`], and the driver binds each pulled
+/// [`JobSpec`] to its class curve ([`SimJob::from_spec`]) on arrival.
 #[derive(Clone, Debug)]
-pub struct SimJob {
+pub(crate) struct SimJob {
     pub spec: JobSpec,
     pub curve: SpeedupCurve,
 }
@@ -93,11 +89,6 @@ impl SimJob {
     pub fn from_spec(spec: JobSpec) -> Self {
         let curve = curve_for(spec.app);
         SimJob { spec, curve }
-    }
-
-    /// Converts a whole workload.
-    pub fn from_specs(specs: Vec<JobSpec>) -> Vec<SimJob> {
-        specs.into_iter().map(SimJob::from_spec).collect()
     }
 
     /// Duration of one step at `p` processes (work conservation from the

@@ -1,28 +1,22 @@
 //! Experiment outputs.
 
-use dmr_metrics::{JobOutcome, StepSeries, WorkloadSummary};
+use dmr_metrics::WorkloadSummary;
 use dmr_sim::SimTime;
 
-/// Everything one workload run produces.
+/// What [`crate::Simulation::run`] returns: the summary and the driver's
+/// own scalars, in O(1) memory whatever the workload length.
 ///
-/// Under [`crate::config::Telemetry::Full`] every field is populated.
-/// Under [`crate::config::Telemetry::Online`] the evolution series and
-/// [`ExperimentResult::outcomes`] come back empty — the run folded per-job
-/// accounting into streaming histograms instead of buffering it — while
-/// [`ExperimentResult::summary`] (including its percentile columns) is
-/// bit-identical to the buffered run.
+/// The summary is folded in a [`dmr_metrics::OnlineAccumulator`] the run
+/// owns, bit-identical (percentile columns included) to
+/// [`WorkloadSummary::compute`] over the buffered outcomes and allocation
+/// series. A caller that wants those buffers — the evolution series behind
+/// the timeline figures, per-job outcomes — attaches a
+/// [`dmr_metrics::SeriesRecorder`] with [`crate::Simulation::sink`] and
+/// takes them from [`dmr_metrics::SeriesRecorder::into_parts`].
 #[derive(Clone, Debug)]
 pub struct ExperimentResult {
     /// Aggregate measures (Table II row set plus P50/P95/P99 tails).
     pub summary: WorkloadSummary,
-    /// Allocated nodes over time (top plots of Figures 4, 5, 6, 12).
-    pub allocation: StepSeries,
-    /// Running-job count over time (the running-job lines of Figure 12).
-    pub running: StepSeries,
-    /// Completed-job count over time (bottom plots of Figures 4, 5, 12).
-    pub completed: StepSeries,
-    /// Per-job accounting in submission order.
-    pub outcomes: Vec<JobOutcome>,
     /// The engine's final clock when the event queue drained — the actual
     /// end instant of the run (at or after the last completion; trailing
     /// housekeeping events such as a final backfill pass can land later).
@@ -41,16 +35,10 @@ pub struct ExperimentResult {
     pub sched: dmr_slurm::IncrementalStats,
 }
 
-impl ExperimentResult {
-    /// Convenience: the workload execution time in seconds.
-    pub fn makespan_s(&self) -> f64 {
-        self.summary.makespan_s
-    }
-}
-
 /// What the driver itself measures about a run — everything else flows
-/// through the installed [`dmr_metrics::MetricsSink`]. Returned by
-/// [`crate::driver::run_experiment_with_sink`].
+/// through the installed [`dmr_metrics::MetricsSink`].
+/// [`crate::Simulation::run`] folds it into the summary
+/// ([`RunStats::fold_into`]).
 #[derive(Clone, Copy, Debug)]
 pub struct RunStats {
     /// The engine's final clock when the event queue drained.
@@ -69,6 +57,29 @@ pub struct RunStats {
     /// Fault-injection and recovery accounting (all zeros, ratio fields
     /// included, under [`dmr_cluster::FaultLoad::None`]).
     pub faults: FaultStats,
+}
+
+impl RunStats {
+    /// Writes the driver's power and fault scalars into a summary the
+    /// sink assembled: energy, mean watts, per-class utilization, the
+    /// fault counters, and the goodput ratio derived from them.
+    pub fn fold_into(&self, summary: &mut WorkloadSummary) {
+        summary.energy_to_solution_j = self.power.energy_j;
+        summary.avg_watts = self.power.avg_watts;
+        summary.class_utilization = self.power.class_utilization().to_vec();
+        summary.failures = self.faults.failures;
+        summary.requeues = self.faults.requeues;
+        summary.lost_work_s = self.faults.lost_work_s;
+        summary.restart_p95_s = self.faults.restart_p95_s;
+        // Useful compute over total compute destroyed-or-delivered; an
+        // exact 1.0 whenever nothing was lost.
+        let exec = summary.avg_execution_s * summary.jobs as f64;
+        summary.goodput_ratio = if exec > 0.0 {
+            exec / (exec + self.faults.lost_work_s)
+        } else {
+            1.0
+        };
+    }
 }
 
 /// `Copy` snapshot of a finished run's [`dmr_cluster::PowerMeter`]: the

@@ -11,11 +11,12 @@
 //! * [`OnlineAccumulator`] — the bounded-memory recorder: running
 //!   integrals ([`OnlineSeries`]) and log-bucketed histograms
 //!   ([`LogHistogram`]), O(1) in both event and job count, producing a
-//!   [`WorkloadSummary`] bit-identical to the buffered path. The default
-//!   for sweeps and long-trace replays.
+//!   [`WorkloadSummary`] bit-identical to the buffered path.
 //!
-//! Custom sinks (live dashboards, protocol exporters) implement the trait
-//! and run through `dmr_core::run_experiment_with_sink`.
+//! Every `dmr_core` run folds its summary in an [`OnlineAccumulator`] of
+//! its own; a sink attached with `dmr_core::Simulation::sink` observes the
+//! same calls. Attach a [`SeriesRecorder`] for the buffers, or implement
+//! the trait for a custom sink (live dashboards, protocol exporters).
 
 use dmr_sim::SimTime;
 

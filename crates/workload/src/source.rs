@@ -25,6 +25,18 @@ pub trait WorkloadSource {
     fn next_job(&mut self) -> Option<JobSpec>;
 }
 
+/// A materialized workload streams from an iterator over its specs
+/// (`&mut specs.iter()`), one clone per pulled job.
+impl WorkloadSource for std::slice::Iter<'_, JobSpec> {
+    fn name(&self) -> &'static str {
+        "slice"
+    }
+
+    fn next_job(&mut self) -> Option<JobSpec> {
+        self.next().cloned()
+    }
+}
+
 /// The Feitelson '96 statistical model as a [`WorkloadSource`].
 ///
 /// This wraps [`WorkloadGenerator`] and is pinned *bit-for-bit* to its

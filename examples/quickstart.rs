@@ -9,20 +9,30 @@
 //! malleable under the Algorithm-1 policy — and prints the comparison the
 //! paper's Figure 3 is made of.
 
-use dmr::core::{compare_fixed_flexible, ExperimentConfig, SimJob};
-use dmr::metrics::{csv::sparkline, gain_pct};
+use dmr::core::{ExperimentConfig, ExperimentResult, Simulation};
+use dmr::metrics::{csv::sparkline, gain_pct, SeriesRecorder, StepSeries};
 use dmr::workload::{WorkloadConfig, WorkloadGenerator};
 
 fn main() {
     // 1. A workload: 25 FS jobs, sizes and runtimes from Feitelson '96.
-    let specs = WorkloadGenerator::new(WorkloadConfig::fs_preliminary(25), 42).generate();
-    let jobs = SimJob::from_specs(specs);
+    let jobs = WorkloadGenerator::new(WorkloadConfig::fs_preliminary(25), 42).generate();
 
     // 2. The testbed: 20 nodes, synchronous DMR checks (§VIII defaults).
     let cfg = ExperimentConfig::preliminary();
 
-    // 3. Run both variants.
-    let (fixed, flexible) = compare_fixed_flexible(&cfg, &jobs);
+    // 3. Run both variants, each with a recorder attached for its
+    //    allocation series.
+    let run = |cfg: &ExperimentConfig| -> (ExperimentResult, StepSeries) {
+        let mut rec = SeriesRecorder::new();
+        let result = Simulation::new(cfg)
+            .source(&mut jobs.iter())
+            .sink(&mut rec)
+            .run()
+            .expect("the testbed configuration is valid");
+        (result, rec.into_parts().0)
+    };
+    let (fixed, fixed_alloc) = run(&cfg.as_fixed());
+    let (flexible, flexible_alloc) = run(&cfg);
 
     println!(
         "fixed    : makespan {:8.1} s  utilization {:5.1} %  avg wait {:7.1} s",
@@ -44,10 +54,10 @@ fn main() {
     println!("allocated nodes over time:");
     println!(
         "  fixed    |{}|",
-        sparkline(&fixed.allocation, fixed.end_time, 64)
+        sparkline(&fixed_alloc, fixed.end_time, 64)
     );
     println!(
         "  flexible |{}|",
-        sparkline(&flexible.allocation, flexible.end_time, 64)
+        sparkline(&flexible_alloc, flexible.end_time, 64)
     );
 }

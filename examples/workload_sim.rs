@@ -8,7 +8,7 @@
 //! Prints a Table-II-style summary for the fixed and flexible runs of the
 //! same workload.
 
-use dmr::core::{compare_fixed_flexible, ExperimentConfig, SimJob};
+use dmr::core::{compare_fixed_flexible, ExperimentConfig};
 use dmr::metrics::csv::write_summaries;
 use dmr::metrics::gain_pct;
 use dmr::workload::{WorkloadConfig, WorkloadGenerator};
@@ -28,7 +28,8 @@ fn main() {
     );
 
     let cfg = ExperimentConfig::production();
-    let (fixed, flexible) = compare_fixed_flexible(&cfg, &SimJob::from_specs(specs));
+    let (fixed, flexible) =
+        compare_fixed_flexible(&cfg, &specs).expect("the production configuration is valid");
 
     let mut out = Vec::new();
     write_summaries(

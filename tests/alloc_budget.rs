@@ -6,11 +6,11 @@
 //! that. In the steady state the stack allocates only what it keeps: one
 //! node list per job in the cluster's owner table, the starts a pass
 //! returns, and the amortised growth of the indices. This binary counts
-//! heap allocations per simulated job over a whole
-//! `run_experiment_with_sink`, from driver start to `summary()`, on the
-//! two saturated benchmark shapes and the three-class faulty one, and
-//! fails when a change puts a per-call `Vec`, `format!` or `to_vec` back
-//! on that path.
+//! heap allocations per simulated job over a whole run on the default
+//! path, `Simulation::new(cfg).source(..).run()` — driver, summary and
+//! result — on the two saturated benchmark shapes and the three-class
+//! faulty one, and fails when a change puts a per-call `Vec`, `format!`
+//! or `to_vec` back on that path.
 //!
 //! The counting `#[global_allocator]` is why this is a test binary of
 //! its own. The count is per thread, so the harness running the three
@@ -19,8 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dmr::core::{run_experiment_with_sink, ExperimentConfig};
-use dmr::metrics::OnlineAccumulator;
+use dmr::core::{ExperimentConfig, Simulation};
 use dmr::workload::{Feitelson, GpuShare, WorkloadConfig};
 
 thread_local! {
@@ -77,13 +76,12 @@ const JOBS: u32 = 2_000;
 fn allocations_per_job(cfg: &ExperimentConfig, gpu_permille: u32) -> f64 {
     let feitelson = Feitelson::new(WorkloadConfig::fs_preliminary(JOBS), 20170814);
     let mut source = GpuShare::new(feitelson, gpu_permille);
-    let mut sink = OnlineAccumulator::new();
     let before = ALLOCATIONS.get();
-    let stats = run_experiment_with_sink(cfg, &mut source, &mut sink);
-    let summary = sink.summary(cfg.nodes);
+    let result = Simulation::new(cfg).source(&mut source).run();
     let allocations = ALLOCATIONS.get() - before;
-    assert_eq!(summary.jobs, JOBS as usize, "every job completed");
-    assert!(stats.events > u64::from(JOBS));
+    let result = result.expect("a valid configuration");
+    assert_eq!(result.summary.jobs, JOBS as usize, "every job completed");
+    assert!(result.events > u64::from(JOBS));
     allocations as f64 / f64::from(JOBS)
 }
 

@@ -26,9 +26,12 @@
 
 mod common;
 
-use common::{assert_bit_identical, csv_row, kind_for, policy_for};
+use common::{
+    assert_bit_identical, assert_outcomes_identical, csv_row, kind_for, policy_for, run,
+    run_recorded,
+};
 use dmr::core::config::EstimateMode;
-use dmr::core::{run_experiment_streaming, BackfillFamily, ExperimentConfig, WorkloadKind};
+use dmr::core::{BackfillFamily, ExperimentConfig, WorkloadKind};
 use dmr::sim::{SimTime, Span};
 use dmr::slurm::{ExpandError, JobId, JobRequest, JobState, SchedIndex, Slurm, SlurmConfig};
 use dmr_cluster::{ClassConstraint, Cluster};
@@ -49,8 +52,7 @@ proptest! {
         let kind = kind_for(kind);
         let mut cfg = ExperimentConfig::preliminary()
             .with_policy(policy_for(policy))
-            .with_backfill_family(BackfillFamily::easy(1))
-            .online();
+            .with_backfill_family(BackfillFamily::easy(1));
         if asynchronous == 1 {
             cfg = cfg.asynchronous();
         }
@@ -62,8 +64,8 @@ proptest! {
         if exact_estimates == 1 {
             cfg.estimate_mode = EstimateMode::Actual;
         }
-        let easy1 = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
-        let walked = run_experiment_streaming(
+        let easy1 = run(&cfg, kind.build(jobs, seed).as_mut());
+        let walked = run(
             &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );
@@ -76,20 +78,21 @@ proptest! {
     }
 }
 
-// The buffered (Full-telemetry) path pins per-job outcomes as well.
+// With a recorder attached, per-job outcomes are pinned as well.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
     fn easy1_outcomes_match_the_legacy_oracle(seed in 0u64..1000, jobs in 1u32..20) {
         let cfg = ExperimentConfig::preliminary().with_backfill_family(BackfillFamily::easy(1));
         let kind = WorkloadKind::RealMix;
-        let easy1 = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
-        let walked = run_experiment_streaming(
+        let (easy1, easy1_jobs) = run_recorded(&cfg, kind.build(jobs, seed).as_mut());
+        let (walked, walked_jobs) = run_recorded(
             &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );
-        prop_assert_eq!(easy1.outcomes.len(), jobs as usize);
+        prop_assert_eq!(easy1_jobs.len(), jobs as usize);
         assert_bit_identical(&easy1, &walked)?;
+        assert_outcomes_identical(&easy1_jobs, &walked_jobs)?;
     }
 }
 
@@ -115,12 +118,12 @@ proptest! {
         let cfg = ExperimentConfig::preliminary()
             .with_policy(policy_for(policy))
             .with_backfill_family(family);
-        let r = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
+        let r = run(&cfg, kind.build(jobs, seed).as_mut());
         prop_assert_eq!(r.summary.jobs as u32, jobs, "every job must complete");
         prop_assert_eq!(r.past_schedules, 0, "scheduled in the past");
         prop_assert!(r.summary.makespan_s.is_finite() && r.summary.makespan_s >= 0.0);
         prop_assert!(r.summary.utilization >= 0.0 && r.summary.utilization <= 1.0 + 1e-9);
-        let scan = run_experiment_streaming(
+        let scan = run(
             &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );

@@ -4,15 +4,22 @@
 //! Two runs with identical inputs yield an identical
 //! [`dmr::metrics::WorkloadSummary`] and identical per-job outcomes.
 
-use dmr::core::{run_experiment, ExperimentConfig, ExperimentResult, SimJob};
-use dmr::workload::{WorkloadConfig, WorkloadGenerator};
+mod common;
 
-fn run_once(cfg: &ExperimentConfig, jobs: u32, seed: u64) -> ExperimentResult {
+use common::run_recorded as run;
+use dmr::core::{ExperimentConfig, ExperimentResult};
+use dmr::metrics::JobOutcome;
+use dmr::workload::{JobSpec, WorkloadConfig, WorkloadGenerator};
+
+/// A run's result and its per-job outcomes in submission order.
+type Run = (ExperimentResult, Vec<JobOutcome>);
+
+fn run_once(cfg: &ExperimentConfig, jobs: u32, seed: u64) -> Run {
     let specs = WorkloadGenerator::new(WorkloadConfig::fs_preliminary(jobs), seed).generate();
-    run_experiment(cfg, &SimJob::from_specs(specs))
+    run(cfg, &mut specs.iter())
 }
 
-fn assert_identical(a: &ExperimentResult, b: &ExperimentResult) {
+fn assert_identical((a, a_jobs): &Run, (b, b_jobs): &Run) {
     // Summary: exact equality, including float fields — determinism means
     // bit-identical arithmetic, not approximate agreement.
     assert_eq!(a.summary.jobs, b.summary.jobs);
@@ -23,8 +30,8 @@ fn assert_identical(a: &ExperimentResult, b: &ExperimentResult) {
     assert_eq!(a.summary.avg_completion_s, b.summary.avg_completion_s);
     assert_eq!(a.summary.reconfigurations, b.summary.reconfigurations);
     // Per-job outcomes, in order.
-    assert_eq!(a.outcomes.len(), b.outcomes.len());
-    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
+    assert_eq!(a_jobs.len(), b_jobs.len());
+    for (x, y) in a_jobs.iter().zip(b_jobs) {
         assert_eq!(x.submit, y.submit);
         assert_eq!(x.start, y.start);
         assert_eq!(x.end, y.end);
@@ -58,7 +65,7 @@ fn different_seeds_actually_differ() {
     let cfg = ExperimentConfig::preliminary();
     let a = run_once(&cfg, 25, 1);
     let b = run_once(&cfg, 25, 2);
-    assert_ne!(a.summary.makespan_s, b.summary.makespan_s);
+    assert_ne!(a.0.summary.makespan_s, b.0.summary.makespan_s);
 }
 
 /// The paper's 20-node testbed under synchronous checks, with jobs that
@@ -75,30 +82,26 @@ fn different_seeds_actually_differ() {
 /// scheduled before the pause ends were handled. A relay that ranked a
 /// segment as of the check (0.3 s early) rather than as of the pause end
 /// would hand the nodes to `ja`.
-fn lockstep_jobs(steps: u32) -> Vec<SimJob> {
-    use dmr::core::SpeedupCurve;
-    use dmr::workload::{AppClass, JobSpec, MalleabilitySpec};
-    let job = |index: u32, arrival_s: f64, flexible: bool, steps: u32, step_s: f64| SimJob {
-        spec: JobSpec {
-            index,
-            arrival_s,
-            submit_procs: 4,
-            steps,
-            step_s,
-            walltime_s: steps as f64 * step_s * 2.5,
-            data_bytes: 1 << 28,
-            app: AppClass::Fs,
-            flexible,
-            gpu: false,
-            malleability: MalleabilitySpec {
-                min_procs: 1,
-                max_procs: 8,
-                preferred: None,
-                factor: 2,
-                sched_period_s: None,
-            },
+fn lockstep_jobs(steps: u32) -> Vec<JobSpec> {
+    use dmr::workload::{AppClass, MalleabilitySpec};
+    let job = |index: u32, arrival_s: f64, flexible: bool, steps: u32, step_s: f64| JobSpec {
+        index,
+        arrival_s,
+        submit_procs: 4,
+        steps,
+        step_s,
+        walltime_s: steps as f64 * step_s * 2.5,
+        data_bytes: 1 << 28,
+        app: AppClass::Fs,
+        flexible,
+        gpu: false,
+        malleability: MalleabilitySpec {
+            min_procs: 1,
+            max_procs: 8,
+            preferred: None,
+            factor: 2,
+            sched_period_s: None,
         },
-        curve: SpeedupCurve::Linear,
     };
     vec![
         job(0, 0.0, true, steps, 10.0),  // ja
@@ -115,9 +118,9 @@ fn lockstep_jobs(steps: u32) -> Vec<SimJob> {
 /// What a run is pinned by: event count, reconfigurations, makespan and
 /// mean waiting time bits, and an FNV-1a fold of every job's start and
 /// end bits in submission order.
-fn pin(r: &ExperimentResult) -> (u64, u32, u64, u64, u64) {
+fn pin((r, outcomes): &Run) -> (u64, u32, u64, u64, u64) {
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for o in &r.outcomes {
+    for o in outcomes {
         for bits in [o.start.to_bits(), o.end.to_bits()] {
             digest = (digest ^ bits).wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -152,10 +155,13 @@ const LOCKSTEP_HARSH: (u64, u32, u64, u64, u64) = (
 
 #[test]
 fn relayed_check_pauses_keep_the_lockstep_order() {
-    let r = run_experiment(&ExperimentConfig::preliminary(), &lockstep_jobs(12));
-    assert_eq!(r.summary.jobs, 8);
+    let r = run(
+        &ExperimentConfig::preliminary(),
+        &mut lockstep_jobs(12).iter(),
+    );
+    assert_eq!(r.0.summary.jobs, 8);
     // `z` got the contested nodes and finished first of the three.
-    let end = |i: usize| r.outcomes[i].end;
+    let end = |i: usize| r.1[i].end;
     assert!(end(5) < end(0) && end(5) < end(1), "z lost the tie");
     assert_eq!(pin(&r), LOCKSTEP_CALM);
 }
@@ -171,8 +177,8 @@ fn node_failures_cancel_relayed_segments_on_both_sides_of_the_relay() {
         .with_faults(dmr::core::FaultLoad::Harsh)
         .with_fault_seed(8);
     cfg.check_overhead_s = 2.5;
-    let r = run_experiment(&cfg, &lockstep_jobs(1500));
-    assert_eq!((r.summary.jobs, r.summary.requeues), (8, 3));
+    let r = run(&cfg, &mut lockstep_jobs(1500).iter());
+    assert_eq!((r.0.summary.jobs, r.0.summary.requeues), (8, 3));
     assert_eq!(pin(&r), LOCKSTEP_HARSH);
 }
 
@@ -216,12 +222,12 @@ const TRACE_MIXED_300: MixedPin = (
 
 #[test]
 fn three_class_conservative_faulty_run_is_pinned() {
-    use dmr::core::run_experiment_streaming;
     use dmr::workload::{Feitelson, GpuShare};
     let feitelson = Feitelson::new(WorkloadConfig::fs_preliminary(300), 20170814);
-    let r = run_experiment_streaming(&trace_mixed_config(), &mut GpuShare::new(feitelson, 250));
+    let recorded = run(&trace_mixed_config(), &mut GpuShare::new(feitelson, 250));
+    let r = &recorded.0;
     assert_eq!(r.summary.jobs, 300);
-    let (events, reconfigurations, _, _, digest) = pin(&r);
+    let (events, reconfigurations, _, _, digest) = pin(&recorded);
     let got = (
         events,
         reconfigurations,

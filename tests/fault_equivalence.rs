@@ -5,8 +5,8 @@
 //! The fault-injection PR threads node failures through every layer, but
 //! its first acceptance bar is *absence*: under [`FaultLoad::None`] no
 //! fault process is even constructed, so every experiment must be
-//! bit-identical to pre-fault behaviour — raw f64 summary bits, per-job
-//! outcomes, and sweep-CSV bytes — across the full workload × policy ×
+//! bit-identical to pre-fault behaviour — raw f64 summary bits, event
+//! counts, and sweep-CSV bytes — across the full workload × policy ×
 //! fixed/flexible × sync/async × `SchedIndex` matrix, regardless of the
 //! fault seed or a configured checkpoint interval. On top of that:
 //! scripted [`FaultTrace`]s replay deterministically (same script ⇒
@@ -18,12 +18,9 @@
 
 mod common;
 
-use common::{assert_bit_identical, csv_row, kind_for, policy_for};
+use common::{assert_bit_identical, csv_row, kind_for, policy_for, run};
 use dmr::cluster::{Cluster, FailOutcome, NodeId, NodeState};
-use dmr::core::{
-    run_experiment_streaming, run_experiment_streaming_with_faults, ExperimentConfig, FaultLoad,
-    FaultTrace, MachineMix,
-};
+use dmr::core::{ExperimentConfig, FaultLoad, FaultTrace, MachineMix, Simulation};
 use dmr::sim::{SimTime, Span};
 use dmr::slurm::{JobId, JobRequest, JobState, SchedIndex, Slurm, SlurmConfig};
 use dmr_bench::scenario::fault_axis;
@@ -49,15 +46,14 @@ proptest! {
     ) {
         let kind = kind_for(kind);
         let mut cfg = ExperimentConfig::preliminary()
-            .with_policy(policy_for(policy))
-            .online();
+            .with_policy(policy_for(policy));
         if asynchronous == 1 {
             cfg = cfg.asynchronous();
         }
         if fixed == 1 {
             cfg = cfg.as_fixed();
         }
-        let base = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
+        let base = run(&cfg, kind.build(jobs, seed).as_mut());
         // A different fault seed is unobservable when no process runs,
         // and an armed checkpoint interval is unobservable with nothing
         // to recover from — on both paths.
@@ -66,7 +62,7 @@ proptest! {
             cfg.with_ckpt_interval(600.0),
             cfg.scan_reference().with_fault_seed(fault_seed),
         ] {
-            let r = run_experiment_streaming(&cfg2, kind.build(jobs, seed).as_mut());
+            let r = run(&cfg2, kind.build(jobs, seed).as_mut());
             assert_bit_identical(&base, &r)?;
         }
         let s = &base.summary;
@@ -77,7 +73,7 @@ proptest! {
         prop_assert_eq!(s.restart_p95_s.to_bits(), 0.0f64.to_bits());
         let row = csv_row(kind.name(), &cfg, seed, &base);
         let with_seed = cfg.with_fault_seed(fault_seed);
-        let r = run_experiment_streaming(&with_seed, kind.build(jobs, seed).as_mut());
+        let r = run(&with_seed, kind.build(jobs, seed).as_mut());
         prop_assert_eq!(&row, &csv_row(kind.name(), &with_seed, seed, &r));
     }
 
@@ -92,7 +88,7 @@ proptest! {
         events in proptest::collection::vec((1u64..5_000, 0u32..20, proptest::bool::ANY), 1..12),
     ) {
         let kind = kind_for(kind);
-        let cfg = ExperimentConfig::preliminary().online();
+        let cfg = ExperimentConfig::preliminary();
         // Build a well-formed script: nondecreasing instants, fail or
         // repair drawn per event (repairs of never-failed nodes are
         // legal no-ops at the cluster layer).
@@ -105,7 +101,10 @@ proptest! {
         }
         let run = |cfg: &ExperimentConfig| {
             let trace = FaultTrace::parse(&script).expect("generated script parses");
-            run_experiment_streaming_with_faults(cfg, kind.build(jobs, seed).as_mut(), trace)
+            Simulation::new(cfg)
+                .source(kind.build(jobs, seed).as_mut())
+                .faults(trace)
+                .run()
                 .expect("the script names the machine's nodes only")
         };
         let (a, b) = (run(&cfg), run(&cfg));

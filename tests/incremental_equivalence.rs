@@ -28,8 +28,11 @@
 
 mod common;
 
-use common::{assert_bit_identical, family_for, kind_for, policy_for};
-use dmr::core::{run_experiment_streaming, ExperimentConfig, WorkloadKind};
+use common::{
+    assert_bit_identical, assert_outcomes_identical, family_for, kind_for, policy_for, run,
+    run_recorded,
+};
+use dmr::core::{ExperimentConfig, WorkloadKind};
 use dmr::sim::{SimTime, Span};
 use dmr::slurm::{JobRequest, JobState, SchedIndex, Slurm, SlurmConfig};
 use dmr_cluster::Cluster;
@@ -50,16 +53,15 @@ proptest! {
         let kind = kind_for(kind);
         let mut cfg = ExperimentConfig::preliminary()
             .with_policy(policy_for(policy))
-            .with_backfill_family(family_for(family))
-            .online();
+            .with_backfill_family(family_for(family));
         if asynchronous == 1 {
             cfg = cfg.asynchronous();
         }
         if fixed == 1 {
             cfg = cfg.as_fixed();
         }
-        let on = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
-        let off = run_experiment_streaming(
+        let on = run(&cfg, kind.build(jobs, seed).as_mut());
+        let off = run(
             &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );
@@ -69,7 +71,7 @@ proptest! {
     }
 }
 
-// The buffered (Full-telemetry) path pins per-job outcomes as well.
+// With a recorder attached, per-job outcomes are pinned as well.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
@@ -81,13 +83,14 @@ proptest! {
         let cfg = ExperimentConfig::preliminary()
             .with_backfill_family(family_for(family));
         let kind = WorkloadKind::FsPreliminary;
-        let on = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
-        let off = run_experiment_streaming(
+        let (on, on_jobs) = run_recorded(&cfg, kind.build(jobs, seed).as_mut());
+        let (off, off_jobs) = run_recorded(
             &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );
-        prop_assert_eq!(on.outcomes.len(), jobs as usize);
+        prop_assert_eq!(on_jobs.len(), jobs as usize);
         assert_bit_identical(&on, &off)?;
+        assert_outcomes_identical(&on_jobs, &off_jobs)?;
     }
 }
 

@@ -19,8 +19,11 @@
 
 mod common;
 
-use common::{assert_bit_identical, csv_row, family_for, kind_for, policy_for};
-use dmr::core::{run_experiment_streaming, ExperimentConfig, FaultLoad, MachineMix, WorkloadKind};
+use common::{
+    assert_bit_identical, assert_outcomes_identical, csv_row, family_for, kind_for, policy_for,
+    run, run_recorded,
+};
+use dmr::core::{ExperimentConfig, FaultLoad, MachineMix, WorkloadKind};
 use dmr_bench::scenario::smoke_registry;
 use proptest::prelude::*;
 
@@ -37,16 +40,15 @@ proptest! {
     ) {
         let kind = kind_for(kind);
         let mut cfg = ExperimentConfig::preliminary()
-            .with_policy(policy_for(policy))
-            .online();
+            .with_policy(policy_for(policy));
         if asynchronous == 1 {
             cfg = cfg.asynchronous();
         }
         if fixed == 1 {
             cfg = cfg.as_fixed();
         }
-        let arena = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
-        let scan = run_experiment_streaming(
+        let arena = run(&cfg, kind.build(jobs, seed).as_mut());
+        let scan = run(
             &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );
@@ -59,20 +61,21 @@ proptest! {
     }
 }
 
-// The buffered (Full-telemetry) path pins per-job outcomes as well.
+// With a recorder attached, per-job outcomes are pinned as well.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
     fn indexed_outcomes_match_scan_reference(seed in 0u64..1000, jobs in 1u32..20) {
         let cfg = ExperimentConfig::preliminary();
         let kind = WorkloadKind::FsPreliminary;
-        let arena = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
-        let scan = run_experiment_streaming(
+        let (arena, arena_jobs) = run_recorded(&cfg, kind.build(jobs, seed).as_mut());
+        let (scan, scan_jobs) = run_recorded(
             &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );
-        prop_assert_eq!(arena.outcomes.len(), jobs as usize);
+        prop_assert_eq!(arena_jobs.len(), jobs as usize);
         assert_bit_identical(&arena, &scan)?;
+        assert_outcomes_identical(&arena_jobs, &scan_jobs)?;
     }
 }
 
@@ -106,8 +109,7 @@ proptest! {
                 .with_backfill_family(family_for(family))
                 .with_machine_mix(if hetero { MachineMix::Hetero3 } else { MachineMix::Uniform })
                 .with_faults([FaultLoad::None, FaultLoad::Rare, FaultLoad::Harsh][faults as usize])
-                .with_fault_seed(fault_seed)
-                .online();
+                .with_fault_seed(fault_seed);
             if ckpt > 0 {
                 cfg = cfg.with_ckpt_interval(f64::from(ckpt) * 600.0);
             }
@@ -117,8 +119,8 @@ proptest! {
             if fixed {
                 cfg = cfg.as_fixed();
             }
-            let arena = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
-            let scan = run_experiment_streaming(
+            let arena = run(&cfg, kind.build(jobs, seed).as_mut());
+            let scan = run(
                 &cfg.scan_reference(),
                 kind.build(jobs, seed).as_mut(),
             );
@@ -146,8 +148,8 @@ fn smoke_registry_sweep_rows_are_byte_identical_across_hot_paths() {
     let seed = dmr_bench::SEED;
     for sc in smoke_registry() {
         let cfg = sc.config();
-        let row = |run: &ExperimentConfig| {
-            let r = run_experiment_streaming(run, sc.source(seed).as_mut());
+        let row = |under: &ExperimentConfig| {
+            let r = run(under, sc.source(seed).as_mut());
             csv_row(sc.workload.name(), &cfg, seed, &r)
         };
         assert_eq!(
@@ -166,11 +168,11 @@ fn smoke_registry_sweep_rows_are_byte_identical_across_hot_paths() {
 /// path) to part ways if they ever could.
 #[test]
 fn overloaded_malleable_run_matches_scan_reference() {
-    let cfg = ExperimentConfig::preliminary().online();
+    let cfg = ExperimentConfig::preliminary();
     let kind = WorkloadKind::FsPreliminary;
     let (jobs, seed) = (2000, dmr_bench::SEED);
-    let arena = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
-    let scan = run_experiment_streaming(&cfg.scan_reference(), kind.build(jobs, seed).as_mut());
+    let arena = run(&cfg, kind.build(jobs, seed).as_mut());
+    let scan = run(&cfg.scan_reference(), kind.build(jobs, seed).as_mut());
     assert_eq!(arena.summary.jobs, jobs as usize);
     assert!(
         arena.summary.reconfigurations > 1000,
@@ -194,10 +196,10 @@ fn overloaded_malleable_run_matches_scan_reference() {
 fn indexed_easy_pass_examines_a_bounded_number_of_jobs() {
     let kind = WorkloadKind::FsPreliminary;
     let (jobs, seed) = (2000, dmr_bench::SEED);
-    let flexible = ExperimentConfig::preliminary().online();
+    let flexible = ExperimentConfig::preliminary();
     for cfg in [flexible.as_fixed(), flexible] {
-        let arena = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
-        let scan = run_experiment_streaming(&cfg.scan_reference(), kind.build(jobs, seed).as_mut());
+        let arena = run(&cfg, kind.build(jobs, seed).as_mut());
+        let scan = run(&cfg.scan_reference(), kind.build(jobs, seed).as_mut());
         assert_bit_identical(&arena, &scan).unwrap();
         let budget = 8 * (arena.sched.backfill_passes_run + u64::from(jobs));
         let (fast, walk) = (

@@ -149,17 +149,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
     fn simulator_accounting_is_consistent(seed in 0u64..50) {
-        use dmr::core::{run_experiment, ExperimentConfig, SimJob};
+        use dmr::core::{ExperimentConfig, Simulation};
+        use dmr::metrics::SeriesRecorder;
         let specs = WorkloadGenerator::new(WorkloadConfig::fs_preliminary(12), seed).generate();
-        let r = run_experiment(&ExperimentConfig::preliminary(), &SimJob::from_specs(specs));
+        let mut rec = SeriesRecorder::new();
+        let cfg = ExperimentConfig::preliminary();
+        let r = Simulation::new(&cfg).source(&mut specs.iter()).sink(&mut rec).run().unwrap();
+        let (allocation, _, _, outcomes) = rec.into_parts();
         prop_assert_eq!(r.summary.jobs, 12);
-        for o in &r.outcomes {
+        for o in &outcomes {
             prop_assert!(o.start >= o.submit);
             prop_assert!(o.end >= o.start);
             prop_assert!(o.end <= r.summary.makespan_s + 1e-6);
         }
         prop_assert!(r.summary.utilization > 0.0 && r.summary.utilization <= 1.0);
-        prop_assert!(r.allocation.max_value() <= 20.0);
+        prop_assert!(allocation.max_value() <= 20.0);
     }
 }
 

@@ -1,15 +1,16 @@
 //! End-to-end shape tests: the qualitative claims of the paper's
 //! evaluation must hold on freshly simulated workloads.
 
-use dmr::core::{compare_fixed_flexible, ExperimentConfig, SimJob};
-use dmr::workload::{WorkloadConfig, WorkloadGenerator};
+use dmr::core::{compare_fixed_flexible, ExperimentConfig, ExperimentResult, Simulation};
+use dmr::workload::{JobSpec, WorkloadConfig, WorkloadGenerator};
 
-fn production_pair(
-    jobs: u32,
-    seed: u64,
-) -> (dmr::core::ExperimentResult, dmr::core::ExperimentResult) {
+fn production_pair(jobs: u32, seed: u64) -> (ExperimentResult, ExperimentResult) {
     let specs = WorkloadGenerator::new(WorkloadConfig::real_mix(jobs), seed).generate();
-    compare_fixed_flexible(&ExperimentConfig::production(), &SimJob::from_specs(specs))
+    compare_fixed_flexible(&ExperimentConfig::production(), &specs).unwrap()
+}
+
+fn run(cfg: &ExperimentConfig, jobs: &[JobSpec]) -> ExperimentResult {
+    Simulation::new(cfg).source(&mut jobs.iter()).run().unwrap()
 }
 
 /// Figure 10: flexible workloads cut the makespan by tens of percent.
@@ -75,7 +76,7 @@ fn preliminary_fs_workloads_gain() {
     for (jobs, seed) in [(10u32, 4u64), (25, 4)] {
         let specs = WorkloadGenerator::new(WorkloadConfig::fs_preliminary(jobs), seed).generate();
         let (fixed, flexible) =
-            compare_fixed_flexible(&ExperimentConfig::preliminary(), &SimJob::from_specs(specs));
+            compare_fixed_flexible(&ExperimentConfig::preliminary(), &specs).unwrap();
         assert!(
             flexible.summary.makespan_s < fixed.summary.makespan_s,
             "{jobs} jobs: flexible {} !< fixed {}",
@@ -90,11 +91,9 @@ fn preliminary_fs_workloads_gain() {
 /// scheduling").
 #[test]
 fn synchronous_beats_asynchronous_overall() {
-    let specs = WorkloadGenerator::new(WorkloadConfig::fs_preliminary(25), 7).generate();
-    let jobs = SimJob::from_specs(specs);
-    let sync = dmr::core::run_experiment(&ExperimentConfig::preliminary(), &jobs);
-    let asynchronous =
-        dmr::core::run_experiment(&ExperimentConfig::preliminary().asynchronous(), &jobs);
+    let jobs = WorkloadGenerator::new(WorkloadConfig::fs_preliminary(25), 7).generate();
+    let sync = run(&ExperimentConfig::preliminary(), &jobs);
+    let asynchronous = run(&ExperimentConfig::preliminary().asynchronous(), &jobs);
     assert!(
         sync.summary.makespan_s <= asynchronous.summary.makespan_s * 1.02,
         "sync {} vs async {}",
@@ -122,12 +121,11 @@ fn simulation_is_deterministic_per_seed() {
 /// workload (it is one of the design choices DESIGN.md calls out).
 #[test]
 fn backfill_ablation_does_not_help_fixed() {
-    let specs = WorkloadGenerator::new(WorkloadConfig::fs_preliminary(25), 9).generate();
-    let jobs = SimJob::from_specs(specs);
+    let jobs = WorkloadGenerator::new(WorkloadConfig::fs_preliminary(25), 9).generate();
     let mut cfg = ExperimentConfig::preliminary().as_fixed();
-    let with_bf = dmr::core::run_experiment(&cfg, &jobs);
+    let with_bf = run(&cfg, &jobs);
     cfg.backfill = false;
-    let without_bf = dmr::core::run_experiment(&cfg, &jobs);
+    let without_bf = run(&cfg, &jobs);
     assert!(
         with_bf.summary.makespan_s <= without_bf.summary.makespan_s,
         "backfill on {} vs off {}",
