@@ -1,11 +1,10 @@
-//! Hot-path micro-benchmarks: the production path head-to-head with the
-//! scan reference — node allocation, pending-order consultation, the
-//! EASY backfill pass (reservation + reap), the churn driver of
-//! `dmr_bench::hotpath` — and the slab job table against the `BTreeMap`
-//! it replaced. The `churn` group is where the large-machine cells
-//! (65 536 nodes × 100 000 pending: base, hetero3, faulty, EASY-8,
-//! EASY-64, conservative) run; whole-experiment throughput is
-//! `benchmark/`'s to measure.
+//! Hot-path micro-benchmarks of the scheduler alone: node allocation,
+//! pending-order consultation, the EASY backfill pass (reservation +
+//! reap), the churn driver of `dmr_bench::hotpath`, and the slab job
+//! table against the `BTreeMap` it replaced. The `churn` group is where
+//! the large-machine cells (65 536 nodes × 100 000 pending: base,
+//! hetero3, faulty, EASY-8, EASY-64, conservative) run; whole-experiment
+//! throughput is `benchmark/`'s to measure.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::collections::BTreeMap;
@@ -14,42 +13,30 @@ use std::hint::black_box;
 use dmr_bench::hotpath::{self, Cell};
 use dmr_cluster::{ClassConstraint, Cluster};
 use dmr_sim::{SimTime, Span};
-use dmr_slurm::{Job, JobArena, JobId, JobRequest, JobState, SchedIndex, Slurm, SlurmConfig};
+use dmr_slurm::{Job, JobArena, JobId, JobRequest, JobState, Slurm};
 
-fn modes() -> [(&'static str, SchedIndex); 2] {
-    [
-        ("arena", SchedIndex::Arena),
-        ("scan", SchedIndex::ScanReference),
-    ]
-}
-
-/// A 4096-node cluster with the low 4000 ids busy: linear selection must
-/// reach past them for every grant.
-fn busy_low_cluster(scan: bool) -> Cluster {
+/// A 4096-node cluster with the low 4000 ids busy: lowest-first selection
+/// must reach past them for every grant.
+fn busy_low_cluster() -> Cluster {
     let mut c = Cluster::new(4096, 16);
-    c.use_scan_selection(scan);
     c.allocate(4000, 1).expect("fits");
     c
 }
 
 fn bench_allocate(c: &mut Criterion) {
     let mut g = c.benchmark_group("cluster");
-    for (label, mode) in modes() {
-        g.bench_function(format!("allocate32_n4096_busy_{label}"), |b| {
-            b.iter_batched(
-                || busy_low_cluster(mode == SchedIndex::ScanReference),
-                |mut c| black_box(c.allocate(32, 2).unwrap()),
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    g.bench_function("allocate32_n4096_busy", |b| {
+        b.iter_batched(
+            busy_low_cluster,
+            |mut c| black_box(c.allocate(32, 2).unwrap()),
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 
-fn deep_queue(pending: u32, mode: SchedIndex) -> Slurm {
-    let mut cfg = SlurmConfig::for_cluster(64);
-    cfg.sched_index = mode;
-    let mut s = Slurm::new(Cluster::new(64, 16), cfg);
+fn deep_queue(pending: u32) -> Slurm {
+    let mut s = Slurm::with_cluster(Cluster::new(64, 16));
     for i in 0..8 {
         s.submit(
             JobRequest::rigid(format!("run{i}"), 8)
@@ -71,32 +58,28 @@ fn deep_queue(pending: u32, mode: SchedIndex) -> Slurm {
 fn bench_pending_order(c: &mut Criterion) {
     let mut g = c.benchmark_group("pending_order");
     for pending in [1_000u32, 10_000] {
-        for (label, mode) in modes() {
-            g.bench_function(format!("rebuild_q{pending}_{label}"), |b| {
-                b.iter_batched(
-                    || deep_queue(pending, mode),
-                    // A fresh instant misses the per-mutation cache, so
-                    // this times one full order (re)build.
-                    |s| black_box(s.pending_queue(SimTime::from_secs(99_999)).len()),
-                    BatchSize::SmallInput,
-                )
-            });
-        }
+        g.bench_function(format!("rebuild_q{pending}"), |b| {
+            b.iter_batched(
+                || deep_queue(pending),
+                // A fresh scheduler has no cached order, so this times
+                // one full order build.
+                |s| black_box(s.pending_queue(SimTime::from_secs(99_999)).len()),
+                BatchSize::SmallInput,
+            )
+        });
     }
     g.finish();
 }
 
 fn bench_backfill(c: &mut Criterion) {
     let mut g = c.benchmark_group("backfill");
-    for (label, mode) in modes() {
-        g.bench_function(format!("pass_q4000_{label}"), |b| {
-            b.iter_batched(
-                || deep_queue(4_000, mode),
-                |mut s| black_box(s.backfill_pass(SimTime::from_secs(2_000))),
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    g.bench_function("pass_q4000", |b| {
+        b.iter_batched(
+            || deep_queue(4_000),
+            |mut s| black_box(s.backfill_pass(SimTime::from_secs(2_000))),
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 
@@ -111,27 +94,20 @@ fn axis(cell: &Cell) -> &'static str {
     }
 }
 
-/// The arena/scan pair at 1024 × 4 000, then the headline group of the
-/// cell table. Criterion's line times a whole `run_cell`, filling the
-/// machine and the queue included; the `churn:` line after it is the
-/// fastest sample's churn loop alone — the figure every `events_per_sec`
-/// in git history reports. It is printed and forgotten: the timed
-/// section of a headline cell is 5–10 ms.
+/// The headline group of the cell table. Criterion's line times a whole
+/// `run_cell`, filling the machine and the queue included; the `churn:`
+/// line after it is the fastest sample's churn loop alone — the figure
+/// every `events_per_sec` in git history reports. It is printed and
+/// forgotten: the timed section of a headline cell is 5–10 ms.
 fn bench_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("churn");
     g.sample_size(5);
-    let pair = modes().map(|(label, mode)| {
-        let reference = mode == SchedIndex::ScanReference;
-        let base = Cell::base(1024, 4_000);
-        (label, Cell { reference, ..base }, 50)
-    });
     let headline = hotpath::cell_table(true)
         .pop()
-        .expect("the table ends with the headline group")
-        .into_iter()
-        .map(|cell| (axis(&cell), cell, hotpath::rounds(false)));
-    for (label, cell, rounds) in pair.into_iter().chain(headline) {
-        let name = format!("n{}_q{}_{label}", cell.nodes, cell.depth);
+        .expect("the table ends with the headline group");
+    let rounds = hotpath::rounds(false);
+    for cell in headline {
+        let name = format!("n{}_q{}_{}", cell.nodes, cell.depth, axis(&cell));
         let mut fastest = 0.0_f64;
         g.bench_function(name.as_str(), |b| {
             b.iter(|| {

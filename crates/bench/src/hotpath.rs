@@ -5,14 +5,8 @@
 //! queue, one completion + one submission + one scheduling pass per
 //! round, a backfill pass every `bf_interval`-like 30 rounds) through
 //! the scheduler once per [`Cell`] of a declarative table
-//! ([`cell_table`]): the production path ([`SchedIndex::Arena`]) under
-//! each backfill family, on the three-class machine and under node
-//! failures, and — on the grid cells where it finishes in reasonable
-//! time — the scan reference ([`SchedIndex::ScanReference`]). Cells that
-//! differ only in `reference` execute the *identical* operation sequence
-//! (the two paths are decision-identical, pinned by
-//! `tests/index_equivalence.rs`), so their wall-clock ratio measures the
-//! indices and memos alone.
+//! ([`cell_table`]): under each backfill family, on the three-class
+//! machine and under node failures.
 //!
 //! Nothing here records a number. The repository's performance
 //! trajectory is `benchmark/` (declared in `BENCHMARK.json`), which
@@ -29,7 +23,7 @@ use std::time::Instant;
 use dmr_cluster::{Cluster, FailOutcome, NodeId};
 use dmr_core::MachineMix;
 use dmr_sim::{SimTime, Span};
-use dmr_slurm::{BackfillFamily, JobId, JobRequest, SchedIndex, Slurm, SlurmConfig};
+use dmr_slurm::{BackfillFamily, JobId, JobRequest, Slurm, SlurmConfig};
 
 /// What one measurement runs: a grid cell and one setting per axis.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -37,8 +31,6 @@ pub struct Cell {
     pub nodes: u32,
     /// Pending jobs queued before the first round.
     pub depth: u32,
-    /// The scan reference instead of the production path.
-    pub reference: bool,
     pub family: BackfillFamily,
     /// The same churn on a three-class [`MachineMix::Hetero3`] cluster,
     /// driving the per-class free sets and class splits on every start. The
@@ -53,13 +45,12 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// The cell every axis is read against: the production path, EASY-1
-    /// (the paper's configuration), uniform machine, no faults.
+    /// The cell every axis is read against: EASY-1 (the paper's
+    /// configuration), uniform machine, no faults.
     pub fn base(nodes: u32, depth: u32) -> Cell {
         Cell {
             nodes,
             depth,
-            reference: false,
             family: BackfillFamily::easy(1),
             hetero: false,
             faulty: false,
@@ -78,7 +69,7 @@ pub struct CellResult {
     pub peak_queue_depth: u64,
     /// Scheduling + backfill passes that executed / that returned via the
     /// O(1) elision path — reported per cell so the memos' win is
-    /// attributable, not inferred (the reference never elides).
+    /// attributable, not inferred.
     pub passes_run: u64,
     pub passes_elided: u64,
     pub elapsed_s: f64,
@@ -120,8 +111,6 @@ pub fn grid(smoke: bool) -> Vec<(u32, u32)> {
 /// axes: the machine and fault twins *adjacent* to the base cell — they
 /// are read against it, and back-to-back measurements compare better
 /// than the two ends of a sweep — then the deeper backfill families.
-/// The scan reference recomputes every pending priority per pass —
-/// O(queue) work per round — so it runs up to 4096×10k and not beyond.
 pub fn cell_table(smoke: bool) -> Vec<Vec<Cell>> {
     let mut table = Vec::new();
     for (nodes, depth) in grid(smoke) {
@@ -136,12 +125,6 @@ pub fn cell_table(smoke: bool) -> Vec<Vec<Cell>> {
             });
             group.push(Cell {
                 faulty: true,
-                ..base
-            });
-        }
-        if nodes <= 4096 && depth <= 10_000 {
-            group.push(Cell {
-                reference: true,
                 ..base
             });
         }
@@ -182,9 +165,6 @@ pub fn rounds(smoke: bool) -> u32 {
 pub fn run_cell(cell: &Cell, rounds: u32) -> CellResult {
     let Cell { nodes, depth, .. } = *cell;
     let mut cfg = SlurmConfig::for_cluster(nodes);
-    if cell.reference {
-        cfg.sched_index = SchedIndex::ScanReference;
-    }
     cfg.backfill_family = cell.family;
     // Steady-state churn would grow the terminal-record table without
     // bound; the streaming driver prunes it, so the bench does too.
@@ -293,26 +273,10 @@ mod tests {
     const TINY: Cell = Cell {
         nodes: 16,
         depth: 20,
-        reference: false,
         family: BackfillFamily::Easy { reservations: 1 },
         hetero: false,
         faulty: false,
     };
-
-    /// The tiny cell on the production path and on the scan reference.
-    fn tiny_cells() -> [CellResult; 2] {
-        [false, true].map(|reference| run_cell(&Cell { reference, ..TINY }, 5))
-    }
-
-    #[test]
-    fn identical_operation_sequences_on_both_paths() {
-        let [arena, scan] = tiny_cells();
-        assert_eq!(arena.events, scan.events);
-        assert_eq!(arena.jobs_started, scan.jobs_started);
-        assert_eq!(arena.peak_queue_depth, scan.peak_queue_depth);
-        assert_eq!(scan.passes_elided, 0, "the reference never elides");
-        assert!(scan.passes_run > 0);
-    }
 
     #[test]
     fn table_ends_with_the_headline_group() {
@@ -324,7 +288,7 @@ mod tests {
                 assert!(group.iter().all(|c| (c.nodes, c.depth) == (nodes, depth)));
             }
             // The headline group measures every axis against its base
-            // cell, twins adjacent, and no scan cell at that scale.
+            // cell, twins adjacent.
             let last = table.last().unwrap();
             assert_eq!(last[0], Cell::base(65_536, 100_000));
             assert!(last[1].hetero && last[2].faulty);
@@ -333,10 +297,8 @@ mod tests {
                 families,
                 ["easy1", "easy1", "easy1", "easy8", "easy64", "conservative"]
             );
-            assert!(last.iter().all(|c| !c.reference));
-            assert!(table[0].iter().any(|c| c.reference));
         }
-        let axes = |smoke| cell_table(smoke).iter().filter(|g| g.len() > 2).count();
+        let axes = |smoke| cell_table(smoke).iter().filter(|g| g.len() > 1).count();
         assert_eq!((axes(true), axes(false)), (1, 2));
     }
 

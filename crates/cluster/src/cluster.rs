@@ -109,10 +109,6 @@ pub struct Cluster {
     /// [`Cluster::tally_changes`]).
     tally_changes: u64,
     cores_per_node: u32,
-    /// Equivalence-oracle knob: select granted nodes with the pre-index
-    /// full scan instead of the run set (results are identical; only the
-    /// cost differs). See [`Cluster::use_scan_selection`].
-    scan_selection: bool,
 }
 
 impl Cluster {
@@ -149,17 +145,7 @@ impl Cluster {
             off_by_class: vec![0; k],
             tally_changes: 0,
             cores_per_node,
-            scan_selection: false,
         }
-    }
-
-    /// Switches node selection in [`Cluster::allocate`] to the pre-index
-    /// O(total nodes) scan. The scan is the *reference implementation*:
-    /// it grants exactly the same nodes as the run-set path (pinned by
-    /// tests), and exists so benchmarks can measure the index win and
-    /// equivalence tests can hold the old behaviour up as an oracle.
-    pub fn use_scan_selection(&mut self, scan: bool) {
-        self.scan_selection = scan;
     }
 
     /// The paper's testbed: 65 nodes × 16 cores.
@@ -332,30 +318,10 @@ impl Cluster {
             if !constraint.allows(c, self.table.class(c)) {
                 continue;
             }
-            let took = if self.scan_selection {
-                // Reference path: the pre-index linear scan of the class
-                // range (ranges ascend, so under `Any` this is the
-                // historical whole-inventory scan).
-                let from = held.len();
-                let (start, end) = self.table.range(c);
-                for i in (start..end).map(|i| i as usize) {
-                    if (held.len() - from) as u32 == want {
-                        break;
-                    }
-                    if self.owner[i].is_none() && self.states[i].accepts_new_work() {
-                        held.push(NodeId(i as u32));
-                    }
-                }
-                for node in &held[from..] {
-                    self.free[c].remove(node.0);
-                }
-                (held.len() - from) as u32
-            } else {
-                // Each class's run set holds exactly its placeable ids,
-                // ascending; draining eligible classes in range order is
-                // the same linear selection.
-                self.free[c].take_lowest(want, held)
-            };
+            // Each class's run set holds exactly its placeable ids,
+            // ascending; draining eligible classes in range order is
+            // lowest-id-first selection.
+            let took = self.free[c].take_lowest(want, held);
             self.busy_by_class[c] += took;
             want -= took;
         }
@@ -953,33 +919,50 @@ mod tests {
         c.check_invariants().unwrap();
     }
 
+    /// The node ids of each list, as written in the tests below.
+    fn lists(ids: &[&[u32]]) -> Vec<Vec<NodeId>> {
+        ids.iter()
+            .map(|l| l.iter().copied().map(NodeId).collect())
+            .collect()
+    }
+
     #[test]
-    fn scan_selection_grants_identical_nodes() {
-        // Drive the same fragmented allocation pattern through both
-        // selection paths; every grant must be bit-identical.
-        let run = |scan: bool| {
-            let mut c = Cluster::new(32, 16);
-            c.use_scan_selection(scan);
-            let any = ClassConstraint::Any;
-            let mut grants = Vec::new();
-            for owner in 0..6u64 {
-                grants.push(grant(&mut c, 3 + (owner as u32 % 3), owner, any));
-            }
-            c.release_all(1).unwrap();
-            c.release_all(4).unwrap();
-            c.set_state(NodeId(2), NodeState::Drained);
-            grants.push(grant(&mut c, 5, 10, any));
-            grants.push(grant(&mut c, 4, 11, any));
-            c.release_tail(10, 2).unwrap();
-            grants.push(c.nodes_of(10).to_vec());
-            grants.push(grant(&mut c, 3, 12, any));
-            // A second grant to an owner whose list sits above the free
-            // ids: both paths must merge it into the same sorted list.
-            grants.push(grant(&mut c, 2, 11, any));
-            c.check_invariants().unwrap();
-            (grants, c.free_nodes(), c.allocated_nodes())
-        };
-        assert_eq!(run(false), run(true));
+    fn fragmented_grants_take_the_lowest_placeable_ids() {
+        // A fragmented allocation pattern: releases leave holes, a
+        // drained node must be skipped, a tail release and a second grant
+        // to an owner whose list sits above the free ids merge into one
+        // sorted list. Every grant is the lowest placeable ids in order.
+        let mut c = Cluster::new(32, 16);
+        let any = ClassConstraint::Any;
+        let mut grants = Vec::new();
+        for owner in 0..6u64 {
+            grants.push(grant(&mut c, 3 + (owner as u32 % 3), owner, any));
+        }
+        c.release_all(1).unwrap();
+        c.release_all(4).unwrap();
+        c.set_state(NodeId(2), NodeState::Drained);
+        grants.push(grant(&mut c, 5, 10, any));
+        grants.push(grant(&mut c, 4, 11, any));
+        c.release_tail(10, 2).unwrap();
+        grants.push(c.nodes_of(10).to_vec());
+        grants.push(grant(&mut c, 3, 12, any));
+        grants.push(grant(&mut c, 2, 11, any));
+        c.check_invariants().unwrap();
+        let want = lists(&[
+            &[0, 1, 2],
+            &[3, 4, 5, 6],
+            &[7, 8, 9, 10, 11],
+            &[12, 13, 14],
+            &[15, 16, 17, 18],
+            &[19, 20, 21, 22, 23],
+            &[3, 4, 5, 6, 15],
+            &[16, 17, 18, 24],
+            &[3, 4, 5],
+            &[6, 15, 25],
+            &[16, 17, 18, 24, 26, 27],
+        ]);
+        assert_eq!(grants, want);
+        assert_eq!((c.free_nodes(), c.allocated_nodes()), (4, 28));
     }
 
     #[test]
@@ -1096,20 +1079,18 @@ mod tests {
     }
 
     #[test]
-    fn constrained_scan_matches_run_set() {
-        let drive = |scan: bool| {
-            let mut c = hetero();
-            c.use_scan_selection(scan);
-            let mut grants = Vec::new();
-            grants.push(grant(&mut c, 1, 1, ClassConstraint::GpuRequired));
-            grants.push(grant(&mut c, 3, 2, ClassConstraint::Any));
-            c.release_all(2).unwrap();
-            grants.push(grant(&mut c, 2, 3, ClassConstraint::Class(1)));
-            grants.push(grant(&mut c, 4, 4, ClassConstraint::Any));
-            c.check_invariants().unwrap();
-            (grants, c.free_nodes())
-        };
-        assert_eq!(drive(false), drive(true));
+    fn constrained_grants_take_the_lowest_eligible_ids() {
+        let mut c = hetero();
+        let mut grants = Vec::new();
+        grants.push(grant(&mut c, 1, 1, ClassConstraint::GpuRequired));
+        grants.push(grant(&mut c, 3, 2, ClassConstraint::Any));
+        c.release_all(2).unwrap();
+        grants.push(grant(&mut c, 2, 3, ClassConstraint::Class(1)));
+        grants.push(grant(&mut c, 4, 4, ClassConstraint::Any));
+        c.check_invariants().unwrap();
+        let want = lists(&[&[6], &[0, 1, 2], &[4, 5], &[0, 1, 2, 3]]);
+        assert_eq!(grants, want);
+        assert_eq!(c.free_nodes(), 1);
     }
 
     #[test]

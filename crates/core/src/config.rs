@@ -1,7 +1,7 @@
 //! Experiment configuration.
 
 use dmr_cluster::{ClassTable, FaultLoad, MachineClass, NetworkModel};
-use dmr_slurm::{BackfillFamily, PolicyKind, SchedIndex};
+use dmr_slurm::{BackfillFamily, PolicyKind};
 
 /// Machine-class layout of the simulated cluster — a `Copy` selector in
 /// the mould of [`PolicyKind`], expanded into a [`ClassTable`] when the
@@ -161,10 +161,6 @@ pub struct ExperimentConfig {
     /// Which reconfiguration decision procedure the scheduler installs
     /// (the §IV plug-in: Algorithm 1 or an alternative).
     pub policy: PolicyKind,
-    /// Scheduler implementation: the production path (the default) or
-    /// the from-scratch scan reference the equivalence suites compare it
-    /// with (see [`SchedIndex`]).
-    pub sched_index: SchedIndex,
     /// Machine-class layout of the simulated cluster. The default
     /// [`MachineMix::Uniform`] reproduces the paper's homogeneous testbed
     /// bit-for-bit; [`MachineMix::Hetero3`] adds big-memory and GPU
@@ -213,7 +209,6 @@ impl ExperimentConfig {
             policy: PolicyKind::Algorithm1,
             machine_mix: MachineMix::Uniform,
             wake_latency_s: 30.0,
-            sched_index: SchedIndex::Arena,
             faults: FaultLoad::None,
             fault_seed: 0xFA17,
             ckpt_interval_s: None,
@@ -309,16 +304,6 @@ impl ExperimentConfig {
         self.ckpt_interval_s = Some(seconds);
         self
     }
-
-    /// Runs the scheduler on the scan reference
-    /// ([`SchedIndex::ScanReference`]): every pass from scratch, no
-    /// index, memo or elided pass, one scheduling pass per submission.
-    /// Decisions are bit-identical to the production path — this is the
-    /// twin equivalence tests and benchmarks hold it against.
-    pub fn scan_reference(mut self) -> Self {
-        self.sched_index = SchedIndex::ScanReference;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -359,12 +344,6 @@ mod tests {
         assert_eq!(c.backfill_family, BackfillFamily::easy(8));
         let c = ExperimentConfig::preliminary().conservative_backfill();
         assert_eq!(c.backfill_family, BackfillFamily::Conservative);
-        assert_eq!(
-            ExperimentConfig::preliminary().sched_index,
-            SchedIndex::Arena
-        );
-        let c = ExperimentConfig::preliminary().scan_reference();
-        assert_eq!(c.sched_index, SchedIndex::ScanReference);
         assert_eq!(
             ExperimentConfig::preliminary().machine_mix,
             MachineMix::Uniform,

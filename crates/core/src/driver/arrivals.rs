@@ -98,7 +98,7 @@ impl Driver<'_, '_> {
         }
         // The job is in the system: pull its successor from the source.
         self.schedule_next_arrival();
-        self.request_schedule(now);
+        self.request_schedule();
     }
 
     /// One event-driven scheduling cycle (FIFO pass); wires freshly
@@ -242,6 +242,6 @@ impl Driver<'_, '_> {
         self.slurm.complete(job, now);
         self.completed += 1;
         // Freed nodes: run a scheduling cycle.
-        self.request_schedule(now);
+        self.request_schedule();
     }
 }

@@ -50,7 +50,7 @@ impl Driver<'_, '_> {
             Ev::ReconfigDone { job } => self.on_reconfig_done(job, now),
             Ev::RjTimeout { rj } => self.on_rj_timeout(rj, now),
             Ev::BackfillTick => self.on_backfill_tick(now),
-            Ev::NodeWake => self.on_node_wake(now),
+            Ev::NodeWake => self.on_node_wake(),
             Ev::NodeFail { node } => self.on_node_fail(node, now),
             Ev::NodeRepair { node } => self.on_node_repair(node, now),
             Ev::ResizeRetry { job, to } => self.on_resize_retry(job, to, now),
@@ -59,10 +59,10 @@ impl Driver<'_, '_> {
 
     /// Wakes every suspended node and reschedules — the capacity that
     /// left at power-down is placeable again.
-    pub(crate) fn on_node_wake(&mut self, now: SimTime) {
+    pub(crate) fn on_node_wake(&mut self) {
         self.wake_pending = false;
         if self.slurm.wake_all() > 0 {
-            self.request_schedule(now);
+            self.request_schedule();
         }
     }
 

@@ -95,7 +95,7 @@ impl Driver<'_, '_> {
     pub(crate) fn on_node_repair(&mut self, node: NodeId, now: SimTime) {
         self.fault_pending = false;
         if self.slurm.repair_node(node) {
-            self.request_schedule(now);
+            self.request_schedule();
         }
         self.schedule_next_fault(now);
     }
@@ -163,7 +163,7 @@ impl Driver<'_, '_> {
         );
         // The failure freed the victim's surviving nodes; let the
         // scheduler reuse them (possibly for the requeued job itself).
-        self.request_schedule(now);
+        self.request_schedule();
     }
 
     /// Rolls the injected-failure dice for one resize negotiation.

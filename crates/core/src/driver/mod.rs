@@ -455,7 +455,6 @@ impl<'a, 's> Driver<'a, 's> {
         scfg.resizer_timeout = Span::from_secs_f64(cfg.resizer_timeout_s);
         scfg.shrink_boost = cfg.shrink_boost;
         scfg.policy = cfg.policy;
-        scfg.sched_index = cfg.sched_index;
         // The driver copies each job's accounting into the sink at
         // completion, so the scheduler never needs to keep terminal
         // records — the active set is all that stays resident.
@@ -533,8 +532,8 @@ impl<'a, 's> Driver<'a, 's> {
                 self.pass_due = false;
                 self.do_schedule(last_now);
                 // Re-sample so the last sample at this instant reflects
-                // the post-pass state, exactly as the unbatched path's
-                // does; the deferred samples above it are zero-width.
+                // the post-pass state; the deferred samples above it are
+                // zero-width.
                 self.sample(last_now);
             }
             // A relayed pause end is an event with nothing to handle,
@@ -554,23 +553,21 @@ impl<'a, 's> Driver<'a, 's> {
         self.finish()
     }
 
-    /// Runs a scheduling cycle now — or, on the production path, marks
-    /// one due and lets the run loop flush it once the current instant's
-    /// arrival batch is fully submitted (the scan reference keeps the
-    /// unbatched pass-per-submission cadence, and its order is never
-    /// static).
-    /// Batching is sound precisely when the
-    /// pending order is the static `(boosted, submit, seq)` key order
-    /// ([`Slurm::pending_order_is_static`]): a new submission then sorts
-    /// strictly after every job already pending, so the combined pass
-    /// walks the queue through the same decisions the per-submission
-    /// passes would have made.
-    pub(crate) fn request_schedule(&mut self, now: SimTime) {
-        if self.slurm.pending_order_is_static() {
-            self.pass_due = true;
-        } else {
-            self.do_schedule(now);
-        }
+    /// Marks a scheduling cycle due; the run loop flushes it once the
+    /// current instant's arrival batch is fully submitted. Batching is
+    /// sound precisely when the pending order is the static `(boosted,
+    /// submit, seq)` key order ([`Slurm::pending_order_is_static`]): a
+    /// new submission then sorts strictly after every job already
+    /// pending, so the combined pass walks the queue through the same
+    /// decisions the per-submission passes would have made. The driver
+    /// sets no size weight and submits no base priority, so the order is
+    /// always static here.
+    pub(crate) fn request_schedule(&mut self) {
+        debug_assert!(
+            self.slurm.pending_order_is_static(),
+            "batched passes need the static pending order: no size weight, no base priority"
+        );
+        self.pass_due = true;
     }
 
     pub(crate) fn is_flexible(&self, idx: usize) -> bool {

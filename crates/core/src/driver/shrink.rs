@@ -43,6 +43,6 @@ impl Driver<'_, '_> {
         self.update_estimate(job, now);
         self.begin_segment(job, now);
         // Released nodes may admit the boosted beneficiary.
-        self.request_schedule(now);
+        self.request_schedule();
     }
 }

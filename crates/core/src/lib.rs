@@ -39,7 +39,7 @@ pub mod result;
 pub use config::{ExperimentConfig, MachineMix, ScheduleMode};
 pub use dmr_cluster::{FaultLoad, FaultTrace};
 pub use dmr_metrics::MetricsSink;
-pub use dmr_slurm::{BackfillFamily, PolicyKind, SchedIndex};
+pub use dmr_slurm::{BackfillFamily, PolicyKind};
 pub use dmr_workload::{WorkloadKind, WorkloadSource};
 pub use driver::{compare_fixed_flexible, run_experiment_with_sink, Simulation};
 pub use error::{DmrError, InjectedFault};

@@ -49,8 +49,8 @@ pub struct RunStats {
     pub past_schedules: u64,
     /// The scheduler's pass counters: passes run and elided, and the
     /// pending jobs the executed backfill passes evaluated. Host-side
-    /// work, not a simulated result — it differs between hot paths that
-    /// schedule identically.
+    /// work, not a simulated result — a scheduler that walked every pass
+    /// would make the same decisions with other counts.
     pub sched: dmr_slurm::IncrementalStats,
     /// Energy accounting from the driver's [`dmr_cluster::PowerMeter`].
     pub power: PowerStats,

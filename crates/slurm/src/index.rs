@@ -37,9 +37,10 @@
 //!   resizers orphaned by a completion are reaped in O(affected) instead
 //!   of an O(jobs) scan per scheduling pass.
 //!
-//! The indices are bookkeeping only: they never decide anything, and the
-//! pre-index scan implementations survive behind
-//! [`crate::slurm::SchedIndex::ScanReference`] as the equivalence oracle.
+//! The indices are bookkeeping only: they never decide anything. The
+//! oracle for the orders they serve is the model scheduler of
+//! `tests/common/model.rs`, which sorts and scans on every pass and is
+//! driven in lockstep with production by `tests/common/lockstep.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound::{Excluded, Included, Unbounded};

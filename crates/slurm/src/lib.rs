@@ -44,4 +44,4 @@ pub use policy::{
 };
 pub use priority::MultifactorConfig;
 pub use slotset::{BackfillFamily, SlotSet};
-pub use slurm::{ExpandError, IncrementalStats, JobStart, SchedIndex, Slurm, SlurmConfig};
+pub use slurm::{ExpandError, IncrementalStats, JobStart, Slurm, SlurmConfig};

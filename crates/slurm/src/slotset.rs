@@ -69,10 +69,11 @@ use dmr_sim::{SimTime, Span};
 /// order until one blocks); they differ in how many blocked jobs get a
 /// planned start and in what lower-priority jobs may do around those
 /// plans. `Easy { reservations: 1 }` (the default) is the paper's
-/// `sched/backfill` configuration; its reference is the same family on
-/// [`crate::slurm::SchedIndex::ScanReference`] (a walk of the whole
-/// queue against one scanned reservation), pinned by
-/// `tests/backfill_equivalence.rs`.
+/// `sched/backfill` configuration. Every family is held, pass by pass,
+/// against the model scheduler of `tests/common/model.rs` (a walk of the
+/// whole queue against reservations taken from a step function rebuilt
+/// from the running jobs), driven in lockstep by
+/// `tests/common/lockstep.rs`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BackfillFamily {
     /// EASY-k: the first `reservations` blocked jobs get a shadow-time

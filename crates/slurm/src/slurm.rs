@@ -16,30 +16,6 @@ use crate::policy::{PolicyKind, ResizePolicy};
 use crate::priority::MultifactorConfig;
 use crate::slotset::{BackfillFamily, SlotSet};
 
-/// Which implementation of the scheduler's hot paths runs.
-///
-/// [`SchedIndex::Arena`] (the default) is the production path: job
-/// records in a slab ([`crate::arena::JobArena`]), the pending and
-/// running orders served from the incremental indices, a cursor walk
-/// in [`Slurm::schedule`], the indexed EASY backfill pass (see
-/// [`Slurm::backfill_pass`]) and the cross-pass memos that elide a pass
-/// whose trigger provably cannot change any decision (counted by
-/// [`IncrementalStats`]). [`SchedIndex::ScanReference`] is the
-/// from-scratch twin every equivalence suite compares it with: each
-/// pass re-derives the pending order by a sort, the reservation by a
-/// scan of the job table and the dead resizers by another, walks the
-/// whole queue, selects nodes by scan and never memoises or elides.
-/// Both make bit-identical decisions; only the cost differs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedIndex {
-    /// Indexed, memoising production path.
-    #[default]
-    Arena,
-    /// Scans and sorts on every pass, nothing carried between passes
-    /// (the reference).
-    ScanReference,
-}
-
 /// Scheduler-wide configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SlurmConfig {
@@ -78,8 +54,6 @@ pub struct SlurmConfig {
     /// priority, backfill reservations and resize policies all filter on
     /// live states), so the two settings schedule identically.
     pub retain_completed: bool,
-    /// Production path or scan reference (see [`SchedIndex`]).
-    pub sched_index: SchedIndex,
 }
 
 impl SlurmConfig {
@@ -94,7 +68,6 @@ impl SlurmConfig {
             shrink_boost: true,
             policy: PolicyKind::Algorithm1,
             retain_completed: true,
-            sched_index: SchedIndex::Arena,
         }
     }
 }
@@ -365,7 +338,7 @@ impl ShadowStairs {
 /// its decisions depended on. While it stays valid (see the invalidation
 /// wiring in [`Slurm`]'s mutators) a repeat pass is provably identical —
 /// it would again start nothing and leave no observable state — and is
-/// elided in O(1). [`SchedIndex::ScanReference`] never records one.
+/// elided in O(1).
 #[derive(Debug)]
 struct BfMemo {
     /// Instant of the memoized pass. Capacity refusals are monotone in
@@ -449,15 +422,17 @@ pub struct IncrementalStats {
     pub backfill_passes_elided: u64,
     /// Pending jobs the executed backfill passes evaluated (fit test,
     /// harmless check or plan) — the work a pass does, as opposed to how
-    /// long the host took over it. Differs between hot paths by design:
-    /// the indexed EASY pass evaluates only jobs that can pass the
-    /// harmless check, the walking passes every pending job.
+    /// long the host took over it. The indexed EASY pass evaluates only
+    /// jobs that can pass the harmless check; the walking passes (the
+    /// conservative one, the EASY fallback) evaluate every pending job up
+    /// to the end of their walk, as the model scheduler of
+    /// `tests/common/model.rs` does on every pass — which is how the
+    /// lockstep harness tells an indexed pass from a walked one.
     pub backfill_jobs_examined: u64,
 }
 
 impl Slurm {
-    pub fn new(mut cluster: Cluster, config: SlurmConfig) -> Self {
-        cluster.use_scan_selection(config.sched_index == SchedIndex::ScanReference);
+    pub fn new(cluster: Cluster, config: SlurmConfig) -> Self {
         let table = cluster.table();
         let nclasses = table.num_classes();
         let per_class = if nclasses > 1 { nclasses } else { 0 };
@@ -1024,7 +999,7 @@ impl Slurm {
             let order = if indexed {
                 self.pending_index.ids_vec()
             } else {
-                self.pending_order_scan(now)
+                self.pending_order_sorted(now)
             };
             *cache = Some(QueueCache {
                 at: now,
@@ -1051,13 +1026,11 @@ impl Slurm {
     /// priority rounding is monotone in age, so `(priority desc, submit
     /// asc, seq asc)` collapses to the static `(boosted, submit, seq)`
     /// key — order can then only change at mutation points, never with
-    /// time. Never on the reference, which therefore sorts on every
-    /// pass, and — every cross-pass memo being gated on this — neither
-    /// memoises nor elides.
+    /// time. Otherwise the order is sorted at every instant it is asked
+    /// for, and — every cross-pass memo being gated on this — nothing is
+    /// memoised or elided.
     fn index_is_exact(&self) -> bool {
-        self.config.sched_index == SchedIndex::Arena
-            && self.config.multifactor.weight_size == 0
-            && self.pending_index.nonzero_base() == 0
+        self.config.multifactor.weight_size == 0 && self.pending_index.nonzero_base() == 0
     }
 
     /// Whether the pending order is *static between mutations* — i.e.
@@ -1091,11 +1064,10 @@ impl Slurm {
         s
     }
 
-    /// The pre-index pending order: recompute every multifactor priority
-    /// and sort. Exercised when the static index key cannot represent the
-    /// order (size weight or per-job base priorities in play) and under
-    /// [`SchedIndex::ScanReference`] as the equivalence oracle.
-    fn pending_order_scan(&self, now: SimTime) -> Vec<JobId> {
+    /// The multifactor sort: recompute every pending job's priority at
+    /// `now` and sort. The order whenever the static index key cannot
+    /// represent it (a size weight or per-job base priorities in play).
+    fn pending_order_sorted(&self, now: SimTime) -> Vec<JobId> {
         let mut pend: Vec<(&Job, u64)> = self
             .jobs
             .iter()
@@ -1155,9 +1127,6 @@ impl Slurm {
     /// instant. This is the EASY backfill reservation for the top blocked
     /// job.
     fn reservation_for(&self, need: u32, now: SimTime) -> (SimTime, u32) {
-        if self.config.sched_index == SchedIndex::ScanReference {
-            return self.reservation_for_scan(need, now);
-        }
         let mut free = self.cluster.free_nodes();
         for (end, nodes) in self.running_index.iter() {
             free += nodes;
@@ -1167,32 +1136,6 @@ impl Slurm {
         }
         // Estimates never free enough nodes (can happen transiently while
         // resizer nodes are detached): no backfill headroom.
-        (SimTime(u64::MAX), 0)
-    }
-
-    /// The pre-index reservation: collect every running job's
-    /// `(expected_end, held_nodes)` and sort — the equivalence oracle for
-    /// the [`RunningIndex`] walk above.
-    fn reservation_for_scan(&self, need: u32, now: SimTime) -> (SimTime, u32) {
-        let mut ends: Vec<(SimTime, u32)> = self
-            .jobs
-            .iter()
-            .filter(|j| j.state == JobState::Running)
-            .map(|j| {
-                (
-                    j.expected_end().unwrap_or(now),
-                    self.cluster.held_by(j.id.owner_tag()),
-                )
-            })
-            .collect();
-        ends.sort();
-        let mut free = self.cluster.free_nodes();
-        for (end, nodes) in ends {
-            free += nodes;
-            if free >= need {
-                return (end.max(now), free - need);
-            }
-        }
         (SimTime(u64::MAX), 0)
     }
 
@@ -1225,9 +1168,6 @@ impl Slurm {
     }
 
     fn reap_dead_resizers(&mut self, now: SimTime) {
-        if self.config.sched_index == SchedIndex::ScanReference {
-            return self.reap_dead_resizers_scan(now);
-        }
         // Per-instant memo: a schedule() immediately followed by a
         // backfill_pass() at the same instant reaps once. Any mutation
         // that can create candidates or change dependency state (submit,
@@ -1260,23 +1200,6 @@ impl Slurm {
         }
         // Arm the memo last: the cancels above cleared it.
         self.incr.reaped_at = Some(now);
-    }
-
-    /// The pre-index reap: scan every job record for pending resizers
-    /// with unsatisfied dependencies (the [`ResizerIndex`] oracle).
-    fn reap_dead_resizers_scan(&mut self, now: SimTime) {
-        // Dependency hygiene: resizers of finished jobs are dead.
-        let dead: Vec<JobId> = self
-            .jobs
-            .iter()
-            .filter(|j| {
-                j.state == JobState::Pending && j.is_resizer() && !self.dependency_satisfied(j)
-            })
-            .map(|j| j.id)
-            .collect();
-        for id in dead {
-            self.cancel(id, now);
-        }
     }
 
     /// The event-driven scheduling pass (Slurm's `sched/builtin` reacting
@@ -1433,8 +1356,7 @@ impl Slurm {
     /// pass ([`Slurm::easy_indexed`]) offers only those that can pass
     /// the harmless check and runs whenever its preconditions hold; the
     /// walk ([`Slurm::easy_walk`]) offers all of them and is the
-    /// fallback — and, under [`SchedIndex::ScanReference`], the
-    /// reference.
+    /// fallback.
     fn backfill_pass_easy(&mut self, now: SimTime, k: u32) -> Vec<JobStart> {
         // The need view holds the whole pending set, and "fits" is
         // "requests at most the free count", only while no resizer and no
@@ -1773,8 +1695,8 @@ impl Slurm {
     /// hole to steal.
     ///
     /// The check recomputes the blocked head's reservation — a pass
-    /// keeps none behind — so the verdict is the same on the production
-    /// path and on the reference, whatever passes ran or were elided. A
+    /// keeps none behind — so the verdict is the same whatever passes
+    /// ran or were elided. A
     /// grow steals the hole when its extra nodes exceed the
     /// reservation's spare count while the grown job is still expected
     /// to run at the shadow time.
@@ -1860,12 +1782,11 @@ impl Slurm {
             self.resizer_index.resizer_terminal(parent, id);
         }
         self.resizer_index.parent_terminal(id);
-        // Precise invalidation (arena mode): completing a *running* job
-        // removes nothing from the pending set and touches no priority
-        // input, so the memoized pending order stays valid. (Orphaned
-        // resizers are reaped via `cancel`, which does invalidate.) The
-        // reference invalidates unconditionally.
-        if was_pending || self.config.sched_index == SchedIndex::ScanReference {
+        // Precise invalidation: completing a *running* job removes
+        // nothing from the pending set and touches no priority input, so
+        // the memoized pending order stays valid. (Orphaned resizers are
+        // reaped via `cancel`, which does invalidate.)
+        if was_pending {
             self.invalidate_queue_cache();
         }
         // A job that shrank to zero nodes cannot exist (envelope min >= 1),
@@ -2121,8 +2042,8 @@ impl Slurm {
     }
 
     /// Internal-consistency check used by tests: re-derives every index
-    /// from a scan of the job table and compares. This (and the
-    /// `ScanReference` oracles) is where the O(jobs) scans live on.
+    /// from a scan of the job table and compares. This is where the
+    /// O(jobs) scans live on.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.cluster.check_invariants()?;
         let pending: Vec<JobId> = self
@@ -2841,35 +2762,34 @@ mod tests {
     /// jobs behind it still end by the shadow time and must start.
     #[test]
     fn a_need_that_stops_fitting_beside_the_reservation_keeps_its_short_jobs() {
-        for mut s in [slurm(10), scan_twin(10)] {
-            let _hog = s.submit(
-                JobRequest::rigid("hog", 7).with_expected_runtime(Span::from_secs(1000)),
-                t(0),
-            );
-            s.schedule(t(0));
-            let long = Span::from_secs(5000);
-            // Shadow t=1000 with 2 spare nodes; 3 free now.
-            let _blocked = s.submit(JobRequest::rigid("blocked", 8), t(1));
-            let wide = s.submit(
-                JobRequest::rigid("wide", 2).with_expected_runtime(long),
-                t(2),
-            );
-            let slim = s.submit(
-                JobRequest::rigid("slim", 1).with_expected_runtime(long),
-                t(3),
-            );
-            let short = s.submit(
-                JobRequest::rigid("short", 1).with_expected_runtime(Span::from_secs(100)),
-                t(4),
-            );
-            // `wide` runs in the spare nodes and uses them up, so `slim`
-            // would now delay `blocked`; `short` is over before it matters.
-            let started: Vec<JobId> = s.backfill_pass(t(5)).iter().map(|j| j.id).collect();
-            assert_eq!(started, vec![wide, short]);
-            assert_eq!(s.job(slim).unwrap().state, JobState::Pending);
-            assert_eq!(s.incremental_stats().backfill_jobs_examined, 4);
-            s.check_invariants().unwrap();
-        }
+        let mut s = slurm(10);
+        let _hog = s.submit(
+            JobRequest::rigid("hog", 7).with_expected_runtime(Span::from_secs(1000)),
+            t(0),
+        );
+        s.schedule(t(0));
+        let long = Span::from_secs(5000);
+        // Shadow t=1000 with 2 spare nodes; 3 free now.
+        let _blocked = s.submit(JobRequest::rigid("blocked", 8), t(1));
+        let wide = s.submit(
+            JobRequest::rigid("wide", 2).with_expected_runtime(long),
+            t(2),
+        );
+        let slim = s.submit(
+            JobRequest::rigid("slim", 1).with_expected_runtime(long),
+            t(3),
+        );
+        let short = s.submit(
+            JobRequest::rigid("short", 1).with_expected_runtime(Span::from_secs(100)),
+            t(4),
+        );
+        // `wide` runs in the spare nodes and uses them up, so `slim`
+        // would now delay `blocked`; `short` is over before it matters.
+        let started: Vec<JobId> = s.backfill_pass(t(5)).iter().map(|j| j.id).collect();
+        assert_eq!(started, vec![wide, short]);
+        assert_eq!(s.job(slim).unwrap().state, JobState::Pending);
+        assert_eq!(s.incremental_stats().backfill_jobs_examined, 4);
+        s.check_invariants().unwrap();
     }
 
     #[test]
@@ -2945,15 +2865,6 @@ mod tests {
         assert!(passes[..3].iter().all(|p| p.0.is_empty()));
         assert_eq!(passes[3].0.len(), 1);
         assert_eq!(passes[3].0[0].held, 8);
-        // The reference runs every pass and starts the same jobs at the
-        // same instants.
-        let mut scan = scan_twin(8);
-        let reference = refused_fitting_job_script(&mut scan);
-        let starts = |passes: &[(Vec<JobStart>, u64, u64)]| -> Vec<Vec<JobStart>> {
-            passes.iter().map(|p| p.0.clone()).collect()
-        };
-        assert_eq!(starts(&passes), starts(&reference));
-        assert_eq!(reference[3].1, 4, "the reference elides nothing");
     }
 
     #[test]
@@ -2991,47 +2902,6 @@ mod tests {
         }
     }
 
-    fn scan_twin(nodes: u32) -> Slurm {
-        let mut cfg = SlurmConfig::for_cluster(nodes);
-        cfg.sched_index = SchedIndex::ScanReference;
-        Slurm::new(Cluster::new(nodes, 16), cfg)
-    }
-
-    #[test]
-    fn indexed_and_scan_paths_schedule_identically() {
-        // Drive an identical mixed op sequence through both hot paths and
-        // compare every observable: starts, queue orders, reservations
-        // (via backfill behaviour), reaping.
-        let mut idx = slurm(16);
-        let mut scan = scan_twin(16);
-        for s in [&mut idx, &mut scan] {
-            for i in 0..6u32 {
-                s.submit(
-                    JobRequest::rigid(format!("j{i}"), 2 + (i * 3) % 7)
-                        .with_expected_runtime(Span::from_secs(100 + (i as u64 * 77) % 400)),
-                    t(i as u64),
-                );
-            }
-        }
-        let a = idx.schedule(t(10));
-        let b = scan.schedule(t(10));
-        assert_eq!(a, b);
-        assert_eq!(idx.backfill_pass(t(12)), scan.backfill_pass(t(12)));
-        // Complete the first started job, expand another, keep comparing.
-        let first = a[0].id;
-        for s in [&mut idx, &mut scan] {
-            s.complete(first, t(50));
-        }
-        assert_eq!(idx.schedule(t(50)), scan.schedule(t(50)));
-        assert_eq!(
-            idx.pending_queue(t(60)).to_vec(),
-            scan.pending_queue(t(60)).to_vec()
-        );
-        assert_eq!(idx.backfill_pass(t(60)), scan.backfill_pass(t(60)));
-        idx.check_invariants().unwrap();
-        scan.check_invariants().unwrap();
-    }
-
     #[test]
     fn nonzero_base_priority_falls_back_to_the_sort() {
         let mut s = slurm(4);
@@ -3050,7 +2920,7 @@ mod tests {
         assert_eq!(s.pending_queue(t(3)).to_vec(), vec![vip, plain]);
         s.check_invariants().unwrap();
         // Once the high-base job leaves the pending set, the index serves
-        // again — and still agrees with a scan twin.
+        // again.
         s.cancel(vip, t(4));
         assert_eq!(s.pending_queue(t(5)).to_vec(), vec![plain]);
         let _ = hog;
@@ -3479,102 +3349,16 @@ mod tests {
         s.check_invariants().unwrap();
     }
 
-    /// Twin schedulers — production vs the from-scratch scan reference —
-    /// driven through the same operation sequence must make bit-identical
-    /// decisions at every pass, while production actually elides some.
-    #[test]
-    fn incremental_twin_matches_costed_baseline() {
-        twin_run(BackfillFamily::easy(1));
-        twin_run(BackfillFamily::Conservative);
-    }
-
-    fn twin_run(family: BackfillFamily) {
-        let mut on = slurm(10);
-        let mut off = scan_twin(10);
-        on.config.backfill_family = family;
-        off.config.backfill_family = family;
-        let mut ids = Vec::new();
-        for s in [&mut on, &mut off] {
-            ids.clear();
-            let r1 = s.submit(
-                JobRequest::rigid("r1", 6).with_expected_runtime(Span::from_secs(1000)),
-                t(0),
-            );
-            let r2 = s.submit(
-                JobRequest::rigid("r2", 4).with_expected_runtime(Span::from_secs(500)),
-                t(0),
-            );
-            ids.push(r1);
-            ids.push(r2);
-        }
-        for step in 0..40u64 {
-            let now = t(10 + step * 5);
-            let (a, b) = (on.schedule(now), off.schedule(now));
-            assert_eq!(a, b, "schedule diverged at {now:?}");
-            if step % 3 == 0 {
-                let (a, b) = (on.backfill_pass(now), off.backfill_pass(now));
-                assert_eq!(a, b, "backfill diverged at {now:?}");
-            }
-            match step {
-                5 => {
-                    for s in [&mut on, &mut off] {
-                        s.submit(
-                            JobRequest::rigid("big", 9).with_expected_runtime(Span::from_secs(200)),
-                            now,
-                        );
-                    }
-                }
-                11 => {
-                    on.complete(ids[1], now);
-                    off.complete(ids[1], now);
-                }
-                17 => {
-                    for s in [&mut on, &mut off] {
-                        s.submit(
-                            JobRequest::rigid("tiny", 1).with_expected_runtime(Span::from_secs(30)),
-                            now,
-                        );
-                    }
-                }
-                _ => {}
-            }
-            on.check_invariants().unwrap();
-        }
-        let stats = on.incremental_stats();
-        assert!(
-            stats.sched_passes_elided > 0,
-            "no schedule pass elided: {stats:?}"
-        );
-        assert!(
-            stats.backfill_passes_elided > 0,
-            "no backfill pass elided: {stats:?}"
-        );
-        let stats = off.incremental_stats();
-        assert_eq!(stats.sched_passes_elided, 0, "the reference never elides");
-        assert_eq!(
-            stats.backfill_passes_elided, 0,
-            "the reference never elides"
-        );
-        let on_jobs: Vec<_> = on
-            .jobs()
-            .map(|j| (j.name.to_string(), j.state, j.start_time, j.end_time))
-            .collect();
-        let off_jobs: Vec<_> = off
-            .jobs()
-            .map(|j| (j.name.to_string(), j.state, j.start_time, j.end_time))
-            .collect();
-        assert_eq!(on_jobs, off_jobs);
-    }
-
     /// What the deleted `Indexed` walking twin pinned, without a knob: the
     /// memo inputs `easy_indexed` derives by two seeks — the watermark and
     /// whether a fitting job was refused — are the ones `easy_walk`
     /// records job by job, and both bodies start the same jobs against
     /// the same reservations. Twin production schedulers take one random
     /// op sequence; at every pass one runs the walk and the other the
-    /// indexed body inside the same prologue and epilogue. (A scan twin
-    /// never memoises, so it cannot see an over-liberal memo until the
-    /// one state where the elided pass would have started something.)
+    /// indexed body inside the same prologue and epilogue. (The model
+    /// scheduler of `tests/common/model.rs` never memoises, so it cannot
+    /// see an over-liberal memo until the one state where the elided pass
+    /// would have started something.)
     #[test]
     fn indexed_easy_body_matches_the_walk_in_starts_reservations_and_memo_inputs() {
         for k in [1, 2, 8] {

@@ -1,9 +1,14 @@
 //! What the `*_equivalence.rs` suites share: the selectors their
-//! properties draw from, one run of a configuration, and the comparison
-//! of two experiment results down to the last bit.
+//! properties draw from, one run of a configuration, the comparison of
+//! two experiment results down to the last bit and the digest a result
+//! is pinned by, a seeded generator for operation sequences, and the
+//! model scheduler with the harness that drives production against it.
 
 // Each suite compiles its own copy and uses a subset.
 #![allow(dead_code)]
+
+pub mod lockstep;
+pub mod model;
 
 use dmr::core::{
     BackfillFamily, ExperimentConfig, ExperimentResult, PolicyKind, Simulation, WorkloadKind,
@@ -107,4 +112,35 @@ pub fn assert_bit_identical(a: &ExperimentResult, b: &ExperimentResult) -> Resul
 pub fn assert_outcomes_identical(a: &[JobOutcome], b: &[JobOutcome]) -> Result<(), String> {
     prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
     Ok(())
+}
+
+/// What a recorded run is pinned by: event count, reconfigurations,
+/// makespan and mean waiting time bits, and an FNV-1a fold of every job's
+/// start and end bits in submission order.
+pub fn pin(r: &ExperimentResult, outcomes: &[JobOutcome]) -> (u64, u32, u64, u64, u64) {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for o in outcomes {
+        for bits in [o.start.to_bits(), o.end.to_bits()] {
+            digest = (digest ^ bits).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    (
+        r.events,
+        r.summary.reconfigurations,
+        r.summary.makespan_s.to_bits(),
+        r.summary.avg_waiting_s.to_bits(),
+        digest,
+    )
+}
+
+/// A xorshift generator seeded from `seed`: the operation sequences of
+/// the lockstep drives.
+pub fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
 }

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::run_recorded as run;
+use common::{pin, run_recorded as run};
 use dmr::core::{ExperimentConfig, ExperimentResult};
 use dmr::metrics::JobOutcome;
 use dmr::workload::{JobSpec, WorkloadConfig, WorkloadGenerator};
@@ -115,29 +115,11 @@ fn lockstep_jobs(steps: u32) -> Vec<JobSpec> {
     ]
 }
 
-/// What a run is pinned by: event count, reconfigurations, makespan and
-/// mean waiting time bits, and an FNV-1a fold of every job's start and
-/// end bits in submission order.
-fn pin((r, outcomes): &Run) -> (u64, u32, u64, u64, u64) {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for o in outcomes {
-        for bits in [o.start.to_bits(), o.end.to_bits()] {
-            digest = (digest ^ bits).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    (
-        r.events,
-        r.summary.reconfigurations,
-        r.summary.makespan_s.to_bits(),
-        r.summary.avg_waiting_s.to_bits(),
-        digest,
-    )
-}
-
 /// Recorded from the build before relays existed (the commit this one
 /// follows), where every check pause ended in a `ReconfigDone` event of
 /// its own. To re-record after an intended change of behaviour: print
-/// `pin(&r)` in the two tests below and copy the tuples.
+/// `pin(..)` ([`common::pin`]) in the two tests below and copy the
+/// tuples.
 const LOCKSTEP_CALM: (u64, u32, u64, u64, u64) = (
     109,
     4,
@@ -163,7 +145,7 @@ fn relayed_check_pauses_keep_the_lockstep_order() {
     // `z` got the contested nodes and finished first of the three.
     let end = |i: usize| r.1[i].end;
     assert!(end(5) < end(0) && end(5) < end(1), "z lost the tie");
-    assert_eq!(pin(&r), LOCKSTEP_CALM);
+    assert_eq!(pin(&r.0, &r.1), LOCKSTEP_CALM);
 }
 
 /// The same jobs running for hours under the harsh faultload, with a
@@ -179,7 +161,7 @@ fn node_failures_cancel_relayed_segments_on_both_sides_of_the_relay() {
     cfg.check_overhead_s = 2.5;
     let r = run(&cfg, &mut lockstep_jobs(1500).iter());
     assert_eq!((r.0.summary.jobs, r.0.summary.requeues), (8, 3));
-    assert_eq!(pin(&r), LOCKSTEP_HARSH);
+    assert_eq!(pin(&r.0, &r.1), LOCKSTEP_HARSH);
 }
 
 /// The benchmark's `trace_mixed` configuration on a 32-node machine:
@@ -227,7 +209,7 @@ fn three_class_conservative_faulty_run_is_pinned() {
     let recorded = run(&trace_mixed_config(), &mut GpuShare::new(feitelson, 250));
     let r = &recorded.0;
     assert_eq!(r.summary.jobs, 300);
-    let (events, reconfigurations, _, _, digest) = pin(&recorded);
+    let (events, reconfigurations, _, _, digest) = pin(r, &recorded.1);
     let got = (
         events,
         reconfigurations,

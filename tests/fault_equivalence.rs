@@ -7,22 +7,22 @@
 //! fault process is even constructed, so every experiment must be
 //! bit-identical to pre-fault behaviour — raw f64 summary bits, event
 //! counts, and sweep-CSV bytes — across the full workload × policy ×
-//! fixed/flexible × sync/async × `SchedIndex` matrix, regardless of the
-//! fault seed or a configured checkpoint interval. On top of that:
-//! scripted [`FaultTrace`]s replay deterministically (same script ⇒
-//! identical outcomes, run after run, on the production path and on the
-//! scan reference, and across sweep thread counts), the PR 5
-//! drained-while-allocated fix holds for *failures* on both paths and
-//! on per-class clusters, and twin schedulers pin that an elided pass
-//! never masks a failure invalidation.
+//! fixed/flexible × sync/async matrix, regardless of the fault seed or a
+//! configured checkpoint interval. On top of that: scripted
+//! [`FaultTrace`]s replay deterministically (same script ⇒ identical
+//! outcomes, run after run, and across sweep thread counts), a node that
+//! fails while allocated returns to the unavailable pool — not a free
+//! set — on uniform and per-class clusters, and the lockstep harness pins
+//! that an elided pass never masks a failure invalidation.
 
 mod common;
 
-use common::{assert_bit_identical, csv_row, kind_for, policy_for, run};
-use dmr::cluster::{Cluster, FailOutcome, NodeId, NodeState};
+use common::lockstep::{Lockstep, Op, Setup};
+use common::{assert_bit_identical, csv_row, kind_for, policy_for, run, xorshift};
+use dmr::cluster::{ClassTable, Cluster, FailOutcome, NodeId, NodeState};
 use dmr::core::{ExperimentConfig, FaultLoad, FaultTrace, MachineMix, Simulation};
 use dmr::sim::{SimTime, Span};
-use dmr::slurm::{JobId, JobRequest, JobState, SchedIndex, Slurm, SlurmConfig};
+use dmr::slurm::{JobId, JobRequest, Slurm, SlurmConfig};
 use dmr_bench::scenario::fault_axis;
 use dmr_bench::sweep::{csv_report, run_sweep};
 use proptest::prelude::*;
@@ -56,11 +56,10 @@ proptest! {
         let base = run(&cfg, kind.build(jobs, seed).as_mut());
         // A different fault seed is unobservable when no process runs,
         // and an armed checkpoint interval is unobservable with nothing
-        // to recover from — on both paths.
+        // to recover from.
         for cfg2 in [
             cfg.with_faults(FaultLoad::None).with_fault_seed(fault_seed),
             cfg.with_ckpt_interval(600.0),
-            cfg.scan_reference().with_fault_seed(fault_seed),
         ] {
             let r = run(&cfg2, kind.build(jobs, seed).as_mut());
             assert_bit_identical(&base, &r)?;
@@ -79,7 +78,7 @@ proptest! {
 
     /// Scripted faultloads are deterministic: replaying the same
     /// [`FaultTrace`] over the same workload gives bit-identical results,
-    /// run after run and on both paths.
+    /// run after run.
     #[test]
     fn scripted_fault_traces_replay_deterministically(
         seed in 0u64..10_000,
@@ -109,42 +108,28 @@ proptest! {
         };
         let (a, b) = (run(&cfg), run(&cfg));
         assert_bit_identical(&a, &b)?;
-        let scan = cfg.scan_reference();
-        let (c, d) = (run(&scan), run(&scan));
-        assert_bit_identical(&c, &d)?;
-        assert_bit_identical(&a, &c)?;
     }
 
     /// The PR 5 fix, extended to failures: a node that fails *while
     /// allocated* returns to the unavailable pool when its job's nodes
-    /// release — never to a free set — on both `SchedIndex` paths and
-    /// on a per-class (three-FreeSet) cluster alike. Repair is the
-    /// only transition that makes it placeable again.
+    /// release — never to a free set — on a uniform and on a per-class
+    /// (three-FreeSet) cluster alike. Repair is the only transition that
+    /// makes it placeable again.
     #[test]
     fn failed_while_allocated_nodes_return_unavailable(
         seed in 0u64..100_000,
         nodes in 8u32..33,
         hetero in proptest::bool::ANY,
-        reference in proptest::bool::ANY,
         rounds in 10u64..40,
     ) {
-        let mut cfg = SlurmConfig::for_cluster(nodes);
-        if reference {
-            cfg.sched_index = SchedIndex::ScanReference;
-        }
+        let cfg = SlurmConfig::for_cluster(nodes);
         let cluster = if hetero {
             Cluster::with_classes(MachineMix::Hetero3.table(nodes, 16))
         } else {
             Cluster::new(nodes, 16)
         };
         let mut s = Slurm::new(cluster, cfg);
-        let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-        let mut step = || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
+        let mut step = xorshift(seed);
         let mut running: Vec<JobId> = Vec::new();
         let mut down: Vec<NodeId> = Vec::new();
         for round in 0..rounds {
@@ -203,108 +188,46 @@ proptest! {
         }
     }
 
-    /// Twin schedulers (production vs scan reference) driven through
+    /// Production and the model of the lockstep harness driven through
     /// churn with injected failures and repairs: every pass must agree,
-    /// and whenever the production twin elides a pass the reference must
-    /// have started nothing — i.e. no elided pass ever masks a failure
-    /// or repair invalidation.
+    /// so an elided pass — after which the model, which ran it, must
+    /// have started nothing — never masks a failure or repair
+    /// invalidation.
     #[test]
     fn elision_never_masks_a_failure_invalidation(
         seed in 0u64..100_000,
         nodes in 8u32..25,
     ) {
-        let mk = |sched_index: SchedIndex| {
-            let mut cfg = SlurmConfig::for_cluster(nodes);
-            cfg.sched_index = sched_index;
-            Slurm::new(Cluster::new(nodes, 16), cfg)
-        };
-        let mut on = mk(SchedIndex::Arena);
-        let mut off = mk(SchedIndex::ScanReference);
-        let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-        let mut step = || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
+        let cfg = SlurmConfig::for_cluster(nodes);
+        let mut h = Lockstep::new(Setup::new(ClassTable::uniform(nodes, 16), cfg));
+        let mut step = xorshift(seed);
         let mut down: Vec<NodeId> = Vec::new();
         for round in 0..50u64 {
-            let now = SimTime::from_secs(round * 7);
+            h.at(SimTime::from_secs(round * 7))?;
             match step() % 6 {
                 0..=2 => {
                     let need = 1 + (step() % u64::from(nodes)) as u32;
                     let dur = 30 + step() % 900;
-                    let req = || {
-                        JobRequest::rigid(format!("j{round}"), need)
-                            .with_expected_runtime(Span::from_secs(dur))
-                    };
-                    let a = on.submit(req(), now);
-                    let b = off.submit(req(), now);
-                    prop_assert_eq!(a, b, "ids diverged at submit");
+                    let req = JobRequest::rigid(format!("j{round}"), need)
+                        .with_expected_runtime(Span::from_secs(dur));
+                    h.submit(req)?;
                 }
                 3 => {
                     let node = NodeId((step() % u64::from(nodes)) as u32);
-                    let a = on.fail_node(node);
-                    let b = off.fail_node(node);
-                    prop_assert_eq!(a, b, "fail outcomes diverged at round {}", round);
-                    match a {
-                        FailOutcome::Busy(owner) => {
-                            let x = on.requeue_failed(JobId(owner), now);
-                            let y = off.requeue_failed(JobId(owner), now);
-                            prop_assert_eq!(x, y, "requeue diverged at round {}", round);
-                            down.push(node);
-                        }
-                        FailOutcome::Idle => down.push(node),
-                        FailOutcome::Skipped => {}
+                    if h.slurm().cluster().node_state(node) == NodeState::Up {
+                        down.push(node);
                     }
+                    h.apply(Op::Fail(node))?;
                 }
                 4 if !down.is_empty() => {
                     let node = down.remove((step() % down.len() as u64) as usize);
-                    prop_assert_eq!(on.repair_node(node), off.repair_node(node));
+                    h.apply(Op::Repair(node))?;
                 }
                 _ => {}
             }
-            let before = on.incremental_stats();
-            let a = on.schedule(now);
-            let b = off.schedule(now);
-            prop_assert_eq!(&a, &b, "schedule diverged at round {}", round);
-            let mid = on.incremental_stats();
-            if mid.sched_passes_elided > before.sched_passes_elided {
-                prop_assert!(
-                    b.is_empty(),
-                    "elided schedule pass at round {} masked starts {:?}",
-                    round,
-                    b
-                );
-            }
-            let a = on.backfill_pass(now);
-            let b = off.backfill_pass(now);
-            prop_assert_eq!(&a, &b, "backfill diverged at round {}", round);
-            let after = on.incremental_stats();
-            if after.backfill_passes_elided > mid.backfill_passes_elided {
-                prop_assert!(
-                    b.is_empty(),
-                    "elided backfill pass at round {} masked starts {:?}",
-                    round,
-                    b
-                );
-            }
-            prop_assert!(on.check_invariants().is_ok());
-            prop_assert!(off.check_invariants().is_ok());
-            prop_assert_eq!(
-                on.cluster().free_nodes(),
-                off.cluster().free_nodes(),
-                "occupancy diverged at round {}",
-                round
-            );
+            h.schedule()?;
+            h.backfill()?;
         }
-        // Sanity on the twins' state accounting at the end of the storm.
-        let live: Vec<JobId> = on
-            .jobs()
-            .filter(|j| j.state == JobState::Running)
-            .map(|j| j.id)
-            .collect();
-        prop_assert_eq!(live.len(), on.running_count());
     }
 }
 

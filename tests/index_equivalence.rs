@@ -1,215 +1,222 @@
-//! Property test: the production scheduler path is bit-identical to the
-//! scan reference.
+//! Pinned full experiments, and the bound on the indexed EASY pass.
 //!
-//! Every per-pass scan has an incremental structure in front of it: the
-//! pending queue is an ordered index keyed by `(boosted, submit, seq)`
-//! (exact because the multifactor age term grows uniformly), backfill
-//! reservations walk a running-jobs end-time index, dead resizers are
-//! reaped through a reverse-dependency map, node selection takes the
-//! lowest run of a sorted free set, job records sit in a slab, fruitless
-//! passes leave memos that elide their repeats, and the driver batches
-//! same-instant arrivals into one scheduling pass. The from-scratch
-//! implementations survive behind
-//! [`dmr::slurm::SchedIndex::ScanReference`] as the one reference; this
-//! suite drives *full experiments* through both paths and requires
-//! bit-identical results, down to the raw f64 bits of every summary field
-//! and the exact bytes of the sweep CSV row — one axis at a time over
-//! workload family × resize policy × fixed/flexible × sync/async, and
-//! then over the product of every feature the configuration can turn on.
+//! Until the scan reference left the scheduler, every run here was
+//! compared bit for bit with the same run on it. The decisions are now
+//! held against the model scheduler pass by pass (the lockstep suites);
+//! what stays here pins whole experiments — sweep CSV bytes, event
+//! counts, summary bits and every job's start and end — at the values
+//! they had when they still equalled the scan path.
 
 mod common;
 
-use common::{
-    assert_bit_identical, assert_outcomes_identical, csv_row, family_for, kind_for, policy_for,
-    run, run_recorded,
-};
+use common::{family_for, kind_for, pin, policy_for, run, run_recorded};
 use dmr::core::{ExperimentConfig, FaultLoad, MachineMix, WorkloadKind};
 use dmr_bench::scenario::smoke_registry;
+use dmr_bench::sweep::{csv_report, run_sweep};
 use proptest::prelude::*;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
-    #[test]
-    fn indexed_experiments_match_scan_reference_bit_for_bit(
-        seed in 0u64..10_000,
-        jobs in 1u32..26,
-        kind in 0u8..5,
-        policy in 0u8..3,
-        asynchronous in 0u8..2,
-        fixed in 0u8..2,
-    ) {
-        let kind = kind_for(kind);
-        let mut cfg = ExperimentConfig::preliminary()
-            .with_policy(policy_for(policy));
-        if asynchronous == 1 {
-            cfg = cfg.asynchronous();
-        }
-        if fixed == 1 {
-            cfg = cfg.as_fixed();
-        }
-        let arena = run(&cfg, kind.build(jobs, seed).as_mut());
-        let scan = run(
-            &cfg.scan_reference(),
-            kind.build(jobs, seed).as_mut(),
-        );
-        assert_bit_identical(&arena, &scan)?;
-        // The derived sweep CSV rows must be byte-identical too.
-        prop_assert_eq!(
-            csv_row(kind.name(), &cfg, seed, &arena),
-            csv_row(kind.name(), &cfg, seed, &scan)
-        );
-    }
-}
-
-// With a recorder attached, per-job outcomes are pinned as well.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-    #[test]
-    fn indexed_outcomes_match_scan_reference(seed in 0u64..1000, jobs in 1u32..20) {
-        let cfg = ExperimentConfig::preliminary();
-        let kind = WorkloadKind::FsPreliminary;
-        let (arena, arena_jobs) = run_recorded(&cfg, kind.build(jobs, seed).as_mut());
-        let (scan, scan_jobs) = run_recorded(
-            &cfg.scan_reference(),
-            kind.build(jobs, seed).as_mut(),
-        );
-        prop_assert_eq!(arena_jobs.len(), jobs as usize);
-        assert_bit_identical(&arena, &scan)?;
-        assert_outcomes_identical(&arena_jobs, &scan_jobs)?;
-    }
-}
-
-// Every feature at once. The properties above and in the sibling suites
-// sample one axis at a time; this one draws whole configurations —
-// workload × all four policies (the energy-aware one powers nodes down)
-// × backfill family × machine mix × fault load and seed × checkpoint
-// interval × sync/async × fixed/flexible × machine size × job count —
-// and holds production to the reference on each. One case of 64 cells,
-// so that coverage of the run as a whole can be asserted at the end.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(1))]
-    #[test]
-    fn feature_cross_product_matches_scan_reference(
-        cells in proptest::collection::vec(
-            (
-                (0u8..5, 0u8..4, 0u8..4, proptest::bool::ANY, 0u8..3, 0u64..10_000),
-                (0u32..4, proptest::bool::ANY, proptest::bool::ANY, 20u32..124, 1u32..151, 0u64..10_000),
-            ),
-            64..65,
-        ),
-    ) {
-        let (mut elided, mut failures) = (0, 0);
-        for cell in cells {
-            let ((kind, policy, family, hetero, faults, fault_seed), rest) = cell;
-            let (ckpt, asynchronous, fixed, nodes, jobs, seed) = rest;
-            let kind = kind_for(kind);
-            let mut cfg = ExperimentConfig::preliminary()
-                .with_nodes(nodes)
-                .with_policy(policy_for(policy))
-                .with_backfill_family(family_for(family))
-                .with_machine_mix(if hetero { MachineMix::Hetero3 } else { MachineMix::Uniform })
-                .with_faults([FaultLoad::None, FaultLoad::Rare, FaultLoad::Harsh][faults as usize])
-                .with_fault_seed(fault_seed);
-            if ckpt > 0 {
-                cfg = cfg.with_ckpt_interval(f64::from(ckpt) * 600.0);
-            }
-            if asynchronous {
-                cfg = cfg.asynchronous();
-            }
-            if fixed {
-                cfg = cfg.as_fixed();
-            }
-            let arena = run(&cfg, kind.build(jobs, seed).as_mut());
-            let scan = run(
-                &cfg.scan_reference(),
-                kind.build(jobs, seed).as_mut(),
-            );
-            assert_bit_identical(&arena, &scan).map_err(|e| format!("{e}\nin {cell:?}"))?;
-            prop_assert_eq!(
-                csv_row(kind.name(), &cfg, seed, &arena),
-                csv_row(kind.name(), &cfg, seed, &scan),
-                "{:?}",
-                cell
-            );
-            let passes = arena.sched;
-            elided += passes.sched_passes_elided + passes.backfill_passes_elided;
-            failures += arena.summary.failures;
-        }
-        prop_assert!(elided > 0, "no cell elided a pass");
-        prop_assert!(failures > 0, "no cell injected a failure");
-    }
-}
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Every cell of the CI scenario grid — all workload families × policies
-/// × modes × backfill selections × machine mixes × fault loads — produces
-/// byte-identical sweep CSV rows under both paths.
+/// × modes × backfill selections × machine mixes × fault loads — equals
+/// the committed sweep CSV byte for byte, as `repro --sweep --smoke
+/// --threads 1` prints it.
 #[test]
 fn smoke_registry_sweep_rows_are_byte_identical_across_hot_paths() {
-    let seed = dmr_bench::SEED;
-    for sc in smoke_registry() {
-        let cfg = sc.config();
-        let row = |under: &ExperimentConfig| {
-            let r = run(under, sc.source(seed).as_mut());
-            csv_row(sc.workload.name(), &cfg, seed, &r)
-        };
-        assert_eq!(
-            row(&cfg),
-            row(&cfg.scan_reference()),
-            "scenario {} diverged between the production and scan paths",
-            sc.name()
-        );
+    let csv = csv_report(&run_sweep(&smoke_registry(), &[dmr_bench::SEED], 1));
+    assert_eq!(csv, include_str!("fixtures/sweep_smoke.csv"));
+}
+
+/// One pinned run: see [`common::pin`].
+type Pin = (u64, u32, u64, u64, u64);
+
+/// The seed of the 64-cell draw below: it is the draw this test made as
+/// a one-case property while each cell was compared with the scan path,
+/// and every pin in [`CROSS_PRODUCT`] was recorded then.
+const DRAW_SEED: u64 = 0xcd8d_9b38_70ee_2073;
+
+#[rustfmt::skip]
+const CROSS_PRODUCT: [Pin; 64] = [
+    (2254, 24, 4671883860274650506, 4623951689800426704, 4034798146501704020),
+    (314, 0, 4660628160218020763, 4648878852957050292, 7186136364299696542),
+    (113, 0, 4648409012273193457, 0, 11039694593282462159),
+    (4788, 81, 4677293553059043866, 4666398753072616730, 6495276398846991489),
+    (2770, 65, 4664203608501183916, 4652993280048809962, 2930427487991650332),
+    (3511, 70, 4671258495769622304, 4646692387420080356, 9926330362531706684),
+    (353, 0, 4655033270424731520, 0, 3257598649402914622),
+    (643, 0, 4667817376977891969, 4661776706824711379, 9931161271684750423),
+    (7536, 140, 4653450277607738230, 4589359986073524587, 12548178032044902699),
+    (15681, 40, 4680748138150702749, 4674935748331503172, 7418308892158620220),
+    (69, 0, 4654483377901965769, 4618793643457050372, 3185996845967057664),
+    (4073, 66, 4660315333601828958, 4648210112019866370, 11557992345007954129),
+    (229, 0, 4660907715253915275, 4649957041320274318, 5408865787979838621),
+    (847, 0, 4671632808908925226, 4664276543749709360, 6620736899460538917),
+    (15149, 182, 4668571214535893681, 4658941015803810153, 723272256011872908),
+    (700, 0, 4668325601428346660, 4659975567019144459, 2941813619189355320),
+    (628, 0, 4667292148129313954, 4662103842122902704, 18384470175369218601),
+    (4507, 0, 4683414534416148464, 4678514415204651200, 14542167526269392165),
+    (90, 0, 4654336617099797484, 4624147095719984996, 11501942530008212308),
+    (2981, 60, 4667791980814005610, 4657636374980156054, 15087263840416121502),
+    (355, 0, 4660209361116434465, 4648868133683189666, 11417999290684371288),
+    (33, 0, 4641016981156470666, 0, 18370492424020507033),
+    (2112, 95, 4655642770670218822, 4621740451300250398, 8328615031647204974),
+    (18, 0, 4643948328414242406, 4632706840396698546, 9041997449967482102),
+    (9270, 147, 4667388275497433387, 4648726589155391522, 5158970676428578252),
+    (585, 0, 4667369801632805867, 4661101497058973006, 10578504819954406462),
+    (754, 0, 4668899480963304426, 4662070769202649654, 2751088234379546940),
+    (409, 0, 4660563708328542208, 4646688805091765666, 11049434337282613371),
+    (153, 0, 4650706728448918630, 0, 8529522228285181855),
+    (409, 0, 4661372948886585344, 4650545019300350697, 4547527080653034032),
+    (11852, 58, 4678345054627866381, 4672219487002645501, 15574542560552974961),
+    (4017, 0, 4682343188630707844, 4678238489449695320, 14028165932058422152),
+    (192, 0, 4656968305305714688, 4634719683306023128, 18043806413873248144),
+    (249, 0, 4662865672317907713, 4655580053196206728, 6016347650527782801),
+    (2605, 0, 4679517203768602840, 4673860356942351778, 8002000364604648177),
+    (4859, 202, 4661757132757386207, 4643031854630768862, 986016010719630952),
+    (63, 0, 4646273213821357088, 0, 3812463835624654526),
+    (381, 0, 4662588500531740521, 4653713822341110037, 13800066745293537820),
+    (3500, 21, 4669431808059390002, 4661863236501269360, 969238460932332095),
+    (1375, 150, 4663162913985696444, 4647892707186122782, 5387306818090718851),
+    (25260, 149, 4667383865537164040, 4656750536620402205, 2028249370018417647),
+    (1245, 26, 4667055550299683359, 4622230348964596083, 15239685749211900517),
+    (2118, 0, 4677995162722636294, 4673872042959431460, 17806578566056710289),
+    (1090, 5, 4671859010055945612, 4623707473318509036, 10319662078334830713),
+    (3671, 441, 4662029658237212348, 4644946626827156106, 16565165243610908148),
+    (312, 0, 4659602038722006811, 4642168151726281636, 2945015006244492810),
+    (17842, 61, 4675968710008252972, 4670361867466462933, 4002110826535517773),
+    (224, 0, 4658287719259045888, 4645163073599609162, 5071245294056009416),
+    (100, 3, 4648045062331148997, 0, 17464751985961294022),
+    (105, 0, 4647776316840357755, 4616471089979687730, 8081194901521904851),
+    (6441, 52, 4664898877502495675, 4654639575789125609, 10441104938671677341),
+    (3704, 173, 4660075290393688855, 4632097336736902432, 3062611426000869096),
+    (3925, 38, 4671988507477998110, 4621457848539984484, 13511522850940611377),
+    (127, 0, 4648567446735449374, 4605345294804882106, 15806368992473606091),
+    (336, 0, 4662541560320965485, 4652568332160449733, 11276583703062491274),
+    (1221, 21, 4663325569048679905, 4620444551428703634, 12828479473635661),
+    (1372, 14, 4660165341189851104, 4629731671738139854, 18377192898693438640),
+    (1452, 29, 4657726276133533885, 4622456323180043010, 7242055846000123957),
+    (216, 0, 4660802450174510885, 4648203291574690645, 13614102379868637263),
+    (2139, 74, 4648722573066284476, 0, 11432640321886202011),
+    (7540, 128, 4668441562804805928, 4656398457527009660, 14611797903672058792),
+    (717, 22, 4653945762767928323, 4631407605335730909, 11848637979405567412),
+    (244, 0, 4652325346436610374, 4622153895163832769, 8468726778493095242),
+    (365, 0, 4654334827288381511, 4621366260661716070, 14105365964262900511),
+];
+
+/// Every feature at once. The properties of the sibling suites sample one
+/// axis at a time; this draws whole configurations — workload × all four
+/// policies (the energy-aware one powers nodes down) × backfill family ×
+/// machine mix × fault load and seed × checkpoint interval × sync/async ×
+/// fixed/flexible × machine size × job count — and pins each, so that
+/// coverage of the draw as a whole can be asserted at the end.
+#[test]
+fn feature_cross_product_is_pinned() {
+    let cells = proptest::collection::vec(
+        (
+            (
+                0u8..5,
+                0u8..4,
+                0u8..4,
+                proptest::bool::ANY,
+                0u8..3,
+                0u64..10_000,
+            ),
+            (
+                0u32..4,
+                proptest::bool::ANY,
+                proptest::bool::ANY,
+                20u32..124,
+                1u32..151,
+                0u64..10_000,
+            ),
+        ),
+        64..65,
+    )
+    .sample(&mut StdRng::seed_from_u64(DRAW_SEED));
+    let (mut elided, mut failures) = (0, 0);
+    for (cell, want) in cells.into_iter().zip(CROSS_PRODUCT) {
+        let ((kind, policy, family, hetero, faults, fault_seed), rest) = cell;
+        let (ckpt, asynchronous, fixed, nodes, jobs, seed) = rest;
+        let kind = kind_for(kind);
+        let mut cfg = ExperimentConfig::preliminary()
+            .with_nodes(nodes)
+            .with_policy(policy_for(policy))
+            .with_backfill_family(family_for(family))
+            .with_machine_mix(if hetero {
+                MachineMix::Hetero3
+            } else {
+                MachineMix::Uniform
+            })
+            .with_faults([FaultLoad::None, FaultLoad::Rare, FaultLoad::Harsh][faults as usize])
+            .with_fault_seed(fault_seed);
+        if ckpt > 0 {
+            cfg = cfg.with_ckpt_interval(f64::from(ckpt) * 600.0);
+        }
+        if asynchronous {
+            cfg = cfg.asynchronous();
+        }
+        if fixed {
+            cfg = cfg.as_fixed();
+        }
+        let (r, outcomes) = run_recorded(&cfg, kind.build(jobs, seed).as_mut());
+        assert_eq!(pin(&r, &outcomes), want, "{cell:?}");
+        elided += r.sched.sched_passes_elided + r.sched.backfill_passes_elided;
+        failures += r.summary.failures;
     }
+    assert!(elided > 0, "no cell elided a pass");
+    assert!(failures > 0, "no cell injected a failure");
 }
 
 /// The paper's 20-node testbed about 17x overloaded, malleable: the
 /// queue runs over a thousand deep, so nearly every reconfiguration check
 /// is a beneficiary search over a queue deep enough for the need-keyed
-/// pending view (production path) and the walk of the sorted order (scan
-/// path) to part ways if they ever could.
+/// pending view to part ways with the walk of the sorted order if it ever
+/// could. Pinned at the value both gave.
 #[test]
-fn overloaded_malleable_run_matches_scan_reference() {
+fn overloaded_malleable_run_is_pinned() {
     let cfg = ExperimentConfig::preliminary();
     let kind = WorkloadKind::FsPreliminary;
     let (jobs, seed) = (2000, dmr_bench::SEED);
-    let arena = run(&cfg, kind.build(jobs, seed).as_mut());
-    let scan = run(&cfg.scan_reference(), kind.build(jobs, seed).as_mut());
-    assert_eq!(arena.summary.jobs, jobs as usize);
+    let (r, outcomes) = run_recorded(&cfg, kind.build(jobs, seed).as_mut());
+    assert_eq!(r.summary.jobs, jobs as usize);
     assert!(
-        arena.summary.reconfigurations > 1000,
+        r.summary.reconfigurations > 1000,
         "only {} reconfigurations: the queue never got deep",
-        arena.summary.reconfigurations
+        r.summary.reconfigurations
     );
-    assert_bit_identical(&arena, &scan).unwrap();
-    assert_eq!(
-        csv_row(kind.name(), &cfg, seed, &arena),
-        csv_row(kind.name(), &cfg, seed, &scan)
+    let want = (
+        110_228,
+        3653,
+        4689015081710217364,
+        4678971712023397156,
+        3067488521036224117,
     );
+    assert_eq!(pin(&r, &outcomes), want);
 }
 
 /// The indexed EASY pass evaluates a bounded number of jobs per pass and
-/// per start, whatever the queue depth; the walk evaluates the whole
-/// queue. Counted, not timed, so no host noise can blur it: on the same
-/// overloaded run (rigid and malleable) the production path stays under
-/// 8 evaluations per executed pass and started job while the scan twin —
-/// with identical decisions — pays more than twenty times that.
+/// per start, whatever the queue depth. Counted, not timed, so no host
+/// noise can blur it: on an overloaded run (rigid and malleable) it stays
+/// under 8 evaluations per executed pass and started job — while the mean
+/// queue (Little's law: total waiting time over the makespan) is deep
+/// enough that a walk of it at every executed pass would cost more than
+/// twenty times that.
 #[test]
 fn indexed_easy_pass_examines_a_bounded_number_of_jobs() {
     let kind = WorkloadKind::FsPreliminary;
     let (jobs, seed) = (2000, dmr_bench::SEED);
     let flexible = ExperimentConfig::preliminary();
     for cfg in [flexible.as_fixed(), flexible] {
-        let arena = run(&cfg, kind.build(jobs, seed).as_mut());
-        let scan = run(&cfg.scan_reference(), kind.build(jobs, seed).as_mut());
-        assert_bit_identical(&arena, &scan).unwrap();
-        let budget = 8 * (arena.sched.backfill_passes_run + u64::from(jobs));
-        let (fast, walk) = (
-            arena.sched.backfill_jobs_examined,
-            scan.sched.backfill_jobs_examined,
-        );
-        assert!(fast <= budget, "arena examined {fast} jobs > {budget}");
+        let r = run(&cfg, kind.build(jobs, seed).as_mut());
+        let passes = r.sched.backfill_passes_run;
+        let budget = 8 * (passes + u64::from(jobs));
+        let examined = r.sched.backfill_jobs_examined;
+        assert!(examined <= budget, "examined {examined} jobs > {budget}");
+        let s = &r.summary;
+        let mean_queue = s.avg_waiting_s * s.jobs as f64 / s.makespan_s;
         assert!(
-            walk > 20 * budget,
-            "scan twin examined {walk} jobs, not > 20 x {budget}: queue too shallow to tell"
+            mean_queue * passes as f64 > 20.0 * budget as f64,
+            "a mean queue of {mean_queue:.0} over {passes} passes: too shallow to tell"
         );
     }
 }

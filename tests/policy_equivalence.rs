@@ -15,12 +15,17 @@
 //! whole pending order ([`reference_shrink`]) — under `Algorithm1`,
 //! `UtilizationTarget` and `EnergyAware`, and across the two conditions
 //! that send the production path back to the walk (a pending job with a
-//! base priority; a size weight).
+//! base priority; a size weight). Every pass, and the pending order
+//! itself, runs in lockstep with the model scheduler.
 
+mod common;
+
+use common::lockstep::{Lockstep, Op, Outcome, Setup};
+use dmr::cluster::ClassTable;
 use dmr::sim::{SimTime, Span};
 use dmr::slurm::{
-    ExpandError, JobId, JobRequest, JobState, MultifactorConfig, PolicyKind, ResizeAction,
-    ResizeEnvelope, SchedIndex, Slurm, SlurmConfig,
+    JobId, JobRequest, JobState, MultifactorConfig, PolicyKind, ResizeAction, ResizeEnvelope,
+    Slurm, SlurmConfig,
 };
 use dmr_cluster::Cluster;
 use proptest::prelude::*;
@@ -235,68 +240,49 @@ enum Order {
     SizeWeight,
 }
 
-/// The production scheduler and its scan-reference twin (which never
-/// serves a decision from an index), identically configured otherwise.
-fn twins(nodes: u32, policy: PolicyKind, order: Order) -> [Slurm; 2] {
-    [SchedIndex::Arena, SchedIndex::ScanReference].map(|sched_index| {
-        let mut cfg = SlurmConfig::for_cluster(nodes);
-        cfg.policy = policy;
-        cfg.sched_index = sched_index;
-        if order == Order::SizeWeight {
-            cfg.multifactor = MultifactorConfig::size_weighted(nodes);
-        }
-        Slurm::new(Cluster::new(nodes, 16), cfg)
-    })
-}
-
-/// Ids of the jobs in `state` that pass `keep`, in submission order.
-fn ids_where(s: &Slurm, state: JobState, keep: impl Fn(&dmr::slurm::Job) -> bool) -> Vec<JobId> {
-    let mut jobs: Vec<_> = s
-        .jobs()
-        .filter(|j| j.state == state && keep(j))
-        .map(|j| (j.seq, j.id))
-        .collect();
-    jobs.sort();
-    jobs.into_iter().map(|(_, id)| id).collect()
-}
-
-/// The `pick`th of `ids`, wrapping; `None` when there are none.
-fn nth(ids: &[JobId], pick: u32) -> Option<JobId> {
-    (!ids.is_empty()).then(|| ids[pick as usize % ids.len()])
-}
-
-/// Runs a pass on both twins, completes the expansions whose resizers it
-/// started, and requires the same starts.
-fn pass(pair: &mut [Slurm; 2], now: SimTime, backfill: bool) -> Result<(), String> {
-    let mut starts = Vec::new();
-    for s in pair.iter_mut() {
-        let started = if backfill {
-            s.backfill_pass(now)
-        } else {
-            s.schedule(now)
-        };
-        for start in started.iter().filter(|start| start.resizer_for.is_some()) {
-            s.finish_expand(start.id, now).map_err(|e| e.to_string())?;
-        }
-        starts.push(started);
+/// Production in lockstep with the model scheduler, configured with
+/// `policy` and the pending order `order` asks for.
+fn lockstep(nodes: u32, policy: PolicyKind, order: Order) -> Lockstep {
+    let mut cfg = SlurmConfig::for_cluster(nodes);
+    cfg.policy = policy;
+    if order == Order::SizeWeight {
+        cfg.multifactor = MultifactorConfig::size_weighted(nodes);
     }
-    prop_assert_eq!(&starts[0], &starts[1]);
+    Lockstep::new(Setup::new(ClassTable::uniform(nodes, 16), cfg))
+}
+
+/// The jobs in `state` that pass `keep`, in submission order.
+fn ordinals_where(
+    h: &Lockstep,
+    state: JobState,
+    keep: impl Fn(&dmr::slurm::Job) -> bool,
+) -> Vec<usize> {
+    let m = h.model();
+    m.in_state(state)
+        .filter(|&j| !m.is_resizer(j) && keep(&m.jobs[j]))
+        .collect()
+}
+
+/// The `pick`th of `jobs`, wrapping; `None` when there are none.
+fn nth(jobs: &[usize], pick: u32) -> Option<usize> {
+    (!jobs.is_empty()).then(|| jobs[pick as usize % jobs.len()])
+}
+
+/// Runs a pass (the harness finishes the expansions whose resizers it
+/// started, and holds its starts against the model's).
+fn pass(h: &mut Lockstep, backfill: bool) -> Result<(), String> {
+    h.apply(if backfill { Op::Backfill } else { Op::Schedule })?;
     Ok(())
 }
 
-/// Consults the policy about every running flexible job on both twins.
-/// The production verdict must equal the twin's, and its beneficiary and
-/// shrink target must be what the reference walk of the production
-/// scheduler's own pending order finds. With `apply`, shrinks are
-/// carried out (on both).
-fn consult_everyone(
-    pair: &mut [Slurm; 2],
-    policy: PolicyKind,
-    now: SimTime,
-    apply: bool,
-) -> Result<(), String> {
-    for id in ids_where(&pair[0], JobState::Running, |j| j.resize.is_some()) {
-        let s = &pair[0];
+/// Consults the policy about every running flexible job. The beneficiary
+/// and shrink target of the verdict must be what the reference walk of
+/// the scheduler's own pending order finds. With `apply`, shrinks are
+/// carried out.
+fn consult_everyone(h: &mut Lockstep, policy: PolicyKind, apply: bool) -> Result<(), String> {
+    let now = h.now();
+    for j in ordinals_where(h, JobState::Running, |j| j.resize.is_some()) {
+        let (s, id) = (h.slurm(), h.id(j));
         let env = s.job(id).and_then(|j| j.resize).expect("flexible");
         let (current, free) = (s.nodes_of(id), s.cluster().free_nodes());
         let walked = reference_shrink(s, current, free, &s.pending_queue(now), env);
@@ -314,8 +300,9 @@ fn consult_everyone(
             PolicyKind::EnergyAware { .. } if s.queued_count() > 0 => Some(walked_action),
             _ => None,
         };
-        let verdict = pair[0].decide_resize(id, now);
-        prop_assert_eq!(verdict, pair[1].decide_resize(id, now), "twin, {:?}", id);
+        let Outcome::Verdict(verdict) = h.apply(Op::Decide(j))? else {
+            unreachable!("a consultation returns a verdict");
+        };
         if let Some(predicted) = predicted {
             prop_assert_eq!(verdict, predicted, "walk, {:?}", id);
         }
@@ -326,9 +313,7 @@ fn consult_everyone(
         {
             prop_assert_eq!(Some((to, cand)), walked, "beneficiary of {:?}", id);
             if apply {
-                for s in pair.iter_mut() {
-                    s.shrink_protocol(id, to, now).map_err(|e| e.to_string())?;
-                }
+                h.apply(Op::Shrink(j, to))?;
             }
         }
     }
@@ -351,86 +336,70 @@ proptest! {
     ) {
         let policy = policy_under_test(which);
         let order = [Order::Static, Order::BasePriority, Order::SizeWeight][order as usize];
-        let mut pair = twins(nodes, policy, order);
+        let mut h = lockstep(nodes, policy, order);
         let mut submitted = 0usize;
-        let mut submit = |pair: &mut [Slurm; 2], shape: JobShape, now: SimTime| {
+        let mut submit = |h: &mut Lockstep, shape: JobShape| {
             let mut req = request(submitted, nodes, shape);
             if order == Order::BasePriority && submitted % 7 == 3 {
                 req.base_priority = 5;
             }
             submitted += 1;
-            for s in pair.iter_mut() {
-                s.submit(req.clone(), now);
-            }
+            h.submit(req)
         };
         // The backlog arrives over a few instants, then the machine fills.
         let mut now = SimTime::ZERO;
         for (i, &shape) in backlog.iter().enumerate() {
             now = SimTime::from_secs(i as u64 / 16);
-            submit(&mut pair, shape, now);
+            h.at(now)?;
+            submit(&mut h, shape)?;
         }
-        pass(&mut pair, now, false)?;
-        consult_everyone(&mut pair, policy, now, false)?;
+        pass(&mut h, false)?;
+        consult_everyone(&mut h, policy, false)?;
 
         for &(op, pick) in &ops {
             now += Span::from_secs(7);
-            let running = ids_where(&pair[0], JobState::Running, |j| !j.is_resizer());
-            let queued = ids_where(&pair[0], JobState::Pending, |j| !j.is_resizer());
+            h.at(now)?;
+            let running = ordinals_where(&h, JobState::Running, |_| true);
+            let queued = ordinals_where(&h, JobState::Pending, |_| true);
             match op {
-                0 => pass(&mut pair, now, false)?,
-                1 => pass(&mut pair, now, true)?,
+                0 => pass(&mut h, false)?,
+                1 => pass(&mut h, true)?,
                 2 => {
-                    if let Some(id) = nth(&running, pick) {
-                        pair.iter_mut().for_each(|s| s.complete(id, now));
-                        pass(&mut pair, now, false)?;
+                    if let Some(j) = nth(&running, pick) {
+                        h.apply(Op::Complete(j))?;
+                        pass(&mut h, false)?;
                     }
                 }
                 3 => {
-                    if let Some(id) = nth(&queued, pick) {
-                        pair.iter_mut().for_each(|s| s.cancel(id, now));
+                    if let Some(j) = nth(&queued, pick) {
+                        h.apply(Op::Cancel(j))?;
                     }
                 }
                 4 => {
-                    if let Some(id) = nth(&queued, pick) {
-                        pair.iter_mut().for_each(|s| s.boost(id));
+                    if let Some(j) = nth(&queued, pick) {
+                        h.apply(Op::Boost(j))?;
                     }
                 }
                 5 => {
                     // An expansion the machine has no room for leaves a
                     // boosted resizer pending; one it has room for grows
                     // the job on the spot.
-                    if let Some(id) = nth(&running, pick) {
-                        let to = pair[0].nodes_of(id) * 2;
-                        let grown: Vec<_> = pair
-                            .iter_mut()
-                            .map(|s| match s.expand_protocol(id, to, now) {
-                                Ok(nodes) => Ok(nodes),
-                                Err(ExpandError::Queued { resizer }) => Err(resizer),
-                                Err(other) => panic!("{other}"),
-                            })
-                            .collect();
-                        prop_assert_eq!(&grown[0], &grown[1]);
+                    if let Some(j) = nth(&running, pick) {
+                        let to = h.model().held(j) * 2;
+                        h.apply(Op::Expand(j, to))?;
                     }
                 }
                 6 => {
-                    if let Some(id) = nth(&running, pick) {
-                        let again: Vec<_> = pair
-                            .iter_mut()
-                            .map(|s| s.requeue_failed(id, now))
-                            .collect();
-                        prop_assert!(again[0].is_some());
-                        prop_assert_eq!(again[0], again[1]);
+                    if let Some(j) = nth(&running, pick) {
+                        prop_assert!(h.apply(Op::Requeue(j))?.job().is_some());
                     }
                 }
-                7 => submit(&mut pair, backlog[pick as usize % backlog.len()], now),
-                _ => consult_everyone(&mut pair, policy, now, true)?,
+                7 => {
+                    submit(&mut h, backlog[pick as usize % backlog.len()])?;
+                }
+                _ => consult_everyone(&mut h, policy, true)?,
             }
-            consult_everyone(&mut pair, policy, now, false)?;
-            prop_assert_eq!(pair[0].pending_queue(now), pair[1].pending_queue(now));
-            for s in &pair {
-                let sound = s.check_invariants();
-                prop_assert!(sound.is_ok(), "{:?}", sound);
-            }
+            consult_everyone(&mut h, policy, false)?;
         }
     }
 }
