@@ -133,7 +133,6 @@ fn record(id: JobId, seq: u64) -> Job {
         time_limit: None,
         expected_runtime: Span::from_secs(600),
         dependency: None,
-        base_priority: 0,
         boosted: false,
         resize: None,
         constraint: ClassConstraint::Any,

@@ -92,9 +92,9 @@ fn bench_policy(c: &mut Criterion) {
 /// The per-instant pending-order cache win: one scheduling instant issues
 /// a FIFO cycle plus (with many flexible jobs at their reconfiguring
 /// points) a burst of same-instant `pending_queue` consultations. Before
-/// the cache every consultation recomputed all multifactor priorities and
-/// re-sorted the deep queue; now only the first pays, the rest clone the
-/// memoized order. `x1` measures the mandatory recompute, `x8` the
+/// the cache every consultation re-sorted the deep queue; now only the
+/// first materialises the order from the pending index, the rest clone
+/// the memoized one. `x1` measures the mandatory recompute, `x8` the
 /// pattern the cache exists for — it must cost far less than 8 × `x1`.
 fn bench_pending_order_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("pending_order");

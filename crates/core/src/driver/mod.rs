@@ -1,10 +1,10 @@
 //! The discrete-event workload driver.
 //!
 //! Reproduces the full §III methodology loop: jobs arrive (Feitelson
-//! process), Slurm starts them (EASY backfill + multifactor priority), each
-//! flexible job exposes reconfiguring points at its step boundaries where
-//! the runtime calls the DMR API; the installed [`dmr_slurm::ResizePolicy`]
-//! (Algorithm 1 by default, selected by
+//! process), Slurm starts them (EASY backfill; boosted jobs first, then
+//! submission order), each flexible job exposes reconfiguring points at
+//! its step boundaries where the runtime calls the DMR API; the installed
+//! [`dmr_slurm::ResizePolicy`] (Algorithm 1 by default, selected by
 //! [`crate::config::ExperimentConfig::policy`]) answers expand /
 //! shrink / no-action; expansions run the four-step resizer-job protocol
 //! (with queue-wait and timeout in asynchronous mode) followed by an
@@ -555,18 +555,12 @@ impl<'a, 's> Driver<'a, 's> {
 
     /// Marks a scheduling cycle due; the run loop flushes it once the
     /// current instant's arrival batch is fully submitted. Batching is
-    /// sound precisely when the pending order is the static `(boosted,
-    /// submit, seq)` key order ([`Slurm::pending_order_is_static`]): a
-    /// new submission then sorts strictly after every job already
-    /// pending, so the combined pass walks the queue through the same
-    /// decisions the per-submission passes would have made. The driver
-    /// sets no size weight and submits no base priority, so the order is
-    /// always static here.
+    /// sound because the pending order is the `(boosted, submit, seq)`
+    /// key order ([`Slurm::pending_queue`]): a new submission sorts
+    /// strictly after every job already pending, so the combined pass
+    /// walks the queue through the same decisions the per-submission
+    /// passes would have made.
     pub(crate) fn request_schedule(&mut self) {
-        debug_assert!(
-            self.slurm.pending_order_is_static(),
-            "batched passes need the static pending order: no size weight, no base priority"
-        );
         self.pass_due = true;
     }
 

@@ -245,7 +245,6 @@ mod tests {
             time_limit: None,
             expected_runtime: Span::from_secs(60),
             dependency: None,
-            base_priority: 0,
             boosted: false,
             resize: None,
             constraint: dmr_cluster::ClassConstraint::Any,

@@ -2,18 +2,18 @@
 //! [`crate::slurm::Slurm`].
 //!
 //! Every scheduling pass used to rediscover global order by scanning the
-//! whole job table: recompute every multifactor priority and sort
-//! (pending order), collect-and-sort running end times (backfill
-//! reservations), scan for dead resizer jobs. These structures maintain
-//! the same orders *incrementally*, updated at the mutation points where
-//! relative order can actually change:
+//! whole job table: sort the pending jobs (pending order),
+//! collect-and-sort running end times (backfill reservations), scan for
+//! dead resizer jobs. These structures maintain the same orders
+//! *incrementally*, updated at the mutation points where relative order
+//! can actually change:
 //!
 //! * [`PendingIndex`] — the pending queue keyed by
-//!   `(boosted, submit_time, seq)`. The multifactor age term grows at the
-//!   same rate for every pending job, so under the default configuration
-//!   (pure age weight, uniform base priority) the priority-sorted order
-//!   *is* this static key order at every instant; the scheduler verifies
-//!   the preconditions and falls back to the full sort otherwise.
+//!   `(boosted, submit_time, seq)`: Slurm's `priority/multifactor` order
+//!   at the default weights the paper runs it with (§VII-A), where the
+//!   age term grows at the same rate for every pending job and nothing
+//!   else weighs in, so the order changes only when a job is submitted,
+//!   leaves the queue or is boosted — never with the clock.
 //!   Its **need view** groups the queued (non-resizer) jobs by
 //!   `requested_nodes`, each non-empty need holding its jobs twice: in
 //!   [`PendingKey`] order and in `(expected_runtime, id)` order.
@@ -23,8 +23,7 @@
 //!   jobs that `R` released nodes would admit" (the first key of every
 //!   need in `(free, free + R]`), and the EASY backfill pass, which
 //!   enumerates per fitting need only the jobs short enough to pass the
-//!   harmless check (see `Slurm::backfill_pass`). Exact under the
-//!   static-order preconditions, with the walk as the fallback.
+//!   harmless check (see `Slurm::backfill_pass`).
 //! * [`RunningIndex`] — running jobs keyed by
 //!   `(expected_end, held_nodes, id)`, exactly the order the EASY
 //!   backfill reservation scan produced by sorting. Each job's current
@@ -129,16 +128,10 @@ impl NeedBucket {
 /// Ordered index of the pending set.
 ///
 /// Iteration order is `(boosted first, submit ascending, seq ascending)`
-/// — the multifactor order whenever the age factor is the only live
-/// weight and no pending job carries a non-zero base priority. The index
-/// also counts the jobs that would break that equality (`nonzero_base`)
-/// so the scheduler can detect, in O(1), when it must fall back to the
-/// sort.
+/// — the scheduling order (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct PendingIndex {
     set: BTreeSet<PendingKey>,
-    /// Pending jobs with `base_priority != 0` (index-exactness veto).
-    nonzero_base: usize,
     /// Pending resizer jobs (lets `pending_queue` skip its filter pass
     /// when there is nothing to filter).
     resizers: usize,
@@ -194,9 +187,6 @@ impl PendingIndex {
         let added = self.set.insert(key);
         debug_assert!(added, "{:?} already indexed", job.id);
         self.view_insert(job, key, job.expected_runtime);
-        if job.base_priority != 0 {
-            self.nonzero_base += 1;
-        }
         if job.is_resizer() {
             self.resizers += 1;
         }
@@ -210,9 +200,6 @@ impl PendingIndex {
         let removed = self.set.remove(&key);
         debug_assert!(removed, "{:?} not indexed", job.id);
         self.view_remove(job, key, job.expected_runtime);
-        if job.base_priority != 0 {
-            self.nonzero_base -= 1;
-        }
         if job.is_resizer() {
             self.resizers -= 1;
         }
@@ -245,10 +232,6 @@ impl PendingIndex {
         self.view_insert(job, key, job.expected_runtime);
     }
 
-    pub(crate) fn nonzero_base(&self) -> usize {
-        self.nonzero_base
-    }
-
     pub(crate) fn pending_resizers(&self) -> usize {
         self.resizers
     }
@@ -266,17 +249,6 @@ impl PendingIndex {
     /// Pending ids in scheduling order (no priorities computed, no sort).
     pub(crate) fn ids(&self) -> impl Iterator<Item = JobId> + '_ {
         self.set.iter().map(|key| key.id)
-    }
-
-    /// The full scheduling order, materialised with an exact-capacity
-    /// allocation. This is the rebuild path of the persistent pass order
-    /// the walking passes retain between invocations; after the rebuild
-    /// the order is kept current by appends and tombstones, so this runs
-    /// once per invalidation, not once per pass.
-    pub(crate) fn ids_vec(&self) -> Vec<JobId> {
-        let mut out = Vec::with_capacity(self.set.len());
-        out.extend(self.ids());
-        out
     }
 
     /// The first key strictly after `prev` (`None` starts at the front)

@@ -201,8 +201,6 @@ pub struct JobRequest {
     /// scheduler-wide default when `None`.
     pub expected_runtime: Option<Span>,
     pub dependency: Option<Dependency>,
-    /// Additive base priority (Slurm "nice", inverted).
-    pub base_priority: u64,
     /// Malleability envelope; `None` marks a rigid job.
     pub resize: Option<ResizeEnvelope>,
     /// Which machine classes the job may be placed on (Slurm
@@ -220,7 +218,6 @@ impl JobRequest {
             time_limit: None,
             expected_runtime: None,
             dependency: None,
-            base_priority: 0,
             resize: None,
             constraint: ClassConstraint::Any,
         }
@@ -268,7 +265,6 @@ pub struct Job {
     /// Backfill estimate of the remaining-runtime-from-start.
     pub expected_runtime: Span,
     pub dependency: Option<Dependency>,
-    pub base_priority: u64,
     /// Set by the policy when this pending job triggered a shrink; grants
     /// maximum priority (§IV-3).
     pub boosted: bool,
@@ -304,7 +300,6 @@ impl Job {
             time_limit: req.time_limit,
             expected_runtime: req.expected_runtime.unwrap_or(default_runtime),
             dependency: req.dependency,
-            base_priority: req.base_priority,
             boosted: false,
             resize: req.resize,
             constraint: req.constraint,
@@ -435,7 +430,6 @@ mod tests {
             time_limit: None,
             expected_runtime: Span::from_secs(100),
             dependency: None,
-            base_priority: 0,
             boosted: false,
             resize: None,
             constraint: ClassConstraint::Any,

@@ -5,9 +5,10 @@
 //!
 //! * **job lifecycle** — submit / pending / running / completed / cancelled,
 //!   with per-job accounting (submit, start, end) ([`job`]);
-//! * **multifactor priority** — age + job-size factors plus the explicit
-//!   max-priority boost the reconfiguration policy applies to jobs it is
-//!   making room for ([`priority`]);
+//! * **queue order** — boosted jobs first (the max-priority boost of a
+//!   job a shrink makes room for, §IV-3, or requeued after a failure),
+//!   then submission order: Slurm's `priority/multifactor` at the default
+//!   weights the paper runs (§VII-A), where age alone weighs in;
 //! * **backfill families** — the `sched/backfill` behaviour as a
 //!   selectable [`slotset::BackfillFamily`] over a slot-set free-resource
 //!   timeline ([`slotset::SlotSet`]): EASY-k (reservations for the first
@@ -22,8 +23,9 @@
 //!   [`policy::ResizePolicy`] trait object installed in the scheduler
 //!   decides expand / shrink / no-action from the global system state;
 //!   ships with [`policy::Algorithm1`] (the paper's procedure),
-//!   [`policy::UtilizationTarget`] and [`policy::FairShare`], selected by
-//!   [`policy::PolicyKind`] ([`policy`]).
+//!   [`policy::UtilizationTarget`], [`policy::FairShare`] and
+//!   [`policy::EnergyAware`], selected by [`policy::PolicyKind`]
+//!   ([`policy`]).
 //!
 //! The crate is time-agnostic: every operation takes `now: SimTime` from
 //! the caller, so the same scheduler drives the discrete-event simulations
@@ -33,7 +35,6 @@ pub mod arena;
 pub(crate) mod index;
 pub mod job;
 pub mod policy;
-pub mod priority;
 pub mod slotset;
 pub mod slurm;
 
@@ -42,6 +43,5 @@ pub use job::{Dependency, Job, JobId, JobName, JobRequest, JobState, ResizeEnvel
 pub use policy::{
     Algorithm1, EnergyAware, FairShare, PolicyKind, ResizeAction, ResizePolicy, UtilizationTarget,
 };
-pub use priority::MultifactorConfig;
 pub use slotset::{BackfillFamily, SlotSet};
 pub use slurm::{ExpandError, IncrementalStats, JobStart, Slurm, SlurmConfig};

@@ -183,7 +183,7 @@ impl ResizePolicy for Algorithm1 {
         "algorithm1"
     }
 
-    fn decide(&mut self, slurm: &Slurm, job: JobId, now: SimTime) -> ResizeAction {
+    fn decide(&mut self, slurm: &Slurm, job: JobId, _now: SimTime) -> ResizeAction {
         let env = envelope_of(slurm, job);
         let current = slurm.nodes_of(job);
         let free = slurm.cluster().free_nodes();
@@ -203,7 +203,7 @@ impl ResizePolicy for Algorithm1 {
                 // Line 6-8: try to expand towards the preference.
                 match env.max_procs_to(current, pref, free) {
                     Some(t) => ResizeAction::Expand { to: t },
-                    None => wide_optimization(slurm, current, free, env, now),
+                    None => wide_optimization(slurm, current, free, env),
                 }
             } else if env.can_shrink_to(current, pref) {
                 // Line 10-12: shrink exactly to the preference.
@@ -212,22 +212,16 @@ impl ResizePolicy for Algorithm1 {
                     beneficiary: None,
                 }
             } else {
-                wide_optimization(slurm, current, free, env, now)
+                wide_optimization(slurm, current, free, env)
             }
         } else {
-            wide_optimization(slurm, current, free, env, now)
+            wide_optimization(slurm, current, free, env)
         }
     }
 }
 
 /// Lines 13–24 of Algorithm 1.
-fn wide_optimization(
-    slurm: &Slurm,
-    current: u32,
-    free: u32,
-    env: ResizeEnvelope,
-    now: SimTime,
-) -> ResizeAction {
+fn wide_optimization(slurm: &Slurm, current: u32, free: u32, env: ResizeEnvelope) -> ResizeAction {
     // Line 15: can another job run with my resources? Find the first
     // queued job, in priority order, that a feasible shrink would admit,
     // and shrink as little as necessary (keeping the most processes that
@@ -237,7 +231,7 @@ fn wide_optimization(
     // later check releases the nodes again if someone needs them, and
     // idling them would be worse (this mirrors the paper's observation
     // that the RMS, not the policy, owns final placement).
-    if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, env, now) {
+    if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, env) {
         return shrink;
     }
     // Lines 19–24: the queue is empty, or nothing queued can be helped —
@@ -258,26 +252,15 @@ fn wide_optimization(
 /// and at most `free + reach`. A job already at its envelope floor has
 /// an empty chain and returns before the queue is looked at — the common
 /// case on an overloaded machine. Otherwise the scheduler's need view
-/// answers in O(distinct needs in range), whatever the queue depth, while
-/// the pending order is static; under a
-/// live multifactor sort (size weight, base priorities, the scan oracle)
-/// the order is walked.
+/// answers in O(distinct needs in range), whatever the queue depth.
 fn shrink_for_first_blocked(
     slurm: &Slurm,
     current: u32,
     free: u32,
     env: ResizeEnvelope,
-    now: SimTime,
 ) -> Option<ResizeAction> {
     let reach = current - env.shrink_steps(current).last()?;
-    let (beneficiary, req) = if slurm.pending_order_is_static() {
-        slurm.first_queued_needing(free, reach)?
-    } else {
-        slurm.pending_queue(now).iter().find_map(|&cand| {
-            let req = slurm.job(cand)?.requested_nodes;
-            (req > free && req - free <= reach).then_some((cand, req))
-        })?
-    };
+    let (beneficiary, req) = slurm.first_queued_needing(free, reach)?;
     let missing = req - free;
     let to = env
         .shrink_steps(current)
@@ -330,7 +313,7 @@ impl ResizePolicy for UtilizationTarget {
             };
         }
         if util > self.high {
-            if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, env, now) {
+            if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, env) {
                 return shrink;
             }
         }
@@ -374,7 +357,7 @@ impl ResizePolicy for EnergyAware {
         let free = slurm.cluster().free_nodes();
 
         if slurm.queued_count() != 0 {
-            return shrink_for_first_blocked(slurm, current, free, env, now)
+            return shrink_for_first_blocked(slurm, current, free, env)
                 .unwrap_or(ResizeAction::NoAction);
         }
         if let Some(pref) = env.preferred {

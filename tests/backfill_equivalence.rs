@@ -211,16 +211,15 @@ fn churn(h: &mut Lockstep, nodes: u32, depth: u32, rounds: u32, seed: u64) -> Re
         for _ in 0..1 + next() % 2 {
             serial += 1;
             let mut req = request(&mut next, serial);
-            // Fallback triggers: a class-constrained job, a base priority.
-            let trigger = next() % 97;
-            match trigger {
-                0 => req = req.with_constraint(ClassConstraint::Class(0)),
-                1 => req.base_priority = 1 + next() % 5000,
-                _ => {}
+            // The fallback trigger, a class-constrained job: two
+            // submissions in 97.
+            let trigger = next() % 97 < 2;
+            if trigger {
+                req = req.with_constraint(ClassConstraint::Class(0));
             }
             let j = h.submit(req)?;
             pending.push(j);
-            if trigger < 2 {
+            if trigger {
                 triggers.push_back((round + 8, j));
             }
         }

@@ -463,7 +463,7 @@ impl Lockstep {
         same("jobs submitted", self.ids.len(), model.jobs.len())?;
         let free = model.cluster.free_nodes();
         same("free nodes", slurm.cluster().free_nodes(), free)?;
-        let (queue, by_model) = (slurm.pending_queue(now), model.pending_queue(now));
+        let (queue, by_model) = (slurm.pending_queue(now), model.pending_queue());
         if !queue
             .iter()
             .copied()

@@ -1,9 +1,11 @@
 //! A naive model of the scheduler: Slurm's `sched/builtin` priority-FIFO
 //! pass, `sched/backfill` (EASY-k and conservative, class constraints
 //! included) and the §III expand / shrink protocol, written the obvious
-//! way. Every pass sorts the pending jobs by their multifactor priority,
-//! every reservation is read off a step function rebuilt from the running
-//! jobs, every dead resizer is found by looking at every pending one.
+//! way. Every pass sorts the pending jobs — boosted first, then by submit
+//! time and submission order, Slurm's `priority/multifactor` order at the
+//! default weights the paper runs (§VII-A) — every reservation is read
+//! off a step function rebuilt from the running jobs, every dead resizer
+//! is found by looking at every pending one.
 //! Nothing is indexed, cached, memoised or carried from one pass to the
 //! next. `tests/common/lockstep.rs` drives the production `Slurm` and this
 //! model through the same operations and compares them after each one.
@@ -12,8 +14,7 @@
 //! submission ordinal, which is also their `Job::seq` and their owner tag
 //! in the model's own `Cluster` (the allocator is held against a
 //! brute-force model in `tests/class_equivalence.rs`). The records are
-//! `dmr_slurm::Job`s so that the one copy of the priority arithmetic,
-//! `MultifactorConfig::priority`, orders them.
+//! `dmr_slurm::Job`s, opened by `Job::submitted` as production's are.
 
 use std::cmp::Reverse;
 
@@ -136,21 +137,17 @@ impl Model {
         (0..self.jobs.len()).filter(move |&j| self.jobs[j].state == state)
     }
 
-    /// Every pending job, highest multifactor priority first, then by
-    /// submit time and submission order.
-    fn pending_order(&self, now: SimTime) -> Vec<usize> {
+    /// Every pending job, boosted ones first, then by submit time and
+    /// submission order.
+    fn pending_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = self.in_state(JobState::Pending).collect();
-        order.sort_by_cached_key(|&j| {
-            let job = &self.jobs[j];
-            let priority = self.config.multifactor.priority(job, now);
-            (Reverse(priority), job.submit_time, j)
-        });
+        order.sort_by_key(|&j| (Reverse(self.jobs[j].boosted), self.jobs[j].submit_time, j));
         order
     }
 
     /// The pending order without resizers: what a policy sees.
-    pub fn pending_queue(&self, now: SimTime) -> Vec<usize> {
-        let mut order = self.pending_order(now);
+    pub fn pending_queue(&self) -> Vec<usize> {
+        let mut order = self.pending_order();
         order.retain(|&j| !self.is_resizer(j));
         order
     }
@@ -192,7 +189,7 @@ impl Model {
     pub fn schedule(&mut self, now: SimTime) -> Vec<Start> {
         self.reap_dead_resizers(now);
         let mut started = Vec::new();
-        for j in self.pending_order(now) {
+        for j in self.pending_order() {
             if !self.dependency_satisfied(j) {
                 continue;
             }
@@ -227,7 +224,7 @@ impl Model {
         let mut started = Vec::new();
         let mut reservations: Vec<(SimTime, u32)> = Vec::new();
         let mut plans = Vec::new();
-        for j in self.pending_order(now) {
+        for j in self.pending_order() {
             if !self.dependency_satisfied(j) {
                 continue;
             }
@@ -316,7 +313,7 @@ impl Model {
         let window = self.config.bf_max_job_test.max(1);
         let (mut started, mut plans) = (Vec::new(), Vec::new());
         let mut tested = 0;
-        for j in self.pending_order(now) {
+        for j in self.pending_order() {
             if !self.dependency_satisfied(j) {
                 continue;
             }
@@ -510,7 +507,6 @@ impl Model {
             b.requested_nodes = delta;
             b.time_limit = None;
             b.expected_runtime = Span::ZERO;
-            b.base_priority = 0;
             b.resize = None;
         });
         self.parent[b] = Some(job);

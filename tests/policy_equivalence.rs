@@ -13,10 +13,9 @@
 //! resizers, cancellations and requeues, the beneficiary and shrink
 //! target the policies get from the view equal the reference walk of the
 //! whole pending order ([`reference_shrink`]) — under `Algorithm1`,
-//! `UtilizationTarget` and `EnergyAware`, and across the two conditions
-//! that send the production path back to the walk (a pending job with a
-//! base priority; a size weight). Every pass, and the pending order
-//! itself, runs in lockstep with the model scheduler.
+//! `UtilizationTarget` and `EnergyAware`. Every pass, and the pending
+//! order itself, runs in lockstep with the model scheduler, whose order
+//! is a sort of the pending jobs on every call.
 
 mod common;
 
@@ -24,8 +23,7 @@ use common::lockstep::{Lockstep, Op, Outcome, Setup};
 use dmr::cluster::ClassTable;
 use dmr::sim::{SimTime, Span};
 use dmr::slurm::{
-    JobId, JobRequest, JobState, MultifactorConfig, PolicyKind, ResizeAction, ResizeEnvelope,
-    Slurm, SlurmConfig,
+    JobId, JobRequest, JobState, PolicyKind, ResizeAction, ResizeEnvelope, Slurm, SlurmConfig,
 };
 use dmr_cluster::Cluster;
 use proptest::prelude::*;
@@ -230,24 +228,11 @@ fn policy_under_test(which: u8) -> PolicyKind {
     }
 }
 
-/// What makes the pending order a live sort, so that the production path
-/// must leave the view for the walk: nothing, a pending job with a base
-/// priority (every 7th submission carries one), or a size weight.
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum Order {
-    Static,
-    BasePriority,
-    SizeWeight,
-}
-
 /// Production in lockstep with the model scheduler, configured with
-/// `policy` and the pending order `order` asks for.
-fn lockstep(nodes: u32, policy: PolicyKind, order: Order) -> Lockstep {
+/// `policy`.
+fn lockstep(nodes: u32, policy: PolicyKind) -> Lockstep {
     let mut cfg = SlurmConfig::for_cluster(nodes);
     cfg.policy = policy;
-    if order == Order::SizeWeight {
-        cfg.multifactor = MultifactorConfig::size_weighted(nodes);
-    }
     Lockstep::new(Setup::new(ClassTable::uniform(nodes, 16), cfg))
 }
 
@@ -327,7 +312,6 @@ proptest! {
     fn view_served_beneficiary_matches_the_walk_of_the_whole_order(
         nodes in 8u32..41,
         which in 0u8..3,
-        order in 0u8..3,
         backlog in proptest::collection::vec(
             (1u32..24, proptest::bool::ANY, 1u32..8, 4u32..41, proptest::bool::ANY),
             1..300,
@@ -335,14 +319,10 @@ proptest! {
         ops in proptest::collection::vec((0u8..9, 0u32..1000), 1..60),
     ) {
         let policy = policy_under_test(which);
-        let order = [Order::Static, Order::BasePriority, Order::SizeWeight][order as usize];
-        let mut h = lockstep(nodes, policy, order);
+        let mut h = lockstep(nodes, policy);
         let mut submitted = 0usize;
         let mut submit = |h: &mut Lockstep, shape: JobShape| {
-            let mut req = request(submitted, nodes, shape);
-            if order == Order::BasePriority && submitted % 7 == 3 {
-                req.base_priority = 5;
-            }
+            let req = request(submitted, nodes, shape);
             submitted += 1;
             h.submit(req)
         };

@@ -207,7 +207,6 @@ mod immediate_expansion {
                 time_limit: None,
                 expected_runtime: Some(Span::ZERO),
                 dependency: Some(Dependency::ExpandOf(id)),
-                base_priority: 0,
                 resize: None,
                 constraint,
             },

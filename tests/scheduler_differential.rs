@@ -1,7 +1,7 @@
 //! The production scheduler against the model scheduler of
 //! `tests/common/model.rs`, over generated configurations and operation
 //! sequences of the `trace_mixed` shape: a uniform or three-class machine,
-//! GPU-only and class-pinned jobs, base priorities, malleable jobs that
+//! GPU-only and class-pinned jobs, malleable jobs that
 //! the policy grows and shrinks, node failures and repairs, power-downs,
 //! estimate refreshes, boosts and cancellations — every pass and every
 //! operation compared by the lockstep harness.
@@ -19,10 +19,7 @@ use common::lockstep::{Coverage, Lockstep, Op, Outcome, Setup};
 use dmr::cluster::{ClassConstraint, ClassTable, NodeId, NodeState};
 use dmr::core::MachineMix;
 use dmr::sim::{SimTime, Span};
-use dmr::slurm::{
-    BackfillFamily, JobRequest, JobState, MultifactorConfig, ResizeAction, ResizeEnvelope,
-    SlurmConfig,
-};
+use dmr::slurm::{BackfillFamily, JobRequest, JobState, ResizeAction, ResizeEnvelope, SlurmConfig};
 use proptest::prelude::*;
 
 /// One drawn configuration.
@@ -34,7 +31,6 @@ struct Draw {
     /// 0–3: EASY-1, -2, -3, -8; 4: conservative.
     family: u8,
     window: u32,
-    size_weighted: bool,
     retain: bool,
 }
 
@@ -53,9 +49,6 @@ impl Draw {
             _ => BackfillFamily::Conservative,
         };
         cfg.bf_max_job_test = self.window;
-        if self.size_weighted {
-            cfg.multifactor = MultifactorConfig::size_weighted(self.nodes);
-        }
         cfg.retain_completed = self.retain;
         Setup::new(table, cfg)
     }
@@ -67,10 +60,10 @@ fn nth(jobs: &[usize], pick: u32) -> Option<usize> {
 }
 
 /// A submission drawn from `a` and `b`: mostly rigid or malleable jobs
-/// anywhere, now and then one pinned to a class, confined to the GPU
-/// class, or carrying a base priority — each of which sends production's
-/// EASY pass to its fallback walk while it is pending, so they are rare
-/// enough for the indexed pass to run too.
+/// anywhere, now and then one pinned to a class or confined to the GPU
+/// class — each of which sends production's EASY pass to its fallback
+/// walk while it is pending, so they are rare enough for the indexed
+/// pass to run too.
 fn request(h: &Lockstep, serial: usize, a: u32, b: u32) -> JobRequest {
     let table = h.slurm().cluster().table();
     let nodes = table.total_nodes();
@@ -93,11 +86,7 @@ fn request(h: &Lockstep, serial: usize, a: u32, b: u32) -> JobRequest {
                 ..req.with_constraint(ClassConstraint::Class(c))
             }
         }
-        2 => JobRequest {
-            base_priority: 1 + u64::from(b % 5000),
-            ..req
-        },
-        3..=12 => JobRequest {
+        2..=11 => JobRequest {
             resize: Some(ResizeEnvelope {
                 min: 1,
                 max: nodes,
@@ -244,21 +233,19 @@ fn drive(draw: Draw, ops: &[(u8, u32, u32)]) -> Result<Coverage, String> {
 fn production_matches_the_model() {
     let config = (
         (12u32..41, proptest::bool::ANY, 0u8..4, 0u8..5),
-        (2u32..9, 0u8..4, proptest::bool::ANY),
+        (2u32..9, proptest::bool::ANY),
     );
     let ops = proptest::collection::vec((0u8..20, 0u32..10_000, 0u32..10_000), 40..300);
     let mut rng = proptest::rng_for("scheduler_differential::production_matches_the_model");
     let mut total = Coverage::default();
     for case in 0..96 {
-        let ((nodes, hetero, backfill, family), (window, size_weighted, retain)) =
-            config.sample(&mut rng);
+        let ((nodes, hetero, backfill, family), (window, retain)) = config.sample(&mut rng);
         let draw = Draw {
             nodes,
             hetero,
             backfill: backfill > 0,
             family,
             window,
-            size_weighted: size_weighted == 0,
             retain,
         };
         let ops = ops.sample(&mut rng);
