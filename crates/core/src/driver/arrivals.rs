@@ -5,7 +5,7 @@
 //! compute with the reconfiguring points handled in [`super::reconfig`].
 
 use dmr_cluster::ClassConstraint;
-use dmr_sim::{SimTime, Span};
+use dmr_sim::{EventId, SimTime, Span};
 use dmr_slurm::{JobId, JobName, JobRequest, ResizeEnvelope};
 
 use super::events::Ev;
@@ -141,7 +141,19 @@ impl Driver<'_, '_> {
         let ev = self
             .engine
             .schedule_at(now + duration, Ev::SegmentDone { job, steps });
-        self.running.get_mut(job).expect("running").inflight = Some(ev);
+        self.track_segment(job, ev);
+    }
+
+    /// Records `ev` as `job`'s in-flight segment end, marked claimable
+    /// when the job has a hold at its current size, so that the engine
+    /// lets the driver try the held path first ([`Driver::on_due_segment`]).
+    /// A job without one — every rigid job — pays one test.
+    pub(crate) fn track_segment(&mut self, job: JobId, ev: EventId) {
+        let rs = self.running.get_mut(job).expect("running");
+        rs.inflight = Some(ev);
+        if rs.hold.is_some_and(|(_, size)| size == rs.procs) {
+            self.engine.mark_claimable(ev);
+        }
     }
 
     /// The compute segment `job` would begin at `at`, as `(duration,
@@ -206,16 +218,7 @@ impl Driver<'_, '_> {
             return;
         };
         rs.inflight = None;
-        rs.steps_done += steps;
-        // Periodic checkpointing: step boundaries are where rank state is
-        // consistent, so images are taken here once the configured
-        // interval has elapsed since the last one.
-        if let Some(interval_s) = self.cfg.ckpt_interval_s {
-            if now.since(rs.last_ckpt_at).as_secs_f64() >= interval_s {
-                rs.last_ckpt_at = now;
-                rs.ckpt_steps = rs.steps_done;
-            }
-        }
+        rs.close_segment(steps, now, self.cfg.ckpt_interval_s);
         let idx = rs.spec_idx;
         if rs.steps_done >= self.jobs[idx].spec.steps {
             self.complete_job(job, now);

@@ -1,7 +1,7 @@
 //! Metric hooks: per-event sampling and per-completion accounting.
 //!
-//! After every processed event — a relayed check-pause end included —
-//! the driver samples the three evolution quantities behind the paper's
+//! After every processed event — a relayed check-pause end and a held
+//! check point included — the driver samples the three evolution quantities behind the paper's
 //! timeline figures (allocated nodes, running jobs, completed jobs —
 //! Figures 4, 5, 6, 12) into the installed [`dmr_metrics::MetricsSink`];
 //! as each job completes, its accounting is copied out of the scheduler
@@ -95,6 +95,7 @@ impl Driver<'_, '_> {
             events: self.engine.processed(),
             past_schedules: self.engine.past_schedules(),
             sched: self.slurm.incremental_stats(),
+            checks: self.checks,
             power: crate::result::PowerStats::from_meter(&self.power),
             faults: crate::result::FaultStats::collect(
                 self.failures,

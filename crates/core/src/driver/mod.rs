@@ -36,14 +36,14 @@ pub(crate) mod shrink;
 use dmr_cluster::{Cluster, FaultSource, FaultTrace, PowerMeter};
 use dmr_metrics::{JobOutcome, MetricsSink, OnlineAccumulator};
 use dmr_sim::{Engine, EventId, SimTime, Span, Step, CLASS_EARLY};
-use dmr_slurm::{JobId, JobMap, ResizeAction, Slurm, SlurmConfig};
+use dmr_slurm::{Hold, JobId, JobMap, ResizeAction, Slurm, SlurmConfig};
 use dmr_workload::{JobSpec, WorkloadSource};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::ExperimentConfig;
 use crate::error::DmrError;
 use crate::model::SimJob;
-use crate::result::{ExperimentResult, RunStats};
+use crate::result::{CheckStats, ExperimentResult, RunStats};
 use events::Ev;
 
 /// Per-running-job state the runtime would keep.
@@ -91,6 +91,11 @@ pub(crate) struct RunState {
     /// Injected-failure retry attempts consumed for the current target
     /// (bounds the exponential backoff schedule).
     pub(crate) retry_attempt: u32,
+    /// The policy's [`Hold`] on "no action" for this job and the process
+    /// count it was granted at. While it stands at that count a check
+    /// point passes without consulting the policy (`reconfig`'s held
+    /// path). Granted only where the inhibitor gates no check.
+    pub(crate) hold: Option<(Hold, u32)>,
 }
 
 impl RunState {
@@ -112,6 +117,7 @@ impl RunState {
             ckpt_steps: 0,
             retry_expand: None,
             retry_attempt: 0,
+            hold: None,
         }
     }
 
@@ -119,6 +125,21 @@ impl RunState {
     pub(crate) fn set_procs(&mut self, procs: u32, sim: &SimJob) {
         self.procs = procs;
         self.step = sim.step_time(procs);
+    }
+
+    /// The boundary bookkeeping of a compute segment of `steps`
+    /// iterations ending at `now`: counts the steps, and takes a
+    /// checkpoint image if `ckpt_interval_s` has elapsed since the last
+    /// one — step boundaries are where rank state is consistent. Shared
+    /// by the segment-end handler and the held path.
+    pub(crate) fn close_segment(&mut self, steps: u32, now: SimTime, ckpt_interval_s: Option<f64>) {
+        self.steps_done += steps;
+        if let Some(interval_s) = ckpt_interval_s {
+            if now.since(self.last_ckpt_at).as_secs_f64() >= interval_s {
+                self.last_ckpt_at = now;
+                self.ckpt_steps = self.steps_done;
+            }
+        }
     }
 }
 
@@ -266,6 +287,8 @@ pub(crate) struct Driver<'a, 's> {
     pub(crate) lost_work: Span,
     /// Failure-to-restart latencies (µs), one per successful restart.
     pub(crate) restart_lat: Vec<u64>,
+    /// Check points passed held and policy consultations.
+    pub(crate) checks: CheckStats,
 }
 
 /// One simulation run, assembled step by step: a configuration, the
@@ -366,6 +389,7 @@ impl<'a> Simulation<'a> {
             events: stats.events,
             past_schedules: stats.past_schedules,
             sched: stats.sched,
+            checks: stats.checks,
         })
     }
 }
@@ -502,6 +526,7 @@ impl<'a, 's> Driver<'a, 's> {
             resize_retries: 0,
             lost_work: Span::ZERO,
             restart_lat: Vec::new(),
+            checks: CheckStats::default(),
         }
     }
 
@@ -537,14 +562,19 @@ impl<'a, 's> Driver<'a, 's> {
                 self.sample(last_now);
             }
             // A relayed pause end is an event with nothing to handle,
-            // but it is sampled like any other: the sink sees the clock
-            // reach every processed instant.
+            // and a held check point one handled without its handler,
+            // but both are sampled like any other: the sink sees the
+            // clock reach every processed instant.
             let now = match self.engine.step() {
                 Some(Step::Fired(now, ev)) => {
                     self.handle(now, ev);
                     now
                 }
                 Some(Step::Relayed(now)) => now,
+                Some(Step::Due(now)) => {
+                    self.on_due_segment(now);
+                    now
+                }
                 None => break,
             };
             last_now = now;

@@ -21,6 +21,24 @@
 //! [`Ev::ReconfigDone`] is left for the pauses something happens after:
 //! an expansion's spawn + redistribution, a shrink's drain.
 //!
+//! Most of those checks need not even be asked. A consultation that
+//! answers "no action" also takes the policy's [`dmr_slurm::Hold`]: the
+//! conditions — a free count below a threshold, nobody queued within
+//! reach of the deepest shrink — under which the answer provably repeats
+//! at the job's current size. The job's next `SegmentDone` is then marked
+//! claimable ([`dmr_sim::Engine::mark_claimable`]). When it falls due, the
+//! *held path* ([`Driver::on_due_segment`]) tests the hold and the
+//! boundary's other inputs (no expansion retry armed; asynchronously, no
+//! plan, grant or queued resizer; steps left after this one), and if all
+//! are clear it does what the handler would do, minus the consultation:
+//! the same segment bookkeeping ([`super::RunState::close_segment`]) and
+//! the same next-segment plan ([`Driver::after_check`]), then re-keys the
+//! due event in place to the next segment's end — behind the check pause
+//! as a relay in synchronous mode. No handler runs and nothing is popped
+//! or pushed, yet the event count, every sequence number and every sink
+//! sample are those of the handled boundary. A boundary that fails any
+//! test is handed to its handler unchanged.
+//!
 //! Expansion failures flow through [`DmrError`]: the only variant that is
 //! protocol control-flow rather than a genuine error is the *deferral*
 //! signal ([`DmrError::queued_resizer`]) — synchronous mode aborts the
@@ -119,7 +137,7 @@ impl Driver<'_, '_> {
     fn check_sync(&mut self, job: JobId, now: SimTime) {
         let idx = self.running[job].spec_idx;
         self.arm_inhibitor(job, idx, now);
-        let pause = Span::from_secs_f64(self.cfg.check_overhead_s);
+        let pause = self.check_pause();
         // An expansion retry whose backoff expired takes precedence over
         // a fresh policy consultation (the decision was already made; the
         // injected failure merely delayed it).
@@ -129,7 +147,7 @@ impl Driver<'_, '_> {
             .and_then(|rs| rs.retry_expand.take())
         {
             Some(to) => ResizeAction::Expand { to },
-            None => self.slurm.decide_resize(job, now),
+            None => self.consult(job, idx, now),
         };
         match action {
             ResizeAction::NoAction => self.pause_then_continue(job, now, pause),
@@ -193,31 +211,120 @@ impl Driver<'_, '_> {
             // overlaps the next compute step). One in-flight negotiation
             // at a time.
             if !waiting && self.running[job].waiting_rj.is_none() {
-                let a = self.slurm.decide_resize(job, now);
+                let a = self.consult(job, idx, now);
                 let rs = self.running.get_mut(job).expect("running");
                 rs.planned = a.is_action().then_some(a);
             }
-            self.begin_segment(job, now);
+            self.pause_then_continue(job, now, self.check_pause());
         }
     }
 
-    /// Resumes compute after the check pause. The pause end would be an
-    /// event whose handler does nothing but begin the next segment, so it
-    /// is left to the engine as a relay (see [`dmr_sim::Engine`]): the
-    /// segment is planned now, as of the pause end, and its
-    /// `SegmentDone` is ranked as if it had been scheduled from there.
-    pub(crate) fn pause_then_continue(&mut self, job: JobId, now: SimTime, pause: Span) {
-        if pause.is_zero() {
-            return self.begin_segment(job, now);
+    /// What a check point costs the job: the runtime↔RMS round trip
+    /// ([`crate::ExperimentConfig::check_overhead_s`]) in synchronous
+    /// mode; nothing in asynchronous mode, where the negotiation overlaps
+    /// the next step.
+    fn check_pause(&self) -> Span {
+        match self.cfg.mode {
+            ScheduleMode::Synchronous => Span::from_secs_f64(self.cfg.check_overhead_s),
+            ScheduleMode::Asynchronous => Span::ZERO,
         }
+    }
+
+    /// One full consultation of the installed policy at `job`'s check
+    /// point. A "no action" also takes the policy's hold for the job's
+    /// current size — unless the inhibitor gates the job's checks: a held
+    /// boundary is exactly one step, never a coalesced run of them.
+    fn consult(&mut self, job: JobId, idx: usize, now: SimTime) -> ResizeAction {
+        self.checks.consulted += 1;
+        let action = self.slurm.decide_resize(job, now);
+        if action == ResizeAction::NoAction && self.inhibitor_period(idx).is_none() {
+            let hold = self.slurm.resize_hold(job);
+            let rs = self.running.get_mut(job).expect("running");
+            rs.hold = hold.map(|hold| (hold, rs.procs));
+        }
+        action
+    }
+
+    /// Resumes compute after a check that changed nothing and cost
+    /// `pause`. A pause end would be an event whose handler does nothing
+    /// but begin the next segment, so it is left to the engine as a relay
+    /// (see [`dmr_sim::Engine`]): the segment is planned now, as of the
+    /// pause end, and its `SegmentDone` is ranked as if it had been
+    /// scheduled from there.
+    pub(crate) fn pause_then_continue(&mut self, job: JobId, now: SimTime, pause: Span) {
+        let (at, then, steps) = self.after_check(job, now, pause);
+        let event = Ev::SegmentDone { job, steps };
+        let ev = match then {
+            Some(then) => self.engine.schedule_relayed(at, then, event),
+            None => self.engine.schedule_at(at, event),
+        };
+        self.track_segment(job, ev);
+    }
+
+    /// Where `job`'s next segment ends after a check at `now` that changed
+    /// nothing and cost `pause`, as `(at, then, steps)`: its `SegmentDone`
+    /// is due at `at`, or — with `then` — is relayed at the pause end `at`
+    /// and fires `then` later. Planned as of the pause end
+    /// ([`Driver::plan_segment`]: steps, slowest-class factor). The
+    /// handled check and the held path both place the segment here.
+    fn after_check(&self, job: JobId, now: SimTime, pause: Span) -> (SimTime, Option<Span>, u32) {
         let resume = now + pause;
         let (duration, steps) = self
             .plan_segment(job, resume)
             .expect("a job at a reconfiguring point has steps left");
-        let ev = self
-            .engine
-            .schedule_relayed(resume, duration, Ev::SegmentDone { job, steps });
-        self.running.get_mut(job).expect("running").inflight = Some(ev);
+        if pause.is_zero() {
+            (resume + duration, None, steps)
+        } else {
+            (resume, Some(duration), steps)
+        }
+    }
+
+    /// A claimable `SegmentDone` fell due ([`dmr_sim::Step::Due`]): the
+    /// held path if the boundary's check is known to change nothing, the
+    /// event's handler otherwise.
+    pub(crate) fn on_due_segment(&mut self, now: SimTime) {
+        let Ev::SegmentDone { job, steps } = *self.engine.due_event() else {
+            unreachable!("only segment ends are marked claimable");
+        };
+        if !self.pass_held(job, steps, now) {
+            let ev = self.engine.fire_due();
+            self.handle(now, ev);
+        }
+    }
+
+    /// The held path (see the module docs): passes `job`'s boundary after
+    /// `steps` more steps at `now` and claims the due event for the next
+    /// segment, or returns `false` having changed nothing.
+    fn pass_held(&mut self, job: JobId, steps: u32, now: SimTime) -> bool {
+        let Some(rs) = self.running.get(job) else {
+            return false;
+        };
+        let Some((hold, size)) = rs.hold else {
+            return false;
+        };
+        // Plans, grants and waiting resizers exist only in asynchronous
+        // mode.
+        if size != rs.procs
+            || rs.retry_expand.is_some()
+            || rs.planned.is_some()
+            || rs.granted_expand.is_some()
+            || rs.waiting_rj.is_some()
+            || rs.steps_done + steps >= self.jobs[rs.spec_idx].spec.steps
+            || !hold.stands(&self.slurm)
+        {
+            return false;
+        }
+        debug_assert_eq!(self.slurm.nodes_of(job), size, "{job:?} resized unseen");
+        let rs = self.running.get_mut(job).expect("running");
+        rs.close_segment(steps, now, self.cfg.ckpt_interval_s);
+        let (at, then, next) = self.after_check(job, now, self.check_pause());
+        debug_assert_eq!(next, steps, "the claimed event names the next segment");
+        match then {
+            Some(then) => self.engine.claim_relayed(at, then),
+            None => self.engine.claim_at(at),
+        }
+        self.checks.held += 1;
+        true
     }
 
     /// A reconfiguration completed: adopt the new process set and resume

@@ -44,4 +44,4 @@ pub use dmr_workload::{WorkloadKind, WorkloadSource};
 pub use driver::{compare_fixed_flexible, run_experiment_with_sink, Simulation};
 pub use error::{DmrError, InjectedFault};
 pub use model::{curve_for, SpeedupCurve};
-pub use result::{ExperimentResult, FaultStats, PowerStats, RunStats};
+pub use result::{CheckStats, ExperimentResult, FaultStats, PowerStats, RunStats};

@@ -33,6 +33,8 @@ pub struct ExperimentResult {
     /// The scheduler's pass counters at the end of the run (see
     /// [`RunStats::sched`]).
     pub sched: dmr_slurm::IncrementalStats,
+    /// How the check points were passed (see [`RunStats::checks`]).
+    pub checks: CheckStats,
 }
 
 /// What the driver itself measures about a run — everything else flows
@@ -52,6 +54,10 @@ pub struct RunStats {
     /// work, not a simulated result — a scheduler that walked every pass
     /// would make the same decisions with other counts.
     pub sched: dmr_slurm::IncrementalStats,
+    /// Check points passed on a standing hold and full policy
+    /// consultations. Host-side work too: every held boundary would have
+    /// been a consultation answering "no action".
+    pub checks: CheckStats,
     /// Energy accounting from the driver's [`dmr_cluster::PowerMeter`].
     pub power: PowerStats,
     /// Fault-injection and recovery accounting (all zeros, ratio fields
@@ -80,6 +86,18 @@ impl RunStats {
             1.0
         };
     }
+}
+
+/// How the check points of a run's flexible jobs were passed: on a
+/// standing [`dmr_slurm::Hold`] without asking the policy, or through a
+/// full consultation ([`dmr_slurm::Slurm::decide_resize`]). Boundaries
+/// the inhibitor swallows and expansion retries count in neither.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CheckStats {
+    /// Check points passed held: the policy's "no action" was known.
+    pub held: u64,
+    /// Check points at which the policy was consulted.
+    pub consulted: u64,
 }
 
 /// `Copy` snapshot of a finished run's [`dmr_cluster::PowerMeter`]: the

@@ -11,6 +11,17 @@
 //! whose pause handler does nothing but schedule the next event saves the
 //! dispatch and a heap round trip per pause, and its event count does not
 //! change.
+//!
+//! An event the world has marked ([`Engine::mark_claimable`]) may be
+//! *claimed* when it falls due: [`Engine::step`] processes the instant
+//! and reports [`Step::Due`], and the world, having looked at the payload
+//! ([`Engine::due_event`]), either takes it ([`Engine::fire_due`]) or
+//! re-keys it in place to a later instant ([`Engine::claim_at`],
+//! [`Engine::claim_relayed`]) — the same rank, sequence number and
+//! processed count as handling it and scheduling it again, without the
+//! heap round trip. A world whose handler, in a state it can recognise
+//! cheaply, would only reschedule the event it was handed saves the
+//! dispatch. Unmarked events never stop at [`Step::Due`].
 
 use crate::queue::{EventKey, EventQueue, Step, CLASS_EARLY, CLASS_NORMAL};
 use crate::time::{SimTime, Span};
@@ -136,6 +147,41 @@ impl<E> Engine<E> {
         self.queue.cancel(id)
     }
 
+    /// Marks a pending event as one the world may claim when it falls due
+    /// (see the module docs). The mark outlives claims; it ends when the
+    /// event fires or is cancelled.
+    pub fn mark_claimable(&mut self, id: EventId) {
+        self.queue.mark(id);
+    }
+
+    /// The payload of the event [`Engine::step`] just reported
+    /// [`Step::Due`].
+    pub fn due_event(&self) -> &E {
+        self.queue.due()
+    }
+
+    /// Hands out the event [`Engine::step`] just reported [`Step::Due`]:
+    /// the world handles it as if it had been [`Step::Fired`].
+    pub fn fire_due(&mut self) -> E {
+        self.queue.fire_due().1
+    }
+
+    /// Claims the event [`Engine::step`] just reported [`Step::Due`],
+    /// keeping its handle: it is pending again at `at`, ranked as if
+    /// fired and scheduled there with [`Engine::schedule_at`] now.
+    pub fn claim_at(&mut self, at: SimTime) {
+        let at = self.not_in_the_past(at);
+        self.queue.claim(at, None);
+    }
+
+    /// Like [`Engine::claim_at`], but ranked as if scheduled with
+    /// [`Engine::schedule_relayed`]: `at` is a pause end and the event
+    /// fires `then` after it.
+    pub fn claim_relayed(&mut self, at: SimTime, then: Span) {
+        let at = self.not_in_the_past(at);
+        self.queue.claim(at, Some(then));
+    }
+
     /// Time of the next pending event without consuming it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.queue.peek_time()
@@ -152,23 +198,27 @@ impl<E> Engine<E> {
 
     /// Pops the next event, advancing the clock to its timestamp — over
     /// the pause ends of relayed events on the way, each of which counts
-    /// as processed.
+    /// as processed. A due marked event is handed out unclaimed.
     pub fn next_event(&mut self) -> Option<(SimTime, E)> {
         loop {
-            if let Step::Fired(t, e) = self.step()? {
-                return Some((t, e));
+            match self.step()? {
+                Step::Fired(t, e) => return Some((t, e)),
+                Step::Due(t) => return Some((t, self.fire_due())),
+                Step::Relayed(_) => {}
             }
         }
     }
 
     /// Advances the clock to the next queue entry and processes it: an
-    /// event to hand out, or a pause end relayed in place. The loop of
-    /// a world that wants to see the clock reach every processed instant
-    /// (the driver samples its metrics sink after each one);
-    /// [`Engine::next_event`] is this minus the relays.
+    /// event to hand out, a pause end relayed in place, or a marked event
+    /// due — which the world must settle before anything else
+    /// ([`Engine::fire_due`] or a claim). The loop of a world that wants
+    /// to see the clock reach every processed instant (the driver samples
+    /// its metrics sink after each one); [`Engine::next_event`] is this
+    /// minus the relays and claims.
     pub fn step(&mut self) -> Option<Step<E>> {
         let step = self.queue.step()?;
-        let (Step::Fired(t, _) | Step::Relayed(t)) = step;
+        let (Step::Fired(t, _) | Step::Relayed(t) | Step::Due(t)) = step;
         debug_assert!(t >= self.now, "event queue went backwards");
         self.now = t;
         self.processed += 1;
@@ -194,8 +244,13 @@ impl<E> Engine<E> {
         while self.peek_time().is_some_and(|t| t <= deadline) {
             // A relayed event's pause end can lie inside the deadline and
             // its firing instant beyond it: re-test after every step.
-            if let Some(Step::Fired(t, e)) = self.step() {
-                handler(self, t, e);
+            match self.step() {
+                Some(Step::Fired(t, e)) => handler(self, t, e),
+                Some(Step::Due(t)) => {
+                    let e = self.fire_due();
+                    handler(self, t, e);
+                }
+                _ => {}
             }
         }
     }
@@ -377,6 +432,37 @@ mod tests {
         assert_eq!(eng.peek_time(), Some(SimTime::from_secs(12)));
         assert_eq!(eng.cancel(id), Some(7), "the handle survives the relay");
         assert_eq!(eng.pending(), 0);
+    }
+
+    #[test]
+    fn a_claim_counts_and_ranks_like_handling_and_rescheduling() {
+        let secs = SimTime::from_secs;
+        // Handled: Tick(0) fires at 2 and its handler relays it again
+        // behind a 1 s pause, to fire at 5 — after Tick(1), already
+        // scheduled there.
+        let mut handled: Engine<Ev> = Engine::new();
+        handled.schedule_at(secs(2), Ev::Tick(0));
+        handled.schedule_at(secs(5), Ev::Tick(1));
+        let (t, e) = handled.next_event().unwrap();
+        assert_eq!((t, &e), (secs(2), &Ev::Tick(0)));
+        handled.schedule_relayed(secs(3), Span::from_secs(2), e);
+        let mut claimed: Engine<Ev> = Engine::new();
+        let id = claimed.schedule_at(secs(2), Ev::Tick(0));
+        claimed.mark_claimable(id);
+        claimed.schedule_at(secs(5), Ev::Tick(1));
+        assert_eq!(claimed.step(), Some(Step::Due(secs(2))));
+        assert_eq!(claimed.now(), secs(2));
+        assert_eq!(claimed.due_event(), &Ev::Tick(0));
+        claimed.claim_relayed(secs(3), Span::from_secs(2));
+        assert_eq!(claimed.processed(), handled.processed());
+        for eng in [&mut handled, &mut claimed] {
+            assert_eq!(eng.next_event(), Some((secs(5), Ev::Tick(1))));
+            assert_eq!(eng.next_event(), Some((secs(5), Ev::Tick(0))));
+            assert_eq!(eng.next_event(), None);
+        }
+        assert_eq!(claimed.processed(), handled.processed());
+        assert_eq!(claimed.processed(), 4);
+        assert_eq!(claimed.cancel(id), None, "the claimed event fired");
     }
 
     #[test]

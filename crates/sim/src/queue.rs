@@ -39,6 +39,18 @@
 //! sequence number is therefore drawn exactly when the two-event chain
 //! would have drawn it, and every event, relayed or not, pops in the
 //! order it would have popped in.
+//!
+//! # Claims
+//!
+//! [`EventQueue::mark`] flags a pending event as one its owner may want
+//! to *claim* when it falls due instead of receiving it. A marked event
+//! at the head is reported as [`Step::Due`] and stays where it is; the
+//! owner then either takes it ([`EventQueue::fire_due`]) or claims it
+//! ([`EventQueue::claim`]): the entry is re-keyed in place to a later
+//! instant — optionally relayed once more — with a sequence number drawn
+//! at that moment, exactly the number a handler that popped the event and
+//! pushed it again would have drawn. The payload, the slot, the key and
+//! the mark stay. An unmarked event pays one flag test for the feature.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -79,12 +91,14 @@ struct Entry {
 }
 
 /// One payload slot: its latest tenant's identity, the sequence number of
-/// that tenant's live entry, the delay it still has to be relayed by, and
-/// its payload until it pops or is cancelled.
+/// that tenant's live entry, the delay it still has to be relayed by,
+/// whether its owner may claim it when due, and its payload until it pops
+/// or is cancelled.
 struct Slot<E> {
     id: u64,
     seq: u64,
     relay: Option<Span>,
+    claimable: bool,
     event: Option<E>,
 }
 
@@ -97,6 +111,10 @@ pub enum Step<E> {
     /// A relayed event reached its first instant (the one reported) and
     /// was re-keyed to its firing instant; it is still pending.
     Relayed(SimTime),
+    /// A marked event is due at the instant reported. It is still at the
+    /// head, and the next call must settle it: [`EventQueue::claim`] or
+    /// [`EventQueue::fire_due`] ([`EventQueue::due`] shows its payload).
+    Due(SimTime),
 }
 
 /// A time-ordered queue of events of type `E` supporting O(log n) push/pop
@@ -176,6 +194,7 @@ impl<E> EventQueue<E> {
             id: seq,
             seq,
             relay,
+            claimable: false,
             event: Some(event),
         };
         let slot = match self.free.pop() {
@@ -238,6 +257,18 @@ impl<E> EventQueue<E> {
         Some(payload)
     }
 
+    /// Marks a pending event as claimable: when it falls due, [`EventQueue::step`]
+    /// reports [`Step::Due`] instead of firing it (see the module docs). The
+    /// mark lasts until the event fires or is cancelled, claims included.
+    /// A key that no longer names a pending event marks nothing.
+    pub fn mark(&mut self, key: EventKey) {
+        if let Some(slot) = self.slots.get_mut(key.slot as usize) {
+            if slot.id == key.id && slot.event.is_some() {
+                slot.claimable = true;
+            }
+        }
+    }
+
     /// Time of the earliest live entry, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.peek_head().map(|(t, _)| t)
@@ -254,18 +285,22 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest live event, relaying on the way
-    /// every event whose first instant comes before it.
+    /// every event whose first instant comes before it. A due marked
+    /// event fires like any other.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
-            if let Step::Fired(time, event) = self.step()? {
-                return Some((time, event));
+            match self.step()? {
+                Step::Fired(time, event) => return Some((time, event)),
+                Step::Due(_) => return Some(self.fire_due()),
+                Step::Relayed(_) => {}
             }
         }
     }
 
-    /// Acts on the earliest live entry: fires it, or relays it if it is
-    /// an event at its first instant. `None` when the queue is empty.
-    pub(crate) fn step(&mut self) -> Option<Step<E>> {
+    /// Acts on the earliest live entry: fires it, relays it if it is an
+    /// event at its first instant, or reports it due if it is marked.
+    /// `None` when the queue is empty.
+    pub fn step(&mut self) -> Option<Step<E>> {
         self.settle_head();
         let mut head = self.heap.peek_mut()?;
         let tenant = &mut self.slots[head.0.slot as usize];
@@ -281,12 +316,58 @@ impl<E> EventQueue<E> {
             head.0.seq = tenant.seq;
             return Some(Step::Relayed(first));
         }
+        if tenant.claimable {
+            return Some(Step::Due(head.0.time));
+        }
         let Reverse(entry) = PeekMut::pop(head);
         let event = self
             .vacate(entry.slot)
             .expect("settle_head guarantees the head entry is live");
         self.maybe_compact();
         Some(Step::Fired(entry.time, event))
+    }
+
+    /// The payload of the event [`EventQueue::step`] just reported
+    /// [`Step::Due`].
+    pub fn due(&self) -> &E {
+        let Reverse(head) = self.heap.peek().expect("an event is due");
+        let tenant = &self.slots[head.slot as usize];
+        debug_assert!(tenant.claimable, "the head is not a due marked event");
+        tenant.event.as_ref().expect("the due event is pending")
+    }
+
+    /// Takes the event [`EventQueue::step`] just reported [`Step::Due`]
+    /// out of the queue, as a step would have fired it.
+    pub fn fire_due(&mut self) -> (SimTime, E) {
+        let head = self.heap.peek_mut().expect("an event is due");
+        debug_assert!(self.slots[head.0.slot as usize].claimable);
+        let Reverse(entry) = PeekMut::pop(head);
+        let event = self.vacate(entry.slot).expect("the due event is pending");
+        self.maybe_compact();
+        (entry.time, event)
+    }
+
+    /// Claims the event [`EventQueue::step`] just reported [`Step::Due`]:
+    /// it stays pending, re-keyed in place to `at` in [`CLASS_NORMAL`]
+    /// under a sequence number drawn now, and — with `relay` — is relayed
+    /// again there, to fire `relay` later. That is the rank the event
+    /// would have had if it had fired and been pushed again with
+    /// [`EventQueue::push`] or [`EventQueue::push_relayed`] at this
+    /// moment. `at` must not precede the due instant.
+    pub fn claim(&mut self, at: SimTime, relay: Option<Span>) {
+        let mut head = self.heap.peek_mut().expect("an event is due");
+        let tenant = &mut self.slots[head.0.slot as usize];
+        debug_assert!(tenant.claimable && tenant.relay.is_none());
+        debug_assert!(at >= head.0.time, "claimed into the past");
+        tenant.seq = self.next_seq;
+        self.next_seq += 1;
+        tenant.relay = relay;
+        // The new key ranks after the old one (a later instant, or the
+        // same one under a later sequence number), so the entry sinks to
+        // its rank when the borrow of the head ends.
+        head.0.time = at;
+        head.0.class = CLASS_NORMAL;
+        head.0.seq = tenant.seq;
     }
 
     /// Whether the stored entry still names a pending event: its slot's
@@ -481,6 +562,51 @@ mod tests {
         assert_eq!(q.step(), Some(Step::Relayed(SimTime(20))));
         assert_eq!(q.pop(), Some((SimTime(25), "late")));
         assert_eq!(q.pop(), Some((SimTime(60), "early")));
+    }
+
+    #[test]
+    fn a_claimed_event_ranks_as_if_fired_and_pushed_again() {
+        // By hand: `a` fires at 10 and its handler pushes it for 30,
+        // after `b` was pushed for that instant.
+        let mut literal = EventQueue::new();
+        literal.push(SimTime(10), "a");
+        literal.push(SimTime(30), "b");
+        let (_, a) = literal.pop().unwrap();
+        literal.push(SimTime(30), a);
+        let mut claimed = EventQueue::new();
+        let key = claimed.push(SimTime(10), "a");
+        claimed.mark(key);
+        claimed.push(SimTime(30), "b");
+        assert_eq!(claimed.step(), Some(Step::Due(SimTime(10))));
+        assert_eq!(*claimed.due(), "a");
+        claimed.claim(SimTime(30), None);
+        assert_eq!((claimed.len(), claimed.heap_len()), (2, 2));
+        // The mark survives the claim: `a` is due again, behind `b`.
+        assert_eq!(claimed.step(), Some(Step::Fired(SimTime(30), "b")));
+        assert_eq!(claimed.step(), Some(Step::Due(SimTime(30))));
+        assert_eq!(claimed.fire_due(), (SimTime(30), "a"));
+        assert_eq!(literal.pop(), Some((SimTime(30), "b")));
+        assert_eq!(literal.pop(), Some((SimTime(30), "a")));
+        assert_eq!(claimed.cancel(key), None, "fired");
+        assert!(claimed.is_empty() && literal.is_empty());
+    }
+
+    #[test]
+    fn a_claim_can_relay_and_the_first_key_still_cancels() {
+        let mut q = EventQueue::new();
+        let key = q.push(SimTime(5), "seg");
+        q.mark(key);
+        assert_eq!(q.step(), Some(Step::Due(SimTime(5))));
+        q.claim(SimTime(6), Some(Span(10)));
+        assert_eq!(q.step(), Some(Step::Relayed(SimTime(6))));
+        assert_eq!(q.peek_time(), Some(SimTime(16)));
+        assert_eq!(q.cancel(key), Some("seg"));
+        assert_eq!(q.step(), None);
+        // The slot's next tenant is not marked through the stale key.
+        q.push(SimTime(20), "plain");
+        assert_eq!(q.slab_len(), 1);
+        q.mark(key);
+        assert_eq!(q.step(), Some(Step::Fired(SimTime(20), "plain")));
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub mod slurm;
 pub use arena::{JobArena, JobMap};
 pub use job::{Dependency, Job, JobId, JobName, JobRequest, JobState, ResizeEnvelope};
 pub use policy::{
-    Algorithm1, EnergyAware, FairShare, PolicyKind, ResizeAction, ResizePolicy, UtilizationTarget,
+    Algorithm1, EnergyAware, FairShare, Hold, PolicyKind, ResizeAction, ResizePolicy,
+    UtilizationTarget,
 };
 pub use slotset::{BackfillFamily, SlotSet};
 pub use slurm::{ExpandError, IncrementalStats, JobStart, Slurm, SlurmConfig};

@@ -8,6 +8,9 @@
 //! * [`ResizePolicy`] — the plug-in interface. A policy is a pure decision
 //!   function over the scheduler's public state; every side effect (the
 //!   §IV-3 priority boost, the §III protocols) stays in the mechanism.
+//! * [`Hold`] — what a policy may promise about its "no action" verdicts,
+//!   so a caller can skip consultations whose answer is known
+//!   ([`Algorithm1`] without a preference and [`EnergyAware`] grant one).
 //! * [`PolicyKind`] — a `Copy` selector carried by
 //!   [`crate::slurm::SlurmConfig`], so experiment configurations stay
 //!   plain data.
@@ -44,6 +47,45 @@ impl ResizeAction {
     }
 }
 
+/// When a policy's "no action" for one job provably repeats: a promise
+/// that, while the job stays at the size the hold was granted at,
+/// [`ResizePolicy::decide`] answers [`ResizeAction::NoAction`] in every
+/// scheduler state where [`Hold::stands`]. The conditions read only the
+/// free count, the queued count and one seek of the need view, so a
+/// caller can test them at every step boundary for far less than a
+/// consultation costs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Hold {
+    /// The hold breaks once this many nodes are free (`u32::MAX`: never).
+    pub expand_at: u32,
+    /// The hold breaks while a queued job needs more than the free nodes
+    /// and at most `reach` more (0: no queued job can break it).
+    pub reach: u32,
+    /// `Some(q)`: the hold stands only while whether anything is queued
+    /// equals `q`.
+    pub queued: Option<bool>,
+}
+
+impl Hold {
+    /// Whether the hold's conditions stand in `slurm`'s current state.
+    pub fn stands(&self, slurm: &Slurm) -> bool {
+        let free = slurm.cluster().free_nodes();
+        if free >= self.expand_at {
+            return false;
+        }
+        if self
+            .queued
+            .is_some_and(|q| q != (slurm.queued_count() != 0))
+        {
+            return false;
+        }
+        self.reach == 0
+            || slurm
+                .min_queued_need_above(free)
+                .is_none_or(|need| need > free.saturating_add(self.reach))
+    }
+}
+
 /// A reconfiguration decision procedure — the paper's RMS plug-in.
 ///
 /// Implementations read the scheduler through `&Slurm` only; the
@@ -57,6 +99,14 @@ pub trait ResizePolicy: Send {
 
     /// Decide the resize action for running flexible job `job`.
     fn decide(&mut self, slurm: &Slurm, job: JobId, now: SimTime) -> ResizeAction;
+
+    /// The conditions under which [`ResizePolicy::decide`] answers "no
+    /// action" for running flexible job `job` at its current size, in any
+    /// scheduler state (see [`Hold`]), or `None` when the policy cannot
+    /// say cheaply. The default promises nothing.
+    fn hold(&self, _slurm: &Slurm, _job: JobId) -> Option<Hold> {
+        None
+    }
 
     /// How many currently idle nodes the policy wants powered down to
     /// their off state (S5). The driver consults this once per
@@ -218,6 +268,44 @@ impl ResizePolicy for Algorithm1 {
             wide_optimization(slurm, current, free, env)
         }
     }
+
+    /// Without a preference the verdict is lines 13–24's alone: no
+    /// action exactly while no queued job is within the deepest shrink's
+    /// reach and one factor step does not fit the free nodes.
+    fn hold(&self, slurm: &Slurm, job: JobId) -> Option<Hold> {
+        let env = envelope_of(slurm, job);
+        if env.preferred.is_some() {
+            return None;
+        }
+        let current = slurm.nodes_of(job);
+        Some(Hold {
+            expand_at: expand_threshold(env, current),
+            reach: shrink_reach(env, current),
+            queued: None,
+        })
+    }
+}
+
+/// The fewest free nodes with which [`ResizeEnvelope::max_procs_to`]
+/// towards the envelope maximum finds a step from `current` — the growth
+/// of one factor step — or `u32::MAX` when that step leaves the envelope.
+fn expand_threshold(env: ResizeEnvelope, current: u32) -> u32 {
+    if env.factor < 2 || current == 0 {
+        return u32::MAX;
+    }
+    match current.checked_mul(env.factor) {
+        Some(t) if t <= env.max => t - current,
+        _ => u32::MAX,
+    }
+}
+
+/// The nodes the deepest step of `current`'s shrink chain releases — the
+/// most [`shrink_for_first_blocked`] can offer a queued job (0 at the
+/// envelope floor).
+fn shrink_reach(env: ResizeEnvelope, current: u32) -> u32 {
+    env.shrink_steps(current)
+        .last()
+        .map_or(0, |to| current - to)
 }
 
 /// Lines 13–24 of Algorithm 1.
@@ -250,16 +338,17 @@ fn wide_optimization(slurm: &Slurm, current: u32, free: u32, env: ResizeEnvelope
 /// Shrinking to the deepest step of the chain releases `reach` nodes, so
 /// the beneficiary is the first queued job requesting more than `free`
 /// and at most `free + reach`. A job already at its envelope floor has
-/// an empty chain and returns before the queue is looked at — the common
-/// case on an overloaded machine. Otherwise the scheduler's need view
-/// answers in O(distinct needs in range), whatever the queue depth.
+/// an empty chain (`reach` 0) and returns before the queue is looked at
+/// — the common case on an overloaded machine. Otherwise the scheduler's
+/// need view answers in O(distinct needs in range), whatever the queue
+/// depth.
 fn shrink_for_first_blocked(
     slurm: &Slurm,
     current: u32,
     free: u32,
     env: ResizeEnvelope,
 ) -> Option<ResizeAction> {
-    let reach = current - env.shrink_steps(current).last()?;
+    let reach = shrink_reach(env, current);
     let (beneficiary, req) = slurm.first_queued_needing(free, reach)?;
     let missing = req - free;
     let to = env
@@ -384,6 +473,22 @@ impl ResizePolicy for EnergyAware {
             },
             None => ResizeAction::NoAction,
         }
+    }
+
+    /// With jobs queued the verdict is the beneficiary search alone, so
+    /// no action holds while nobody queued is within the deepest shrink's
+    /// reach. At the envelope floor, with no preference above the current
+    /// size, both branches answer no action whatever the queue holds.
+    fn hold(&self, slurm: &Slurm, job: JobId) -> Option<Hold> {
+        let env = envelope_of(slurm, job);
+        let current = slurm.nodes_of(job);
+        let reach = shrink_reach(env, current);
+        let anywhere = reach == 0 && env.preferred.is_none_or(|pref| pref <= current);
+        Some(Hold {
+            expand_at: u32::MAX,
+            reach,
+            queued: (!anywhere).then_some(true),
+        })
     }
 
     fn idle_power_down(&self, slurm: &Slurm, _now: SimTime) -> u32 {
@@ -530,6 +635,17 @@ impl Slurm {
             }
         }
         decision
+    }
+
+    /// The installed policy's [`Hold`] for running flexible job `id` at
+    /// its current size ([`ResizePolicy::hold`]); `None` for any other
+    /// job, and from a policy that grants none.
+    pub fn resize_hold(&self, id: JobId) -> Option<Hold> {
+        let job = self.job(id)?;
+        if job.state != JobState::Running || job.resize.is_none() {
+            return None;
+        }
+        self.installed_policy()?.hold(self, id)
     }
 
     /// Consults the installed policy's power verdict

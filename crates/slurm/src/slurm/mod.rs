@@ -249,9 +249,13 @@ impl Slurm {
 
     /// Name of the installed policy (sweep CSV labelling).
     pub fn policy_name(&self) -> &'static str {
-        self.policy
-            .as_deref()
+        self.installed_policy()
             .map_or("<consulting>", ResizePolicy::name)
+    }
+
+    /// The installed policy; `None` only while it is being consulted.
+    pub(crate) fn installed_policy(&self) -> Option<&dyn ResizePolicy> {
+        self.policy.as_deref()
     }
 
     /// Detaches the policy so [`crate::policy`] can pass `&Slurm` to it.

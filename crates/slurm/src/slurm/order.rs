@@ -38,6 +38,12 @@ impl Slurm {
             .first_needing(free, free.saturating_add(reach))
     }
 
+    /// The smallest request above `free` nodes among the queued jobs —
+    /// one seek of the need view.
+    pub(crate) fn min_queued_need_above(&self, free: u32) -> Option<u32> {
+        self.pending_index.min_need_above(free)
+    }
+
     /// Drops the memoized pending order. Must be called by every mutation
     /// that can change the pending set or any priority input.
     pub(super) fn invalidate_queue_cache(&self) {

@@ -7,9 +7,10 @@
 mod common;
 
 use common::{pin, run_recorded as run};
-use dmr::core::{ExperimentConfig, ExperimentResult};
+use dmr::core::{ExperimentConfig, ExperimentResult, MetricsSink};
 use dmr::metrics::JobOutcome;
-use dmr::workload::{JobSpec, WorkloadConfig, WorkloadGenerator};
+use dmr::sim::SimTime;
+use dmr::workload::{JobSpec, WorkloadConfig, WorkloadGenerator, WorkloadSource};
 
 /// A run's result and its per-job outcomes in submission order.
 type Run = (ExperimentResult, Vec<JobOutcome>);
@@ -201,6 +202,80 @@ const TRACE_MIXED_300: MixedPin = (
     4738881594021293022,
     8488999103349633714,
 );
+
+/// Counts the samples a run feeds its sink.
+#[derive(Default)]
+struct SampleCounter {
+    samples: u64,
+}
+
+impl MetricsSink for SampleCounter {
+    fn on_sample(&mut self, _: SimTime, _: f64, _: f64, _: f64) {
+        self.samples += 1;
+    }
+
+    fn on_job(&mut self, _: u64, _: JobOutcome) {}
+}
+
+/// What a run's check points are pinned by: events, sink samples, check
+/// points passed held and policy consultations.
+type CheckPin = (u64, u64, u64, u64);
+
+/// Events and samples recorded from the build before check points could
+/// be held, where every one of them was a consultation (1 440, 1 185, 873
+/// and 7 205): a held boundary is still one processed, sampled event, so
+/// those two columns, and `held + consulted`, must not move. Re-record as
+/// for the pins above.
+const CHECK_PINS: [(&str, CheckPin); 4] = [
+    ("sync-flexible", (3353, 3523, 1233, 207)),
+    ("async-flexible", (2162, 2359, 846, 339)),
+    ("inhibited-real-mix", (2325, 2425, 0, 873)),
+    ("three-class-faulty", (17766, 18562, 6697, 508)),
+];
+
+/// A synchronous and an asynchronous flexible run on the paper's
+/// testbed, the real application mix with every job's checks gated by a
+/// 15 s inhibitor, and the three-class faulty checkpointed conservative
+/// run above: how their check points were passed. Only the inhibited run
+/// holds none — the inhibitor coalesces steps, and a held boundary is
+/// exactly one. Prints one line per run (CI greps them).
+#[test]
+fn check_points_pass_held_without_moving_an_event_or_a_sample() {
+    use dmr::core::{Simulation, WorkloadKind};
+    use dmr::workload::{Feitelson, GpuShare};
+    let fs = || Feitelson::new(WorkloadConfig::fs_preliminary(60), 20170814);
+    let testbed = ExperimentConfig::preliminary();
+    let runs: [(ExperimentConfig, Box<dyn WorkloadSource>); 4] = [
+        (testbed, Box::new(fs())),
+        (testbed.asynchronous(), Box::new(fs())),
+        (
+            testbed.with_inhibitor(Some(15.0)),
+            WorkloadKind::RealMix.build(40, 20170814),
+        ),
+        (
+            trace_mixed_config(),
+            Box::new(GpuShare::new(
+                Feitelson::new(WorkloadConfig::fs_preliminary(300), 20170814),
+                250,
+            )),
+        ),
+    ];
+    for ((cfg, mut source), (shape, pin)) in runs.into_iter().zip(CHECK_PINS) {
+        let mut counter = SampleCounter::default();
+        let r = Simulation::new(&cfg)
+            .source(source.as_mut())
+            .sink(&mut counter)
+            .run()
+            .expect("a valid configuration");
+        let (held, consulted) = (r.checks.held, r.checks.consulted);
+        println!(
+            "held_checks: {shape} held {held} consulted {consulted} events {} samples {}",
+            r.events, counter.samples
+        );
+        assert_eq!((r.events, counter.samples, held, consulted), pin, "{shape}");
+        assert_eq!(held > 0, shape != "inhibited-real-mix", "{shape}");
+    }
+}
 
 #[test]
 fn three_class_conservative_faulty_run_is_pinned() {

@@ -4,11 +4,13 @@
 //! therefore sweep determinism) rests on. A model property drives one
 //! random op sequence — pushes in both event classes, tombstone
 //! cancellations, relayed pushes, interleaved pops that trigger
-//! compaction — through the queue and a sorted `Vec<(time, class, seq)>`
-//! reference, which plays every relay out as the two events it stands
-//! for, and requires every pop, peek and live count to agree.
+//! compaction, marked events claimed in place when due — through the
+//! queue and a sorted `Vec<(time, class, seq)>` reference, which plays
+//! every relay out as the two events it stands for and every claim as a
+//! pop and a push at the same moment, and requires every pop, peek and
+//! live count to agree.
 
-use dmr::sim::queue::{EventQueue, CLASS_EARLY, CLASS_NORMAL};
+use dmr::sim::queue::{EventQueue, Step, CLASS_EARLY, CLASS_NORMAL};
 use dmr::sim::{SimTime, Span};
 use proptest::prelude::*;
 
@@ -167,8 +169,18 @@ proptest! {
     /// slot, so a slot freed by one op is re-tenanted by the next op's
     /// push: the keys kept in `dead` (popped or cancelled in an earlier
     /// op) all name a slot that now holds a different, live event.
-    /// Cancelling one must miss and leave that tenant alone, and the
-    /// slab must never outgrow the high-water mark of live events.
+    /// Cancelling one must miss and leave that tenant alone, marking one
+    /// must not mark the tenant, and the slab must never outgrow the
+    /// high-water mark of live events.
+    ///
+    /// Half the plain pushes and half the relayed ones are marked
+    /// claimable, and one op in five steps the queue the way the engine
+    /// does. A marked event that falls due is fired, claimed in place
+    /// for a later instant (a zero-pause claim) or claimed relayed behind
+    /// a pause. The model has no claim either: it pops the event and
+    /// pushes it straight back — as a plain event, or as a marker — under
+    /// a sequence number drawn at that moment. A claimed event keeps its
+    /// first key, so cancellations reach it after its claims as well.
     #[test]
     fn queue_matches_a_sorted_vec_model(
         ops in proptest::collection::vec(
@@ -204,6 +216,7 @@ proptest! {
         let mut next_seq = 0;
         let mut keys = Vec::new();
         let mut dead = Vec::new();
+        let mut marked = std::collections::HashSet::new();
         let mut high_water = 0;
         for (event, &(time, near, early, hint, action, kind)) in ops.iter().enumerate() {
             // Half the pushes share a handful of instants, so ties
@@ -223,6 +236,10 @@ proptest! {
                 insert(&mut model, ((time, class, next_seq), event, None));
             }
             next_seq += 1;
+            if kind == 2 || (kind == 0 && hint % 2 == 1) {
+                q.mark(keys[event]);
+                marked.insert(event);
+            }
             high_water = high_water.max(model.len());
             match action {
                 0 => {
@@ -239,12 +256,53 @@ proptest! {
                     prop_assert_eq!(q.pop(), want);
                     dead.extend(want.map(|(_, e)| keys[e]));
                 }
+                2 => {
+                    // One engine step after another until something is
+                    // handed out or falls due: the model's next pop.
+                    let want = pop(&mut model, &mut next_seq);
+                    let got = loop {
+                        match q.step() {
+                            Some(Step::Relayed(_)) => {}
+                            Some(Step::Fired(t, e)) => break Some((t, e, false)),
+                            Some(Step::Due(t)) => break Some((t, *q.due(), true)),
+                            None => break None,
+                        }
+                    };
+                    prop_assert_eq!(got.map(|(t, e, _)| (t, e)), want);
+                    if let Some((t, e, due)) = got {
+                    prop_assert_eq!(due, marked.contains(&e), "marks diverged at op {}", event);
+                    match (due, hint % 3) {
+                        (true, 1) => {
+                            // Claimed in place: the model fired it and
+                            // pushes it again, now.
+                            let at = t + Span(time.0 % 8);
+                            q.claim(at, None);
+                            insert(&mut model, ((at, CLASS_NORMAL, next_seq), e, None));
+                            next_seq += 1;
+                        }
+                        (true, 2) => {
+                            // Claimed behind a pause, relayed again.
+                            let (pause, delay) = (Span(hint % 8), Span(time.0 % 16));
+                            q.claim(t + pause, Some(delay));
+                            insert(&mut model, ((t + pause, CLASS_NORMAL, next_seq), e, Some(delay)));
+                            next_seq += 1;
+                        }
+                        (true, _) => {
+                            prop_assert_eq!(q.fire_due(), (t, e));
+                            dead.push(keys[e]);
+                        }
+                        (false, _) => dead.push(keys[e]),
+                    }
+                    }
+                }
                 3 if !dead.is_empty() => {
                     // A stale key whose slot has a new tenant: the model
                     // is untouched, so the checks below (and the final
-                    // drain) prove the tenant stayed live.
+                    // drain) prove the tenant stayed live — and unmarked
+                    // unless its own push marked it.
                     let stale = dead[(hint as usize) % dead.len()];
                     prop_assert_eq!(q.cancel(stale), None, "stale key hit a reused slot");
+                    q.mark(stale);
                 }
                 _ => {}
             }

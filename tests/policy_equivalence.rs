@@ -16,6 +16,11 @@
 //! `UtilizationTarget` and `EnergyAware`. Every pass, and the pending
 //! order itself, runs in lockstep with the model scheduler, whose order
 //! is a sort of the pending jobs on every call.
+//!
+//! The last part checks [`Hold`]s: which policies grant them, and that
+//! one granted earlier that still stands, at the size it was granted at,
+//! is a "no action" of `Algorithm1` and `EnergyAware` — on seeded drives
+//! of random scheduler operations between grant and check.
 
 mod common;
 
@@ -23,7 +28,8 @@ use common::lockstep::{Lockstep, Op, Outcome, Setup};
 use dmr::cluster::ClassTable;
 use dmr::sim::{SimTime, Span};
 use dmr::slurm::{
-    JobId, JobRequest, JobState, PolicyKind, ResizeAction, ResizeEnvelope, Slurm, SlurmConfig,
+    Hold, JobId, JobRequest, JobStart, JobState, PolicyKind, ResizeAction, ResizeEnvelope, Slurm,
+    SlurmConfig,
 };
 use dmr_cluster::Cluster;
 use proptest::prelude::*;
@@ -140,11 +146,18 @@ fn request(i: usize, nodes: u32, (size, flexible, min, max, prefer): JobShape) -
     )
 }
 
+/// A `nodes`-node scheduler with `policy` installed.
+fn slurm_with(nodes: u32, policy: PolicyKind) -> Slurm {
+    let mut cfg = SlurmConfig::for_cluster(nodes);
+    cfg.policy = policy;
+    Slurm::new(Cluster::new(nodes, 16), cfg)
+}
+
 /// Builds a randomized scheduler state: `nodes`-node cluster, a batch of
 /// jobs of mixed rigidity/sizes/preferences submitted over staggered
 /// instants with scheduling cycles in between, so some run, some queue.
-fn build_state(nodes: u32, jobs: &[JobShape]) -> (Slurm, SimTime) {
-    let mut s = Slurm::with_cluster(Cluster::new(nodes, 16));
+fn build_state(nodes: u32, policy: PolicyKind, jobs: &[JobShape]) -> (Slurm, SimTime) {
+    let mut s = slurm_with(nodes, policy);
     let mut now = SimTime::ZERO;
     for (i, &shape) in jobs.iter().enumerate() {
         now = SimTime::from_secs(i as u64 * 3);
@@ -166,7 +179,7 @@ proptest! {
             1..12,
         ),
     ) {
-        let (mut s, now) = build_state(nodes, &jobs);
+        let (mut s, now) = build_state(nodes, PolicyKind::Algorithm1, &jobs);
         let ids: Vec<JobId> = s
             .jobs()
             .filter(|j| j.state == JobState::Running)
@@ -196,7 +209,7 @@ proptest! {
             1..10,
         ),
     ) {
-        let (mut s, now) = build_state(nodes, &jobs);
+        let (mut s, now) = build_state(nodes, PolicyKind::Algorithm1, &jobs);
         let ids: Vec<(JobId, bool, bool)> = s
             .jobs()
             .map(|j| (j.id, j.state == JobState::Running, j.resize.is_some()))
@@ -381,5 +394,223 @@ proptest! {
             }
             consult_everyone(&mut h, policy, false)?;
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Holds: a standing hold is a "no action" known in advance.
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `Algorithm1` grants a hold to every running flexible job without a
+    /// preference and `EnergyAware` to every one; `UtilizationTarget`,
+    /// `FairShare`, and any job that is rigid or not running get none.
+    #[test]
+    fn only_algorithm1_without_a_preference_and_energy_aware_grant_holds(
+        nodes in 4u32..41,
+        which in 0u8..4,
+        jobs in proptest::collection::vec(
+            (1u32..20, proptest::bool::ANY, 1u32..8, 4u32..33, proptest::bool::ANY),
+            1..16,
+        ),
+    ) {
+        let policy = common::policy_for(which);
+        let (s, _) = build_state(nodes, policy, &jobs);
+        for job in s.jobs() {
+            let flexible_running = job.state == JobState::Running && job.resize.is_some();
+            let preferred = job.resize.is_some_and(|env| env.preferred.is_some());
+            let granted = match policy {
+                PolicyKind::Algorithm1 => flexible_running && !preferred,
+                PolicyKind::EnergyAware { .. } => flexible_running,
+                _ => false,
+            };
+            let hold = s.resize_hold(job.id);
+            prop_assert_eq!(hold.is_some(), granted, "{:?} under {:?}", job.id, policy);
+        }
+    }
+}
+
+/// How often a hold soundness drive exercised each side of the hold.
+#[derive(Default, Debug)]
+struct HoldCoverage {
+    /// A hold granted earlier stood at its size; the policy was asked.
+    stood: usize,
+    /// Of those, holds with a reach that stood while jobs were queued:
+    /// the need-view seek decided.
+    stood_within_reach: usize,
+    /// A hold at its size did not stand.
+    broke: usize,
+}
+
+/// Every running flexible job's hold in `s`'s current state, with the
+/// size it was granted at.
+fn grant_holds(s: &Slurm) -> Vec<(JobId, u32, Hold)> {
+    s.jobs()
+        .filter(|j| j.state == JobState::Running)
+        .filter_map(|j| Some((j.id, s.nodes_of(j.id), s.resize_hold(j.id)?)))
+        .collect()
+}
+
+/// Finishes the expansions whose resizers a pass just started.
+fn wire(s: &mut Slurm, starts: Vec<JobStart>, now: SimTime) {
+    for st in starts {
+        if st.resizer_for.is_some() {
+            s.finish_expand(st.id, now)
+                .expect("a started resizer finishes");
+        }
+    }
+}
+
+/// One seeded drive of `policy`: a machine of 8 to 40 nodes and a backlog
+/// that fills it, then 60 random scheduler operations — submissions,
+/// passes, completions, cancellations, boosts, expansions (granted on the
+/// spot or through a queued resizer) and shrinks — at advancing instants.
+/// Every running flexible job is granted a hold at the start and every
+/// few operations; after every operation, each hold granted so far whose
+/// job still runs at the size it was granted at and that stands must be
+/// a "no action" of the policy.
+fn drive_holds(policy: PolicyKind, seed: u64, cov: &mut HoldCoverage) -> Result<(), String> {
+    let mut rand = common::xorshift(seed);
+    let nodes = 8 + (rand() % 33) as u32;
+    let mut s = slurm_with(nodes, policy);
+    let shape = |rand: &mut dyn FnMut() -> u64| -> JobShape {
+        let size = 1 + (rand() % 16) as u32;
+        let min = 1 + (rand() % 4) as u32;
+        let max = 4 + (rand() % 37) as u32;
+        let flexible = !rand().is_multiple_of(3);
+        let prefer = rand().is_multiple_of(5);
+        (size, flexible, min, max, prefer)
+    };
+    let mut submitted = 0;
+    let mut now = SimTime::ZERO;
+    for _ in 0..(nodes as usize / 2 + rand() as usize % 24) {
+        s.submit(request(submitted, nodes, shape(&mut rand)), now);
+        submitted += 1;
+    }
+    let starts = s.schedule(now);
+    wire(&mut s, starts, now);
+    let mut holds = grant_holds(&s);
+    for op in 0..60 {
+        now += Span::from_secs(1 + rand() % 30);
+        let in_state = |s: &Slurm, state| -> Vec<JobId> {
+            s.jobs()
+                .filter(|j| j.state == state && !j.is_resizer())
+                .map(|j| j.id)
+                .collect()
+        };
+        let (running, queued) = (
+            in_state(&s, JobState::Running),
+            in_state(&s, JobState::Pending),
+        );
+        let pick =
+            |jobs: &[JobId], r: u64| (!jobs.is_empty()).then(|| jobs[r as usize % jobs.len()]);
+        let r = rand();
+        match rand() % 9 {
+            0 | 1 => {
+                s.submit(request(submitted, nodes, shape(&mut rand)), now);
+                submitted += 1;
+            }
+            2 => {
+                let starts = s.schedule(now);
+                wire(&mut s, starts, now);
+            }
+            3 => {
+                let starts = s.backfill_pass(now);
+                wire(&mut s, starts, now);
+            }
+            4 => {
+                if let Some(j) = pick(&running, r) {
+                    s.complete(j, now);
+                    let starts = s.schedule(now);
+                    wire(&mut s, starts, now);
+                }
+            }
+            // A third of the cancellations empty the queue: the hold of
+            // `EnergyAware` rests on whether anything is queued.
+            5 if r.is_multiple_of(3) => {
+                for &j in &queued {
+                    s.cancel(j, now);
+                }
+            }
+            5 => {
+                if let Some(j) = pick(&queued, r) {
+                    s.cancel(j, now);
+                }
+            }
+            6 => {
+                if let Some(j) = pick(&queued, r) {
+                    s.boost(j);
+                }
+            }
+            7 => {
+                if let Some(j) = pick(&running, r) {
+                    let to = s.nodes_of(j) * 2;
+                    let _ = s.expand_protocol(j, to, now);
+                }
+            }
+            _ => {
+                if let Some(j) = pick(&running, r) {
+                    let current = s.nodes_of(j);
+                    let step = s
+                        .job(j)
+                        .and_then(|job| job.resize?.shrink_steps(current).next());
+                    if let Some(to) = step {
+                        s.shrink_protocol(j, to, now)
+                            .expect("a running job shrinks");
+                    }
+                }
+            }
+        }
+        if op % 6 == 5 {
+            holds.extend(grant_holds(&s));
+        }
+        for &(id, size, hold) in &holds {
+            let running = s.job(id).is_some_and(|j| j.state == JobState::Running);
+            if !running || s.nodes_of(id) != size {
+                continue;
+            }
+            if !hold.stands(&s) {
+                cov.broke += 1;
+                continue;
+            }
+            cov.stood += 1;
+            if hold.reach > 0 && s.queued_count() > 0 {
+                cov.stood_within_reach += 1;
+            }
+            prop_assert_eq!(
+                s.decide_resize(id, now),
+                ResizeAction::NoAction,
+                "{:?} at {} nodes under {:?} (seed {}, op {}): {:?}",
+                id,
+                size,
+                policy,
+                seed,
+                op,
+                hold
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Hold soundness: under `Algorithm1` and `EnergyAware`, on randomized
+/// queue and cluster states, a hold granted earlier that still stands
+/// means the policy answers "no action" — whatever happened in between.
+/// The drives must reach both sides of every hold often.
+#[test]
+fn a_standing_hold_means_no_action() {
+    for policy in [PolicyKind::Algorithm1, PolicyKind::energy_aware()] {
+        let mut cov = HoldCoverage::default();
+        for seed in 0..48 {
+            if let Err(msg) = drive_holds(policy, seed, &mut cov) {
+                panic!("{msg}");
+            }
+        }
+        assert!(
+            cov.stood >= 1000 && cov.stood_within_reach >= 100 && cov.broke >= 1000,
+            "{policy:?}: {cov:?}"
+        );
     }
 }
