@@ -1,5 +1,5 @@
 //! Hot-path micro-benchmarks of the scheduler alone: node allocation,
-//! pending-order consultation, the EASY backfill pass (reservation +
+//! the EASY backfill pass (reservation +
 //! reap), the churn driver of `dmr_bench::hotpath`, and the slab job
 //! table against the `BTreeMap` it replaced. The `churn` group is where
 //! the large-machine cells (65 536 nodes × 100 000 pending: base,
@@ -53,22 +53,6 @@ fn deep_queue(pending: u32) -> Slurm {
         );
     }
     s
-}
-
-fn bench_pending_order(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pending_order");
-    for pending in [1_000u32, 10_000] {
-        g.bench_function(format!("rebuild_q{pending}"), |b| {
-            b.iter_batched(
-                || deep_queue(pending),
-                // A fresh scheduler has no cached order, so this times
-                // one full order build.
-                |s| black_box(s.pending_queue(SimTime::from_secs(99_999)).len()),
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
 }
 
 fn bench_backfill(c: &mut Criterion) {
@@ -208,7 +192,6 @@ fn bench_job_table(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_allocate,
-    bench_pending_order,
     bench_backfill,
     bench_churn,
     bench_job_table

@@ -89,34 +89,6 @@ fn bench_policy(c: &mut Criterion) {
     g.finish();
 }
 
-/// The per-instant pending-order cache win: one scheduling instant issues
-/// a FIFO cycle plus (with many flexible jobs at their reconfiguring
-/// points) a burst of same-instant `pending_queue` consultations. Before
-/// the cache every consultation re-sorted the deep queue; now only the
-/// first materialises the order from the pending index, the rest clone
-/// the memoized one. `x1` measures the mandatory recompute, `x8` the
-/// pattern the cache exists for — it must cost far less than 8 × `x1`.
-fn bench_pending_order_cache(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pending_order");
-    for pending in [50u32, 400] {
-        for consults in [1u32, 8] {
-            g.bench_function(format!("pending_queue_x{consults}_q{pending}"), |b| {
-                b.iter_batched(
-                    || deep_queue(pending),
-                    |s| {
-                        let now = SimTime::from_secs(2000);
-                        for _ in 0..consults {
-                            black_box(s.pending_queue(now));
-                        }
-                    },
-                    BatchSize::SmallInput,
-                )
-            });
-        }
-    }
-    g.finish();
-}
-
 fn bench_expand_protocol(c: &mut Criterion) {
     c.bench_function("expand_protocol_4to8", |b| {
         b.iter_batched(
@@ -132,11 +104,5 @@ fn bench_expand_protocol(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_cycles,
-    bench_policy,
-    bench_pending_order_cache,
-    bench_expand_protocol
-);
+criterion_group!(benches, bench_cycles, bench_policy, bench_expand_protocol);
 criterion_main!(benches);

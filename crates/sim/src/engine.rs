@@ -233,27 +233,6 @@ impl<E> Engine<E> {
             handler(self, t, e);
         }
     }
-
-    /// Like [`Engine::run`] but stops (leaving the queue intact) once the
-    /// clock would pass `deadline`. Events at exactly `deadline` still run.
-    pub fn run_until(
-        &mut self,
-        deadline: SimTime,
-        mut handler: impl FnMut(&mut Engine<E>, SimTime, E),
-    ) {
-        while self.peek_time().is_some_and(|t| t <= deadline) {
-            // A relayed event's pause end can lie inside the deadline and
-            // its firing instant beyond it: re-test after every step.
-            match self.step() {
-                Some(Step::Fired(t, e)) => handler(self, t, e),
-                Some(Step::Due(t)) => {
-                    let e = self.fire_due();
-                    handler(self, t, e);
-                }
-                _ => {}
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -301,19 +280,6 @@ mod tests {
                 (SimTime::from_secs(4), 2)
             ]
         );
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut eng: Engine<u32> = Engine::new();
-        for i in 1..=10u64 {
-            eng.schedule_at(SimTime::from_secs(i), i as u32);
-        }
-        let mut seen = Vec::new();
-        eng.run_until(SimTime::from_secs(4), |_, _, e| seen.push(e));
-        assert_eq!(seen, vec![1, 2, 3, 4]);
-        assert_eq!(eng.pending(), 6);
-        assert_eq!(eng.now(), SimTime::from_secs(4));
     }
 
     #[test]
@@ -366,24 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_survives_concurrent_cancellation() {
-        // A handler that cancels the next pending event must not trip
-        // run_until: the loop re-peeks instead of trusting a stale peek.
-        let mut eng: Engine<u32> = Engine::new();
-        eng.schedule_at(SimTime::from_secs(1), 1);
-        let doomed = eng.schedule_at(SimTime::from_secs(2), 2);
-        eng.schedule_at(SimTime::from_secs(3), 3);
-        let mut seen = Vec::new();
-        eng.run_until(SimTime::from_secs(10), |eng, _, e| {
-            if e == 1 {
-                eng.cancel(doomed);
-            }
-            seen.push(e);
-        });
-        assert_eq!(seen, vec![1, 3]);
-    }
-
-    #[test]
     fn a_relayed_pause_is_processed_but_never_handed_out() {
         // Chained by hand: the pause end is an event whose handler
         // schedules the tick.
@@ -414,24 +362,6 @@ mod tests {
         );
         assert_eq!(relayed.processed(), chained.processed());
         assert_eq!(relayed.processed(), 3);
-    }
-
-    #[test]
-    fn run_until_stops_between_a_pause_end_and_its_event() {
-        let mut eng: Engine<u32> = Engine::new();
-        let id = eng.schedule_relayed(SimTime::from_secs(2), Span::from_secs(10), 7);
-        let mut seen = Vec::new();
-        eng.run_until(SimTime::from_secs(5), |_, _, e| seen.push(e));
-        assert!(seen.is_empty());
-        assert_eq!(
-            eng.now(),
-            SimTime::from_secs(2),
-            "the clock reached the pause end"
-        );
-        assert_eq!(eng.processed(), 1);
-        assert_eq!(eng.peek_time(), Some(SimTime::from_secs(12)));
-        assert_eq!(eng.cancel(id), Some(7), "the handle survives the relay");
-        assert_eq!(eng.pending(), 0);
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //!   at the default weights the paper runs it with (§VII-A), where the
 //!   age term grows at the same rate for every pending job and nothing
 //!   else weighs in, so the order changes only when a job is submitted,
-//!   leaves the queue or is boosted — never with the clock.
+//!   leaves the queue or is boosted — never with the clock. It is the
+//!   only copy of the pending order: every pass walks it through the
+//!   resumable cursor [`PendingIndex::next_after`], which survives the
+//!   start of the job it is visiting, and `Slurm::pending_queue`
+//!   collects it afresh on each call.
 //!   Its **need view** groups the queued (non-resizer) jobs by
 //!   `requested_nodes`, each non-empty need holding its jobs twice: in
 //!   [`PendingKey`] order and in `(expected_runtime, id)` order.
@@ -132,8 +136,8 @@ impl NeedBucket {
 #[derive(Debug, Default)]
 pub(crate) struct PendingIndex {
     set: BTreeSet<PendingKey>,
-    /// Pending resizer jobs (lets `pending_queue` skip its filter pass
-    /// when there is nothing to filter).
+    /// Pending resizer jobs. The need view leaves them out, so the EASY
+    /// pass may answer from it only while none is pending.
     resizers: usize,
     /// Pending jobs with a non-`Any` class constraint. The watermark
     /// pass-elision rule compares *global* free capacity against the
@@ -252,11 +256,13 @@ impl PendingIndex {
     }
 
     /// The first key strictly after `prev` (`None` starts at the front)
-    /// — a resumable cursor over the scheduling order. The arena hot
-    /// path walks the queue this way instead of materialising the whole
-    /// order, so a pass that starts `k` of `n` pending jobs costs
-    /// O(k log n) rather than O(n), and the cursor survives the removal
-    /// of every key it has already visited.
+    /// — a resumable cursor over the scheduling order. Every pass walks
+    /// the queue this way instead of materialising the order, so a walk
+    /// that stops after `k` of `n` pending jobs costs O(k log n) rather
+    /// than O(n). The cursor is the last key yielded, not a position, so
+    /// it survives the removal of every key it has already visited, never
+    /// yields again a key re-keyed behind it, and yields a key inserted
+    /// ahead of it.
     pub(crate) fn next_after(&self, prev: Option<PendingKey>) -> Option<PendingKey> {
         match prev {
             None => self.set.first().copied(),
@@ -470,5 +476,113 @@ impl ResizerIndex {
     /// scan produced by walking the job table).
     pub(crate) fn take_dead(&mut self) -> Vec<JobId> {
         std::mem::take(&mut self.dead).into_iter().collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::JobRequest;
+
+    /// A pending index over the jobs of an arena, kept as `Slurm` keeps
+    /// it (no record is removed, so the arena's length is the next seq).
+    #[derive(Default)]
+    struct Queue {
+        jobs: JobArena,
+        index: PendingIndex,
+    }
+
+    impl Queue {
+        /// A queue of jobs submitted at `0..n` s.
+        fn with(n: u64) -> (Self, Vec<JobId>) {
+            let mut q = Queue::default();
+            let ids = (0..n).map(|at| q.submit(at)).collect();
+            (q, ids)
+        }
+
+        fn submit(&mut self, at: u64) -> JobId {
+            let (seq, req) = (self.jobs.len() as u64, JobRequest::rigid("j", 1));
+            let at = SimTime::from_secs(at);
+            let id = self
+                .jobs
+                .insert_with(|id| Job::submitted(id, seq, req, Span::ZERO, at));
+            self.index.insert(&self.jobs[id]);
+            id
+        }
+
+        fn boost(&mut self, id: JobId) {
+            let job = self.jobs.get_mut(id).expect("submitted");
+            job.boosted = true;
+            self.index.reboost(job);
+        }
+
+        /// The ids a cursor walk from the front yields, `visit` running
+        /// after each (with the walk's ids so far) as a pass's step does.
+        fn walk(&mut self, mut visit: impl FnMut(&mut Self, &[JobId])) -> Vec<JobId> {
+            let (mut seen, mut cursor) = (Vec::new(), None);
+            while let Some(key) = self.index.next_after(cursor) {
+                cursor = Some(key);
+                seen.push(key.id);
+                visit(self, &seen);
+            }
+            seen
+        }
+    }
+
+    #[test]
+    fn the_cursor_yields_boosted_first_then_by_submit_time_then_seq() {
+        let mut q = Queue::default();
+        let [a, b, c, d, e] = [5, 3, 3, 9, 7].map(|at| q.submit(at));
+        q.boost(d);
+        q.boost(e);
+        assert_eq!(q.walk(|_, _| {}), [e, d, b, c, a]);
+    }
+
+    #[test]
+    fn the_cursor_survives_the_removal_of_every_key_it_yielded() {
+        // Each key removed as soon as it is yielded, as a start does.
+        let (mut q, ids) = Queue::with(6);
+        assert_eq!(
+            q.walk(|q, seen| q.index.remove(&q.jobs[seen[seen.len() - 1]])),
+            ids
+        );
+        assert_eq!(q.index.len(), 0);
+        // Every key yielded so far removed at once, halfway through.
+        let (mut q, ids) = Queue::with(6);
+        let walked = q.walk(|q, seen| {
+            if seen.len() == 3 {
+                seen.iter().for_each(|&id| q.index.remove(&q.jobs[id]));
+            }
+        });
+        assert_eq!(
+            (walked, q.index.ids().collect()),
+            (ids.clone(), ids[3..].to_vec())
+        );
+    }
+
+    #[test]
+    fn a_key_reboosted_behind_the_cursor_is_not_yielded_again() {
+        let (mut q, ids) = Queue::with(4);
+        let walked = q.walk(|q, seen| {
+            if seen.len() == 3 {
+                q.boost(seen[1]);
+            }
+        });
+        assert_eq!(walked, ids);
+        assert_eq!(q.walk(|_, _| {}), [ids[1], ids[0], ids[2], ids[3]]);
+    }
+
+    #[test]
+    fn a_fresh_submission_is_yielded() {
+        let (mut q, ids) = Queue::with(3);
+        let mut fresh = Vec::new();
+        let walked = q.walk(|q, seen| {
+            if seen.len() == 2 {
+                // The same submit time as the job visited: sorts right
+                // behind it by sequence number. Then one that sorts last.
+                fresh = vec![q.submit(1), q.submit(10)];
+            }
+        });
+        assert_eq!(walked, [ids[0], ids[1], fresh[0], ids[2], fresh[1]]);
     }
 }

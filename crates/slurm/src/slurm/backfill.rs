@@ -1,16 +1,18 @@
 //! The backfill pass (`sched/backfill`): EASY-k — indexed, or the walk
 //! while a resizer or class-constrained job is pending — and
-//! conservative, with the reservations both hold.
+//! conservative, with the reservations both hold. Every walk of the
+//! pending order is a cursor over the pending index.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::iter::successors;
 
 use dmr_cluster::ClassConstraint;
 use dmr_sim::{SimTime, Span};
 
 use crate::arena::JobArena;
 use crate::index::{NeedBucket, PendingKey};
-use crate::job::{Job, JobId, JobState};
+use crate::job::{Job, JobId};
 use crate::slotset::BackfillFamily;
 
 use super::{JobStart, Slurm};
@@ -194,11 +196,11 @@ impl Slurm {
     /// see it.
     ///
     /// Every pending job goes through the same [`Slurm::easy_visit`]
-    /// step; what differs is which jobs are offered to it. The indexed
-    /// pass ([`Slurm::easy_indexed`]) offers only those that can pass
-    /// the harmless check and runs whenever its preconditions hold; the
-    /// walk ([`Slurm::easy_walk`]) offers all of them and is the
-    /// fallback.
+    /// step; what differs is which jobs are offered to it. The walk
+    /// ([`Slurm::easy_walk`]) offers all of them, in scheduling order, and
+    /// is the fallback. The indexed pass ([`Slurm::easy_indexed`]) runs
+    /// whenever its preconditions hold: the walk until `k` reservations
+    /// are held, then only the jobs that can pass the harmless check.
     fn backfill_pass_easy(&mut self, now: SimTime, k: u32) -> Vec<JobStart> {
         // The need view holds the whole pending set, and "fits" is
         // "requests at most the free count", only while no resizer and no
@@ -225,7 +227,7 @@ impl Slurm {
         if indexed {
             self.easy_indexed(now, &mut pass);
         } else {
-            self.easy_walk(now, &mut pass);
+            self.easy_walk(now, &mut pass, u32::MAX);
         }
         pass
     }
@@ -233,16 +235,9 @@ impl Slurm {
     /// One pending job's turn in an EASY pass: start it if it fits and
     /// delays no reservation holder, give it a reservation if it is
     /// blocked and fewer than `k` are held, otherwise record the refusal.
-    ///
-    /// `id` may be a tombstone of the walk's persistent order — a job
-    /// that has since started, been cancelled or had its slot recycled —
-    /// which the generation-checked arena rejects; the indexed pass and a
-    /// clean order only ever offer pending jobs.
     fn easy_visit(&mut self, id: JobId, now: SimTime, pass: &mut EasyPass) -> EasyVisit {
-        let Some(job) = self.jobs.get(id) else {
-            return EasyVisit::Refused;
-        };
-        if job.state != JobState::Pending || !self.dependency_satisfied(job) {
+        let job = &self.jobs[id];
+        if !self.dependency_satisfied(job) {
             return EasyVisit::Refused;
         }
         self.incr.bf_examined += 1;
@@ -296,21 +291,30 @@ impl Slurm {
         EasyVisit::Refused
     }
 
-    /// The EASY walk: every pending job, in scheduling order.
-    fn easy_walk(&mut self, now: SimTime, pass: &mut EasyPass) {
-        let order = self.pass_order();
-        for &id in order.iter() {
-            if let EasyVisit::Stop = self.easy_visit(id, now, pass) {
-                break;
+    /// The EASY walk: the pending jobs in scheduling order, each offered
+    /// to [`Slurm::easy_visit`], until the queue ends, the visit stops the
+    /// pass or `held` reservations are; the key it stopped at in the last
+    /// case. It steps the pending-index cursor, as `schedule` does: the
+    /// only mid-walk mutation, a start of the job being visited, removes
+    /// a key the cursor has passed.
+    fn easy_walk(&mut self, now: SimTime, pass: &mut EasyPass, held: u32) -> Option<PendingKey> {
+        let mut cursor = None;
+        while let Some(key) = self.pending_index.next_after(cursor) {
+            cursor = Some(key);
+            if let EasyVisit::Stop = self.easy_visit(key.id, now, pass) {
+                return None;
+            }
+            if pass.reservations.len() as u32 >= held {
+                return cursor;
             }
         }
+        None
     }
 
     /// The indexed EASY pass: the walk's decisions without the walk.
     ///
-    /// **Phase 1** is the walk itself, driven by the pending-index
-    /// cursor, until `k` reservations are held (or the queue ends):
-    /// O(starts + k), no materialised order, no tombstones.
+    /// **Phase 1** is the walk itself ([`Slurm::easy_walk`]) until `k`
+    /// reservations are held (or the queue ends): O(starts + k).
     ///
     /// **Phase 2** covers the rest of the queue, where no reservation
     /// can be added any more: a job `(need n, estimate d)` starts iff
@@ -332,17 +336,7 @@ impl Slurm {
     /// are two seeks: every queued need above it was a capacity refusal,
     /// every need at or below it a harmless-check refusal.
     fn easy_indexed(&mut self, now: SimTime, pass: &mut EasyPass) {
-        let mut cursor = None;
-        while (pass.reservations.len() as u32) < pass.k {
-            let Some(key) = self.pending_index.next_after(cursor) else {
-                return;
-            };
-            cursor = Some(key);
-            if let EasyVisit::Stop = self.easy_visit(key.id, now, pass) {
-                return;
-            }
-        }
-        let Some(cursor) = cursor else {
+        let Some(cursor) = self.easy_walk(now, pass, pass.k) else {
             return;
         };
         let free = self.cluster.free_nodes();
@@ -405,24 +399,18 @@ impl Slurm {
         self.reap_dead_resizers(now);
         let aggregate = self.build_timelines(now, true);
         let window = self.config.bf_max_job_test.max(1);
-        let order = self.pass_order();
         let mut started = Vec::new();
         let mut planned = false;
         let mut tested: u32 = 0;
         // Refusal records for the elision memo (see [`BfMemo`]).
         let mut watermark = u32::MAX;
         let mut fitting_refused = false;
-        for &id in order.iter() {
-            // Tombstone / state filter (see `backfill_pass_easy`). Under
-            // the persistent order this is what makes the pass a *window
-            // over the retained order* — O(window + skips) instead of a
-            // full O(pending) materialisation per pass.
-            let Some(job) = self.jobs.get(id) else {
-                continue;
-            };
-            if job.state != JobState::Pending {
-                continue;
-            }
+        // The cursor survives the starts below (see `easy_walk`).
+        let mut cursor = None;
+        while let Some(key) = self.pending_index.next_after(cursor) {
+            cursor = Some(key);
+            let id = key.id;
+            let job = &self.jobs[id];
             if !self.dependency_satisfied(job) {
                 continue;
             }
@@ -525,20 +513,21 @@ impl Slurm {
         let delta = to - current;
         // The first blocked queued job. With no class constraint pending,
         // "blocked" is "requests more than the free count": one need-view
-        // query. Otherwise walk the order.
+        // query. Otherwise walk the order by cursor.
         let blocked = if self.pending_index.constrained() == 0 {
             self.first_queued_needing(self.cluster.free_nodes(), u32::MAX)
-                .map(|(pid, _)| pid)
+                .map(|(pid, _)| &self.jobs[pid])
         } else {
-            self.pending_queue(now).iter().copied().find(|&pid| {
-                self.jobs.get(pid).is_some_and(|j| {
-                    !self
+            let index = &self.pending_index;
+            let order = successors(index.next_after(None), |&key| index.next_after(Some(key)));
+            order.map(|key| &self.jobs[key.id]).find(|j| {
+                !j.is_resizer()
+                    && !self
                         .cluster
                         .can_allocate_in(j.requested_nodes, j.constraint)
-                })
             })
         };
-        let Some(j) = blocked.and_then(|pid| self.jobs.get(pid)) else {
+        let Some(j) = blocked else {
             return false;
         };
         let (need, constraint, dur) = (j.requested_nodes, j.constraint, j.expected_runtime);
@@ -579,7 +568,7 @@ impl Slurm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobRequest;
+    use crate::job::{JobRequest, JobState};
     use crate::slurm::tests::{slurm, t};
     use dmr_cluster::FailOutcome;
 
@@ -679,6 +668,29 @@ mod tests {
         assert_eq!(s.job(slim).unwrap().state, JobState::Pending);
         assert_eq!(s.incremental_stats().backfill_jobs_examined, 4);
         s.check_invariants().unwrap();
+    }
+
+    /// A pass that walks — conservative, or EASY while a class-constrained
+    /// job is pending — steps a cursor over the pending index. A start
+    /// removes the key the cursor stands on, and the walk goes on with the
+    /// next one.
+    #[test]
+    fn a_walk_goes_on_with_the_next_job_after_each_start() {
+        for family in [BackfillFamily::easy(1), BackfillFamily::Conservative] {
+            let mut s = slurm(10);
+            s.config.backfill_family = family;
+            let hog = JobRequest::rigid("hog", 6).with_expected_runtime(Span::from_secs(1000));
+            s.submit(hog, t(0));
+            s.schedule(t(0));
+            s.submit(JobRequest::rigid("blocked", 8), t(1));
+            let short = JobRequest::rigid("short", 1).with_expected_runtime(Span::from_secs(100));
+            let pinned = short.clone().with_constraint(ClassConstraint::Class(0));
+            let [a, b, c] = [short.clone(), pinned, short].map(|req| s.submit(req, t(2)));
+            let started: Vec<JobId> = s.backfill_pass(t(5)).iter().map(|j| j.id).collect();
+            assert_eq!(started, [a, b, c], "{family:?}");
+            assert_eq!(s.incremental_stats().backfill_jobs_examined, 4);
+            s.check_invariants().unwrap();
+        }
     }
 
     #[test]

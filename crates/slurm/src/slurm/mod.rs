@@ -26,7 +26,6 @@ use crate::slotset::{BackfillFamily, SlotSet};
 
 use backfill::EasyPass;
 use classes::{ClassSplit, ClassTimelines};
-use order::QueueCache;
 use pass::IncrState;
 pub use pass::IncrementalStats;
 
@@ -151,19 +150,8 @@ pub struct Slurm {
     /// The installed reconfiguration decision procedure (§IV plug-in).
     /// `None` only transiently, while the policy is consulted.
     policy: Option<Box<dyn ResizePolicy>>,
-    /// Memoized pending-queue priority order.
-    ///
-    /// A scheduling cycle needs the pending order — and then every policy
-    /// consultation in the same cycle needs it again through
-    /// [`Slurm::pending_queue`]. The order is the [`PendingIndex`] key
-    /// order, a function of the pending set and the boost flags alone,
-    /// so it is cached across instants and kept current by the
-    /// mutations that can change it (submit, start, cancellation,
-    /// boost). `RefCell`: the recompute happens behind `&self`
-    /// accessors. The orders are `Arc<[JobId]>` so cache hits are
-    /// allocation-free.
-    queue_cache: RefCell<Option<QueueCache>>,
-    /// Ordered pending index (see [`crate::index`]).
+    /// Ordered pending index (see [`crate::index`]): the pending order,
+    /// which every pass walks by cursor.
     pending_index: PendingIndex,
     /// Running jobs ordered by `(expected_end, nodes, id)` for backfill.
     running_index: RunningIndex,
@@ -214,7 +202,6 @@ impl Slurm {
             next_seq: 0,
             policy: Some(config.policy.build()),
             config,
-            queue_cache: RefCell::new(None),
             pending_index: PendingIndex::default(),
             running_index: RunningIndex::default(),
             resizer_index: ResizerIndex::default(),
@@ -336,15 +323,13 @@ impl Slurm {
         }
         // A new registration may be a dead-resizer candidate.
         self.incr.reaped_at = None;
-        // The fresh non-boosted job sorts strictly last: append to the
-        // persistent order instead of dropping it. The sched memo
-        // survives (the blocked head still blocks first, and the
+        // The fresh non-boosted job sorts strictly last, so the sched
+        // memo survives (the blocked head still blocks first, and the
         // priority-FIFO walk never looks past it). The backfill memo
         // survives only if the new job itself cannot start — and the
         // job's request must then join the watermark, so a later
         // capacity event that could fit *it* (even below the old
         // watermark) invalidates the memo.
-        self.queue_cache_append(id);
         if let Some(m) = self.incr.bf_memo.as_mut() {
             let need = self.jobs[id].requested_nodes;
             let constraint = self.jobs[id].constraint;
@@ -367,7 +352,6 @@ impl Slurm {
             if reindex {
                 self.pending_index.reboost(j);
             }
-            self.invalidate_queue_cache();
             // A reorder invalidates both watermark memos (the blocked
             // head may change).
             self.incr_clear();
@@ -425,13 +409,6 @@ impl Slurm {
             self.resizer_index.resizer_terminal(parent, id);
         }
         self.resizer_index.parent_terminal(id);
-        // Precise invalidation: completing a *running* job removes
-        // nothing from the pending set and touches no priority input, so
-        // the memoized pending order stays valid. (Orphaned resizers are
-        // reaped via `cancel`, which does invalidate.)
-        if was_pending {
-            self.invalidate_queue_cache();
-        }
         // A job that shrank to zero nodes cannot exist (envelope min >= 1),
         // but release defensively.
         let _ = self.cluster.release_all(id.owner_tag());
@@ -476,12 +453,6 @@ impl Slurm {
             self.resizer_index.resizer_terminal(parent, id);
         }
         self.resizer_index.parent_terminal(id);
-        if was_pending {
-            // Removal without reorder: a tombstone in the order.
-            self.queue_cache_tombstone();
-        } else {
-            self.invalidate_queue_cache();
-        }
         if was_running && !detached {
             let _ = self.cluster.release_all(id.owner_tag());
         }

@@ -1,32 +1,15 @@
 //! The pending order: the [`PendingIndex`](crate::index::PendingIndex)
-//! key order — boosted jobs first, then submission order — memoized
-//! between the mutations that change it.
+//! key order — boosted jobs first, then submission order. The index is
+//! the only copy of it: every pass walks it through the resumable cursor
+//! [`PendingIndex::next_after`](crate::index::PendingIndex::next_after).
 
-use std::cell::RefMut;
 use std::sync::Arc;
 
 use dmr_sim::SimTime;
 
-use crate::job::{JobId, JobState};
+use crate::job::JobId;
 
 use super::Slurm;
-
-/// One memoized pending order (see [`Slurm::pending_queue`]).
-pub(super) struct QueueCache {
-    /// Pending ids in scheduling order. The order persists across
-    /// mutations: entries may be *tombstones* — ids whose job has since
-    /// started, been cancelled or been pruned. Readers filter them
-    /// against the generation-checked arena, so the order survives
-    /// starts/cancellations (a removal never reorders the survivors) and
-    /// submissions append in O(1) (a fresh non-boosted job sorts
-    /// strictly last under the index key).
-    order: Arc<Vec<JobId>>,
-    /// Number of tombstones currently in `order`.
-    stale: usize,
-    /// What [`Slurm::pending_queue`] returns — `order` without its
-    /// tombstones and resizers — built on its first call.
-    queue: Option<Arc<[JobId]>>,
-}
 
 impl Slurm {
     /// The first queued job, in scheduling order, that requests more than
@@ -44,88 +27,22 @@ impl Slurm {
         self.pending_index.min_need_above(free)
     }
 
-    /// Drops the memoized pending order. Must be called by every mutation
-    /// that can change the pending set or any priority input.
-    pub(super) fn invalidate_queue_cache(&self) {
-        *self.queue_cache.borrow_mut() = None;
-    }
-
-    /// A pending job left the pending set without changing the relative
-    /// order of the rest (start / cancellation): its entry in the order
-    /// becomes a tombstone.
-    pub(super) fn queue_cache_tombstone(&mut self) {
-        let mut cache = self.queue_cache.borrow_mut();
-        if let Some(c) = cache.as_mut() {
-            c.stale += 1;
-            c.queue = None;
-            // Compact (by rebuild on next use) once tombstones dominate,
-            // keeping walks O(live + live) rather than O(history).
-            if c.stale * 2 > c.order.len() {
-                *cache = None;
-            }
-        }
-    }
-
-    /// Appends a just-submitted job to the persistent order (a fresh
-    /// non-boosted submission sorts strictly after every retained
-    /// entry).
-    pub(super) fn queue_cache_append(&mut self, id: JobId) {
-        if let Some(c) = self.queue_cache.get_mut() {
-            Arc::make_mut(&mut c.order).push(id);
-            c.queue = None;
-        }
-    }
-
-    /// The memoized pending order, rebuilt from the index first if a
-    /// mutation dropped it. It does not depend on the clock, so it
-    /// survives across instants until then.
-    fn cached_order(&self) -> RefMut<'_, QueueCache> {
-        let mut cache = self.queue_cache.borrow_mut();
-        if cache.is_none() {
-            *cache = Some(QueueCache {
-                order: Arc::new(self.pending_index.ids().collect()),
-                stale: 0,
-                queue: None,
-            });
-        }
-        RefMut::map(cache, |c| c.as_mut().expect("filled above"))
-    }
-
-    /// The order a backfill pass walks: possibly tombstoned, so passes
-    /// filter on the job's state instead of materialising a clean order.
-    pub(super) fn pass_order(&self) -> Arc<Vec<JobId>> {
-        Arc::clone(&self.cached_order().order)
-    }
-
     /// Pending jobs in scheduling order — boosted jobs first, then by
     /// submit time and submission sequence — excluding resizer jobs
-    /// (exposed for the reconfiguration policy). Returns a shared slice:
-    /// repeated consultations between two mutations are allocation-free.
+    /// (exposed for the reconfiguration policy). Collected from the
+    /// pending index on every call: O(pending) and one allocation.
     /// The order does not depend on the clock: `_now` stays only for the
     /// callers that pass it.
     pub fn pending_queue(&self, _now: SimTime) -> Arc<[JobId]> {
-        let mut c = self.cached_order();
-        if let Some(queue) = &c.queue {
-            return Arc::clone(queue);
-        }
-        let queue: Arc<[JobId]> = if c.stale == 0 && self.pending_index.pending_resizers() == 0 {
-            c.order.iter().copied().collect()
-        } else {
-            let queued = |id: &JobId| {
-                let job = self.jobs.get(*id);
-                job.is_some_and(|j| j.state == JobState::Pending && !j.is_resizer())
-            };
-            c.order.iter().copied().filter(queued).collect()
-        };
-        c.queue = Some(Arc::clone(&queue));
-        queue
+        let queued = |id: &JobId| !self.jobs[*id].is_resizer();
+        self.pending_index.ids().filter(queued).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobRequest;
+    use crate::job::{JobRequest, JobState};
     use crate::slurm::tests::{slurm, t};
     use crate::slurm::ExpandError;
 
@@ -145,18 +62,16 @@ mod tests {
     }
 
     #[test]
-    fn cached_pending_order_tracks_mutations_within_one_instant() {
+    fn pending_order_tracks_mutations_within_one_instant() {
         let mut s = slurm(4);
         let hog = s.submit(JobRequest::rigid("hog", 4), t(0));
         s.schedule(t(0));
         let a = s.submit(JobRequest::rigid("a", 2), t(1));
         let b = s.submit(JobRequest::rigid("b", 2), t(2));
-        // Two same-instant reads hit the cache and agree — and the hit is
-        // allocation-free (the same shared slice comes back).
+        // Two same-instant reads agree.
         assert_eq!(s.pending_queue(t(5)).to_vec(), vec![a, b]);
-        assert!(Arc::ptr_eq(&s.pending_queue(t(5)), &s.pending_queue(t(5))));
         assert_eq!(s.pending_queue(t(5)).to_vec(), vec![a, b]);
-        // A boost at the same instant must invalidate, not serve stale.
+        // A boost at the same instant reorders at once.
         s.boost(b);
         assert_eq!(s.pending_queue(t(5)).to_vec(), vec![b, a]);
         // A same-instant submit must appear immediately.
@@ -189,7 +104,7 @@ mod tests {
     }
 
     #[test]
-    fn consult_at_the_envelope_floor_touches_no_queue_structure() {
+    fn consult_at_the_envelope_floor_shrinks_for_nobody() {
         use crate::job::ResizeEnvelope;
         use crate::policy::ResizeAction;
         let floor = |max| ResizeEnvelope {
@@ -203,13 +118,11 @@ mod tests {
         let b = s.submit(JobRequest::flexible("b", 4, floor(8)), t(0));
         s.schedule(t(0));
         let _q = s.submit(JobRequest::rigid("q", 6), t(1));
-        s.schedule(t(1)); // q blocked: needs 6, 4 free
-        s.invalidate_queue_cache();
-        // Both sit at their floor: nobody can be helped, and finding that
-        // out does not build the pending order.
+        // q blocked: needs 6, 4 free. `a` sits at its floor, so it can
+        // help nobody.
+        s.schedule(t(1));
         assert_eq!(s.decide_resize(a, t(2)), ResizeAction::NoAction);
         assert_eq!(s.decide_resize(b, t(2)), ResizeAction::Expand { to: 8 });
-        assert!(s.queue_cache.borrow().is_none(), "pending order built");
         s.check_invariants().unwrap();
     }
 
@@ -291,20 +204,5 @@ mod tests {
         let started: Vec<JobId> = s.schedule(hours(49)).iter().map(|j| j.id).collect();
         assert_eq!(started, order[..2]);
         assert_eq!(s.pending_queue(hours(49)).to_vec(), order[2..]);
-    }
-
-    #[test]
-    fn index_served_order_is_shared_across_instants() {
-        let mut s = slurm(2);
-        s.submit(JobRequest::rigid("hog", 2), t(0));
-        s.schedule(t(0));
-        s.submit(JobRequest::rigid("a", 1), t(1));
-        s.submit(JobRequest::rigid("b", 1), t(2));
-        // No mutation between consults at different instants: the order
-        // does not depend on the clock, so the cache entry is reused
-        // without recomputation or allocation.
-        let q5 = s.pending_queue(t(5));
-        let q9 = s.pending_queue(t(9));
-        assert!(Arc::ptr_eq(&q5, &q9));
     }
 }

@@ -162,9 +162,7 @@ impl Slurm {
         self.running_index.insert(id, end, held);
         self.record_class_split(id);
         // A start changes the free count, the running set and (for
-        // resizer parents) dependency satisfiability: every memo dies;
-        // the persistent order keeps the started id as a tombstone.
-        self.queue_cache_tombstone();
+        // resizer parents) dependency satisfiability: every memo dies.
         self.incr_clear();
         self.incr.reaped_at = None;
         JobStart {

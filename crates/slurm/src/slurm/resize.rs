@@ -86,7 +86,6 @@ impl Slurm {
         self.cluster
             .allocate_in(delta, id.owner_tag(), constraint)
             .expect("caller verified free nodes");
-        self.invalidate_queue_cache();
         self.incr.reaped_at = None;
         self.grown(id)
     }

@@ -102,6 +102,10 @@ pub struct Coverage {
     pub indexed: u64,
     /// Executed backfill passes that examined as many.
     pub walked: u64,
+    /// Walked passes with a boost, a cancellation of a pending job or a
+    /// requeue since the previous walked pass: the churn a walk must see
+    /// through to the pending jobs alone, in their current order.
+    pub walks_after_churn: u64,
     /// Conservative passes `bf_max_job_test` cut off.
     pub window_cutoffs: u64,
     /// Holes asked for on behalf of class-constrained jobs.
@@ -148,6 +152,9 @@ pub struct Lockstep {
     steps: usize,
     log: Vec<Op>,
     coverage: Coverage,
+    /// A boost, a cancellation of a pending job or a requeue happened
+    /// since the last walked pass.
+    churned: bool,
 }
 
 impl Lockstep {
@@ -161,6 +168,7 @@ impl Lockstep {
             steps: 0,
             log: Vec::new(),
             coverage: Coverage::default(),
+            churned: false,
             setup,
         }
     }
@@ -286,10 +294,12 @@ impl Lockstep {
                 model.complete(j, now);
             }
             Op::Cancel(j) => {
+                self.churned |= model.state(j) == JobState::Pending;
                 slurm.cancel(id(j), now);
                 model.cancel(j, now);
             }
             Op::Boost(j) => {
+                self.churned = true;
                 slurm.boost(id(j));
                 model.boost(j);
             }
@@ -329,6 +339,7 @@ impl Lockstep {
                     if slurm.config.shrink_boost {
                         let b = self.ordinal(b)?;
                         self.model.boost(b);
+                        self.churned = true;
                     }
                 }
                 return Ok(Outcome::Verdict(verdict));
@@ -381,6 +392,7 @@ impl Lockstep {
             (Some(id), Some(job)) => {
                 self.ids.push(Some(id));
                 self.coverage.requeues += 1;
+                self.churned = true;
                 Ok(Outcome::Job(job))
             }
             (p, m) => Err(format!("requeue of {j}: production {p:?}, the model {m:?}")),
@@ -437,6 +449,9 @@ impl Lockstep {
                 self.coverage.indexed += 1;
             } else {
                 self.coverage.walked += 1;
+                if std::mem::take(&mut self.churned) {
+                    self.coverage.walks_after_churn += 1;
+                }
             }
             self.coverage.examined += seen;
         }

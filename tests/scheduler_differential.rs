@@ -9,9 +9,11 @@
 //! A lockstep drive can pass while exercising little: one of this
 //! repository's ran the fallback walk for most of every run before anyone
 //! noticed. So the drive counts what it covered — elided, indexed and
-//! walked passes, conservative passes cut off by `bf_max_job_test`, holes
-//! found for class-constrained jobs, queued resizers a pass started, and
-//! requeues — prints the counts and requires every one to be non-zero.
+//! walked passes, walked passes that follow a boost, a cancellation of a
+//! pending job or a requeue, conservative passes cut off by
+//! `bf_max_job_test`, holes found for class-constrained jobs, queued
+//! resizers a pass started, and requeues — prints the counts and requires
+//! every one to be non-zero.
 
 mod common;
 
@@ -255,6 +257,7 @@ fn production_matches_the_model() {
         total.elided += covered.elided;
         total.indexed += covered.indexed;
         total.walked += covered.walked;
+        total.walks_after_churn += covered.walks_after_churn;
         total.window_cutoffs += covered.window_cutoffs;
         total.constrained_holes += covered.constrained_holes;
         total.resizers_started += covered.resizers_started;
@@ -267,6 +270,7 @@ fn production_matches_the_model() {
         ("elided passes", total.elided),
         ("indexed passes", total.indexed),
         ("walked passes", total.walked),
+        ("walked passes after churn", total.walks_after_churn),
         ("conservative window cut-offs", total.window_cutoffs),
         ("constrained holes", total.constrained_holes),
         ("queued resizers a pass started", total.resizers_started),
