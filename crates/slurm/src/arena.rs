@@ -149,74 +149,98 @@ impl IndexMut<JobId> for JobArena {
     }
 }
 
-/// A side table keyed by [`JobId`]: values sit in a flat `Vec` addressed
-/// by the id's slot, with the generation validated on every access — the
-/// [`JobArena`] layout for state kept *beside* the job records (the
-/// scheduler's running keys, the `dmr-core` driver's per-job tables). A
-/// stale id (its job pruned, its slot re-tenanted) misses the generation
-/// compare exactly as it would miss a tree lookup. The table is as long
-/// as the highest slot ever mapped, which the arena keeps as dense as
-/// the live job set.
+/// A side table keyed by [`JobId`], sized by what it holds: the
+/// [`JobArena`] addressing for state kept *beside* the job records (the
+/// scheduler's running keys and class splits, the `dmr-core` driver's
+/// per-job tables).
+///
+/// Two levels. `index` has one 8-byte entry per arena slot ever mapped —
+/// the generation it was mapped under and the position of its value —
+/// and `dense` holds the values, packed, each beside its slot. A lookup
+/// is the generation compare and one indexed load more than a flat
+/// table; in exchange a table that maps the 20 running jobs of a machine
+/// with thousands queued costs 8 B per queued job, not a value each.
+/// `remove` swap-removes from `dense` and re-points the index entry of
+/// the value it moved. A stale id (its job pruned, its slot re-tenanted)
+/// misses the generation compare exactly as it would miss a tree lookup.
+/// The table offers no iteration, so the order of `dense`, which depends
+/// on the removal history, is never observed.
 #[derive(Debug)]
 pub struct JobMap<T> {
-    slots: Vec<Option<(u32, T)>>,
-    live: usize,
+    /// Per slot: `(generation, position in dense)`, position
+    /// [`JobMap::VACANT`] when the slot maps nothing.
+    index: Vec<(u32, u32)>,
+    /// The values, each with the slot that maps it.
+    dense: Vec<(u32, T)>,
 }
 
 impl<T> Default for JobMap<T> {
     fn default() -> Self {
         JobMap {
-            slots: Vec::new(),
-            live: 0,
+            index: Vec::new(),
+            dense: Vec::new(),
         }
     }
 }
 
 impl<T> JobMap<T> {
-    /// Maps `id` to `value`. The slot must be vacant: callers remove a
-    /// job's entry before its id can be recycled.
-    pub fn insert(&mut self, id: JobId, value: T) {
-        let idx = id.slot() as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, || None);
-        }
-        debug_assert!(self.slots[idx].is_none(), "{id:?} slot already mapped");
-        self.slots[idx] = Some((id.generation(), value));
-        self.live += 1;
-    }
+    const VACANT: u32 = u32::MAX;
 
-    pub fn get(&self, id: JobId) -> Option<&T> {
-        match self.slots.get(id.slot() as usize)? {
-            Some((generation, value)) if *generation == id.generation() => Some(value),
-            _ => None,
-        }
-    }
-
-    pub fn get_mut(&mut self, id: JobId) -> Option<&mut T> {
-        match self.slots.get_mut(id.slot() as usize)? {
-            Some((generation, value)) if *generation == id.generation() => Some(value),
-            _ => None,
-        }
-    }
-
-    pub fn remove(&mut self, id: JobId) -> Option<T> {
-        let slot = self.slots.get_mut(id.slot() as usize)?;
-        match slot {
-            Some((generation, _)) if *generation == id.generation() => {
-                self.live -= 1;
-                slot.take().map(|(_, value)| value)
+    /// Position in `dense` of `id`'s value, if `id` is mapped.
+    fn position(&self, id: JobId) -> Option<usize> {
+        match self.index.get(id.slot() as usize) {
+            Some(&(generation, pos)) if generation == id.generation() && pos != Self::VACANT => {
+                Some(pos as usize)
             }
             _ => None,
         }
     }
 
+    /// Maps `id` to `value`. The slot must be vacant: callers remove a
+    /// job's entry before its id can be recycled.
+    pub fn insert(&mut self, id: JobId, value: T) {
+        let slot = id.slot();
+        let idx = slot as usize;
+        if idx >= self.index.len() {
+            self.index.resize(idx + 1, (0, Self::VACANT));
+        }
+        debug_assert_eq!(
+            self.index[idx].1,
+            Self::VACANT,
+            "{id:?} slot already mapped"
+        );
+        let pos = u32::try_from(self.dense.len()).expect("job map overflow");
+        self.index[idx] = (id.generation(), pos);
+        self.dense.push((slot, value));
+    }
+
+    pub fn get(&self, id: JobId) -> Option<&T> {
+        let pos = self.position(id)?;
+        Some(&self.dense[pos].1)
+    }
+
+    pub fn get_mut(&mut self, id: JobId) -> Option<&mut T> {
+        let pos = self.position(id)?;
+        Some(&mut self.dense[pos].1)
+    }
+
+    pub fn remove(&mut self, id: JobId) -> Option<T> {
+        let pos = self.position(id)?;
+        self.index[id.slot() as usize].1 = Self::VACANT;
+        let (_, value) = self.dense.swap_remove(pos);
+        if let Some(&(moved, _)) = self.dense.get(pos) {
+            self.index[moved as usize].1 = pos as u32;
+        }
+        Some(value)
+    }
+
     /// Number of mapped ids.
     pub fn len(&self) -> usize {
-        self.live
+        self.dense.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.dense.is_empty()
     }
 }
 
@@ -324,5 +348,115 @@ mod tests {
         a.remove(ids[3]);
         let seqs: Vec<_> = a.iter().map(|j| j.seq).collect();
         assert_eq!(seqs, vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn a_swap_remove_relocates_the_last_value() {
+        let ids: Vec<JobId> = (0..4).map(|slot| JobId::pack(0, slot)).collect();
+        let mut map = JobMap::default();
+        for (i, &id) in ids.iter().enumerate() {
+            map.insert(id, i * 10);
+        }
+        // Removing the first value moves the last one into its place.
+        assert_eq!(map.remove(ids[0]), Some(0));
+        assert_eq!(map.get(ids[3]), Some(&30));
+        *map.get_mut(ids[3]).unwrap() += 1;
+        assert_eq!(map[ids[3]], 31);
+        // Removing the last value moves nothing.
+        assert_eq!(map.remove(ids[2]), Some(20));
+        assert_eq!((map[ids[1]], map[ids[3]]), (10, 31));
+        assert_eq!(map.remove(ids[3]), Some(31));
+        assert_eq!(map.remove(ids[1]), Some(10));
+        assert!(map.is_empty());
+        assert!(ids.iter().all(|&id| map.get(id).is_none()));
+    }
+
+    #[test]
+    fn a_stale_generation_misses_the_slots_new_tenant() {
+        let old = JobId::pack(0, 3);
+        let new = JobId::pack(1, 3);
+        let mut map = JobMap::default();
+        map.insert(old, "old");
+        assert!(
+            map.get(new).is_none(),
+            "a later generation is not mapped yet"
+        );
+        assert_eq!(map.remove(old), Some("old"));
+        map.insert(new, "new");
+        assert!(map.get(old).is_none());
+        assert!(map.get_mut(old).is_none());
+        assert!(
+            map.remove(old).is_none(),
+            "a stale id cannot evict the tenant"
+        );
+        assert_eq!(map[new], "new");
+        assert_eq!(map.len(), 1);
+        // A vacant slot misses under its last generation too.
+        assert_eq!(map.remove(new), Some("new"));
+        assert!(map.get(new).is_none());
+        assert!(map.get(JobId::pack(0, 99)).is_none(), "out of range");
+    }
+
+    /// Generated insert / remove / get sequences over ids an arena hands
+    /// out (slots reused under bumped generations), against a `HashMap`.
+    #[test]
+    fn job_map_matches_a_hash_map_under_slot_reuse() {
+        use std::collections::HashMap;
+        // SplitMix64: a dependency-free, seedable op generator.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        for seed in 0..32u64 {
+            let mut rng = seed;
+            let mut arena = JobArena::new();
+            let mut map = JobMap::default();
+            let mut model: HashMap<JobId, u64> = HashMap::new();
+            let mut live: Vec<JobId> = Vec::new();
+            let mut stale: Vec<JobId> = Vec::new();
+            let mut recycled = 0;
+            for op in 0..400u64 {
+                let r = next(&mut rng);
+                match r % 8 {
+                    // Insert, more often while the live set is small.
+                    0..=2 if live.len() < 48 => {
+                        let id = arena.insert_with(|id| record(id, op));
+                        recycled += u32::from(id.generation() > 0);
+                        map.insert(id, op);
+                        model.insert(id, op);
+                        live.push(id);
+                    }
+                    3 | 4 if !live.is_empty() => {
+                        let id = live.swap_remove((r >> 8) as usize % live.len());
+                        assert!(arena.remove(id).is_some());
+                        assert_eq!(map.remove(id), model.remove(&id), "seed {seed} op {op}");
+                        stale.push(id);
+                    }
+                    5 if !live.is_empty() => {
+                        let id = live[(r >> 8) as usize % live.len()];
+                        *map.get_mut(id).unwrap() += 1;
+                        *model.get_mut(&id).unwrap() += 1;
+                    }
+                    6 if !stale.is_empty() => {
+                        let id = stale[(r >> 8) as usize % stale.len()];
+                        assert!(map.remove(id).is_none(), "seed {seed} op {op}");
+                        assert!(map.get_mut(id).is_none(), "seed {seed} op {op}");
+                    }
+                    _ => {}
+                }
+                assert_eq!(map.len(), model.len(), "seed {seed} op {op}");
+                assert_eq!(map.is_empty(), model.is_empty());
+                for (id, value) in &model {
+                    assert_eq!(map.get(*id), Some(value), "seed {seed} op {op}");
+                }
+                for id in &stale {
+                    assert!(map.get(*id).is_none(), "seed {seed} op {op}: {id:?}");
+                }
+            }
+            assert!(recycled > 0, "seed {seed}: no slot was reused");
+        }
     }
 }

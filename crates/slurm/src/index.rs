@@ -31,11 +31,12 @@
 //! * [`RunningIndex`] — running jobs keyed by
 //!   `(expected_end, held_nodes, id)`, exactly the order the EASY
 //!   backfill reservation scan produced by sorting. Each job's current
-//!   key sits in a [`JobMap`] — a flat table addressed by the id's slot
-//!   with the generation checked, not a tree — because every start,
-//!   resize, estimate refresh and completion looks it up, and because
-//!   the key's node count doubles as the scheduler's answer to "how
-//!   many nodes does this running job hold" (`Slurm::nodes_of`).
+//!   key sits in a [`JobMap`] — an 8-byte entry per arena slot pointing
+//!   into the packed keys, with the generation checked, not a tree —
+//!   because every start, resize, estimate refresh and completion looks
+//!   it up, and because the key's node count doubles as the
+//!   scheduler's answer to "how many nodes does this running job hold"
+//!   (`Slurm::nodes_of`).
 //! * [`ResizerIndex`] — the parent → resizer reverse-dependency map, so
 //!   resizers orphaned by a completion are reaped in O(affected) instead
 //!   of an O(jobs) scan per scheduling pass.

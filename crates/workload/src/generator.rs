@@ -8,6 +8,7 @@ use crate::arrival::ArrivalModel;
 use crate::repeat::RepeatModel;
 use crate::runtime::RuntimeModel;
 use crate::size::SizeModel;
+use crate::source::{collect_jobs, Feitelson};
 use crate::spec::{AppClass, JobSpec, MalleabilitySpec};
 
 /// Table I of the paper: per-application configuration.
@@ -152,12 +153,26 @@ impl WorkloadConfig {
     }
 }
 
-/// Seeded generator producing deterministic workloads.
+/// Seeded generator of Feitelson job bodies.
+///
+/// [`WorkloadGenerator::next_body`] is the one copy of the model's draw
+/// sequence: application, flexibility, size and runtime of each job, then
+/// its repeat count, all from one RNG stream. The arrival process is drawn
+/// from the same stream *after* every body, so a job's arrival instant is
+/// known only once all bodies have been drawn; [`crate::source::Feitelson`]
+/// streams both with two cursors on that stream, and
+/// [`WorkloadGenerator::generate`] drains it.
+#[derive(Clone)]
 pub struct WorkloadGenerator {
     cfg: WorkloadConfig,
     rng: StdRng,
     size_model: SizeModel,
     arrival_model: ArrivalModel,
+    /// Bodies handed out so far (the next body's index).
+    emitted: u32,
+    /// Copies of `template` still to hand out before the next draw.
+    repeats_left: u32,
+    template: Option<JobSpec>,
 }
 
 impl WorkloadGenerator {
@@ -169,7 +184,20 @@ impl WorkloadGenerator {
             rng: StdRng::seed_from_u64(seed),
             size_model,
             arrival_model,
+            emitted: 0,
+            repeats_left: 0,
+            template: None,
         }
+    }
+
+    /// The arrival process drawn after the bodies.
+    pub(crate) fn arrival_model(&self) -> ArrivalModel {
+        self.arrival_model
+    }
+
+    /// The RNG stream as it stands (after the bodies drawn so far).
+    pub(crate) fn into_rng(self) -> StdRng {
+        self.rng
     }
 
     fn pick_app(&mut self) -> AppClass {
@@ -184,89 +212,88 @@ impl WorkloadGenerator {
         self.cfg.mix.last().expect("mix must be non-empty").0
     }
 
-    /// Generates the full workload, sorted by arrival time.
-    pub fn generate(mut self) -> Vec<JobSpec> {
-        assert!(!self.cfg.mix.is_empty(), "app mix must be non-empty");
-        let mut jobs: Vec<JobSpec> = Vec::with_capacity(self.cfg.jobs as usize);
-        // Draw job "templates"; repeats clone the previous template.
-        let mut remaining_repeats = 0u32;
-        let mut template: Option<JobSpec> = None;
-        while jobs.len() < self.cfg.jobs as usize {
-            if remaining_repeats > 0 {
-                // SAFETY of unwrap: remaining_repeats > 0 implies a template
-                // was stored on the previous iteration.
-                let mut j = template.clone().unwrap();
-                j.index = jobs.len() as u32;
-                jobs.push(j);
-                remaining_repeats -= 1;
-                continue;
-            }
-            let app = self.pick_app();
-            let flexible = self.rng.random::<f64>() < self.cfg.flexible_ratio;
-            let (steps, malleability, data_bytes) = table1(app);
-            let job = match app {
-                AppClass::Fs => {
-                    let size = self.size_model.sample(&mut self.rng);
-                    let step_s = self.cfg.fs_step_model.sample(size, &mut self.rng);
-                    // Users request the cap per step, not the drawn value.
-                    let cap = self.cfg.fs_step_model.cap_s;
-                    let walltime_s = if cap.is_finite() {
-                        self.cfg.fs_steps as f64 * cap
-                    } else {
-                        self.cfg.fs_steps as f64 * step_s * 2.5
-                    };
-                    JobSpec {
-                        index: jobs.len() as u32,
-                        arrival_s: 0.0,
-                        submit_procs: size,
-                        steps: self.cfg.fs_steps,
-                        step_s,
-                        walltime_s,
-                        data_bytes: self.cfg.fs_data_bytes,
-                        app,
-                        flexible,
-                        gpu: false,
-                        malleability: MalleabilitySpec {
-                            max_procs: malleability.max_procs.min(self.cfg.max_size),
-                            ..malleability
-                        },
-                    }
-                }
-                AppClass::Cg | AppClass::Jacobi | AppClass::Nbody => {
-                    let size = malleability.max_procs;
-                    let total_s = self
-                        .cfg
-                        .real_runtime_model
-                        .sample(size, &mut self.rng)
-                        .max(steps as f64 * 1e-3);
-                    JobSpec {
-                        index: jobs.len() as u32,
-                        arrival_s: 0.0,
-                        submit_procs: size,
-                        steps,
-                        step_s: total_s / steps as f64,
-                        // Generous user walltime request.
-                        walltime_s: total_s * 2.5,
-                        data_bytes,
-                        app,
-                        flexible,
-                        gpu: false,
-                        malleability,
-                    }
-                }
-            };
-            if let Some(rm) = &self.cfg.repeats {
-                remaining_repeats = rm.sample(&mut self.rng) - 1;
-                template = Some(job.clone());
-            }
-            jobs.push(job);
+    /// The next job body — everything but its arrival instant, which is
+    /// 0 — or `None` once `cfg.jobs` bodies were handed out. A repeat of
+    /// the previous body draws nothing.
+    pub fn next_body(&mut self) -> Option<JobSpec> {
+        if self.emitted == self.cfg.jobs {
+            return None;
         }
-        // Arrival process is independent of job bodies in Feitelson's model.
-        let arrivals = self.arrival_model.arrival_times(jobs.len(), &mut self.rng);
-        for (job, t) in jobs.iter_mut().zip(arrivals) {
-            job.arrival_s = t;
+        let index = self.emitted;
+        self.emitted += 1;
+        if self.repeats_left > 0 {
+            self.repeats_left -= 1;
+            let template = self.template.as_ref().expect("a repeat has a template");
+            return Some(JobSpec {
+                index,
+                ..template.clone()
+            });
         }
-        jobs
+        let app = self.pick_app();
+        let flexible = self.rng.random::<f64>() < self.cfg.flexible_ratio;
+        let (steps, malleability, data_bytes) = table1(app);
+        let job = match app {
+            AppClass::Fs => {
+                let size = self.size_model.sample(&mut self.rng);
+                let step_s = self.cfg.fs_step_model.sample(size, &mut self.rng);
+                // Users request the cap per step, not the drawn value.
+                let cap = self.cfg.fs_step_model.cap_s;
+                let walltime_s = if cap.is_finite() {
+                    self.cfg.fs_steps as f64 * cap
+                } else {
+                    self.cfg.fs_steps as f64 * step_s * 2.5
+                };
+                JobSpec {
+                    index,
+                    arrival_s: 0.0,
+                    submit_procs: size,
+                    steps: self.cfg.fs_steps,
+                    step_s,
+                    walltime_s,
+                    data_bytes: self.cfg.fs_data_bytes,
+                    app,
+                    flexible,
+                    gpu: false,
+                    malleability: MalleabilitySpec {
+                        max_procs: malleability.max_procs.min(self.cfg.max_size),
+                        ..malleability
+                    },
+                }
+            }
+            AppClass::Cg | AppClass::Jacobi | AppClass::Nbody => {
+                let size = malleability.max_procs;
+                let total_s = self
+                    .cfg
+                    .real_runtime_model
+                    .sample(size, &mut self.rng)
+                    .max(steps as f64 * 1e-3);
+                JobSpec {
+                    index,
+                    arrival_s: 0.0,
+                    submit_procs: size,
+                    steps,
+                    step_s: total_s / steps as f64,
+                    // Generous user walltime request.
+                    walltime_s: total_s * 2.5,
+                    data_bytes,
+                    app,
+                    flexible,
+                    gpu: false,
+                    malleability,
+                }
+            }
+        };
+        if let Some(rm) = &self.cfg.repeats {
+            self.repeats_left = rm.sample(&mut self.rng) - 1;
+            self.template = Some(job.clone());
+        }
+        Some(job)
+    }
+
+    /// Generates the full workload, sorted by arrival time: the
+    /// [`Feitelson`] stream of this generator, drained.
+    pub fn generate(self) -> Vec<JobSpec> {
+        collect_jobs(&mut Feitelson::from_generator(self))
     }
 }
 

@@ -8,6 +8,9 @@
 //! experiment and scenario configurations stay plain data; trace replay —
 //! which needs a file — enters through [`crate::swf::SwfTrace`] directly.
 
+use rand::rngs::StdRng;
+
+use crate::arrival::ArrivalModel;
 use crate::generator::{WorkloadConfig, WorkloadGenerator};
 use crate::spec::JobSpec;
 
@@ -39,29 +42,32 @@ impl WorkloadSource for std::slice::Iter<'_, JobSpec> {
 
 /// The Feitelson '96 statistical model as a [`WorkloadSource`].
 ///
-/// This wraps [`WorkloadGenerator`] and is pinned *bit-for-bit* to its
-/// output: the model draws every job body first and only then draws the
-/// arrival process from the same RNG stream. It materializes the
-/// generator's output and streams from that buffer, although that draw
-/// order does not force it: the sequence can be produced one job at a
-/// time, bit for bit, with two cursors on the stream — bodies drawn on
-/// demand from one, arrivals from a clone advanced past every body draw
-/// when the source is built; the generation would then run inside the
-/// consumer's run instead of ahead of it. The adversarial synthetics
-/// ([`crate::burst::Burst`], [`crate::diurnal::Diurnal`]) and trace replay
-/// ([`crate::swf::SwfTrace`]) already generate in O(1) memory.
+/// This wraps [`WorkloadGenerator`] and is pinned *bit-for-bit* to the
+/// model's draw order: every job body first, then the arrival process,
+/// all from one RNG stream. It streams that sequence in O(1) memory with
+/// two cursors on the stream. Bodies are drawn on demand from the
+/// generator ([`WorkloadGenerator::next_body`]); arrivals come from a
+/// clone of it that construction advanced past every body draw, repeats
+/// included, so the gaps start where the last body left the stream. The
+/// price is one dry run of the body draws when the source is built; no
+/// job is kept. Like the adversarial synthetics ([`crate::burst::Burst`],
+/// [`crate::diurnal::Diurnal`]) and trace replay
+/// ([`crate::swf::SwfTrace`]), a run of any length holds one job of it.
 pub struct Feitelson {
-    jobs: std::vec::IntoIter<JobSpec>,
+    bodies: WorkloadGenerator,
+    /// The RNG stream past the last body draw.
+    arrivals: StdRng,
+    arrival_model: ArrivalModel,
+    /// Arrival instant of the job last handed out (`None` before the
+    /// first, which arrives at t = 0).
+    clock_s: Option<f64>,
     name: &'static str,
 }
 
 impl Feitelson {
     /// Streams the workload `WorkloadGenerator::new(cfg, seed)` generates.
     pub fn new(cfg: WorkloadConfig, seed: u64) -> Self {
-        Feitelson {
-            jobs: WorkloadGenerator::new(cfg, seed).generate().into_iter(),
-            name: "feitelson",
-        }
+        Feitelson::from_generator(WorkloadGenerator::new(cfg, seed))
     }
 
     /// As [`Feitelson::new`] with an explicit source name (scenario CSVs
@@ -72,6 +78,20 @@ impl Feitelson {
             ..Feitelson::new(cfg, seed)
         }
     }
+
+    /// Streams what `bodies` has left to draw, followed on its RNG stream
+    /// by the arrival gaps.
+    pub(crate) fn from_generator(bodies: WorkloadGenerator) -> Self {
+        let mut ahead = bodies.clone();
+        while ahead.next_body().is_some() {}
+        Feitelson {
+            arrival_model: bodies.arrival_model(),
+            arrivals: ahead.into_rng(),
+            bodies,
+            clock_s: None,
+            name: "feitelson",
+        }
+    }
 }
 
 impl WorkloadSource for Feitelson {
@@ -80,7 +100,16 @@ impl WorkloadSource for Feitelson {
     }
 
     fn next_job(&mut self) -> Option<JobSpec> {
-        self.jobs.next()
+        let mut job = self.bodies.next_body()?;
+        // The first job arrives at t = 0, each later one a gap after the
+        // previous.
+        let t = match self.clock_s {
+            None => 0.0,
+            Some(t) => t + self.arrival_model.next_gap(&mut self.arrivals),
+        };
+        self.clock_s = Some(t);
+        job.arrival_s = t;
+        Some(job)
     }
 }
 
@@ -328,22 +357,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn feitelson_source_streams_the_generator_output_verbatim() {
-        let cfg = WorkloadConfig::fs_preliminary(40);
-        let materialized = WorkloadGenerator::new(cfg.clone(), 42).generate();
-        let mut src = Feitelson::new(cfg, 42);
-        let streamed = collect_jobs(&mut src);
-        assert_eq!(streamed.len(), materialized.len());
-        for (s, m) in streamed.iter().zip(&materialized) {
-            assert_eq!(s.index, m.index);
-            assert_eq!(s.arrival_s, m.arrival_s);
-            assert_eq!(s.submit_procs, m.submit_procs);
-            assert_eq!(s.step_s, m.step_s);
-            assert_eq!(s.walltime_s, m.walltime_s);
-        }
-    }
-
-    #[test]
     fn kind_names_and_labels_are_stable_and_unique() {
         let kinds = [
             WorkloadKind::FsPreliminary,
@@ -433,5 +446,61 @@ mod tests {
         let mut src = Capped::new(Feitelson::new(WorkloadConfig::fs_preliminary(50), 3), 10);
         assert_eq!(collect_jobs(&mut src).len(), 10);
         assert!(src.next_job().is_none());
+    }
+
+    /// FNV-1a over the `Debug` rendering of every job of a stream (`f64`
+    /// debug output round-trips, so this covers every bit of every field).
+    fn stream_digest(source: &mut dyn WorkloadSource) -> (usize, u64) {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut jobs = 0;
+        while let Some(job) = source.next_job() {
+            for byte in format!("{job:?}").bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            jobs += 1;
+        }
+        (jobs, digest)
+    }
+
+    /// Every preset, without and with repeats, at 0, 1 and 2 000 jobs and
+    /// three seeds: one digest per preset and repeat setting, folding the
+    /// nine streams' lengths and digests. Recorded on the materializing
+    /// generator this source replaced.
+    #[test]
+    fn feitelson_streams_are_pinned_bit_for_bit() {
+        let presets: [fn(u32) -> WorkloadConfig; 3] = [
+            WorkloadConfig::fs_preliminary,
+            WorkloadConfig::fs_micro_steps,
+            WorkloadConfig::real_mix,
+        ];
+        let mut got = Vec::new();
+        for preset in presets {
+            for repeats in [None, Some(crate::RepeatModel::default())] {
+                let mut fold = 0u64;
+                for jobs in [0, 1, 2_000] {
+                    for seed in [0, 7, 20170814] {
+                        let cfg = WorkloadConfig {
+                            repeats,
+                            ..preset(jobs)
+                        };
+                        let (len, digest) = stream_digest(&mut Feitelson::new(cfg, seed));
+                        assert_eq!(len, jobs as usize);
+                        fold = fold.rotate_left(7) ^ digest;
+                    }
+                }
+                got.push(fold);
+            }
+        }
+        assert_eq!(
+            got,
+            [
+                13443412962149739919,
+                696328871456332220,
+                498470219619657213,
+                15733858508240645321,
+                1690963899944882455,
+                5357167369364832202,
+            ]
+        );
     }
 }

@@ -119,8 +119,9 @@ impl<R: BufRead> SwfTrace<R> {
     }
 
     /// Lines that were neither comments nor parseable job records (and
-    /// records rejected for non-positive runtime or size). Read errors
-    /// also land here and end the stream.
+    /// records rejected for a `nan` or infinite time, a non-positive
+    /// runtime or size, or a size beyond `u32`). Read errors also land
+    /// here and end the stream.
     pub fn skipped_lines(&self) -> u64 {
         self.skipped
     }
@@ -138,6 +139,11 @@ impl<R: BufRead> SwfTrace<R> {
         let allocated: i64 = f.next()?.parse().ok()?;
         let requested: i64 = f.nth(2)?.parse().ok()?;
         let req_time: f64 = f.next()?.parse().ok()?;
+        // `f64` parsing accepts `nan` and `inf`: a record carrying one is
+        // as unusable as one carrying a word.
+        if !(submit.is_finite() && runtime.is_finite() && req_time.is_finite()) {
+            return None;
+        }
         // Unknown values are -1 in SWF; prefer the allocation, fall back
         // to the request.
         let procs = if allocated > 0 { allocated } else { requested };
@@ -149,7 +155,7 @@ impl<R: BufRead> SwfTrace<R> {
         } else {
             runtime * 2.5
         };
-        Some((submit, runtime, procs as u32, walltime))
+        Some((submit, runtime, u32::try_from(procs).ok()?, walltime))
     }
 
     /// Maps one accepted record onto the next [`JobSpec`].
@@ -273,8 +279,11 @@ this line is garbage
             let allocated: i64 = f[4].parse().ok()?;
             let requested: i64 = f[7].parse().ok()?;
             let req_time: f64 = f[8].parse().ok()?;
+            if [submit, runtime, req_time].iter().any(|x| !x.is_finite()) {
+                return None;
+            }
             let procs = if allocated > 0 { allocated } else { requested };
-            if runtime <= 0.0 || procs <= 0 || submit < 0.0 {
+            if runtime <= 0.0 || procs <= 0 || submit < 0.0 || procs > i64::from(u32::MAX) {
                 return None;
             }
             let walltime = if req_time > 0.0 {
@@ -325,7 +334,18 @@ x 40 y 50 2 z w 2 100 v
  \t13\t60  0 1.5 3 -1 -1 9 0 -1 \t
    \t
 ;14 70 0 50 2 -1 -1 2 100
-15 1e2 0 5e1 2 -1 -1 2 1e3 -1";
+15 1e2 0 5e1 2 -1 -1 2 1e3 -1
+16 nan 0 50 2 -1 -1 2 100 -1
+17 inf 0 50 2 -1 -1 2 100 -1
+18 80 0 nan 2 -1 -1 2 100 -1
+19 80 0 inf 2 -1 -1 2 100 -1
+20 80 0 NaN 2 -1 -1 2 100 -1
+21 80 0 -inf 2 -1 -1 2 100 -1
+22 80 0 50 2 -1 -1 2 infinity -1
+23 80 0 50 2 -1 -1 2 nan -1
+24 80 0 50 4294967297 -1 -1 2 100 -1
+25 80 0 50 -1 -1 -1 4294967296 100 -1
+26 90 0 50 4294967295 -1 -1 2 100 -1";
         let crlf = SAMPLE.replace('\n', "\r\n");
         let mut invalid_utf8 = SAMPLE.as_bytes().to_vec();
         invalid_utf8.extend_from_slice(b"5 300 0 10 \xff 1 1 1 10\n6 400 0 10 1 -1 -1 1 10\n");
@@ -356,12 +376,35 @@ x 40 y 50 2 z w 2 100 v
             }
         }
         // The cases above did exercise both verdicts.
-        assert_eq!(reference(HOSTILE.as_bytes(), capped).0.len(), 4);
-        assert_eq!(reference(HOSTILE.as_bytes(), capped).1, 10);
+        assert_eq!(reference(HOSTILE.as_bytes(), capped).0.len(), 5);
+        assert_eq!(reference(HOSTILE.as_bytes(), capped).1, 20);
         // The undecodable line ends the stream: SAMPLE's three jobs and
         // two skips, one more skip, and job 6 never replayed.
         let (jobs, skipped) = reference(&invalid_utf8, capped);
         assert_eq!((jobs.len(), skipped), (3, 3));
+    }
+
+    #[test]
+    fn non_finite_numbers_and_oversized_sizes_are_skipped() {
+        // A NaN first submit would rebase every arrival to 0, an infinite
+        // or NaN runtime would make 0 µs steps, and 2^32 + 1 processors
+        // would wrap to 1.
+        const TRACE: &str = "\
+1 nan 0 50 2 -1 -1 2 100
+2 100 0 50 2 -1 -1 2 100
+3 130 0 inf 2 -1 -1 2 100
+4 160 0 nan 2 -1 -1 2 100
+5 190 0 50 4294967297 -1 -1 2 100
+6 220 0 50 2 -1 -1 2 100
+";
+        let mut src = SwfTrace::from_static(TRACE, SwfMapping::default());
+        let jobs = collect_jobs(&mut src);
+        assert_eq!(src.skipped_lines(), 4);
+        let arrivals: Vec<f64> = jobs.iter().map(|j| j.arrival_s).collect();
+        assert_eq!(arrivals, [0.0, 120.0]);
+        for j in &jobs {
+            assert_eq!((j.submit_procs, j.steps, j.step_s), (2, 25, 2.0));
+        }
     }
 
     #[test]

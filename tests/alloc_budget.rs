@@ -1,4 +1,4 @@
-//! An allocation budget for the start / resize / complete path.
+//! An allocation and heap budget for the start / resize / complete path.
 //!
 //! The RMS-side cost of a job has to stay negligible next to the spawn
 //! and redistribution it triggers, and on `sat_fixed` a whole job costs
@@ -12,53 +12,74 @@
 //! faulty one, and fails when a change puts a per-call `Vec`, `format!`
 //! or `to_vec` back on that path.
 //!
+//! Beside the count it tracks the bytes live on the heap and their peak,
+//! for two memory laws: a Feitelson stream holds the same heap whatever
+//! its length, and a run holds a bounded number of bytes per job waiting
+//! in its queue — per-job tables cost what they hold, not what the job
+//! arena spans.
+//!
 //! The counting `#[global_allocator]` is why this is a test binary of
-//! its own. The count is per thread, so the harness running the three
-//! tests side by side (or printing) cannot pollute any of them.
+//! its own. The counts are per thread, so the harness running the tests
+//! side by side (or printing) cannot pollute any of them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dmr::core::{ExperimentConfig, Simulation};
-use dmr::workload::{Feitelson, GpuShare, WorkloadConfig};
+use dmr::core::{ExperimentConfig, MetricsSink, Simulation};
+use dmr::metrics::JobOutcome;
+use dmr::sim::SimTime;
+use dmr::workload::{Feitelson, GpuShare, JobSpec, WorkloadConfig, WorkloadSource};
 
 thread_local! {
     /// Calls this thread made to `alloc` / `alloc_zeroed` / `realloc`.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` since the last [`peak_heap_of`] began.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count_one() {
+/// Books one allocator call that moved this thread's live heap by
+/// `bytes` (negative for a free, which is not counted as an allocation).
+fn book(allocation: bool, bytes: i64) {
     // `try_with`: a thread being torn down may free (and allocate) after
     // its locals are gone.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    if allocation {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a `const`-initialised
-// thread-local `Cell` with no destructor, so touching it never allocates
-// or re-enters the allocator.
+// the `GlobalAlloc` contract; the counters are `const`-initialised
+// thread-local `Cell`s with no destructor, so touching them never
+// allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        book(true, layout.size() as i64);
         // SAFETY: the caller's contract, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        book(true, layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        book(true, new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        book(false, -(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -66,6 +87,15 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns what it returned with the peak of this thread's
+/// live heap while it ran, in bytes above the live heap when it began.
+fn peak_heap_of<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let base = LIVE.get();
+    PEAK.set(base);
+    let out = f();
+    (out, (PEAK.get() - base) as u64)
+}
 
 const JOBS: u32 = 2_000;
 
@@ -128,4 +158,101 @@ fn a_job_on_a_three_class_faulty_machine_allocates_within_budget() {
         per_job <= 6.0,
         "{per_job:.2} allocations per job on three classes"
     );
+}
+
+/// A Feitelson stream draws bodies on demand and arrivals from a second
+/// cursor on its RNG stream, so building and draining one holds the same
+/// heap at any length — nothing per job outlives the job handed out.
+#[test]
+fn a_feitelson_drain_peaks_at_the_same_heap_whatever_its_length() {
+    let drain = |jobs| {
+        let ((), peak) = peak_heap_of(|| {
+            let mut source = Feitelson::new(WorkloadConfig::fs_preliminary(jobs), 20170814);
+            while source.next_job().is_some() {}
+        });
+        peak
+    };
+    let (short, long) = (drain(2_000), drain(200_000));
+    println!(
+        "alloc_budget: a Feitelson drain peaks at {short} B (2 000 jobs), {long} B (200 000 jobs)"
+    );
+    assert_eq!(short, long, "the stream's heap grows with its length");
+}
+
+/// Counts the jobs pulled from a source, for [`PendingPeak`].
+struct Pulled<'a, S> {
+    inner: S,
+    pulled: &'a Cell<u64>,
+    /// Whether the last pull returned a job (the driver holds one job
+    /// ahead of the clock until its arrival).
+    ahead: &'a Cell<bool>,
+}
+
+impl<S: WorkloadSource> WorkloadSource for Pulled<'_, S> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn next_job(&mut self) -> Option<JobSpec> {
+        let job = self.inner.next_job();
+        self.pulled
+            .set(self.pulled.get() + u64::from(job.is_some()));
+        self.ahead.set(job.is_some());
+        job
+    }
+}
+
+/// The most jobs that had arrived and were neither running nor done at
+/// any sample of a run.
+struct PendingPeak<'a> {
+    pulled: &'a Cell<u64>,
+    ahead: &'a Cell<bool>,
+    peak: u64,
+}
+
+impl MetricsSink for PendingPeak<'_> {
+    fn on_sample(&mut self, _now: SimTime, _allocated: f64, running: f64, completed: f64) {
+        let arrived = self.pulled.get() - u64::from(self.ahead.get());
+        let pending = arrived.saturating_sub(running as u64 + completed as u64);
+        self.peak = self.peak.max(pending);
+    }
+
+    fn on_job(&mut self, _seq: u64, _outcome: JobOutcome) {}
+}
+
+/// The paper's 20-node testbed 17× overloaded with rigid jobs (the
+/// benchmark's `deep_fixed` shape): nearly the whole workload queues, and
+/// at most 20 jobs run. What the run holds per queued job is its record,
+/// its index keys and its entries in the per-job tables; a table of
+/// running-job state sized by the arena's slots instead of by the running
+/// jobs breaks the budget. Reads ≈ 500 B.
+#[test]
+fn a_deep_queue_run_peaks_within_a_heap_budget_per_pending_job() {
+    let cfg = ExperimentConfig::preliminary().as_fixed();
+    let (pulled, ahead) = (Cell::new(0), Cell::new(false));
+    let mut source = Pulled {
+        inner: Feitelson::new(WorkloadConfig::fs_preliminary(JOBS), 20170814),
+        pulled: &pulled,
+        ahead: &ahead,
+    };
+    let mut sink = PendingPeak {
+        pulled: &pulled,
+        ahead: &ahead,
+        peak: 0,
+    };
+    let (result, peak) = peak_heap_of(|| {
+        Simulation::new(&cfg)
+            .source(&mut source)
+            .sink(&mut sink)
+            .run()
+    });
+    let result = result.expect("a valid configuration");
+    assert_eq!(result.summary.jobs, JOBS as usize, "every job completed");
+    let per_job = peak as f64 / sink.peak as f64;
+    println!(
+        "alloc_budget: deep_fixed-shaped peak heap {peak} B over {} pending jobs, {per_job:.0} B/pending job (budget 640)",
+        sink.peak
+    );
+    assert!(sink.peak > u64::from(JOBS) / 2, "the queue ran deep");
+    assert!(per_job <= 640.0, "{per_job:.0} B per pending job");
 }
