@@ -32,8 +32,6 @@ use crate::owners::{merge_appended, OwnerTable};
 pub enum AllocError {
     /// Fewer free nodes than requested (within the eligible classes).
     Insufficient { requested: u32, free: u32 },
-    /// A specific node was requested but is busy or not up.
-    NodeBusy(NodeId),
     /// The owner tag is unknown (release/shrink of a non-allocated owner).
     UnknownOwner(u64),
     /// Shrink would release more nodes than the owner holds.
@@ -46,7 +44,6 @@ impl std::fmt::Display for AllocError {
             AllocError::Insufficient { requested, free } => {
                 write!(f, "requested {requested} nodes but only {free} free")
             }
-            AllocError::NodeBusy(n) => write!(f, "{n} is busy or unavailable"),
             AllocError::UnknownOwner(o) => write!(f, "owner {o} holds no allocation"),
             AllocError::ShrinkTooLarge { held, release } => {
                 write!(f, "cannot release {release} of {held} held nodes")
@@ -108,7 +105,6 @@ pub struct Cluster {
     /// Calls that changed `busy_by_class` or `off_by_class` (see
     /// [`Cluster::tally_changes`]).
     tally_changes: u64,
-    cores_per_node: u32,
 }
 
 impl Cluster {
@@ -129,7 +125,6 @@ impl Cluster {
                 s
             })
             .collect();
-        let cores_per_node = table.class(0).cores;
         Cluster {
             table,
             states: vec![NodeState::Up; nodes as usize],
@@ -144,13 +139,7 @@ impl Cluster {
             off_sets: vec![FreeSet::new(); k],
             off_by_class: vec![0; k],
             tally_changes: 0,
-            cores_per_node,
         }
-    }
-
-    /// The paper's testbed: 65 nodes × 16 cores.
-    pub fn marenostrum() -> Self {
-        Cluster::new(crate::MARENOSTRUM_NODES, crate::MARENOSTRUM_CORES_PER_NODE)
     }
 
     /// The machine's class layout.
@@ -165,12 +154,6 @@ impl Cluster {
 
     pub fn total_nodes(&self) -> u32 {
         self.states.len() as u32
-    }
-
-    /// Cores per node of the *first* class (uniform clusters have only
-    /// one; heterogeneous callers should consult [`Cluster::table`]).
-    pub fn cores_per_node(&self) -> u32 {
-        self.cores_per_node
     }
 
     /// Nodes currently free *and* accepting work, across all classes.
@@ -259,11 +242,6 @@ impl Cluster {
         }
     }
 
-    /// Whether `n` nodes could be allocated right now (any class).
-    pub fn can_allocate(&self, n: u32) -> bool {
-        n <= self.free_count
-    }
-
     /// Whether `n` nodes could be allocated right now from the classes
     /// eligible under `constraint`.
     pub fn can_allocate_in(&self, n: u32, constraint: ClassConstraint) -> bool {
@@ -332,34 +310,6 @@ impl Cluster {
         merge_appended(held, base);
         self.free_count -= n;
         Ok(n)
-    }
-
-    /// Allocates the exact node set `nodes` to `owner`. Used when the
-    /// scheduler has computed a placement (e.g. reattaching resizer-job
-    /// nodes to the original job).
-    pub fn allocate_specific(&mut self, nodes: &[NodeId], owner: u64) -> Result<(), AllocError> {
-        for &node in nodes {
-            let st = self.states[node.index()];
-            if self.owner[node.index()].is_some() || !st.accepts_new_work() {
-                return Err(AllocError::NodeBusy(node));
-            }
-        }
-        for &node in nodes {
-            self.owner[node.index()] = Some(owner);
-            let c = self.table.class_of(node.0);
-            self.free[c].remove(node.0);
-            self.busy_by_class[c] += 1;
-        }
-        self.free_count -= nodes.len() as u32;
-        if !nodes.is_empty() {
-            self.tally_changes += 1;
-            let held = self.held.entry(owner);
-            let base = held.len();
-            held.extend_from_slice(nodes);
-            held[base..].sort_unstable();
-            merge_appended(held, base);
-        }
-        Ok(())
     }
 
     /// Returns just-released nodes (sorted ascending — the order held
@@ -881,21 +831,6 @@ mod tests {
         assert_eq!(grant(&mut c, 2, 1, ClassConstraint::Any), ids(1..3));
         c.set_state(NodeId(0), NodeState::Up);
         assert_eq!(c.free_nodes(), 1);
-        c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn allocate_specific_rejects_busy() {
-        let mut c = Cluster::new(4, 16);
-        c.allocate(1, 1).unwrap(); // takes n0
-        assert_eq!(
-            c.allocate_specific(&[NodeId(0), NodeId(1)], 2),
-            Err(AllocError::NodeBusy(NodeId(0)))
-        );
-        // Nothing allocated on failure.
-        assert_eq!(c.owner_of(NodeId(1)), None);
-        c.allocate_specific(&[NodeId(2), NodeId(3)], 2).unwrap();
-        assert_eq!(c.held_by(2), 2);
         c.check_invariants().unwrap();
     }
 

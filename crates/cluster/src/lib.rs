@@ -35,8 +35,3 @@ pub use freeset::FreeSet;
 pub use network::NetworkModel;
 pub use node::{NodeId, NodeState};
 pub use power::PowerMeter;
-
-/// Number of compute nodes in the paper's testbed (§VII-A).
-pub const MARENOSTRUM_NODES: u32 = 65;
-/// Cores per node in the paper's testbed (two 8-core Xeon E5-2670).
-pub const MARENOSTRUM_CORES_PER_NODE: u32 = 16;

@@ -3,6 +3,11 @@
 //! This is the rigid-job half of the lifecycle — submit, start, compute,
 //! finish — which flexible jobs share; they merely punctuate their
 //! compute with the reconfiguring points handled in [`super::reconfig`].
+//!
+//! A pulled job waits in [`Driver::next_arrival`] until its
+//! [`Ev::Arrival`] submits it. From then until it completes, its spec and
+//! arrival sequence number live in [`Driver::specs`] under its scheduler
+//! id, and once started its progress in [`Driver::running`].
 
 use dmr_cluster::ClassConstraint;
 use dmr_sim::{EventId, SimTime, Span};
@@ -17,30 +22,28 @@ impl Driver<'_, '_> {
     /// Pulls the next job from the source (if any), binds it to its
     /// application's speedup curve and schedules its arrival. Exactly one
     /// arrival event is in flight at any time, so arbitrarily long
-    /// workloads occupy O(1) event-queue space.
+    /// workloads occupy O(1) event-queue space, and the job it submits
+    /// waits in [`Driver::next_arrival`].
     ///
     /// Arrivals are scheduled in the engine's *early* tie-break class:
     /// historically every arrival was scheduled before the run began and
     /// therefore always popped before same-instant run events; streaming
     /// must preserve that order bit-for-bit.
     pub(crate) fn schedule_next_arrival(&mut self) {
+        debug_assert!(self.next_arrival.is_none(), "one arrival in flight");
         let Some(job) = self.source.next_job().map(SimJob::from_spec) else {
-            self.arrivals_pending = false;
             return;
         };
         // Sources yield arrival-sorted jobs; clamp stragglers so virtual
         // time never runs backwards.
         let at = SimTime::from_secs_f64(job.spec.arrival_s.max(0.0)).max(self.last_arrival);
         self.last_arrival = at;
-        let seq = self.arrived as u64;
-        self.arrived += 1;
-        let idx = self.jobs.insert(seq, job);
-        self.engine.schedule_at_early(at, Ev::Arrival(idx));
-        self.arrivals_pending = true;
+        self.engine.schedule_at_early(at, Ev::Arrival);
+        self.next_arrival = Some(job);
     }
 
-    pub(crate) fn on_arrival(&mut self, idx: usize, now: SimTime) {
-        let sim = &self.jobs[idx];
+    pub(crate) fn on_arrival(&mut self, now: SimTime) {
+        let sim = self.next_arrival.take().expect("an arrival is in flight");
         let spec = &sim.spec;
         // A GPU-demanding job becomes class-constrained — but only when
         // the machine actually has a GPU class; on uniform clusters the
@@ -69,7 +72,7 @@ impl Driver<'_, '_> {
                 .mul_f64(self.cfg.estimate_padding),
         };
         let name = JobName::Indexed(spec.app.name(), spec.index.into());
-        let req = if self.is_flexible(idx) {
+        let req = if self.is_flexible(spec) {
             JobRequest::flexible(
                 name,
                 submit_procs,
@@ -85,7 +88,8 @@ impl Driver<'_, '_> {
             JobRequest::rigid(name, submit_procs).with_expected_runtime(est)
         };
         let id = self.slurm.submit(req.with_constraint(constraint), now);
-        self.spec_of.insert(id, idx);
+        self.specs.insert(id, (self.arrived, sim));
+        self.arrived += 1;
         // Demand arrived while nodes are suspended: start them waking.
         // Requests coalesce onto one in-flight wake event; capacity is
         // placeable again once [`Ev::NodeWake`] fires.
@@ -114,8 +118,7 @@ impl Driver<'_, '_> {
             match st.resizer_for {
                 Some(orig) => self.on_rj_started(st.id, orig, now),
                 None => {
-                    let idx = self.spec_of[st.id];
-                    let mut rs = RunState::new(idx, &self.jobs[idx], st.held, now);
+                    let mut rs = RunState::new(&self.specs[st.id].1, st.held, now);
                     // A requeued incarnation resumes from its checkpoint
                     // image (zero steps when restarting from scratch) and
                     // closes the failure-to-restart latency window.
@@ -165,16 +168,15 @@ impl Driver<'_, '_> {
     /// later instant of a pause the job is in holds at that instant.
     pub(crate) fn plan_segment(&self, job: JobId, at: SimTime) -> Option<(Span, u32)> {
         let rs = &self.running[job];
-        let idx = rs.spec_idx;
-        let sim = &self.jobs[idx];
-        let remaining = sim.spec.steps.saturating_sub(rs.steps_done);
+        let spec = &self.specs[job].1.spec;
+        let remaining = spec.steps.saturating_sub(rs.steps_done);
         if remaining == 0 {
             return None;
         }
         // Guard against sub-microsecond steps degenerating into zero-time
         // event loops.
         let step = rs.step.max(Span(1));
-        let k = if !self.is_flexible(idx) {
+        let k = if !self.is_flexible(spec) {
             match self.cfg.ckpt_interval_s {
                 // Periodic checkpointing cuts the monolithic rigid
                 // segment at image instants so `on_segment_done` has
@@ -191,7 +193,7 @@ impl Driver<'_, '_> {
                 }
                 _ => remaining,
             }
-        } else if self.inhibitor_period(idx).is_some() && at < rs.next_check_at {
+        } else if self.inhibitor_period(spec).is_some() && at < rs.next_check_at {
             let gap = rs.next_check_at.since(at).as_secs_f64();
             let per = step.as_secs_f64();
             ((gap / per).ceil() as u32).clamp(1, remaining)
@@ -219,12 +221,14 @@ impl Driver<'_, '_> {
         };
         rs.inflight = None;
         rs.close_segment(steps, now, self.cfg.ckpt_interval_s);
-        let idx = rs.spec_idx;
-        if rs.steps_done >= self.jobs[idx].spec.steps {
+        let steps_done = rs.steps_done;
+        let spec = &self.specs[job].1.spec;
+        let flexible = self.is_flexible(spec);
+        if steps_done >= spec.steps {
             self.complete_job(job, now);
             return;
         }
-        if !self.is_flexible(idx) {
+        if !flexible {
             self.begin_segment(job, now);
             return;
         }
@@ -236,7 +240,6 @@ impl Driver<'_, '_> {
             if let Some((rj, ev)) = rs.waiting_rj.take() {
                 self.engine.cancel(ev);
                 self.slurm.abort_expand(rj, now);
-                self.rj_to_orig.remove(rj);
             }
         }
         // Fold the job's accounting into the metrics sink while the

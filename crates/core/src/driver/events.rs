@@ -13,18 +13,22 @@ use super::Driver;
 /// Simulation events.
 #[derive(Debug)]
 pub(crate) enum Ev {
-    /// Workload job `index` reaches the system.
-    Arrival(usize),
+    /// The job pulled last from the source ([`Driver::next_arrival`])
+    /// reaches the system.
+    Arrival,
     /// A running job finished a compute segment of `steps` iterations.
     /// After a check that changed nothing the segment is scheduled
     /// *relayed* behind the check pause (see
     /// [`Driver::pause_then_continue`]): the pause end has no event.
     SegmentDone { job: JobId, steps: u32 },
     /// An expansion's spawn + redistribution or a shrink's drain
-    /// finished; adopt the new size and resume compute.
-    ReconfigDone { job: JobId },
-    /// A queued resizer job waited too long (§V-B1): abort the expansion.
-    RjTimeout { rj: JobId },
+    /// finished; adopt the new size `to` and resume compute. The job's
+    /// size does not change while the reconfiguration is in flight, so
+    /// `to` above it is a growth and `to` below it a shrink.
+    ReconfigDone { job: JobId, to: u32 },
+    /// The resizer job `job` awaits ([`super::RunState::waiting_rj`])
+    /// was queued too long (§V-B1): abort the expansion.
+    RjTimeout { job: JobId },
     /// Periodic EASY-backfill pass (Slurm's `bf_interval`).
     BackfillTick,
     /// Powered-down (S5) nodes finish waking: capacity returns. Scheduled
@@ -45,10 +49,10 @@ pub(crate) enum Ev {
 impl Driver<'_, '_> {
     pub(crate) fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
-            Ev::Arrival(i) => self.on_arrival(i, now),
+            Ev::Arrival => self.on_arrival(now),
             Ev::SegmentDone { job, steps } => self.on_segment_done(job, steps, now),
-            Ev::ReconfigDone { job } => self.on_reconfig_done(job, now),
-            Ev::RjTimeout { rj } => self.on_rj_timeout(rj, now),
+            Ev::ReconfigDone { job, to } => self.on_reconfig_done(job, to, now),
+            Ev::RjTimeout { job } => self.on_rj_timeout(job, now),
             Ev::BackfillTick => self.on_backfill_tick(now),
             Ev::NodeWake => self.on_node_wake(),
             Ev::NodeFail { node } => self.on_node_fail(node, now),
@@ -95,15 +99,28 @@ impl Driver<'_, '_> {
         let starts = self.slurm.backfill_pass(now);
         self.wire_starts(starts, now);
         self.maybe_power_down(now);
-        let work_left =
-            self.arrivals_pending || self.slurm.pending_count() > 0 || !self.running.is_empty();
+        let work_left = self.next_arrival.is_some()
+            || self.slurm.pending_count() > 0
+            || !self.running.is_empty();
         let progress_possible =
-            self.arrivals_pending || !self.running.is_empty() || self.engine.pending() > 0;
+            self.next_arrival.is_some() || !self.running.is_empty() || self.engine.pending() > 0;
         if work_left && progress_possible {
             self.engine.schedule_in(
                 Span::from_secs_f64(self.cfg.backfill_interval_s),
                 Ev::BackfillTick,
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Ev;
+
+    /// Every event names its job and at most one 32-bit argument: the
+    /// engine's queue entries stay small.
+    #[test]
+    fn an_event_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Ev>(), 16);
     }
 }

@@ -9,7 +9,10 @@
 //! reconfiguration event is cancelled (a dead incarnation must never
 //! fire a stale completion), any queued resizer it was waiting on is
 //! aborted, and the job is resubmitted with a priority boost
-//! ([`dmr_slurm::Slurm::requeue_failed`]).
+//! ([`dmr_slurm::Slurm::requeue_failed`]). The resubmission has a new id:
+//! the job's entry in [`Driver::specs`] moves to it, keeping the arrival
+//! sequence number the sink reports the job under, and its recovery
+//! bookkeeping is filed under it in [`Driver::requeued`].
 //!
 //! Recovery follows the configured policy: with
 //! [`crate::ExperimentConfig::ckpt_interval_s`] set, the restart resumes
@@ -53,8 +56,9 @@ impl Driver<'_, '_> {
         if self.fault_pending {
             return;
         }
-        let live =
-            self.arrivals_pending || self.slurm.pending_count() > 0 || !self.running.is_empty();
+        let live = self.next_arrival.is_some()
+            || self.slurm.pending_count() > 0
+            || !self.running.is_empty();
         if !live {
             return;
         }
@@ -118,7 +122,6 @@ impl Driver<'_, '_> {
         if let Some((rj, ev)) = rs.waiting_rj.take() {
             self.engine.cancel(ev);
             self.slurm.abort_expand(rj, now);
-            self.rj_to_orig.remove(rj);
         }
         // Recovery policy: resume from the last periodic image, or from
         // scratch when checkpointing is off. Work since the image is lost.
@@ -142,16 +145,14 @@ impl Driver<'_, '_> {
         };
         let Some(new) = self.slurm.requeue_failed(victim, now) else {
             // Unreachable while the running map mirrors scheduler state;
-            // drop our tracking rather than leak the slab slot.
+            // drop our tracking rather than leak the spec.
             debug_assert!(false, "requeue of a tracked running job failed");
-            if let Some(idx) = self.spec_of.remove(victim) {
-                self.jobs.remove(idx);
-            }
+            self.specs.remove(victim);
             return;
         };
         self.requeues += 1;
-        let idx = self.spec_of.remove(victim).expect("victim had a spec");
-        self.spec_of.insert(new, idx);
+        let spec = self.specs.remove(victim).expect("victim had a spec");
+        self.specs.insert(new, spec);
         self.requeued.insert(
             new,
             RequeueInfo {

@@ -55,12 +55,12 @@ impl Driver<'_, '_> {
     /// Must run *before* [`dmr_slurm::Slurm::complete`] prunes the
     /// scheduler record.
     pub(crate) fn account_completion(&mut self, job: JobId, now: SimTime) {
-        let Some(idx) = self.spec_of.remove(job) else {
+        // The sink is keyed by the monotonic arrival sequence, not the
+        // scheduler id — ids recycle as jobs retire, and a requeue
+        // changes them.
+        let Some((seq, _)) = self.specs.remove(job) else {
             return;
         };
-        // The sink is keyed by the monotonic arrival sequence, not the
-        // slab slot — slots recycle as jobs retire.
-        let seq = self.jobs.seq(idx);
         if let Some(rec) = self.slurm.job(job) {
             if let Some(start) = rec.start_time {
                 // A requeued job reports against its *original*
@@ -77,7 +77,6 @@ impl Driver<'_, '_> {
                 );
             }
         }
-        self.jobs.remove(idx);
     }
 
     /// The driver-side scalars of a finished run; everything else already

@@ -17,12 +17,27 @@
 //! * `events` — the event vocabulary (`Ev`) and dispatch;
 //! * `arrivals` — job submission, scheduling cycles, compute segments
 //!   and completion;
-//! * `reconfig` — the DMR check points and the expansion protocol
-//!   (synchronous and asynchronous variants, resizer-job timeout);
-//! * `shrink` — the ACK-style shrink workflow (drain, release, boost);
+//! * `reconfig` — the DMR check points, the expansion protocol
+//!   (synchronous and asynchronous variants, resizer-job timeout) and the
+//!   cost of every reconfiguration;
+//! * `shrink` — the end of the ACK-style shrink workflow (release, boost);
 //! * `failure` — injected node failures, kill-and-requeue recovery, and
 //!   the resize-retry backoff schedule;
 //! * `metrics` — evolution-series sampling and final summary assembly.
+//!
+//! Each piece of a job's driver state has one home:
+//!
+//! * `Driver::specs` — the job's arrival sequence number and spec,
+//!   keyed by its scheduler id from submission to completion (a requeue
+//!   re-keys the entry to the new incarnation's id);
+//! * `Driver::running` — the `RunState` of a started incarnation;
+//! * `Driver::requeued` — the recovery bookkeeping of a requeued job;
+//! * the job's events — an `Ev::ReconfigDone` carries the size it
+//!   adopts, an `Ev::RjTimeout` names the job whose
+//!   `RunState::waiting_rj` resizer it times out.
+//!
+//! Before submission, the spec of the one arrival in flight waits in
+//! `Driver::next_arrival`.
 //!
 //! A run is set up and started through [`Simulation`].
 
@@ -49,7 +64,6 @@ use events::Ev;
 /// Per-running-job state the runtime would keep.
 #[derive(Debug)]
 pub(crate) struct RunState {
-    pub(crate) spec_idx: usize,
     /// Current process count (= node count; one rank per node). Changed
     /// only through [`RunState::set_procs`].
     pub(crate) procs: u32,
@@ -64,11 +78,9 @@ pub(crate) struct RunState {
     /// Asynchronous mode: a queued resizer started and its nodes are
     /// already attached; apply (spawn + redistribute) at the next boundary.
     pub(crate) granted_expand: Option<u32>,
-    /// Reconfiguration in flight: target process count to adopt at
-    /// [`Ev::ReconfigDone`].
-    pub(crate) pending_expand: Option<u32>,
-    pub(crate) pending_shrink: Option<u32>,
-    /// Outstanding queued resizer job and its timeout event.
+    /// Asynchronous mode: the queued resizer job this job awaits and
+    /// the [`Ev::RjTimeout`] that aborts it. At most one: while it waits,
+    /// the job plans nothing and drops a due expansion retry.
     pub(crate) waiting_rj: Option<(JobId, EventId)>,
     /// The in-flight `SegmentDone` / `ReconfigDone` event for this job.
     /// Exactly one is pending whenever the job is computing, pausing at
@@ -99,17 +111,14 @@ pub(crate) struct RunState {
 }
 
 impl RunState {
-    pub(crate) fn new(spec_idx: usize, sim: &SimJob, procs: u32, now: SimTime) -> Self {
+    pub(crate) fn new(sim: &SimJob, procs: u32, now: SimTime) -> Self {
         RunState {
-            spec_idx,
             procs,
             step: sim.step_time(procs),
             steps_done: 0,
             next_check_at: now,
             planned: None,
             granted_expand: None,
-            pending_expand: None,
-            pending_shrink: None,
             waiting_rj: None,
             inflight: None,
             started_at: now,
@@ -162,86 +171,32 @@ pub(crate) struct RequeueInfo {
     pub(crate) prior_reconfigs: u32,
 }
 
-/// Slab of the active jobs' specs, addressed by the slot index the
-/// [`Ev::Arrival`] payload carries. The driver used to key this table by
-/// arrival index in a `BTreeMap`; the slab replaces every tree descent
-/// on the segment hot path (two lookups per compute segment) with an
-/// indexed load, and recycles slots as jobs retire so the table stays as
-/// dense as the active set. Each entry keeps the job's monotonic arrival
-/// sequence number — the stable telemetry id `MetricsSink::on_job`
-/// reports — precisely *because* slots recycle.
-///
-/// No generation check is needed: a slot is referenced only between its
-/// arrival and its completion (`account_completion` frees it last), so a
-/// stale index can never be observed.
-#[derive(Default)]
-pub(crate) struct SpecSlab {
-    slots: Vec<Option<(u64, SimJob)>>,
-    free: Vec<usize>,
-}
-
-impl SpecSlab {
-    pub(crate) fn insert(&mut self, seq: u64, job: SimJob) -> usize {
-        match self.free.pop() {
-            Some(idx) => {
-                debug_assert!(self.slots[idx].is_none(), "free spec slot occupied");
-                self.slots[idx] = Some((seq, job));
-                idx
-            }
-            None => {
-                self.slots.push(Some((seq, job)));
-                self.slots.len() - 1
-            }
-        }
-    }
-
-    /// The arrival sequence number of the job in `idx`.
-    pub(crate) fn seq(&self, idx: usize) -> u64 {
-        self.slots[idx].as_ref().expect("spec slot vacant").0
-    }
-
-    pub(crate) fn remove(&mut self, idx: usize) {
-        let freed = self.slots[idx].take();
-        debug_assert!(freed.is_some(), "spec slot double-freed");
-        self.free.push(idx);
-    }
-}
-
-impl std::ops::Index<usize> for SpecSlab {
-    type Output = SimJob;
-
-    fn index(&self, idx: usize) -> &SimJob {
-        &self.slots[idx].as_ref().expect("spec slot vacant").1
-    }
-}
-
 /// The simulation state shared by every driver submodule.
 pub(crate) struct Driver<'a, 's> {
     pub(crate) cfg: ExperimentConfig,
-    /// Specs of the jobs currently *in* the simulation, keyed by slab
-    /// slot (the `Ev::Arrival` payload). An entry is inserted when the
-    /// source yields the job and removed when the job completes, so the
-    /// slab holds only the active set — O(active jobs), not O(trace
-    /// length).
-    pub(crate) jobs: SpecSlab,
-    /// Jobs pulled from the source so far (the next arrival sequence
-    /// number, and the telemetry id of the next arrival).
-    pub(crate) arrived: usize,
+    /// The jobs submitted and not yet completed, keyed by their
+    /// scheduler id: each one's arrival sequence number — the telemetry
+    /// id [`MetricsSink::on_job`] reports — and its spec. An entry is
+    /// inserted at submission, re-keyed when a failure requeues the job
+    /// under a new id, and removed when the job completes, so the map
+    /// holds only the active set — O(active jobs), not O(trace length).
+    pub(crate) specs: JobMap<(u64, SimJob)>,
+    /// Jobs submitted so far (the sequence number of the next arrival).
+    pub(crate) arrived: u64,
     /// Where jobs come from, one at a time: only the next arrival is
     /// ever scheduled.
     pub(crate) source: &'a mut dyn WorkloadSource,
+    /// The job the in-flight [`Ev::Arrival`] submits; `None` once the
+    /// source is exhausted.
+    pub(crate) next_arrival: Option<SimJob>,
     pub(crate) slurm: Slurm,
     pub(crate) engine: Engine<Ev>,
+    /// The state of every started incarnation, keyed by its id.
     pub(crate) running: JobMap<RunState>,
-    pub(crate) spec_of: JobMap<usize>,
-    pub(crate) rj_to_orig: JobMap<JobId>,
     /// Where telemetry goes: one sample per processed event, one outcome
     /// per completed job.
     pub(crate) sink: &'s mut dyn MetricsSink,
     pub(crate) completed: u32,
-    /// An arrival event is in flight (the source was not exhausted at the
-    /// last pull).
-    pub(crate) arrivals_pending: bool,
     /// Arrival instant of the last scheduled arrival; sources must be
     /// arrival-sorted, stragglers are clamped here defensively.
     pub(crate) last_arrival: SimTime,
@@ -497,17 +452,15 @@ impl<'a, 's> Driver<'a, 's> {
         let resize_fail_p = cfg.faults.resize_fail_p();
         Driver {
             cfg,
-            jobs: SpecSlab::default(),
+            specs: JobMap::default(),
             arrived: 0,
             source,
+            next_arrival: None,
             slurm: Slurm::new(cluster, scfg),
             engine: Engine::new(),
             running: JobMap::default(),
-            spec_of: JobMap::default(),
-            rj_to_orig: JobMap::default(),
             sink,
             completed: 0,
-            arrivals_pending: false,
             last_arrival: SimTime::ZERO,
             pass_due: false,
             power,
@@ -594,15 +547,14 @@ impl<'a, 's> Driver<'a, 's> {
         self.pass_due = true;
     }
 
-    pub(crate) fn is_flexible(&self, idx: usize) -> bool {
-        let spec = &self.jobs[idx].spec;
+    pub(crate) fn is_flexible(&self, spec: &JobSpec) -> bool {
         self.cfg.malleability && spec.flexible && !spec.malleability.is_rigid()
     }
 
-    pub(crate) fn inhibitor_period(&self, idx: usize) -> Option<f64> {
+    pub(crate) fn inhibitor_period(&self, spec: &JobSpec) -> Option<f64> {
         self.cfg
             .inhibitor_override
-            .unwrap_or(self.jobs[idx].spec.malleability.sched_period_s)
+            .unwrap_or(spec.malleability.sched_period_s)
     }
 }
 
@@ -1060,5 +1012,36 @@ mod tests {
         assert_eq!(r.summary.jobs, 30);
         assert!(outcomes.iter().all(|o| o.waiting_s() >= 0.0));
         assert!(r.summary.utilization > 0.0 && r.summary.utilization <= 1.0);
+    }
+    #[test]
+    fn an_async_retry_never_queues_a_second_resizer() {
+        // Injected resize failures schedule retries; asynchronous jobs
+        // also wait on queued resizers. A retry that fell due while its
+        // job awaited a resizer used to queue a second one, whose timeout
+        // the first resizer's start then cancelled. These runs reached
+        // that state 41 times; `try_expand` now asserts that it cannot.
+        use dmr_cluster::FaultLoad;
+        use dmr_workload::WorkloadKind;
+        for base in [
+            ExperimentConfig::preliminary(),
+            ExperimentConfig::production(),
+        ] {
+            for kind in [
+                WorkloadKind::FsPreliminary,
+                WorkloadKind::RealMix,
+                WorkloadKind::burst(),
+            ] {
+                for seed in 0..20 {
+                    let cfg = base
+                        .asynchronous()
+                        .with_faults(FaultLoad::Harsh)
+                        .with_fault_seed(seed)
+                        .with_ckpt_interval(600.0);
+                    let mut src = kind.build(200, seed);
+                    let r = Simulation::new(&cfg).source(src.as_mut()).run().unwrap();
+                    assert_eq!(r.summary.jobs, 200, "{kind:?} seed {seed}");
+                }
+            }
+        }
     }
 }

@@ -39,11 +39,21 @@
 //! sample are those of the handled boundary. A boundary that fails any
 //! test is handed to its handler unchanged.
 //!
+//! Every reconfiguration begins in one place ([`Driver::begin_reconfig`]):
+//! a growth is charged the `MPI_Comm_spawn` of the new ranks plus the data
+//! redistribution, a shrink the redistribution alone, and the
+//! [`Ev::ReconfigDone`] that ends it carries the size to adopt.
+//!
 //! Expansion failures flow through [`DmrError`]: the only variant that is
 //! protocol control-flow rather than a genuine error is the *deferral*
 //! signal ([`DmrError::queued_resizer`]) — synchronous mode aborts the
 //! queued resizer immediately (the paper's zero-wait degenerate),
-//! asynchronous mode keeps computing under a timeout (§V-B1).
+//! asynchronous mode keeps computing under a timeout (§V-B1). A job
+//! awaits at most one queued resizer: the job's
+//! [`super::RunState::waiting_rj`] names the resizer, the resizer's
+//! [`Ev::RjTimeout`] names the job, and while it waits the job plans
+//! nothing and drops an expansion retry that falls due — the queued
+//! resizer already carries the expansion.
 
 use dmr_sim::{SimTime, Span};
 use dmr_slurm::{JobId, ResizeAction};
@@ -64,18 +74,39 @@ impl Driver<'_, '_> {
 
     /// Arms the checking inhibitor: checks before `now + period` are
     /// swallowed (coalesced into one compute segment).
-    fn arm_inhibitor(&mut self, job: JobId, idx: usize, now: SimTime) {
-        if let Some(p) = self.inhibitor_period(idx) {
+    fn arm_inhibitor(&mut self, job: JobId, now: SimTime) {
+        if let Some(p) = self.inhibitor_period(&self.specs[job].1.spec) {
             let rs = self.running.get_mut(job).expect("running");
             rs.next_check_at = now + Span::from_secs_f64(p);
         }
     }
 
+    /// Starts `job`'s reconfiguration to `to` processes at `at`; it adopts
+    /// the new size at the [`Ev::ReconfigDone`] one resize cost later. A
+    /// growth pays the `MPI_Comm_spawn` of the new ranks and the data
+    /// redistribution; a shrink only the redistribution, the drain of the
+    /// leaving ranks.
+    fn begin_reconfig(&mut self, job: JobId, to: u32, at: SimTime) {
+        let procs = self.running[job].procs;
+        let network = &self.cfg.network;
+        let redistribute =
+            network.redistribution_time(self.specs[job].1.spec.data_bytes, procs, to);
+        let cost = if to > procs {
+            network.spawn_time(to) + redistribute
+        } else {
+            redistribute
+        };
+        let ev = self
+            .engine
+            .schedule_at(at + cost, Ev::ReconfigDone { job, to });
+        self.running.get_mut(job).expect("running").inflight = Some(ev);
+    }
+
     /// Attempts the four-step expansion protocol towards `to` processes.
-    /// On success the spawn + redistribution charge is scheduled (after
-    /// `pause`) and `true` is returned. On deferral the queued resizer is
-    /// either awaited under the §V-B1 timeout (`wait_on_queue`, the
-    /// asynchronous path) or aborted on the spot (the synchronous path).
+    /// On success the reconfiguration begins after `pause` and `true` is
+    /// returned. On deferral the queued resizer is either awaited under
+    /// the §V-B1 timeout (`wait_on_queue`, the asynchronous path) or
+    /// aborted on the spot (the synchronous path).
     fn try_expand(
         &mut self,
         job: JobId,
@@ -84,11 +115,6 @@ impl Driver<'_, '_> {
         pause: Span,
         wait_on_queue: bool,
     ) -> bool {
-        let (idx, procs) = {
-            let rs = &self.running[job];
-            (rs.spec_idx, rs.procs)
-        };
-        let data = self.jobs[idx].spec.data_bytes;
         // Injected spawn-path failure (faultload): the negotiation dies
         // before the protocol runs; the job degrades gracefully to its
         // old size and a backoff retry is scheduled. Classified as
@@ -102,26 +128,21 @@ impl Driver<'_, '_> {
             .map_err(DmrError::from)
         {
             Ok(_) => {
-                let cost = self.cfg.network.spawn_time(to)
-                    + self.cfg.network.redistribution_time(data, procs, to);
-                let ev = self
-                    .engine
-                    .schedule_at(now + pause + cost, Ev::ReconfigDone { job });
-                let rs = self.running.get_mut(job).expect("running");
-                rs.pending_expand = Some(to);
-                rs.inflight = Some(ev);
+                self.begin_reconfig(job, to, now + pause);
                 true
             }
             Err(e) => {
                 if let Some(resizer) = e.queued_resizer() {
                     if wait_on_queue {
+                        // One awaited resizer per job: its timeout names
+                        // the job, and the job names the resizer.
+                        let rs = self.running.get_mut(job).expect("running");
+                        debug_assert!(rs.waiting_rj.is_none(), "{job:?} queued a second resizer");
                         let ev = self.engine.schedule_at(
                             now + Span::from_secs_f64(self.cfg.resizer_timeout_s),
-                            Ev::RjTimeout { rj: resizer },
+                            Ev::RjTimeout { job },
                         );
-                        let rs = self.running.get_mut(job).expect("running");
                         rs.waiting_rj = Some((resizer, ev));
-                        self.rj_to_orig.insert(resizer, job);
                     } else {
                         self.slurm.abort_expand(resizer, now);
                     }
@@ -135,8 +156,7 @@ impl Driver<'_, '_> {
     /// Every non-inhibited call costs [`crate::ExperimentConfig::check_overhead_s`]
     /// — the runtime↔RMS round trip the inhibitor exists to amortise.
     fn check_sync(&mut self, job: JobId, now: SimTime) {
-        let idx = self.running[job].spec_idx;
-        self.arm_inhibitor(job, idx, now);
+        self.arm_inhibitor(job, now);
         let pause = self.check_pause();
         // An expansion retry whose backoff expired takes precedence over
         // a fresh policy consultation (the decision was already made; the
@@ -147,7 +167,7 @@ impl Driver<'_, '_> {
             .and_then(|rs| rs.retry_expand.take())
         {
             Some(to) => ResizeAction::Expand { to },
-            None => self.consult(job, idx, now),
+            None => self.consult(job, now),
         };
         match action {
             ResizeAction::NoAction => self.pause_then_continue(job, now, pause),
@@ -158,7 +178,7 @@ impl Driver<'_, '_> {
                     self.pause_then_continue(job, now, pause);
                 }
             }
-            ResizeAction::Shrink { to, .. } => self.schedule_shrink(job, to, now, pause),
+            ResizeAction::Shrink { to, .. } => self.begin_reconfig(job, to, now + pause),
         }
     }
 
@@ -166,10 +186,9 @@ impl Driver<'_, '_> {
     /// boundary, then plan the next one. The communication overhead hides
     /// behind computation, but decisions can be stale (§VIII-C).
     fn check_async(&mut self, job: JobId, now: SimTime) {
-        let (idx, procs, granted, planned, waiting, retry) = {
+        let (procs, granted, planned, waiting, retry) = {
             let rs = self.running.get_mut(job).expect("running");
             (
-                rs.spec_idx,
                 rs.procs,
                 rs.granted_expand.take(),
                 rs.planned.take(),
@@ -177,21 +196,16 @@ impl Driver<'_, '_> {
                 rs.retry_expand.take(),
             )
         };
-        self.arm_inhibitor(job, idx, now);
-        let data = self.jobs[idx].spec.data_bytes;
+        self.arm_inhibitor(job, now);
+        // A retry that falls due while a resizer is awaited is dropped:
+        // the queued resizer already carries the expansion.
+        let retry = retry.filter(|_| !waiting);
         let mut applying = false;
 
         if let Some(newp) = granted {
             // A queued resizer delivered mid-segment; spawn + redistribute
             // now.
-            let cost = self.cfg.network.spawn_time(newp)
-                + self.cfg.network.redistribution_time(data, procs, newp);
-            let ev = self
-                .engine
-                .schedule_at(now + cost, Ev::ReconfigDone { job });
-            let rs = self.running.get_mut(job).expect("running");
-            rs.pending_expand = Some(newp);
-            rs.inflight = Some(ev);
+            self.begin_reconfig(job, newp, now);
             applying = true;
         } else if let Some(plan) = planned.or(retry.map(|to| ResizeAction::Expand { to })) {
             match plan {
@@ -199,7 +213,7 @@ impl Driver<'_, '_> {
                     applying = self.try_expand(job, to, now, Span::ZERO, true);
                 }
                 ResizeAction::Shrink { to, .. } if to < procs => {
-                    self.schedule_shrink(job, to, now, Span::ZERO);
+                    self.begin_reconfig(job, to, now);
                     applying = true;
                 }
                 _ => {}
@@ -211,7 +225,7 @@ impl Driver<'_, '_> {
             // overlaps the next compute step). One in-flight negotiation
             // at a time.
             if !waiting && self.running[job].waiting_rj.is_none() {
-                let a = self.consult(job, idx, now);
+                let a = self.consult(job, now);
                 let rs = self.running.get_mut(job).expect("running");
                 rs.planned = a.is_action().then_some(a);
             }
@@ -234,10 +248,12 @@ impl Driver<'_, '_> {
     /// point. A "no action" also takes the policy's hold for the job's
     /// current size — unless the inhibitor gates the job's checks: a held
     /// boundary is exactly one step, never a coalesced run of them.
-    fn consult(&mut self, job: JobId, idx: usize, now: SimTime) -> ResizeAction {
+    fn consult(&mut self, job: JobId, now: SimTime) -> ResizeAction {
         self.checks.consulted += 1;
         let action = self.slurm.decide_resize(job, now);
-        if action == ResizeAction::NoAction && self.inhibitor_period(idx).is_none() {
+        if action == ResizeAction::NoAction
+            && self.inhibitor_period(&self.specs[job].1.spec).is_none()
+        {
             let hold = self.slurm.resize_hold(job);
             let rs = self.running.get_mut(job).expect("running");
             rs.hold = hold.map(|hold| (hold, rs.procs));
@@ -309,7 +325,7 @@ impl Driver<'_, '_> {
             || rs.planned.is_some()
             || rs.granted_expand.is_some()
             || rs.waiting_rj.is_some()
-            || rs.steps_done + steps >= self.jobs[rs.spec_idx].spec.steps
+            || rs.steps_done + steps >= self.specs[job].1.spec.steps
             || !hold.stands(&self.slurm)
         {
             return false;
@@ -327,57 +343,52 @@ impl Driver<'_, '_> {
         true
     }
 
-    /// A reconfiguration completed: adopt the new process set and resume
-    /// compute.
-    pub(crate) fn on_reconfig_done(&mut self, job: JobId, now: SimTime) {
+    /// A reconfiguration to `to` processes completed: adopt the new
+    /// process set and resume compute.
+    pub(crate) fn on_reconfig_done(&mut self, job: JobId, to: u32, now: SimTime) {
         let Some(rs) = self.running.get_mut(job) else {
             return;
         };
         rs.inflight = None;
-        if let Some(to) = rs.pending_shrink.take() {
+        if to <= rs.procs {
             self.finish_shrink(job, to, now);
-        } else if let Some(to) = rs.pending_expand.take() {
-            rs.set_procs(to, &self.jobs[rs.spec_idx]);
-            // A completed expansion refills the injected-failure retry
-            // budget for any future target.
-            rs.retry_attempt = 0;
-            self.update_estimate(job, now);
-            self.begin_segment(job, now);
-        } else {
-            debug_assert!(false, "ReconfigDone for {job:?} with no resize pending");
+            return;
         }
+        rs.set_procs(to, &self.specs[job].1);
+        // A completed expansion refills the injected-failure retry budget
+        // for any future target.
+        rs.retry_attempt = 0;
+        self.update_estimate(job, now);
+        self.begin_segment(job, now);
     }
 
     /// A queued resizer job finally started (asynchronous path): complete
     /// protocol steps 2–4 now; the application applies the grant (spawn +
     /// redistribution) at its next reconfiguring point.
     pub(crate) fn on_rj_started(&mut self, rj: JobId, orig: JobId, now: SimTime) {
-        self.rj_to_orig.remove(rj);
-        match self.slurm.finish_expand(rj, now) {
-            Ok((_, nodes)) => {
-                let cancel = if let Some(rs) = self.running.get_mut(orig) {
-                    rs.granted_expand = Some(nodes);
-                    rs.waiting_rj.take().map(|(_, ev)| ev)
-                } else {
-                    None
-                };
-                if let Some(ev) = cancel {
-                    self.engine.cancel(ev);
-                }
-            }
-            Err(_) => {
-                // Original vanished between scheduling and wiring; the
-                // scheduler's dependency hygiene already reclaimed nodes.
+        // `Err`: the original vanished between scheduling and wiring; the
+        // scheduler's dependency hygiene already reclaimed the nodes.
+        let Ok((_, nodes)) = self.slurm.finish_expand(rj, now) else {
+            return;
+        };
+        if let Some(rs) = self.running.get_mut(orig) {
+            rs.granted_expand = Some(nodes);
+            if let Some((awaited, timeout)) = rs.waiting_rj.take() {
+                debug_assert_eq!(awaited, rj, "{orig:?} awaited another resizer");
+                self.engine.cancel(timeout);
             }
         }
     }
 
-    pub(crate) fn on_rj_timeout(&mut self, rj: JobId, now: SimTime) {
-        self.slurm.abort_expand(rj, now);
-        if let Some(orig) = self.rj_to_orig.remove(rj) {
-            if let Some(rs) = self.running.get_mut(orig) {
-                rs.waiting_rj = None;
-            }
+    /// `job`'s resizer was queued too long: cancel it; the job computes on
+    /// at its size.
+    pub(crate) fn on_rj_timeout(&mut self, job: JobId, now: SimTime) {
+        if let Some((rj, _)) = self
+            .running
+            .get_mut(job)
+            .and_then(|rs| rs.waiting_rj.take())
+        {
+            self.slurm.abort_expand(rj, now);
         }
     }
 
@@ -390,7 +401,7 @@ impl Driver<'_, '_> {
             return;
         }
         let rs = &self.running[job];
-        let sim = &self.jobs[rs.spec_idx];
+        let sim = &self.specs[job].1;
         let remaining = sim
             .remaining_time(rs.procs, rs.steps_done)
             .mul_f64(self.cfg.estimate_padding);

@@ -71,7 +71,6 @@ impl DmrError {
         matches!(
             self,
             DmrError::Alloc(AllocError::Insufficient { .. })
-                | DmrError::Alloc(AllocError::NodeBusy(_))
                 | DmrError::Expand(ExpandError::Queued { .. })
                 | DmrError::Injected(_)
         )

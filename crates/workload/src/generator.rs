@@ -151,6 +151,44 @@ impl WorkloadConfig {
             repeats: None,
         }
     }
+
+    /// FS job `index`, its arrival instant 0: a size drawn from
+    /// `size_model`, then one step's duration from
+    /// [`WorkloadConfig::fs_step_model`], both from `rng`. Users request
+    /// the model's cap per step as their walltime, not the drawn value.
+    pub(crate) fn fs_body(
+        &self,
+        size_model: &SizeModel,
+        rng: &mut StdRng,
+        index: u32,
+        flexible: bool,
+    ) -> JobSpec {
+        let size = size_model.sample(rng);
+        let step_s = self.fs_step_model.sample(size, rng);
+        let cap = self.fs_step_model.cap_s;
+        let walltime_s = if cap.is_finite() {
+            self.fs_steps as f64 * cap
+        } else {
+            self.fs_steps as f64 * step_s * 2.5
+        };
+        let (_, malleability, _) = table1(AppClass::Fs);
+        JobSpec {
+            index,
+            arrival_s: 0.0,
+            submit_procs: size,
+            steps: self.fs_steps,
+            step_s,
+            walltime_s,
+            data_bytes: self.fs_data_bytes,
+            app: AppClass::Fs,
+            flexible,
+            gpu: false,
+            malleability: MalleabilitySpec {
+                max_procs: malleability.max_procs.min(self.max_size),
+                ..malleability
+            },
+        }
+    }
 }
 
 /// Seeded generator of Feitelson job bodies.
@@ -233,33 +271,9 @@ impl WorkloadGenerator {
         let flexible = self.rng.random::<f64>() < self.cfg.flexible_ratio;
         let (steps, malleability, data_bytes) = table1(app);
         let job = match app {
-            AppClass::Fs => {
-                let size = self.size_model.sample(&mut self.rng);
-                let step_s = self.cfg.fs_step_model.sample(size, &mut self.rng);
-                // Users request the cap per step, not the drawn value.
-                let cap = self.cfg.fs_step_model.cap_s;
-                let walltime_s = if cap.is_finite() {
-                    self.cfg.fs_steps as f64 * cap
-                } else {
-                    self.cfg.fs_steps as f64 * step_s * 2.5
-                };
-                JobSpec {
-                    index,
-                    arrival_s: 0.0,
-                    submit_procs: size,
-                    steps: self.cfg.fs_steps,
-                    step_s,
-                    walltime_s,
-                    data_bytes: self.cfg.fs_data_bytes,
-                    app,
-                    flexible,
-                    gpu: false,
-                    malleability: MalleabilitySpec {
-                        max_procs: malleability.max_procs.min(self.cfg.max_size),
-                        ..malleability
-                    },
-                }
-            }
+            AppClass::Fs => self
+                .cfg
+                .fs_body(&self.size_model, &mut self.rng, index, flexible),
             AppClass::Cg | AppClass::Jacobi | AppClass::Nbody => {
                 let size = malleability.max_procs;
                 let total_s = self

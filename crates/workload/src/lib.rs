@@ -23,17 +23,16 @@
 //! consumers never materialize a workload. Four source families exist —
 //! the Feitelson model ([`source::Feitelson`], bit-for-bit the generator
 //! above), Standard Workload Format trace replay ([`swf::SwfTrace`]), and
-//! two adversarial synthetics ([`burst::Burst`] load spikes,
-//! [`diurnal::Diurnal`] day/night sine arrivals). The `Copy` selector
-//! [`source::WorkloadKind`] carries the synthetic choices through
-//! configuration structs.
+//! two adversarial synthetics, which are one Poisson source of FS bodies
+//! whose rate is a square wave ([`source::WorkloadKind::Burst`] load
+//! spikes) or a sine ([`source::WorkloadKind::Diurnal`] day/night
+//! arrivals). The `Copy` selector [`source::WorkloadKind`] carries the
+//! synthetic choices through configuration structs.
 //!
 //! All sampling flows from a caller-provided seed; the same seed yields the
 //! same workload (the paper likewise fixes its shuffle seed).
 
 pub mod arrival;
-pub mod burst;
-pub mod diurnal;
 pub mod generator;
 pub mod repeat;
 pub mod runtime;
@@ -41,10 +40,9 @@ pub mod size;
 pub mod source;
 pub mod spec;
 pub mod swf;
+mod synthetic;
 
 pub use arrival::ArrivalModel;
-pub use burst::{Burst, BurstConfig};
-pub use diurnal::{Diurnal, DiurnalConfig};
 pub use generator::{WorkloadConfig, WorkloadGenerator};
 pub use repeat::RepeatModel;
 pub use runtime::RuntimeModel;

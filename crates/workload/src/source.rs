@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use crate::arrival::ArrivalModel;
 use crate::generator::{WorkloadConfig, WorkloadGenerator};
 use crate::spec::JobSpec;
+use crate::synthetic::Synthetic;
 
 /// A pull-based stream of jobs, ordered by arrival time.
 ///
@@ -50,8 +51,8 @@ impl WorkloadSource for std::slice::Iter<'_, JobSpec> {
 /// clone of it that construction advanced past every body draw, repeats
 /// included, so the gaps start where the last body left the stream. The
 /// price is one dry run of the body draws when the source is built; no
-/// job is kept. Like the adversarial synthetics ([`crate::burst::Burst`],
-/// [`crate::diurnal::Diurnal`]) and trace replay
+/// job is kept. Like the adversarial synthetics ([`WorkloadKind::Burst`],
+/// [`WorkloadKind::Diurnal`]) and trace replay
 /// ([`crate::swf::SwfTrace`]), a run of any length holds one job of it.
 pub struct Feitelson {
     bodies: WorkloadGenerator,
@@ -312,36 +313,9 @@ impl WorkloadKind {
                 Feitelson::named("real-gpu", WorkloadConfig::real_mix(jobs), seed),
                 permille,
             )),
-            WorkloadKind::Burst {
-                mean_interarrival_s,
-                period_s,
-                burst_len_s,
-                intensity,
-            } => Box::new(crate::burst::Burst::new(
-                crate::burst::BurstConfig {
-                    jobs,
-                    mean_interarrival_s,
-                    period_s,
-                    burst_len_s,
-                    intensity,
-                    ..crate::burst::BurstConfig::default()
-                },
-                seed,
-            )),
-            WorkloadKind::Diurnal {
-                mean_interarrival_s,
-                period_s,
-                amplitude,
-            } => Box::new(crate::diurnal::Diurnal::new(
-                crate::diurnal::DiurnalConfig {
-                    jobs,
-                    mean_interarrival_s,
-                    period_s,
-                    amplitude,
-                    ..crate::diurnal::DiurnalConfig::default()
-                },
-                seed,
-            )),
+            WorkloadKind::Burst { .. } | WorkloadKind::Diurnal { .. } => {
+                Box::new(Synthetic::new(self, jobs, seed))
+            }
         }
     }
 }
@@ -500,6 +474,55 @@ mod tests {
                 15733858508240645321,
                 1690963899944882455,
                 5357167369364832202,
+            ]
+        );
+    }
+    /// The load-spike and day/night streams at their defaults and at
+    /// other tunings (a flat sine among them), each at 0, 1 and 2 000 jobs
+    /// and three seeds: one fold of the nine digests per kind. Recorded
+    /// on the two sources the rate-modulated one replaced.
+    #[test]
+    fn synthetic_streams_are_pinned_bit_for_bit() {
+        let kinds = [
+            WorkloadKind::burst(),
+            WorkloadKind::Burst {
+                mean_interarrival_s: 3.5,
+                period_s: 250.0,
+                burst_len_s: 100.0,
+                intensity: 2.5,
+            },
+            WorkloadKind::diurnal(),
+            WorkloadKind::Diurnal {
+                mean_interarrival_s: 7.0,
+                period_s: 900.0,
+                amplitude: 0.0,
+            },
+            WorkloadKind::Diurnal {
+                mean_interarrival_s: 20.0,
+                period_s: 500.0,
+                amplitude: 0.5,
+            },
+        ];
+        let mut got = Vec::new();
+        for kind in kinds {
+            let mut fold = 0u64;
+            for jobs in [0, 1, 2_000] {
+                for seed in [0, 7, 20170814] {
+                    let (len, digest) = stream_digest(kind.build(jobs, seed).as_mut());
+                    assert_eq!(len, jobs as usize);
+                    fold = fold.rotate_left(7) ^ digest;
+                }
+            }
+            got.push(fold);
+        }
+        assert_eq!(
+            got,
+            [
+                17820773859947333264,
+                7821356013868544580,
+                8320123805627652638,
+                10524153381217383722,
+                9796842864759921755,
             ]
         );
     }

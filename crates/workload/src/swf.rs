@@ -18,7 +18,6 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Cursor};
 use std::path::Path;
 
-use crate::burst::ratio_slot;
 use crate::source::WorkloadSource;
 use crate::spec::{AppClass, JobSpec, MalleabilitySpec};
 
@@ -194,6 +193,12 @@ impl<R: BufRead> SwfTrace<R> {
         self.emitted += 1;
         job
     }
+}
+
+/// Deterministic fraction bookkeeping: job `emitted` is flexible iff the
+/// running count of flexible jobs would otherwise fall behind `ratio`.
+fn ratio_slot(emitted: u32, ratio: f64) -> bool {
+    (((emitted + 1) as f64) * ratio).floor() > ((emitted as f64) * ratio).floor()
 }
 
 impl<R: BufRead> WorkloadSource for SwfTrace<R> {
