@@ -14,7 +14,7 @@ use dmr_sim::{EventId, SimTime, Span};
 use dmr_slurm::{JobId, JobName, JobRequest, ResizeEnvelope};
 
 use super::events::Ev;
-use super::{Driver, RunState};
+use super::{Driver, Phase, RunState};
 use crate::config::EstimateMode;
 use crate::model::SimJob;
 
@@ -141,21 +141,21 @@ impl Driver<'_, '_> {
             self.complete_job(job, now);
             return;
         };
-        let ev = self
+        let seg = self
             .engine
             .schedule_at(now + duration, Ev::SegmentDone { job, steps });
-        self.track_segment(job, ev);
+        self.mark_if_held(job, seg);
+        self.enter(job, Phase::Computing { seg });
     }
 
-    /// Records `ev` as `job`'s in-flight segment end, marked claimable
-    /// when the job has a hold at its current size, so that the engine
-    /// lets the driver try the held path first ([`Driver::on_due_segment`]).
-    /// A job without one — every rigid job — pays one test.
-    pub(crate) fn track_segment(&mut self, job: JobId, ev: EventId) {
-        let rs = self.running.get_mut(job).expect("running");
-        rs.inflight = Some(ev);
+    /// Marks `job`'s segment end `seg` claimable when the job has a hold
+    /// at its current size, so that the engine lets the driver try the
+    /// held path first ([`Driver::on_due_segment`]). A job without one —
+    /// every rigid job — pays one test.
+    pub(crate) fn mark_if_held(&mut self, job: JobId, seg: EventId) {
+        let rs = &self.running[job];
         if rs.hold.is_some_and(|(_, size)| size == rs.procs) {
-            self.engine.mark_claimable(ev);
+            self.engine.mark_claimable(seg);
         }
     }
 
@@ -216,31 +216,22 @@ impl Driver<'_, '_> {
     }
 
     pub(crate) fn on_segment_done(&mut self, job: JobId, steps: u32, now: SimTime) {
-        let Some(rs) = self.running.get_mut(job) else {
-            return;
-        };
-        rs.inflight = None;
+        let rs = self.running.get_mut(job).expect("a computing job runs");
+        debug_assert!(!matches!(rs.phase, Phase::Reconfiguring { .. }));
         rs.close_segment(steps, now, self.cfg.ckpt_interval_s);
-        let steps_done = rs.steps_done;
         let spec = &self.specs[job].1.spec;
-        let flexible = self.is_flexible(spec);
-        if steps_done >= spec.steps {
+        if rs.steps_done >= spec.steps {
             self.complete_job(job, now);
-            return;
-        }
-        if !flexible {
+        } else if self.is_flexible(spec) {
+            self.check_point(job, now);
+        } else {
             self.begin_segment(job, now);
-            return;
         }
-        self.check_point(job, now);
     }
 
     pub(crate) fn complete_job(&mut self, job: JobId, now: SimTime) {
-        if let Some(mut rs) = self.running.remove(job) {
-            if let Some((rj, ev)) = rs.waiting_rj.take() {
-                self.engine.cancel(ev);
-                self.slurm.abort_expand(rj, now);
-            }
+        if let Some(rs) = self.running.remove(job) {
+            self.drop_resizer(rs.phase, now);
         }
         // Fold the job's accounting into the metrics sink while the
         // scheduler record still exists, then let `complete` prune it.

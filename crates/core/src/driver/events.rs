@@ -26,8 +26,8 @@ pub(crate) enum Ev {
     /// size does not change while the reconfiguration is in flight, so
     /// `to` above it is a growth and `to` below it a shrink.
     ReconfigDone { job: JobId, to: u32 },
-    /// The resizer job `job` awaits ([`super::RunState::waiting_rj`])
-    /// was queued too long (§V-B1): abort the expansion.
+    /// The resizer job `job` awaits ([`super::Phase::Awaiting`]) was
+    /// queued too long (§V-B1): abort the expansion.
     RjTimeout { job: JobId },
     /// Periodic EASY-backfill pass (Slurm's `bf_interval`).
     BackfillTick,
@@ -115,6 +115,7 @@ impl Driver<'_, '_> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::RunState;
     use super::Ev;
 
     /// Every event names its job and at most one 32-bit argument: the
@@ -122,5 +123,12 @@ mod tests {
     #[test]
     fn an_event_is_16_bytes() {
         assert_eq!(std::mem::size_of::<Ev>(), 16);
+    }
+
+    /// Every started incarnation holds one, its protocol phase
+    /// included: a running job's driver state stays small.
+    #[test]
+    fn a_run_state_is_at_most_160_bytes() {
+        assert!(std::mem::size_of::<RunState>() <= 160);
     }
 }

@@ -5,10 +5,10 @@
 //! [`dmr_cluster::FaultSource`] (the same one-in-flight discipline as
 //! arrivals) and maps it onto [`dmr_slurm::Slurm::fail_node`] /
 //! [`dmr_slurm::Slurm::repair_node`]. A failure that lands on a node
-//! owned by a running job kills the incarnation: its in-flight segment /
-//! reconfiguration event is cancelled (a dead incarnation must never
-//! fire a stale completion), any queued resizer it was waiting on is
-//! aborted, and the job is resubmitted with a priority boost
+//! owned by a running job kills the incarnation: the in-flight event its
+//! phase names is cancelled (a dead incarnation must never fire a stale
+//! completion), a resizer it awaits is aborted as at completion
+//! ([`Driver::drop_resizer`]), and the job is resubmitted with a boost
 //! ([`dmr_slurm::Slurm::requeue_failed`]). The resubmission has a new id:
 //! the job's entry in [`Driver::specs`] moves to it, keeping the arrival
 //! sequence number the sink reports the job under, and its recovery
@@ -29,7 +29,7 @@ use dmr_sim::{SimTime, Span};
 use dmr_slurm::JobId;
 
 use super::events::Ev;
-use super::{Driver, RequeueInfo};
+use super::{Driver, Phase, RequeueInfo};
 
 /// Injected resize-negotiation failures are retried at most this many
 /// times per target before the job settles at its current size.
@@ -107,7 +107,7 @@ impl Driver<'_, '_> {
     /// Kills the running job that just lost a node and resubmits it with
     /// a boost, carrying recovery bookkeeping to the new incarnation.
     fn kill_and_requeue(&mut self, victim: JobId, now: SimTime) {
-        let Some(mut rs) = self.running.remove(victim) else {
+        let Some(rs) = self.running.remove(victim) else {
             // The owner is not a driver-tracked computation (e.g. a
             // resizer allocation parked mid-protocol); its own lifecycle
             // reclaims the nodes.
@@ -116,13 +116,10 @@ impl Driver<'_, '_> {
         // Stale-event hygiene: the dead incarnation's pending completion
         // (or reconfiguration) must never fire, and neither must the
         // timeout of a resizer it will no longer consume.
-        if let Some(ev) = rs.inflight.take() {
+        if let Some(ev) = rs.phase.event() {
             self.engine.cancel(ev);
         }
-        if let Some((rj, ev)) = rs.waiting_rj.take() {
-            self.engine.cancel(ev);
-            self.slurm.abort_expand(rj, now);
-        }
+        self.drop_resizer(rs.phase, now);
         // Recovery policy: resume from the last periodic image, or from
         // scratch when checkpointing is off. Work since the image is lost.
         let (resume_steps, image_at) = if self.cfg.ckpt_interval_s.is_some() {
@@ -167,6 +164,16 @@ impl Driver<'_, '_> {
         self.request_schedule();
     }
 
+    /// A job leaves the running set in `phase` (it completed or was
+    /// killed): the resizer it awaits, if any, is aborted, and its
+    /// timeout cancelled.
+    pub(crate) fn drop_resizer(&mut self, phase: Phase, now: SimTime) {
+        if let Phase::Awaiting { rj, timeout, .. } = phase {
+            self.engine.cancel(timeout);
+            self.slurm.abort_expand(rj, now);
+        }
+    }
+
     /// Rolls the injected-failure dice for one resize negotiation.
     /// Returns `true` when the negotiation is killed by injection — the
     /// caller degrades gracefully (the job continues at its old size)
@@ -204,7 +211,8 @@ impl Driver<'_, '_> {
     }
 
     /// Backoff expired: mark the job eligible to retry at its next
-    /// reconfiguring point (resizes only ever apply at step boundaries).
+    /// reconfiguring point (resizes only ever apply at step boundaries),
+    /// whatever its phase.
     /// Stale events — the incarnation died or already reached the target
     /// — fall through the generation-checked lookup and do nothing.
     pub(crate) fn on_resize_retry(&mut self, job: JobId, to: u32, _now: SimTime) {

@@ -18,9 +18,8 @@
 //! * `arrivals` — job submission, scheduling cycles, compute segments
 //!   and completion;
 //! * `reconfig` — the DMR check points, the expansion protocol
-//!   (synchronous and asynchronous variants, resizer-job timeout) and the
-//!   cost of every reconfiguration;
-//! * `shrink` — the end of the ACK-style shrink workflow (release, boost);
+//!   (synchronous and asynchronous variants, resizer-job timeout), and
+//!   the cost and the end of every reconfiguration (a shrink's release);
 //! * `failure` — injected node failures, kill-and-requeue recovery, and
 //!   the resize-retry backoff schedule;
 //! * `metrics` — evolution-series sampling and final summary assembly.
@@ -30,11 +29,13 @@
 //! * `Driver::specs` — the job's arrival sequence number and spec,
 //!   keyed by its scheduler id from submission to completion (a requeue
 //!   re-keys the entry to the new incarnation's id);
-//! * `Driver::running` — the `RunState` of a started incarnation;
+//! * `Driver::running` — the `RunState` of a started incarnation, whose
+//!   `phase` is where it stands in the resize protocol: its in-flight
+//!   event, and the plan, awaited resizer or grant of asynchronous mode;
 //! * `Driver::requeued` — the recovery bookkeeping of a requeued job;
 //! * the job's events — an `Ev::ReconfigDone` carries the size it
-//!   adopts, an `Ev::RjTimeout` names the job whose
-//!   `RunState::waiting_rj` resizer it times out.
+//!   adopts, an `Ev::RjTimeout` names the job whose awaited resizer it
+//!   times out.
 //!
 //! Before submission, the spec of the one arrival in flight waits in
 //! `Driver::next_arrival`.
@@ -46,7 +47,6 @@ pub(crate) mod events;
 pub(crate) mod failure;
 pub(crate) mod metrics;
 pub(crate) mod reconfig;
-pub(crate) mod shrink;
 
 use dmr_cluster::{Cluster, FaultSource, FaultTrace, PowerMeter};
 use dmr_metrics::{JobOutcome, MetricsSink, OnlineAccumulator};
@@ -61,6 +61,51 @@ use crate::model::SimJob;
 use crate::result::{CheckStats, ExperimentResult, RunStats};
 use events::Ev;
 
+/// Where a started incarnation stands in the resize protocol (§III,
+/// §V-B1). A computing job names its one in-flight `SegmentDone` (relayed
+/// or not) as `seg`; a reconfiguring one its `ReconfigDone` as `done`. A
+/// plan, an awaited resizer and a grant exist only in asynchronous mode,
+/// one at a time. Changed only through [`RunState::enter`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Phase {
+    /// No event in flight: the incarnation has just started, or its
+    /// reconfiguration has just ended, and its next segment is being
+    /// planned.
+    Resuming,
+    /// Computing, nothing negotiated.
+    Computing { seg: EventId },
+    /// Computing; `action` was decided at the previous check point and
+    /// applies at the next.
+    Planned { seg: EventId, action: ResizeAction },
+    /// Computing while the job's queued resizer `rj` waits to start,
+    /// until its [`Ev::RjTimeout`] `timeout` aborts it.
+    Awaiting {
+        seg: EventId,
+        rj: JobId,
+        timeout: EventId,
+    },
+    /// Computing; the resizer started and its nodes are attached, so the
+    /// job holds `to`. Spawn + redistribution begin at the next check
+    /// point.
+    Granted { seg: EventId, to: u32 },
+    /// Spawning and redistributing, or draining, until `done`.
+    Reconfiguring { done: EventId },
+}
+
+impl Phase {
+    /// The job's in-flight event, if any.
+    pub(crate) fn event(self) -> Option<EventId> {
+        match self {
+            Phase::Resuming => None,
+            Phase::Computing { seg }
+            | Phase::Planned { seg, .. }
+            | Phase::Awaiting { seg, .. }
+            | Phase::Granted { seg, .. } => Some(seg),
+            Phase::Reconfiguring { done } => Some(done),
+        }
+    }
+}
+
 /// Per-running-job state the runtime would keep.
 #[derive(Debug)]
 pub(crate) struct RunState {
@@ -73,21 +118,8 @@ pub(crate) struct RunState {
     pub(crate) steps_done: u32,
     /// Inhibitor gate: checks before this instant are swallowed.
     pub(crate) next_check_at: SimTime,
-    /// Asynchronous mode: the action decided at the previous boundary.
-    pub(crate) planned: Option<ResizeAction>,
-    /// Asynchronous mode: a queued resizer started and its nodes are
-    /// already attached; apply (spawn + redistribute) at the next boundary.
-    pub(crate) granted_expand: Option<u32>,
-    /// Asynchronous mode: the queued resizer job this job awaits and
-    /// the [`Ev::RjTimeout`] that aborts it. At most one: while it waits,
-    /// the job plans nothing and drops a due expansion retry.
-    pub(crate) waiting_rj: Option<(JobId, EventId)>,
-    /// The in-flight `SegmentDone` / `ReconfigDone` event for this job.
-    /// Exactly one is pending whenever the job is computing, pausing at
-    /// a check (the relayed `SegmentDone` of the segment after the
-    /// pause) or reconfiguring; a node failure cancels it so the dead
-    /// incarnation can never fire a stale completion.
-    pub(crate) inflight: Option<EventId>,
+    /// Where the job stands in the resize protocol.
+    pub(crate) phase: Phase,
     /// When this incarnation started computing (scratch-restart baseline
     /// for lost-work accounting).
     pub(crate) started_at: SimTime,
@@ -99,14 +131,18 @@ pub(crate) struct RunState {
     pub(crate) ckpt_steps: u32,
     /// An expansion retry (after injected-failure backoff) is eligible:
     /// target process count to attempt at the next reconfiguring point.
+    /// A mailbox, outside the phase: every check point empties it, and
+    /// uses it unless a grant, a plan or an awaited resizer goes first.
     pub(crate) retry_expand: Option<u32>,
     /// Injected-failure retry attempts consumed for the current target
     /// (bounds the exponential backoff schedule).
     pub(crate) retry_attempt: u32,
     /// The policy's [`Hold`] on "no action" for this job and the process
-    /// count it was granted at. While it stands at that count a check
-    /// point passes without consulting the policy (`reconfig`'s held
-    /// path). Granted only where the inhibitor gates no check.
+    /// count it was granted at. Whenever the job is at that count —
+    /// including after a resize away and back — a check point with
+    /// nothing negotiated passes without consulting the policy
+    /// (`reconfig`'s held path). Granted only where the inhibitor gates no
+    /// check.
     pub(crate) hold: Option<(Hold, u32)>,
 }
 
@@ -117,10 +153,7 @@ impl RunState {
             step: sim.step_time(procs),
             steps_done: 0,
             next_check_at: now,
-            planned: None,
-            granted_expand: None,
-            waiting_rj: None,
-            inflight: None,
+            phase: Phase::Resuming,
             started_at: now,
             last_ckpt_at: now,
             ckpt_steps: 0,
@@ -128,6 +161,30 @@ impl RunState {
             retry_attempt: 0,
             hold: None,
         }
+    }
+
+    /// Moves the job to `next`; debug builds check the move. A check
+    /// point ends a segment and begins the next or a reconfiguration (an
+    /// awaited resizer stays awaited, a grant is applied); mid segment an
+    /// awaited resizer starts or times out; a reconfiguration ends before
+    /// the next segment is planned.
+    pub(crate) fn enter(&mut self, next: Phase) {
+        use Phase::*;
+        let legal = match (self.phase, next) {
+            (
+                Computing { seg } | Planned { seg, .. },
+                Computing { seg: s } | Planned { seg: s, .. } | Awaiting { seg: s, .. },
+            ) => s != seg,
+            (Computing { .. } | Planned { .. } | Granted { .. }, Reconfiguring { .. }) => true,
+            (Awaiting { rj, timeout, .. }, Awaiting { seg, .. }) => {
+                next != self.phase && next == Awaiting { seg, rj, timeout }
+            }
+            (Awaiting { seg, .. }, Computing { seg: s } | Granted { seg: s, .. }) => s == seg,
+            (Reconfiguring { .. }, Resuming) | (Resuming, Computing { .. }) => true,
+            _ => false,
+        };
+        debug_assert!(legal, "{:?} cannot enter {next:?}", self.phase);
+        self.phase = next;
     }
 
     /// Adopts a new process count (`sim` is this job's spec).
@@ -1014,34 +1071,389 @@ mod tests {
         assert!(r.summary.utilization > 0.0 && r.summary.utilization <= 1.0);
     }
     #[test]
-    fn an_async_retry_never_queues_a_second_resizer() {
+    fn a_retry_never_queues_a_second_resizer() {
         // Injected resize failures schedule retries; asynchronous jobs
-        // also wait on queued resizers. A retry that fell due while its
-        // job awaited a resizer used to queue a second one, whose timeout
-        // the first resizer's start then cancelled. These runs reached
-        // that state 41 times; `try_expand` now asserts that it cannot.
+        // also wait on queued resizers. A retry may fall due in any phase:
+        // while a resizer is awaited, while the job reconfigures, or after
+        // the job already reached its target; a later retry may overwrite
+        // a pending one. Every phase change goes through
+        // `RunState::enter`, whose assertions hold across these runs.
         use dmr_cluster::FaultLoad;
         use dmr_workload::WorkloadKind;
         for base in [
             ExperimentConfig::preliminary(),
             ExperimentConfig::production(),
         ] {
-            for kind in [
-                WorkloadKind::FsPreliminary,
-                WorkloadKind::RealMix,
-                WorkloadKind::burst(),
-            ] {
-                for seed in 0..20 {
-                    let cfg = base
-                        .asynchronous()
-                        .with_faults(FaultLoad::Harsh)
-                        .with_fault_seed(seed)
-                        .with_ckpt_interval(600.0);
-                    let mut src = kind.build(200, seed);
-                    let r = Simulation::new(&cfg).source(src.as_mut()).run().unwrap();
-                    assert_eq!(r.summary.jobs, 200, "{kind:?} seed {seed}");
+            for mode in [base, base.asynchronous()] {
+                for kind in [
+                    WorkloadKind::FsPreliminary,
+                    WorkloadKind::RealMix,
+                    WorkloadKind::burst(),
+                ] {
+                    for seed in 0..20 {
+                        let cfg = mode
+                            .with_faults(FaultLoad::Harsh)
+                            .with_fault_seed(seed)
+                            .with_ckpt_interval(600.0);
+                        let mut src = kind.build(200, seed);
+                        let r = Simulation::new(&cfg).source(src.as_mut()).run().unwrap();
+                        assert_eq!(r.summary.jobs, 200, "{:?} {kind:?} seed {seed}", cfg.mode);
+                    }
                 }
             }
+        }
+    }
+
+    /// A resize policy that answers `.0` at every consultation and
+    /// promises no hold, so every check point reaches its handler.
+    struct Answer(ResizeAction);
+
+    impl dmr_slurm::ResizePolicy for Answer {
+        fn name(&self) -> &'static str {
+            "answer"
+        }
+
+        fn decide(&mut self, _: &Slurm, _: JobId, _: SimTime) -> ResizeAction {
+            self.0
+        }
+    }
+
+    /// The three jobs of [`rig`]: `a` flexible on 4 of the 20 nodes, `b`
+    /// and `c` rigid on the other 12 and 4, each one long segment.
+    #[derive(Clone, Copy)]
+    struct Jobs {
+        a: JobId,
+        b: JobId,
+        c: JobId,
+    }
+
+    /// Runs `test` on a driver whose three [`Jobs`] started at t = 0 and
+    /// fill the machine, under a policy that answers "no action".
+    fn rig(cfg: ExperimentConfig, test: impl FnOnce(&mut Driver, Jobs)) {
+        let rigid = |index, procs| JobSpec {
+            flexible: false,
+            ..fs_job(index, 0.0, procs, 1, 1e5)
+        };
+        let specs = [fs_job(0, 0.0, 4, 10, 10.0), rigid(1, 12), rigid(2, 4)];
+        let mut source = specs.iter();
+        let mut sink = OnlineAccumulator::new();
+        let mut d = Driver::new(
+            ExperimentConfig {
+                backfill: false,
+                ..cfg
+            },
+            &mut source,
+            &mut sink,
+            None,
+        );
+        answer(&mut d, ResizeAction::NoAction);
+        d.schedule_next_arrival();
+        while d.running.len() < 3 {
+            let Some(Step::Fired(now, ev)) = d.engine.step() else {
+                panic!("the three arrivals fire first");
+            };
+            d.handle(now, ev);
+            flush(&mut d);
+        }
+        let mut ids: Vec<_> = d.slurm.jobs().map(|j| (j.seq, j.id)).collect();
+        ids.sort();
+        let jobs = Jobs {
+            a: ids[0].1,
+            b: ids[1].1,
+            c: ids[2].1,
+        };
+        assert_eq!(d.slurm.cluster().free_nodes(), 0);
+        test(&mut d, jobs)
+    }
+
+    fn answer(d: &mut Driver, action: ResizeAction) {
+        d.slurm.set_policy(Box::new(Answer(action)));
+    }
+
+    /// Runs the scheduling pass an event asked for.
+    fn flush(d: &mut Driver) {
+        if std::mem::take(&mut d.pass_due) {
+            d.do_schedule(d.engine.now());
+        }
+    }
+
+    /// Handles `ev` now, as if it had just fired.
+    fn fire(d: &mut Driver, ev: Ev) {
+        d.handle(d.engine.now(), ev);
+        flush(d);
+    }
+
+    /// Fires the pending event `id` now, ahead of its instant.
+    fn fire_pending(d: &mut Driver, id: EventId) {
+        let ev = d.engine.cancel(id).expect("the event is pending");
+        fire(d, ev);
+    }
+
+    /// `job`'s segment ends now: its pending `SegmentDone` fires, or one
+    /// is made up when it has none in flight.
+    fn end_segment(d: &mut Driver, job: JobId) {
+        match d.running[job].phase {
+            Phase::Resuming | Phase::Reconfiguring { .. } => {
+                fire(d, Ev::SegmentDone { job, steps: 1 })
+            }
+            phase => fire_pending(d, phase.event().expect("a segment is in flight")),
+        }
+    }
+
+    /// The phases a test drives job `a` of [`rig`] to.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum At {
+        Computing,
+        Planned,
+        Awaiting,
+        Granted,
+        Reconfiguring,
+    }
+
+    /// The events of the protocol, applied to job `a`.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum On {
+        /// Its segment ends with steps left.
+        Check,
+        ReconfigDone,
+        /// A resizer for it starts: the one it awaits, or one made up.
+        ResizerStarted,
+        RjTimeout,
+        ResizeRetry,
+        /// One of its nodes fails.
+        NodeFail,
+        /// Its last segment ends.
+        Completion,
+    }
+
+    /// What a test expects of job `a` after an event.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Next {
+        /// The phase the job enters (compared by variant, and field by
+        /// field where the protocol keeps a field).
+        Enters(At),
+        /// The phase stays; the retry waits in the mailbox.
+        Mailbox,
+        /// The incarnation is gone, its events and its resizer with it.
+        Gone,
+        /// A debug assertion trips.
+        Illegal,
+    }
+
+    fn at(phase: Phase) -> At {
+        match phase {
+            Phase::Computing { .. } => At::Computing,
+            Phase::Planned { .. } => At::Planned,
+            Phase::Awaiting { .. } => At::Awaiting,
+            Phase::Granted { .. } => At::Granted,
+            Phase::Reconfiguring { .. } => At::Reconfiguring,
+            Phase::Resuming => unreachable!("no handler leaves a job resuming"),
+        }
+    }
+
+    /// A policy answer that grows job `a` of [`rig`] to 8 nodes.
+    const GROW: ResizeAction = ResizeAction::Expand { to: 8 };
+    /// A policy answer that shrinks job `a` of [`rig`] to 2 nodes.
+    const SHRINK: ResizeAction = ResizeAction::Shrink {
+        to: 2,
+        beneficiary: None,
+    };
+
+    /// Drives job `a` to `to` through the protocol's own handlers. In
+    /// asynchronous mode: a plan to grow to 8, the resizer it queues, that
+    /// resizer started on `c`'s nodes, and the growth. In synchronous
+    /// mode: a shrink to 2.
+    fn drive(d: &mut Driver, jobs: Jobs, to: At) {
+        let Jobs { a, c, .. } = jobs;
+        if to == At::Computing {
+            return;
+        }
+        let sync = d.cfg.mode == crate::ScheduleMode::Synchronous;
+        answer(d, if sync { SHRINK } else { GROW });
+        end_segment(d, a);
+        answer(d, ResizeAction::NoAction);
+        for step in [At::Awaiting, At::Granted, At::Reconfiguring] {
+            if sync || at(d.running[a].phase) == to {
+                break;
+            }
+            match step {
+                At::Granted => end_segment(d, c),
+                _ => end_segment(d, a),
+            }
+        }
+        assert_eq!(at(d.running[a].phase), to);
+    }
+
+    /// Applies `on` to job `a` of [`rig`].
+    fn apply(d: &mut Driver, jobs: Jobs, on: On) {
+        let Jobs { a, b, .. } = jobs;
+        let phase = d.running[a].phase;
+        let now = d.engine.now();
+        match on {
+            On::Check => end_segment(d, a),
+            On::Completion => {
+                let rs = d.running.get_mut(a).unwrap();
+                rs.steps_done = d.specs[a].1.spec.steps - 1;
+                end_segment(d, a);
+            }
+            On::ReconfigDone => match phase {
+                Phase::Reconfiguring { done } => fire_pending(d, done),
+                _ => fire(d, Ev::ReconfigDone { job: a, to: 8 }),
+            },
+            On::ResizerStarted => {
+                if !matches!(phase, Phase::Awaiting { .. }) {
+                    let to = d.slurm.nodes_of(a) + 4;
+                    let queued = d.slurm.expand_protocol(a, to, now);
+                    assert!(matches!(queued, Err(dmr_slurm::ExpandError::Queued { .. })));
+                }
+                // `b` completes and a pass starts the resizer on its nodes.
+                end_segment(d, b);
+            }
+            On::RjTimeout => match phase {
+                Phase::Awaiting { timeout, .. } => fire_pending(d, timeout),
+                _ => fire(d, Ev::RjTimeout { job: a }),
+            },
+            On::ResizeRetry => fire(d, Ev::ResizeRetry { job: a, to: 12 }),
+            On::NodeFail => {
+                let node = (0..20)
+                    .map(dmr_cluster::NodeId)
+                    .find(|&n| d.slurm.cluster().owner_of(n) == Some(a.owner_tag()))
+                    .unwrap();
+                fire(d, Ev::NodeFail { node });
+            }
+        }
+    }
+
+    /// Whether resizer `rj` no longer waits to start.
+    fn not_queued(d: &Driver, rj: JobId) -> bool {
+        d.slurm
+            .job(rj)
+            .is_none_or(|j| j.state != dmr_slurm::JobState::Pending)
+    }
+
+    /// Checks job `a` against `next`, given its phase `before` the event.
+    fn expect(d: &mut Driver, a: JobId, before: Phase, on: On, next: Next) {
+        let Some(rs) = d.running.get(a) else {
+            assert_eq!(next, Next::Gone);
+            // Nothing of the dead incarnation may still fire or start.
+            let timeout = match before {
+                Phase::Awaiting { rj, timeout, .. } => {
+                    assert!(not_queued(d, rj), "resizer left queued");
+                    Some(timeout)
+                }
+                _ => None,
+            };
+            for ev in before.event().into_iter().chain(timeout) {
+                assert!(d.engine.cancel(ev).is_none(), "{ev:?} still pending");
+            }
+            return;
+        };
+        let after = rs.phase;
+        if next == Next::Mailbox {
+            assert_eq!((after, rs.retry_expand), (before, Some(12)));
+            return;
+        }
+        assert_eq!(Next::Enters(at(after)), next, "{before:?} -> {after:?}");
+        if on == On::Check {
+            assert_eq!(rs.retry_expand, None, "a check point empties the mailbox");
+        }
+        match (before, after) {
+            // The same resizer and timeout, the next segment.
+            (Phase::Awaiting { rj, timeout, .. }, Phase::Awaiting { seg, .. }) => {
+                assert!(after != before && after == Phase::Awaiting { seg, rj, timeout });
+            }
+            (Phase::Awaiting { seg, .. }, Phase::Granted { seg: s, to }) => {
+                assert_eq!((s, to), (seg, 8));
+            }
+            (Phase::Awaiting { seg, rj, .. }, Phase::Computing { seg: s }) => {
+                assert_eq!(s, seg, "the timeout leaves the segment alone");
+                assert!(not_queued(d, rj), "the timeout aborts the resizer");
+            }
+            _ => {}
+        }
+    }
+
+    /// Runs one `(phase, event)` pair on a fresh [`rig`], with `retry`
+    /// in `a`'s mailbox and `action` the policy's answer at the event.
+    fn case(
+        cfg: ExperimentConfig,
+        from: At,
+        retry: Option<u32>,
+        action: ResizeAction,
+        on: On,
+        next: Next,
+    ) {
+        if next == Next::Illegal && !cfg!(debug_assertions) {
+            return;
+        }
+        rig(cfg, |d, jobs| {
+            drive(d, jobs, from);
+            d.running.get_mut(jobs.a).unwrap().retry_expand = retry;
+            answer(d, action);
+            let before = d.running[jobs.a].phase;
+            let applied =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| apply(d, jobs, on)));
+            let what = format!("{:?} {from:?} retry {retry:?} {action:?} {on:?}", cfg.mode);
+            match applied {
+                Err(_) => assert_eq!(next, Next::Illegal, "{what} tripped an assertion"),
+                Ok(()) if next == Next::Illegal => panic!("{what} was accepted"),
+                Ok(()) => expect(d, jobs.a, before, on, next),
+            }
+        });
+    }
+
+    #[test]
+    fn every_phase_meets_every_event_as_the_protocol_says() {
+        use At::*;
+        use Next::{Enters as E, Gone as G, Illegal as X, Mailbox as M};
+        use On::*;
+        let events = [
+            Check,
+            ReconfigDone,
+            ResizerStarted,
+            RjTimeout,
+            ResizeRetry,
+            NodeFail,
+            Completion,
+        ];
+        let (asynchronous, sync, no) = (cfg().asynchronous(), cfg(), ResizeAction::NoAction);
+        // One row per phase, one column per event; the policy answers "no
+        // action". Synchronous mode plans, awaits and holds nothing.
+        #[rustfmt::skip]
+        let table = [
+            //                             Check             ReconfigDone  ResizerStarted  RjTimeout     ResizeRetry  NodeFail  Completion
+            (asynchronous, Computing,     [E(Computing),     X,            X,              X,            M,           G,        G]),
+            (asynchronous, Planned,       [E(Awaiting),      X,            X,              X,            M,           G,        G]),
+            (asynchronous, Awaiting,      [E(Awaiting),      X,            E(Granted),     E(Computing), M,           G,        G]),
+            (asynchronous, Granted,       [E(Reconfiguring), X,            X,              X,            M,           G,        G]),
+            (asynchronous, Reconfiguring, [X,                E(Computing), X,              X,            M,           G,        X]),
+            (sync,         Computing,     [E(Computing),     X,            X,              X,            M,           G,        G]),
+            (sync,         Reconfiguring, [X,                E(Computing), X,              X,            M,           G,        X]),
+        ];
+        for (cfg, from, row) in table {
+            for (on, next) in events.into_iter().zip(row) {
+                case(cfg, from, None, no, on, next);
+            }
+        }
+        // Check points by what the policy answers and what the mailbox
+        // holds: a grant goes first, then a plan, then a retry, and a
+        // retry is dropped while a resizer is awaited. No node is free,
+        // so an expansion queues a resizer.
+        #[rustfmt::skip]
+        let checks = [
+            (asynchronous, Computing, None,     GROW,   Planned),
+            (asynchronous, Computing, None,     SHRINK, Planned),
+            (asynchronous, Computing, Some(8),  no,     Awaiting),
+            (asynchronous, Planned,   Some(12), no,     Awaiting),
+            (asynchronous, Awaiting,  Some(12), no,     Awaiting),
+            (asynchronous, Awaiting,  None,     GROW,   Awaiting),
+            (asynchronous, Granted,   Some(12), no,     Reconfiguring),
+            (sync,         Computing, None,     GROW,   Computing),
+            (sync,         Computing, None,     SHRINK, Reconfiguring),
+            (sync,         Computing, Some(8),  no,     Computing),
+        ];
+        for (cfg, from, retry, action, next) in checks {
+            case(cfg, from, retry, action, Check, E(next));
         }
     }
 }

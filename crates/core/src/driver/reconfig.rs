@@ -28,8 +28,9 @@
 //! at the job's current size. The job's next `SegmentDone` is then marked
 //! claimable ([`dmr_sim::Engine::mark_claimable`]). When it falls due, the
 //! *held path* ([`Driver::on_due_segment`]) tests the hold and the
-//! boundary's other inputs (no expansion retry armed; asynchronously, no
-//! plan, grant or queued resizer; steps left after this one), and if all
+//! boundary's other inputs (the job is [`Phase::Computing`] — no plan,
+//! awaited resizer or grant, which exist only asynchronously — with no
+//! expansion retry armed and steps left after this one), and if all
 //! are clear it does what the handler would do, minus the consultation:
 //! the same segment bookkeeping ([`super::RunState::close_segment`]) and
 //! the same next-segment plan ([`Driver::after_check`]), then re-keys the
@@ -44,34 +45,29 @@
 //! redistribution, a shrink the redistribution alone, and the
 //! [`Ev::ReconfigDone`] that ends it carries the size to adopt.
 //!
+//! Each handler here moves the job to its next [`Phase`], through
+//! [`super::RunState::enter`], which checks the move.
+//!
 //! Expansion failures flow through [`DmrError`]: the only variant that is
 //! protocol control-flow rather than a genuine error is the *deferral*
 //! signal ([`DmrError::queued_resizer`]) — synchronous mode aborts the
 //! queued resizer immediately (the paper's zero-wait degenerate),
 //! asynchronous mode keeps computing under a timeout (§V-B1). A job
-//! awaits at most one queued resizer: the job's
-//! [`super::RunState::waiting_rj`] names the resizer, the resizer's
-//! [`Ev::RjTimeout`] names the job, and while it waits the job plans
-//! nothing and drops an expansion retry that falls due — the queued
-//! resizer already carries the expansion.
+//! awaits at most one queued resizer: the job's [`Phase::Awaiting`] names
+//! the resizer and its timeout, the resizer's [`Ev::RjTimeout`] names the
+//! job, and while it waits the job plans nothing and drops an expansion
+//! retry that falls due — the queued resizer already carries the
+//! expansion.
 
-use dmr_sim::{SimTime, Span};
+use dmr_sim::{EventId, SimTime, Span};
 use dmr_slurm::{JobId, ResizeAction};
 
 use super::events::Ev;
-use super::Driver;
+use super::{Driver, Phase};
 use crate::config::{EstimateMode, ScheduleMode};
 use crate::error::DmrError;
 
 impl Driver<'_, '_> {
-    /// One reconfiguring point: dispatch to the configured check variant.
-    pub(crate) fn check_point(&mut self, job: JobId, now: SimTime) {
-        match self.cfg.mode {
-            ScheduleMode::Synchronous => self.check_sync(job, now),
-            ScheduleMode::Asynchronous => self.check_async(job, now),
-        }
-    }
-
     /// Arms the checking inhibitor: checks before `now + period` are
     /// swallowed (coalesced into one compute segment).
     fn arm_inhibitor(&mut self, job: JobId, now: SimTime) {
@@ -96,141 +92,113 @@ impl Driver<'_, '_> {
         } else {
             redistribute
         };
-        let ev = self
+        let done = self
             .engine
             .schedule_at(at + cost, Ev::ReconfigDone { job, to });
-        self.running.get_mut(job).expect("running").inflight = Some(ev);
+        self.enter(job, Phase::Reconfiguring { done });
+    }
+
+    /// Moves `job` to `phase` ([`super::RunState::enter`]).
+    pub(crate) fn enter(&mut self, job: JobId, phase: Phase) {
+        self.running.get_mut(job).expect("running").enter(phase);
     }
 
     /// Attempts the four-step expansion protocol towards `to` processes.
-    /// On success the reconfiguration begins after `pause` and `true` is
-    /// returned. On deferral the queued resizer is either awaited under
-    /// the §V-B1 timeout (`wait_on_queue`, the asynchronous path) or
-    /// aborted on the spot (the synchronous path).
+    /// On success the reconfiguration begins after `pause`. On deferral
+    /// the error names the queued resizer, which the caller either awaits
+    /// under the §V-B1 timeout (the asynchronous path) or aborts on the
+    /// spot (the synchronous path); on failure it names none.
     fn try_expand(
         &mut self,
         job: JobId,
         to: u32,
         now: SimTime,
         pause: Span,
-        wait_on_queue: bool,
-    ) -> bool {
+    ) -> Result<(), Option<JobId>> {
         // Injected spawn-path failure (faultload): the negotiation dies
         // before the protocol runs; the job degrades gracefully to its
         // old size and a backoff retry is scheduled. Classified as
         // [`DmrError::is_injected`], never as a structural failure.
         if self.inject_resize_failure(job, to, now) {
-            return false;
+            return Err(None);
         }
-        match self
-            .slurm
-            .expand_protocol(job, to, now)
-            .map_err(DmrError::from)
-        {
+        match self.slurm.expand_protocol(job, to, now) {
             Ok(_) => {
                 self.begin_reconfig(job, to, now + pause);
-                true
+                Ok(())
             }
-            Err(e) => {
-                if let Some(resizer) = e.queued_resizer() {
-                    if wait_on_queue {
-                        // One awaited resizer per job: its timeout names
-                        // the job, and the job names the resizer.
-                        let rs = self.running.get_mut(job).expect("running");
-                        debug_assert!(rs.waiting_rj.is_none(), "{job:?} queued a second resizer");
-                        let ev = self.engine.schedule_at(
-                            now + Span::from_secs_f64(self.cfg.resizer_timeout_s),
-                            Ev::RjTimeout { job },
-                        );
-                        rs.waiting_rj = Some((resizer, ev));
-                    } else {
-                        self.slurm.abort_expand(resizer, now);
-                    }
-                }
-                false
-            }
+            Err(e) => Err(DmrError::from(e).queued_resizer()),
         }
     }
 
-    /// `dmr_check_status`: decide and apply at this reconfiguring point.
-    /// Every non-inhibited call costs [`crate::ExperimentConfig::check_overhead_s`]
-    /// — the runtime↔RMS round trip the inhibitor exists to amortise.
-    fn check_sync(&mut self, job: JobId, now: SimTime) {
+    /// One reconfiguring point. Synchronous mode (`dmr_check_status`)
+    /// decides and applies here, and every non-inhibited call costs
+    /// [`crate::ExperimentConfig::check_overhead_s`] — the runtime↔RMS
+    /// round trip the inhibitor exists to amortise. Asynchronous mode
+    /// (`dmr_icheck_status`) applies what the *previous* boundary
+    /// negotiated and plans the next one: the overhead hides behind
+    /// computation, but decisions can be stale (§VIII-C).
+    pub(crate) fn check_point(&mut self, job: JobId, now: SimTime) {
+        let sync = self.cfg.mode == ScheduleMode::Synchronous;
+        let rs = self.running.get_mut(job).expect("running");
+        let (procs, phase, retry) = (rs.procs, rs.phase, rs.retry_expand.take());
         self.arm_inhibitor(job, now);
         let pause = self.check_pause();
-        // An expansion retry whose backoff expired takes precedence over
-        // a fresh policy consultation (the decision was already made; the
-        // injected failure merely delayed it).
-        let action = match self
-            .running
-            .get_mut(job)
-            .and_then(|rs| rs.retry_expand.take())
-        {
-            Some(to) => ResizeAction::Expand { to },
-            None => self.consult(job, now),
+        // A grant goes first, then a plan, then an expansion retry whose
+        // backoff expired (the decision was already made; the injected
+        // failure merely delayed it), then — synchronously — a fresh
+        // consultation. A retry that falls due while a resizer is awaited
+        // is dropped: the queued resizer already carries the expansion.
+        let action = match phase {
+            Phase::Granted { to, .. } => return self.begin_reconfig(job, to, now),
+            Phase::Awaiting { rj, timeout, .. } => {
+                let awaiting = |seg| Phase::Awaiting { seg, rj, timeout };
+                return self.pause_then_continue(job, now, pause, awaiting);
+            }
+            Phase::Planned { action, .. } => action,
+            _ => match retry {
+                Some(to) => ResizeAction::Expand { to },
+                None if sync => self.consult(job, now),
+                None => ResizeAction::NoAction,
+            },
         };
-        match action {
-            ResizeAction::NoAction => self.pause_then_continue(job, now, pause),
-            ResizeAction::Expand { to } => {
-                if !self.try_expand(job, to, now, pause, false) {
-                    // Deferred or failed: the action aborts immediately
-                    // (the paper's timeout degenerates to zero here).
-                    self.pause_then_continue(job, now, pause);
+        // Synchronous mode applies even a target the job already has.
+        let awaited = match action {
+            ResizeAction::Expand { to } if sync || to > procs => {
+                match self.try_expand(job, to, now, pause) {
+                    Ok(()) => return,
+                    // Asynchronously the job computes on while its resizer
+                    // waits, under the §V-B1 timeout.
+                    Err(Some(rj)) if !sync => {
+                        let at = now + Span::from_secs_f64(self.cfg.resizer_timeout_s);
+                        Some((rj, self.engine.schedule_at(at, Ev::RjTimeout { job })))
+                    }
+                    // Synchronously the action aborts at once (the paper's
+                    // timeout degenerates to zero here).
+                    Err(Some(rj)) => {
+                        self.slurm.abort_expand(rj, now);
+                        None
+                    }
+                    Err(None) => None,
                 }
             }
-            ResizeAction::Shrink { to, .. } => self.begin_reconfig(job, to, now + pause),
-        }
-    }
-
-    /// `dmr_icheck_status`: apply the action planned at the *previous*
-    /// boundary, then plan the next one. The communication overhead hides
-    /// behind computation, but decisions can be stale (§VIII-C).
-    fn check_async(&mut self, job: JobId, now: SimTime) {
-        let (procs, granted, planned, waiting, retry) = {
-            let rs = self.running.get_mut(job).expect("running");
-            (
-                rs.procs,
-                rs.granted_expand.take(),
-                rs.planned.take(),
-                rs.waiting_rj.is_some(),
-                rs.retry_expand.take(),
-            )
+            ResizeAction::Shrink { to, .. } if sync || to < procs => {
+                return self.begin_reconfig(job, to, now + pause)
+            }
+            _ => None,
         };
-        self.arm_inhibitor(job, now);
-        // A retry that falls due while a resizer is awaited is dropped:
-        // the queued resizer already carries the expansion.
-        let retry = retry.filter(|_| !waiting);
-        let mut applying = false;
-
-        if let Some(newp) = granted {
-            // A queued resizer delivered mid-segment; spawn + redistribute
-            // now.
-            self.begin_reconfig(job, newp, now);
-            applying = true;
-        } else if let Some(plan) = planned.or(retry.map(|to| ResizeAction::Expand { to })) {
-            match plan {
-                ResizeAction::Expand { to } if to > procs => {
-                    applying = self.try_expand(job, to, now, Span::ZERO, true);
-                }
-                ResizeAction::Shrink { to, .. } if to < procs => {
-                    self.begin_reconfig(job, to, now);
-                    applying = true;
-                }
-                _ => {}
-            }
-        }
-
-        if !applying {
-            // Plan the next boundary's action (free of charge: the call
-            // overlaps the next compute step). One in-flight negotiation
-            // at a time.
-            if !waiting && self.running[job].waiting_rj.is_none() {
-                let a = self.consult(job, now);
-                let rs = self.running.get_mut(job).expect("running");
-                rs.planned = a.is_action().then_some(a);
-            }
-            self.pause_then_continue(job, now, self.check_pause());
-        }
+        // Asynchronously, plan the next boundary's action (free of charge:
+        // the call overlaps the next compute step) unless a resizer is
+        // awaited.
+        let plan = match awaited {
+            None if !sync => self.consult(job, now),
+            _ => ResizeAction::NoAction,
+        };
+        self.pause_then_continue(job, now, pause, |seg| match (awaited, plan) {
+            (Some((rj, timeout)), _) => Phase::Awaiting { seg, rj, timeout },
+            (None, ResizeAction::NoAction) => Phase::Computing { seg },
+            (None, action) => Phase::Planned { seg, action },
+        });
     }
 
     /// What a check point costs the job: the runtime↔RMS round trip
@@ -261,20 +229,28 @@ impl Driver<'_, '_> {
         action
     }
 
-    /// Resumes compute after a check that changed nothing and cost
-    /// `pause`. A pause end would be an event whose handler does nothing
-    /// but begin the next segment, so it is left to the engine as a relay
-    /// (see [`dmr_sim::Engine`]): the segment is planned now, as of the
-    /// pause end, and its `SegmentDone` is ranked as if it had been
+    /// Resumes compute after a check that reconfigured nothing and cost
+    /// `pause`, entering the phase `next` makes of the segment's
+    /// `SegmentDone`. A pause end would be an event whose handler does
+    /// nothing but begin the next segment, so it is left to the engine as
+    /// a relay (see [`dmr_sim::Engine`]): the segment is planned now, as
+    /// of the pause end, and its `SegmentDone` is ranked as if it had been
     /// scheduled from there.
-    pub(crate) fn pause_then_continue(&mut self, job: JobId, now: SimTime, pause: Span) {
+    pub(crate) fn pause_then_continue(
+        &mut self,
+        job: JobId,
+        now: SimTime,
+        pause: Span,
+        next: impl FnOnce(EventId) -> Phase,
+    ) {
         let (at, then, steps) = self.after_check(job, now, pause);
         let event = Ev::SegmentDone { job, steps };
-        let ev = match then {
+        let seg = match then {
             Some(then) => self.engine.schedule_relayed(at, then, event),
             None => self.engine.schedule_at(at, event),
         };
-        self.track_segment(job, ev);
+        self.mark_if_held(job, seg);
+        self.enter(job, next(seg));
     }
 
     /// Where `job`'s next segment ends after a check at `now` that changed
@@ -312,19 +288,13 @@ impl Driver<'_, '_> {
     /// `steps` more steps at `now` and claims the due event for the next
     /// segment, or returns `false` having changed nothing.
     fn pass_held(&mut self, job: JobId, steps: u32, now: SimTime) -> bool {
-        let Some(rs) = self.running.get(job) else {
+        let rs = &self.running[job];
+        let (Phase::Computing { .. }, Some((hold, size)), None) =
+            (rs.phase, rs.hold, rs.retry_expand)
+        else {
             return false;
         };
-        let Some((hold, size)) = rs.hold else {
-            return false;
-        };
-        // Plans, grants and waiting resizers exist only in asynchronous
-        // mode.
         if size != rs.procs
-            || rs.retry_expand.is_some()
-            || rs.planned.is_some()
-            || rs.granted_expand.is_some()
-            || rs.waiting_rj.is_some()
             || rs.steps_done + steps >= self.specs[job].1.spec.steps
             || !hold.stands(&self.slurm)
         {
@@ -344,52 +314,57 @@ impl Driver<'_, '_> {
     }
 
     /// A reconfiguration to `to` processes completed: adopt the new
-    /// process set and resume compute.
+    /// process set and resume compute. A shrink inverts the expansion
+    /// order (the ACK workflow): the data drained off the leaving ranks
+    /// first, and only now does the scheduler release their nodes and run
+    /// a pass, so that the queued job the shrink was decided for — boosted
+    /// whenever the policy names a beneficiary — can start on them.
     pub(crate) fn on_reconfig_done(&mut self, job: JobId, to: u32, now: SimTime) {
-        let Some(rs) = self.running.get_mut(job) else {
-            return;
-        };
-        rs.inflight = None;
-        if to <= rs.procs {
-            self.finish_shrink(job, to, now);
-            return;
+        let rs = self.running.get_mut(job).expect("a reconfiguring job runs");
+        rs.enter(Phase::Resuming);
+        let grows = to > rs.procs;
+        if grows {
+            rs.set_procs(to, &self.specs[job].1);
+            // A completed expansion refills the injected-failure retry
+            // budget for any future target.
+            rs.retry_attempt = 0;
+        } else if self.slurm.shrink_protocol(job, to, now).is_ok() {
+            rs.set_procs(to, &self.specs[job].1);
         }
-        rs.set_procs(to, &self.specs[job].1);
-        // A completed expansion refills the injected-failure retry budget
-        // for any future target.
-        rs.retry_attempt = 0;
         self.update_estimate(job, now);
         self.begin_segment(job, now);
+        if !grows {
+            self.request_schedule();
+        }
     }
 
     /// A queued resizer job finally started (asynchronous path): complete
     /// protocol steps 2–4 now; the application applies the grant (spawn +
     /// redistribution) at its next reconfiguring point.
-    pub(crate) fn on_rj_started(&mut self, rj: JobId, orig: JobId, now: SimTime) {
+    pub(crate) fn on_rj_started(&mut self, started: JobId, orig: JobId, now: SimTime) {
         // `Err`: the original vanished between scheduling and wiring; the
         // scheduler's dependency hygiene already reclaimed the nodes.
-        let Ok((_, nodes)) = self.slurm.finish_expand(rj, now) else {
+        let Ok((_, nodes)) = self.slurm.finish_expand(started, now) else {
             return;
         };
-        if let Some(rs) = self.running.get_mut(orig) {
-            rs.granted_expand = Some(nodes);
-            if let Some((awaited, timeout)) = rs.waiting_rj.take() {
-                debug_assert_eq!(awaited, rj, "{orig:?} awaited another resizer");
-                self.engine.cancel(timeout);
-            }
-        }
+        let Phase::Awaiting { seg, rj, timeout } = self.running[orig].phase else {
+            debug_assert!(false, "{orig:?} got a resizer it does not await");
+            return;
+        };
+        debug_assert_eq!(rj, started, "{orig:?} awaited another resizer");
+        self.enter(orig, Phase::Granted { seg, to: nodes });
+        self.engine.cancel(timeout);
     }
 
     /// `job`'s resizer was queued too long: cancel it; the job computes on
     /// at its size.
     pub(crate) fn on_rj_timeout(&mut self, job: JobId, now: SimTime) {
-        if let Some((rj, _)) = self
-            .running
-            .get_mut(job)
-            .and_then(|rs| rs.waiting_rj.take())
-        {
-            self.slurm.abort_expand(rj, now);
-        }
+        let Phase::Awaiting { seg, rj, .. } = self.running[job].phase else {
+            debug_assert!(false, "{job:?} timed out a resizer it does not await");
+            return;
+        };
+        self.enter(job, Phase::Computing { seg });
+        self.slurm.abort_expand(rj, now);
     }
 
     /// Refreshes the runtime estimate the backfill scheduler plans with

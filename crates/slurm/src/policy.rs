@@ -48,9 +48,10 @@ impl ResizeAction {
 }
 
 /// When a policy's "no action" for one job provably repeats: a promise
-/// that, while the job stays at the size the hold was granted at,
-/// [`ResizePolicy::decide`] answers [`ResizeAction::NoAction`] in every
-/// scheduler state where [`Hold::stands`]. The conditions read only the
+/// that, whenever the job is at the size the hold was granted at —
+/// including after a resize away and back — [`ResizePolicy::decide`]
+/// answers [`ResizeAction::NoAction`] in every scheduler state where
+/// [`Hold::stands`]. The conditions read only the
 /// free count, the queued count and one seek of the need view, so a
 /// caller can test them at every step boundary for far less than a
 /// consultation costs.

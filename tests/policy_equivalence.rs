@@ -442,6 +442,9 @@ struct HoldCoverage {
     stood_within_reach: usize,
     /// A hold at its size did not stand.
     broke: usize,
+    /// Of the holds that stood, those whose job had left the size the
+    /// hold was granted at and come back to it.
+    returned: usize,
 }
 
 /// Every running flexible job's hold in `s`'s current state, with the
@@ -469,8 +472,9 @@ fn wire(s: &mut Slurm, starts: Vec<JobStart>, now: SimTime) {
 /// spot or through a queued resizer) and shrinks — at advancing instants.
 /// Every running flexible job is granted a hold at the start and every
 /// few operations; after every operation, each hold granted so far whose
-/// job still runs at the size it was granted at and that stands must be
-/// a "no action" of the policy.
+/// job runs at the size it was granted at — still, or again after a
+/// resize away and back — and that stands must be a "no action" of the
+/// policy.
 fn drive_holds(policy: PolicyKind, seed: u64, cov: &mut HoldCoverage) -> Result<(), String> {
     let mut rand = common::xorshift(seed);
     let nodes = 8 + (rand() % 33) as u32;
@@ -491,7 +495,8 @@ fn drive_holds(policy: PolicyKind, seed: u64, cov: &mut HoldCoverage) -> Result<
     }
     let starts = s.schedule(now);
     wire(&mut s, starts, now);
-    let mut holds = grant_holds(&s);
+    // Each hold with whether its job has been seen at another size.
+    let mut holds: Vec<_> = grant_holds(&s).into_iter().map(|h| (h, false)).collect();
     for op in 0..60 {
         now += Span::from_secs(1 + rand() % 30);
         let in_state = |s: &Slurm, state| -> Vec<JobId> {
@@ -564,11 +569,15 @@ fn drive_holds(policy: PolicyKind, seed: u64, cov: &mut HoldCoverage) -> Result<
             }
         }
         if op % 6 == 5 {
-            holds.extend(grant_holds(&s));
+            holds.extend(grant_holds(&s).into_iter().map(|h| (h, false)));
         }
-        for &(id, size, hold) in &holds {
-            let running = s.job(id).is_some_and(|j| j.state == JobState::Running);
-            if !running || s.nodes_of(id) != size {
+        for ((id, size, hold), moved) in &mut holds {
+            let (id, size) = (*id, *size);
+            if !s.job(id).is_some_and(|j| j.state == JobState::Running) {
+                continue;
+            }
+            if s.nodes_of(id) != size {
+                *moved = true;
                 continue;
             }
             if !hold.stands(&s) {
@@ -576,6 +585,7 @@ fn drive_holds(policy: PolicyKind, seed: u64, cov: &mut HoldCoverage) -> Result<
                 continue;
             }
             cov.stood += 1;
+            cov.returned += usize::from(*moved);
             if hold.reach > 0 && s.queued_count() > 0 {
                 cov.stood_within_reach += 1;
             }
@@ -597,8 +607,11 @@ fn drive_holds(policy: PolicyKind, seed: u64, cov: &mut HoldCoverage) -> Result<
 
 /// Hold soundness: under `Algorithm1` and `EnergyAware`, on randomized
 /// queue and cluster states, a hold granted earlier that still stands
-/// means the policy answers "no action" — whatever happened in between.
-/// The drives must reach both sides of every hold often.
+/// means the policy answers "no action" — whatever happened in between,
+/// a resize of its job away from the hold's size and back included (the
+/// driver passes such a job's check points held). The drives must reach
+/// both sides of every hold often, and a hold that stood after such a
+/// round trip at least once.
 #[test]
 fn a_standing_hold_means_no_action() {
     for policy in [PolicyKind::Algorithm1, PolicyKind::energy_aware()] {
@@ -609,7 +622,10 @@ fn a_standing_hold_means_no_action() {
             }
         }
         assert!(
-            cov.stood >= 1000 && cov.stood_within_reach >= 100 && cov.broke >= 1000,
+            cov.stood >= 1000
+                && cov.stood_within_reach >= 100
+                && cov.broke >= 1000
+                && cov.returned > 0,
             "{policy:?}: {cov:?}"
         );
     }
