@@ -7,10 +7,11 @@
 //! concepts.
 //!
 //! Nodes belong to [`crate::MachineClass`]es in dense contiguous id ranges
-//! (see [`ClassTable`]), and the free pool is one [`FreeSet`] per class. Because
-//! the ranges are contiguous and ascending, taking the lowest ids class by
-//! class *is* the global lowest-id-first selection — the single-class layout
-//! is bit-identical to the historical uniform cluster.
+//! (see [`ClassTable`]), and the free pool is one [`FreeSet`] bitmap per
+//! class. Because the ranges are contiguous and ascending, taking the
+//! lowest ids class by class *is* the global lowest-id-first selection —
+//! the single-class layout is bit-identical to the historical uniform
+//! cluster.
 //!
 //! **Who owns a node list.** The cluster does, one per owner, in its owner
 //! table (see the `owners` module), and it is the only copy: a grant is
@@ -87,8 +88,8 @@ pub struct Cluster {
     /// truncating the owner's list and returning them to the pools; kept
     /// for its buffer only.
     released: Vec<NodeId>,
-    /// The placeable (unowned, accepting-work) ids, one sorted run set per
-    /// class; allocation takes the lowest run of each eligible class.
+    /// The placeable (unowned, accepting-work) ids, one bitmap per class;
+    /// allocation takes the lowest ids of each eligible class.
     free: Vec<FreeSet>,
     free_count: u32,
     /// Unowned nodes not accepting work (drained / down / off), maintained
@@ -117,14 +118,7 @@ impl Cluster {
     pub fn with_classes(table: ClassTable) -> Self {
         let nodes = table.total_nodes();
         let k = table.num_classes();
-        let free = (0..k)
-            .map(|c| {
-                let (start, end) = table.range(c);
-                let mut s = FreeSet::new();
-                s.insert_run(start, end);
-                s
-            })
-            .collect();
+        let free = (0..k).map(|c| FreeSet::from_run(table.range(c))).collect();
         Cluster {
             table,
             states: vec![NodeState::Up; nodes as usize],
@@ -296,9 +290,9 @@ impl Cluster {
             if !constraint.allows(c, self.table.class(c)) {
                 continue;
             }
-            // Each class's run set holds exactly its placeable ids,
-            // ascending; draining eligible classes in range order is
-            // lowest-id-first selection.
+            // Each class's set holds exactly its placeable ids; draining
+            // eligible classes in range order is lowest-id-first
+            // selection.
             let took = self.free[c].take_lowest(want, held);
             self.busy_by_class[c] += took;
             want -= took;
@@ -312,45 +306,26 @@ impl Cluster {
         Ok(n)
     }
 
-    /// Returns just-released nodes (sorted ascending — the order held
-    /// lists are maintained in) to the free or unavailable pools. Nodes
+    /// Returns just-released nodes (ascending, as held lists are) to the
+    /// free or unavailable pools, a class's share a word at a time. Nodes
     /// drained while allocated come back *unavailable*, not free — they
     /// must not be placeable until re-enabled via [`Cluster::set_state`].
-    ///
-    /// Placeable nodes are grouped into maximal consecutive-id runs,
-    /// split at class boundaries, and returned through
-    /// [`FreeSet::insert_run`], so releasing a job's whole contiguous
-    /// allocation costs O(log runs), not O(nodes) — the dominant cost of
-    /// every completion at 65k-node scale before this batching.
     fn return_nodes(&mut self, nodes: &[NodeId]) {
         if !nodes.is_empty() {
             self.tally_changes += 1;
         }
-        let mut i = 0;
-        while i < nodes.len() {
-            let c = self.table.class_of(nodes[i].0);
-            self.busy_by_class[c] -= 1;
-            if !self.states[nodes[i].index()].accepts_new_work() {
-                self.unavailable_count += 1;
-                self.unavailable_by_class[c] += 1;
-                i += 1;
-                continue;
-            }
-            let start = nodes[i].0;
-            let class_end = self.table.range(c).1;
-            let mut end = start + 1;
-            i += 1;
-            while i < nodes.len()
-                && nodes[i].0 == end
-                && end < class_end
-                && self.states[nodes[i].index()].accepts_new_work()
-            {
-                self.busy_by_class[c] -= 1;
-                end += 1;
-                i += 1;
-            }
-            self.free[c].insert_run(start, end);
-            self.free_count += end - start;
+        debug_assert!(nodes.is_sorted(), "released nodes out of order");
+        let below = |id: u32| nodes.partition_point(|n| n.0 < id);
+        for c in 0..self.table.num_classes() {
+            let (start, end) = self.table.range(c);
+            let share = &nodes[below(start)..below(end)];
+            let accepts = |n: &&NodeId| self.states[n.index()].accepts_new_work();
+            let freed = self.free[c].insert_all(share.iter().filter(accepts).map(|n| n.0));
+            let returned = share.len() as u32;
+            self.busy_by_class[c] -= returned;
+            self.free_count += freed;
+            self.unavailable_count += returned - freed;
+            self.unavailable_by_class[c] += returned - freed;
         }
     }
 
@@ -456,8 +431,7 @@ impl Cluster {
     /// *highest* free ids — with classes laid out efficient-first, those
     /// are the least useful nodes to keep warm. Returns the nodes
     /// actually powered down (ascending). They stop being placeable until
-    /// [`Cluster::wake_all`]. Each class's share moves into its off set
-    /// as maximal consecutive-id runs, not node by node.
+    /// [`Cluster::wake_all`].
     pub fn power_down(&mut self, n: u32) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(n.min(self.free_count) as usize);
         let mut want = n;
@@ -468,10 +442,9 @@ impl Cluster {
             let base = out.len();
             let k = self.free[c].take_highest(want, &mut out);
             want -= k;
-            for run in out[base..].chunk_by(|a, b| a.0 + 1 == b.0) {
-                let (start, end) = (run[0].0, run[0].0 + run.len() as u32);
-                self.states[start as usize..end as usize].fill(NodeState::Off);
-                self.off_sets[c].insert_run(start, end);
+            for &node in &out[base..] {
+                self.states[node.index()] = NodeState::Off;
+                self.off_sets[c].insert(node.0);
             }
             self.free_count -= k;
             self.unavailable_count += k;
@@ -488,8 +461,7 @@ impl Cluster {
     /// Wakes every powered-down node back to `Up` and placeable,
     /// returning how many woke. The caller models the wake-up latency by
     /// delaying this call. Each off set moves into its class's free set
-    /// run by run: a wake of hundreds of suspended nodes is a handful of
-    /// splices, not a tree descent per node.
+    /// run by run, a word at a time.
     pub fn wake_all(&mut self) -> u32 {
         let mut woke = 0;
         for c in 0..self.table.num_classes() {
@@ -599,7 +571,7 @@ impl Cluster {
 
     /// Internal-consistency check used by tests and debug assertions.
     /// This is the one place the O(n) zip-scans survive: the maintained
-    /// counters and run sets — global and per-class — are re-derived from
+    /// counters and id sets — global and per-class — are re-derived from
     /// first principles and compared, and every node's class assignment
     /// is checked against the class table's ranges.
     pub fn check_invariants(&self) -> Result<(), String> {

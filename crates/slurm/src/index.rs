@@ -18,16 +18,18 @@
 //!   resumable cursor [`PendingIndex::next_after`], which survives the
 //!   start of the job it is visiting, and `Slurm::pending_queue`
 //!   collects it afresh on each call.
-//!   Its **need view** groups the queued (non-resizer) jobs by
-//!   `requested_nodes`, each non-empty need holding its jobs twice: in
-//!   [`PendingKey`] order and in `(expected_runtime, id)` order.
-//!   Always live — maintained wherever a pending key or estimate changes
-//!   — it answers both consumers that would otherwise walk the whole
-//!   order: the reconfiguration check "who is first in line among the
-//!   jobs that `R` released nodes would admit" (the first key of every
-//!   need in `(free, free + R]`), and the EASY backfill pass, which
-//!   enumerates per fitting need only the jobs short enough to pass the
-//!   harmless check (see `Slurm::backfill_pass`).
+//!   Its **need view** ([`crate::need`]) files the queued (non-resizer)
+//!   jobs in a bucket array indexed by `requested_nodes`, each bucket
+//!   holding its jobs twice: in [`PendingKey`] order and in
+//!   `(expected_runtime, id)` order; an occupancy bitmap finds the
+//!   non-empty needs by bit scans. Always live — maintained wherever a
+//!   pending key or estimate changes — it answers both consumers that
+//!   would otherwise walk the whole order: the reconfiguration check
+//!   "who is first in line among the jobs that `R` released nodes would
+//!   admit" (the first key of every need in `(free, free + R]`), and the
+//!   EASY backfill pass, which enumerates per fitting need only the jobs
+//!   short enough to pass the harmless check (see
+//!   `Slurm::backfill_pass`).
 //! * [`RunningIndex`] — running jobs keyed by
 //!   `(expected_end, held_nodes, id)`, exactly the order the EASY
 //!   backfill reservation scan produced by sorting. Each job's current
@@ -47,12 +49,13 @@
 //! driven in lockstep with production by `tests/common/lockstep.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::ops::Bound::{Excluded, Unbounded};
 
 use dmr_sim::{SimTime, Span};
 
-use crate::arena::{JobArena, JobMap};
+use crate::arena::JobMap;
 use crate::job::{Job, JobId};
+use crate::need::{NeedBucket, NeedView};
 
 /// Index key of one pending job: boosted first, then submit time, then
 /// submission sequence number, with the id carried as payload. The
@@ -89,52 +92,11 @@ impl PendingKey {
     }
 }
 
-/// The queued jobs requesting one node count, held in both orders the
-/// need view is asked in. The scheduling order carries the whole
-/// [`PendingKey`], so its first job costs no second seek in the pending
-/// set; the estimate order carries the id alone (16 bytes an entry) and
-/// finds the key again in the job record.
-#[derive(Debug, Default, PartialEq)]
-pub(crate) struct NeedBucket {
-    by_key: BTreeSet<PendingKey>,
-    by_estimate: BTreeSet<(Span, JobId)>,
-}
-
-impl NeedBucket {
-    /// The jobs behind `after` that an EASY pass has to look at when a
-    /// job of this need is harmless up to the estimate `limit`: every
-    /// job within the limit (in estimate order, not scheduling order) —
-    /// or, with no limit, the first job in scheduling order alone,
-    /// flagged `true`: it stands for the rest of the bucket, which takes
-    /// its place one job at a time.
-    pub(crate) fn candidates<'a>(
-        &'a self,
-        after: PendingKey,
-        limit: Option<Span>,
-        jobs: &'a JobArena,
-    ) -> impl Iterator<Item = (PendingKey, bool)> + 'a {
-        let first = match limit {
-            None => self.by_key.range((Excluded(after), Unbounded)).next(),
-            Some(_) => None,
-        };
-        let within = limit.map(|limit| self.by_estimate.range(..=(limit, JobId(u64::MAX))));
-        let within = within
-            .into_iter()
-            .flatten()
-            .map(|&(_, id)| PendingIndex::key(&jobs[id]));
-        first.map(|&key| (key, true)).into_iter().chain(
-            within
-                .filter(move |&key| key > after)
-                .map(|key| (key, false)),
-        )
-    }
-}
-
 /// Ordered index of the pending set.
 ///
 /// Iteration order is `(boosted first, submit ascending, seq ascending)`
 /// — the scheduling order (see the module docs).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct PendingIndex {
     set: BTreeSet<PendingKey>,
     /// Pending resizer jobs. The need view leaves them out, so the EASY
@@ -147,43 +109,42 @@ pub(crate) struct PendingIndex {
     /// so capacity events fall back to a full invalidation whenever this
     /// is non-zero.
     constrained: usize,
-    /// The need view: the queued (non-resizer) pending jobs bucketed by
-    /// `requested_nodes`, empty buckets removed. Kept current wherever a
+    /// The need view: the queued (non-resizer) pending jobs by
+    /// `requested_nodes` (see [`crate::need`]). Kept current wherever a
     /// pending key or estimate changes (a pending job's
     /// `requested_nodes` never does).
-    by_need: BTreeMap<u32, NeedBucket>,
+    by_need: NeedView,
 }
 
 impl PendingIndex {
-    fn key(job: &Job) -> PendingKey {
+    /// An empty index for a machine of `nodes` nodes (the largest
+    /// request the need view's array holds).
+    pub(crate) fn new(nodes: u32) -> Self {
+        PendingIndex {
+            set: BTreeSet::new(),
+            resizers: 0,
+            constrained: 0,
+            by_need: NeedView::new(nodes),
+        }
+    }
+
+    pub(crate) fn key(job: &Job) -> PendingKey {
         PendingKey::new(job.boosted, job)
     }
 
     /// Files `job` in the need view under `key` / `estimate`.
     fn view_insert(&mut self, job: &Job, key: PendingKey, estimate: Span) {
-        if job.is_resizer() {
-            return;
+        if !job.is_resizer() {
+            self.by_need.insert(job.requested_nodes, key, estimate);
         }
-        let bucket = self.by_need.entry(job.requested_nodes).or_default();
-        bucket.by_key.insert(key);
-        bucket.by_estimate.insert((estimate, job.id));
     }
 
     /// Removes the need-view entry `job` was filed under (`key` /
     /// `estimate` as they were at insertion).
     fn view_remove(&mut self, job: &Job, key: PendingKey, estimate: Span) {
-        if job.is_resizer() {
-            return;
-        }
-        let need = job.requested_nodes;
-        let Some(bucket) = self.by_need.get_mut(&need) else {
-            debug_assert!(false, "{:?} has no need bucket", job.id);
-            return;
-        };
-        let removed = bucket.by_key.remove(&key) & bucket.by_estimate.remove(&(estimate, job.id));
-        debug_assert!(removed, "{:?} not in its need bucket", job.id);
-        if bucket.by_key.is_empty() {
-            self.by_need.remove(&need);
+        if !job.is_resizer() {
+            let removed = self.by_need.remove(job.requested_nodes, key, estimate);
+            debug_assert!(removed, "{:?} not in its need bucket", job.id);
         }
     }
 
@@ -285,8 +246,9 @@ impl PendingIndex {
             return None;
         }
         self.by_need
-            .range((Excluded(above), Included(upto)))
-            .filter_map(|(&need, bucket)| Some((*bucket.by_key.first()?, need)))
+            .needs_from(above + 1)
+            .take_while(|&(need, _)| need <= upto)
+            .filter_map(|(need, bucket)| Some((bucket.first()?, need)))
             .min()
             .map(|(key, need)| (key.id, need))
     }
@@ -294,41 +256,34 @@ impl PendingIndex {
     /// The non-empty need buckets requesting at most `upto` nodes, by
     /// ascending need.
     pub(crate) fn needs_upto(&self, upto: u32) -> impl Iterator<Item = (u32, &NeedBucket)> + '_ {
-        self.by_need.range(..=upto).map(|(&need, b)| (need, b))
+        self.by_need
+            .needs_from(0)
+            .take_while(move |&(need, _)| need <= upto)
     }
 
     /// The bucket of queued jobs requesting exactly `need` nodes.
     pub(crate) fn need_bucket(&self, need: u32) -> Option<&NeedBucket> {
-        self.by_need.get(&need)
+        self.by_need.bucket(need)
     }
 
     /// The smallest queued request above `free` nodes.
     pub(crate) fn min_need_above(&self, free: u32) -> Option<u32> {
-        self.by_need
-            .range((Excluded(free), Unbounded))
-            .next()
-            .map(|(&need, _)| need)
+        self.by_need.next_need(free.checked_add(1)?)
     }
 
     /// Invariant check: the need view files exactly `queued` — the
     /// pending non-resizer jobs — each under its current request, key and
-    /// estimate, in both orders, and holds no empty bucket.
+    /// estimate, in both orders, in a sound layout (see
+    /// [`NeedView::check`]).
     pub(crate) fn check_need_view<'a>(
         &self,
         queued: impl Iterator<Item = &'a Job>,
     ) -> Result<(), String> {
-        let mut want = BTreeMap::<u32, NeedBucket>::new();
+        let mut want = NeedView::new(self.by_need.nodes());
         for job in queued {
-            let key = Self::key(job);
-            let bucket = want.entry(job.requested_nodes).or_default();
-            bucket.by_key.insert(key);
-            bucket.by_estimate.insert((job.expected_runtime, job.id));
+            want.insert(job.requested_nodes, Self::key(job), job.expected_runtime);
         }
-        if self.by_need != want {
-            let view = &self.by_need;
-            return Err(format!("need view {view:?} != queued jobs {want:?}"));
-        }
-        Ok(())
+        self.by_need.check(&want)
     }
 }
 
@@ -483,14 +438,21 @@ impl ResizerIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::JobArena;
     use crate::job::JobRequest;
 
     /// A pending index over the jobs of an arena, kept as `Slurm` keeps
     /// it (no record is removed, so the arena's length is the next seq).
-    #[derive(Default)]
     struct Queue {
         jobs: JobArena,
         index: PendingIndex,
+    }
+
+    impl Default for Queue {
+        fn default() -> Self {
+            let (jobs, index) = (JobArena::default(), PendingIndex::new(4));
+            Queue { jobs, index }
+        }
     }
 
     impl Queue {

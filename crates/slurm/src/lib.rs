@@ -34,6 +34,7 @@
 pub mod arena;
 pub(crate) mod index;
 pub mod job;
+pub(crate) mod need;
 pub mod policy;
 pub mod slotset;
 pub mod slurm;

@@ -52,7 +52,7 @@ impl ResizeAction {
 /// including after a resize away and back — [`ResizePolicy::decide`]
 /// answers [`ResizeAction::NoAction`] in every scheduler state where
 /// [`Hold::stands`]. The conditions read only the
-/// free count, the queued count and one seek of the need view, so a
+/// free count, the queued count and one bit scan of the need view, so a
 /// caller can test them at every step boundary for far less than a
 /// consultation costs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -11,8 +11,9 @@ use dmr_cluster::ClassConstraint;
 use dmr_sim::{SimTime, Span};
 
 use crate::arena::JobArena;
-use crate::index::{NeedBucket, PendingKey};
+use crate::index::PendingKey;
 use crate::job::{Job, JobId};
+use crate::need::NeedBucket;
 use crate::slotset::BackfillFamily;
 
 use super::{JobStart, Slurm};

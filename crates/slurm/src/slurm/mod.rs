@@ -196,13 +196,14 @@ impl Slurm {
         let nclasses = table.num_classes();
         let per_class = if nclasses > 1 { nclasses } else { 0 };
         let neutral_speed = table.classes().iter().all(|c| c.is_neutral_speed());
+        let pending_index = PendingIndex::new(cluster.total_nodes());
         Slurm {
             cluster,
             jobs: JobArena::new(),
             next_seq: 0,
             policy: Some(config.policy.build()),
             config,
-            pending_index: PendingIndex::default(),
+            pending_index,
             running_index: RunningIndex::default(),
             resizer_index: ResizerIndex::default(),
             timeline: RefCell::new(SlotSet::new(SimTime::ZERO)),

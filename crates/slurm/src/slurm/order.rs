@@ -22,7 +22,7 @@ impl Slurm {
     }
 
     /// The smallest request above `free` nodes among the queued jobs —
-    /// one seek of the need view.
+    /// a bit scan of the need view.
     pub(crate) fn min_queued_need_above(&self, free: u32) -> Option<u32> {
         self.pending_index.min_need_above(free)
     }
@@ -204,5 +204,65 @@ mod tests {
         let started: Vec<JobId> = s.schedule(hours(49)).iter().map(|j| j.id).collect();
         assert_eq!(started, order[..2]);
         assert_eq!(s.pending_queue(hours(49)).to_vec(), order[2..]);
+    }
+
+    /// Requests wider than the machine reach the need view only through
+    /// a direct [`Slurm::submit`] (the driver clamps them on arrival).
+    /// They keep their place in every need-view answer (that they do not
+    /// size the view is pinned in `need.rs`).
+    #[test]
+    fn requests_wider_than_the_machine_keep_their_need_view_answers() {
+        use crate::job::ResizeEnvelope;
+        use dmr_sim::Span;
+        let est = |req: JobRequest, secs| req.with_expected_runtime(Span::from_secs(secs));
+        let env = ResizeEnvelope {
+            min: 1,
+            max: 20,
+            preferred: None,
+            factor: 2,
+        };
+        let mut s = slurm(20);
+        let run = s.submit(est(JobRequest::flexible("run", 6, env), 100), t(0));
+        let _short = s.submit(est(JobRequest::rigid("short", 8), 30), t(0));
+        assert_eq!(s.schedule(t(0)).len(), 2);
+        let huge = s.submit(est(JobRequest::rigid("huge", u32::MAX), 50), t(1));
+        let wide = s.submit(est(JobRequest::rigid("wide", 21), 50), t(2));
+        let q12 = s.submit(est(JobRequest::rigid("q12", 12), 50), t(3));
+        assert!(s.schedule(t(4)).is_empty());
+        s.check_invariants().unwrap();
+        let max = u32::MAX;
+        let above = [6, 12, 21, max].map(|free| s.min_queued_need_above(free));
+        assert_eq!(above, [Some(12), Some(21), Some(max), None]);
+        let first = [
+            (6, 6),
+            (6, 15),
+            (6, max),
+            (12, 9),
+            (21, max - 22),
+            (max - 1, 5),
+        ];
+        let first = first.map(|(free, reach)| s.first_queued_needing(free, reach));
+        let want = [
+            Some((q12, 12)),
+            Some((wide, 21)),
+            Some((huge, max)),
+            Some((wide, 21)),
+            None,
+            Some((huge, max)),
+        ];
+        assert_eq!(first, want);
+        // A head that can never start reserves nothing to steal.
+        let steals = |s: &Slurm| [8, 10].map(|to| s.grow_steals_backfill_hole(run, to, t(5)));
+        assert_eq!(steals(&s), [false, false]);
+        s.cancel(huge, t(5));
+        assert_eq!(s.min_queued_need_above(12), Some(21));
+        assert_eq!(s.first_queued_needing(6, max), Some((wide, 21)));
+        assert_eq!(steals(&s), [false, false]);
+        s.cancel(wide, t(5));
+        assert_eq!(s.min_queued_need_above(12), None);
+        assert_eq!(s.first_queued_needing(6, max), Some((q12, 12)));
+        // q12 starts when `short` ends at 30 s with 2 nodes to spare.
+        assert_eq!(steals(&s), [false, true]);
+        s.check_invariants().unwrap();
     }
 }

@@ -115,24 +115,24 @@ fn allocations_per_job(cfg: &ExperimentConfig, gpu_permille: u32) -> f64 {
     allocations as f64 / f64::from(JOBS)
 }
 
-/// Full-size runs read ≈ 2.7 (7.8 before the count-returning cluster
+/// Full-size runs read ≈ 2.1 (7.8 before the count-returning cluster
 /// calls); 2 000 jobs amortise container growth over fewer jobs.
 #[test]
 fn a_rigid_job_on_a_saturated_machine_allocates_within_budget() {
     let cfg = ExperimentConfig::preliminary().with_nodes(300).as_fixed();
     let per_job = allocations_per_job(&cfg, 0);
-    println!("alloc_budget: sat_fixed-shaped {per_job:.2} allocations/job (budget 4.5)");
-    assert!(per_job <= 4.5, "{per_job:.2} allocations per rigid job");
+    println!("alloc_budget: sat_fixed-shaped {per_job:.2} allocations/job (budget 3.0)");
+    assert!(per_job <= 3.0, "{per_job:.2} allocations per rigid job");
 }
 
-/// Full-size runs read ≈ 6 (20.2 before): a malleable job is resized a
+/// Full-size runs read ≈ 3.1 (20.2 before): a malleable job is resized a
 /// dozen times, and a resize that fits its list allocates nothing.
 #[test]
 fn a_malleable_job_on_a_saturated_machine_allocates_within_budget() {
     let cfg = ExperimentConfig::preliminary().with_nodes(300);
     let per_job = allocations_per_job(&cfg, 0);
-    println!("alloc_budget: sat_flex-shaped {per_job:.2} allocations/job (budget 9.5)");
-    assert!(per_job <= 9.5, "{per_job:.2} allocations per malleable job");
+    println!("alloc_budget: sat_flex-shaped {per_job:.2} allocations/job (budget 4.5)");
+    assert!(per_job <= 4.5, "{per_job:.2} allocations per malleable job");
 }
 
 /// The `trace_mixed` shape (the configuration `tests/determinism.rs`
@@ -140,7 +140,7 @@ fn a_malleable_job_on_a_saturated_machine_allocates_within_budget() {
 /// conservative backfill, the energy-aware policy, harsh faults with
 /// 600 s checkpoints. On top of the saturated shapes' node lists a job
 /// keeps its class split, and a requeue submits a second incarnation.
-/// Reads ≈ 4.7 (the benchmark's full-size `trace_mixed` ≈ 4.3).
+/// Reads ≈ 3.7 (the benchmark's full-size `trace_mixed` ≈ 3.2).
 #[test]
 fn a_job_on_a_three_class_faulty_machine_allocates_within_budget() {
     use dmr::core::{FaultLoad, MachineMix, PolicyKind};
