@@ -89,21 +89,16 @@ pub struct Cluster {
     /// for its buffer only.
     released: Vec<NodeId>,
     /// The placeable (unowned, accepting-work) ids, one bitmap per class;
-    /// allocation takes the lowest ids of each eligible class.
+    /// allocation takes the lowest ids of each eligible class. Their
+    /// lengths are the free counts.
     free: Vec<FreeSet>,
-    free_count: u32,
-    /// Unowned nodes not accepting work (drained / down / off), maintained
-    /// so [`Cluster::allocated_nodes`] is O(1) instead of a zip-scan.
-    unavailable_count: u32,
-    /// Per-class recounts of the two pools above plus the allocated pool,
-    /// maintained at every transition for O(classes) power sampling.
-    unavailable_by_class: Vec<u32>,
+    /// Owned nodes per class, the one tally kept beside the sets: the
+    /// power meter reads it, and it sums to [`Cluster::allocated_nodes`].
     busy_by_class: Vec<u32>,
-    /// Nodes powered down to S5 by an energy policy, per class. Off nodes
-    /// also count into `unavailable_count` (they accept no work).
+    /// Nodes powered down to S5 by an energy policy, one set per class;
+    /// their lengths are the off counts.
     off_sets: Vec<FreeSet>,
-    off_by_class: Vec<u32>,
-    /// Calls that changed `busy_by_class` or `off_by_class` (see
+    /// Calls that changed `busy_by_class` or an off set (see
     /// [`Cluster::tally_changes`]).
     tally_changes: u64,
 }
@@ -126,12 +121,8 @@ impl Cluster {
             held: OwnerTable::default(),
             released: Vec::new(),
             free,
-            free_count: nodes,
-            unavailable_count: 0,
-            unavailable_by_class: vec![0; k],
             busy_by_class: vec![0; k],
             off_sets: vec![FreeSet::new(); k],
-            off_by_class: vec![0; k],
             tally_changes: 0,
         }
     }
@@ -152,14 +143,14 @@ impl Cluster {
 
     /// Nodes currently free *and* accepting work, across all classes.
     pub fn free_nodes(&self) -> u32 {
-        self.free_count
+        self.free.iter().map(FreeSet::len).sum()
     }
 
     /// Nodes currently free and accepting work within the classes
     /// eligible under `constraint`.
     pub fn free_nodes_in(&self, constraint: ClassConstraint) -> u32 {
         match constraint {
-            ClassConstraint::Any => self.free_count,
+            ClassConstraint::Any => self.free_nodes(),
             _ => self
                 .eligible_classes(constraint)
                 .map(|c| self.free[c].len())
@@ -167,11 +158,21 @@ impl Cluster {
         }
     }
 
-    /// Nodes currently owned by some allocation. O(1): free and
-    /// unavailable counts are maintained at every transition instead of
-    /// being recounted by a scan (this is sampled per metrics event).
+    /// Nodes a job confined to `constraint` could ever be placed on as
+    /// the machine stands: the free and the allocated nodes of the
+    /// eligible classes — everything but the unowned nodes that accept no
+    /// work (drained, down, off). The capacity a backfill timeline
+    /// subtracts the running jobs' occupancy from.
+    pub fn usable_in(&self, constraint: ClassConstraint) -> u32 {
+        self.eligible_classes(constraint)
+            .map(|c| self.free[c].len() + self.busy_by_class[c])
+            .sum()
+    }
+
+    /// Nodes currently owned by some allocation, summed from the
+    /// per-class tally (O(classes)).
     pub fn allocated_nodes(&self) -> u32 {
-        self.total_nodes() - self.free_count - self.unavailable_count
+        self.busy_by_class.iter().sum()
     }
 
     /// Per-class allocated-node counts (power sampling; O(1) access).
@@ -179,22 +180,23 @@ impl Cluster {
         &self.busy_by_class
     }
 
-    /// Per-class powered-down node counts (power sampling; O(1) access).
-    pub fn off_by_class(&self) -> &[u32] {
-        &self.off_by_class
+    /// Powered-down nodes of each class, in class order (power sampling;
+    /// O(1) a class).
+    pub fn off_counts(&self) -> impl Iterator<Item = u32> + '_ {
+        self.off_sets.iter().map(FreeSet::len)
     }
 
     /// How many calls so far changed [`Cluster::busy_by_class`] or
-    /// [`Cluster::off_by_class`]: while it stands still, so do both.
+    /// [`Cluster::off_counts`]: while it stands still, so do both.
     /// (It also moves when a call's changes cancel out.) A power meter
-    /// compares it instead of the two slices.
+    /// compares it instead of the counts.
     pub fn tally_changes(&self) -> u64 {
         self.tally_changes
     }
 
     /// Total powered-down nodes.
     pub fn off_nodes(&self) -> u32 {
-        self.off_by_class.iter().sum()
+        self.off_counts().sum()
     }
 
     /// Owner of a node, if allocated.
@@ -302,7 +304,6 @@ impl Cluster {
             self.owner[node.index()] = Some(owner);
         }
         merge_appended(held, base);
-        self.free_count -= n;
         Ok(n)
     }
 
@@ -320,12 +321,8 @@ impl Cluster {
             let (start, end) = self.table.range(c);
             let share = &nodes[below(start)..below(end)];
             let accepts = |n: &&NodeId| self.states[n.index()].accepts_new_work();
-            let freed = self.free[c].insert_all(share.iter().filter(accepts).map(|n| n.0));
-            let returned = share.len() as u32;
-            self.busy_by_class[c] -= returned;
-            self.free_count += freed;
-            self.unavailable_count += returned - freed;
-            self.unavailable_by_class[c] += returned - freed;
+            self.free[c].insert_all(share.iter().filter(accepts).map(|n| n.0));
+            self.busy_by_class[c] -= share.len() as u32;
         }
     }
 
@@ -433,7 +430,7 @@ impl Cluster {
     /// actually powered down (ascending). They stop being placeable until
     /// [`Cluster::wake_all`].
     pub fn power_down(&mut self, n: u32) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(n.min(self.free_count) as usize);
+        let mut out = Vec::with_capacity(n.min(self.free_nodes()) as usize);
         let mut want = n;
         for c in (0..self.table.num_classes()).rev() {
             if want == 0 {
@@ -446,10 +443,6 @@ impl Cluster {
                 self.states[node.index()] = NodeState::Off;
                 self.off_sets[c].insert(node.0);
             }
-            self.free_count -= k;
-            self.unavailable_count += k;
-            self.unavailable_by_class[c] += k;
-            self.off_by_class[c] += k;
         }
         if !out.is_empty() {
             self.tally_changes += 1;
@@ -473,10 +466,6 @@ impl Cluster {
                 self.states[start as usize..end as usize].fill(NodeState::Up);
                 self.free[c].insert_run(start, end);
             }
-            self.free_count += k;
-            self.unavailable_count -= k;
-            self.unavailable_by_class[c] -= k;
-            self.off_by_class[c] -= k;
             woke += k;
         }
         if woke > 0 {
@@ -499,13 +488,9 @@ impl Cluster {
             // Administrative override of a powered-down node: it leaves
             // the off pool for whatever state was requested.
             self.off_sets[c].remove(node.0);
-            self.off_by_class[c] -= 1;
             self.tally_changes += 1;
             if state.accepts_new_work() {
                 self.free[c].insert(node.0);
-                self.free_count += 1;
-                self.unavailable_count -= 1;
-                self.unavailable_by_class[c] -= 1;
             }
             self.states[node.index()] = state;
             return;
@@ -516,17 +501,9 @@ impl Cluster {
         self.states[node.index()] = state;
         match (was_placeable, now_placeable) {
             (true, false) => {
-                self.free_count -= 1;
                 self.free[c].remove(node.0);
-                self.unavailable_count += 1;
-                self.unavailable_by_class[c] += 1;
             }
-            (false, true) => {
-                self.free_count += 1;
-                self.free[c].insert(node.0);
-                self.unavailable_count -= 1;
-                self.unavailable_by_class[c] -= 1;
-            }
+            (false, true) => self.free[c].insert(node.0),
             _ => {}
         }
     }
@@ -570,10 +547,10 @@ impl Cluster {
     }
 
     /// Internal-consistency check used by tests and debug assertions.
-    /// This is the one place the O(n) zip-scans survive: the maintained
-    /// counters and id sets — global and per-class — are re-derived from
-    /// first principles and compared, and every node's class assignment
-    /// is checked against the class table's ranges.
+    /// This is the one place the O(n) zip-scans survive: the id sets and
+    /// the busy tally — every count the cluster answers with — are
+    /// re-derived node by node and compared, and every node's class
+    /// assignment is checked against the class table's ranges.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.table.check()?;
         if self.table.total_nodes() != self.total_nodes() {
@@ -583,13 +560,8 @@ impl Cluster {
                 self.total_nodes()
             ));
         }
-        let k = self.table.num_classes();
-        let mut counted_free = 0;
-        let mut counted_unavailable = 0;
-        let mut free_c = vec![0u32; k];
-        let mut unavail_c = vec![0u32; k];
-        let mut busy_c = vec![0u32; k];
-        let mut off_c = vec![0u32; k];
+        // Per class: free, busy and off nodes counted by the scan.
+        let mut counted = vec![[0u32; 3]; self.table.num_classes()];
         for (i, (state, own)) in self.states.iter().zip(self.owner.iter()).enumerate() {
             let c = self.table.class_of(i as u32);
             let (start, end) = self.table.range(c);
@@ -599,22 +571,13 @@ impl Cluster {
                 ));
             }
             let placeable = own.is_none() && state.accepts_new_work();
-            if placeable {
-                counted_free += 1;
-                free_c[c] += 1;
-            }
-            if own.is_none() && !state.accepts_new_work() {
-                counted_unavailable += 1;
-                unavail_c[c] += 1;
-            }
-            if own.is_some() {
-                busy_c[c] += 1;
-            }
+            counted[c][0] += placeable as u32;
+            counted[c][1] += own.is_some() as u32;
             if *state == NodeState::Off {
                 if own.is_some() {
                     return Err(format!("powered-down node n{i} is owned"));
                 }
-                off_c[c] += 1;
+                counted[c][2] += 1;
                 if !self.off_sets[c].contains(i as u32) {
                     return Err(format!("off set of class {c} missing powered-down n{i}"));
                 }
@@ -632,19 +595,7 @@ impl Cluster {
                 }
             }
         }
-        if counted_free != self.free_count {
-            return Err(format!(
-                "free_count {} != counted {}",
-                self.free_count, counted_free
-            ));
-        }
-        if counted_unavailable != self.unavailable_count {
-            return Err(format!(
-                "unavailable_count {} != counted {}",
-                self.unavailable_count, counted_unavailable
-            ));
-        }
-        for c in 0..k {
+        for (c, &counted) in counted.iter().enumerate() {
             let (start, end) = self.table.range(c);
             for set in [&self.free[c], &self.off_sets[c]] {
                 if let Some(bad) = set.iter().find(|n| !(start..end).contains(&n.0)) {
@@ -653,36 +604,16 @@ impl Cluster {
                     ));
                 }
             }
-            if self.free[c].len() != free_c[c] {
+            let kept = [
+                self.free[c].len(),
+                self.busy_by_class[c],
+                self.off_sets[c].len(),
+            ];
+            if kept != counted {
                 return Err(format!(
-                    "class {c} free set len {} != counted {}",
-                    self.free[c].len(),
-                    free_c[c]
+                    "class {c} free / busy / off {kept:?} != counted {counted:?}"
                 ));
             }
-            if self.unavailable_by_class[c] != unavail_c[c] {
-                return Err(format!(
-                    "class {c} unavailable counter {} != counted {}",
-                    self.unavailable_by_class[c], unavail_c[c]
-                ));
-            }
-            if self.busy_by_class[c] != busy_c[c] {
-                return Err(format!(
-                    "class {c} busy counter {} != counted {}",
-                    self.busy_by_class[c], busy_c[c]
-                ));
-            }
-            if self.off_by_class[c] != off_c[c] {
-                return Err(format!(
-                    "class {c} off counter {} != counted {} (off set len {})",
-                    self.off_by_class[c],
-                    off_c[c],
-                    self.off_sets[c].len()
-                ));
-            }
-        }
-        if self.free.iter().map(|s| s.len()).sum::<u32>() != self.free_count {
-            return Err("per-class free sets do not sum to free_count".into());
         }
         self.held.check()?;
         for (o, nodes) in self.held.iter() {
@@ -1031,7 +962,7 @@ mod tests {
         assert_eq!(off, vec![NodeId(5), NodeId(6), NodeId(7)]);
         assert_eq!(c.free_nodes(), 3);
         assert_eq!(c.off_nodes(), 3);
-        assert_eq!(c.off_by_class(), &[0, 1, 2]);
+        assert_eq!(c.off_counts().collect::<Vec<_>>(), [0, 1, 2]);
         assert_eq!(c.allocated_nodes(), 2);
         c.check_invariants().unwrap();
         // Off nodes are not placeable.
@@ -1065,12 +996,12 @@ mod tests {
         let off = c.power_down(4);
         assert_eq!(off, vec![NodeId(3), NodeId(4), NodeId(5), NodeId(7)]);
         assert!(off.iter().all(|&n| c.node_state(n) == NodeState::Off));
-        assert_eq!(c.off_by_class(), &[1, 2, 1]);
+        assert_eq!(c.off_counts().collect::<Vec<_>>(), [1, 2, 1]);
         assert_eq!((c.free_nodes(), c.off_nodes()), (1, 4));
         c.check_invariants().unwrap();
         assert_eq!(c.wake_all(), 4);
         assert!(off.iter().all(|&n| c.node_state(n) == NodeState::Up));
-        assert_eq!(c.off_by_class(), &[0, 0, 0]);
+        assert_eq!(c.off_counts().collect::<Vec<_>>(), [0, 0, 0]);
         c.check_invariants().unwrap();
         assert_eq!(
             grant(&mut c, 5, 9, ClassConstraint::Any),

@@ -39,7 +39,9 @@ impl Driver<'_, '_> {
         if !self.power.started() || cluster.tally_changes() != self.metered_changes {
             self.power.sample(now, &self.prev_busy, &self.prev_off);
             self.prev_busy.copy_from_slice(cluster.busy_by_class());
-            self.prev_off.copy_from_slice(cluster.off_by_class());
+            for (prev, off) in self.prev_off.iter_mut().zip(cluster.off_counts()) {
+                *prev = off;
+            }
             self.metered_changes = cluster.tally_changes();
         }
         self.sink.on_sample(

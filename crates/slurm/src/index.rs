@@ -299,10 +299,6 @@ impl PendingIndex {
 pub(crate) struct RunningIndex {
     set: BTreeSet<(SimTime, u32, JobId)>,
     key_of: JobMap<(SimTime, u32)>,
-    /// Sum of `held_nodes` over every indexed job, maintained at each
-    /// mutation. `free + held_total` is the node count *available over
-    /// time* — the base the slot-set timeline subtracts occupancy from.
-    held_total: u32,
 }
 
 impl RunningIndex {
@@ -310,7 +306,6 @@ impl RunningIndex {
         debug_assert!(self.key_of.get(id).is_none(), "{id:?} already running");
         self.set.insert((end, nodes, id));
         self.key_of.insert(id, (end, nodes));
-        self.held_total += nodes;
     }
 
     /// Removes `id` if it is indexed (jobs completed defensively twice
@@ -318,7 +313,6 @@ impl RunningIndex {
     pub(crate) fn remove(&mut self, id: JobId) {
         if let Some((end, nodes)) = self.key_of.remove(id) {
             self.set.remove(&(end, nodes, id));
-            self.held_total -= nodes;
         }
     }
 
@@ -346,7 +340,6 @@ impl RunningIndex {
             return false;
         };
         self.set.remove(&(key.0, key.1, id));
-        self.held_total = self.held_total - key.1 + nodes;
         key.1 = nodes;
         self.set.insert((key.0, nodes, id));
         true
@@ -360,11 +353,6 @@ impl RunningIndex {
     /// unless the two structures drifted apart (invariant check).
     pub(crate) fn keyed(&self) -> usize {
         self.key_of.len()
-    }
-
-    /// Sum of held nodes over every running job (O(1), maintained).
-    pub(crate) fn total_held(&self) -> u32 {
-        self.held_total
     }
 
     /// `(expected_end, held_nodes)` pairs in reservation-scan order.

@@ -52,8 +52,8 @@
 //! rather than keep a second representation beside it.
 //!
 //! The free count at `t` is `avail − occ(t)` where `avail` is the free
-//! node count plus every node held by a running job; keeping the *base*
-//! at the actual cluster free count makes detached resizer nodes and
+//! plus the allocated node count (`Cluster::usable_in`); keeping the
+//! *base* at the actual cluster free count makes detached resizer nodes and
 //! overrunning jobs (expected end in the past, which occupy nothing)
 //! come out right without special cases. Queries depend only on the
 //! step function, never on which redundant boundaries happen to be

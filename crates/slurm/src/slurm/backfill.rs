@@ -433,12 +433,9 @@ impl Slurm {
             // the aggregate too so unconstrained jobs cannot double-book
             // the same global window.
             let sole = self.sole_eligible_class(job.constraint);
-            let avail = match sole {
-                Some(c) => {
-                    self.cluster.free_nodes_in(ClassConstraint::Class(c)) + self.class_held[c]
-                }
-                None => self.cluster.free_nodes() + self.running_index.total_held(),
-            };
+            let avail = self
+                .cluster
+                .usable_in(sole.map_or(ClassConstraint::Any, ClassConstraint::Class));
             if avail < need {
                 // Can never run on current estimates; nothing to plan.
                 // (A start needs `fits`, i.e. free >= need > avail >=
@@ -550,7 +547,7 @@ impl Slurm {
     /// occupancy peak inside the window (so backfilling against this
     /// reservation can never overdraw it).
     pub(super) fn hole_reservation(&self, need: u32, dur: Span, now: SimTime) -> (SimTime, u32) {
-        let avail = self.cluster.free_nodes() + self.running_index.total_held();
+        let avail = self.cluster.usable_in(ClassConstraint::Any);
         if avail < need {
             return (SimTime(u64::MAX), 0);
         }

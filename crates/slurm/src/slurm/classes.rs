@@ -33,9 +33,9 @@ pub(super) struct ClassSplit {
 
 impl Slurm {
     /// Whether the inventory spans more than one machine class (and the
-    /// per-class timelines and held totals are therefore kept).
+    /// per-class timelines are therefore kept).
     pub(super) fn multi_class(&self) -> bool {
-        !self.class_held.is_empty()
+        self.cluster.table().num_classes() > 1
     }
 
     /// Records how running job `id`'s nodes split over the machine
@@ -55,26 +55,9 @@ impl Slurm {
         }
         // Recounted into the job's own slot: a resize allocates nothing.
         let split = self.class_splits.get_mut(id).expect("mapped above");
-        for (held, &n) in self.class_held.iter_mut().zip(&split.counts) {
-            *held -= n;
-        }
         self.cluster
             .held_class_counts(id.owner_tag(), &mut split.counts);
-        for (held, &n) in self.class_held.iter_mut().zip(&split.counts) {
-            *held += n;
-        }
         split.slowdown = slowest_class(self.cluster.table(), &split.counts);
-    }
-
-    /// Forgets the class split of a job that stopped running (tolerates
-    /// a job that has none, mirroring the scheduler's release-mode
-    /// leniency).
-    pub(super) fn drop_class_split(&mut self, id: JobId) {
-        if let Some(split) = self.class_splits.remove(id) {
-            for (held, &n) in self.class_held.iter_mut().zip(&split.counts) {
-                *held -= n;
-            }
-        }
     }
 
     /// The execution-time multiplier of running job `id` as a `(num,
@@ -200,7 +183,7 @@ impl Slurm {
         let Some(c) = self.sole_eligible_class(constraint) else {
             return self.hole_reservation(need, dur, now);
         };
-        let avail = self.cluster.free_nodes_in(ClassConstraint::Class(c)) + self.class_held[c];
+        let avail = self.cluster.usable_in(ClassConstraint::Class(c));
         if avail < need {
             return (SimTime(u64::MAX), 0);
         }

@@ -138,11 +138,13 @@ impl Slurm {
         if scan != walked {
             return Err(format!("running index {walked:?} != scan {scan:?}"));
         }
+        // A pass's timeline base reads the cluster's tallies, so every
+        // allocated node must belong to a running job.
         let held: u32 = scan.iter().map(|&(_, n)| n).sum();
-        if held != self.running_index.total_held() {
+        if held != self.cluster.allocated_nodes() {
             return Err(format!(
-                "held-total {} != scanned {held}",
-                self.running_index.total_held()
+                "cluster allocated {} != running jobs' {held}",
+                self.cluster.allocated_nodes()
             ));
         }
         // The timeline a pass would build from the running index must
@@ -155,9 +157,9 @@ impl Slurm {
         check_rebuilt("timeline", probe, self.running_index.iter(), &scan)?;
         if self.multi_class() {
             // Per-class bookkeeping: the side map must mirror the actual
-            // per-class split of every running job's nodes, the held
-            // totals must sum the map, and each class timeline must
-            // equal its class's occupancy profile.
+            // per-class split of every running job's nodes, the cluster's
+            // per-class tally must sum the map, and each class timeline
+            // must equal its class's occupancy profile.
             let nclasses = self.cluster.table().num_classes();
             let mut want_held = vec![0u32; nclasses];
             let zeros = vec![0; nclasses];
@@ -183,10 +185,10 @@ impl Slurm {
                     running.len()
                 ));
             }
-            if want_held != self.class_held {
+            if want_held != self.cluster.busy_by_class() {
                 return Err(format!(
-                    "class held {:?} != scanned {want_held:?}",
-                    self.class_held
+                    "cluster busy {:?} != running jobs' {want_held:?}",
+                    self.cluster.busy_by_class()
                 ));
             }
             for c in 0..nclasses {

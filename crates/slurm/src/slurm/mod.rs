@@ -177,9 +177,6 @@ pub struct Slurm {
     /// neutral speed: what a per-class timeline is built from and what
     /// [`Slurm::slowdown`] answers.
     class_splits: JobMap<ClassSplit>,
-    /// Per-class totals of held nodes across running jobs (multi-class
-    /// only) — the per-class analogue of `RunningIndex::total_held`.
-    class_held: Vec<u32>,
     /// Every class of the machine runs at the neutral `1/1` factor:
     /// [`Slurm::slowdown`] answers without a lookup.
     neutral_speed: bool,
@@ -191,7 +188,11 @@ pub struct Slurm {
 }
 
 impl Slurm {
+    /// A scheduler over `cluster`, which must hold no allocation: every
+    /// later change to it goes through this `Slurm` (it lends the cluster
+    /// out only as `&Cluster`), so the cluster's counts are its counts.
     pub fn new(cluster: Cluster, config: SlurmConfig) -> Self {
+        debug_assert_eq!(cluster.allocated_nodes(), 0, "cluster handed over busy");
         let table = cluster.table();
         let nclasses = table.num_classes();
         let per_class = if nclasses > 1 { nclasses } else { 0 };
@@ -212,7 +213,6 @@ impl Slurm {
                 built: 0,
             }),
             class_splits: JobMap::default(),
-            class_held: vec![0; per_class],
             neutral_speed,
             easy: EasyPass::default(),
             incr: IncrState::default(),
@@ -405,7 +405,7 @@ impl Slurm {
             self.pending_index.remove(&self.jobs[id]);
         }
         self.running_index.remove(id);
-        self.drop_class_split(id);
+        self.class_splits.remove(id);
         if let Some(Dependency::ExpandOf(parent)) = dep {
             self.resizer_index.resizer_terminal(parent, id);
         }
@@ -448,7 +448,7 @@ impl Slurm {
         }
         if was_running {
             self.running_index.remove(id);
-            self.drop_class_split(id);
+            self.class_splits.remove(id);
         }
         if let Some(Dependency::ExpandOf(parent)) = dep {
             self.resizer_index.resizer_terminal(parent, id);

@@ -21,6 +21,11 @@ use std::path::Path;
 use crate::source::WorkloadSource;
 use crate::spec::{AppClass, JobSpec, MalleabilitySpec};
 
+/// The first time in seconds a record may not carry: the simulator's
+/// clock counts microseconds in a `u64`, and its pending order keys a
+/// submit time below 2^63 µs (about 292 000 years).
+const MAX_TIME_S: f64 = (1u64 << 63) as f64 / 1e6;
+
 /// How trace jobs are translated into the malleable world.
 #[derive(Clone, Copy, Debug)]
 pub struct SwfMapping {
@@ -118,8 +123,8 @@ impl<R: BufRead> SwfTrace<R> {
     }
 
     /// Lines that were neither comments nor parseable job records (and
-    /// records rejected for a `nan` or infinite time, a non-positive
-    /// runtime or size, or a size beyond `u32`). Read errors also land
+    /// records rejected for a `nan`, infinite or 2^63 µs and later time,
+    /// a non-positive runtime or size, or a size beyond `u32`). Read errors also land
     /// here and end the stream.
     pub fn skipped_lines(&self) -> u64 {
         self.skipped
@@ -139,8 +144,10 @@ impl<R: BufRead> SwfTrace<R> {
         let requested: i64 = f.nth(2)?.parse().ok()?;
         let req_time: f64 = f.next()?.parse().ok()?;
         // `f64` parsing accepts `nan` and `inf`: a record carrying one is
-        // as unusable as one carrying a word.
-        if !(submit.is_finite() && runtime.is_finite() && req_time.is_finite()) {
+        // as unusable as one carrying a word. So is a time the simulator's
+        // clock cannot hold, like a size beyond `u32` below.
+        let fits = |t: f64| t.is_finite() && t < MAX_TIME_S;
+        if !(fits(submit) && fits(runtime) && fits(req_time)) {
             return None;
         }
         // Unknown values are -1 in SWF; prefer the allocation, fall back
@@ -393,18 +400,23 @@ x 40 y 50 2 z w 2 100 v
     fn non_finite_numbers_and_oversized_sizes_are_skipped() {
         // A NaN first submit would rebase every arrival to 0, an infinite
         // or NaN runtime would make 0 µs steps, and 2^32 + 1 processors
-        // would wrap to 1.
+        // would wrap to 1. A run time of 1e300 s or a submit at 1e13 s
+        // (both past 2^63 µs) is past what the clock holds, as is a
+        // requested time of 1e13 s.
         const TRACE: &str = "\
 1 nan 0 50 2 -1 -1 2 100
 2 100 0 50 2 -1 -1 2 100
 3 130 0 inf 2 -1 -1 2 100
 4 160 0 nan 2 -1 -1 2 100
 5 190 0 50 4294967297 -1 -1 2 100
-6 220 0 50 2 -1 -1 2 100
+6 200 0 1e300 2 -1 -1 2 100
+7 1e13 0 50 2 -1 -1 2 100
+8 210 0 50 2 -1 -1 2 1e13
+9 220 0 50 2 -1 -1 2 100
 ";
         let mut src = SwfTrace::from_static(TRACE, SwfMapping::default());
         let jobs = collect_jobs(&mut src);
-        assert_eq!(src.skipped_lines(), 4);
+        assert_eq!(src.skipped_lines(), 7);
         let arrivals: Vec<f64> = jobs.iter().map(|j| j.arrival_s).collect();
         assert_eq!(arrivals, [0.0, 120.0]);
         for j in &jobs {

@@ -1,26 +1,29 @@
 //! Machine-class and power-state suite for the cluster layer.
 //!
-//! The cluster keeps a [`ClassTable`] with one free set per machine
-//! class and the per-class busy / powered-off tallies the power meter
-//! integrates. This suite holds that bookkeeping against ground truth:
-//! the per-class free-set allocator must agree with a brute-force model
-//! (exact node ids, every per-class free count) under randomized
-//! allocate / release / power sequences that cross class boundaries;
-//! [`ClassConstraint::Any`] on a uniform cluster must pick exactly the
-//! nodes the unconstrained entry point picks; powered-down nodes are
-//! never free and never owned, and come back when woken; and the
-//! busy / off tallies follow every state change, administrative
+//! The cluster keeps a [`ClassTable`] with one free set and one off set
+//! per machine class, and the per-class busy tally the power meter
+//! integrates; every count it answers with is read off those. This suite
+//! holds that bookkeeping against ground truth: the per-class free-set
+//! allocator must agree with a brute-force model (exact node ids, every
+//! per-class free, off and usable count) under randomized allocate /
+//! release / power / fail / repair / drain sequences that cross class
+//! boundaries; [`ClassConstraint::Any`] on a uniform cluster must pick
+//! exactly the nodes the unconstrained entry point picks; powered-down
+//! nodes are never free and never owned, and come back when woken; and
+//! the busy / off counts follow every state change, administrative
 //! overrides included.
 
-use dmr::cluster::{ClassConstraint, ClassTable, Cluster, MachineClass, NodeState};
+use dmr::cluster::{
+    ClassConstraint, ClassTable, Cluster, FailOutcome, MachineClass, NodeId, NodeState,
+};
 use proptest::prelude::*;
 
 /// A brute-force model of the per-class allocator: each node carries its
-/// class, owner and power state; every query is answered by a full scan.
+/// class, owner and state; every query is answered by a full scan.
 struct ModelCluster {
     class_of: Vec<usize>,
     owner: Vec<Option<u64>>,
-    off: Vec<bool>,
+    state: Vec<NodeState>,
 }
 
 impl ModelCluster {
@@ -32,18 +35,36 @@ impl ModelCluster {
         ModelCluster {
             class_of,
             owner: vec![None; n],
-            off: vec![false; n],
+            state: vec![NodeState::Up; n],
         }
     }
 
-    fn free_in(&self, table: &ClassTable, constraint: ClassConstraint) -> u32 {
+    /// Unowned and up: where a grant may land.
+    fn placeable(&self, n: usize) -> bool {
+        self.owner[n].is_none() && self.state[n] == NodeState::Up
+    }
+
+    /// The nodes of the classes eligible under `constraint`.
+    fn eligible<'a>(
+        &'a self,
+        table: &'a ClassTable,
+        constraint: ClassConstraint,
+    ) -> impl Iterator<Item = usize> + 'a {
         (0..self.owner.len())
-            .filter(|&n| {
-                self.owner[n].is_none()
-                    && !self.off[n]
-                    && constraint.allows(self.class_of[n], table.class(self.class_of[n]))
-            })
-            .count() as u32
+            .filter(move |&n| constraint.allows(self.class_of[n], table.class(self.class_of[n])))
+    }
+
+    fn free_in(&self, table: &ClassTable, constraint: ClassConstraint) -> u32 {
+        let eligible = self.eligible(table, constraint);
+        eligible.filter(|&n| self.placeable(n)).count() as u32
+    }
+
+    /// The eligible classes' size less their unowned nodes that accept
+    /// no work (drained, down, off).
+    fn usable_in(&self, table: &ClassTable, constraint: ClassConstraint) -> u32 {
+        let unavailable = |n: &usize| self.owner[*n].is_none() && self.state[*n] != NodeState::Up;
+        let eligible = self.eligible(table, constraint);
+        eligible.filter(|n| !unavailable(n)).count() as u32
     }
 
     /// Lowest-id-first allocation within the eligible classes — the
@@ -58,12 +79,8 @@ impl ModelCluster {
         if self.free_in(table, constraint) < n {
             return None;
         }
-        let picked: Vec<u32> = (0..self.owner.len())
-            .filter(|&i| {
-                self.owner[i].is_none()
-                    && !self.off[i]
-                    && constraint.allows(self.class_of[i], table.class(self.class_of[i]))
-            })
+        let picked: Vec<u32> = (self.eligible(table, constraint))
+            .filter(|&i| self.placeable(i))
             .take(n as usize)
             .map(|i| i as u32)
             .collect();
@@ -98,11 +115,11 @@ impl ModelCluster {
     /// power-down order. Returns the suspended ids, ascending.
     fn power_down(&mut self, n: u32) -> Vec<u32> {
         let free: Vec<u32> = (0..self.owner.len() as u32)
-            .filter(|&i| self.owner[i as usize].is_none() && !self.off[i as usize])
+            .filter(|&i| self.placeable(i as usize))
             .collect();
         let downed = free[free.len().saturating_sub(n as usize)..].to_vec();
         for &i in &downed {
-            self.off[i as usize] = true;
+            self.state[i as usize] = NodeState::Off;
         }
         downed
     }
@@ -110,16 +127,38 @@ impl ModelCluster {
     /// Suspended nodes per class.
     fn off_by_class(&self, table: &ClassTable) -> Vec<u32> {
         let mut off = vec![0; table.num_classes()];
-        for (n, _) in self.off.iter().enumerate().filter(|(_, &o)| o) {
+        for (n, _) in self
+            .state
+            .iter()
+            .enumerate()
+            .filter(|(_, &s)| s == NodeState::Off)
+        {
             off[self.class_of[n]] += 1;
         }
         off
     }
 
     fn wake_all(&mut self) -> u32 {
-        let woke = self.off.iter().filter(|&&o| o).count() as u32;
-        self.off.iter_mut().for_each(|o| *o = false);
-        woke
+        let off = self.state.iter_mut().filter(|s| **s == NodeState::Off);
+        off.map(|s| *s = NodeState::Up).count() as u32
+    }
+
+    /// Takes an up node down; any other node is skipped.
+    fn fail_node(&mut self, n: usize) -> FailOutcome {
+        if self.state[n] != NodeState::Up {
+            return FailOutcome::Skipped;
+        }
+        self.state[n] = NodeState::Down;
+        self.owner[n].map_or(FailOutcome::Idle, FailOutcome::Busy)
+    }
+
+    /// Brings a down node back up: whether it is placeable now.
+    fn repair_node(&mut self, n: usize) -> bool {
+        if self.state[n] != NodeState::Down {
+            return false;
+        }
+        self.state[n] = NodeState::Up;
+        self.owner[n].is_none()
     }
 }
 
@@ -143,18 +182,20 @@ fn constraint_for(sel: u8) -> ClassConstraint {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-    /// Randomized allocate/release/power sequences over a three-class
-    /// machine: the per-class free-set cluster must agree with the
-    /// brute-force model on every allocation, tail release and
-    /// power-down (the exact node ids, read through `nodes_of`, not just
-    /// the count), on every per-class free and off count, and keep its
-    /// internal invariants after every operation.
+    /// Randomized allocate / release / power / fail / repair / drain
+    /// sequences over a three-class machine: the per-class free-set
+    /// cluster must agree with the brute-force model on every
+    /// allocation, tail release and power-down (the exact node ids, read
+    /// through `nodes_of`, not just the count), on every fault outcome,
+    /// on every per-class off count and every free and usable count
+    /// under each constraint, and keep its internal invariants after
+    /// every operation.
     #[test]
     fn per_class_free_sets_match_the_brute_force_model(
         standard in 1u32..12,
         big in 1u32..8,
         gpu in 1u32..6,
-        ops in proptest::collection::vec((0u8..5, 0u8..16, 1u32..10), 1..40),
+        ops in proptest::collection::vec((0u8..8, 0u8..16, 1u32..10), 1..40),
     ) {
         let table = three_class_table(standard, big, gpu);
         let mut cluster = Cluster::with_classes(table.clone());
@@ -164,7 +205,7 @@ proptest! {
 
         for (op, sel, n) in ops {
             let busy = cluster.busy_by_class().to_vec();
-            let off = cluster.off_by_class().to_vec();
+            let off: Vec<u32> = cluster.off_counts().collect();
             let changes = cluster.tally_changes();
             match op {
                 0 => {
@@ -208,13 +249,31 @@ proptest! {
                         cluster.power_down(n).iter().map(|node| node.0).collect();
                     prop_assert_eq!(downed, model.power_down(n), "power_down diverged");
                 }
-                _ => {
+                4 => {
                     prop_assert_eq!(cluster.wake_all(), model.wake_all(), "wake_all diverged");
                 }
+                // A node picked across the whole id range, as the fault
+                // process picks its victims.
+                op => {
+                    let node = (u32::from(sel) * 7 + n) % cluster.total_nodes();
+                    let i = node as usize;
+                    match op {
+                        5 => prop_assert_eq!(cluster.fail_node(NodeId(node)), model.fail_node(i)),
+                        6 => prop_assert_eq!(
+                            cluster.repair_node(NodeId(node)),
+                            model.repair_node(i)
+                        ),
+                        _ => {
+                            let state = if n % 2 == 1 { NodeState::Drained } else { NodeState::Up };
+                            cluster.set_state(NodeId(node), state);
+                            model.state[i] = state;
+                        }
+                    }
+                }
             }
-            prop_assert_eq!(cluster.off_by_class(), model.off_by_class(&table));
+            prop_assert_eq!(cluster.off_counts().collect::<Vec<_>>(), model.off_by_class(&table));
             // The power meter is charged only when this counter moves.
-            let moved = cluster.busy_by_class() != busy || cluster.off_by_class() != off;
+            let moved = cluster.busy_by_class() != busy || !cluster.off_counts().eq(off);
             prop_assert!(
                 !moved || cluster.tally_changes() != changes,
                 "op {} moved the tallies but not the change counter", op
@@ -230,6 +289,12 @@ proptest! {
                     cluster.free_nodes_in(constraint),
                     model.free_in(&table, constraint),
                     "free count diverged under {:?}",
+                    constraint
+                );
+                prop_assert_eq!(
+                    cluster.usable_in(constraint),
+                    model.usable_in(&table, constraint),
+                    "usable count diverged under {:?}",
                     constraint
                 );
             }
@@ -276,7 +341,7 @@ proptest! {
     }
 }
 
-/// `set_state` keeps the per-class busy/off tallies the power meter
+/// `set_state` keeps the per-class busy / off counts the power meter
 /// samples in sync with the ground truth.
 #[test]
 fn busy_and_off_tallies_follow_state_changes() {
@@ -296,16 +361,20 @@ fn busy_and_off_tallies_follow_state_changes() {
     // (the top of the GPU class).
     let downed = cluster.power_down(1).len();
     assert_eq!(downed, 1);
-    assert_eq!(cluster.off_by_class().iter().sum::<u32>() as usize, downed);
+    assert_eq!(cluster.off_counts().sum::<u32>() as usize, downed);
     cluster.check_invariants().unwrap();
     // An administrative override pulls a powered-down node straight out
     // of the off pool; draining a free node removes it from placement
     // without touching the off tallies.
-    let off_node = dmr::cluster::NodeId(7);
+    let off_node = NodeId(7);
     assert_eq!(cluster.table().class_of_node(off_node), 2);
     let changes = cluster.tally_changes();
     cluster.set_state(off_node, NodeState::Up);
-    assert_eq!(cluster.off_by_class()[2], 0, "override leaves the off pool");
+    assert_eq!(
+        cluster.off_counts().nth(2),
+        Some(0),
+        "override leaves the off pool"
+    );
     assert_ne!(
         cluster.tally_changes(),
         changes,
@@ -314,9 +383,9 @@ fn busy_and_off_tallies_follow_state_changes() {
     cluster.check_invariants().unwrap();
     cluster.wake_all();
     let _ = cluster.release_all(2);
-    let before_off: u32 = cluster.off_by_class().iter().sum();
-    cluster.set_state(dmr::cluster::NodeId(0), NodeState::Drained);
-    assert_eq!(cluster.off_by_class().iter().sum::<u32>(), before_off);
-    cluster.set_state(dmr::cluster::NodeId(0), NodeState::Up);
+    let before_off: u32 = cluster.off_counts().sum();
+    cluster.set_state(NodeId(0), NodeState::Drained);
+    assert_eq!(cluster.off_counts().sum::<u32>(), before_off);
+    cluster.set_state(NodeId(0), NodeState::Up);
     cluster.check_invariants().unwrap();
 }
