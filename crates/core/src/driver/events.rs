@@ -5,7 +5,7 @@
 //! the corresponding phase of the job lifecycle.
 
 use dmr_cluster::NodeId;
-use dmr_sim::{SimTime, Span};
+use dmr_sim::SimTime;
 use dmr_slurm::JobId;
 
 use super::Driver;
@@ -105,10 +105,8 @@ impl Driver<'_, '_> {
         let progress_possible =
             self.next_arrival.is_some() || !self.running.is_empty() || self.engine.pending() > 0;
         if work_left && progress_possible {
-            self.engine.schedule_in(
-                Span::from_secs_f64(self.cfg.backfill_interval_s),
-                Ev::BackfillTick,
-            );
+            self.engine
+                .schedule_in(self.backfill_interval, Ev::BackfillTick);
         }
     }
 }

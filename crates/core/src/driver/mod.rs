@@ -55,7 +55,7 @@ use dmr_slurm::{Hold, JobId, JobMap, ResizeAction, Slurm, SlurmConfig};
 use dmr_workload::{JobSpec, WorkloadSource};
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::config::ExperimentConfig;
+use crate::config::{ExperimentConfig, ScheduleMode};
 use crate::error::DmrError;
 use crate::model::SimJob;
 use crate::result::{CheckStats, ExperimentResult, RunStats};
@@ -231,6 +231,18 @@ pub(crate) struct RequeueInfo {
 /// The simulation state shared by every driver submodule.
 pub(crate) struct Driver<'a, 's> {
     pub(crate) cfg: ExperimentConfig,
+    /// What a check point costs the job: the runtime↔RMS round trip
+    /// ([`ExperimentConfig::check_overhead_s`]) in synchronous mode;
+    /// nothing in asynchronous mode, where the negotiation overlaps the
+    /// next step. This and the two spans below are converted from the
+    /// configuration's seconds once, not at every use.
+    pub(crate) check_pause: Span,
+    /// The period of the backfill tick
+    /// ([`ExperimentConfig::backfill_interval_s`]).
+    pub(crate) backfill_interval: Span,
+    /// How long an asynchronous resizer may wait
+    /// ([`ExperimentConfig::resizer_timeout_s`]).
+    pub(crate) resizer_timeout: Span,
     /// The jobs submitted and not yet completed, keyed by their
     /// scheduler id: each one's arrival sequence number — the telemetry
     /// id [`MetricsSink::on_job`] reports — and its spec. An entry is
@@ -488,7 +500,8 @@ impl<'a, 's> Driver<'a, 's> {
         let mut scfg = SlurmConfig::for_cluster(cfg.nodes);
         scfg.backfill = cfg.backfill;
         scfg.backfill_family = cfg.backfill_family;
-        scfg.resizer_timeout = Span::from_secs_f64(cfg.resizer_timeout_s);
+        let resizer_timeout = Span::from_secs_f64(cfg.resizer_timeout_s);
+        scfg.resizer_timeout = resizer_timeout;
         scfg.shrink_boost = cfg.shrink_boost;
         scfg.policy = cfg.policy;
         // The driver copies each job's accounting into the sink at
@@ -507,8 +520,15 @@ impl<'a, 's> Driver<'a, 's> {
         let proto_rng =
             (!cfg.faults.is_none()).then(|| StdRng::seed_from_u64(cfg.fault_seed ^ 0x5EED_F417));
         let resize_fail_p = cfg.faults.resize_fail_p();
+        let check_pause = match cfg.mode {
+            ScheduleMode::Synchronous => Span::from_secs_f64(cfg.check_overhead_s),
+            ScheduleMode::Asynchronous => Span::ZERO,
+        };
         Driver {
             cfg,
+            check_pause,
+            backfill_interval: Span::from_secs_f64(cfg.backfill_interval_s),
+            resizer_timeout,
             specs: JobMap::default(),
             arrived: 0,
             source,
@@ -545,10 +565,8 @@ impl<'a, 's> Driver<'a, 's> {
         // the event queue carries one arrival at a time.
         self.schedule_next_arrival();
         if self.cfg.backfill {
-            self.engine.schedule_in(
-                Span::from_secs_f64(self.cfg.backfill_interval_s),
-                Ev::BackfillTick,
-            );
+            self.engine
+                .schedule_in(self.backfill_interval, Ev::BackfillTick);
         }
         // Faults follow the same one-in-flight discipline as arrivals.
         self.schedule_next_fault(SimTime::ZERO);

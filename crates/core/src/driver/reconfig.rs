@@ -143,7 +143,7 @@ impl Driver<'_, '_> {
         let rs = self.running.get_mut(job).expect("running");
         let (procs, phase, retry) = (rs.procs, rs.phase, rs.retry_expand.take());
         self.arm_inhibitor(job, now);
-        let pause = self.check_pause();
+        let pause = self.check_pause;
         // A grant goes first, then a plan, then an expansion retry whose
         // backoff expired (the decision was already made; the injected
         // failure merely delayed it), then — synchronously — a fresh
@@ -170,7 +170,7 @@ impl Driver<'_, '_> {
                     // Asynchronously the job computes on while its resizer
                     // waits, under the §V-B1 timeout.
                     Err(Some(rj)) if !sync => {
-                        let at = now + Span::from_secs_f64(self.cfg.resizer_timeout_s);
+                        let at = now + self.resizer_timeout;
                         Some((rj, self.engine.schedule_at(at, Ev::RjTimeout { job })))
                     }
                     // Synchronously the action aborts at once (the paper's
@@ -199,17 +199,6 @@ impl Driver<'_, '_> {
             (None, ResizeAction::NoAction) => Phase::Computing { seg },
             (None, action) => Phase::Planned { seg, action },
         });
-    }
-
-    /// What a check point costs the job: the runtime↔RMS round trip
-    /// ([`crate::ExperimentConfig::check_overhead_s`]) in synchronous
-    /// mode; nothing in asynchronous mode, where the negotiation overlaps
-    /// the next step.
-    fn check_pause(&self) -> Span {
-        match self.cfg.mode {
-            ScheduleMode::Synchronous => Span::from_secs_f64(self.cfg.check_overhead_s),
-            ScheduleMode::Asynchronous => Span::ZERO,
-        }
     }
 
     /// One full consultation of the installed policy at `job`'s check
@@ -303,7 +292,7 @@ impl Driver<'_, '_> {
         debug_assert_eq!(self.slurm.nodes_of(job), size, "{job:?} resized unseen");
         let rs = self.running.get_mut(job).expect("running");
         rs.close_segment(steps, now, self.cfg.ckpt_interval_s);
-        let (at, then, next) = self.after_check(job, now, self.check_pause());
+        let (at, then, next) = self.after_check(job, now, self.check_pause);
         debug_assert_eq!(next, steps, "the claimed event names the next segment");
         match then {
             Some(then) => self.engine.claim_relayed(at, then),

@@ -10,6 +10,14 @@
 //! survive when they empty, plus an occupancy bitmap with one summary
 //! word per 64 words that finds the non-empty ones by bit scans.
 //!
+//! Each bucket holds its jobs in two orders. The scheduling order is a
+//! [`KeyLog`], like the global pending order: a submission sorts last,
+//! so it is appended. The estimate order stays a `BTreeSet`: estimates
+//! arrive in no order and are refreshed while a job waits, so it is
+//! neither append-only nor bounded by the machine — on a deep queue a
+//! bucket holds thousands of jobs, and a sorted array there would pay a
+//! move of the whole bucket on every submit, start and refresh.
+//!
 //! A request wider than the machine reaches the view only through a
 //! direct `Slurm::submit` (the driver clamps requests on arrival). Such
 //! requests are filed in a short list sorted by request beside the
@@ -17,22 +25,21 @@
 
 use std::collections::BTreeSet;
 use std::iter::successors;
-use std::ops::Bound::{Excluded, Unbounded};
 
 use dmr_sim::Span;
 
 use crate::arena::JobArena;
-use crate::index::{PendingIndex, PendingKey};
+use crate::index::{KeyLog, PendingIndex, PendingKey};
 use crate::job::JobId;
 
 /// The queued jobs requesting one node count, held in both orders the
 /// need view is asked in. The scheduling order carries the whole
 /// [`PendingKey`], so its first job costs no second seek in the pending
-/// set; the estimate order carries the id alone (16 bytes an entry) and
-/// finds the key again in the job record.
+/// order; the estimate order carries the id alone (16 bytes an entry)
+/// and finds the key again in the job record.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct NeedBucket {
-    by_key: BTreeSet<PendingKey>,
+    by_key: KeyLog,
     by_estimate: BTreeSet<(Span, JobId)>,
 }
 
@@ -43,7 +50,7 @@ impl NeedBucket {
 
     /// The bucket's first job in scheduling order.
     pub(crate) fn first(&self) -> Option<PendingKey> {
-        self.by_key.first().copied()
+        self.by_key.first()
     }
 
     /// The jobs behind `after` that an EASY pass has to look at when a
@@ -59,7 +66,7 @@ impl NeedBucket {
         jobs: &'a JobArena,
     ) -> impl Iterator<Item = (PendingKey, bool)> + 'a {
         let first = match limit {
-            None => self.by_key.range((Excluded(after), Unbounded)).next(),
+            None => self.by_key.next_after(Some(after)),
             Some(_) => None,
         };
         let within = limit.map(|limit| self.by_estimate.range(..=(limit, JobId(u64::MAX))));
@@ -67,7 +74,7 @@ impl NeedBucket {
             .into_iter()
             .flatten()
             .map(|&(_, id)| PendingIndex::key(&jobs[id]));
-        first.map(|&key| (key, true)).into_iter().chain(
+        first.map(|key| (key, true)).into_iter().chain(
             within
                 .filter(move |&key| key > after)
                 .map(|key| (key, false)),
@@ -134,6 +141,43 @@ impl NeedView {
         bucket.by_estimate.insert((estimate, key.id));
     }
 
+    /// The bucket `need` is filed under, for a change that keeps it
+    /// non-empty.
+    fn filed_mut(&mut self, need: u32) -> Option<&mut NeedBucket> {
+        if need <= self.nodes {
+            self.buckets.get_mut(need as usize)
+        } else {
+            let at = self.wide.binary_search_by_key(&need, |&(n, _)| n).ok()?;
+            Some(&mut self.wide[at].1)
+        }
+    }
+
+    /// Re-keys the job filed under `need` from `old` to `key` in its
+    /// bucket's scheduling order (a boost); whether it was filed there.
+    pub(crate) fn rekey(&mut self, need: u32, old: PendingKey, key: PendingKey) -> bool {
+        let Some(bucket) = self.filed_mut(need) else {
+            return false;
+        };
+        let moved = bucket.by_key.remove(old);
+        if moved {
+            bucket.by_key.insert(key);
+        }
+        moved
+    }
+
+    /// Re-files the job `id` filed under `need` from estimate `old` to
+    /// `new` in its bucket's estimate order; whether it was filed there.
+    pub(crate) fn reestimate(&mut self, need: u32, id: JobId, old: Span, new: Span) -> bool {
+        let Some(bucket) = self.filed_mut(need) else {
+            return false;
+        };
+        let moved = bucket.by_estimate.remove(&(old, id));
+        if moved {
+            bucket.by_estimate.insert((new, id));
+        }
+        moved
+    }
+
     /// Removes the job `key` / `estimate` filed under `need`; whether it
     /// was filed there.
     pub(crate) fn remove(&mut self, need: u32, key: PendingKey, estimate: Span) -> bool {
@@ -149,7 +193,7 @@ impl NeedView {
                 Err(_) => return false,
             }
         };
-        let removed = bucket.by_key.remove(&key) & bucket.by_estimate.remove(&(estimate, key.id));
+        let removed = bucket.by_key.remove(key) & bucket.by_estimate.remove(&(estimate, key.id));
         if bucket.is_empty() {
             match wide_at {
                 Some(at) => drop(self.wide.remove(at)),
@@ -216,7 +260,8 @@ impl NeedView {
     /// jobs filed afresh) holds, and its layout is sound — the array no
     /// longer than the machine, each occupancy and summary bit set iff
     /// its bucket or word is non-empty, both orders of every bucket of
-    /// one size, and only non-empty buckets above `nodes`.
+    /// one size, each scheduling order a sound [`KeyLog`], and only
+    /// non-empty buckets above `nodes`.
     pub(crate) fn check(&self, want: &NeedView) -> Result<(), String> {
         if self.buckets.len() > self.nodes as usize + 1 {
             let len = self.buckets.len();
@@ -236,6 +281,13 @@ impl NeedView {
                     "need bucket {n} {bucket:?} has occupancy bit {set}"
                 ));
             }
+        }
+        let wide = self.wide.iter().map(|(n, bucket)| (*n as usize, bucket));
+        for (n, bucket) in self.buckets.iter().enumerate().chain(wide) {
+            bucket
+                .by_key
+                .check()
+                .map_err(|e| format!("need bucket {n}: {e}"))?;
         }
         for (w, &word) in self.occupied.iter().enumerate() {
             if (self.summary[w / 64] >> (w % 64) & 1 == 1) != (word != 0) {
@@ -261,10 +313,15 @@ impl NeedView {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::job::{Job, JobRequest};
     use dmr_sim::SimTime;
+
+    /// `bucket`'s scheduling order, layout and all.
+    pub(crate) fn order(bucket: &NeedBucket) -> &KeyLog {
+        &bucket.by_key
+    }
 
     /// Jobs requesting `needs`, submitted one a second with estimates
     /// of `need` seconds, as `(need, key, estimate)` filings.

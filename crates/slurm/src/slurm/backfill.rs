@@ -570,6 +570,28 @@ mod tests {
     use crate::slurm::tests::{slurm, t};
     use dmr_cluster::FailOutcome;
 
+    /// Three running jobs end at one instant: the reservation counts
+    /// their nodes smallest first (ties by id), so the spare it reports
+    /// is the one that order gives — also after an estimate refresh
+    /// re-keys one of them away and back.
+    #[test]
+    fn jobs_ending_together_free_their_nodes_smallest_first() {
+        let mut s = slurm(6);
+        let est = |req: JobRequest| req.with_expected_runtime(Span::from_secs(100));
+        let [_a, b, _c] = [3, 1, 2].map(|n| s.submit(est(JobRequest::rigid("r", n)), t(0)));
+        assert_eq!(s.schedule(t(0)).len(), 3);
+        let spares = |s: &Slurm| [1, 2, 4, 6].map(|need| s.reservation_for(need, t(1)));
+        // Sizes 1, 2, 3 free 1, 3, 6 nodes (in id order 3, 4, 6).
+        let together = [0, 1, 2, 0].map(|spare| (t(100), spare));
+        assert_eq!(spares(&s), together);
+        s.set_expected_runtime(b, Span::from_secs(200));
+        let b_later = [(t(100), 1), (t(100), 0), (t(100), 1), (t(200), 0)];
+        assert_eq!(spares(&s), b_later);
+        s.set_expected_runtime(b, Span::from_secs(100));
+        assert_eq!(spares(&s), together);
+        s.check_invariants().unwrap();
+    }
+
     #[test]
     fn blocked_top_job_reserves_and_small_jobs_backfill() {
         let mut s = slurm(10);

@@ -52,7 +52,7 @@ impl Slurm {
         }
         let queued = pending.iter().map(|&id| &self.jobs[id]);
         self.pending_index
-            .check_need_view(queued.filter(|j| !j.is_resizer()))?;
+            .check_layout(queued.filter(|j| !j.is_resizer()))?;
         // Failed-node accounting: a node that stopped accepting work
         // while allocated (injected failure or administrative drain) may
         // only be owned by a job the scheduler still considers running —

@@ -87,6 +87,29 @@ mod tests {
         assert!(s.pending_queue(t(6)).is_empty());
     }
 
+    /// A direct [`Slurm::submit`] may name an instant before the last
+    /// submission's (the driver never does): the job still takes its
+    /// place by submit time, and a job submitted at an instant already
+    /// queued goes behind the jobs submitted then.
+    #[test]
+    fn an_earlier_submission_takes_its_place_in_the_order() {
+        let mut s = slurm(4);
+        let hog = s.submit(JobRequest::rigid("hog", 4), t(0));
+        s.schedule(t(0));
+        let a = s.submit(JobRequest::rigid("a", 2), t(10));
+        let b = s.submit(JobRequest::rigid("b", 2), t(20));
+        let early = s.submit(JobRequest::rigid("early", 2), t(5));
+        let tie = s.submit(JobRequest::rigid("tie", 2), t(10));
+        assert_eq!(s.pending_queue(t(20)).to_vec(), [early, a, tie, b]);
+        assert_eq!(s.first_queued_needing(0, 4), Some((early, 2)));
+        s.check_invariants().unwrap();
+        s.complete(hog, t(30));
+        let started: Vec<JobId> = s.schedule(t(30)).iter().map(|j| j.id).collect();
+        assert_eq!(started, [early, a]);
+        assert_eq!(s.pending_queue(t(30)).to_vec(), [tie, b]);
+        s.check_invariants().unwrap();
+    }
+
     #[test]
     fn pending_queue_excludes_resizers() {
         let mut s = slurm(8);

@@ -156,10 +156,12 @@ impl<R: BufRead> SwfTrace<R> {
         if runtime <= 0.0 || procs <= 0 || submit < 0.0 {
             return None;
         }
+        // The fallback keeps under the clock's bound too: the largest
+        // `f64` below it, for a run time past 2^63 µs / 2.5.
         let walltime = if req_time > 0.0 {
             req_time
         } else {
-            runtime * 2.5
+            (runtime * 2.5).min(f64::from_bits(MAX_TIME_S.to_bits() - 1))
         };
         Some((submit, runtime, u32::try_from(procs).ok()?, walltime))
     }
@@ -472,5 +474,114 @@ x 40 y 50 2 z w 2 100 v
         let jobs = collect_jobs(&mut SwfTrace::from_static(SAMPLE, mapping));
         assert!(jobs.iter().all(|j| j.submit_procs <= 2));
         assert!(jobs.iter().all(|j| j.malleability.max_procs <= 2));
+    }
+
+    /// One mutation of a valid record line, drawn by `rng`: a truncated
+    /// line, a field dropped or duplicated, an out-of-order submit, a
+    /// size past `u32` or past a 16-node machine, or a time at or about
+    /// 2^63 µs in the submit, run or requested-time field.
+    fn mutate(line: &str, rng: &mut rand::rngs::StdRng) -> String {
+        use rand::RngExt;
+        let mut f: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        let mut pick = |n: u64| rng.random_range(0..n) as usize;
+        let edge = [
+            "9223372036854.775808",
+            "9223372036854.775",
+            "9.3e12",
+            "9223372036854",
+        ];
+        match pick(7) {
+            0 => return line[..pick(line.len() as u64 + 1)].to_owned(),
+            1 => drop(f.remove(pick(f.len() as u64))),
+            2 => {
+                let at = pick(f.len() as u64);
+                f.insert(at, f[at].clone());
+            }
+            3 => f[1] = pick(100).to_string(),
+            4 => f[[4, 7][pick(2)]] = (u32::MAX as u64 + 1 + pick(1 << 40) as u64).to_string(),
+            5 => f[[4, 7][pick(2)]] = (17 + pick(100_000)).to_string(),
+            _ => f[[1, 3, 8][pick(3)]] = edge[pick(4)].to_owned(),
+        }
+        f.join(" ")
+    }
+
+    /// Seeded mutations of a valid trace, fed to the parser as they
+    /// come: no panic, every record either emitted or counted in
+    /// `skipped_lines`, and every emitted job finite, in arrival order,
+    /// its times under 2^63 µs and its sizes within the mapping's cap.
+    #[test]
+    fn generated_malformed_traces_parse_within_the_documented_bounds() {
+        use rand::{RngExt, SeedableRng};
+        let valid = include_str!("../../../tests/fixtures/tiny.swf");
+        let capped = SwfMapping {
+            max_procs: Some(16),
+            ..SwfMapping::default()
+        };
+        let raw = SwfMapping {
+            normalize_arrivals: false,
+            ..capped
+        };
+        let (mut emitted, mut skipped) = (0, 0);
+        for seed in 0..200 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut trace = String::new();
+            let mut records = 0;
+            for line in valid.lines().cycle().take(60) {
+                let record = !line.starts_with(';') && !line.trim().is_empty();
+                let line = if record && rng.random_range(0..3) == 0 {
+                    mutate(line, &mut rng)
+                } else {
+                    line.to_owned()
+                };
+                let kept = line.trim();
+                records += usize::from(!kept.is_empty() && !kept.starts_with(';'));
+                trace.push_str(&line);
+                trace.push('\n');
+            }
+            for mapping in [SwfMapping::default(), capped, raw] {
+                let mut src = SwfTrace::from_reader(trace.as_bytes(), mapping);
+                let jobs = collect_jobs(&mut src);
+                let at = format!("seed {seed} {mapping:?}");
+                assert_eq!(jobs.len() + src.skipped_lines() as usize, records, "{at}");
+                let cap = mapping.max_procs.unwrap_or(u32::MAX);
+                let mut last = 0.0;
+                for (i, j) in jobs.iter().enumerate() {
+                    let runtime = j.step_s * f64::from(j.steps);
+                    let times = [j.arrival_s, j.step_s, runtime, j.walltime_s];
+                    assert!(
+                        times.iter().all(|t| t.is_finite() && *t >= 0.0),
+                        "{at}: {j:?}"
+                    );
+                    assert!(
+                        j.arrival_s >= last && j.arrival_s < MAX_TIME_S,
+                        "{at}: {j:?}"
+                    );
+                    assert!(j.step_s > 0.0 && runtime < MAX_TIME_S, "{at}: {j:?}");
+                    assert!(
+                        j.walltime_s >= runtime && (1..=25).contains(&j.steps),
+                        "{at}: {j:?}"
+                    );
+                    assert!(j.walltime_s < MAX_TIME_S, "{at}: {j:?}");
+                    let m = j.malleability;
+                    assert!(
+                        1 <= m.min_procs && m.min_procs <= j.submit_procs,
+                        "{at}: {j:?}"
+                    );
+                    assert!(
+                        j.submit_procs <= m.max_procs && m.max_procs <= cap,
+                        "{at}: {j:?}"
+                    );
+                    assert_eq!(j.index as usize, i);
+                    last = j.arrival_s;
+                }
+                emitted += jobs.len();
+                skipped += src.skipped_lines();
+            }
+        }
+        // Both verdicts were exercised, many times over.
+        assert!(
+            emitted > 10_000 && skipped > 1_000,
+            "{emitted} emitted, {skipped} skipped"
+        );
     }
 }
