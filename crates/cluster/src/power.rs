@@ -59,13 +59,12 @@ impl PowerMeter {
     }
 
     /// Advances the watermark to `now`, charging the interval since the
-    /// previous sample at the *previous* per-class counts — callers
-    /// sample with the counts that were in force *up to* `now`, i.e.
-    /// after the clock advanced but with `busy[c]`/`off[c]` describing
-    /// the state being left behind is wrong; sample *after* applying the
-    /// event's state change, passing the new counts, and the old counts
-    /// were already charged by the previous call. Zero-length intervals
-    /// charge exactly zero, so redundant samples cannot perturb the sum.
+    /// previous sample at the counts passed in. So the caller passes the
+    /// counts that were in force *during* that interval — the driver
+    /// keeps the counts of its previous sample for this, since by the
+    /// time it samples at `now` the event there has already changed the
+    /// cluster's. Zero-length intervals charge exactly zero, so
+    /// redundant samples cannot perturb the sum.
     ///
     /// `busy[c]` and `off[c]` are the class-`c` allocated and powered-down
     /// node counts; idle is derived as `nodes − busy − off`.

@@ -1131,7 +1131,7 @@ mod tests {
             "answer"
         }
 
-        fn decide(&mut self, _: &Slurm, _: JobId, _: SimTime) -> ResizeAction {
+        fn decide(&self, _: &Slurm, _: JobId, _: SimTime) -> ResizeAction {
             self.0
         }
     }

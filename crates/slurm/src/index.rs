@@ -47,8 +47,8 @@
 //!   as the scheduler's answer to "how many nodes does this running job
 //!   hold" (`Slurm::nodes_of`).
 //! * [`ResizerIndex`] — the parent → resizer reverse-dependency map, so
-//!   resizers orphaned by a completion are reaped in O(affected) instead
-//!   of an O(jobs) scan per scheduling pass.
+//!   a job that ends cancels its queued resizers at that instant in
+//!   O(affected) instead of an O(jobs) scan.
 //!
 //! The indices are bookkeeping only: they never decide anything. The
 //! oracle for the orders they serve is the model scheduler of
@@ -549,60 +549,44 @@ impl RunningIndex {
     }
 }
 
-/// Parent → resizer reverse-dependency map plus the reap candidate list.
+/// Parent → resizer reverse-dependency map: the live resizers of each
+/// job, so that the job's retirement cancels its queued ones in
+/// O(affected) instead of a scan of the pending queue.
 ///
-/// A resizer job is dead when its parent is no longer running. Instead of
-/// scanning every job per pass, resizers are registered under their
-/// running parent; when the parent turns terminal the whole group moves
-/// to the `dead` candidate set, which the next scheduling pass drains in
-/// O(affected). Candidates are *re-verified* against live state before
-/// cancellation, so a parent that was merely pending at registration time
-/// and has started since is never reaped by mistake.
+/// A resizer is registered at submission, which cancels it on the spot
+/// unless its parent is running, and deregistered when it turns
+/// terminal; the parent's retirement takes its whole group.
 #[derive(Debug, Default)]
 pub(crate) struct ResizerIndex {
     by_parent: BTreeMap<JobId, BTreeSet<JobId>>,
-    dead: BTreeSet<JobId>,
 }
 
 impl ResizerIndex {
-    /// Registers `resizer` under `parent`. A parent that is not currently
-    /// running makes the resizer an immediate reap candidate (the scan
-    /// path treated an unsatisfied dependency as dead regardless of why).
-    pub(crate) fn register(&mut self, parent: JobId, resizer: JobId, parent_running: bool) {
-        if parent_running {
-            self.by_parent.entry(parent).or_default().insert(resizer);
-        } else {
-            self.dead.insert(resizer);
-        }
+    /// Registers `resizer` under its running `parent`.
+    pub(crate) fn register(&mut self, parent: JobId, resizer: JobId) {
+        self.by_parent.entry(parent).or_default().insert(resizer);
     }
 
-    /// A resizer turned terminal on its own: deregister it everywhere.
-    pub(crate) fn resizer_terminal(&mut self, parent: JobId, resizer: JobId) {
+    /// `resizer` turned terminal: deregister it.
+    pub(crate) fn deregister(&mut self, parent: JobId, resizer: JobId) {
         if let Some(group) = self.by_parent.get_mut(&parent) {
             group.remove(&resizer);
             if group.is_empty() {
                 self.by_parent.remove(&parent);
             }
         }
-        self.dead.remove(&resizer);
     }
 
-    /// `parent` turned terminal: every resizer registered under it becomes
-    /// a reap candidate.
-    pub(crate) fn parent_terminal(&mut self, parent: JobId) {
-        if let Some(group) = self.by_parent.remove(&parent) {
-            self.dead.extend(group);
-        }
+    /// `parent` is retiring: its resizers, ascending, leave the index.
+    pub(crate) fn take(&mut self, parent: JobId) -> BTreeSet<JobId> {
+        self.by_parent.remove(&parent).unwrap_or_default()
     }
 
-    pub(crate) fn has_dead_candidates(&self) -> bool {
-        !self.dead.is_empty()
-    }
-
-    /// Drains the candidate list in ascending id order (the order the
-    /// scan produced by walking the job table).
-    pub(crate) fn take_dead(&mut self) -> Vec<JobId> {
-        std::mem::take(&mut self.dead).into_iter().collect()
+    /// Whether `resizer` is registered under `parent`.
+    pub(crate) fn registered(&self, parent: JobId, resizer: JobId) -> bool {
+        self.by_parent
+            .get(&parent)
+            .is_some_and(|group| group.contains(&resizer))
     }
 }
 

@@ -74,8 +74,9 @@ impl JobState {
 /// `--dependency=expand:A`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Dependency {
-    /// This job is a resizer for the given original job; it may only start
-    /// while that job is running, and is cancelled if it terminates.
+    /// This job is a resizer for the given original job; it is pending
+    /// only while that job runs: the job's end cancels it at that
+    /// instant, and so does a submission for a job that is not running.
     ExpandOf(JobId),
 }
 

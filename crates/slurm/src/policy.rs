@@ -99,7 +99,7 @@ pub trait ResizePolicy: Send {
     fn name(&self) -> &'static str;
 
     /// Decide the resize action for running flexible job `job`.
-    fn decide(&mut self, slurm: &Slurm, job: JobId, now: SimTime) -> ResizeAction;
+    fn decide(&self, slurm: &Slurm, job: JobId, now: SimTime) -> ResizeAction;
 
     /// The conditions under which [`ResizePolicy::decide`] answers "no
     /// action" for running flexible job `job` at its current size, in any
@@ -234,7 +234,7 @@ impl ResizePolicy for Algorithm1 {
         "algorithm1"
     }
 
-    fn decide(&mut self, slurm: &Slurm, job: JobId, _now: SimTime) -> ResizeAction {
+    fn decide(&self, slurm: &Slurm, job: JobId, _now: SimTime) -> ResizeAction {
         let env = envelope_of(slurm, job);
         let current = slurm.nodes_of(job);
         let free = slurm.cluster().free_nodes();
@@ -385,7 +385,7 @@ impl ResizePolicy for UtilizationTarget {
         "utilization-target"
     }
 
-    fn decide(&mut self, slurm: &Slurm, job: JobId, now: SimTime) -> ResizeAction {
+    fn decide(&self, slurm: &Slurm, job: JobId, now: SimTime) -> ResizeAction {
         let env = envelope_of(slurm, job);
         let current = slurm.nodes_of(job);
         let free = slurm.cluster().free_nodes();
@@ -441,7 +441,7 @@ impl ResizePolicy for EnergyAware {
         "energy-aware"
     }
 
-    fn decide(&mut self, slurm: &Slurm, job: JobId, now: SimTime) -> ResizeAction {
+    fn decide(&self, slurm: &Slurm, job: JobId, now: SimTime) -> ResizeAction {
         let env = envelope_of(slurm, job);
         let current = slurm.nodes_of(job);
         let free = slurm.cluster().free_nodes();
@@ -525,7 +525,7 @@ impl ResizePolicy for FairShare {
         "fair-share"
     }
 
-    fn decide(&mut self, slurm: &Slurm, job: JobId, now: SimTime) -> ResizeAction {
+    fn decide(&self, slurm: &Slurm, job: JobId, now: SimTime) -> ResizeAction {
         let env = envelope_of(slurm, job);
         let current = slurm.nodes_of(job);
         let free = slurm.cluster().free_nodes();
@@ -622,9 +622,7 @@ impl Slurm {
         if job.resize.is_none() {
             return ResizeAction::NoAction;
         }
-        let mut policy = self.take_policy();
-        let decision = policy.decide(self, id, now);
-        self.restore_policy(policy);
+        let decision = self.policy.decide(self, id, now);
 
         if let ResizeAction::Shrink {
             beneficiary: Some(b),
@@ -646,17 +644,14 @@ impl Slurm {
         if job.state != JobState::Running || job.resize.is_none() {
             return None;
         }
-        self.installed_policy()?.hold(self, id)
+        self.policy.hold(self, id)
     }
 
     /// Consults the installed policy's power verdict
     /// ([`ResizePolicy::idle_power_down`]): how many idle nodes to power
     /// down to S5 right now. 0 for power-agnostic policies.
-    pub fn decide_power_down(&mut self, now: SimTime) -> u32 {
-        let policy = self.take_policy();
-        let verdict = policy.idle_power_down(self, now);
-        self.restore_policy(policy);
-        verdict
+    pub fn decide_power_down(&self, now: SimTime) -> u32 {
+        self.policy.idle_power_down(self, now)
     }
 }
 

@@ -157,22 +157,20 @@ impl Slurm {
     /// A pass whose memo is still valid — same family and knobs, a
     /// later-or-equal instant (the *same* instant if the pass refused a
     /// fitting job on a timeline's say-so; an indexed EASY-1 pass asks
-    /// no timeline, so its refusals repeat at any later one), no
-    /// invalidating mutation since, and a provably no-op reap — is
-    /// elided in O(1): it would start nothing and leave no observable
-    /// state, bit-for-bit like running it.
+    /// no timeline, so its refusals repeat at any later one) and no
+    /// invalidating mutation since — is elided in O(1): it would start
+    /// nothing and leave no observable state, bit-for-bit like running
+    /// it.
     pub fn backfill_pass(&mut self, now: SimTime) -> Vec<JobStart> {
-        if !self.resizer_index.has_dead_candidates()
-            && self.incr.bf_memo.as_ref().is_some_and(|m| {
-                (if m.fitting_refused && !m.easy1 {
-                    m.at == now
-                } else {
-                    m.at <= now
-                }) && m.family == self.config.backfill_family
-                    && m.backfill_on == self.config.backfill
-                    && m.window == self.config.bf_max_job_test
-            })
-        {
+        if self.incr.bf_memo.as_ref().is_some_and(|m| {
+            (if m.fitting_refused && !m.easy1 {
+                m.at == now
+            } else {
+                m.at <= now
+            }) && m.family == self.config.backfill_family
+                && m.backfill_on == self.config.backfill
+                && m.window == self.config.bf_max_job_test
+        }) {
             self.incr.bf_elided += 1;
             return Vec::new();
         }
@@ -219,10 +217,9 @@ impl Slurm {
     }
 
     /// One EASY pass with the chosen body behind the shared prologue
-    /// (reap, then the timelines the pass will query built at `now`),
-    /// run in the state [`Slurm`] keeps — the caller puts it back.
+    /// (the timelines the pass will query built at `now`), run in the
+    /// state [`Slurm`] keeps — the caller puts it back.
     fn easy_pass(&mut self, now: SimTime, k: u32, indexed: bool) -> EasyPass {
-        self.reap_dead_resizers(now);
         let mut pass = std::mem::take(&mut self.easy);
         pass.begin(k, self.build_timelines(now, k >= 2));
         if indexed {
@@ -238,9 +235,6 @@ impl Slurm {
     /// blocked and fewer than `k` are held, otherwise record the refusal.
     fn easy_visit(&mut self, id: JobId, now: SimTime, pass: &mut EasyPass) -> EasyVisit {
         let job = &self.jobs[id];
-        if !self.dependency_satisfied(job) {
-            return EasyVisit::Refused;
-        }
         self.incr.bf_examined += 1;
         let need = job.requested_nodes;
         let constraint = job.constraint;
@@ -397,7 +391,6 @@ impl Slurm {
     /// than the window may not start anyway — the untested blocked jobs
     /// between it and the window would have no plans protecting them.
     fn backfill_pass_conservative(&mut self, now: SimTime) -> Vec<JobStart> {
-        self.reap_dead_resizers(now);
         let aggregate = self.build_timelines(now, true);
         let window = self.config.bf_max_job_test.max(1);
         let mut started = Vec::new();
@@ -412,9 +405,6 @@ impl Slurm {
             cursor = Some(key);
             let id = key.id;
             let job = &self.jobs[id];
-            if !self.dependency_satisfied(job) {
-                continue;
-            }
             self.incr.bf_examined += 1;
             let need = job.requested_nodes;
             let dur = job.expected_runtime;

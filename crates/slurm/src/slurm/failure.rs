@@ -85,9 +85,8 @@ impl Slurm {
             constraint: job.constraint,
         };
         // The kill shares the cancellation path: stale completion events
-        // are cancelled by the caller, pending resizers of the victim
-        // are orphaned (and reaped as dead candidates), and the
-        // incremental memos invalidate.
+        // are cancelled by the caller, the victim's queued resizers are
+        // cancelled with it, and the incremental memos invalidate.
         self.cancel(id, now);
         let new = self.submit(req, now);
         self.boost(new);

@@ -4,7 +4,7 @@
 use dmr_cluster::{ClassConstraint, NodeId};
 use dmr_sim::SimTime;
 
-use crate::job::{Job, JobId, JobState};
+use crate::job::{Dependency, Job, JobId, JobState};
 use crate::slotset::SlotSet;
 
 use super::Slurm;
@@ -40,6 +40,24 @@ impl Slurm {
                 self.pending_index.pending_resizers()
             ));
         }
+        // A resizer exists only to grow its running parent: the
+        // parent's retirement cancels it, and so does a submission for
+        // a parent that is not running.
+        for &id in &pending {
+            let Some(Dependency::ExpandOf(parent)) = self.jobs[id].dependency else {
+                continue;
+            };
+            if !self.is_running(parent) {
+                return Err(format!(
+                    "pending resizer {id:?} outlived its parent {parent:?}"
+                ));
+            }
+            if !self.resizer_index.registered(parent, id) {
+                return Err(format!(
+                    "pending resizer {id:?} is not registered under {parent:?}"
+                ));
+            }
+        }
         let constrained = pending
             .iter()
             .filter(|&&id| self.jobs[id].constraint != ClassConstraint::Any)
@@ -69,11 +87,7 @@ impl Slurm {
                     continue;
                 };
                 let owner = JobId(owner);
-                let state_ok = self
-                    .jobs
-                    .get(owner)
-                    .is_some_and(|j| j.state == JobState::Running);
-                if !state_ok {
+                if !self.is_running(owner) {
                     return Err(format!(
                         "node n{n} owned by {owner:?}, which is not a running job"
                     ));
@@ -272,6 +286,27 @@ mod tests {
         s.check_invariants().unwrap();
         s.complete(a, t(40));
         s.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_pending_resizer_must_have_a_running_parent() {
+        let mut s = slurm(8);
+        let a = s.submit(JobRequest::rigid("a", 4), t(0));
+        let _b = s.submit(JobRequest::rigid("b", 4), t(0));
+        s.schedule(t(0));
+        let ExpandError::Queued { resizer } = s.expand_protocol(a, 8, t(10)).unwrap_err() else {
+            panic!("expected queued resizer");
+        };
+        s.check_invariants().unwrap();
+        // Unregistered, the resizer would miss its parent's end.
+        let group = s.resizer_index.take(a);
+        let err = s.check_invariants().unwrap_err();
+        assert!(err.contains("not registered"), "{err}");
+        // And so it does: it stays pending under a completed parent.
+        s.complete(a, t(20));
+        let err = s.check_invariants().unwrap_err();
+        assert!(err.contains("outlived its parent"), "{err}");
+        assert_eq!(group.into_iter().collect::<Vec<_>>(), vec![resizer]);
     }
 
     #[test]

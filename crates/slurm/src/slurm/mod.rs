@@ -147,15 +147,16 @@ pub struct Slurm {
     /// Next submission sequence number ([`Job::seq`]).
     next_seq: u64,
     pub config: SlurmConfig,
-    /// The installed reconfiguration decision procedure (§IV plug-in).
-    /// `None` only transiently, while the policy is consulted.
-    policy: Option<Box<dyn ResizePolicy>>,
+    /// The installed reconfiguration decision procedure (§IV plug-in),
+    /// consulted through `&self` ([`crate::policy`]).
+    pub(crate) policy: Box<dyn ResizePolicy>,
     /// Ordered pending index (see [`crate::index`]): the pending order,
     /// which every pass walks by cursor.
     pending_index: PendingIndex,
     /// Running jobs ordered by `(expected_end, nodes, id)` for backfill.
     running_index: RunningIndex,
-    /// Parent → resizer reverse-dependency map for O(affected) reaping.
+    /// Parent → resizer map: a job's retirement cancels its queued
+    /// resizers in O(affected).
     resizer_index: ResizerIndex,
     /// Scratch of the pass in flight: the slot-set free-resource
     /// timeline (see [`crate::slotset`]) that the deeper EASY-k
@@ -202,7 +203,7 @@ impl Slurm {
             cluster,
             jobs: JobArena::new(),
             next_seq: 0,
-            policy: Some(config.policy.build()),
+            policy: config.policy.build(),
             config,
             pending_index,
             running_index: RunningIndex::default(),
@@ -232,27 +233,12 @@ impl Slurm {
     /// [`PolicyKind`]); after this call, [`Slurm::policy_name`] is the
     /// source of truth for what is installed.
     pub fn set_policy(&mut self, policy: Box<dyn ResizePolicy>) {
-        self.policy = Some(policy);
+        self.policy = policy;
     }
 
     /// Name of the installed policy (sweep CSV labelling).
     pub fn policy_name(&self) -> &'static str {
-        self.installed_policy()
-            .map_or("<consulting>", ResizePolicy::name)
-    }
-
-    /// The installed policy; `None` only while it is being consulted.
-    pub(crate) fn installed_policy(&self) -> Option<&dyn ResizePolicy> {
-        self.policy.as_deref()
-    }
-
-    /// Detaches the policy so [`crate::policy`] can pass `&Slurm` to it.
-    pub(crate) fn take_policy(&mut self) -> Box<dyn ResizePolicy> {
-        self.policy.take().expect("resize policy installed")
-    }
-
-    pub(crate) fn restore_policy(&mut self, policy: Box<dyn ResizePolicy>) {
-        self.policy = Some(policy);
+        self.policy.name()
     }
 
     pub fn cluster(&self) -> &Cluster {
@@ -308,6 +294,12 @@ impl Slurm {
         nodes
     }
 
+    fn is_running(&self, id: JobId) -> bool {
+        self.jobs
+            .get(id)
+            .is_some_and(|j| j.state == JobState::Running)
+    }
+
     /// Submits a job; it becomes eligible at the next [`Slurm::schedule`].
     pub fn submit(&mut self, req: JobRequest, now: SimTime) -> JobId {
         let seq = self.next_seq;
@@ -319,11 +311,15 @@ impl Slurm {
         let job = &self.jobs[id];
         self.pending_index.insert(job);
         if let Some(Dependency::ExpandOf(parent)) = job.dependency {
-            let parent_running = self.dependency_satisfied(job);
-            self.resizer_index.register(parent, id, parent_running);
+            // A resizer exists only to grow its running parent (§III):
+            // one submitted for any other job is cancelled on the spot,
+            // so every pending resizer's parent is running.
+            if !self.is_running(parent) {
+                self.cancel(id, now);
+                return id;
+            }
+            self.resizer_index.register(parent, id);
         }
-        // A new registration may be a dead-resizer candidate.
-        self.incr.reaped_at = None;
         // The fresh non-boosted job sorts strictly last, so the sched
         // memo survives (the blocked head still blocks first, and the
         // priority-FIFO walk never looks past it). The backfill memo
@@ -379,58 +375,32 @@ impl Slurm {
         }
     }
 
-    fn dependency_satisfied(&self, job: &Job) -> bool {
-        match job.dependency {
-            None => true,
-            Some(Dependency::ExpandOf(parent)) => self
-                .jobs
-                .get(parent)
-                .is_some_and(|p| p.state == JobState::Running),
-        }
-    }
-
     /// Marks a running job complete and frees its nodes.
     pub fn complete(&mut self, id: JobId, now: SimTime) {
-        let Some(job) = self.jobs.get_mut(id) else {
-            return;
-        };
-        debug_assert_eq!(job.state, JobState::Running, "completing a non-running job");
-        let was_pending = job.state == JobState::Pending;
-        job.state = JobState::Completed;
-        job.end_time = Some(now);
-        let dep = job.dependency;
-        if was_pending {
-            // Tolerated in release builds only (the debug assert above
-            // fires first): keep the pending index consistent.
-            self.pending_index.remove(&self.jobs[id]);
-        }
-        self.running_index.remove(id);
-        self.class_splits.remove(id);
-        if let Some(Dependency::ExpandOf(parent)) = dep {
-            self.resizer_index.resizer_terminal(parent, id);
-        }
-        self.resizer_index.parent_terminal(id);
-        // A job that shrank to zero nodes cannot exist (envelope min >= 1),
-        // but release defensively.
-        let _ = self.cluster.release_all(id.owner_tag());
-        // `parent_terminal` may have queued dead-resizer candidates.
-        self.incr.reaped_at = None;
-        if was_pending {
-            self.incr_clear();
-        } else {
-            // Capacity-increasing event: watermark rule decides whether
-            // the memos survive.
-            self.incr_capacity_freed();
-        }
-        if !self.config.retain_completed {
-            self.jobs.remove(id);
-        }
+        debug_assert!(
+            self.jobs
+                .get(id)
+                .is_none_or(|j| j.state == JobState::Running),
+            "completing a non-running job"
+        );
+        self.retire(id, JobState::Completed, now);
     }
 
     /// Cancels a pending or running job. Detached resizer nodes are *not*
     /// freed — that is the point of protocol step 3: cancelling the hollow
     /// resizer job keeps its allocation parked for reattachment.
     pub fn cancel(&mut self, id: JobId, now: SimTime) {
+        self.retire(id, JobState::Cancelled, now);
+    }
+
+    /// The one way a job ends: `id` turns `end` (completed or cancelled)
+    /// at `now` and leaves every index; a running job's nodes are
+    /// released unless they are detached, and the pass memos follow
+    /// (the watermark rule for freed capacity, the catch-all otherwise).
+    /// Its queued resizers die with it at the same instant, which keeps
+    /// every pending resizer's parent running. A terminal or unknown job
+    /// is left as it is.
+    fn retire(&mut self, id: JobId, end: JobState, now: SimTime) {
         let Some(job) = self.jobs.get_mut(id) else {
             return;
         };
@@ -438,37 +408,34 @@ impl Slurm {
             return;
         }
         let was_running = job.state == JobState::Running;
-        let was_pending = job.state == JobState::Pending;
-        let detached = job.detached_nodes != 0;
-        job.state = JobState::Cancelled;
+        if job.state == JobState::Pending {
+            self.pending_index.remove(job);
+        }
+        job.state = end;
         job.end_time = Some(now);
-        let dep = job.dependency;
-        if was_pending {
-            self.pending_index.remove(&self.jobs[id]);
+        let frees = was_running && job.detached_nodes == 0;
+        if let Some(Dependency::ExpandOf(parent)) = job.dependency {
+            self.resizer_index.deregister(parent, id);
         }
         if was_running {
             self.running_index.remove(id);
             self.class_splits.remove(id);
         }
-        if let Some(Dependency::ExpandOf(parent)) = dep {
-            self.resizer_index.resizer_terminal(parent, id);
-        }
-        self.resizer_index.parent_terminal(id);
-        if was_running && !detached {
+        if frees {
             let _ = self.cluster.release_all(id.owner_tag());
-        }
-        self.incr.reaped_at = None;
-        if was_running && !detached {
-            // Capacity-increasing: the watermark rule decides.
             self.incr_capacity_freed();
         } else {
             self.incr_clear();
         }
-        // The record itself is never consulted after cancellation (node
-        // ownership lives in the cluster tables), so it can be dropped
-        // with the same retention rule as completions.
+        // Terminal records are never consulted again (node ownership
+        // lives in the cluster tables): the retention rule decides.
         if !self.config.retain_completed {
             self.jobs.remove(id);
+        }
+        for resizer in self.resizer_index.take(id) {
+            if self.jobs[resizer].state == JobState::Pending {
+                self.cancel(resizer, now);
+            }
         }
     }
 }

@@ -1,6 +1,7 @@
-//! The scheduling pass (`sched/builtin`), the cross-pass memos that
-//! elide passes provably identical to the last one, and the reaping of
-//! resizers whose job ended.
+//! The scheduling pass (`sched/builtin`) and the cross-pass memos that
+//! elide passes provably identical to the last one. A pass never meets
+//! a resizer whose job ended: a job's retirement cancels its queued
+//! resizers ([`Slurm::cancel`]).
 
 use dmr_sim::SimTime;
 
@@ -63,16 +64,12 @@ pub(super) struct BfMemo {
 #[derive(Debug, Default)]
 pub(super) struct IncrState {
     /// `Some(need)` after a [`Slurm::schedule`] pass that started nothing
-    /// and broke at a dependency-satisfied head requesting `need` nodes.
+    /// and broke at a head requesting `need` nodes.
     /// While free nodes stay below `need`, a repeat pass is provably
     /// identical and is elided.
     sched_block: Option<u32>,
     /// Memo of the last fruitless backfill pass (see [`BfMemo`]).
     pub(super) bf_memo: Option<BfMemo>,
-    /// Instant [`Slurm::reap_dead_resizers`] last ran to completion with
-    /// no dependency-relevant mutation since — dedupes the
-    /// schedule-then-backfill double reap at one instant.
-    pub(super) reaped_at: Option<SimTime>,
     sched_runs: u64,
     sched_elided: u64,
     pub(super) bf_runs: u64,
@@ -161,10 +158,9 @@ impl Slurm {
         let resizer_for = job.dependency.map(|Dependency::ExpandOf(parent)| parent);
         self.running_index.insert(id, end, held);
         self.record_class_split(id);
-        // A start changes the free count, the running set and (for
-        // resizer parents) dependency satisfiability: every memo dies.
+        // A start changes the free count and the running set: every
+        // memo dies.
         self.incr_clear();
-        self.incr.reaped_at = None;
         JobStart {
             id,
             held,
@@ -172,60 +168,22 @@ impl Slurm {
         }
     }
 
-    pub(super) fn reap_dead_resizers(&mut self, now: SimTime) {
-        // Per-instant memo: a schedule() immediately followed by a
-        // backfill_pass() at the same instant reaps once. Any mutation
-        // that can create candidates or change dependency state (submit,
-        // start, complete, cancel) re-arms it.
-        if self.incr.reaped_at == Some(now) {
-            return;
-        }
-        // O(1) in the common case: completions push orphaned resizers
-        // onto the candidate list; nothing queued means nothing to do.
-        if !self.resizer_index.has_dead_candidates() {
-            self.incr.reaped_at = Some(now);
-            return;
-        }
-        for id in self.resizer_index.take_dead() {
-            let Some(j) = self.jobs.get(id) else {
-                continue;
-            };
-            if j.state != JobState::Pending || !j.is_resizer() {
-                continue;
-            }
-            if self.dependency_satisfied(j) {
-                // The parent was not running at registration but is now:
-                // re-register so a later parent termination re-queues it.
-                if let Some(Dependency::ExpandOf(parent)) = j.dependency {
-                    self.resizer_index.register(parent, id, true);
-                }
-                continue;
-            }
-            self.cancel(id, now);
-        }
-        // Arm the memo last: the cancels above cleared it.
-        self.incr.reaped_at = Some(now);
-    }
-
     /// The event-driven scheduling pass (Slurm's `sched/builtin` reacting
     /// to submissions and completions): starts pending jobs in priority
     /// order and stops at the first that does not fit. Backfill around
     /// blocked jobs happens only in the periodic [`Slurm::backfill_pass`],
-    /// mirroring Slurm's `bf_interval` architecture. Also reaps resizer
-    /// jobs whose original job ended.
+    /// mirroring Slurm's `bf_interval` architecture.
     pub fn schedule(&mut self, now: SimTime) -> Vec<JobStart> {
         // Watermark elision: a prior pass started nothing and broke at a
         // blocked head, and no mutation since could change any decision
         // (the memo is cleared by every mutation that can — see
         // `incr_clear` / `incr_capacity_freed` call sites; new
-        // submissions sort last, so the head still blocks first), and the
-        // reap is provably a no-op.
-        if !self.resizer_index.has_dead_candidates() && self.incr.sched_block.is_some() {
+        // submissions sort last, so the head still blocks first).
+        if self.incr.sched_block.is_some() {
             self.incr.sched_elided += 1;
             return Vec::new();
         }
         self.incr.sched_runs += 1;
-        self.reap_dead_resizers(now);
         // The walk follows the pending index through a resumable cursor
         // instead of materialising the order, so a pass that starts `k`
         // of `n` pending jobs costs O(k log n). The only mid-walk
@@ -236,9 +194,6 @@ impl Slurm {
         while let Some(key) = self.pending_index.next_after(cursor) {
             cursor = Some(key);
             let job = &self.jobs[key.id];
-            if !self.dependency_satisfied(job) {
-                continue;
-            }
             if self
                 .cluster
                 .can_allocate_in(job.requested_nodes, job.constraint)
@@ -249,9 +204,8 @@ impl Slurm {
                 break;
             }
         }
-        // Memoize only a fully fruitless pass: a pass that started jobs
-        // may have flipped a skipped resizer's dependency mid-walk, and
-        // `start_job` cleared the memos anyway.
+        // Memoize only a fully fruitless pass: `start_job` cleared the
+        // memos of any other.
         if started.is_empty() {
             self.incr.sched_block = blocked;
         }
@@ -438,28 +392,5 @@ mod tests {
             "small must backfill into the freed nodes"
         );
         assert_eq!(s.job(small).unwrap().state, JobState::Running);
-    }
-
-    /// Same-instant duplicate reap scans are skipped under incremental
-    /// scheduling: `schedule` + `backfill_pass` at one instant perform
-    /// one scan, and decisions are unchanged.
-    #[test]
-    fn same_instant_reap_is_memoised() {
-        let mut s = slurm(10);
-        let a = s.submit(
-            JobRequest::rigid("a", 4).with_expected_runtime(Span::from_secs(300)),
-            t(0),
-        );
-        s.schedule(t(0));
-        s.expand_protocol(a, 6, t(1)).unwrap();
-        s.check_invariants().unwrap();
-        // schedule() reaps, then backfill_pass() at the same instant
-        // reuses the memo instead of rescanning.
-        s.schedule(t(2));
-        s.backfill_pass(t(2));
-        s.check_invariants().unwrap();
-        // The memo never crosses an instant: a later pass re-scans.
-        s.schedule(t(40));
-        s.check_invariants().unwrap();
     }
 }

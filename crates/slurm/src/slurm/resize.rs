@@ -86,7 +86,6 @@ impl Slurm {
         self.cluster
             .allocate_in(delta, id.owner_tag(), constraint)
             .expect("caller verified free nodes");
-        self.incr.reaped_at = None;
         self.grown(id)
     }
 
@@ -266,17 +265,51 @@ mod tests {
 
     #[test]
     fn resizer_dies_with_its_parent() {
-        let mut s = slurm(8);
-        let a = s.submit(JobRequest::rigid("a", 4), t(0));
-        let _b = s.submit(JobRequest::rigid("b", 4), t(0));
+        type End = fn(&mut Slurm, JobId, SimTime);
+        let ends: [(&str, End); 3] = [
+            ("complete", |s, a, at| s.complete(a, at)),
+            ("cancel", |s, a, at| s.cancel(a, at)),
+            ("requeue", |s, a, at| {
+                s.requeue_failed(a, at).expect("a running job");
+            }),
+        ];
+        for (how, end) in ends {
+            let mut s = slurm(8);
+            let a = s.submit(JobRequest::rigid("a", 4), t(0));
+            let _b = s.submit(JobRequest::rigid("b", 4), t(0));
+            s.schedule(t(0));
+            let ExpandError::Queued { resizer } = s.expand_protocol(a, 8, t(10)).unwrap_err()
+            else {
+                panic!()
+            };
+            end(&mut s, a, t(15));
+            // Cancelled at the parent's end, before any pass runs.
+            let rj = s.job(resizer).unwrap();
+            assert_eq!(
+                (rj.state, rj.end_time),
+                (JobState::Cancelled, Some(t(15))),
+                "{how}"
+            );
+            s.check_invariants().unwrap();
+            let started = s.schedule(t(15));
+            assert!(started.iter().all(|j| j.id != resizer), "{how}");
+        }
+    }
+
+    #[test]
+    fn a_resizer_for_a_job_that_is_not_running_is_cancelled_at_submission() {
+        let mut s = slurm(4);
+        let done = s.submit(JobRequest::rigid("done", 4), t(0));
         s.schedule(t(0));
-        let ExpandError::Queued { resizer } = s.expand_protocol(a, 8, t(10)).unwrap_err() else {
-            panic!()
-        };
-        s.complete(a, t(15));
-        let started = s.schedule(t(15));
-        assert!(started.is_empty());
-        assert_eq!(s.job(resizer).unwrap().state, JobState::Cancelled);
+        s.complete(done, t(5));
+        let waiting = s.submit(JobRequest::rigid("waiting", 8), t(5));
+        for parent in [waiting, done] {
+            let rj = s.submit(resizer_request(parent, 2, ClassConstraint::Any), t(6));
+            let job = s.job(rj).unwrap();
+            assert_eq!((job.state, job.end_time), (JobState::Cancelled, Some(t(6))));
+            assert_eq!(s.pending_count(), 1, "only `waiting` is pending");
+            s.check_invariants().unwrap();
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! [`dmr_slurm::Slurm::submit`] no matter which
 //! [`dmr_workload::WorkloadSource`] produced them, so live kernels and
 //! replayed traces share one negotiation path. Policies consulted here
-//! read the pending queue through the scheduler's per-instant priority
-//! cache — repeated `negotiate` calls at one instant do not re-sort it.
+//! read the pending queue off the scheduler's pending index, which keeps
+//! it in order between calls: a `negotiate` call sorts nothing.
 
 use std::sync::Arc;
 use std::time::Instant;

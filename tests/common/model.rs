@@ -4,8 +4,8 @@
 //! way. Every pass sorts the pending jobs — boosted first, then by submit
 //! time and submission order, Slurm's `priority/multifactor` order at the
 //! default weights the paper runs (§VII-A) — every reservation is read
-//! off a step function rebuilt from the running jobs, every dead resizer
-//! is found by looking at every pending one.
+//! off a step function rebuilt from the running jobs, and a job that
+//! ends finds its queued resizers by looking at every pending one.
 //! Nothing is indexed, cached, memoised or carried from one pass to the
 //! next. `tests/common/lockstep.rs` drives the production `Slurm` and this
 //! model through the same operations and compares them after each one.
@@ -63,7 +63,7 @@ pub struct Model {
     /// For a resizer job, the ordinal of the job it expands.
     pub parent: Vec<Option<usize>>,
     /// Jobs the backfill passes evaluated: every pending job the walk
-    /// reached with its dependency satisfied.
+    /// reached.
     pub examined: u64,
     /// Conservative passes cut off by `bf_max_job_test`.
     pub window_cutoffs: u64,
@@ -152,16 +152,24 @@ impl Model {
         order
     }
 
-    /// A resizer may run only while the job it expands runs.
-    fn dependency_satisfied(&self, job: usize) -> bool {
-        self.parent[job].is_none_or(|p| self.jobs[p].state == JobState::Running)
+    /// A resizer may run only while the job it expands runs, so the
+    /// job's end cancels it and no pass ever meets one whose job ended.
+    fn assert_resizers_have_running_parents(&self) {
+        for j in self.in_state(JobState::Pending) {
+            if let Some(p) = self.parent[j] {
+                assert_eq!(
+                    self.state(p),
+                    JobState::Running,
+                    "resizer {j} outlived job {p}"
+                );
+            }
+        }
     }
 
-    /// Cancels every pending resizer whose job no longer runs.
-    fn reap_dead_resizers(&mut self, now: SimTime) {
+    /// Cancels the queued resizers of `job`, which just ended.
+    fn cancel_resizers_of(&mut self, job: usize, now: SimTime) {
         for j in 0..self.jobs.len() {
-            let pending = self.jobs[j].state == JobState::Pending;
-            if pending && self.is_resizer(j) && !self.dependency_satisfied(j) {
+            if self.parent[j] == Some(job) && self.state(j) == JobState::Pending {
                 self.cancel(j, now);
             }
         }
@@ -184,15 +192,11 @@ impl Model {
     }
 
     /// `sched/builtin`: start pending jobs in priority order until the
-    /// first one whose nodes are not free. A resizer whose job is not
-    /// running is skipped, never a blocker.
+    /// first one whose nodes are not free.
     pub fn schedule(&mut self, now: SimTime) -> Vec<Start> {
-        self.reap_dead_resizers(now);
+        self.assert_resizers_have_running_parents();
         let mut started = Vec::new();
         for j in self.pending_order() {
-            if !self.dependency_satisfied(j) {
-                continue;
-            }
             let job = &self.jobs[j];
             if !self
                 .cluster
@@ -207,7 +211,7 @@ impl Model {
 
     /// `sched/backfill`, in the configured family.
     pub fn backfill_pass(&mut self, now: SimTime) -> Vec<Start> {
-        self.reap_dead_resizers(now);
+        self.assert_resizers_have_running_parents();
         match self.config.backfill_family {
             BackfillFamily::Easy { reservations } => self.easy(now, reservations.max(1) as usize),
             BackfillFamily::Conservative => self.conservative(now),
@@ -225,9 +229,6 @@ impl Model {
         let mut reservations: Vec<(SimTime, u32)> = Vec::new();
         let mut plans = Vec::new();
         for j in self.pending_order() {
-            if !self.dependency_satisfied(j) {
-                continue;
-            }
             self.examined += 1;
             let job = &self.jobs[j];
             let (need, dur, constraint) =
@@ -314,9 +315,6 @@ impl Model {
         let (mut started, mut plans) = (Vec::new(), Vec::new());
         let mut tested = 0;
         for j in self.pending_order() {
-            if !self.dependency_satisfied(j) {
-                continue;
-            }
             self.examined += 1;
             let job = &self.jobs[j];
             let (need, dur, constraint) =
@@ -444,14 +442,17 @@ impl Model {
         free + held
     }
 
-    /// Marks a running job complete and frees its nodes.
+    /// Marks a running job complete and frees its nodes; its queued
+    /// resizers are cancelled.
     pub fn complete(&mut self, job: usize, now: SimTime) {
         self.jobs[job].state = JobState::Completed;
         self.jobs[job].end_time = Some(now);
         let _ = self.cluster.release_all(Self::tag(job));
+        self.cancel_resizers_of(job, now);
     }
 
-    /// Cancels a pending or running job; a running one frees its nodes.
+    /// Cancels a pending or running job; a running one frees its nodes,
+    /// and its queued resizers are cancelled.
     pub fn cancel(&mut self, job: usize, now: SimTime) {
         let j = &mut self.jobs[job];
         if j.state.is_terminal() {
@@ -463,6 +464,7 @@ impl Model {
         if was_running {
             let _ = self.cluster.release_all(Self::tag(job));
         }
+        self.cancel_resizers_of(job, now);
     }
 
     /// Grants a job maximum priority.
@@ -492,6 +494,9 @@ impl Model {
     /// When B's nodes are free, B starts now and steps 2–4 follow;
     /// otherwise B waits in the queue for a pass to start it. B asks for
     /// the job's class constraint, an estimate of zero and nothing else.
+    /// This is the one place a resizer is submitted, and only for a
+    /// running job: production cancels a resizer submitted for any other
+    /// job at once, which no operation here can ask for.
     ///
     /// Starting B at once follows production, which assumes B is what
     /// the next pass would start first and grants the nodes on the spot.
