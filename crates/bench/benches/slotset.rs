@@ -44,11 +44,14 @@ fn bench_hole_finding(c: &mut Criterion) {
         // of accepting the first boundary.
         g.bench_function(format!("earliest_hole_{plans}plans"), |b| {
             b.iter(|| {
-                black_box(tl.earliest_hole(
-                    black_box(SimTime::ZERO),
-                    black_box(64),
-                    Span::from_secs(300),
-                ))
+                black_box(
+                    tl.earliest_hole(
+                        black_box(SimTime::ZERO),
+                        black_box(64),
+                        Span::from_secs(300),
+                    )
+                    .map(|hole| hole.at),
+                )
             })
         });
     }

@@ -426,29 +426,25 @@ impl Cluster {
 
     /// Powers down up to `n` free nodes (S5 suspend), preferring the
     /// *highest* free ids — with classes laid out efficient-first, those
-    /// are the least useful nodes to keep warm. Returns the nodes
-    /// actually powered down (ascending). They stop being placeable until
+    /// are the least useful nodes to keep warm. Returns how many it
+    /// powered down; they stop being placeable until
     /// [`Cluster::wake_all`].
-    pub fn power_down(&mut self, n: u32) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(n.min(self.free_nodes()) as usize);
+    pub fn power_down(&mut self, n: u32) -> u32 {
         let mut want = n;
         for c in (0..self.table.num_classes()).rev() {
             if want == 0 {
                 break;
             }
-            let base = out.len();
-            let k = self.free[c].take_highest(want, &mut out);
-            want -= k;
-            for &node in &out[base..] {
-                self.states[node.index()] = NodeState::Off;
-                self.off_sets[c].insert(node.0);
-            }
+            let (states, off) = (&mut self.states, &mut self.off_sets[c]);
+            want -= self.free[c].take_highest(want, |node| {
+                states[node.index()] = NodeState::Off;
+                off.insert(node.0);
+            });
         }
-        if !out.is_empty() {
+        if want < n {
             self.tally_changes += 1;
         }
-        out.sort_unstable();
-        out
+        n - want
     }
 
     /// Wakes every powered-down node back to `Up` and placeable,
@@ -954,12 +950,20 @@ mod tests {
         assert_eq!(c.worst_slowdown(2), (3, 4), "gpu-only job runs faster");
     }
 
+    /// The nodes now powered down, ascending.
+    fn off(c: &Cluster) -> Vec<NodeId> {
+        let nodes = (0..c.total_nodes()).map(NodeId);
+        nodes
+            .filter(|&n| c.node_state(n) == NodeState::Off)
+            .collect()
+    }
+
     #[test]
     fn power_down_takes_highest_free_and_wake_restores() {
         let mut c = hetero();
         c.allocate_in(2, 1, ClassConstraint::Any).unwrap(); // n0 n1
-        let off = c.power_down(3);
-        assert_eq!(off, vec![NodeId(5), NodeId(6), NodeId(7)]);
+        assert_eq!(c.power_down(3), 3);
+        assert_eq!(off(&c), vec![NodeId(5), NodeId(6), NodeId(7)]);
         assert_eq!(c.free_nodes(), 3);
         assert_eq!(c.off_nodes(), 3);
         assert_eq!(c.off_counts().collect::<Vec<_>>(), [0, 1, 2]);
@@ -993,14 +997,14 @@ mod tests {
         for owner in [1, 3, 4, 5, 7] {
             c.release_all(owner).unwrap();
         }
-        let off = c.power_down(4);
-        assert_eq!(off, vec![NodeId(3), NodeId(4), NodeId(5), NodeId(7)]);
-        assert!(off.iter().all(|&n| c.node_state(n) == NodeState::Off));
+        assert_eq!(c.power_down(4), 4);
+        let down = off(&c);
+        assert_eq!(down, vec![NodeId(3), NodeId(4), NodeId(5), NodeId(7)]);
         assert_eq!(c.off_counts().collect::<Vec<_>>(), [1, 2, 1]);
         assert_eq!((c.free_nodes(), c.off_nodes()), (1, 4));
         c.check_invariants().unwrap();
         assert_eq!(c.wake_all(), 4);
-        assert!(off.iter().all(|&n| c.node_state(n) == NodeState::Up));
+        assert!(down.iter().all(|&n| c.node_state(n) == NodeState::Up));
         assert_eq!(c.off_counts().collect::<Vec<_>>(), [0, 0, 0]);
         c.check_invariants().unwrap();
         assert_eq!(
@@ -1014,8 +1018,8 @@ mod tests {
     fn power_down_caps_at_free_pool() {
         let mut c = Cluster::new(4, 16);
         c.allocate(3, 1).unwrap();
-        let off = c.power_down(10);
-        assert_eq!(off, vec![NodeId(3)]);
+        assert_eq!(c.power_down(10), 1);
+        assert_eq!(off(&c), vec![NodeId(3)]);
         assert_eq!(c.free_nodes(), 0);
         c.check_invariants().unwrap();
         assert_eq!(c.wake_all(), 1);
@@ -1025,8 +1029,8 @@ mod tests {
     #[test]
     fn set_state_overrides_powered_down_node() {
         let mut c = Cluster::new(4, 16);
-        let off = c.power_down(2);
-        assert_eq!(off, vec![NodeId(2), NodeId(3)]);
+        assert_eq!(c.power_down(2), 2);
+        assert_eq!(off(&c), vec![NodeId(2), NodeId(3)]);
         // Administratively downing an off node removes it from the off
         // pool without making it placeable.
         c.set_state(NodeId(3), NodeState::Down);

@@ -189,22 +189,24 @@ impl FreeSet {
         n - left
     }
 
-    /// Removes the `n` highest ids (fewer if the set runs out), appending
-    /// them ascending to `out`, and returns how many. The mirror of
-    /// [`FreeSet::take_lowest`], used by power-down: with classes ordered
-    /// efficient-first in ascending id ranges, the highest free ids are
-    /// the least useful nodes to keep warm.
-    pub fn take_highest(&mut self, n: u32, out: &mut Vec<NodeId>) -> u32 {
-        let (base, mut left) = (out.len(), n);
+    /// Removes the `n` highest ids (fewer if the set runs out), handing
+    /// each to `taken`, highest first, and returns how many. The mirror
+    /// of [`FreeSet::take_lowest`], used by power-down: with classes
+    /// ordered efficient-first in ascending id ranges, the highest free
+    /// ids are the least useful nodes to keep warm.
+    pub fn take_highest(&mut self, n: u32, mut taken: impl FnMut(NodeId)) -> u32 {
+        let mut left = n;
         for i in (self.low..self.words.len()).rev() {
+            if left == 0 {
+                break;
+            }
             while left > 0 && self.words[i] != 0 {
                 let bit = 63 - self.words[i].leading_zeros();
                 self.words[i] &= !(1 << bit);
-                out.push(NodeId(i as u32 * 64 + bit));
+                taken(NodeId(i as u32 * 64 + bit));
                 left -= 1;
             }
         }
-        out[base..].sort_unstable();
         self.len -= n - left;
         n - left
     }
@@ -244,8 +246,18 @@ mod tests {
         appended(|out| s.take_lowest(n, out))
     }
 
+    /// The ids `take_highest` hands out, ascending, checked against the
+    /// count returned and for coming highest first.
     fn highest(s: &mut FreeSet, n: u32) -> Vec<u32> {
-        appended(|out| s.take_highest(n, out))
+        let mut taken = Vec::new();
+        let count = s.take_highest(n, |node| taken.push(node.0));
+        assert_eq!(count as usize, taken.len());
+        assert!(
+            taken.windows(2).all(|w| w[0] > w[1]),
+            "{taken:?} not highest first"
+        );
+        taken.reverse();
+        taken
     }
 
     #[test]

@@ -231,7 +231,7 @@ impl Driver<'_, '_> {
 
     pub(crate) fn complete_job(&mut self, job: JobId, now: SimTime) {
         if let Some(rs) = self.running.remove(job) {
-            self.drop_resizer(rs.phase, now);
+            self.drop_resizer(rs.phase);
         }
         // Fold the job's accounting into the metrics sink while the
         // scheduler record still exists, then let `complete` prune it.

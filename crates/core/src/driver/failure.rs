@@ -7,8 +7,9 @@
 //! [`dmr_slurm::Slurm::repair_node`]. A failure that lands on a node
 //! owned by a running job kills the incarnation: the in-flight event its
 //! phase names is cancelled (a dead incarnation must never fire a stale
-//! completion), a resizer it awaits is aborted as at completion
-//! ([`Driver::drop_resizer`]), and the job is resubmitted with a boost
+//! completion), so is the timeout of a resizer it awaits, as at
+//! completion ([`Driver::drop_resizer`]; the resizer dies with the job's
+//! retirement), and the job is resubmitted with a boost
 //! ([`dmr_slurm::Slurm::requeue_failed`]). The resubmission has a new id:
 //! the job's entry in [`Driver::specs`] moves to it, keeping the arrival
 //! sequence number the sink reports the job under, and its recovery
@@ -119,7 +120,7 @@ impl Driver<'_, '_> {
         if let Some(ev) = rs.phase.event() {
             self.engine.cancel(ev);
         }
-        self.drop_resizer(rs.phase, now);
+        self.drop_resizer(rs.phase);
         // Recovery policy: resume from the last periodic image, or from
         // scratch when checkpointing is off. Work since the image is lost.
         let (resume_steps, image_at) = if self.cfg.ckpt_interval_s.is_some() {
@@ -165,12 +166,14 @@ impl Driver<'_, '_> {
     }
 
     /// A job leaves the running set in `phase` (it completed or was
-    /// killed): the resizer it awaits, if any, is aborted, and its
-    /// timeout cancelled.
-    pub(crate) fn drop_resizer(&mut self, phase: Phase, now: SimTime) {
-        if let Phase::Awaiting { rj, timeout, .. } = phase {
+    /// killed): the timeout of the resizer it awaits, if any, is
+    /// cancelled. The resizer itself dies with the job's retirement in
+    /// the scheduler ([`dmr_slurm::Slurm::complete`] and
+    /// [`dmr_slurm::Slurm::cancel`] cancel a retiring job's queued
+    /// resizers).
+    pub(crate) fn drop_resizer(&mut self, phase: Phase) {
+        if let Phase::Awaiting { timeout, .. } = phase {
             self.engine.cancel(timeout);
-            self.slurm.abort_expand(rj, now);
         }
     }
 

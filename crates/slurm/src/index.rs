@@ -16,9 +16,9 @@
 //!   else weighs in, so the order changes only when a job is submitted,
 //!   leaves the queue or is boosted — never with the clock. It is the
 //!   only copy of the pending order: every pass walks it through the
-//!   resumable cursor [`PendingIndex::next_after`], which survives the
-//!   start of the job it is visiting, and `Slurm::pending_queue`
-//!   collects it afresh on each call. A submission's key sorts after
+//!   resumable cursor [`PendingIndex::step`], which survives the start
+//!   of the job it is visiting, and `Slurm::pending_queue` collects it
+//!   afresh on each call. A submission's key sorts after
 //!   every key already there, so the order is a [`KeyLog`]: keys are
 //!   appended, a removed key is tombstoned in place and the tombstones
 //!   are swept once they outnumber the live keys; the few boosted keys
@@ -116,7 +116,7 @@ impl PendingKey {
 /// in place.
 ///
 /// Both steps a pass takes most — removing the first key (a start) and
-/// a cursor step from before the first key — take no search.
+/// a cursor step ([`KeyLog::step`]) — take no search.
 #[derive(Debug, Default)]
 pub(crate) struct KeyLog {
     /// Boosted keys, ascending; they sort before every key of `log`.
@@ -128,6 +128,14 @@ pub(crate) struct KeyLog {
     head: usize,
     /// Tombstones in `log`: never more than its live keys.
     dead: usize,
+}
+
+/// A walk position in a [`KeyLog`]: the key a walk last yielded and
+/// where it sat in `log` then (unused for a boosted key).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Cursor {
+    pub(crate) key: PendingKey,
+    at: usize,
 }
 
 impl KeyLog {
@@ -210,6 +218,44 @@ impl KeyLog {
         }
         let at = self.head + self.log[self.head..].partition_point(|k| *k <= prev);
         self.log[at..].iter().find(|k| k.id != Self::TOMB).copied()
+    }
+
+    /// The key after `prev` (`None`: the first key), as
+    /// [`KeyLog::next_after`] finds it, at a cursor. While `log` still
+    /// holds `prev`'s key where it was yielded — live, or as its
+    /// tombstone, which keeps its rank and sequence number — everything
+    /// behind that position sorts after it, so the step scans forward
+    /// past tombstones with no search. Only a boosted key, or one a
+    /// sweep or an insertion in place has moved, is searched for again.
+    pub(crate) fn step(&self, prev: Option<Cursor>) -> Option<Cursor> {
+        let in_place = |p: &Cursor| {
+            let at = self.log.get(p.at);
+            at.is_some_and(|k| (k.rank, k.seq) == (p.key.rank, p.key.seq))
+        };
+        let from = match prev {
+            Some(p) if in_place(&p) => (p.at + 1).max(self.head),
+            Some(p) if !p.key.boosted() => {
+                self.head + self.log[self.head..].partition_point(|k| *k <= p.key)
+            }
+            _ => {
+                let after = prev.map_or(0, |p| self.boosted.partition_point(|k| *k <= p.key));
+                if let Some(&key) = self.boosted.get(after) {
+                    return Some(Cursor { key, at: 0 });
+                }
+                self.head
+            }
+        };
+        let skip = self.log[from..].iter().position(|k| k.id != Self::TOMB);
+        let next = skip.map(|skip| Cursor {
+            key: self.log[from + skip],
+            at: from + skip,
+        });
+        debug_assert_eq!(
+            next.map(|c| c.key),
+            self.next_after(prev.map(|p| p.key)),
+            "a step from {prev:?} left the order"
+        );
+        next
     }
 
     /// The keys in order.
@@ -376,18 +422,17 @@ impl PendingIndex {
         self.order.iter().map(|key| key.id)
     }
 
-    /// The first key strictly after `prev` (`None` starts at the front)
-    /// — a resumable cursor over the scheduling order. Every pass walks
-    /// the queue this way instead of materialising the order, so a walk
-    /// that stops after `k` of `n` pending jobs costs O(k log n) rather
-    /// than O(n), and a step from a key the pass has just started (no
-    /// longer in the order, before its first key) costs no search. The
-    /// cursor is the last key yielded, not a position, so it survives
-    /// the removal of every key it has already visited, never yields
-    /// again a key re-keyed behind it, and yields a key inserted ahead
-    /// of it.
-    pub(crate) fn next_after(&self, prev: Option<PendingKey>) -> Option<PendingKey> {
-        self.order.next_after(prev)
+    /// The key after the cursor `prev` (`None` starts at the front), at
+    /// a cursor of its own — a resumable walk of the scheduling order.
+    /// Every pass walks the queue this way instead of materialising the
+    /// order, so a walk that stops after `k` of `n` pending jobs costs
+    /// O(k) steps rather than O(n), each a scan past the tombstones
+    /// behind the last key (see [`KeyLog::step`]). The cursor stands for
+    /// the last key yielded, not only its position, so it survives the
+    /// removal of every key it has already visited, never yields again a
+    /// key re-keyed behind it, and yields a key inserted ahead of it.
+    pub(crate) fn step(&self, prev: Option<Cursor>) -> Option<Cursor> {
+        self.order.step(prev)
     }
 
     /// Queued (non-resizer) pending jobs. O(1).
@@ -643,9 +688,9 @@ mod tests {
         /// after each (with the walk's ids so far) as a pass's step does.
         fn walk(&mut self, mut visit: impl FnMut(&mut Self, &[JobId])) -> Vec<JobId> {
             let (mut seen, mut cursor) = (Vec::new(), None);
-            while let Some(key) = self.index.next_after(cursor) {
-                cursor = Some(key);
-                seen.push(key.id);
+            while let Some(at) = self.index.step(cursor) {
+                cursor = Some(at);
+                seen.push(at.key.id);
                 visit(self, &seen);
             }
             seen
@@ -709,6 +754,56 @@ mod tests {
         assert_eq!(walked, [ids[0], ids[1], fresh[0], ids[2], fresh[1]]);
     }
 
+    /// A cursor walk visits exactly the keys `next_after` visits, step
+    /// for step, whatever the walk does: each visited key is removed (as
+    /// a start removes it) or boosted (as a shrink beneficiary is) or
+    /// left, and now and then a job submitted early is inserted in place,
+    /// on a log that opens with boosted keys and tombstones. The removals
+    /// sweep the log in the middle of every walk, so later steps go on
+    /// from a position the sweep moved.
+    #[test]
+    fn a_cursor_walk_visits_the_keys_next_after_visits() {
+        for seed in 0..32u64 {
+            let mut rng = seed;
+            let (mut q, ids) = Queue::with(48);
+            for &id in &ids[40..] {
+                q.boost(id);
+            }
+            for &id in ids.iter().skip(1).step_by(5) {
+                q.index.remove(&q.jobs[id]);
+            }
+            let (mut cursor, mut prev) = (None, None);
+            let (mut walked, mut swept_before) = (0, None);
+            loop {
+                let stepped = q.index.step(cursor);
+                let searched = q.index.order.next_after(prev);
+                assert_eq!(
+                    stepped.map(|c| c.key),
+                    searched,
+                    "seed {seed} step {walked}"
+                );
+                let Some(at) = stepped else { break };
+                (cursor, prev) = (Some(at), Some(at.key));
+                walked += 1;
+                let logged = q.index.order.log.len();
+                match next(&mut rng) % 10 {
+                    0..=5 => q.index.remove(&q.jobs[at.key.id]),
+                    6 if !at.key.boosted() => q.boost(at.key.id),
+                    // Inserted in place, ahead of the cursor or behind it.
+                    7 => drop(q.submit(walked / 2)),
+                    _ => {}
+                }
+                if q.index.order.log.len() < logged {
+                    swept_before.get_or_insert(walked);
+                }
+            }
+            assert!(
+                swept_before.is_some_and(|step| step < walked),
+                "seed {seed}: no sweep before the walk's last step ({swept_before:?} of {walked})"
+            );
+        }
+    }
+
     /// SplitMix64: a dependency-free, seedable op generator.
     fn next(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -726,10 +821,11 @@ mod tests {
         let want: Vec<JobId> = reference.iter().map(|k| k.id).collect();
         assert_eq!(q.index.ids().collect::<Vec<_>>(), want, "{at}");
         assert_eq!(q.index.len(), reference.len(), "{at}");
-        assert_eq!(q.index.next_after(None), reference.first().copied(), "{at}");
+        let order = &q.index.order;
+        assert_eq!(order.next_after(None), reference.first().copied(), "{at}");
         for &key in reference.iter().chain(gone) {
             let after = reference.range((Excluded(key), Unbounded)).next().copied();
-            assert_eq!(q.index.next_after(Some(key)), after, "{at}: after {key:?}");
+            assert_eq!(order.next_after(Some(key)), after, "{at}: after {key:?}");
         }
         let need = |key: &PendingKey| q.jobs[key.id].requested_nodes;
         for n in 0..=7 {

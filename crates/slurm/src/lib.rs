@@ -45,5 +45,5 @@ pub use policy::{
     Algorithm1, EnergyAware, FairShare, Hold, PolicyKind, ResizeAction, ResizePolicy,
     UtilizationTarget,
 };
-pub use slotset::{BackfillFamily, SlotSet};
+pub use slotset::{BackfillFamily, Hole, SlotSet};
 pub use slurm::{ExpandError, IncrementalStats, JobStart, Slurm, SlurmConfig};

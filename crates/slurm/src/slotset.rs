@@ -29,7 +29,16 @@
 //!   `occ ≤ cap` throughout `[t, t + dur)`: a binary search, then one
 //!   forward scan holding a candidate start until a blocker falls inside
 //!   its window — O(s), each boundary visited once ([`SlotSet::max_in`]
-//!   is the same scan over a bounded window).
+//!   is the same scan over a bounded window). The [`Hole`] it returns
+//!   keeps the slot the window starts in and the first boundary at or
+//!   past its end;
+//! * [`SlotSet::plan_hole`] — [`SlotSet::plan`] over a hole's window at
+//!   those two indices: no search, at most two inserts (one where the
+//!   hole opens on a boundary, as every hole a pass asks for at its own
+//!   horizon does) and the add. The conservative pass commits each
+//!   blocked job's plan this way into the timeline that answered; the
+//!   aggregate's copy of a class plan, a start and an EASY-k
+//!   reservation go through `plan`.
 //!
 //! **Why flat, and where that stops.** Every boundary is the end of a
 //! running job, an endpoint of a plan of the pass in flight, or the
@@ -126,6 +135,27 @@ pub struct SlotSet {
     times: Vec<SimTime>,
     /// `occ[i]` is the occupancy on `[times[i], times[i + 1])`.
     occ: Vec<i64>,
+    /// Changes made so far: a [`Hole`] is committed only to the timeline
+    /// as it was found.
+    #[cfg(debug_assertions)]
+    edits: u64,
+}
+
+/// A window [`SlotSet::earliest_hole`] found, with the slots its scan
+/// stopped at, for [`SlotSet::plan_hole`].
+#[derive(Clone, Copy, Debug)]
+pub struct Hole {
+    /// The earliest start.
+    pub at: SimTime,
+    /// `at` plus the duration asked for (saturating).
+    pub until: SimTime,
+    /// The slot `at` lies in.
+    slot: usize,
+    /// The first boundary at or past `until` (the boundary count if
+    /// none is); when the window is empty, the one after `slot`.
+    end: usize,
+    #[cfg(debug_assertions)]
+    edits: u64,
 }
 
 impl SlotSet {
@@ -134,6 +164,8 @@ impl SlotSet {
         SlotSet {
             times: vec![origin],
             occ: vec![0],
+            #[cfg(debug_assertions)]
+            edits: 0,
         }
     }
 
@@ -164,6 +196,10 @@ impl SlotSet {
         let mut level = 0;
         for slot in self.occ.iter_mut().rev() {
             level += std::mem::replace(slot, level);
+        }
+        #[cfg(debug_assertions)]
+        {
+            self.edits += 1;
         }
     }
 
@@ -222,9 +258,47 @@ impl SlotSet {
         }
         let lo = self.ensure_boundary(0, from);
         let hi = self.ensure_boundary(lo + 1, until);
+        self.add(lo, hi, nodes);
+    }
+
+    /// Adds `nodes` to the slots `lo..hi`.
+    fn add(&mut self, lo: usize, hi: usize, nodes: u32) {
         for v in &mut self.occ[lo..hi] {
             *v += i64::from(nodes);
         }
+        #[cfg(debug_assertions)]
+        {
+            self.edits += 1;
+        }
+    }
+
+    /// Commits `nodes` over the window of `hole` — what
+    /// [`SlotSet::plan`] does from `hole.at` to `hole.until`, at the
+    /// slots the scan that found the hole already walked: no search, and
+    /// at most one boundary inserted at each end (none at the start when
+    /// the hole opens on a boundary). The timeline must not have changed
+    /// since the hole was found.
+    pub fn plan_hole(&mut self, hole: Hole, nodes: u32) {
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            hole.edits, self.edits,
+            "the timeline changed under {hole:?}"
+        );
+        if hole.until <= hole.at || nodes == 0 {
+            return;
+        }
+        let (mut lo, mut hi) = (hole.slot, hole.end);
+        if self.times[lo] != hole.at {
+            lo += 1;
+            self.times.insert(lo, hole.at);
+            self.occ.insert(lo, self.occ[lo - 1]);
+            hi += 1;
+        }
+        if self.times.get(hi) != Some(&hole.until) {
+            self.times.insert(hi, hole.until);
+            self.occ.insert(hi, self.occ[hi - 1]);
+        }
+        self.add(lo, hi, nodes);
     }
 
     /// Earliest `t >= from` such that `occ(s) <= cap` for every `s` in
@@ -234,23 +308,36 @@ impl SlotSet {
     /// occupancy `<= cap`; while one is held, a blocker (`> cap`) inside
     /// the candidate's window discards it, and the first boundary at or
     /// past the window's end — or the timeline running out — proves it.
-    pub fn earliest_hole(&self, from: SimTime, cap: i64, dur: Span) -> Option<SimTime> {
+    /// The [`Hole`] keeps the slots the scan stopped at, for
+    /// [`SlotSet::plan_hole`].
+    pub fn earliest_hole(&self, from: SimTime, cap: i64, dur: Span) -> Option<Hole> {
         if cap < 0 {
             return None;
         }
         let t = from.max(self.horizon());
         let first = self.slot_of(t);
-        let mut cand = (self.occ[first] <= cap).then_some(t);
+        let mut cand = (self.occ[first] <= cap).then_some((t, first));
         let later = self.times[first + 1..].iter().zip(&self.occ[first + 1..]);
-        for (&b, &v) in later {
+        let mut end = self.times.len();
+        for (i, (&b, &v)) in (first + 1..).zip(later) {
             match cand {
-                Some(c) if b.0 >= c.0.saturating_add(dur.0) => break,
+                Some((c, _)) if b >= c + dur => {
+                    end = i;
+                    break;
+                }
                 Some(_) if v > cap => cand = None,
-                None if v <= cap => cand = Some(b),
+                None if v <= cap => cand = Some((b, i)),
                 _ => {}
             }
         }
-        cand
+        cand.map(|(at, slot)| Hole {
+            at,
+            until: at + dur,
+            slot,
+            end,
+            #[cfg(debug_assertions)]
+            edits: self.edits,
+        })
     }
 
     /// All slots as `(left boundary, occupancy)` in time order (test and
@@ -414,30 +501,38 @@ mod tests {
         tl.plan(t(200), t(300), 10);
         // cap 6: the [100, 200) valley fits a 50 s window but not 150 s.
         assert_eq!(
-            tl.earliest_hole(SimTime::ZERO, 6, Span::from_secs(50)),
+            tl.earliest_hole(SimTime::ZERO, 6, Span::from_secs(50))
+                .map(|h| h.at),
             Some(t(100))
         );
         assert_eq!(
-            tl.earliest_hole(SimTime::ZERO, 6, Span::from_secs(150)),
+            tl.earliest_hole(SimTime::ZERO, 6, Span::from_secs(150))
+                .map(|h| h.at),
             Some(t(300))
         );
         // cap 10: everything fits immediately.
         assert_eq!(
-            tl.earliest_hole(SimTime::ZERO, 10, Span::from_secs(1000)),
+            tl.earliest_hole(SimTime::ZERO, 10, Span::from_secs(1000))
+                .map(|h| h.at),
             Some(SimTime::ZERO)
         );
         // cap below every slot: only the tail qualifies.
         assert_eq!(
-            tl.earliest_hole(SimTime::ZERO, 0, Span::from_secs(1)),
+            tl.earliest_hole(SimTime::ZERO, 0, Span::from_secs(1))
+                .map(|h| h.at),
             Some(t(300))
         );
         // Negative cap can never fit.
         assert_eq!(
-            tl.earliest_hole(SimTime::ZERO, -1, Span::from_secs(1)),
+            tl.earliest_hole(SimTime::ZERO, -1, Span::from_secs(1))
+                .map(|h| h.at),
             None
         );
         // Zero-duration windows fit at any point at or under cap.
-        assert_eq!(tl.earliest_hole(t(150), 6, Span::ZERO), Some(t(150)));
+        assert_eq!(
+            tl.earliest_hole(t(150), 6, Span::ZERO).map(|h| h.at),
+            Some(t(150))
+        );
     }
 
     /// One generated op sequence per round mixes the constructor, the
@@ -498,7 +593,8 @@ mod tests {
                         _ => rng.next() % (range / 2),
                     };
                     assert_eq!(
-                        tl.earliest_hole(SimTime(from), cap, Span(dur)),
+                        tl.earliest_hole(SimTime(from), cap, Span(dur))
+                            .map(|h| h.at),
                         model.earliest_hole(from, cap, dur).map(SimTime),
                         "hole query diverged (round {round})"
                     );
@@ -527,6 +623,67 @@ mod tests {
             assert_eq!(tl.slots(), vec![(SimTime(model.horizon), 0)]);
         }
         assert!(peak_len >= 2_000, "widest timeline held {peak_len} slots");
+    }
+
+    /// Committing a hole where its scan stopped leaves the step function
+    /// — boundary for boundary — that planning its window by search
+    /// does, and the brute-force [`Model`]'s. Generated timelines (a
+    /// rebuild, then plans) take a run of find-and-commit rounds with
+    /// `from` anywhere, so holes start on a boundary, between two or past
+    /// the last, and with zero durations, zero nodes and windows ending
+    /// at `u64::MAX` mixed in.
+    #[test]
+    fn a_hole_planned_where_found_equals_a_plan_of_its_window() {
+        let mut rng = Lcg(0x401e_5eed);
+        let (mut between, mut empty, mut committed) = (0, 0, 0);
+        for round in 0..200 {
+            let now = rng.next() % 500;
+            let count = rng.next() % 24;
+            let commitments = rng.commitments(now, 2_000, count);
+            let mut found = SlotSet::new(SimTime::ZERO);
+            found.rebuild(
+                SimTime(now),
+                commitments.iter().map(|&(end, n)| (SimTime(end), n)),
+            );
+            let mut model = Model::default();
+            model.rebuild(now, &commitments);
+            for _ in 0..rng.next() % 6 {
+                let from = now + rng.next() % 2_000;
+                let (until, nodes) = (from + 1 + rng.next() % 800, (rng.next() % 8) as u32);
+                found.plan(SimTime(from), SimTime(until), nodes);
+                model.plan(from, until, nodes);
+            }
+            let mut searched = found.clone();
+            for op in 0..40 {
+                let from = now.saturating_sub(20) + rng.next() % 2_400;
+                let cap = (rng.next() % 40) as i64 - 1;
+                let dur = match rng.next() % 8 {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => rng.next() % 900,
+                };
+                let nodes = (rng.next() % 10) as u32;
+                let hole = found.earliest_hole(SimTime(from), cap, Span(dur));
+                let at = model.earliest_hole(from, cap, dur);
+                assert_eq!(hole.map(|h| h.at.0), at, "round {round} op {op}");
+                let Some(hole) = hole else { continue };
+                between += usize::from(!found.times.contains(&hole.at));
+                empty += usize::from(dur == 0);
+                committed += usize::from(dur > 0 && nodes > 0);
+                found.plan_hole(hole, nodes);
+                searched.plan(hole.at, hole.until, nodes);
+                model.plan(hole.at.0, hole.until.0, nodes);
+                found.validate().unwrap();
+                assert_eq!(found.slots(), searched.slots(), "round {round} op {op}");
+                for (b, v) in found.slots() {
+                    assert_eq!(v, model.occ(b.0), "round {round} op {op} at {b:?}");
+                }
+            }
+        }
+        assert!(
+            between > 50 && empty > 50 && committed > 1_000,
+            "{between} holes between boundaries, {empty} empty, {committed} committed"
+        );
     }
 
     /// `now + expected_runtime` saturates to `u64::MAX`. A boundary

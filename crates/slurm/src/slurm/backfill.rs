@@ -294,13 +294,13 @@ impl Slurm {
     /// a key the cursor has passed.
     fn easy_walk(&mut self, now: SimTime, pass: &mut EasyPass, held: u32) -> Option<PendingKey> {
         let mut cursor = None;
-        while let Some(key) = self.pending_index.next_after(cursor) {
-            cursor = Some(key);
-            if let EasyVisit::Stop = self.easy_visit(key.id, now, pass) {
+        while let Some(at) = self.pending_index.step(cursor) {
+            cursor = Some(at);
+            if let EasyVisit::Stop = self.easy_visit(at.key.id, now, pass) {
                 return None;
             }
             if pass.reservations.len() as u32 >= held {
-                return cursor;
+                return Some(at.key);
             }
         }
         None
@@ -401,9 +401,9 @@ impl Slurm {
         let mut fitting_refused = false;
         // The cursor survives the starts below (see `easy_walk`).
         let mut cursor = None;
-        while let Some(key) = self.pending_index.next_after(cursor) {
-            cursor = Some(key);
-            let id = key.id;
+        while let Some(at) = self.pending_index.step(cursor) {
+            cursor = Some(at);
+            let id = at.key.id;
             let job = &self.jobs[id];
             self.incr.bf_examined += 1;
             let need = job.requested_nodes;
@@ -439,11 +439,11 @@ impl Slurm {
                 None => self.timeline.borrow().earliest_hole(now, cap, dur),
             };
             match hole {
-                Some(s) if s == now && fits => {
+                Some(hole) if hole.at == now && fits => {
                     started.push(self.start_job(id, now));
-                    self.plan_start(id, now, now + dur, need, aggregate);
+                    self.plan_start(id, now, hole.until, need, aggregate);
                 }
-                Some(s) => {
+                Some(hole) => {
                     // A fitting job whose hole is not at `now` is a
                     // time-sensitive refusal: occupancy decay alone can
                     // open its hole. A non-fitting one cannot start
@@ -453,10 +453,14 @@ impl Slurm {
                     } else {
                         watermark = watermark.min(need);
                     }
-                    let until = s + dur;
-                    self.timeline.get_mut().plan(s, until, need);
-                    if let Some(c) = sole {
-                        self.class_timelines.get_mut().sets[c].plan(s, until, need);
+                    // Committed where the scan stopped, in the timeline
+                    // that answered; the aggregate copies a class plan.
+                    match sole {
+                        Some(c) => {
+                            self.class_timelines.get_mut().sets[c].plan_hole(hole, need);
+                            self.timeline.get_mut().plan(hole.at, hole.until, need);
+                        }
+                        None => self.timeline.get_mut().plan_hole(hole, need),
                     }
                     planned = true;
                 }
@@ -507,8 +511,8 @@ impl Slurm {
                 .map(|(pid, _)| &self.jobs[pid])
         } else {
             let index = &self.pending_index;
-            let order = successors(index.next_after(None), |&key| index.next_after(Some(key)));
-            order.map(|key| &self.jobs[key.id]).find(|j| {
+            let order = successors(index.step(None), |&at| index.step(Some(at)));
+            order.map(|at| &self.jobs[at.key.id]).find(|j| {
                 !j.is_resizer()
                     && !self
                         .cluster
@@ -544,9 +548,9 @@ impl Slurm {
         let cap = i64::from(avail - need);
         let tl = self.timeline.borrow();
         match tl.earliest_hole(now, cap, dur) {
-            Some(s) => {
-                let peak = tl.max_in(s, s + dur);
-                (s, (cap - peak) as u32)
+            Some(hole) => {
+                let peak = tl.max_in(hole.at, hole.until);
+                (hole.at, (cap - peak) as u32)
             }
             None => (SimTime(u64::MAX), 0),
         }

@@ -190,9 +190,9 @@ impl Slurm {
         let cap = i64::from(avail - need);
         let tl = self.class_timeline(c, now);
         match tl.earliest_hole(now, cap, dur) {
-            Some(s) => {
-                let peak = tl.max_in(s, s + dur);
-                (s, (cap - peak) as u32)
+            Some(hole) => {
+                let peak = tl.max_in(hole.at, hole.until);
+                (hole.at, (cap - peak) as u32)
             }
             None => (SimTime(u64::MAX), 0),
         }

@@ -17,7 +17,7 @@ impl Slurm {
         if n == 0 {
             return 0;
         }
-        let off = self.cluster.power_down(n).len() as u32;
+        let off = self.cluster.power_down(n);
         if off > 0 {
             self.incr_clear();
         }

@@ -1,7 +1,7 @@
 //! The pending order: the [`PendingIndex`](crate::index::PendingIndex)
 //! key order — boosted jobs first, then submission order. The index is
 //! the only copy of it: every pass walks it through the resumable cursor
-//! [`PendingIndex::next_after`](crate::index::PendingIndex::next_after).
+//! [`PendingIndex::step`](crate::index::PendingIndex::step).
 
 use std::sync::Arc;
 

@@ -5,7 +5,6 @@
 
 use dmr_sim::SimTime;
 
-use crate::index::PendingKey;
 use crate::job::{Dependency, JobId, JobState};
 use crate::slotset::BackfillFamily;
 
@@ -186,19 +185,19 @@ impl Slurm {
         self.incr.sched_runs += 1;
         // The walk follows the pending index through a resumable cursor
         // instead of materialising the order, so a pass that starts `k`
-        // of `n` pending jobs costs O(k log n). The only mid-walk
+        // of `n` pending jobs costs O(k) steps. The only mid-walk
         // mutation, `start_job`, removes keys the cursor has passed.
         let mut started = Vec::new();
         let mut blocked = None;
-        let mut cursor: Option<PendingKey> = None;
-        while let Some(key) = self.pending_index.next_after(cursor) {
-            cursor = Some(key);
-            let job = &self.jobs[key.id];
+        let mut cursor = None;
+        while let Some(at) = self.pending_index.step(cursor) {
+            cursor = Some(at);
+            let job = &self.jobs[at.key.id];
             if self
                 .cluster
                 .can_allocate_in(job.requested_nodes, job.constraint)
             {
-                started.push(self.start_job(key.id, now));
+                started.push(self.start_job(at.key.id, now));
             } else {
                 blocked = Some(job.requested_nodes);
                 break;

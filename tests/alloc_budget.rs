@@ -142,7 +142,8 @@ fn a_malleable_job_on_a_saturated_machine_allocates_within_budget() {
 /// conservative backfill, the energy-aware policy, harsh faults with
 /// 600 s checkpoints. On top of the saturated shapes' node lists a job
 /// keeps its class split, and a requeue submits a second incarnation.
-/// Reads 3.16 (3.66 with B-tree orders).
+/// Reads 3.15 (3.16 while `Cluster::power_down` returned the ids it
+/// suspended, 3.66 with B-tree orders).
 #[test]
 fn a_job_on_a_three_class_faulty_machine_allocates_within_budget() {
     use dmr::core::{FaultLoad, MachineMix, PolicyKind};
@@ -155,9 +156,9 @@ fn a_job_on_a_three_class_faulty_machine_allocates_within_budget() {
         .conservative_backfill()
         .with_policy(PolicyKind::energy_aware());
     let per_job = allocations_per_job(&cfg, 250);
-    println!("alloc_budget: trace_mixed-shaped {per_job:.2} allocations/job (budget 4.5)");
+    println!("alloc_budget: trace_mixed-shaped {per_job:.2} allocations/job (budget 3.5)");
     assert!(
-        per_job <= 4.5,
+        per_job <= 3.5,
         "{per_job:.2} allocations per job on three classes"
     );
 }

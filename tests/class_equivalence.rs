@@ -112,16 +112,22 @@ impl ModelCluster {
     }
 
     /// Highest-id-first suspension of free nodes — the production
-    /// power-down order. Returns the suspended ids, ascending.
-    fn power_down(&mut self, n: u32) -> Vec<u32> {
+    /// power-down order. Returns how many it suspended.
+    fn power_down(&mut self, n: u32) -> u32 {
         let free: Vec<u32> = (0..self.owner.len() as u32)
             .filter(|&i| self.placeable(i as usize))
             .collect();
-        let downed = free[free.len().saturating_sub(n as usize)..].to_vec();
-        for &i in &downed {
+        let downed = &free[free.len().saturating_sub(n as usize)..];
+        for &i in downed {
             self.state[i as usize] = NodeState::Off;
         }
-        downed
+        downed.len() as u32
+    }
+
+    /// The suspended nodes, ascending.
+    fn off(&self) -> Vec<u32> {
+        let off = (0..self.state.len()).filter(|&i| self.state[i] == NodeState::Off);
+        off.map(|i| i as u32).collect()
     }
 
     /// Suspended nodes per class.
@@ -245,9 +251,11 @@ proptest! {
                     }
                 }
                 3 => {
-                    let downed: Vec<u32> =
-                        cluster.power_down(n).iter().map(|node| node.0).collect();
-                    prop_assert_eq!(downed, model.power_down(n), "power_down diverged");
+                    prop_assert_eq!(cluster.power_down(n), model.power_down(n), "power_down diverged");
+                    let off: Vec<u32> = (0..cluster.total_nodes())
+                        .filter(|&i| cluster.node_state(NodeId(i)) == NodeState::Off)
+                        .collect();
+                    prop_assert_eq!(off, model.off(), "the powered-down nodes diverged");
                 }
                 4 => {
                     prop_assert_eq!(cluster.wake_all(), model.wake_all(), "wake_all diverged");
@@ -330,7 +338,7 @@ proptest! {
     ) {
         let mut cluster = Cluster::with_classes(three_class_table(nodes, nodes / 2 + 1, 2));
         let total = cluster.total_nodes();
-        let downed = cluster.power_down(down).len() as u32;
+        let downed = cluster.power_down(down);
         prop_assert!(downed <= down);
         prop_assert_eq!(cluster.off_nodes(), downed);
         prop_assert_eq!(cluster.free_nodes() + downed, total);
@@ -359,9 +367,9 @@ fn busy_and_off_tallies_follow_state_changes() {
     assert_eq!(cluster.busy_by_class(), &[3, 0, 0]);
     // Highest free ids suspend first: the lone power-down hits node 7
     // (the top of the GPU class).
-    let downed = cluster.power_down(1).len();
+    let downed = cluster.power_down(1);
     assert_eq!(downed, 1);
-    assert_eq!(cluster.off_counts().sum::<u32>() as usize, downed);
+    assert_eq!(cluster.off_counts().sum::<u32>(), downed);
     cluster.check_invariants().unwrap();
     // An administrative override pulls a powered-down node straight out
     // of the off pool; draining a free node removes it from placement

@@ -373,7 +373,7 @@ impl Lockstep {
                 let off = if n == 0 {
                     0
                 } else {
-                    model.cluster.power_down(n).len() as u32
+                    model.cluster.power_down(n)
                 };
                 same("power down", slurm.power_down_idle(n), off)?
             }
