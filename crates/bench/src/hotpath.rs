@@ -4,9 +4,8 @@
 //! Drives a synthetic churn workload (a full machine with a deep pending
 //! queue, one completion + one submission + one scheduling pass per
 //! round, a backfill pass every `bf_interval`-like 30 rounds) through
-//! the scheduler once per [`Cell`] of a declarative table
-//! ([`cell_table`]): under each backfill family, on the three-class
-//! machine and under node failures.
+//! the scheduler once per [`Cell`] of the [`headline`] table: under each
+//! backfill family, on the three-class machine and under node failures.
 //!
 //! Nothing here records a number. The repository's performance
 //! trajectory is `benchmark/` (declared in `BENCHMARK.json`), which
@@ -25,7 +24,8 @@ use dmr_core::MachineMix;
 use dmr_sim::{SimTime, Span};
 use dmr_slurm::{BackfillFamily, JobId, JobRequest, Slurm, SlurmConfig};
 
-/// What one measurement runs: a grid cell and one setting per axis.
+/// What one measurement runs: a machine, a queue depth and one setting
+/// per axis.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Cell {
     pub nodes: u32,
@@ -87,72 +87,38 @@ impl CellResult {
     }
 }
 
-/// The benchmark grid: `(cluster nodes, pending queue depth)` cells,
-/// ending with the headline 65,536-node / 100k-deep scenario.
-pub fn grid(smoke: bool) -> Vec<(u32, u32)> {
-    if smoke {
-        vec![(64, 100), (65_536, 100_000)]
-    } else {
-        vec![
-            (64, 100),
-            (256, 1_000),
-            (1024, 4_000),
-            (4096, 1_000),
-            (4096, 10_000),
-            (16_384, 40_000),
-            (65_536, 100_000),
+/// The headline cells: 65 536 nodes with 100 000 jobs pending, the
+/// [`Cell::base`] first, then the machine and fault twins *adjacent* to
+/// it — they are read against it, and back-to-back measurements compare
+/// better than the two ends of a sweep — then the deeper backfill
+/// families.
+pub fn headline() -> Vec<Cell> {
+    let base = Cell::base(65_536, 100_000);
+    let mut cells = vec![
+        base,
+        Cell {
+            hetero: true,
+            ..base
+        },
+        Cell {
+            faulty: true,
+            ..base
+        },
+    ];
+    cells.extend(
+        [
+            BackfillFamily::easy(8),
+            BackfillFamily::easy(64),
+            BackfillFamily::Conservative,
         ]
-    }
+        .map(|family| Cell { family, ..base }),
+    );
+    cells
 }
 
-/// Every cell worth running, one group per [`grid`] cell. Every group
-/// opens with its [`Cell::base`]. The 4096×10k mid-scale cell and the
-/// 65,536×100k headline cell (smoke: the headline cell only) carry the
-/// axes: the machine and fault twins *adjacent* to the base cell — they
-/// are read against it, and back-to-back measurements compare better
-/// than the two ends of a sweep — then the deeper backfill families.
-pub fn cell_table(smoke: bool) -> Vec<Vec<Cell>> {
-    let mut table = Vec::new();
-    for (nodes, depth) in grid(smoke) {
-        let base = Cell::base(nodes, depth);
-        let with_axes =
-            (nodes, depth) == (65_536, 100_000) || (!smoke && (nodes, depth) == (4096, 10_000));
-        let mut group = vec![base];
-        if with_axes {
-            group.push(Cell {
-                hetero: true,
-                ..base
-            });
-            group.push(Cell {
-                faulty: true,
-                ..base
-            });
-        }
-        if with_axes {
-            group.extend(
-                [
-                    BackfillFamily::easy(8),
-                    BackfillFamily::easy(64),
-                    BackfillFamily::Conservative,
-                ]
-                .map(|family| Cell { family, ..base }),
-            );
-        }
-        table.push(group);
-    }
-    table
-}
-
-/// Rounds of churn per cell. Every reading in git history was taken at
-/// the full count; the smoke count keeps the headline cell's timed
-/// section above a few milliseconds at half the cost.
-pub fn rounds(smoke: bool) -> u32 {
-    if smoke {
-        150
-    } else {
-        300
-    }
-}
+/// Rounds of churn per cell; every reading in git history was taken at
+/// this count.
+pub const ROUNDS: u32 = 300;
 
 /// Runs one cell.
 ///
@@ -279,27 +245,19 @@ mod tests {
     };
 
     #[test]
-    fn table_ends_with_the_headline_group() {
-        for smoke in [true, false] {
-            let table = cell_table(smoke);
-            assert_eq!(table.len(), grid(smoke).len());
-            for (group, (nodes, depth)) in table.iter().zip(grid(smoke)) {
-                assert_eq!(group[0], Cell::base(nodes, depth));
-                assert!(group.iter().all(|c| (c.nodes, c.depth) == (nodes, depth)));
-            }
-            // The headline group measures every axis against its base
-            // cell, twins adjacent.
-            let last = table.last().unwrap();
-            assert_eq!(last[0], Cell::base(65_536, 100_000));
-            assert!(last[1].hetero && last[2].faulty);
-            let families: Vec<_> = last.iter().map(|c| c.family.label()).collect();
-            assert_eq!(
-                families,
-                ["easy1", "easy1", "easy1", "easy8", "easy64", "conservative"]
-            );
-        }
-        let axes = |smoke| cell_table(smoke).iter().filter(|g| g.len() > 1).count();
-        assert_eq!((axes(true), axes(false)), (1, 2));
+    fn headline_measures_every_axis_against_its_base() {
+        let cells = headline();
+        assert_eq!(cells[0], Cell::base(65_536, 100_000));
+        assert!(cells
+            .iter()
+            .all(|c| (c.nodes, c.depth) == (65_536, 100_000)));
+        // Twins adjacent to the base cell.
+        assert!(cells[1].hetero && cells[2].faulty);
+        let families: Vec<_> = cells.iter().map(|c| c.family.label()).collect();
+        assert_eq!(
+            families,
+            ["easy1", "easy1", "easy1", "easy8", "easy64", "conservative"]
+        );
     }
 
     #[test]

@@ -5,12 +5,16 @@
 //! mix × cluster size × policy × sync/async mode) and the parallel
 //! [`sweep`] runner that fans simulation runs over the (scenario × seed)
 //! grid with deterministic, thread-count-independent CSV output. The
-//! `repro` binary dispatches to both; the criterion benches reuse the
-//! figure functions at reduced scale, and the [`hotpath`] churn driver
-//! (the scheduler alone, on a machine and a queue no experiment
-//! reaches) is the workload of `benches/hotpath.rs`. Every figure
-//! function both *returns* structured rows (for tests and
-//! EXPERIMENTS.md generation) and *prints* a paper-style table.
+//! `repro` binary dispatches to both. Every figure function both
+//! *returns* structured rows (for tests and EXPERIMENTS.md generation)
+//! and *prints* a paper-style table.
+//!
+//! Speed is measured in one place, `benchmark/` (declared in
+//! `BENCHMARK.json`). The crate keeps three bench targets:
+//! `redistribution` and `cr_vs_dmr` time the live MPI stack (the input
+//! of the reconfiguration cost model), and `hotpath` runs the
+//! [`hotpath`] churn driver — the scheduler alone, on a machine and a
+//! queue no `benchmark/` workload reaches yet.
 
 pub mod figures;
 pub mod hotpath;

@@ -438,6 +438,29 @@ fn check_config(cfg: &ExperimentConfig) -> Result<(), DmrError> {
             cfg.backfill_interval_s
         )));
     }
+    // The other durations and factors reach `Span::from_secs_f64` or
+    // `mul_f64`, which turn NaN, infinities and negatives silently into
+    // 0 or a saturated span.
+    let durations = [
+        ("check_overhead_s", Some(cfg.check_overhead_s)),
+        ("estimate_padding", Some(cfg.estimate_padding)),
+        ("resizer_timeout_s", Some(cfg.resizer_timeout_s)),
+        ("wake_latency_s", Some(cfg.wake_latency_s)),
+        ("inhibitor_override", cfg.inhibitor_override.flatten()),
+    ];
+    for (field, value) in durations {
+        if let Some(v) = value.filter(|v| !(v.is_finite() && *v >= 0.0)) {
+            return Err(DmrError::Config(format!(
+                "{field} must be finite and non-negative, got {v}"
+            )));
+        }
+    }
+    // A zero or NaN interval would cut every rigid segment to one step.
+    if let Some(v) = cfg.ckpt_interval_s.filter(|v| !(v.is_finite() && *v > 0.0)) {
+        return Err(DmrError::Config(format!(
+            "ckpt_interval_s must be finite and positive, got {v}"
+        )));
+    }
     Ok(())
 }
 

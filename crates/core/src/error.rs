@@ -34,8 +34,9 @@ pub enum DmrError {
     /// before anything ran.
     FaultScript(String),
     /// The experiment configuration cannot be run (a machine too small
-    /// for its class mix, a backfill interval that rounds to zero, no
-    /// workload source); the run was refused before anything ran.
+    /// for its class mix, a backfill interval that rounds to zero, a
+    /// duration or factor that is NaN, infinite or negative, no workload
+    /// source); the run was refused before anything ran.
     Config(String),
 }
 

@@ -178,18 +178,6 @@ impl LogHistogram {
         let (lo, hi) = bucket_bounds(bucket_of(us));
         hi - lo
     }
-
-    /// Folds another histogram into this one (bins are position-aligned
-    /// by construction).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_us += other.sum_us;
-        self.min_us = self.min_us.min(other.min_us);
-        self.max_us = self.max_us.max(other.max_us);
-    }
 }
 
 /// P50/P95/P99 of one duration distribution, seconds — the tail columns
@@ -297,18 +285,6 @@ mod tests {
         h.record(Span::ZERO);
         assert_eq!(h.percentile_s(50.0), 0.0, "zero bin is exact");
         assert_eq!(h.max_s(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_distributions() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.record(span_s(1.0));
-        b.record(span_s(100.0));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max_s(), 100.0);
-        assert_eq!(a.min_s(), 1.0);
     }
 
     #[test]

@@ -134,13 +134,12 @@ impl StepSeries {
 /// The O(1)-memory counterpart of [`StepSeries`]: same `record` contract
 /// (monotone time, same-instant overwrite, identical-value coalescing)
 /// but instead of buffering change points it maintains the running
-/// integral, the maximum, and the change count online.
+/// integral online.
 ///
 /// The accumulation replays the exact floating-point operation sequence
 /// of [`StepSeries::integral`] from `t = 0`, so for any record sequence
-/// [`OnlineSeries::integral_to`] / [`OnlineSeries::mean_to`] /
-/// [`OnlineSeries::max_value`] are **bit-for-bit equal** to the buffered
-/// series' `integral` / `mean` / `max_value` (pinned by proptests in
+/// [`OnlineSeries::integral_to`] is **bit-for-bit equal** to the buffered
+/// series' `integral` (pinned by proptests in
 /// `tests/metrics_properties.rs`). This is what lets the streaming
 /// telemetry path report the same utilization figures as the buffered
 /// one.
@@ -158,9 +157,6 @@ pub struct OnlineSeries {
     /// multiply into two and lose bit-equality.
     tail: [(u64, f64); 2],
     tail_len: u8,
-    /// Max over committed change points (the tail is folded in on query).
-    committed_max: f64,
-    changes: usize,
 }
 
 impl OnlineSeries {
@@ -175,7 +171,6 @@ impl OnlineSeries {
         if self.tail_len == 0 {
             self.tail[0] = (t.as_micros(), value);
             self.tail_len = 1;
-            self.changes = 1;
             return;
         }
         let li = usize::from(self.tail_len - 1);
@@ -186,7 +181,6 @@ impl OnlineSeries {
         if self.tail[li].0 == t.as_micros() {
             if li == 1 && self.tail[0].1 == value {
                 self.tail_len = 1;
-                self.changes -= 1;
             } else {
                 self.tail[li].1 = value;
             }
@@ -201,12 +195,10 @@ impl OnlineSeries {
             // fixed and the segment can be committed.
             let (t0, v0) = self.tail[0];
             self.acc += v0 * SimTime(self.tail[1].0).since(SimTime(t0)).as_secs_f64();
-            self.committed_max = self.committed_max.max(v0);
             self.tail[0] = self.tail[1];
         }
         self.tail[1] = (t.as_micros(), value);
         self.tail_len = 2;
-        self.changes += 1;
     }
 
     /// Exact integral over `[0, to]`, value·seconds. `to` must not
@@ -224,40 +216,6 @@ impl OnlineSeries {
             acc += v0 * SimTime(self.tail[1].0).since(SimTime(t0)).as_secs_f64();
         }
         acc + lv * to.since(SimTime(lt)).as_secs_f64()
-    }
-
-    /// Mean value over `[0, to]`.
-    pub fn mean_to(&self, to: SimTime) -> f64 {
-        let span = to.since(SimTime::ZERO).as_secs_f64();
-        if span == 0.0 {
-            0.0
-        } else {
-            self.integral_to(to) / span
-        }
-    }
-
-    /// Maximum recorded value (0 when empty), matching
-    /// [`StepSeries::max_value`].
-    pub fn max_value(&self) -> f64 {
-        let mut m = self.committed_max;
-        for i in 0..usize::from(self.tail_len) {
-            m = m.max(self.tail[i].1);
-        }
-        m
-    }
-
-    /// Number of retained change points, matching [`StepSeries::len`].
-    pub fn changes(&self) -> usize {
-        self.changes
-    }
-
-    /// Value currently in effect (0 before the first record).
-    pub fn value(&self) -> f64 {
-        if self.tail_len == 0 {
-            0.0
-        } else {
-            self.tail[usize::from(self.tail_len - 1)].1
-        }
     }
 }
 
@@ -325,28 +283,34 @@ mod tests {
 
     #[test]
     fn same_instant_revert_drops_redundant_point() {
+        // Microsecond instants: 3 × 0.250003 s is not the sum of
+        // 3 × 0.100001 s and 3 × 0.150002 s in f64, so a segment split at
+        // the reverted instant would show in the integral's bits.
+        let (start, revert, end) = (SimTime(0), SimTime(100_001), SimTime(250_003));
         let mut s = StepSeries::new();
         let mut o = OnlineSeries::new();
-        for (ts, v) in [(0, 2.0), (5, 6.0), (5, 2.0)] {
-            s.record(t(ts), v);
-            o.record(t(ts), v);
+        for (at, v) in [(start, 3.0), (revert, 6.0), (revert, 3.0)] {
+            s.record(at, v);
+            o.record(at, v);
         }
-        // The instant-5 point reverted to the running value: no trace, and
-        // the integral stays one unbroken segment (bit-exact).
+        // The reverted point leaves no trace, and the integral stays one
+        // unbroken segment (bit-exact).
         assert_eq!(s.len(), 1);
-        assert_eq!(o.changes(), 1);
-        let whole: f64 = 2.0 * 10.0;
-        assert_eq!(s.integral(t(0), t(10)).to_bits(), whole.to_bits());
-        assert_eq!(o.integral_to(t(10)).to_bits(), whole.to_bits());
-        assert_eq!(s.max_value(), 2.0);
-        assert_eq!(o.max_value(), 2.0);
+        let whole: f64 = 3.0 * 0.250003;
+        assert_ne!(
+            whole.to_bits(),
+            (3.0 * 0.100001 + 3.0 * 0.150002f64).to_bits()
+        );
+        assert_eq!(s.integral(start, end).to_bits(), whole.to_bits());
+        assert_eq!(o.integral_to(end).to_bits(), whole.to_bits());
         // A later differing write at the same instant re-creates the point.
-        s.record(t(5), 9.0);
-        o.record(t(5), 9.0);
+        s.record(revert, 9.0);
+        o.record(revert, 9.0);
         assert_eq!(s.len(), 2);
-        assert_eq!(o.changes(), 2);
-        assert_eq!(s.value_at(t(7)), 9.0);
-        assert_eq!(o.value(), 9.0);
+        assert_eq!(s.value_at(SimTime(200_000)), 9.0);
+        let split: f64 = 3.0 * 0.100001 + 9.0 * 0.150002;
+        assert_eq!(s.integral(start, end).to_bits(), split.to_bits());
+        assert_eq!(o.integral_to(end).to_bits(), split.to_bits());
     }
 
     #[test]
@@ -405,14 +369,9 @@ mod tests {
         }
         let end = t(50);
         assert_eq!(
-            buffered.integral(SimTime::ZERO, end),
-            online.integral_to(end)
+            buffered.integral(SimTime::ZERO, end).to_bits(),
+            online.integral_to(end).to_bits()
         );
-        assert_eq!(buffered.mean(SimTime::ZERO, end), online.mean_to(end));
-        assert_eq!(buffered.max_value(), online.max_value());
-        assert_eq!(buffered.len(), online.changes());
-        assert_eq!(online.value(), 0.0);
         assert_eq!(OnlineSeries::new().integral_to(end), 0.0);
-        assert_eq!(OnlineSeries::new().max_value(), 0.0);
     }
 }

@@ -8,10 +8,12 @@
 //! * [`SeriesRecorder`] — the buffered recorder: full [`StepSeries`] for
 //!   the paper's timeline figures plus the complete `Vec<JobOutcome>`.
 //!   Memory grows with trace length; right for the figure pipeline.
-//! * [`OnlineAccumulator`] — the bounded-memory recorder: running
-//!   integrals ([`OnlineSeries`]) and log-bucketed histograms
-//!   ([`LogHistogram`]), O(1) in both event and job count, producing a
-//!   [`WorkloadSummary`] bit-identical to the buffered path.
+//! * [`OnlineAccumulator`] — the bounded-memory recorder: the running
+//!   integral of the allocation ([`OnlineSeries`]) and log-bucketed
+//!   duration histograms ([`LogHistogram`]), O(1) in both event and job
+//!   count, producing a [`WorkloadSummary`] bit-identical to the buffered
+//!   path. It folds only what the summary reads: the running and
+//!   completed counts of a sample are left to [`SeriesRecorder`].
 //!
 //! Every `dmr_core` run folds its summary in an [`OnlineAccumulator`] of
 //! its own; a sink attached with `dmr_core::Simulation::sink` observes the
@@ -77,17 +79,15 @@ impl MetricsSink for SeriesRecorder {
     }
 }
 
-/// The bounded-memory sink: exact online integrals plus log-bucketed
-/// duration histograms. Never retains a per-job or per-event record, so a
-/// million-job replay runs in constant telemetry memory, and
-/// [`OnlineAccumulator::summary`] is bit-identical to what
-/// [`WorkloadSummary::compute`] produces from the equivalent buffered run
-/// (pinned by `tests/streaming_equivalence.rs`).
+/// The bounded-memory sink: the exact online allocation integral plus
+/// log-bucketed duration histograms. Never retains a per-job or
+/// per-event record, so a million-job replay runs in constant telemetry
+/// memory, and [`OnlineAccumulator::summary`] is bit-identical to what
+/// [`WorkloadSummary::compute`] produces from the equivalent buffered
+/// run (pinned by `tests/streaming_equivalence.rs`).
 #[derive(Clone, Debug)]
 pub struct OnlineAccumulator {
     allocation: OnlineSeries,
-    running: OnlineSeries,
-    completed: OnlineSeries,
     waiting: LogHistogram,
     execution: LogHistogram,
     completion: LogHistogram,
@@ -104,8 +104,6 @@ impl OnlineAccumulator {
     pub fn new() -> Self {
         OnlineAccumulator {
             allocation: OnlineSeries::new(),
-            running: OnlineSeries::new(),
-            completed: OnlineSeries::new(),
             waiting: LogHistogram::new(),
             execution: LogHistogram::new(),
             completion: LogHistogram::new(),
@@ -139,21 +137,9 @@ impl OnlineAccumulator {
         inputs.assemble(total_nodes)
     }
 
-    /// The online allocation series (integral / max / change count).
+    /// The online allocation series.
     pub fn allocation(&self) -> &OnlineSeries {
         &self.allocation
-    }
-
-    /// The online running-job-count series (e.g. `max_value()` is the
-    /// peak number of concurrently running jobs).
-    pub fn running(&self) -> &OnlineSeries {
-        &self.running
-    }
-
-    /// The online completed-job-count series (monotone; `value()` is the
-    /// current completion count).
-    pub fn completed(&self) -> &OnlineSeries {
-        &self.completed
     }
 
     /// The waiting-time histogram.
@@ -178,10 +164,8 @@ impl OnlineAccumulator {
 }
 
 impl MetricsSink for OnlineAccumulator {
-    fn on_sample(&mut self, now: SimTime, allocated: f64, running: f64, completed: f64) {
+    fn on_sample(&mut self, now: SimTime, allocated: f64, _running: f64, _completed: f64) {
         self.allocation.record(now, allocated);
-        self.running.record(now, running);
-        self.completed.record(now, completed);
     }
 
     fn on_job(&mut self, _seq: u64, outcome: JobOutcome) {

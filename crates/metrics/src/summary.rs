@@ -9,15 +9,15 @@ use crate::series::StepSeries;
 /// Accounting for one finished job.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct JobOutcome {
-    pub submit: SimTimeSecs,
-    pub start: SimTimeSecs,
-    pub end: SimTimeSecs,
+    /// Submission instant, seconds.
+    pub submit: f64,
+    /// Start instant, seconds.
+    pub start: f64,
+    /// Completion instant, seconds.
+    pub end: f64,
     /// Completed reconfigurations.
     pub reconfigurations: u32,
 }
-
-/// Seconds wrapper so outcomes serialize naturally.
-pub type SimTimeSecs = f64;
 
 impl JobOutcome {
     pub fn new(submit: SimTime, start: SimTime, end: SimTime, reconfigurations: u32) -> Self {

@@ -39,11 +39,11 @@ pub mod policy;
 pub mod slotset;
 pub mod slurm;
 
-pub use arena::{JobArena, JobMap};
+pub use arena::JobMap;
 pub use job::{Dependency, Job, JobId, JobName, JobRequest, JobState, ResizeEnvelope};
 pub use policy::{
     Algorithm1, EnergyAware, FairShare, Hold, PolicyKind, ResizeAction, ResizePolicy,
     UtilizationTarget,
 };
-pub use slotset::{BackfillFamily, Hole, SlotSet};
+pub use slotset::BackfillFamily;
 pub use slurm::{ExpandError, IncrementalStats, JobStart, Slurm, SlurmConfig};

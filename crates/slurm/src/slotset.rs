@@ -50,7 +50,8 @@
 //! (bound ≈ 1 050; a hole starts on an existing boundary, so a plan
 //! adds one). There a
 //! contiguous scan beats the treap (lazy range-add, min / max
-//! aggregates) this module used to keep: `benches/slotset.rs` reads a
+//! aggregates) this module used to keep: a micro-bench, since deleted
+//! with the other simulator benches beside `benchmark/`, read a
 //! `plan` into a 1 000-plan timeline at 0.08 µs, where the treap took
 //! 2.2 µs over a plan and its removal, and a `rebuild` from 1 000
 //! commitments at 1.8 µs (0.15 µs from 64). The array loses from the

@@ -1,11 +1,11 @@
 //! Offline stand-in for the `criterion` crate.
 //!
-//! Keeps the five bench targets compiling and runnable without crates.io:
-//! same macro/entry-point shape (`criterion_group!` / `criterion_main!`,
-//! [`Criterion::bench_function`], [`Criterion::benchmark_group`],
-//! [`Bencher::iter`] / [`Bencher::iter_batched`]), but measurement is a
-//! simple best-of-N wall-clock timer with one line of output per
-//! benchmark — no statistics, plots, or saved baselines.
+//! Keeps the three bench targets of `dmr-bench` compiling and runnable
+//! without crates.io: same macro/entry-point shape (`criterion_group!` /
+//! `criterion_main!`, [`Criterion::benchmark_group`],
+//! [`BenchmarkGroup::bench_function`], [`Bencher::iter`]), but
+//! measurement is a simple best-of-N wall-clock timer with one line of
+//! output per benchmark — no statistics, plots, or saved baselines.
 
 use std::hint;
 use std::time::{Duration, Instant};
@@ -15,22 +15,9 @@ pub fn black_box<T>(x: T) -> T {
     hint::black_box(x)
 }
 
-/// How `iter_batched` amortizes setup; informational in this shim.
-#[derive(Clone, Copy, Debug)]
-pub enum BatchSize {
-    /// Small per-iteration inputs.
-    SmallInput,
-    /// Large per-iteration inputs.
-    LargeInput,
-    /// One input per batch.
-    PerIteration,
-}
-
 /// Units-processed-per-iteration annotation, echoed in the report line.
 #[derive(Clone, Copy, Debug)]
 pub enum Throughput {
-    /// Iterations process this many abstract elements.
-    Elements(u64),
     /// Iterations process this many bytes.
     Bytes(u64),
 }
@@ -58,28 +45,10 @@ impl Bencher {
             self.best = self.best.min(dt);
         }
     }
-
-    /// Times `routine` on fresh input from `setup` (setup untimed).
-    pub fn iter_batched<I, O, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        F: FnMut(I) -> O,
-    {
-        for _ in 0..self.samples {
-            let input = setup();
-            let t0 = Instant::now();
-            black_box(routine(input));
-            let dt = t0.elapsed();
-            self.best = self.best.min(dt);
-        }
-    }
 }
 
 fn report(name: &str, best: Duration, throughput: Option<Throughput>) {
     let rate = match throughput {
-        Some(Throughput::Elements(n)) if best > Duration::ZERO => {
-            format!("  ({:.0} elem/s)", n as f64 / best.as_secs_f64())
-        }
         Some(Throughput::Bytes(n)) if best > Duration::ZERO => {
             format!(
                 "  ({:.1} MiB/s)",
@@ -134,39 +103,16 @@ impl BenchmarkGroup<'_> {
 }
 
 /// The benchmark driver handed to every `criterion_group!` target.
-#[derive(Default)]
-pub struct Criterion {
-    sample_size: u32,
-}
+pub struct Criterion;
 
 impl Criterion {
-    fn effective_samples(&self) -> u32 {
-        if self.sample_size == 0 {
-            10
-        } else {
-            self.sample_size
-        }
-    }
-
-    /// Runs one stand-alone benchmark.
-    pub fn bench_function<F>(&mut self, id: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher::new(self.effective_samples());
-        f(&mut b);
-        report(id, b.best, None);
-        self
-    }
-
-    /// Opens a named benchmark group.
+    /// Opens a named benchmark group of 10 samples a bench.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        let sample_size = self.effective_samples();
         BenchmarkGroup {
             criterion: self,
             name: name.into(),
             throughput: None,
-            sample_size,
+            sample_size: 10,
         }
     }
 }
@@ -176,7 +122,7 @@ impl Criterion {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion;
             $($target(&mut criterion);)+
         }
     };
@@ -198,13 +144,10 @@ mod tests {
 
     #[test]
     fn bencher_records_a_sample() {
-        let mut c = Criterion::default();
-        c.bench_function("noop", |b| b.iter(|| black_box(1 + 1)));
+        let mut c = Criterion;
         let mut g = c.benchmark_group("grp");
-        g.throughput(Throughput::Elements(4)).sample_size(3);
-        g.bench_function("batched", |b| {
-            b.iter_batched(|| vec![1u8; 4], |v| v.len(), BatchSize::SmallInput)
-        });
+        g.throughput(Throughput::Bytes(4)).sample_size(3);
+        g.bench_function("noop", |b| b.iter(|| black_box(vec![1u8; 4]).len()));
         g.finish();
     }
 }

@@ -1,8 +1,8 @@
 //! A configuration the driver cannot run is refused by
 //! `Simulation::run` with `DmrError::Config` before anything runs —
 //! never a panic deep in the cluster model, never a run that does not
-//! return. A run with no workload source attached is refused the same
-//! way.
+//! return, never a hostile number clamped into a quietly different run.
+//! A run with no workload source attached is refused the same way.
 
 use dmr::core::{DmrError, ExperimentConfig, MachineMix, Simulation};
 use dmr::workload::{Feitelson, WorkloadConfig};
@@ -43,4 +43,46 @@ fn unrunnable_configurations_are_refused() {
     let mut no_backfill = zero_interval;
     no_backfill.backfill = false;
     assert!(run(&no_backfill).is_ok());
+}
+
+/// Each duration or factor of the configuration, set to a value the
+/// driver would otherwise round into 0 µs, a saturated span or a
+/// one-step segment.
+#[test]
+fn hostile_numbers_are_refused_naming_the_field() {
+    type Set = fn(&mut ExperimentConfig, f64);
+    let fields: [(&str, Set); 6] = [
+        ("check_overhead_s", |c, v| c.check_overhead_s = v),
+        ("estimate_padding", |c, v| c.estimate_padding = v),
+        ("resizer_timeout_s", |c, v| c.resizer_timeout_s = v),
+        ("wake_latency_s", |c, v| c.wake_latency_s = v),
+        ("inhibitor_override", |c, v| {
+            c.inhibitor_override = Some(Some(v))
+        }),
+        ("ckpt_interval_s", |c, v| c.ckpt_interval_s = Some(v)),
+    ];
+    for (field, set) in fields {
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut cfg = ExperimentConfig::preliminary();
+            set(&mut cfg, value);
+            match run(&cfg) {
+                Err(DmrError::Config(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+                other => panic!("{field} = {value}: {other:?}"),
+            }
+        }
+    }
+    // A checkpoint interval must be positive as well.
+    let zero_ckpt = ExperimentConfig {
+        ckpt_interval_s: Some(0.0),
+        ..ExperimentConfig::preliminary()
+    };
+    assert!(matches!(run(&zero_ckpt), Err(DmrError::Config(_))));
+    // The defaults, the figures' zero-timeout ablation, a zero inhibitor
+    // period and inhibition off all still run.
+    assert!(run(&ExperimentConfig::preliminary()).is_ok());
+    let mut no_timeout = ExperimentConfig::preliminary().asynchronous();
+    no_timeout.resizer_timeout_s = 0.0;
+    assert!(run(&no_timeout).is_ok());
+    assert!(run(&ExperimentConfig::preliminary().with_inhibitor(Some(0.0))).is_ok());
+    assert!(run(&ExperimentConfig::preliminary().with_inhibitor(None)).is_ok());
 }

@@ -118,8 +118,6 @@ fn large_streaming_run_records_percentiles_with_no_job_buffers() {
         .unwrap();
     assert_eq!(sink.jobs(), 800);
     assert_eq!(sink.completion().count(), 800);
-    assert_eq!(sink.completed().value(), 800.0);
-    assert!(sink.running().max_value() >= 1.0);
     let summary = sink.summary(cfg.nodes);
     assert_eq!(summary.jobs, 800);
     assert_eq!(summary.completion_q, stats.summary.completion_q);
