@@ -20,7 +20,10 @@
 //! prints the summary comparison (including P50/P95/P99 columns) as CSV;
 //! `--check-prefix N` additionally replays the first `N` jobs with a
 //! recorder attached and fails unless the run's streamed summary agrees
-//! with the one computed from the recorded buffers; `--faults`
+//! with the one computed from the recorded buffers — a gate on the
+//! summary fold; it cannot see a slip in the order of the streaming
+//! allocation integral's operations, which `tests/streaming_equivalence.rs`
+//! guards against a buffered series; `--faults`
 //! injects a node-failure load into the replay (a preset, or a scripted
 //! `trace:PATH` incident file of `<t_s> fail|repair <node>` lines) and
 //! `--ckpt-interval S` gives killed jobs periodic images to restart
@@ -219,7 +222,8 @@ fn run_sweep(args: &[String]) {
 /// streaming bounded-memory driver and prints a two-row summary CSV.
 /// With `--check-prefix N`, additionally replays the first `N` jobs with
 /// a recorder attached and exits non-zero unless the streamed and the
-/// buffered summaries are bit-identical.
+/// buffered summaries are bit-identical (the summary fold; the
+/// integral's operation order is `tests/streaming_equivalence.rs`'s).
 fn run_trace(path: &str, args: &[String]) {
     use dmr_core::{ExperimentConfig, Simulation};
     use dmr_metrics::csv::write_summaries;

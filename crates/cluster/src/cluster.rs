@@ -62,10 +62,10 @@ pub enum FailOutcome {
     Idle,
     /// The node was serving this owner's allocation. It stays owned (the
     /// scheduler decides the job's fate) and will return *unavailable*,
-    /// not free, when released — the PR 5 drained-while-allocated path.
+    /// not free, when released.
     Busy(u64),
-    /// The node was not `Up` (already down, drained, or powered off);
-    /// nothing changed.
+    /// The node was not `Up` (already down or powered off); nothing
+    /// changed.
     Skipped,
 }
 
@@ -161,7 +161,7 @@ impl Cluster {
     /// Nodes a job confined to `constraint` could ever be placed on as
     /// the machine stands: the free and the allocated nodes of the
     /// eligible classes — everything but the unowned nodes that accept no
-    /// work (drained, down, off). The capacity a backfill timeline
+    /// work (down, off). The capacity a backfill timeline
     /// subtracts the running jobs' occupancy from.
     pub fn usable_in(&self, constraint: ClassConstraint) -> u32 {
         self.eligible_classes(constraint)
@@ -204,7 +204,7 @@ impl Cluster {
         self.owner.get(node.index()).copied().flatten()
     }
 
-    /// Administrative/power state of a node.
+    /// Fault / power state of a node.
     pub fn node_state(&self, node: NodeId) -> NodeState {
         self.states[node.index()]
     }
@@ -309,8 +309,8 @@ impl Cluster {
 
     /// Returns just-released nodes (ascending, as held lists are) to the
     /// free or unavailable pools, a class's share a word at a time. Nodes
-    /// drained while allocated come back *unavailable*, not free — they
-    /// must not be placeable until re-enabled via [`Cluster::set_state`].
+    /// that failed while allocated come back *unavailable*, not free —
+    /// they must not be placeable until [`Cluster::repair_node`].
     fn return_nodes(&mut self, nodes: &[NodeId]) {
         if !nodes.is_empty() {
             self.tally_changes += 1;
@@ -470,48 +470,13 @@ impl Cluster {
         woke
     }
 
-    /// Marks a node's administrative state. Allocated nodes may be drained;
-    /// they are only excluded from *new* placements. `Off` is not an
-    /// administrative state — it is entered through
-    /// [`Cluster::power_down`] only.
-    pub fn set_state(&mut self, node: NodeId, state: NodeState) {
-        assert!(
-            state != NodeState::Off,
-            "power management goes through power_down/wake_all"
-        );
-        let c = self.table.class_of(node.0);
-        if self.states[node.index()] == NodeState::Off {
-            // Administrative override of a powered-down node: it leaves
-            // the off pool for whatever state was requested.
-            self.off_sets[c].remove(node.0);
-            self.tally_changes += 1;
-            if state.accepts_new_work() {
-                self.free[c].insert(node.0);
-            }
-            self.states[node.index()] = state;
-            return;
-        }
-        let unowned = self.owner[node.index()].is_none();
-        let was_placeable = self.states[node.index()].accepts_new_work() && unowned;
-        let now_placeable = state.accepts_new_work() && unowned;
-        self.states[node.index()] = state;
-        match (was_placeable, now_placeable) {
-            (true, false) => {
-                self.free[c].remove(node.0);
-            }
-            (false, true) => self.free[c].insert(node.0),
-            _ => {}
-        }
-    }
-
     /// An injected failure takes `node` down. Free nodes move to the
     /// unavailable pool immediately; allocated nodes keep their owner
     /// (the returned [`FailOutcome::Busy`] tag tells the scheduler whose
     /// job lost hardware) and rejoin the unavailable pool only when
-    /// released, via the same drained-while-allocated path as
-    /// administrative drains. Nodes that are not `Up` are skipped — the
-    /// fault process draws victims over the whole id range, so a failure
-    /// landing on an already-down or powered-off node is a no-op.
+    /// released. Nodes that are not `Up` are skipped — the fault process
+    /// draws victims over the whole id range, so a failure landing on an
+    /// already-down or powered-off node is a no-op.
     ///
     /// Either way a down node draws *idle* watts in the
     /// [`crate::PowerMeter`] (it is neither busy nor off) until repaired.
@@ -519,26 +484,31 @@ impl Cluster {
         if self.states[node.index()] != NodeState::Up {
             return FailOutcome::Skipped;
         }
-        let owner = self.owner[node.index()];
-        self.set_state(node, NodeState::Down);
-        match owner {
+        self.states[node.index()] = NodeState::Down;
+        match self.owner[node.index()] {
             Some(o) => FailOutcome::Busy(o),
-            None => FailOutcome::Idle,
+            None => {
+                self.free[self.table.class_of(node.0)].remove(node.0);
+                FailOutcome::Idle
+            }
         }
     }
 
     /// Repairs a previously failed (`Down`) node back to `Up`, returning
     /// whether it became placeable. Repairs targeting nodes that are not
-    /// `Down` (never failed, re-failed events, administratively retired)
-    /// are no-ops that return `false`; an owned `Down` node (possible
+    /// `Down` (never failed, re-failed events, powered off) are no-ops
+    /// that return `false`; an owned `Down` node (possible
     /// only in the window before the scheduler reacts to the failure)
     /// comes back `Up` but not placeable.
     pub fn repair_node(&mut self, node: NodeId) -> bool {
         if self.states[node.index()] != NodeState::Down {
             return false;
         }
+        self.states[node.index()] = NodeState::Up;
         let unowned = self.owner[node.index()].is_none();
-        self.set_state(node, NodeState::Up);
+        if unowned {
+            self.free[self.table.class_of(node.0)].insert(node.0);
+        }
         unowned
     }
 
@@ -722,37 +692,6 @@ mod tests {
         c.check_invariants().unwrap();
     }
 
-    #[test]
-    fn drained_nodes_not_placeable() {
-        let mut c = Cluster::new(3, 16);
-        c.set_state(NodeId(0), NodeState::Drained);
-        assert_eq!(c.free_nodes(), 2);
-        assert_eq!(grant(&mut c, 2, 1, ClassConstraint::Any), ids(1..3));
-        c.set_state(NodeId(0), NodeState::Up);
-        assert_eq!(c.free_nodes(), 1);
-        c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn drained_while_allocated_returns_unavailable_not_free() {
-        let mut c = Cluster::new(4, 16);
-        c.allocate(2, 1).unwrap();
-        // Drain an allocated node: it keeps serving its job...
-        c.set_state(NodeId(0), NodeState::Drained);
-        assert_eq!(c.free_nodes(), 2);
-        assert_eq!(c.allocated_nodes(), 2);
-        // ...but on release it must not become placeable.
-        c.release_all(1).unwrap();
-        assert_eq!(c.free_nodes(), 3);
-        assert_eq!(c.allocated_nodes(), 0);
-        assert_eq!(grant(&mut c, 3, 2, ClassConstraint::Any), ids(1..4));
-        c.check_invariants().unwrap();
-        // Re-enabling the drained node makes it placeable again.
-        c.set_state(NodeId(0), NodeState::Up);
-        assert_eq!(c.free_nodes(), 1);
-        c.check_invariants().unwrap();
-    }
-
     /// The node ids of each list, as written in the tests below.
     fn lists(ids: &[&[u32]]) -> Vec<Vec<NodeId>> {
         ids.iter()
@@ -763,7 +702,7 @@ mod tests {
     #[test]
     fn fragmented_grants_take_the_lowest_placeable_ids() {
         // A fragmented allocation pattern: releases leave holes, a
-        // drained node must be skipped, a tail release and a second grant
+        // failed node must be skipped, a tail release and a second grant
         // to an owner whose list sits above the free ids merge into one
         // sorted list. Every grant is the lowest placeable ids in order.
         let mut c = Cluster::new(32, 16);
@@ -774,7 +713,7 @@ mod tests {
         }
         c.release_all(1).unwrap();
         c.release_all(4).unwrap();
-        c.set_state(NodeId(2), NodeState::Drained);
+        assert_eq!(c.fail_node(NodeId(2)), FailOutcome::Busy(0));
         grants.push(grant(&mut c, 5, 10, any));
         grants.push(grant(&mut c, 4, 11, any));
         c.release_tail(10, 2).unwrap();
@@ -802,7 +741,7 @@ mod tests {
     #[test]
     fn allocated_nodes_is_counter_backed() {
         let mut c = Cluster::new(10, 16);
-        c.set_state(NodeId(9), NodeState::Down);
+        assert_eq!(c.fail_node(NodeId(9)), FailOutcome::Idle);
         c.allocate(4, 1).unwrap();
         assert_eq!(c.allocated_nodes(), 4);
         assert_eq!(c.free_nodes(), 5);
@@ -1024,25 +963,6 @@ mod tests {
         c.check_invariants().unwrap();
         assert_eq!(c.wake_all(), 1);
         c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn set_state_overrides_powered_down_node() {
-        let mut c = Cluster::new(4, 16);
-        assert_eq!(c.power_down(2), 2);
-        assert_eq!(off(&c), vec![NodeId(2), NodeId(3)]);
-        // Administratively downing an off node removes it from the off
-        // pool without making it placeable.
-        c.set_state(NodeId(3), NodeState::Down);
-        assert_eq!(c.off_nodes(), 1);
-        assert_eq!(c.free_nodes(), 2);
-        c.check_invariants().unwrap();
-        // Upping the other off node returns it to the free pool.
-        c.set_state(NodeId(2), NodeState::Up);
-        assert_eq!(c.off_nodes(), 0);
-        assert_eq!(c.free_nodes(), 3);
-        c.check_invariants().unwrap();
-        assert_eq!(c.wake_all(), 0);
     }
 
     #[test]

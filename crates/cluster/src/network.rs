@@ -35,7 +35,7 @@ impl Default for NetworkModel {
 impl NetworkModel {
     /// InfiniBand FDR10 (the paper's fabric): 40 Gb/s signalling, ~5 GB/s
     /// usable per node, microsecond-scale latency.
-    pub fn fdr10() -> Self {
+    pub const fn fdr10() -> Self {
         NetworkModel {
             latency_s: 1.5e-6,
             node_bandwidth_bps: 5.0e9,

@@ -24,16 +24,16 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Administrative state of a node. Jobs may only be placed on `Up` nodes;
-/// `Drained` nodes finish their current allocation but accept no new one.
-/// `Off` nodes were powered down to the S5 suspend state by an energy
-/// policy: they draw suspend power and must be woken (with a latency)
-/// before accepting work again.
+/// State of a node. Jobs may only be placed on `Up` nodes. `Down` nodes
+/// failed ([`crate::Cluster::fail_node`]): one that was allocated keeps
+/// serving its owner until released, and none accepts new work until
+/// repaired. `Off` nodes were powered down to the S5 suspend state by an
+/// energy policy: they draw suspend power and must be woken (with a
+/// latency) before accepting work again.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum NodeState {
     #[default]
     Up,
-    Drained,
     Down,
     Off,
 }
@@ -57,7 +57,6 @@ mod tests {
     #[test]
     fn only_up_accepts_work() {
         assert!(NodeState::Up.accepts_new_work());
-        assert!(!NodeState::Drained.accepts_new_work());
         assert!(!NodeState::Down.accepts_new_work());
         assert!(!NodeState::Off.accepts_new_work());
     }

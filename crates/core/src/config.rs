@@ -1,7 +1,30 @@
-//! Experiment configuration.
+//! Experiment configuration: what the experiments vary, and the
+//! platform constants they hold fixed.
 
 use dmr_cluster::{ClassTable, FaultLoad, MachineClass, NetworkModel};
 use dmr_slurm::{BackfillFamily, PolicyKind};
+
+/// Cost of one synchronous DMR check (runtime↔RMS round trip plus
+/// scheduling), seconds. This is the overhead the checking inhibitor
+/// exists to amortise (§V-A, §VIII-E); an asynchronous check hides it
+/// behind the next step.
+pub const CHECK_OVERHEAD_S: f64 = 0.3;
+
+/// The interconnect that prices a resize: the `MPI_Comm_spawn` of new
+/// ranks and the data redistribution, on the testbed's InfiniBand FDR10
+/// (§VII-A).
+pub const NETWORK: NetworkModel = NetworkModel::fdr10();
+
+/// Padding applied to the runtime estimates handed to the backfill
+/// scheduler under [`EstimateMode::Actual`] (users over-request
+/// walltime).
+pub const ESTIMATE_PADDING: f64 = 1.2;
+
+/// Wake-up latency of a powered-down (S5) node, seconds: demand that
+/// arrives while nodes are suspended waits this long before the capacity
+/// returns. Only reached when the policy powers nodes down (see
+/// [`dmr_slurm::EnergyAware`]).
+pub const WAKE_LATENCY_S: f64 = 30.0;
 
 /// Machine-class layout of the simulated cluster — a `Copy` selector in
 /// the mould of [`PolicyKind`], expanded into a [`ClassTable`] when the
@@ -116,7 +139,10 @@ pub enum EstimateMode {
     Actual,
 }
 
-/// All knobs of one workload experiment.
+/// All knobs of one workload experiment: the parameters the paper's
+/// evaluation and this reproduction's ablations vary. The platform's
+/// costs are constants ([`CHECK_OVERHEAD_S`], [`NETWORK`],
+/// [`ESTIMATE_PADDING`], [`WAKE_LATENCY_S`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ExperimentConfig {
     /// Compute nodes (20 in §VIII, 65 in §IX).
@@ -131,12 +157,6 @@ pub struct ExperimentConfig {
     /// `None` keeps each job's own (Table I) period; `Some(None)` disables
     /// inhibition; `Some(Some(p))` forces period `p` (the Figure 9 sweep).
     pub inhibitor_override: Option<Option<f64>>,
-    /// Cost of one synchronous DMR check (runtime↔RMS round trip plus
-    /// scheduling), seconds. This is the overhead the checking inhibitor
-    /// exists to amortise (§V-A, §VIII-E).
-    pub check_overhead_s: f64,
-    /// Interconnect model for spawn/redistribution charges.
-    pub network: NetworkModel,
     /// EASY backfill on/off (ablation; the paper always runs with it).
     pub backfill: bool,
     /// Which backfill family the scheduler runs when `backfill` is on:
@@ -147,9 +167,6 @@ pub struct ExperimentConfig {
     /// Period of the backfill pass, seconds (Slurm's `bf_interval`,
     /// default 30). The event-driven pass is FIFO-only, as in Slurm.
     pub backfill_interval_s: f64,
-    /// Padding applied to runtime estimates handed to the backfill
-    /// scheduler (users over-request walltime).
-    pub estimate_padding: f64,
     /// Source of the backfill scheduler's runtime estimates.
     pub estimate_mode: EstimateMode,
     /// Algorithm-1 line 18: boost the shrink beneficiary's priority
@@ -166,11 +183,6 @@ pub struct ExperimentConfig {
     /// bit-for-bit; [`MachineMix::Hetero3`] adds big-memory and GPU
     /// classes with distinct speed factors and power ladders.
     pub machine_mix: MachineMix,
-    /// Wake-up latency of a powered-down (S5) node, seconds: demand that
-    /// arrives while nodes are suspended waits this long before the
-    /// capacity returns. Only consulted when the policy powers nodes
-    /// down (see [`dmr_slurm::EnergyAware`]).
-    pub wake_latency_s: f64,
     /// Injected faultload preset ([`FaultLoad::None`] — the default — is
     /// the zero-fault oracle, bit-identical to pre-fault-injection
     /// behaviour; `Rare`/`Harsh` run seeded per-class MTBF/MTTR
@@ -197,18 +209,14 @@ impl ExperimentConfig {
             mode: ScheduleMode::Synchronous,
             malleability: true,
             inhibitor_override: None,
-            check_overhead_s: 0.3,
-            network: NetworkModel::fdr10(),
             backfill: true,
             backfill_family: BackfillFamily::default(),
             backfill_interval_s: 30.0,
-            estimate_padding: 1.2,
             estimate_mode: EstimateMode::Walltime,
             shrink_boost: true,
             resizer_timeout_s: 30.0,
             policy: PolicyKind::Algorithm1,
             machine_mix: MachineMix::Uniform,
-            wake_latency_s: 30.0,
             faults: FaultLoad::None,
             fault_seed: 0xFA17,
             ckpt_interval_s: None,
@@ -275,12 +283,6 @@ impl ExperimentConfig {
     /// classes and their power ladders.
     pub fn with_machine_mix(mut self, mix: MachineMix) -> Self {
         self.machine_mix = mix;
-        self
-    }
-
-    /// Sets the wake-up latency of powered-down nodes, seconds.
-    pub fn with_wake_latency(mut self, seconds: f64) -> Self {
-        self.wake_latency_s = seconds;
         self
     }
 
@@ -351,8 +353,6 @@ mod tests {
         );
         let c = ExperimentConfig::preliminary().with_machine_mix(MachineMix::Hetero3);
         assert_eq!(c.machine_mix, MachineMix::Hetero3);
-        let c = ExperimentConfig::preliminary().with_wake_latency(5.0);
-        assert_eq!(c.wake_latency_s, 5.0);
         assert_eq!(
             ExperimentConfig::preliminary().faults,
             FaultLoad::None,

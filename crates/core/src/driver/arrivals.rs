@@ -15,7 +15,7 @@ use dmr_slurm::{JobId, JobName, JobRequest, ResizeEnvelope};
 
 use super::events::Ev;
 use super::{Driver, Phase, RunState};
-use crate::config::EstimateMode;
+use crate::config::{EstimateMode, ESTIMATE_PADDING, WAKE_LATENCY_S};
 use crate::model::SimJob;
 
 impl Driver<'_, '_> {
@@ -69,7 +69,7 @@ impl Driver<'_, '_> {
             EstimateMode::Walltime => Span::from_secs_f64(spec.walltime_s),
             EstimateMode::Actual => sim
                 .remaining_time(submit_procs, 0)
-                .mul_f64(self.cfg.estimate_padding),
+                .mul_f64(ESTIMATE_PADDING),
         };
         let name = JobName::Indexed(spec.app.name(), spec.index.into());
         let req = if self.is_flexible(spec) {
@@ -95,10 +95,8 @@ impl Driver<'_, '_> {
         // placeable again once [`Ev::NodeWake`] fires.
         if !self.wake_pending && self.slurm.cluster().off_nodes() > 0 {
             self.wake_pending = true;
-            self.engine.schedule_at(
-                now + Span::from_secs_f64(self.cfg.wake_latency_s),
-                Ev::NodeWake,
-            );
+            self.engine
+                .schedule_at(now + Span::from_secs_f64(WAKE_LATENCY_S), Ev::NodeWake);
         }
         // The job is in the system: pull its successor from the source.
         self.schedule_next_arrival();

@@ -55,7 +55,7 @@ use dmr_slurm::{Hold, JobId, JobMap, ResizeAction, Slurm, SlurmConfig};
 use dmr_workload::{JobSpec, WorkloadSource};
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::config::{ExperimentConfig, ScheduleMode};
+use crate::config::{ExperimentConfig, ScheduleMode, CHECK_OVERHEAD_S};
 use crate::error::DmrError;
 use crate::model::SimJob;
 use crate::result::{CheckStats, ExperimentResult, RunStats};
@@ -232,10 +232,10 @@ pub(crate) struct RequeueInfo {
 pub(crate) struct Driver<'a, 's> {
     pub(crate) cfg: ExperimentConfig,
     /// What a check point costs the job: the runtime↔RMS round trip
-    /// ([`ExperimentConfig::check_overhead_s`]) in synchronous mode;
+    /// ([`crate::config::CHECK_OVERHEAD_S`]) in synchronous mode;
     /// nothing in asynchronous mode, where the negotiation overlaps the
-    /// next step. This and the two spans below are converted from the
-    /// configuration's seconds once, not at every use.
+    /// next step. This and the two spans below are converted from
+    /// seconds once, not at every use.
     pub(crate) check_pause: Span,
     /// The period of the backfill tick
     /// ([`ExperimentConfig::backfill_interval_s`]).
@@ -438,14 +438,10 @@ fn check_config(cfg: &ExperimentConfig) -> Result<(), DmrError> {
             cfg.backfill_interval_s
         )));
     }
-    // The other durations and factors reach `Span::from_secs_f64` or
-    // `mul_f64`, which turn NaN, infinities and negatives silently into
-    // 0 or a saturated span.
+    // The other durations reach `Span::from_secs_f64`, which turns NaN,
+    // infinities and negatives silently into 0 or a saturated span.
     let durations = [
-        ("check_overhead_s", Some(cfg.check_overhead_s)),
-        ("estimate_padding", Some(cfg.estimate_padding)),
         ("resizer_timeout_s", Some(cfg.resizer_timeout_s)),
-        ("wake_latency_s", Some(cfg.wake_latency_s)),
         ("inhibitor_override", cfg.inhibitor_override.flatten()),
     ];
     for (field, value) in durations {
@@ -523,8 +519,6 @@ impl<'a, 's> Driver<'a, 's> {
         let mut scfg = SlurmConfig::for_cluster(cfg.nodes);
         scfg.backfill = cfg.backfill;
         scfg.backfill_family = cfg.backfill_family;
-        let resizer_timeout = Span::from_secs_f64(cfg.resizer_timeout_s);
-        scfg.resizer_timeout = resizer_timeout;
         scfg.shrink_boost = cfg.shrink_boost;
         scfg.policy = cfg.policy;
         // The driver copies each job's accounting into the sink at
@@ -544,14 +538,14 @@ impl<'a, 's> Driver<'a, 's> {
             (!cfg.faults.is_none()).then(|| StdRng::seed_from_u64(cfg.fault_seed ^ 0x5EED_F417));
         let resize_fail_p = cfg.faults.resize_fail_p();
         let check_pause = match cfg.mode {
-            ScheduleMode::Synchronous => Span::from_secs_f64(cfg.check_overhead_s),
+            ScheduleMode::Synchronous => Span::from_secs_f64(CHECK_OVERHEAD_S),
             ScheduleMode::Asynchronous => Span::ZERO,
         };
         Driver {
             cfg,
             check_pause,
             backfill_interval: Span::from_secs_f64(cfg.backfill_interval_s),
-            resizer_timeout,
+            resizer_timeout: Span::from_secs_f64(cfg.resizer_timeout_s),
             specs: JobMap::default(),
             arrived: 0,
             source,

@@ -48,9 +48,9 @@
 //! Each handler here moves the job to its next [`Phase`], through
 //! [`super::RunState::enter`], which checks the move.
 //!
-//! Expansion failures flow through [`DmrError`]: the only variant that is
-//! protocol control-flow rather than a genuine error is the *deferral*
-//! signal ([`DmrError::queued_resizer`]) — synchronous mode aborts the
+//! Of the expansion protocol's failures, the only one that is protocol
+//! control flow rather than a genuine error is the *deferral* signal
+//! ([`dmr_slurm::ExpandError::Queued`]) — synchronous mode aborts the
 //! queued resizer immediately (the paper's zero-wait degenerate),
 //! asynchronous mode keeps computing under a timeout (§V-B1). A job
 //! awaits at most one queued resizer: the job's [`Phase::Awaiting`] names
@@ -60,12 +60,11 @@
 //! expansion.
 
 use dmr_sim::{EventId, SimTime, Span};
-use dmr_slurm::{JobId, ResizeAction};
+use dmr_slurm::{ExpandError, JobId, ResizeAction};
 
 use super::events::Ev;
 use super::{Driver, Phase};
-use crate::config::{EstimateMode, ScheduleMode};
-use crate::error::DmrError;
+use crate::config::{EstimateMode, ScheduleMode, ESTIMATE_PADDING, NETWORK};
 
 impl Driver<'_, '_> {
     /// Arms the checking inhibitor: checks before `now + period` are
@@ -84,11 +83,10 @@ impl Driver<'_, '_> {
     /// leaving ranks.
     fn begin_reconfig(&mut self, job: JobId, to: u32, at: SimTime) {
         let procs = self.running[job].procs;
-        let network = &self.cfg.network;
         let redistribute =
-            network.redistribution_time(self.specs[job].1.spec.data_bytes, procs, to);
+            NETWORK.redistribution_time(self.specs[job].1.spec.data_bytes, procs, to);
         let cost = if to > procs {
-            network.spawn_time(to) + redistribute
+            NETWORK.spawn_time(to) + redistribute
         } else {
             redistribute
         };
@@ -117,8 +115,7 @@ impl Driver<'_, '_> {
     ) -> Result<(), Option<JobId>> {
         // Injected spawn-path failure (faultload): the negotiation dies
         // before the protocol runs; the job degrades gracefully to its
-        // old size and a backoff retry is scheduled. Classified as
-        // [`DmrError::is_injected`], never as a structural failure.
+        // old size and a backoff retry is scheduled.
         if self.inject_resize_failure(job, to, now) {
             return Err(None);
         }
@@ -127,13 +124,14 @@ impl Driver<'_, '_> {
                 self.begin_reconfig(job, to, now + pause);
                 Ok(())
             }
-            Err(e) => Err(DmrError::from(e).queued_resizer()),
+            Err(ExpandError::Queued { resizer }) => Err(Some(resizer)),
+            Err(_) => Err(None),
         }
     }
 
     /// One reconfiguring point. Synchronous mode (`dmr_check_status`)
     /// decides and applies here, and every non-inhibited call costs
-    /// [`crate::ExperimentConfig::check_overhead_s`] — the runtime↔RMS
+    /// [`crate::config::CHECK_OVERHEAD_S`] — the runtime↔RMS
     /// round trip the inhibitor exists to amortise. Asynchronous mode
     /// (`dmr_icheck_status`) applies what the *previous* boundary
     /// negotiated and plans the next one: the overhead hides behind
@@ -368,7 +366,7 @@ impl Driver<'_, '_> {
         let sim = &self.specs[job].1;
         let remaining = sim
             .remaining_time(rs.procs, rs.steps_done)
-            .mul_f64(self.cfg.estimate_padding);
+            .mul_f64(ESTIMATE_PADDING);
         let elapsed = self
             .slurm
             .job(job)

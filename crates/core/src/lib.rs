@@ -10,7 +10,7 @@
 //!   class.
 //! * [`config`] — experiment configuration: cluster size, synchronous vs
 //!   asynchronous scheduling (§VIII-B/C), the checking inhibitor override
-//!   (§VIII-E), cost-model knobs.
+//!   (§VIII-E), and the platform constants (check cost, interconnect).
 //! * [`driver`] — the discrete-event driver: job arrivals streamed one at
 //!   a time from a [`dmr_workload::WorkloadSource`] (a materialized list
 //!   streams as `&mut specs.iter()`), backfilled starts, per-step DMR
@@ -19,9 +19,9 @@
 //!   costs, and full metric collection.
 //! * [`result`] — what an experiment returns: a
 //!   [`dmr_metrics::WorkloadSummary`] plus the driver's own scalars.
-//! * [`error`] — the unified [`error::DmrError`] wrapping the substrate
-//!   layers' error enums (cluster allocation, MPI, the Slurm expansion
-//!   protocol) behind one `std::error::Error`.
+//! * [`error`] — [`error::DmrError`], what a run returns when it refuses
+//!   its configuration or fault script (and the MPI substrate's error,
+//!   for the bridge).
 //!
 //! A run is [`Simulation::new`]`(&cfg).source(..)`, optionally
 //! `.faults(..)` and `.sink(..)`, then `.run()`, which returns
@@ -42,6 +42,6 @@ pub use dmr_metrics::MetricsSink;
 pub use dmr_slurm::{BackfillFamily, PolicyKind};
 pub use dmr_workload::{WorkloadKind, WorkloadSource};
 pub use driver::{compare_fixed_flexible, run_experiment_with_sink, Simulation};
-pub use error::{DmrError, InjectedFault};
+pub use error::DmrError;
 pub use model::{curve_for, SpeedupCurve};
 pub use result::{CheckStats, ExperimentResult, FaultStats, PowerStats, RunStats};

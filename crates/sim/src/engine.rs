@@ -224,15 +224,6 @@ impl<E> Engine<E> {
         self.processed += 1;
         Some(step)
     }
-
-    /// Runs the event loop to exhaustion, dispatching each event to
-    /// `handler`. The handler receives the engine so it can schedule further
-    /// events; this is the standard DES pattern.
-    pub fn run(&mut self, mut handler: impl FnMut(&mut Engine<E>, SimTime, E)) {
-        while let Some((t, e)) = self.next_event() {
-            handler(self, t, e);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -264,14 +255,16 @@ mod tests {
         let mut eng: Engine<Ev> = Engine::new();
         eng.schedule_at(SimTime::from_secs(1), Ev::Spawn);
         let mut ticks = Vec::new();
-        eng.run(|eng, t, e| match e {
-            Ev::Spawn => {
-                for i in 0..3 {
-                    eng.schedule_in(Span::from_secs(i + 1), Ev::Tick(i as u32));
+        while let Some((t, e)) = eng.next_event() {
+            match e {
+                Ev::Spawn => {
+                    for i in 0..3 {
+                        eng.schedule_in(Span::from_secs(i + 1), Ev::Tick(i as u32));
+                    }
                 }
+                Ev::Tick(i) => ticks.push((t, i)),
             }
-            Ev::Tick(i) => ticks.push((t, i)),
-        });
+        }
         assert_eq!(
             ticks,
             vec![
@@ -311,8 +304,9 @@ mod tests {
         let mut eng: Engine<&str> = Engine::new();
         eng.schedule_at(SimTime::from_secs(5), "normal");
         eng.schedule_at_early(SimTime::from_secs(5), "early");
-        let mut seen = Vec::new();
-        eng.run(|_, _, e| seen.push(e));
+        let seen: Vec<_> = std::iter::from_fn(|| eng.next_event())
+            .map(|(_, e)| e)
+            .collect();
         assert_eq!(seen, vec!["early", "normal"]);
     }
 
@@ -339,22 +333,26 @@ mod tests {
         chained.schedule_at(SimTime::from_secs(2), Ev::Spawn);
         chained.schedule_at(SimTime::from_secs(5), Ev::Tick(1));
         let mut order = Vec::new();
-        chained.run(|eng, t, e| match e {
-            Ev::Spawn => {
-                eng.schedule_in(Span::from_secs(3), Ev::Tick(0));
+        while let Some((t, e)) = chained.next_event() {
+            match e {
+                Ev::Spawn => {
+                    chained.schedule_in(Span::from_secs(3), Ev::Tick(0));
+                }
+                Ev::Tick(i) => order.push((t, i)),
             }
-            Ev::Tick(i) => order.push((t, i)),
-        });
+        }
         let mut relayed: Engine<Ev> = Engine::new();
         relayed.schedule_relayed(SimTime::from_secs(2), Span::from_secs(3), Ev::Tick(0));
         relayed.schedule_at(SimTime::from_secs(5), Ev::Tick(1));
         assert_eq!(relayed.pending(), 2);
         assert_eq!(relayed.peek_time(), Some(SimTime::from_secs(2)));
         let mut seen = Vec::new();
-        relayed.run(|_, t, e| match e {
-            Ev::Tick(i) => seen.push((t, i)),
-            Ev::Spawn => unreachable!("the pause end is never dispatched"),
-        });
+        while let Some((t, e)) = relayed.next_event() {
+            match e {
+                Ev::Tick(i) => seen.push((t, i)),
+                Ev::Spawn => unreachable!("the pause end is never dispatched"),
+            }
+        }
         assert_eq!(seen, order);
         assert_eq!(
             seen,
@@ -401,8 +399,9 @@ mod tests {
         let id = eng.schedule_at(SimTime::from_secs(1), 1);
         eng.schedule_at(SimTime::from_secs(2), 2);
         assert_eq!(eng.cancel(id), Some(1));
-        let mut seen = Vec::new();
-        eng.run(|_, _, e| seen.push(e));
+        let seen: Vec<_> = std::iter::from_fn(|| eng.next_event())
+            .map(|(_, e)| e)
+            .collect();
         assert_eq!(seen, vec![2]);
     }
 
@@ -412,8 +411,9 @@ mod tests {
         for i in 0..5 {
             eng.schedule_at(SimTime::from_secs(7), i);
         }
-        let mut seen = Vec::new();
-        eng.run(|_, _, e| seen.push(e));
+        let seen: Vec<_> = std::iter::from_fn(|| eng.next_event())
+            .map(|(_, e)| e)
+            .collect();
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
 }

@@ -34,26 +34,11 @@ pub struct JobArena {
     slots: Vec<Slot>,
     /// Freed slot indices, reused LIFO.
     free: Vec<u32>,
-    live: usize,
 }
 
 impl JobArena {
     pub fn new() -> Self {
         JobArena::default()
-    }
-
-    /// Number of live records.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Total slots backing the arena (live + free) — capacity telemetry.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Allocates a slot, derives the [`JobId`] for it, and stores the
@@ -71,7 +56,6 @@ impl JobArena {
         debug_assert!(entry.job.is_none(), "free slot occupied");
         let id = JobId::pack(entry.generation, slot);
         entry.job = Some(build(id));
-        self.live += 1;
         id
     }
 
@@ -110,10 +94,6 @@ impl JobArena {
             .and_then(|s| s.job.as_mut())
     }
 
-    pub fn contains(&self, id: JobId) -> bool {
-        self.get(id).is_some()
-    }
-
     /// Removes the record, recycling its slot under a bumped generation.
     pub fn remove(&mut self, id: JobId) -> Option<Job> {
         let slot = self.slots.get_mut(id.slot() as usize)?;
@@ -123,7 +103,6 @@ impl JobArena {
         let job = slot.job.take();
         slot.generation = slot.generation.wrapping_add(1);
         self.free.push(id.slot());
-        self.live -= 1;
         job
     }
 
@@ -150,7 +129,7 @@ impl IndexMut<JobId> for JobArena {
 }
 
 /// A side table keyed by [`JobId`], sized by what it holds: the
-/// [`JobArena`] addressing for state kept *beside* the job records (the
+/// job arena's addressing for state kept *beside* the job records (the
 /// scheduler's running keys and class splits, the `dmr-core` driver's
 /// per-job tables).
 ///
@@ -266,7 +245,6 @@ mod tests {
             name: format!("j{seq}").into(),
             state: JobState::Pending,
             requested_nodes: 1,
-            time_limit: None,
             expected_runtime: Span::from_secs(60),
             dependency: None,
             boosted: false,
@@ -288,8 +266,8 @@ mod tests {
             assert_eq!(id.generation(), 0);
             assert_eq!(a[*id].seq, i as u64);
         }
-        assert_eq!(a.len(), 10);
-        assert_eq!(a.capacity(), 10);
+        assert_eq!(a.iter().count(), 10);
+        assert_eq!(a.slots.len(), 10);
     }
 
     #[test]
@@ -304,7 +282,7 @@ mod tests {
         assert!(a.get(first).is_none());
         assert!(a.remove(first).is_none());
         assert_eq!(a[second].seq, 1);
-        assert_eq!(a.capacity(), 1, "table stays as dense as the live set");
+        assert_eq!(a.slots.len(), 1, "table stays as dense as the live set");
     }
 
     #[test]
@@ -322,8 +300,8 @@ mod tests {
                 let b = retired.insert_with(|id| record(id, 9));
                 assert_eq!(a, b);
             }
-            assert_eq!(literal.len(), retired.len());
-            assert_eq!(literal.capacity(), retired.capacity());
+            assert_eq!(literal.iter().count(), retired.iter().count());
+            assert_eq!(literal.slots.len(), retired.slots.len());
         }
         let a = literal.insert_with(|id| record(id, 10));
         let b = retired.insert_with(|id| record(id, 10));
@@ -337,7 +315,7 @@ mod tests {
         assert!(a.get(JobId(999)).is_none());
         assert!(a.remove(id).is_some());
         assert!(a.remove(id).is_none());
-        assert!(a.is_empty());
+        assert_eq!(a.iter().count(), 0);
     }
 
     #[test]

@@ -643,16 +643,21 @@ mod tests {
     use std::ops::Bound::{Excluded, Unbounded};
 
     /// A pending index over the jobs of an arena, kept as `Slurm` keeps
-    /// it (no record is removed, so the arena's length is the next seq).
+    /// it, and the number of jobs submitted (the next seq).
     struct Queue {
         jobs: JobArena,
         index: PendingIndex,
+        submitted: u64,
     }
 
     impl Default for Queue {
         fn default() -> Self {
             let (jobs, index) = (JobArena::default(), PendingIndex::new(4));
-            Queue { jobs, index }
+            Queue {
+                jobs,
+                index,
+                submitted: 0,
+            }
         }
     }
 
@@ -669,11 +674,11 @@ mod tests {
         }
 
         fn submit_needing(&mut self, at: u64, need: u32, estimate: Span) -> JobId {
-            let (seq, req) = (self.jobs.len() as u64, JobRequest::rigid("j", need));
+            let seq = self.submitted;
+            self.submitted += 1;
+            let req = JobRequest::rigid("j", need).with_expected_runtime(estimate);
             let at = SimTime::from_secs(at);
-            let id = self
-                .jobs
-                .insert_with(|id| Job::submitted(id, seq, req, estimate, at));
+            let id = self.jobs.insert_with(|id| Job::submitted(id, seq, req, at));
             self.index.insert(&self.jobs[id]);
             id
         }

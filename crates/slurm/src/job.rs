@@ -9,7 +9,7 @@ use dmr_sim::{SimTime, Span};
 /// instance.
 ///
 /// The raw value packs an arena address: the low 32 bits are the slot in
-/// the scheduler's [`crate::arena::JobArena`] and the high 32 bits a
+/// the scheduler's job arena and the high 32 bits a
 /// generation counter bumped each time the slot is recycled, so a stale
 /// id from a pruned job can never alias a live one. Ids are therefore
 /// *not* monotonic in submission order once slots recycle — ordering-
@@ -188,18 +188,18 @@ impl fmt::Display for JobName {
     }
 }
 
+/// The backfill estimate of a job submitted without one (the part a
+/// partition's `DefaultTime` plays in Slurm): ten minutes.
+pub const DEFAULT_EXPECTED_RUNTIME: Span = Span(600 * dmr_sim::time::MICROS_PER_SEC);
+
 /// Everything a submission provides (a condensed `sbatch`).
 #[derive(Clone, Debug)]
 pub struct JobRequest {
     pub name: JobName,
     /// Nodes requested at submission.
     pub nodes: u32,
-    /// Hard wall-clock limit; `None` disables enforcement (the paper's
-    /// malleable jobs deliberately over-run their fixed-size estimate when
-    /// shrunk, so limits stay advisory in the reproduction).
-    pub time_limit: Option<Span>,
-    /// Runtime estimate used for backfill reservations. Defaults to the
-    /// scheduler-wide default when `None`.
+    /// Runtime estimate used for backfill reservations.
+    /// [`DEFAULT_EXPECTED_RUNTIME`] when `None`.
     pub expected_runtime: Option<Span>,
     pub dependency: Option<Dependency>,
     /// Malleability envelope; `None` marks a rigid job.
@@ -216,7 +216,6 @@ impl JobRequest {
         JobRequest {
             name: name.into(),
             nodes,
-            time_limit: None,
             expected_runtime: None,
             dependency: None,
             resize: None,
@@ -262,7 +261,6 @@ pub struct Job {
     pub state: JobState,
     /// Current node request (updated by shrink/expand protocol steps).
     pub requested_nodes: u32,
-    pub time_limit: Option<Span>,
     /// Backfill estimate of the remaining-runtime-from-start.
     pub expected_runtime: Span,
     pub dependency: Option<Dependency>,
@@ -282,15 +280,9 @@ pub struct Job {
 
 impl Job {
     /// The record a submission of `req` at `now` opens: pending, not
-    /// boosted, never started. `default_runtime` stands in for a missing
-    /// runtime estimate.
-    pub fn submitted(
-        id: JobId,
-        seq: u64,
-        req: JobRequest,
-        default_runtime: Span,
-        now: SimTime,
-    ) -> Self {
+    /// boosted, never started. [`DEFAULT_EXPECTED_RUNTIME`] stands in for
+    /// a missing runtime estimate.
+    pub fn submitted(id: JobId, seq: u64, req: JobRequest, now: SimTime) -> Self {
         Job {
             id,
             seq,
@@ -298,8 +290,7 @@ impl Job {
             name: req.name,
             state: JobState::Pending,
             requested_nodes: req.nodes,
-            time_limit: req.time_limit,
-            expected_runtime: req.expected_runtime.unwrap_or(default_runtime),
+            expected_runtime: req.expected_runtime.unwrap_or(DEFAULT_EXPECTED_RUNTIME),
             dependency: req.dependency,
             boosted: false,
             resize: req.resize,
@@ -428,7 +419,6 @@ mod tests {
             name: "t".into(),
             state: JobState::Pending,
             requested_nodes: 4,
-            time_limit: None,
             expected_runtime: Span::from_secs(100),
             dependency: None,
             boosted: false,

@@ -10,8 +10,8 @@
 //!   then submission order: Slurm's `priority/multifactor` at the default
 //!   weights the paper runs (§VII-A), where age alone weighs in;
 //! * **backfill families** — the `sched/backfill` behaviour as a
-//!   selectable [`slotset::BackfillFamily`] over a slot-set free-resource
-//!   timeline ([`slotset::SlotSet`]): EASY-k (reservations for the first
+//!   selectable [`BackfillFamily`] over a slot-set free-resource
+//!   timeline (`slotset::SlotSet`): EASY-k (reservations for the first
 //!   `k` blocked jobs; `k = 1` is the paper's configuration) and
 //!   conservative (every blocked job planned)
 //!   ([`slurm::Slurm::backfill_pass`]);
@@ -31,12 +31,12 @@
 //! the caller, so the same scheduler drives the discrete-event simulations
 //! in `dmr-core` and the unit tests here.
 
-pub mod arena;
+pub(crate) mod arena;
 pub(crate) mod index;
 pub mod job;
 pub(crate) mod need;
 pub mod policy;
-pub mod slotset;
+pub(crate) mod slotset;
 pub mod slurm;
 
 pub use arena::JobMap;

@@ -328,9 +328,10 @@ pub(crate) mod tests {
     fn filings(needs: &[u32]) -> Vec<(u32, PendingKey, Span)> {
         let mut jobs = JobArena::default();
         let filing = |(seq, &need): (usize, &u32)| {
-            let (req, at) = (JobRequest::rigid("j", need), SimTime::from_secs(seq as u64));
             let estimate = Span::from_secs(u64::from(need.min(1 << 20)));
-            let id = jobs.insert_with(|id| Job::submitted(id, seq as u64, req, estimate, at));
+            let req = JobRequest::rigid("j", need).with_expected_runtime(estimate);
+            let at = SimTime::from_secs(seq as u64);
+            let id = jobs.insert_with(|id| Job::submitted(id, seq as u64, req, at));
             (need, PendingIndex::key(&jobs[id]), estimate)
         };
         needs.iter().enumerate().map(filing).collect()

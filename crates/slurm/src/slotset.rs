@@ -210,16 +210,6 @@ impl SlotSet {
         self.times[0]
     }
 
-    /// Number of slots (boundaries) currently held.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// `true` when the timeline holds only the horizon slot.
-    pub fn is_empty(&self) -> bool {
-        self.len() <= 1
-    }
-
     /// Index of the slot containing `t` (not before the horizon).
     fn slot_of(&self, t: SimTime) -> usize {
         self.times.partition_point(|&b| b <= t) - 1
@@ -608,7 +598,7 @@ mod tests {
                 }
                 tl.validate().unwrap();
                 assert_eq!(tl.horizon(), SimTime(model.horizon));
-                peak_len = peak_len.max(tl.len());
+                peak_len = peak_len.max(tl.times.len());
                 for probe in 0..8 {
                     let at = (model.horizon + probe * (range / 6 + 7)).saturating_sub(40);
                     assert_eq!(

@@ -902,7 +902,8 @@ mod tests {
         assert_eq!(s.schedule(t(50))[0].id, head);
         s.check_invariants().unwrap();
         assert_eq!(s.running_count(), 1);
-        assert!(s.timeline.borrow().is_empty());
+        let scratch = s.timeline.borrow();
+        assert_eq!(scratch.max_in(SimTime::ZERO, SimTime(u64::MAX)), 0);
     }
 
     #[test]

@@ -63,8 +63,8 @@ impl Slurm {
     }
 
     /// Kill-and-requeue after a node failure: the running victim is
-    /// cancelled — its nodes release through the drained-while-allocated
-    /// path, parking the failed node in the unavailable pool — and an
+    /// cancelled — its nodes release as any job's do, and the failed
+    /// node returns to the unavailable pool, not the free one — and an
     /// equivalent request is resubmitted at the victim's current size
     /// with a fresh `seq` and maximum priority. The boosted resubmission
     /// preserves `seq`-based ordering determinism while putting the
@@ -78,7 +78,6 @@ impl Slurm {
         let req = JobRequest {
             name: job.name.clone(),
             nodes: job.requested_nodes,
-            time_limit: job.time_limit,
             expected_runtime: Some(job.expected_runtime),
             dependency: None,
             resize: job.resize,

@@ -71,8 +71,7 @@ impl Slurm {
         let queued = pending.iter().map(|&id| &self.jobs[id]);
         self.pending_index
             .check_layout(queued.filter(|j| !j.is_resizer()))?;
-        // Failed-node accounting: a node that stopped accepting work
-        // while allocated (injected failure or administrative drain) may
+        // Failed-node accounting: a node that failed while allocated may
         // only be owned by a job the scheduler still considers running —
         // a kill that released the rest of an allocation but leaked the
         // down node would show up here.

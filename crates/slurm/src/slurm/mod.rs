@@ -29,7 +29,10 @@ use classes::{ClassSplit, ClassTimelines};
 use pass::IncrState;
 pub use pass::IncrementalStats;
 
-/// Scheduler-wide configuration.
+/// Scheduler-wide configuration: what the experiments and ablations
+/// vary. A job submitted without a runtime estimate gets
+/// [`crate::job::DEFAULT_EXPECTED_RUNTIME`]; how long a queued resizer
+/// may wait is the caller's timeout, not the scheduler's (§V-B1).
 #[derive(Clone, Copy, Debug)]
 pub struct SlurmConfig {
     /// Enable EASY backfill (the paper's `sched/backfill`); disabling it
@@ -47,11 +50,6 @@ pub struct SlurmConfig {
     /// pass. The EASY families ignore it: their planning depth is already
     /// bounded by `reservations`.
     pub bf_max_job_test: u32,
-    /// Backfill estimate for jobs that did not provide one.
-    pub default_expected_runtime: Span,
-    /// How long the runtime waits for a queued resizer job before aborting
-    /// the expansion (§V-B1).
-    pub resizer_timeout: Span,
     /// Grant maximum priority to the queued job a shrink benefits
     /// (Algorithm 1 line 18). Ablation knob; the paper always boosts.
     pub shrink_boost: bool,
@@ -78,8 +76,6 @@ impl SlurmConfig {
             backfill: true,
             backfill_family: BackfillFamily::default(),
             bf_max_job_test: 512,
-            default_expected_runtime: Span::from_secs(600),
-            resizer_timeout: Span::from_secs(30),
             shrink_boost: true,
             policy: PolicyKind::Algorithm1,
             retain_completed: true,
@@ -113,7 +109,7 @@ pub enum ExpandError {
     /// The resizer job could not start immediately; it stays pending with
     /// maximum priority. The caller should either wait for it to start (it
     /// will appear in a later [`Slurm::schedule`] result) or abort with
-    /// [`Slurm::abort_expand`] after [`SlurmConfig::resizer_timeout`].
+    /// [`Slurm::abort_expand`] after a timeout of its own (§V-B1).
     Queued {
         resizer: JobId,
     },
@@ -304,10 +300,9 @@ impl Slurm {
     pub fn submit(&mut self, req: JobRequest, now: SimTime) -> JobId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let default_runtime = self.config.default_expected_runtime;
         let id = self
             .jobs
-            .insert_with(|id| Job::submitted(id, seq, req, default_runtime, now));
+            .insert_with(|id| Job::submitted(id, seq, req, now));
         let job = &self.jobs[id];
         self.pending_index.insert(job);
         if let Some(Dependency::ExpandOf(parent)) = job.dependency {

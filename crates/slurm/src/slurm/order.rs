@@ -3,8 +3,6 @@
 //! the only copy of it: every pass walks it through the resumable cursor
 //! [`PendingIndex::step`](crate::index::PendingIndex::step).
 
-use std::sync::Arc;
-
 use dmr_sim::SimTime;
 
 use crate::job::JobId;
@@ -33,7 +31,7 @@ impl Slurm {
     /// pending index on every call: O(pending) and one allocation.
     /// The order does not depend on the clock: `_now` stays only for the
     /// callers that pass it.
-    pub fn pending_queue(&self, _now: SimTime) -> Arc<[JobId]> {
+    pub fn pending_queue(&self, _now: SimTime) -> Vec<JobId> {
         let queued = |id: &JobId| !self.jobs[*id].is_resizer();
         self.pending_index.ids().filter(queued).collect()
     }

@@ -70,7 +70,6 @@ impl Slurm {
         if self.config.retain_completed {
             // The record `submit` would have opened, as boost, the
             // start, the update to zero nodes and the cancel left it.
-            let default_runtime = self.config.default_expected_runtime;
             let req = resizer_request(id, delta, constraint);
             self.jobs.insert_with(|rj| Job {
                 state: JobState::Cancelled,
@@ -78,7 +77,7 @@ impl Slurm {
                 boosted: true,
                 start_time: Some(now),
                 end_time: Some(now),
-                ..Job::submitted(rj, seq, req, default_runtime, now)
+                ..Job::submitted(rj, seq, req, now)
             });
         } else {
             self.jobs.retire_next_id();
@@ -195,7 +194,6 @@ fn resizer_request(original: JobId, delta: u32, constraint: ClassConstraint) -> 
     JobRequest {
         name: JobName::Indexed("resizer-of", original.0),
         nodes: delta,
-        time_limit: None,
         expected_runtime: Some(Span::ZERO),
         dependency: Some(Dependency::ExpandOf(original)),
         resize: None,

@@ -1,11 +1,10 @@
-//! Workload generation: ties the size, runtime, arrival and repeat models
+//! Workload generation: ties the size, runtime and arrival models
 //! together and emits [`JobSpec`]s.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::arrival::ArrivalModel;
-use crate::repeat::RepeatModel;
 use crate::runtime::RuntimeModel;
 use crate::size::SizeModel;
 use crate::source::{collect_jobs, Feitelson};
@@ -92,8 +91,6 @@ pub struct WorkloadConfig {
     /// Distribution of a real application's *total* runtime at its submit
     /// size; the per-step time is derived from it.
     pub real_runtime_model: RuntimeModel,
-    /// Repeated-runs model; `None` disables repeats (every job unique).
-    pub repeats: Option<RepeatModel>,
 }
 
 impl WorkloadConfig {
@@ -111,7 +108,6 @@ impl WorkloadConfig {
             fs_data_bytes: 1 << 30,
             mix: vec![(AppClass::Fs, 1.0)],
             real_runtime_model: RuntimeModel::with_means(200.0, 800.0, 32),
-            repeats: None,
         }
     }
 
@@ -148,7 +144,6 @@ impl WorkloadConfig {
                 (AppClass::Nbody, 1.0),
             ],
             real_runtime_model: RuntimeModel::with_means(200.0, 800.0, 32),
-            repeats: None,
         }
     }
 
@@ -195,7 +190,7 @@ impl WorkloadConfig {
 ///
 /// [`WorkloadGenerator::next_body`] is the one copy of the model's draw
 /// sequence: application, flexibility, size and runtime of each job, then
-/// its repeat count, all from one RNG stream. The arrival process is drawn
+/// all from one RNG stream. The arrival process is drawn
 /// from the same stream *after* every body, so a job's arrival instant is
 /// known only once all bodies have been drawn; [`crate::source::Feitelson`]
 /// streams both with two cursors on that stream, and
@@ -208,9 +203,6 @@ pub struct WorkloadGenerator {
     arrival_model: ArrivalModel,
     /// Bodies handed out so far (the next body's index).
     emitted: u32,
-    /// Copies of `template` still to hand out before the next draw.
-    repeats_left: u32,
-    template: Option<JobSpec>,
 }
 
 impl WorkloadGenerator {
@@ -223,8 +215,6 @@ impl WorkloadGenerator {
             size_model,
             arrival_model,
             emitted: 0,
-            repeats_left: 0,
-            template: None,
         }
     }
 
@@ -251,26 +241,17 @@ impl WorkloadGenerator {
     }
 
     /// The next job body — everything but its arrival instant, which is
-    /// 0 — or `None` once `cfg.jobs` bodies were handed out. A repeat of
-    /// the previous body draws nothing.
+    /// 0 — or `None` once `cfg.jobs` bodies were handed out.
     pub fn next_body(&mut self) -> Option<JobSpec> {
         if self.emitted == self.cfg.jobs {
             return None;
         }
         let index = self.emitted;
         self.emitted += 1;
-        if self.repeats_left > 0 {
-            self.repeats_left -= 1;
-            let template = self.template.as_ref().expect("a repeat has a template");
-            return Some(JobSpec {
-                index,
-                ..template.clone()
-            });
-        }
         let app = self.pick_app();
         let flexible = self.rng.random::<f64>() < self.cfg.flexible_ratio;
         let (steps, malleability, data_bytes) = table1(app);
-        let job = match app {
+        Some(match app {
             AppClass::Fs => self
                 .cfg
                 .fs_body(&self.size_model, &mut self.rng, index, flexible),
@@ -296,12 +277,7 @@ impl WorkloadGenerator {
                     malleability,
                 }
             }
-        };
-        if let Some(rm) = &self.cfg.repeats {
-            self.repeats_left = rm.sample(&mut self.rng) - 1;
-            self.template = Some(job.clone());
-        }
-        Some(job)
+        })
     }
 
     /// Generates the full workload, sorted by arrival time: the
@@ -380,23 +356,6 @@ mod tests {
             .generate()
             .iter()
             .all(|j| !j.flexible));
-    }
-
-    #[test]
-    fn repeats_produce_identical_neighbours() {
-        let mut cfg = WorkloadConfig::fs_preliminary(200);
-        cfg.repeats = Some(RepeatModel::default());
-        let jobs = WorkloadGenerator::new(cfg, 13).generate();
-        assert_eq!(jobs.len(), 200);
-        // With repeats enabled, at least one adjacent pair shares a body.
-        let repeated = jobs
-            .windows(2)
-            .any(|w| w[0].submit_procs == w[1].submit_procs && w[0].step_s == w[1].step_s);
-        assert!(repeated);
-        // Indices must still be unique and ordered.
-        for (i, j) in jobs.iter().enumerate() {
-            assert_eq!(j.index, i as u32);
-        }
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //! * [`runtime::RuntimeModel`] — two-stage hyper-exponential runtimes whose
 //!   long-branch probability grows with job size (bigger jobs run longer).
 //! * [`arrival::ArrivalModel`] — Poisson arrival process.
-//! * [`repeat::RepeatModel`] — repeated runs of the same job (Zipf-like),
-//!   another feature of the Feitelson model the paper cites.
 //! * [`generator::WorkloadGenerator`] — puts it together and emits
 //!   [`spec::JobSpec`]s, including the app class mix and flexible-job ratio
 //!   used in §VIII-D and §IX.
@@ -34,7 +32,6 @@
 
 pub mod arrival;
 pub mod generator;
-pub mod repeat;
 pub mod runtime;
 pub mod size;
 pub mod source;
@@ -44,7 +41,6 @@ mod synthetic;
 
 pub use arrival::ArrivalModel;
 pub use generator::{WorkloadConfig, WorkloadGenerator};
-pub use repeat::RepeatModel;
 pub use runtime::RuntimeModel;
 pub use size::SizeModel;
 pub use source::{Capped, Feitelson, GpuShare, WorkloadKind, WorkloadSource};

@@ -48,8 +48,8 @@ impl WorkloadSource for std::slice::Iter<'_, JobSpec> {
 /// all from one RNG stream. It streams that sequence in O(1) memory with
 /// two cursors on the stream. Bodies are drawn on demand from the
 /// generator ([`WorkloadGenerator::next_body`]); arrivals come from a
-/// clone of it that construction advanced past every body draw, repeats
-/// included, so the gaps start where the last body left the stream. The
+/// clone of it that construction advanced past every body draw, so the
+/// gaps start where the last body left the stream. The
 /// price is one dry run of the body draws when the source is built; no
 /// job is kept. Like the adversarial synthetics ([`WorkloadKind::Burst`],
 /// [`WorkloadKind::Diurnal`]) and trace replay
@@ -436,9 +436,8 @@ mod tests {
         (jobs, digest)
     }
 
-    /// Every preset, without and with repeats, at 0, 1 and 2 000 jobs and
-    /// three seeds: one digest per preset and repeat setting, folding the
-    /// nine streams' lengths and digests. Recorded on the materializing
+    /// Every preset at 0, 1 and 2 000 jobs and three seeds: one digest
+    /// per preset, folding the nine streams' lengths and digests. Recorded on the materializing
     /// generator this source replaced.
     #[test]
     fn feitelson_streams_are_pinned_bit_for_bit() {
@@ -449,31 +448,22 @@ mod tests {
         ];
         let mut got = Vec::new();
         for preset in presets {
-            for repeats in [None, Some(crate::RepeatModel::default())] {
-                let mut fold = 0u64;
-                for jobs in [0, 1, 2_000] {
-                    for seed in [0, 7, 20170814] {
-                        let cfg = WorkloadConfig {
-                            repeats,
-                            ..preset(jobs)
-                        };
-                        let (len, digest) = stream_digest(&mut Feitelson::new(cfg, seed));
-                        assert_eq!(len, jobs as usize);
-                        fold = fold.rotate_left(7) ^ digest;
-                    }
+            let mut fold = 0u64;
+            for jobs in [0, 1, 2_000] {
+                for seed in [0, 7, 20170814] {
+                    let (len, digest) = stream_digest(&mut Feitelson::new(preset(jobs), seed));
+                    assert_eq!(len, jobs as usize);
+                    fold = fold.rotate_left(7) ^ digest;
                 }
-                got.push(fold);
             }
+            got.push(fold);
         }
         assert_eq!(
             got,
             [
                 13443412962149739919,
-                696328871456332220,
                 498470219619657213,
-                15733858508240645321,
                 1690963899944882455,
-                5357167369364832202,
             ]
         );
     }

@@ -8,11 +8,14 @@
 //! requested) processors → submitted size, requested time → walltime.
 //!
 //! SWF jobs are rigid — the trace says nothing about malleability — so
-//! [`SwfMapping`] decides how replayed jobs enter the flexible world: an
-//! app class (scalability model), a deterministic flexible fraction, and
-//! a malleability envelope derived from each job's submitted size
-//! (`min = procs / min_div`, `max = procs · max_mul`). The parser
-//! streams line by line: arbitrarily long traces replay in O(1) memory.
+//! every replayed job enters the flexible world the same way: the FS
+//! application class (scalability model), at most [`MAX_STEPS`]
+//! reconfiguring points, [`DATA_BYTES`] redistributed per resize, and
+//! the envelope `[max(1, procs / 4), 2 · procs]` around its submitted
+//! size. Arrivals are rebased so the first accepted job arrives at
+//! t = 0 (traces often start at a large epoch offset). [`SwfMapping`]
+//! picks only which jobs are flexible. The parser streams line by line:
+//! arbitrarily long traces replay in O(1) memory.
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Cursor};
@@ -26,47 +29,29 @@ use crate::spec::{AppClass, JobSpec, MalleabilitySpec};
 /// submit time below 2^63 µs (about 292 000 years).
 const MAX_TIME_S: f64 = (1u64 << 63) as f64 / 1e6;
 
-/// How trace jobs are translated into the malleable world.
+/// The most reconfiguring points a replayed job gets: a job runs
+/// `min(MAX_STEPS, ceil(runtime_s))` steps (at least one), so its checks
+/// never outnumber its seconds. Table I's 25 FS iterations.
+pub const MAX_STEPS: u32 = 25;
+
+/// Bytes a replayed job redistributes on each reconfiguration: the 1 GB
+/// of the §VIII FS jobs.
+pub const DATA_BYTES: u64 = 1 << 30;
+
+/// Which replayed jobs are flexible; everything else about a replayed
+/// job is fixed (see the module docs).
 #[derive(Clone, Copy, Debug)]
 pub struct SwfMapping {
     /// Fraction of replayed jobs marked flexible (deterministic
     /// round-robin assignment, not sampled).
     pub flexible_ratio: f64,
-    /// Application class (scalability model) assigned to every job.
-    pub app: AppClass,
-    /// Upper bound on the iterative structure: a job gets
-    /// `min(max_steps, ceil(runtime_s))` steps (at least one), so
-    /// reconfiguring points never outnumber the job's seconds.
-    pub max_steps: u32,
-    /// Envelope minimum as a divisor of the submitted size
-    /// (`min = max(1, procs / min_div)`).
-    pub min_div: u32,
-    /// Envelope maximum as a multiple of the submitted size
-    /// (`max = procs · max_mul`, clamped to [`SwfMapping::max_procs`]).
-    pub max_mul: u32,
-    /// Hard cap on job sizes (partition limit); `None` replays sizes
-    /// verbatim.
-    pub max_procs: Option<u32>,
-    /// Bytes redistributed on each reconfiguration.
-    pub data_bytes: u64,
-    /// Rebase arrivals so the first replayed job arrives at t = 0
-    /// (traces often start at a large epoch offset).
-    pub normalize_arrivals: bool,
 }
 
 impl Default for SwfMapping {
-    /// All-flexible FS-class replay: 25-step jobs, envelope `[procs/4,
-    /// 2·procs]`, 1 GB redistributed, arrivals rebased to zero.
+    /// All jobs flexible.
     fn default() -> Self {
         SwfMapping {
             flexible_ratio: 1.0,
-            app: AppClass::Fs,
-            max_steps: 25,
-            min_div: 4,
-            max_mul: 2,
-            max_procs: None,
-            data_bytes: 1 << 30,
-            normalize_arrivals: true,
         }
     }
 }
@@ -89,14 +74,9 @@ pub struct SwfTrace<R> {
 impl SwfTrace<BufReader<File>> {
     /// Opens a trace file with the default [`SwfMapping`].
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_with(path, SwfMapping::default())
-    }
-
-    /// Opens a trace file with an explicit mapping.
-    pub fn open_with(path: impl AsRef<Path>, mapping: SwfMapping) -> io::Result<Self> {
         Ok(Self::from_reader(
             BufReader::new(File::open(path)?),
-            mapping,
+            SwfMapping::default(),
         ))
     }
 }
@@ -167,19 +147,11 @@ impl<R: BufRead> SwfTrace<R> {
     }
 
     /// Maps one accepted record onto the next [`JobSpec`].
-    fn emit(&mut self, (submit, runtime, raw_procs, walltime): (f64, f64, u32, f64)) -> JobSpec {
-        let m = &self.mapping;
-        let cap = m.max_procs.unwrap_or(u32::MAX).max(1);
-        let procs = raw_procs.min(cap);
+    fn emit(&mut self, (submit, runtime, procs, walltime): (f64, f64, u32, f64)) -> JobSpec {
         let base = *self.first_submit.get_or_insert(submit);
-        let raw_arrival = if m.normalize_arrivals {
-            (submit - base).max(0.0)
-        } else {
-            submit
-        };
-        let arrival_s = raw_arrival.max(self.last_arrival);
+        let arrival_s = (submit - base).max(0.0).max(self.last_arrival);
         self.last_arrival = arrival_s;
-        let steps = m.max_steps.min(runtime.ceil() as u32).max(1);
+        let steps = MAX_STEPS.min(runtime.ceil() as u32).max(1);
         let job = JobSpec {
             index: self.emitted,
             arrival_s,
@@ -187,13 +159,13 @@ impl<R: BufRead> SwfTrace<R> {
             steps,
             step_s: runtime / steps as f64,
             walltime_s: walltime.max(runtime),
-            data_bytes: m.data_bytes,
-            app: m.app,
-            flexible: ratio_slot(self.emitted, m.flexible_ratio),
+            data_bytes: DATA_BYTES,
+            app: AppClass::Fs,
+            flexible: ratio_slot(self.emitted, self.mapping.flexible_ratio),
             gpu: false,
             malleability: MalleabilitySpec {
-                min_procs: (procs / m.min_div.max(1)).max(1),
-                max_procs: procs.saturating_mul(m.max_mul.max(1)).min(cap).max(procs),
+                min_procs: (procs / 4).max(1),
+                max_procs: procs.saturating_mul(2),
                 preferred: None,
                 factor: 2,
                 sched_period_s: None,
@@ -374,14 +346,11 @@ x 40 y 50 2 z w 2 100 v
             ("hostile lines", HOSTILE.as_bytes()),
             ("read error mid-stream", &invalid_utf8),
         ];
-        let capped = SwfMapping {
+        let half = SwfMapping {
             flexible_ratio: 0.5,
-            max_procs: Some(4),
-            normalize_arrivals: false,
-            ..SwfMapping::default()
         };
         for (what, trace) in traces {
-            for mapping in [SwfMapping::default(), capped] {
+            for mapping in [SwfMapping::default(), half] {
                 let (want, want_skipped) = reference(trace, mapping);
                 let mut src = SwfTrace::from_reader(trace, mapping);
                 let got = collect_jobs(&mut src);
@@ -390,11 +359,11 @@ x 40 y 50 2 z w 2 100 v
             }
         }
         // The cases above did exercise both verdicts.
-        assert_eq!(reference(HOSTILE.as_bytes(), capped).0.len(), 5);
-        assert_eq!(reference(HOSTILE.as_bytes(), capped).1, 20);
+        assert_eq!(reference(HOSTILE.as_bytes(), half).0.len(), 5);
+        assert_eq!(reference(HOSTILE.as_bytes(), half).1, 20);
         // The undecodable line ends the stream: SAMPLE's three jobs and
         // two skips, one more skip, and job 6 never replayed.
-        let (jobs, skipped) = reference(&invalid_utf8, capped);
+        let (jobs, skipped) = reference(&invalid_utf8, half);
         assert_eq!((jobs.len(), skipped), (3, 3));
     }
 
@@ -438,49 +407,35 @@ x 40 y 50 2 z w 2 100 v
     }
 
     #[test]
-    fn envelope_mapping_follows_the_configured_ratios() {
-        let mapping = SwfMapping {
-            min_div: 2,
-            max_mul: 4,
-            max_procs: Some(16),
-            ..SwfMapping::default()
-        };
-        let jobs = collect_jobs(&mut SwfTrace::from_static(SAMPLE, mapping));
-        let j = &jobs[0]; // 4 procs
-        assert_eq!(j.malleability.min_procs, 2);
-        assert_eq!(j.malleability.max_procs, 16);
-        let j = &jobs[2]; // 1 proc
-        assert_eq!(j.malleability.min_procs, 1);
-        assert_eq!(j.malleability.max_procs, 4);
+    fn envelope_is_a_quarter_to_twice_the_submitted_size() {
+        let jobs = collect_jobs(&mut SwfTrace::from_static(SAMPLE, SwfMapping::default()));
+        let envelope = |j: &JobSpec| (j.malleability.min_procs, j.malleability.max_procs);
+        assert_eq!(envelope(&jobs[0]), (1, 8)); // 4 procs
+        assert_eq!(envelope(&jobs[1]), (2, 16)); // 8 procs
+        assert_eq!(envelope(&jobs[2]), (1, 2)); // 1 proc
+        assert!(jobs
+            .iter()
+            .all(|j| j.app == AppClass::Fs && j.data_bytes == DATA_BYTES));
     }
 
     #[test]
     fn flexible_fraction_is_deterministic() {
         let mapping = SwfMapping {
             flexible_ratio: 0.5,
-            ..SwfMapping::default()
         };
         let jobs = collect_jobs(&mut SwfTrace::from_static(SAMPLE, mapping));
         let flex: Vec<bool> = jobs.iter().map(|j| j.flexible).collect();
         assert_eq!(flex, vec![false, true, false]);
     }
 
-    #[test]
-    fn max_procs_caps_the_submitted_size() {
-        let mapping = SwfMapping {
-            max_procs: Some(2),
-            ..SwfMapping::default()
-        };
-        let jobs = collect_jobs(&mut SwfTrace::from_static(SAMPLE, mapping));
-        assert!(jobs.iter().all(|j| j.submit_procs <= 2));
-        assert!(jobs.iter().all(|j| j.malleability.max_procs <= 2));
-    }
-
     /// One mutation of a valid record line, drawn by `rng`: a truncated
     /// line, a field dropped or duplicated, an out-of-order submit, a
     /// size past `u32` or past a 16-node machine, or a time at or about
-    /// 2^63 µs in the submit, run or requested-time field.
-    fn mutate(line: &str, rng: &mut rand::rngs::StdRng) -> String {
+    /// 2^63 µs in the submit, run or requested-time field. The flag says
+    /// whether the line must be rejected: an allocated size past `u32`
+    /// (a positive allocation is always the size taken), or a time at or
+    /// past 2^63 µs.
+    fn mutate(line: &str, rng: &mut rand::rngs::StdRng) -> (String, bool) {
         use rand::RngExt;
         let mut f: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
         let mut pick = |n: u64| rng.random_range(0..n) as usize;
@@ -490,46 +445,54 @@ x 40 y 50 2 z w 2 100 v
             "9.3e12",
             "9223372036854",
         ];
+        let mut rejected = false;
         match pick(7) {
-            0 => return line[..pick(line.len() as u64 + 1)].to_owned(),
+            0 => return (line[..pick(line.len() as u64 + 1)].to_owned(), false),
             1 => drop(f.remove(pick(f.len() as u64))),
             2 => {
                 let at = pick(f.len() as u64);
                 f.insert(at, f[at].clone());
             }
             3 => f[1] = pick(100).to_string(),
-            4 => f[[4, 7][pick(2)]] = (u32::MAX as u64 + 1 + pick(1 << 40) as u64).to_string(),
+            4 => {
+                let size = (u32::MAX as u64 + 1 + pick(1 << 40) as u64).to_string();
+                let field = [4, 7][pick(2)];
+                f[field] = size;
+                rejected = field == 4;
+            }
             5 => f[[4, 7][pick(2)]] = (17 + pick(100_000)).to_string(),
-            _ => f[[1, 3, 8][pick(3)]] = edge[pick(4)].to_owned(),
+            _ => {
+                let time = pick(4);
+                f[[1, 3, 8][pick(3)]] = edge[time].to_owned();
+                rejected = time == 0 || time == 2;
+            }
         }
-        f.join(" ")
+        (f.join(" "), rejected)
     }
 
     /// Seeded mutations of a valid trace, fed to the parser as they
     /// come: no panic, every record either emitted or counted in
-    /// `skipped_lines`, and every emitted job finite, in arrival order,
-    /// its times under 2^63 µs and its sizes within the mapping's cap.
+    /// `skipped_lines`, every line that must be rejected among the
+    /// skipped, and every emitted job finite, in arrival order, its times
+    /// under 2^63 µs and its envelope `[procs / 4, 2 · procs]`.
     #[test]
     fn generated_malformed_traces_parse_within_the_documented_bounds() {
         use rand::{RngExt, SeedableRng};
         let valid = include_str!("../../../tests/fixtures/tiny.swf");
-        let capped = SwfMapping {
-            max_procs: Some(16),
-            ..SwfMapping::default()
+        let half = SwfMapping {
+            flexible_ratio: 0.5,
         };
-        let raw = SwfMapping {
-            normalize_arrivals: false,
-            ..capped
-        };
-        let (mut emitted, mut skipped) = (0, 0);
+        let (mut emitted, mut skipped, mut hostile) = (0, 0, 0);
         for seed in 0..200 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut trace = String::new();
-            let mut records = 0;
+            let (mut records, mut rejected) = (0, 0);
             for line in valid.lines().cycle().take(60) {
                 let record = !line.starts_with(';') && !line.trim().is_empty();
                 let line = if record && rng.random_range(0..3) == 0 {
-                    mutate(line, &mut rng)
+                    let (line, must_reject) = mutate(line, &mut rng);
+                    rejected += usize::from(must_reject);
+                    line
                 } else {
                     line.to_owned()
                 };
@@ -538,12 +501,13 @@ x 40 y 50 2 z w 2 100 v
                 trace.push_str(&line);
                 trace.push('\n');
             }
-            for mapping in [SwfMapping::default(), capped, raw] {
+            hostile += rejected;
+            for mapping in [SwfMapping::default(), half] {
                 let mut src = SwfTrace::from_reader(trace.as_bytes(), mapping);
                 let jobs = collect_jobs(&mut src);
                 let at = format!("seed {seed} {mapping:?}");
                 assert_eq!(jobs.len() + src.skipped_lines() as usize, records, "{at}");
-                let cap = mapping.max_procs.unwrap_or(u32::MAX);
+                assert!(src.skipped_lines() as usize >= rejected, "{at}");
                 let mut last = 0.0;
                 for (i, j) in jobs.iter().enumerate() {
                     let runtime = j.step_s * f64::from(j.steps);
@@ -563,14 +527,8 @@ x 40 y 50 2 z w 2 100 v
                     );
                     assert!(j.walltime_s < MAX_TIME_S, "{at}: {j:?}");
                     let m = j.malleability;
-                    assert!(
-                        1 <= m.min_procs && m.min_procs <= j.submit_procs,
-                        "{at}: {j:?}"
-                    );
-                    assert!(
-                        j.submit_procs <= m.max_procs && m.max_procs <= cap,
-                        "{at}: {j:?}"
-                    );
+                    assert_eq!(m.min_procs, (j.submit_procs / 4).max(1), "{at}: {j:?}");
+                    assert_eq!(m.max_procs, j.submit_procs.saturating_mul(2), "{at}: {j:?}");
                     assert_eq!(j.index as usize, i);
                     last = j.arrival_s;
                 }
@@ -578,10 +536,11 @@ x 40 y 50 2 z w 2 100 v
                 skipped += src.skipped_lines();
             }
         }
-        // Both verdicts were exercised, many times over.
+        // Both verdicts were exercised, many times over, and so were the
+        // sizes and times that must be rejected.
         assert!(
-            emitted > 10_000 && skipped > 1_000,
-            "{emitted} emitted, {skipped} skipped"
+            emitted > 10_000 && skipped > 1_000 && hostile > 100,
+            "{emitted} emitted, {skipped} skipped, {hostile} must-reject lines"
         );
     }
 }

@@ -22,12 +22,11 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use dmr_core::DmrError;
 use dmr_metrics::LogHistogram;
 use dmr_runtime::dmr::{DmrAction, DmrSpec};
 use dmr_runtime::rms::RmsClient;
 use dmr_sim::{SimTime, Span};
-use dmr_slurm::{JobId, ResizeAction, Slurm};
+use dmr_slurm::{ExpandError, JobId, ResizeAction, Slurm};
 
 /// A live RMS connection for one job.
 pub struct SlurmRms {
@@ -79,21 +78,16 @@ impl RmsClient for SlurmRms {
         let verdict = match slurm.decide_resize(self.job, now) {
             ResizeAction::NoAction => DmrAction::NoAction,
             ResizeAction::Expand { to } => {
-                match slurm
-                    .expand_protocol(self.job, to, now)
-                    .map_err(DmrError::from)
-                {
+                match slurm.expand_protocol(self.job, to, now) {
                     Ok(_) => DmrAction::Expand { to },
-                    Err(e) => {
-                        // Deferral means the resizer job is queued: abort
-                        // it, as the synchronous path does (§V-B1's
-                        // zero-wait degenerate). Everything else is a
-                        // plain refusal.
-                        if let Some(resizer) = e.queued_resizer() {
-                            slurm.abort_expand(resizer, now);
-                        }
+                    // Deferral means the resizer job is queued: abort it,
+                    // as the synchronous path does (§V-B1's zero-wait
+                    // degenerate). Everything else is a plain refusal.
+                    Err(ExpandError::Queued { resizer }) => {
+                        slurm.abort_expand(resizer, now);
                         DmrAction::NoAction
                     }
+                    Err(_) => DmrAction::NoAction,
                 }
             }
             ResizeAction::Shrink { to, .. } => {

@@ -6,12 +6,11 @@
 //! holds that bookkeeping against ground truth: the per-class free-set
 //! allocator must agree with a brute-force model (exact node ids, every
 //! per-class free, off and usable count) under randomized allocate /
-//! release / power / fail / repair / drain sequences that cross class
+//! release / power / fail / repair sequences that cross class
 //! boundaries; [`ClassConstraint::Any`] on a uniform cluster must pick
 //! exactly the nodes the unconstrained entry point picks; powered-down
 //! nodes are never free and never owned, and come back when woken; and
-//! the busy / off counts follow every state change, administrative
-//! overrides included.
+//! the busy / off counts follow every state change.
 
 use dmr::cluster::{
     ClassConstraint, ClassTable, Cluster, FailOutcome, MachineClass, NodeId, NodeState,
@@ -60,7 +59,7 @@ impl ModelCluster {
     }
 
     /// The eligible classes' size less their unowned nodes that accept
-    /// no work (drained, down, off).
+    /// no work (down, off).
     fn usable_in(&self, table: &ClassTable, constraint: ClassConstraint) -> u32 {
         let unavailable = |n: &usize| self.owner[*n].is_none() && self.state[*n] != NodeState::Up;
         let eligible = self.eligible(table, constraint);
@@ -188,8 +187,7 @@ fn constraint_for(sel: u8) -> ClassConstraint {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-    /// Randomized allocate / release / power / fail / repair / drain
-    /// sequences over a three-class machine: the per-class free-set
+    /// Randomized allocate / release / power / fail / repair sequences over a three-class machine: the per-class free-set
     /// cluster must agree with the brute-force model on every
     /// allocation, tail release and power-down (the exact node ids, read
     /// through `nodes_of`, not just the count), on every fault outcome,
@@ -201,7 +199,7 @@ proptest! {
         standard in 1u32..12,
         big in 1u32..8,
         gpu in 1u32..6,
-        ops in proptest::collection::vec((0u8..8, 0u8..16, 1u32..10), 1..40),
+        ops in proptest::collection::vec((0u8..7, 0u8..16, 1u32..10), 1..40),
     ) {
         let table = three_class_table(standard, big, gpu);
         let mut cluster = Cluster::with_classes(table.clone());
@@ -267,15 +265,10 @@ proptest! {
                     let i = node as usize;
                     match op {
                         5 => prop_assert_eq!(cluster.fail_node(NodeId(node)), model.fail_node(i)),
-                        6 => prop_assert_eq!(
+                        _ => prop_assert_eq!(
                             cluster.repair_node(NodeId(node)),
                             model.repair_node(i)
                         ),
-                        _ => {
-                            let state = if n % 2 == 1 { NodeState::Drained } else { NodeState::Up };
-                            cluster.set_state(NodeId(node), state);
-                            model.state[i] = state;
-                        }
                     }
                 }
             }
@@ -349,8 +342,8 @@ proptest! {
     }
 }
 
-/// `set_state` keeps the per-class busy / off counts the power meter
-/// samples in sync with the ground truth.
+/// Allocation, power and fault changes keep the per-class busy / off
+/// counts the power meter samples in sync with the ground truth.
 #[test]
 fn busy_and_off_tallies_follow_state_changes() {
     let mut cluster = Cluster::with_classes(three_class_table(4, 2, 2));
@@ -371,17 +364,18 @@ fn busy_and_off_tallies_follow_state_changes() {
     assert_eq!(downed, 1);
     assert_eq!(cluster.off_counts().sum::<u32>(), downed);
     cluster.check_invariants().unwrap();
-    // An administrative override pulls a powered-down node straight out
-    // of the off pool; draining a free node removes it from placement
-    // without touching the off tallies.
+    // A powered-down node cannot fail; waking pulls it out of the off
+    // pool, and the power meter sees that. Failing a free node removes
+    // it from placement without touching the off tallies.
     let off_node = NodeId(7);
     assert_eq!(cluster.table().class_of_node(off_node), 2);
+    assert_eq!(cluster.fail_node(off_node), FailOutcome::Skipped);
     let changes = cluster.tally_changes();
-    cluster.set_state(off_node, NodeState::Up);
+    assert_eq!(cluster.wake_all(), 1);
     assert_eq!(
         cluster.off_counts().nth(2),
         Some(0),
-        "override leaves the off pool"
+        "waking leaves the off pool"
     );
     assert_ne!(
         cluster.tally_changes(),
@@ -389,11 +383,10 @@ fn busy_and_off_tallies_follow_state_changes() {
         "the power meter must see it"
     );
     cluster.check_invariants().unwrap();
-    cluster.wake_all();
     let _ = cluster.release_all(2);
     let before_off: u32 = cluster.off_counts().sum();
-    cluster.set_state(NodeId(0), NodeState::Drained);
+    assert_eq!(cluster.fail_node(NodeId(0)), FailOutcome::Idle);
     assert_eq!(cluster.off_counts().sum::<u32>(), before_off);
-    cluster.set_state(NodeId(0), NodeState::Up);
+    assert!(cluster.repair_node(NodeId(0)));
     cluster.check_invariants().unwrap();
 }

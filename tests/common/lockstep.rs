@@ -282,8 +282,7 @@ impl Lockstep {
             Op::At(t) => self.now = t,
             Op::Submit(ref req) => {
                 let id = slurm.submit(req.clone(), now);
-                let runtime = slurm.config.default_expected_runtime;
-                let job = model.submit(Job::submitted(id, 0, req.clone(), runtime, now));
+                let job = model.submit(Job::submitted(id, 0, req.clone(), now));
                 self.ids.push(Some(id));
                 return Ok(Outcome::Job(job));
             }

@@ -510,7 +510,6 @@ impl Model {
         let delta = to - current;
         let b = self.resubmit(job, now, |b| {
             b.requested_nodes = delta;
-            b.time_limit = None;
             b.expected_runtime = Span::ZERO;
             b.resize = None;
         });

@@ -128,12 +128,14 @@ const LOCKSTEP_CALM: (u64, u32, u64, u64, u64) = (
     4609844850072326857,
     17214997311278668430,
 );
-const LOCKSTEP_HARSH: (u64, u32, u64, u64, u64) = (
-    18059,
-    13,
-    4674415293753880182,
-    4659183853417014283,
-    1301103906732110954,
+/// Recorded when the scripted kills below replaced a harsh faultload
+/// under a 2.5 s check pause. Re-record as above.
+const LOCKSTEP_KILLED: (u64, u32, u64, u64, u64) = (
+    117,
+    3,
+    4639960979015800925,
+    4617542587343750719,
+    15159735319375479267,
 );
 
 #[test]
@@ -149,20 +151,41 @@ fn relayed_check_pauses_keep_the_lockstep_order() {
     assert_eq!(pin(&r.0, &r.1), LOCKSTEP_CALM);
 }
 
-/// The same jobs running for hours under the harsh faultload, with a
-/// check pause long enough (a fifth of a step) for failures to land in
-/// it: with this fault seed three jobs are killed and requeued, two of
-/// them during a check pause — their relayed `SegmentDone` is cancelled
-/// before its relay — and one mid-segment, after it.
+/// The same jobs with two scripted node failures. `ja` and `jb` start
+/// at 0 on the empty machine, on the lowest ids (`ja` nodes 0-3, `jb`
+/// 4-7), and meet their first check at 10 s with nothing queued and no
+/// node free, so each continues with its next segment relayed behind the
+/// check pause. Node 0 fails inside `ja`'s pause: its relayed
+/// `SegmentDone` is cancelled before its relay. Node 4 fails while `jb`
+/// computes that next segment: its `SegmentDone` is cancelled after the
+/// relay. Both nodes are repaired later; both jobs are requeued and
+/// finish.
 #[test]
 fn node_failures_cancel_relayed_segments_on_both_sides_of_the_relay() {
-    let mut cfg = ExperimentConfig::preliminary()
-        .with_faults(dmr::core::FaultLoad::Harsh)
-        .with_fault_seed(8);
-    cfg.check_overhead_s = 2.5;
-    let r = run(&cfg, &mut lockstep_jobs(1500).iter());
-    assert_eq!((r.0.summary.jobs, r.0.summary.requeues), (8, 3));
-    assert_eq!(pin(&r.0, &r.1), LOCKSTEP_HARSH);
+    use dmr::core::config::CHECK_OVERHEAD_S;
+    use dmr::core::{FaultTrace, Simulation};
+    let jobs = lockstep_jobs(12);
+    // The first check comes one step in.
+    let check = jobs[0].step_s;
+    let in_pause = check + CHECK_OVERHEAD_S / 2.0;
+    let mid_segment = check + CHECK_OVERHEAD_S + check / 2.0;
+    let calm = run(&ExperimentConfig::preliminary(), &mut jobs.iter());
+    assert_eq!((calm.1[0].start, calm.1[1].start), (0.0, 0.0));
+    let script = format!("{in_pause} fail 0\n{mid_segment} fail 4\n100 repair 0\n100 repair 4\n");
+    let trace = FaultTrace::parse(&script).expect("a well-formed script");
+    let mut rec = dmr::metrics::SeriesRecorder::new();
+    let r = Simulation::new(&ExperimentConfig::preliminary())
+        .source(&mut jobs.iter())
+        .faults(trace)
+        .sink(&mut rec)
+        .run()
+        .expect("a valid configuration");
+    let outcomes = rec.into_parts().3;
+    let s = &r.summary;
+    assert_eq!((s.jobs, s.failures, s.requeues), (8, 2, 2));
+    // Each victim restarted after its kill.
+    assert!(outcomes[0].start >= in_pause && outcomes[1].start >= mid_segment);
+    assert_eq!(pin(&r, &outcomes), LOCKSTEP_KILLED);
 }
 
 /// The benchmark's `trace_mixed` configuration on a 32-node machine:

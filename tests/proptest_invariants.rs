@@ -204,7 +204,6 @@ mod immediate_expansion {
             JobRequest {
                 name: format!("resizer-of-{id}").into(),
                 nodes: delta,
-                time_limit: None,
                 expected_runtime: Some(Span::ZERO),
                 dependency: Some(Dependency::ExpandOf(id)),
                 resize: None,

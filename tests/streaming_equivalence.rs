@@ -8,6 +8,7 @@
 use dmr::core::{ExperimentConfig, PolicyKind, Simulation, WorkloadKind};
 use dmr::metrics::{MetricsSink, OnlineAccumulator, SeriesRecorder, WorkloadSummary};
 use dmr::sim::SimTime;
+use dmr::workload::source::collect_jobs;
 use dmr::workload::{SwfMapping, SwfTrace, WorkloadSource};
 
 fn assert_summaries_identical(
@@ -88,17 +89,16 @@ fn online_summaries_match_buffered_across_sources_and_modes() {
 
 #[test]
 fn online_summaries_match_buffered_on_offset_trace_replay() {
-    // An SWF replay with arrivals NOT rebased to zero: the first job
-    // submits at its raw trace offset, exercising the corrected
-    // `[first_submit, last_end]` accounting window on both paths.
+    // An SWF replay whose first job arrives an hour after t = 0,
+    // exercising the `[first_submit, last_end]` accounting window on
+    // both paths.
     const TRACE: &str = include_str!("fixtures/tiny.swf");
-    let mapping = SwfMapping {
-        normalize_arrivals: false,
-        ..SwfMapping::default()
-    };
+    let mut specs = collect_jobs(&mut SwfTrace::from_static(TRACE, SwfMapping::default()));
+    for spec in &mut specs {
+        spec.arrival_s += 3600.0;
+    }
     let cfg = ExperimentConfig::preliminary();
-    let mut trace = SwfTrace::from_static(TRACE, mapping);
-    assert_summaries_identical("swf-offset", &cfg, &mut trace);
+    assert_summaries_identical("swf-offset", &cfg, &mut specs.iter());
 }
 
 #[test]
