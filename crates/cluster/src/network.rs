@@ -2,9 +2,8 @@
 //!
 //! Calibrated to InfiniBand FDR10 as in the paper's testbed: ~1.5 µs MPI
 //! latency, ~5 GB/s effective per-node injection bandwidth. The model
-//! charges time for three reconfiguration-related operations:
+//! charges time for two reconfiguration-related operations:
 //!
-//! * point-to-point transfers,
 //! * block redistribution of a dataset between an old and a new process set
 //!   (the runtime-managed data movement of the DMR approach), and
 //! * `MPI_Comm_spawn` process launch.
@@ -26,12 +25,6 @@ pub struct NetworkModel {
     pub spawn_per_proc_s: f64,
 }
 
-impl Default for NetworkModel {
-    fn default() -> Self {
-        NetworkModel::fdr10()
-    }
-}
-
 impl NetworkModel {
     /// InfiniBand FDR10 (the paper's fabric): 40 Gb/s signalling, ~5 GB/s
     /// usable per node, microsecond-scale latency.
@@ -42,11 +35,6 @@ impl NetworkModel {
             spawn_base_s: 0.3,
             spawn_per_proc_s: 0.002,
         }
-    }
-
-    /// Time to move `bytes` point-to-point between two nodes.
-    pub fn ptp_time(&self, bytes: u64) -> Span {
-        Span::from_secs_f64(self.latency_s + bytes as f64 / self.node_bandwidth_bps)
     }
 
     /// Time to launch `procs` new processes with `MPI_Comm_spawn`.
@@ -81,18 +69,14 @@ impl NetworkModel {
         Span::from_secs_f64(self.latency_s * peers + per_node / self.node_bandwidth_bps)
     }
 
-    /// Total reconfiguration cost on the DMR path: spawn the new process set
-    /// and redistribute the dataset.
+    /// Total reconfiguration cost on the DMR path, as Figure 1 charges it:
+    /// spawn the new process set and redistribute the dataset.
+    /// `MPI_Comm_spawn` recreates the full child set (the new communicator
+    /// has `dst_procs` ranks), so every destination rank is charged, for a
+    /// shrink too — while the simulator's `Driver::begin_reconfig` charges
+    /// a shrink no spawn at all (ROADMAP item 10's cost model settles it).
     pub fn dmr_reconfigure_time(&self, total_bytes: u64, src_procs: u32, dst_procs: u32) -> Span {
-        let spawned = if dst_procs > src_procs {
-            // The paper reuses original nodes: only the delta is spawned...
-            // except that MPI_Comm_spawn recreates the full child set (the
-            // new communicator has dst_procs ranks), so charge all of them.
-            dst_procs
-        } else {
-            dst_procs
-        };
-        self.spawn_time(spawned) + self.redistribution_time(total_bytes, src_procs, dst_procs)
+        self.spawn_time(dst_procs) + self.redistribution_time(total_bytes, src_procs, dst_procs)
     }
 }
 
@@ -101,16 +85,6 @@ mod tests {
     use super::*;
 
     const GB: u64 = 1 << 30;
-
-    #[test]
-    fn ptp_scales_with_size() {
-        let net = NetworkModel::fdr10();
-        let t1 = net.ptp_time(GB);
-        let t2 = net.ptp_time(2 * GB);
-        assert!(t2 > t1);
-        // 1 GiB at 5 GB/s ≈ 0.21 s
-        assert!((t1.as_secs_f64() - (GB as f64 / 5.0e9)).abs() < 1e-3);
-    }
 
     #[test]
     fn redistribution_zero_cases() {

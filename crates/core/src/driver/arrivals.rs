@@ -19,29 +19,41 @@ use crate::config::{EstimateMode, ESTIMATE_PADDING, WAKE_LATENCY_S};
 use crate::model::SimJob;
 
 impl Driver<'_, '_> {
-    /// Pulls the next job from the source (if any), binds it to its
-    /// application's speedup curve and schedules its arrival. Exactly one
-    /// arrival event is in flight at any time, so arbitrarily long
-    /// workloads occupy O(1) event-queue space, and the job it submits
-    /// waits in [`Driver::next_arrival`].
+    /// Schedules the run's first arrival ([`Driver::pull_arrival`]),
+    /// marked claimable: each arrival's handler re-keys it to its
+    /// successor's instant.
     ///
-    /// Arrivals are scheduled in the engine's *early* tie-break class:
-    /// historically every arrival was scheduled before the run began and
-    /// therefore always popped before same-instant run events; streaming
-    /// must preserve that order bit-for-bit.
-    pub(crate) fn schedule_next_arrival(&mut self) {
+    /// Arrivals are scheduled in the engine's *early* tie-break class,
+    /// which a claim keeps: historically every arrival was scheduled
+    /// before the run began and therefore always popped before
+    /// same-instant run events; streaming must preserve that order
+    /// bit-for-bit.
+    pub(crate) fn schedule_first_arrival(&mut self) {
+        if let Some(at) = self.pull_arrival() {
+            let arrival = self.engine.schedule_at_early(at, Ev::Arrival);
+            self.engine.mark_claimable(arrival);
+        }
+    }
+
+    /// Pulls the next job from the source (if any), binds it to its
+    /// application's speedup curve and returns its arrival instant; the
+    /// job waits in [`Driver::next_arrival`]. Exactly one arrival event is
+    /// in flight at any time, so arbitrarily long workloads occupy O(1)
+    /// event-queue space.
+    fn pull_arrival(&mut self) -> Option<SimTime> {
         debug_assert!(self.next_arrival.is_none(), "one arrival in flight");
-        let Some(job) = self.source.next_job().map(SimJob::from_spec) else {
-            return;
-        };
+        let job = self.source.next_job().map(SimJob::from_spec)?;
         // Sources yield arrival-sorted jobs; clamp stragglers so virtual
         // time never runs backwards.
         let at = SimTime::from_secs_f64(job.spec.arrival_s.max(0.0)).max(self.last_arrival);
         self.last_arrival = at;
-        self.engine.schedule_at_early(at, Ev::Arrival);
         self.next_arrival = Some(job);
+        Some(at)
     }
 
+    /// The due [`Ev::Arrival`] submits the job it stands for, then is
+    /// re-keyed in place to its successor's instant, or taken from the
+    /// engine when the source is dry.
     pub(crate) fn on_arrival(&mut self, now: SimTime) {
         let sim = self.next_arrival.take().expect("an arrival is in flight");
         let spec = &sim.spec;
@@ -99,7 +111,14 @@ impl Driver<'_, '_> {
                 .schedule_at(now + Span::from_secs_f64(WAKE_LATENCY_S), Ev::NodeWake);
         }
         // The job is in the system: pull its successor from the source.
-        self.schedule_next_arrival();
+        // The claim draws the sequence number a push of a new arrival
+        // would draw here.
+        match self.pull_arrival() {
+            Some(at) => self.engine.claim_at(at),
+            None => {
+                self.engine.fire_due();
+            }
+        }
         self.request_schedule();
     }
 

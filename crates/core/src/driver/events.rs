@@ -14,7 +14,11 @@ use super::Driver;
 #[derive(Debug)]
 pub(crate) enum Ev {
     /// The job pulled last from the source ([`Driver::next_arrival`])
-    /// reaches the system.
+    /// reaches the system. Claimable, like [`Ev::BackfillTick`]: it is
+    /// handled while still queued ([`Driver::on_due`]) and re-keyed to the
+    /// next job's arrival, so the one arrival in flight is one queue entry
+    /// for the whole run. A handler of either sees its own event in the
+    /// engine's pending count: the tick's stop rule counts the queued tick.
     Arrival,
     /// A running job finished a compute segment of `steps` iterations.
     /// After a check that changed nothing the segment is scheduled
@@ -29,7 +33,11 @@ pub(crate) enum Ev {
     /// The resizer job `job` awaits ([`super::Phase::Awaiting`]) was
     /// queued too long (§V-B1): abort the expansion.
     RjTimeout { job: JobId },
-    /// Periodic EASY-backfill pass (Slurm's `bf_interval`).
+    /// Periodic EASY-backfill pass (Slurm's `bf_interval`). Claimable:
+    /// it is handled while still queued ([`Driver::on_due`]) and re-keyed
+    /// one interval on, so its stop rule
+    /// ([`Driver::on_backfill_tick`]) counts the queued tick itself among
+    /// the engine's pending events.
     BackfillTick,
     /// Powered-down (S5) nodes finish waking: capacity returns. Scheduled
     /// one wake-up latency after demand arrived while nodes were off.
@@ -47,17 +55,30 @@ pub(crate) enum Ev {
 }
 
 impl Driver<'_, '_> {
+    /// Dispatches an event that fired: it has left the engine.
     pub(crate) fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
-            Ev::Arrival => self.on_arrival(now),
             Ev::SegmentDone { job, steps } => self.on_segment_done(job, steps, now),
             Ev::ReconfigDone { job, to } => self.on_reconfig_done(job, to, now),
             Ev::RjTimeout { job } => self.on_rj_timeout(job, now),
-            Ev::BackfillTick => self.on_backfill_tick(now),
+            Ev::Arrival | Ev::BackfillTick => unreachable!("{ev:?} is claimable: see on_due"),
             Ev::NodeWake => self.on_node_wake(),
             Ev::NodeFail { node } => self.on_node_fail(node, now),
             Ev::NodeRepair { node } => self.on_node_repair(node, now),
             Ev::ResizeRetry { job, to } => self.on_resize_retry(job, to, now),
+        }
+    }
+
+    /// Dispatches a claimable event that fell due ([`dmr_sim::Step::Due`])
+    /// while it is still at the head of the queue. Each handler settles
+    /// it: re-keys it in place where it would schedule the same event
+    /// again, takes it ([`dmr_sim::Engine::fire_due`]) otherwise.
+    pub(crate) fn on_due(&mut self, now: SimTime) {
+        match *self.engine.due_event() {
+            Ev::SegmentDone { job, steps } => self.on_due_segment(job, steps, now),
+            Ev::BackfillTick => self.on_backfill_tick(now),
+            Ev::Arrival => self.on_arrival(now),
+            ref ev => unreachable!("{ev:?} is never marked claimable"),
         }
     }
 
@@ -86,7 +107,9 @@ impl Driver<'_, '_> {
     }
 
     /// The periodic backfill thread: runs a full EASY pass, then re-arms
-    /// itself while there is still work in the system.
+    /// itself — the due tick re-keyed in place one interval on — while
+    /// there is still work in the system, and is taken from the engine
+    /// otherwise.
     ///
     /// A pending queue alone does not justify re-arming: if nothing is
     /// running, no arrival is in flight, and no other event is pending
@@ -95,6 +118,8 @@ impl Driver<'_, '_> {
     /// ever start. Ticking on would spin virtual time forever; this
     /// arises under fault scripts that down nodes without repairing
     /// them, leaving a requeued job larger than the surviving cluster.
+    /// The tick is still queued while this runs, so "another event" is
+    /// a pending count above one.
     pub(crate) fn on_backfill_tick(&mut self, now: SimTime) {
         let starts = self.slurm.backfill_pass(now);
         self.wire_starts(starts, now);
@@ -103,10 +128,11 @@ impl Driver<'_, '_> {
             || self.slurm.pending_count() > 0
             || !self.running.is_empty();
         let progress_possible =
-            self.next_arrival.is_some() || !self.running.is_empty() || self.engine.pending() > 0;
+            self.next_arrival.is_some() || !self.running.is_empty() || self.engine.pending() > 1;
         if work_left && progress_possible {
-            self.engine
-                .schedule_in(self.backfill_interval, Ev::BackfillTick);
+            self.engine.claim_at(now + self.backfill_interval);
+        } else {
+            self.engine.fire_due();
         }
     }
 }

@@ -579,11 +579,14 @@ impl<'a, 's> Driver<'a, 's> {
 
     fn run(mut self) -> RunStats {
         // Pull only the first job; each arrival pulls its successor, so
-        // the event queue carries one arrival at a time.
-        self.schedule_next_arrival();
+        // the event queue carries one arrival at a time. The arrival and
+        // the tick are claimed in place each time they re-arm.
+        self.schedule_first_arrival();
         if self.cfg.backfill {
-            self.engine
+            let tick = self
+                .engine
                 .schedule_in(self.backfill_interval, Ev::BackfillTick);
+            self.engine.mark_claimable(tick);
         }
         // Faults follow the same one-in-flight discipline as arrivals.
         self.schedule_next_fault(SimTime::ZERO);
@@ -617,7 +620,7 @@ impl<'a, 's> Driver<'a, 's> {
                 }
                 Some(Step::Relayed(now)) => now,
                 Some(Step::Due(now)) => {
-                    self.on_due_segment(now);
+                    self.on_due(now);
                     now
                 }
                 None => break,
@@ -984,6 +987,37 @@ mod tests {
     }
 
     #[test]
+    fn the_tick_stops_when_only_it_is_queued_and_re_arms_for_a_repair() {
+        // One rigid job on all 20 nodes. Failing node 0 at 25 s kills and
+        // requeues it; the 19 nodes left can never start it.
+        let jobs = [JobSpec {
+            flexible: false,
+            ..fs_job(0, 0.0, 20, 2, 30.0)
+        }];
+        let run_with = |script: &str| {
+            Simulation::new(&cfg().as_fixed())
+                .source(&mut jobs.iter())
+                .faults(FaultTrace::parse(script).unwrap())
+                .run()
+                .unwrap()
+        };
+        // No repair: the first tick after the kill finds itself the only
+        // queued event and ends the run (arrival, failure, tick).
+        let stranded = run_with("25 fail 0\n");
+        assert_eq!(stranded.events, 3);
+        assert_eq!(stranded.end_time, SimTime::from_secs(30));
+        assert_eq!((stranded.summary.jobs, stranded.summary.requeues), (0, 1));
+        // A repair at 1000 s is pending beside the tick, which re-arms
+        // until the restarted job has completed at 1060 s.
+        let repaired = run_with("25 fail 0\n1000 repair 0\n");
+        assert_eq!(repaired.events, 40);
+        assert_eq!(repaired.end_time, SimTime::from_secs(1080));
+        assert_eq!((repaired.summary.jobs, repaired.summary.requeues), (1, 1));
+        assert_eq!(repaired.summary.makespan_s, 1060.0);
+        assert_eq!(repaired.summary.restart_p95_s, 975.0);
+    }
+
+    #[test]
     fn a_scripted_fault_on_a_node_the_machine_lacks_stops_the_run_before_it_starts() {
         // Scheduled at t = 1e9 s, long after the job is done: the check
         // is made up front, not when (or whether) the event fires.
@@ -1182,12 +1216,12 @@ mod tests {
             None,
         );
         answer(&mut d, ResizeAction::NoAction);
-        d.schedule_next_arrival();
+        d.schedule_first_arrival();
         while d.running.len() < 3 {
-            let Some(Step::Fired(now, ev)) = d.engine.step() else {
-                panic!("the three arrivals fire first");
+            let Some(Step::Due(now)) = d.engine.step() else {
+                panic!("the three arrivals fall due first");
             };
-            d.handle(now, ev);
+            d.on_due(now);
             flush(&mut d);
         }
         let mut ids: Vec<_> = d.slurm.jobs().map(|j| (j.seq, j.id)).collect();

@@ -261,10 +261,7 @@ impl Driver<'_, '_> {
     /// A claimable `SegmentDone` fell due ([`dmr_sim::Step::Due`]): the
     /// held path if the boundary's check is known to change nothing, the
     /// event's handler otherwise.
-    pub(crate) fn on_due_segment(&mut self, now: SimTime) {
-        let Ev::SegmentDone { job, steps } = *self.engine.due_event() else {
-            unreachable!("only segment ends are marked claimable");
-        };
+    pub(crate) fn on_due_segment(&mut self, job: JobId, steps: u32, now: SimTime) {
         if !self.pass_held(job, steps, now) {
             let ev = self.engine.fire_due();
             self.handle(now, ev);

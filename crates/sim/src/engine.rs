@@ -17,11 +17,21 @@
 //! and reports [`Step::Due`], and the world, having looked at the payload
 //! ([`Engine::due_event`]), either takes it ([`Engine::fire_due`]) or
 //! re-keys it in place to a later instant ([`Engine::claim_at`],
-//! [`Engine::claim_relayed`]) — the same rank, sequence number and
-//! processed count as handling it and scheduling it again, without the
-//! heap round trip. A world whose handler, in a state it can recognise
-//! cheaply, would only reschedule the event it was handed saves the
-//! dispatch. Unmarked events never stop at [`Step::Due`].
+//! [`Engine::claim_relayed`]) in its own tie-break class — the same rank,
+//! sequence number and processed count as handling it and scheduling it
+//! again, without the heap round trip. A world whose handler, in a state
+//! it can recognise cheaply, would only reschedule the event it was
+//! handed saves the dispatch; one whose handler reschedules it after
+//! doing its work saves the pop and the push. Unmarked events never stop
+//! at [`Step::Due`].
+//!
+//! The workload driver (`dmr-core`) claims three events. A segment end
+//! whose check point a standing policy hold has answered is passed
+//! without its handler and re-keyed to the next segment's end. The
+//! periodic backfill tick and the one arrival in flight always schedule
+//! themselves again: they are handled while still at the head of the
+//! queue and re-keyed one interval on, or to the next job's arrival
+//! instant, and taken with [`Engine::fire_due`] only at their last firing.
 
 use crate::queue::{EventKey, EventQueue, Step, CLASS_EARLY, CLASS_NORMAL};
 use crate::time::{SimTime, Span};
@@ -168,7 +178,9 @@ impl<E> Engine<E> {
 
     /// Claims the event [`Engine::step`] just reported [`Step::Due`],
     /// keeping its handle: it is pending again at `at`, ranked as if
-    /// fired and scheduled there with [`Engine::schedule_at`] now.
+    /// fired and scheduled there now in its own class — with
+    /// [`Engine::schedule_at`], or [`Engine::schedule_at_early`] for an
+    /// early event.
     pub fn claim_at(&mut self, at: SimTime) {
         let at = self.not_in_the_past(at);
         self.queue.claim(at, None);

@@ -47,10 +47,20 @@
 //! at the head is reported as [`Step::Due`] and stays where it is; the
 //! owner then either takes it ([`EventQueue::fire_due`]) or claims it
 //! ([`EventQueue::claim`]): the entry is re-keyed in place to a later
-//! instant — optionally relayed once more — with a sequence number drawn
-//! at that moment, exactly the number a handler that popped the event and
-//! pushed it again would have drawn. The payload, the slot, the key and
-//! the mark stay. An unmarked event pays one flag test for the feature.
+//! instant — optionally relayed once more — in its own tie-break class,
+//! with a sequence number drawn at that moment, exactly the number a
+//! handler that popped the event and pushed it again would have drawn.
+//! The payload, the slot, the key, the class and the mark stay. An
+//! unmarked event pays one flag test for the feature.
+//!
+//! The workload driver (`dmr-core`) marks three events, each one that its
+//! handler, as a rule, schedules again unchanged: a compute segment's end
+//! whose check point the resize policy's hold has already answered (the
+//! held path re-keys it to the next segment's end), the periodic backfill
+//! tick (re-keyed one interval on after its pass, until the run's work is
+//! done) and the one arrival in flight (re-keyed, still
+//! [`CLASS_EARLY`], to the next job's arrival instant, until the source
+//! runs dry). Each saves a pop, a push and a slot round trip per firing.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -126,6 +136,10 @@ pub struct EventQueue<E> {
     free: Vec<u32>,
     live: usize,
     next_seq: u64,
+    /// The sequence number of the entry [`EventQueue::step`] reported
+    /// [`Step::Due`] until it is settled: what debug builds check a claim
+    /// or a fire against.
+    due: Option<u64>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -142,6 +156,7 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             live: 0,
             next_seq: 0,
+            due: None,
         }
     }
 
@@ -301,6 +316,7 @@ impl<E> EventQueue<E> {
     /// event at its first instant, or reports it due if it is marked.
     /// `None` when the queue is empty.
     pub fn step(&mut self) -> Option<Step<E>> {
+        debug_assert!(self.due.is_none(), "the due event was not settled");
         self.settle_head();
         let mut head = self.heap.peek_mut()?;
         let tenant = &mut self.slots[head.0.slot as usize];
@@ -317,6 +333,7 @@ impl<E> EventQueue<E> {
             return Some(Step::Relayed(first));
         }
         if tenant.claimable {
+            self.due = Some(head.0.seq);
             return Some(Step::Due(head.0.time));
         }
         let Reverse(entry) = PeekMut::pop(head);
@@ -331,8 +348,8 @@ impl<E> EventQueue<E> {
     /// [`Step::Due`].
     pub fn due(&self) -> &E {
         let Reverse(head) = self.heap.peek().expect("an event is due");
+        debug_assert_eq!(self.due, Some(head.seq), "the head is not the due event");
         let tenant = &self.slots[head.slot as usize];
-        debug_assert!(tenant.claimable, "the head is not a due marked event");
         tenant.event.as_ref().expect("the due event is pending")
     }
 
@@ -340,7 +357,8 @@ impl<E> EventQueue<E> {
     /// out of the queue, as a step would have fired it.
     pub fn fire_due(&mut self) -> (SimTime, E) {
         let head = self.heap.peek_mut().expect("an event is due");
-        debug_assert!(self.slots[head.0.slot as usize].claimable);
+        debug_assert_eq!(self.due, Some(head.0.seq), "the head is not the due event");
+        self.due = None;
         let Reverse(entry) = PeekMut::pop(head);
         let event = self.vacate(entry.slot).expect("the due event is pending");
         self.maybe_compact();
@@ -348,14 +366,16 @@ impl<E> EventQueue<E> {
     }
 
     /// Claims the event [`EventQueue::step`] just reported [`Step::Due`]:
-    /// it stays pending, re-keyed in place to `at` in [`CLASS_NORMAL`]
-    /// under a sequence number drawn now, and — with `relay` — is relayed
-    /// again there, to fire `relay` later. That is the rank the event
-    /// would have had if it had fired and been pushed again with
-    /// [`EventQueue::push`] or [`EventQueue::push_relayed`] at this
-    /// moment. `at` must not precede the due instant.
+    /// it stays pending, re-keyed in place to `at` in its own class under
+    /// a sequence number drawn now, and — with `relay` — is relayed again
+    /// there, to fire `relay` later. That is the rank the event would have
+    /// had if it had fired and been pushed again in its class
+    /// ([`EventQueue::push_with_class`]), or relayed, at this moment. `at`
+    /// must not precede the due instant.
     pub fn claim(&mut self, at: SimTime, relay: Option<Span>) {
         let mut head = self.heap.peek_mut().expect("an event is due");
+        debug_assert_eq!(self.due, Some(head.0.seq), "the head is not the due event");
+        self.due = None;
         let tenant = &mut self.slots[head.0.slot as usize];
         debug_assert!(tenant.claimable && tenant.relay.is_none());
         debug_assert!(at >= head.0.time, "claimed into the past");
@@ -363,10 +383,9 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         tenant.relay = relay;
         // The new key ranks after the old one (a later instant, or the
-        // same one under a later sequence number), so the entry sinks to
-        // its rank when the borrow of the head ends.
+        // same one and class under a later sequence number), so the entry
+        // sinks to its rank when the borrow of the head ends.
         head.0.time = at;
-        head.0.class = CLASS_NORMAL;
         head.0.seq = tenant.seq;
     }
 
@@ -589,6 +608,38 @@ mod tests {
         assert_eq!(literal.pop(), Some((SimTime(30), "a")));
         assert_eq!(claimed.cancel(key), None, "fired");
         assert!(claimed.is_empty() && literal.is_empty());
+    }
+
+    #[test]
+    fn a_claimed_early_event_keeps_its_class() {
+        // `b` is pushed for 30 in the default class before `a`, an early
+        // event, is claimed there: `a` still pops first, as an early
+        // event pushed again at 30 would.
+        let mut q = EventQueue::new();
+        let key = q.push_with_class(SimTime(10), CLASS_EARLY, "a");
+        q.mark(key);
+        q.push(SimTime(30), "b");
+        assert_eq!(q.step(), Some(Step::Due(SimTime(10))));
+        q.claim(SimTime(30), None);
+        assert_eq!(q.peek_head(), Some((SimTime(30), CLASS_EARLY)));
+        assert_eq!(q.step(), Some(Step::Due(SimTime(30))));
+        assert_eq!(q.fire_due(), (SimTime(30), "a"));
+        assert_eq!(q.pop(), Some((SimTime(30), "b")));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the head is not the due event")]
+    fn a_claim_must_act_on_the_due_event() {
+        // An early event pushed for the due instant overtakes the due
+        // default-class event at the head; a claim would re-key it.
+        let mut q = EventQueue::new();
+        let key = q.push(SimTime(10), "due");
+        q.mark(key);
+        assert_eq!(q.step(), Some(Step::Due(SimTime(10))));
+        q.push_with_class(SimTime(10), CLASS_EARLY, "early");
+        q.claim(SimTime(20), None);
     }
 
     #[test]

@@ -178,9 +178,12 @@ proptest! {
     /// does. A marked event that falls due is fired, claimed in place
     /// for a later instant (a zero-pause claim) or claimed relayed behind
     /// a pause. The model has no claim either: it pops the event and
-    /// pushes it straight back — as a plain event, or as a marker — under
-    /// a sequence number drawn at that moment. A claimed event keeps its
-    /// first key, so cancellations reach it after its claims as well.
+    /// pushes it straight back in the class it was pushed in — as a plain
+    /// event, or as a marker — under a sequence number drawn at that
+    /// moment. Early-class events are marked and claimed like the
+    /// others, and keep winning same-instant ties after a claim. A
+    /// claimed event keeps its first key, so cancellations reach it after
+    /// its claims as well.
     #[test]
     fn queue_matches_a_sorted_vec_model(
         ops in proptest::collection::vec(
@@ -217,6 +220,8 @@ proptest! {
         let mut keys = Vec::new();
         let mut dead = Vec::new();
         let mut marked = std::collections::HashSet::new();
+        // The class each event was pushed in, which its claims keep.
+        let mut class_of = Vec::new();
         let mut high_water = 0;
         for (event, &(time, near, early, hint, action, kind)) in ops.iter().enumerate() {
             // Half the pushes share a handful of instants, so ties
@@ -230,10 +235,12 @@ proptest! {
                 let delay = Span(if hint % 3 == 0 { time.0 % 8 } else { time.0 });
                 keys.push(q.push_relayed(first, delay, event));
                 insert(&mut model, ((first, CLASS_NORMAL, next_seq), event, Some(delay)));
+                class_of.push(CLASS_NORMAL);
             } else {
                 let class = if early { CLASS_EARLY } else { CLASS_NORMAL };
                 keys.push(q.push_with_class(time, class, event));
                 insert(&mut model, ((time, class, next_seq), event, None));
+                class_of.push(class);
             }
             next_seq += 1;
             if kind == 2 || (kind == 0 && hint % 2 == 1) {
@@ -277,14 +284,14 @@ proptest! {
                             // pushes it again, now.
                             let at = t + Span(time.0 % 8);
                             q.claim(at, None);
-                            insert(&mut model, ((at, CLASS_NORMAL, next_seq), e, None));
+                            insert(&mut model, ((at, class_of[e], next_seq), e, None));
                             next_seq += 1;
                         }
                         (true, 2) => {
                             // Claimed behind a pause, relayed again.
                             let (pause, delay) = (Span(hint % 8), Span(time.0 % 16));
                             q.claim(t + pause, Some(delay));
-                            insert(&mut model, ((t + pause, CLASS_NORMAL, next_seq), e, Some(delay)));
+                            insert(&mut model, ((t + pause, class_of[e], next_seq), e, Some(delay)));
                             next_seq += 1;
                         }
                         (true, _) => {
